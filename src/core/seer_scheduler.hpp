@@ -56,9 +56,6 @@ struct SeerConfig {
   bool enable_htm_lock_acquire = true;  // batch lock acquisition inside HTM
   bool enable_hill_climbing = true;   // self-tune Th1/Th2
 
-  // Retry budget for hardware attempts (paper §5.1 uses 5, citing Intel).
-  int max_attempts = 5;
-
   // Scheme maintenance cadence, in transaction executions between rebuilds.
   // The paper rebuilds opportunistically while waiting on the SGL; we also
   // rebuild every `update_period` executions (DESIGN.md deviation #1).
@@ -70,18 +67,14 @@ struct SeerConfig {
   std::uint64_t seed = 1;
 
   // --- extensions beyond the paper (its §6 future-work directions) -------
-  // Probabilistic sampling of the Alg. 3 statistics (Dice/Lev/Moir-style
-  // scalable counters): each commit/abort is recorded with probability
-  // 2^-sampling_shift. The inference consumes only count *ratios*, so
-  // uniform sampling leaves the probabilities unbiased while cutting the
-  // instrumentation cost proportionally. 0 = record everything (paper).
-  std::uint32_t sampling_shift = 0;
-  // Deterministic counterpart living INSIDE the statistics slabs: each
+  // Sampling of the Alg. 3 statistics, INSIDE the statistics slabs: each
   // thread records only every k-th of its commit/abort events (execution
   // bump + active-table scan) and the merge scales the sampled counters by
-  // k. Unlike sampling_shift this needs no per-event RNG draw, keeps the
-  // rebuild cadence and throughput feedback exact (raw tallies are never
-  // sampled), and is reproducible run-to-run. 0 or 1 = record everything.
+  // k. The inference consumes only count ratios, so this cuts the
+  // instrumentation cost without biasing them; it needs no per-event RNG
+  // draw, keeps the rebuild cadence and throughput feedback exact (raw
+  // tallies are never sampled), and is reproducible run-to-run. 0 or 1 =
+  // record everything (paper).
   std::uint32_t stats_sample_period = 1;
   // Exponential decay of the merged statistics between rebuilds, so the
   // scheme tracks time-varying workloads (phased benchmarks) instead of

@@ -222,6 +222,7 @@ AbortStatus SoftHtm::ThreadContext::commit() {
     }
   };
 
+  std::uint64_t wv = 0;
   try {
     // Acquire in canonical order; never block — a busy stripe means a
     // concurrent committer, which an HTM would report as a conflict abort.
@@ -236,6 +237,13 @@ AbortStatus SoftHtm::ThreadContext::commit() {
       }
       ++locked;
     }
+
+    // Take the write version now, after locking and before validating (the
+    // TL2 order). A writer that locks one of our read stripes after we
+    // validated it then takes a larger version, so commit-version order is
+    // a serialization order; validating first would let it slip in between
+    // and publish a smaller version than ours.
+    wv = tm_.clock_.fetch_add(1, std::memory_order_acq_rel) + 1;
 
     // Validate the read set against the read version. A locked stripe is
     // fine iff the lock is ours, which the owned stamp answers in O(1)
@@ -275,8 +283,7 @@ AbortStatus SoftHtm::ThreadContext::commit() {
     throw;
   }
 
-  // Publish: bump the clock, write back, release stripes at the new version.
-  const std::uint64_t wv = tm_.clock_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  // Publish: write back, release stripes at the new version.
   for (const WriteEntry& e : writes_) {
     e.addr->store(e.value, std::memory_order_release);
   }

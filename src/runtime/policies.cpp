@@ -1,7 +1,5 @@
 #include "runtime/policies.hpp"
 
-#include "util/rng.hpp"
-
 #include <cassert>
 
 namespace seer::rt {
@@ -315,17 +313,16 @@ class SglPolicy final : public Policy {
 // Seer — Alg. 1-4 over the core scheduler (Alg. 5 lives in seer_core).
 class SeerPolicy final : public Policy {
  public:
-  SeerPolicy(core::SeerScheduler& sched, core::ThreadId self)
+  SeerPolicy(core::SeerScheduler& sched, core::ThreadId self, int budget)
       : sched_(sched),
         cfg_(sched.config()),
         self_(self),
         my_core_(static_cast<std::uint16_t>(self % cfg_.physical_cores)),
-        sample_rng_(cfg_.seed ^ (0x9e3779b97f4a7c15ULL * (self + 1))),
-        sample_mask_((1ULL << cfg_.sampling_shift) - 1) {}
+        budget_(budget) {}
 
   void begin_tx(core::TxTypeId tx, std::uint64_t now) override {
     tx_ = tx;
-    attempts_ = cfg_.max_attempts;
+    attempts_ = budget_;
     want_core_ = false;
     holds_core_ = false;
     holds_tx_ = false;
@@ -393,14 +390,14 @@ class SeerPolicy final : public Policy {
   }
 
   void on_abort(htm::AbortStatus status, std::uint64_t) override {
-    if (should_sample()) sched_.record_abort(self_, tx_);  // Alg. 1 line 16
+    sched_.record_abort(self_, tx_);  // Alg. 1 line 16
     --attempts_;
     if (status.cause() == htm::AbortCause::kCapacity) want_core_ = true;
   }
 
   LockList on_commit(bool hardware, std::uint64_t) override {
     // Alg. 2 line 28 (only hardware commits carry scheduling evidence).
-    if (hardware && should_sample()) sched_.record_commit(self_, tx_);
+    if (hardware) sched_.record_commit(self_, tx_);
     sched_.clear(self_);                             // Alg. 2 line 32
     LockList rel = held_locks();
     drop_held();
@@ -431,18 +428,11 @@ class SeerPolicy final : public Policy {
     held_row_.clear();
   }
 
-  // Sampling extension (SeerConfig::sampling_shift): record each event with
-  // probability 2^-shift. Ratios stay unbiased; instrumentation shrinks.
-  [[nodiscard]] bool should_sample() noexcept {
-    return sample_mask_ == 0 || (sample_rng_.next() & sample_mask_) == 0;
-  }
-
   core::SeerScheduler& sched_;
   const core::SeerConfig& cfg_;
   core::ThreadId self_;
   std::uint16_t my_core_;
-  util::Xoshiro256 sample_rng_;
-  std::uint64_t sample_mask_;
+  int budget_;
   core::TxTypeId tx_ = core::kNoTx;
   int attempts_ = 0;
   bool want_core_ = false;
@@ -509,7 +499,6 @@ PolicyShared::PolicyShared(const PolicyConfig& cfg, std::size_t n_threads,
     core::SeerConfig sc = cfg_.seer;
     sc.n_threads = n_threads;
     sc.n_types = n_types;
-    sc.max_attempts = cfg_.max_attempts;
     seer_ = std::make_unique<core::SeerScheduler>(sc);
   }
   if (cfg_.kind == PolicyKind::kOracle) {
@@ -543,7 +532,7 @@ std::unique_ptr<Policy> PolicyShared::make_thread_policy(core::ThreadId thread) 
     case PolicyKind::kSgl:
       return std::make_unique<SglPolicy>();
     case PolicyKind::kSeer:
-      return std::make_unique<SeerPolicy>(*seer_, thread);
+      return std::make_unique<SeerPolicy>(*seer_, thread, cfg_.max_attempts);
     case PolicyKind::kOracle:
       return std::make_unique<OraclePolicy>(*oracle_, thread, cfg_.max_attempts);
   }

@@ -27,6 +27,7 @@ enum class EventKind : std::uint8_t {
   kOtherAbort,     // interrupt / ring transition / ... (background noise)
   kSglBodyDone,    // pessimistic execution under the SGL finished
   kResume,         // generic continue-after-cost-accounting
+  kServeNext,      // open loop: take the next queued request, or park
 };
 
 struct Event {

@@ -16,6 +16,7 @@ struct Machine::ThreadCtx {
   std::uint64_t pending_cost = 0;
 
   TxInstance inst;
+  Time arrival = 0;  // open loop: when the request in service arrived
   rt::Directive d;
   std::size_t acquire_idx = 0;
   std::size_t wait_idx = 0;
@@ -40,6 +41,7 @@ struct Machine::ThreadCtx {
     kQueuedSgl,   // fallback: queued on the SGL
     kRunningSgl,  // pessimistic execution in flight
     kDone,        // finished its share of transactions
+    kParked,      // open loop: no request to serve
   } st = St::kIdle;
 };
 
@@ -149,14 +151,7 @@ MachineStats Machine::run() {
     push(think, t->id, EventKind::kStartTx, kAnyGen);
   }
 
-  while (!queue_.empty() && done_count_ < cfg_.n_threads) {
-    const Event e = queue_.pop();
-    if (cfg_.metrics != nullptr) {
-      cfg_.metrics->observe(h_queue_depth_, 0, queue_.size());
-    }
-    now_ = std::max(now_, e.time);
-    on_event(e);
-  }
+  while (!queue_.empty() && done_count_ < cfg_.n_threads) step();
 
   stats_.makespan = now_;
   if (auto* s = shared_.seer()) {
@@ -169,6 +164,48 @@ MachineStats Machine::run() {
     }
   }
   return stats_;
+}
+
+void Machine::step() {
+  const Event e = queue_.pop();
+  if (cfg_.metrics != nullptr) {
+    cfg_.metrics->observe(h_queue_depth_, 0, queue_.size());
+  }
+  now_ = std::max(now_, e.time);
+  on_event(e);
+}
+
+void Machine::serve(std::size_t queue_capacity,
+                    std::function<void(const Served&)> on_served) {
+  assert(!serving_ && now_ == 0 && queue_.empty());
+  serving_ = std::make_unique<Serving>(queue_capacity, std::move(on_served));
+  for (auto& t : threads_) t->st = ThreadCtx::St::kParked;
+}
+
+void Machine::advance(Time t) {
+  while (!queue_.empty() && queue_.top().time <= t) step();
+  now_ = std::max(now_, t);
+}
+
+bool Machine::arrive(Time at, TxInstance inst) {
+  assert(serving_ && "arrive() before serve()");
+  advance(at);
+  if (!serving_->queue.try_push(Queued{now_, std::move(inst)})) return false;
+  for (auto& t : threads_) {
+    if (t->st == ThreadCtx::St::kParked) {
+      t->st = ThreadCtx::St::kIdle;
+      push(now_, t->id, EventKind::kServeNext, kAnyGen);
+      break;
+    }
+  }
+  return true;
+}
+
+void Machine::drain() {
+  // Every accepted request either sits in the queue while all threads are
+  // busy or waking, or is in service; each commit pops the next one, so
+  // the event queue empties exactly when the admission queue has.
+  while (!queue_.empty()) step();
 }
 
 void Machine::on_event(const Event& e) {
@@ -254,6 +291,10 @@ void Machine::on_event(const Event& e) {
       if (e.gen != t.gen) break;
       dispatch(t);
       break;
+
+    case EventKind::kServeNext:
+      serve_next(t);
+      break;
   }
 }
 
@@ -278,6 +319,22 @@ void Machine::start_tx(ThreadCtx& t) {
   const double progress = static_cast<double>(t.txs_done) /
                           static_cast<double>(cfg_.txs_per_thread);
   workload_->next(t.id, progress, t.rng, t.inst);
+  begin(t);
+}
+
+void Machine::serve_next(ThreadCtx& t) {
+  Queued r;
+  if (!serving_->queue.try_pop(r)) {
+    t.st = ThreadCtx::St::kParked;
+    return;
+  }
+  run_maintenance(t);
+  t.arrival = r.arrival;
+  t.inst = std::move(r.inst);
+  begin(t);
+}
+
+void Machine::begin(ThreadCtx& t) {
   t.policy->begin_tx(t.inst.type, now_);
   if (is_seer()) t.pending_cost += cfg_.costs.announce;
   assert(t.held.empty());
@@ -559,6 +616,13 @@ void Machine::finish_tx(ThreadCtx& t, bool hardware) {
   t.held.clear();
 
   stats_.serial_work += t.inst.duration;
+  if (serving_) {
+    serving_->on_served(Served{t.arrival, now_, mode});
+    t.st = ThreadCtx::St::kIdle;
+    push(now_ + t.pending_cost, t.id, EventKind::kServeNext, kAnyGen);
+    t.pending_cost = 0;
+    return;
+  }
   ++t.txs_done;
   if (t.txs_done >= cfg_.txs_per_thread || workload_->exhausted(t.id)) {
     t.st = ThreadCtx::St::kDone;

@@ -25,10 +25,17 @@
 // simulated FIFO locks and a logical-cycle cost model that charges CAS,
 // begin/commit, abort penalties, and Seer's instrumentation (announcement,
 // active-table scans, scheme rebuilds — this is what Figure 4 measures).
+//
+// Two ways to drive it: run() is the closed loop of the paper exhibits
+// (each thread samples, executes and thinks until its quota is done);
+// serve() + arrive() + drain() is the open loop of `seer_serve
+// --deterministic` (requests arrive when the caller says, queue, and are
+// served by whichever hardware thread is free).
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -41,6 +48,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/sim_lock.hpp"
 #include "sim/workload.hpp"
+#include "util/mpmc_queue.hpp"
 #include "util/stats.hpp"
 
 namespace seer::sim {
@@ -175,6 +183,13 @@ struct MachineStats {
   }
 };
 
+// One open-loop request, reported when it commits.
+struct Served {
+  Time arrival = 0;
+  Time commit = 0;
+  rt::CommitMode mode = rt::CommitMode::kHtmNoLocks;
+};
+
 class Machine {
  public:
   Machine(MachineConfig cfg, std::unique_ptr<Workload> workload);
@@ -185,15 +200,51 @@ class Machine {
   // Runs the whole experiment to completion and returns the statistics.
   MachineStats run();
 
+  // --- open loop (the alternative to run()) --------------------------------
+  // Switches a fresh machine to serving: every hardware thread parks until
+  // a request arrives. Accepted requests wait in a bounded admission queue
+  // (the serving harness's util::MpmcQueue: a full queue sheds). A thread
+  // that commits takes the next queued request, or parks; an accepted
+  // arrival wakes the lowest-numbered parked thread, so thread 0 — Seer's
+  // maintenance thread — is the first to take work and light load still
+  // runs maintenance. Each commit is reported to `on_served`; latency is
+  // commit - arrival. The workload is not sampled: the caller supplies
+  // every instance.
+  void serve(std::size_t queue_capacity, std::function<void(const Served&)> on_served);
+  // Runs every event at or before `t`, then moves the clock to `t`.
+  void advance(Time t);
+  // Offers a request arriving at `at` (nondecreasing across calls); false =
+  // shed by the full admission queue.
+  bool arrive(Time at, TxInstance inst);
+  // Runs until every accepted request has committed.
+  void drain();
+  [[nodiscard]] std::size_t queue_depth() const noexcept {
+    return serving_->queue.approx_size();  // exact: the machine is single-threaded
+  }
+
   [[nodiscard]] const MachineConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const Workload& workload() const noexcept { return *workload_; }
+  [[nodiscard]] Workload& workload() noexcept { return *workload_; }
   [[nodiscard]] rt::PolicyShared& policy_shared() noexcept { return shared_; }
 
  private:
   struct ThreadCtx;
+  struct Queued {
+    Time arrival = 0;
+    TxInstance inst;
+  };
+  struct Serving {
+    Serving(std::size_t capacity, std::function<void(const Served&)> cb)
+        : queue(capacity), on_served(std::move(cb)) {}
+    util::MpmcQueue<Queued> queue;
+    std::function<void(const Served&)> on_served;
+  };
 
+  void step();
   void on_event(const Event& e);
   void start_tx(ThreadCtx& t);
+  void serve_next(ThreadCtx& t);
+  void begin(ThreadCtx& t);
   void dispatch(ThreadCtx& t);
   void continue_acquire(ThreadCtx& t);
   void after_acquires(ThreadCtx& t);
@@ -265,6 +316,7 @@ class Machine {
   std::vector<std::unique_ptr<ThreadCtx>> threads_;
   std::size_t done_count_ = 0;
   MachineStats stats_;
+  std::unique_ptr<Serving> serving_;  // set by serve(); null under run()
 
   // Observability metric ids (registered in the constructor when
   // cfg_.metrics is set; kNoMetric otherwise).

@@ -16,14 +16,6 @@ const char* to_string(OpenLoopConfig::Process p) noexcept {
   return "?";
 }
 
-const char* to_string(OpenLoopConfig::Model m) noexcept {
-  switch (m) {
-    case OpenLoopConfig::Model::kMgk: return "mgk";
-    case OpenLoopConfig::Model::kConflict: return "conflict";
-  }
-  return "?";
-}
-
 namespace {
 
 double require_positive(const Value& obj, const char* key, double fallback,
@@ -70,7 +62,7 @@ OpenLoopConfig OpenLoopConfig::from_json(const Value& obj,
                         {"rate", "process", "duration_s", "warmup_s",
                          "queue_capacity", "workers", "emit_interval_ms",
                          "table_words", "cycles_per_us", "diurnal", "bursts",
-                         "sweep", "model"},
+                         "sweep"},
                         origin);
   OpenLoopConfig cfg;
 
@@ -129,18 +121,6 @@ OpenLoopConfig OpenLoopConfig::from_json(const Value& obj,
       jsonu::fail(jsonu::sub(origin, "process"),
                   "unknown process \"" + p->string +
                       "\" (known: constant, poisson)");
-    }
-  }
-
-  if (const Value* m = obj.find("model"); m != nullptr) {
-    if (!m->is_string()) jsonu::fail(jsonu::sub(origin, "model"), "must be a string");
-    if (m->string == "mgk") {
-      cfg.model = Model::kMgk;
-    } else if (m->string == "conflict") {
-      cfg.model = Model::kConflict;
-    } else {
-      jsonu::fail(jsonu::sub(origin, "model"),
-                  "unknown model \"" + m->string + "\" (known: mgk, conflict)");
     }
   }
 

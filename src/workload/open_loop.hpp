@@ -54,25 +54,13 @@ struct OpenLoopConfig {
   enum class Process : std::uint8_t { kConstant, kPoisson };
   Process process = Process::kPoisson;
 
-  // Deterministic-backend service model. "mgk" (default) services each
-  // request in its sampled duration — a pure M/G/k queue, transaction types
-  // never interact. "conflict" puts a real Seer scheduler in the loop:
-  // requests whose footprints overlap in-service transactions can abort and
-  // retry (extending their service time), exhaust their attempt budget into
-  // an SGL fallback that serializes the floor, and are deferred while the
-  // inferred lock scheme says they would conflict — so scheduling quality,
-  // storms, and re-inference become visible in latency. Both models are
-  // virtual-time-deterministic; legacy configs keep "mgk" bytes unchanged.
-  enum class Model : std::uint8_t { kMgk, kConflict };
-  Model model = Model::kMgk;
-
   double duration_s = 2.0;  // measured window per rate step
   double warmup_s = 0.0;    // excluded from step statistics
   std::uint64_t queue_capacity = 4096;  // admission queue bound (shed beyond)
   std::uint64_t workers = 4;            // service threads (CLI can override)
   std::uint64_t emit_interval_ms = 100; // JSONL interval-line cadence
   std::uint64_t table_words = 1u << 16; // TmWord table the requests run over
-  // Deterministic backend: modelled cycles -> virtual nanoseconds.
+  // Deterministic backend: simulated machine cycles per microsecond.
   double cycles_per_us = 1000.0;
 
   Diurnal diurnal;
@@ -96,7 +84,6 @@ struct OpenLoopConfig {
 };
 
 [[nodiscard]] const char* to_string(OpenLoopConfig::Process p) noexcept;
-[[nodiscard]] const char* to_string(OpenLoopConfig::Model m) noexcept;
 
 // The arrival process for one rate step: deterministic given (config, base
 // rate, rng seed), which is the deterministic-mode byte-identity contract.

@@ -5,17 +5,14 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <memory>
-#include <optional>
-#include <queue>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "core/seer_scheduler.hpp"
 #include "htm/soft_htm.hpp"
 #include "obs/metrics.hpp"
 #include "obs/periodic.hpp"
+#include "sim/machine.hpp"
 #include "util/latency_histogram.hpp"
 #include "util/mpmc_queue.hpp"
 #include "util/rng.hpp"
@@ -205,110 +202,54 @@ struct StepOutput {
   std::string jsonl;  // interval lines then the step line
 };
 
-// --- deterministic backend: virtual-time M/G/k simulation -------------------
+// --- deterministic backend: open-loop sim::Machine --------------------------
 //
-// One rate step as an event loop over two event sources — the arrival
-// schedule and a min-heap of in-service completions — on a virtual
-// nanosecond clock. `workers` virtual servers each serve one request at a
-// time; service time is the instance's modelled `duration` in cycles scaled
-// by cycles_per_us. The admission path is the SAME MpmcQueue the real
-// backend uses (single-threaded here, but identical capacity rounding and
-// shed behaviour). Ties break completion-before-arrival, and equal-time
-// completions break by service start order, so the event order — and with
-// it the output bytes — is a pure function of (config, seed).
-
-struct VirtualRequest {
-  std::uint64_t enqueue_ns = 0;
-  std::uint64_t service_ns = 0;
-  bool counted = false;
-  // Conflict model only: the sampled instance (type + footprint), so
-  // in-service overlap can be tested request-against-request.
-  sim::TxInstance inst;
-};
-
-struct Busy {
-  std::uint64_t done_ns = 0;
-  std::uint64_t seq = 0;  // service start order, for deterministic ties
-  std::uint64_t enqueue_ns = 0;
-  bool counted = false;
-  // Conflict model only:
-  std::uint32_t worker = 0;          // virtual server slot occupied
-  core::TxTypeId type = 0;           // announced transaction type
-  bool sgl = false;                  // exhausted its budget into the SGL
-};
-
-struct BusyLater {
-  bool operator()(const Busy& a, const Busy& b) const noexcept {
-    if (a.done_ns != b.done_ns) return a.done_ns > b.done_ns;
-    return a.seq > b.seq;
-  }
-};
-
-// Conflict-model service constants, mirroring the machine simulator's
-// CostModel defaults (the open_loop schema carries no cost-model section;
-// these are modelling knobs, not measurements).
-constexpr double kConflictRetryProb = 0.95;     // an overlap kills this attempt
-constexpr std::uint64_t kAbortPenaltyCycles = 180;
-constexpr double kSglServiceFactor = 1.25;      // serialized re-execution tax
+// One rate step on the machine simulator's open-loop entry: the HTM model,
+// cost model and Policy objects of the paper exhibits, with requests
+// arriving on the ArrivalSchedule instead of each thread running a closed
+// loop. Gaps and instances come from one per-step RNG, so the arrival
+// stream is the same for every policy; the machine's own RNG (conflict
+// timing, background aborts) is seeded from it. Machine time is cycles,
+// converted to and from nanoseconds at the edges with cycles_per_us. The
+// output is a pure function of (config, policy, seed).
 
 StepOutput run_step_virtual(const Desc& desc, const OpenLoopConfig& ol,
                             const ServeOptions& opts, std::size_t step,
                             double rate, double duration_s,
                             std::size_t workers) {
-  auto gen = desc.make(1);
-  gen->init(0);
   util::Xoshiro256 rng(step_seed(opts.seed, step));
   const ArrivalSchedule sched(ol, rate);
 
-  const std::uint64_t warmup_ns = seconds_to_ns(ol.warmup_s);
+  sim::MachineConfig mcfg;
+  mcfg.n_threads = workers;
+  mcfg.physical_cores = workers;  // one core per worker, unless a topology
+  if (desc.topology) mcfg.topology = *desc.topology;
+  mcfg.seed = rng.next();
+  mcfg.policy = opts.policy;
+  mcfg.policy.seer.seed = mcfg.seed;
+  // Deterministic bytes cannot depend on observability wiring.
+  mcfg.policy.seer.metrics = nullptr;
+  mcfg.policy.seer.obs_trace = nullptr;
+  mcfg.policy.seer.recorder = nullptr;
+  mcfg.policy.seer.measure_rebuild_ns = false;
+  sim::Machine machine(mcfg, desc.make(1));
+  sim::Workload& gen = machine.workload();
+  gen.init(0);
+
   const std::uint64_t end_ns = seconds_to_ns(ol.warmup_s + duration_s);
   const std::uint64_t emit_ns = ol.emit_interval_ms * 1000000ULL;
-  const double ns_per_cycle = 1000.0 / ol.cycles_per_us;
-
-  // Conflict model: a real Seer scheduler in the service loop. Everything
-  // here runs on one thread in virtual time, so the scheduler sees a
-  // perfectly ordered event stream and its decisions — announce, abort/
-  // commit evidence, scheme rebuilds, storm re-inference — are a pure
-  // function of (config, seed), preserving the byte-identity contract.
-  const bool conflict_model = ol.model == OpenLoopConfig::Model::kConflict;
-  const std::uint64_t abort_penalty_ns = static_cast<std::uint64_t>(
-      static_cast<double>(kAbortPenaltyCycles) * ns_per_cycle);
-  std::unique_ptr<core::SeerScheduler> csched;
-  std::vector<sim::TxInstance> in_service;  // per virtual server slot
-  std::vector<bool> slot_busy;
-  std::optional<VirtualRequest> held;  // popped but scheme-deferred
-  std::uint64_t sgl_commits = 0;
-  if (conflict_model) {
-    core::SeerConfig scfg = opts.policy.seer;
-    scfg.n_threads = workers;
-    scfg.n_types = gen->n_types();
-    scfg.seed = step_seed(opts.seed, step);
-    // Deterministic bytes cannot depend on observability wiring.
-    scfg.metrics = nullptr;
-    scfg.obs_trace = nullptr;
-    scfg.recorder = nullptr;
-    scfg.measure_rebuild_ns = false;
-    if (desc.topology) scfg.topology = *desc.topology;
-    csched = std::make_unique<core::SeerScheduler>(scfg);
-    in_service.assign(workers, {});
-    slot_busy.assign(workers, false);
-  }
+  const double cycles_per_ns = ol.cycles_per_us / 1000.0;
   const auto to_cycles = [&](std::uint64_t ns) {
-    return static_cast<std::uint64_t>(static_cast<double>(ns) / ns_per_cycle);
+    return static_cast<sim::Time>(std::ceil(static_cast<double>(ns) * cycles_per_ns));
   };
+  const sim::Time warmup_c = to_cycles(seconds_to_ns(ol.warmup_s));
 
-  util::MpmcQueue<VirtualRequest> queue(ol.queue_capacity);
-  std::priority_queue<Busy, std::vector<Busy>, BusyLater> busy;
   util::LatencyHistogram hist;
   util::LatencyBuckets buckets;
   util::LatencyBucketCounts bprev{};
   Totals totals, tprev;
-  std::uint64_t queue_depth = 0, queue_peak = 0, next_seq = 0;
-  std::uint64_t next_arrival = sched.next_gap_ns(0.0, rng);
-  std::uint64_t next_emit = emit_ns;
-  bool arrivals_done = false;
+  std::uint64_t queue_peak = 0, sgl_commits = 0;
   StepOutput out;
-  sim::TxInstance inst;
 
   // Virtual lane = step index: concurrent --jobs steps each own a lane, so
   // hub counters stay single-writer. Gauges race across steps (last writer
@@ -323,165 +264,62 @@ StepOutput run_step_virtual(const Desc& desc, const OpenLoopConfig& ol,
     tel->registry().set_gauge(tel->offered_rate_millirps,
                               static_cast<std::uint64_t>(rate * 1000.0 + 0.5));
   }
-  std::uint64_t events = 0;
 
-  const auto start_service = [&](std::uint64_t now) {
-    VirtualRequest r;
-    if (!conflict_model) {
-      while (busy.size() < workers && queue.try_pop(r)) {
-        --queue_depth;
-        busy.push(Busy{now + r.service_ns, next_seq++, r.enqueue_ns, r.counted,
-                       0, 0, false});
-      }
-      return;
-    }
-    // Conflict model: scheme-driven admission. The head request stays held
-    // (still occupying its admission-queue slot) while the inferred lock
-    // scheme serializes its type against any in-service type — Seer's core
-    // decision, surfaced as queueing delay instead of wasted aborts. A
-    // deferral implies the floor is non-empty, so a completion event always
-    // re-triggers this and the loop cannot stall.
-    while (busy.size() < workers) {
-      if (!held) {
-        if (!queue.try_pop(r)) break;
-        held = std::move(r);
-      }
-      const core::TxTypeId type = held->inst.type;
-      const auto scheme = csched->scheme();
-      bool deferred = false;
-      for (std::size_t w = 0; w < workers && !deferred; ++w) {
-        if (!slot_busy[w]) continue;
-        for (const core::TxTypeId y : scheme->row(type)) {
-          deferred |= y == in_service[w].type;
-        }
-      }
-      if (deferred) break;
-      std::size_t slot = 0;
-      while (slot_busy[slot]) ++slot;  // busy.size() < workers => one is free
-      const auto wtid = static_cast<core::ThreadId>(slot);
-      csched->announce(wtid, type);
-      // Pre-simulate the attempt ladder against the current floor: an
-      // overlapping footprint can kill each attempt; every abort pays the
-      // rollback penalty plus a full re-execution, and an exhausted budget
-      // takes the SGL — serialized and slower, but guaranteed.
-      bool overlap = false;
-      for (std::size_t w = 0; w < workers && !overlap; ++w) {
-        overlap = slot_busy[w] && sim::instances_conflict(held->inst, in_service[w]);
-      }
-      std::uint64_t service = 0;
-      int aborts = 0;
-      if (overlap) {
-        const int budget = csched->config().max_attempts;
-        while (aborts < budget && rng.bernoulli(kConflictRetryProb)) {
-          ++aborts;
-          csched->record_abort(wtid, type);
-          service += held->service_ns + abort_penalty_ns;
-        }
-      }
-      const bool sgl = overlap && aborts >= csched->config().max_attempts;
-      if (sgl) {
-        csched->note_sgl_fallback();
-        service += static_cast<std::uint64_t>(
-            static_cast<double>(held->service_ns) * kSglServiceFactor);
-      } else {
-        service += held->service_ns;
-      }
-      slot_busy[slot] = true;
-      in_service[slot] = held->inst;
-      --queue_depth;
-      busy.push(Busy{now + service, next_seq++, held->enqueue_ns, held->counted,
-                     static_cast<std::uint32_t>(slot), type, sgl});
-      held.reset();
+  machine.serve(ol.queue_capacity, [&](const sim::Served& s) {
+    ++totals.completed;
+    if (tl) tel->registry().add(tel->completed, tid);
+    if (s.arrival < warmup_c) return;
+    const auto lat = static_cast<std::uint64_t>(
+        static_cast<double>(s.commit - s.arrival) / cycles_per_ns + 0.5);
+    hist.record(lat);
+    buckets.record(lat);
+    if (tel != nullptr) tel->latency().record(lat);
+    if (s.mode == rt::CommitMode::kSglFallback) ++sgl_commits;
+  });
+
+  // Interval lines for every boundary up to `t_ns` (and inside the window),
+  // each after the machine has run through it.
+  std::uint64_t next_emit = emit_ns;
+  const auto emit_through = [&](std::uint64_t t_ns) {
+    while (next_emit <= t_ns && next_emit <= end_ns) {
+      machine.advance(to_cycles(next_emit));
+      const double t_s = static_cast<double>(next_emit) / 1e9;
+      const std::size_t depth = machine.queue_depth();
+      append_interval_line(out.jsonl, step, t_s, sched.rate_at(t_s), totals,
+                           tprev, depth, buckets.snapshot(), bprev, "");
+      next_emit += emit_ns;
     }
   };
 
-  for (;;) {
-    // A stop request ends arrivals; the loop then drains the queue and the
-    // in-service heap exactly as if the window had closed.
-    if (!arrivals_done && stop_requested(opts)) arrivals_done = true;
-    if (tel != nullptr && (++events & 0xFFF) == 0) {
-      const std::uint64_t w = wall_ns();
-      tel->producer_beat(w);
-      tel->worker_beat(w);
-      tel->registry().set_gauge(tel->queue_depth, queue_depth);
-    }
-    const std::uint64_t arrival_t =
-        arrivals_done ? ~std::uint64_t{0} : next_arrival;
-    const std::uint64_t completion_t =
-        busy.empty() ? ~std::uint64_t{0} : busy.top().done_ns;
-    const std::uint64_t t_next = completion_t < arrival_t ? completion_t : arrival_t;
-    if (t_next == ~std::uint64_t{0}) break;  // idle and out of arrivals
-
-    while (next_emit <= t_next && next_emit <= end_ns) {
-      const double t_s = static_cast<double>(next_emit) / 1e9;
-      append_interval_line(out.jsonl, step, t_s, sched.rate_at(t_s), totals,
-                           tprev, queue_depth, buckets.snapshot(), bprev, "");
-      next_emit += emit_ns;
-    }
-
-    if (completion_t <= arrival_t) {
-      const Busy b = busy.top();
-      busy.pop();
-      ++totals.completed;
-      if (conflict_model) {
-        const auto wtid = static_cast<core::ThreadId>(b.worker);
-        // Only hardware commits carry scheduling evidence (Alg. 2); an SGL
-        // completion just releases its slot.
-        if (!b.sgl) csched->record_commit(wtid, b.type);
-        csched->clear(wtid);
-        slot_busy[b.worker] = false;
-        if (b.sgl) ++sgl_commits;
-        csched->maybe_update(0, to_cycles(b.done_ns));
-      }
-      if (tl) tel->registry().add(tel->completed, tid);
-      if (b.counted) hist.record(b.done_ns - b.enqueue_ns);
-      if (b.counted) buckets.record(b.done_ns - b.enqueue_ns);
-      if (b.counted && tel != nullptr) {
-        tel->latency().record(b.done_ns - b.enqueue_ns);
-      }
-      start_service(b.done_ns);
-      continue;
-    }
-
-    const std::uint64_t now = next_arrival;
-    if (now >= end_ns || gen->exhausted(0)) {
-      arrivals_done = true;
-      continue;
-    }
-    const double progress =
-        static_cast<double>(now) / static_cast<double>(end_ns);
-    gen->next(0, progress, rng, inst);
-    double service_d = static_cast<double>(inst.duration) * ns_per_cycle;
-    if (service_d < 1.0) service_d = 1.0;
-    VirtualRequest r;
-    r.enqueue_ns = now;
-    r.service_ns = static_cast<std::uint64_t>(service_d);
-    r.counted = now >= warmup_ns;
-    if (conflict_model) r.inst = inst;
+  sim::TxInstance inst;
+  std::uint64_t now = sched.next_gap_ns(0.0, rng);
+  // A stop request ends arrivals early; either way the step then runs out
+  // its window and drains exactly as if the window had closed.
+  while (now < end_ns && !gen.exhausted(0) && !stop_requested(opts)) {
+    emit_through(now);
+    gen.next(0, static_cast<double>(now) / static_cast<double>(end_ns), rng, inst);
     ++totals.arrivals;
     if (tl) tel->registry().add(tel->arrivals, tid);
-    if (queue.try_push(std::move(r))) {
+    if (machine.arrive(to_cycles(now), std::move(inst))) {
       ++totals.accepted;
       if (tl) tel->registry().add(tel->accepted, tid);
-      ++queue_depth;
-      if (queue_depth > queue_peak) queue_peak = queue_depth;
+      queue_peak = std::max<std::uint64_t>(queue_peak, machine.queue_depth());
     } else {
       ++totals.rejected;
       if (tl) tel->registry().add(tel->rejected, tid);
     }
-    start_service(now);
-    next_arrival = now + sched.next_gap_ns(static_cast<double>(now) / 1e9, rng);
+    if (tel != nullptr && (totals.arrivals & 0xFFF) == 0) {
+      const std::uint64_t w = wall_ns();
+      tel->producer_beat(w);
+      tel->worker_beat(w);
+      tel->registry().set_gauge(tel->queue_depth, machine.queue_depth());
+    }
+    now += sched.next_gap_ns(static_cast<double>(now) / 1e9, rng);
   }
-
-  // Idle tail: a lightly loaded step can quiesce long before the window
-  // closes, but the real backend's emitter keeps its cadence to the end —
-  // flush the remaining boundaries so both modes emit the same line count.
-  while (next_emit <= end_ns) {
-    const double t_s = static_cast<double>(next_emit) / 1e9;
-    append_interval_line(out.jsonl, step, t_s, sched.rate_at(t_s), totals,
-                         tprev, queue_depth, buckets.snapshot(), bprev, "");
-    next_emit += emit_ns;
-  }
+  // The interval cadence runs to the end of the window even when the step
+  // quiesced early, so both backends emit the same line count.
+  emit_through(end_ns);
+  machine.drain();
 
   out.stats = finalize_step(rate, duration_s, totals, hist, queue_peak, sgl_commits);
   append_step_line(out.jsonl, step, out.stats);
@@ -512,12 +350,9 @@ StepOutput run_step_real(const Desc& desc, const OpenLoopConfig& ol,
   rt::ThreadedExecutor::Options eopts;
   eopts.n_threads = workers;
   eopts.n_types = gen->n_types();
-  // Core-slice sizing: an explicit override wins, then the config's
-  // topology (which also routes to the scheduler's shard layout), then the
-  // legacy one-core-per-worker default.
-  if (opts.physical_cores != 0) {
-    eopts.physical_cores = opts.physical_cores;
-  } else if (desc.topology) {
+  // Cores, as in the deterministic backend: the config's topology (which
+  // also routes to the scheduler's shard layout), else one per worker.
+  if (desc.topology) {
     eopts.physical_cores = desc.topology->physical_cores();
     eopts.topology = *desc.topology;
   } else {
@@ -774,8 +609,6 @@ ServeReport run_serve(const Desc& desc, const OpenLoopConfig& ol,
   append_str(out, opts.deterministic ? "deterministic" : "real");
   out += ", \"process\": ";
   append_str(out, to_string(ol.process));
-  out += ", \"model\": ";
-  append_str(out, to_string(ol.model));
   out += ", \"workers\": ";
   append_u64(out, workers);
   out += ", \"queue_capacity\": ";

@@ -20,12 +20,14 @@
 //
 //   * real          — wall-clock arrivals, real threads, real SoftHtm
 //                     transactions. The numbers are about this machine.
-//   * deterministic — a virtual-clock M/G/k queueing simulation: same
-//                     schedule, same shed policy, service time taken from
-//                     the instance's modelled `duration` cycles via
-//                     cycles_per_us. Output is a pure function of (config,
-//                     seed), byte-identical across runs and --jobs — which
-//                     is what CI gates against a checked-in baseline.
+//   * deterministic — the same schedule and shed policy on sim::Machine's
+//                     open-loop entry: simulated hardware threads serve the
+//                     requests under the selected policy, with the
+//                     footprint-overlap conflicts, capacity limits and cost
+//                     model of the paper exhibits (cycles -> time via
+//                     cycles_per_us). Output is a pure function of (config,
+//                     policy, seed), byte-identical across runs and --jobs —
+//                     which is what CI gates against a checked-in baseline.
 //
 // Output is JSONL: one header line, periodic `interval` lines (queue depth,
 // rate, bucket-estimate p50/p99), one `step` line per rate with exact
@@ -49,8 +51,9 @@ class ServeTelemetry;
 
 struct ServeOptions {
   rt::PolicyConfig policy{};
-  std::size_t workers_override = 0;  // 0 = config's `workers`
-  std::size_t physical_cores = 0;    // 0 = worker count
+  // 0 = config's `workers`. Both backends give each worker its own core
+  // unless the config has a `topology`.
+  std::size_t workers_override = 0;
   std::uint64_t seed = 1;
   bool deterministic = false;
   // Deterministic mode only: rate steps simulated concurrently. Output is
@@ -79,10 +82,11 @@ struct ServeOptions {
 // Per-rate-step statistics. The counters span the whole step window (warmup
 // included — both backends count identically); the latency fields cover only
 // *counted* requests, those that arrived after warmup_s. Latencies are
-// end-to-end nanoseconds: enqueue to commit (real) or to service completion
-// (deterministic), queue wait included. Requests still queued when the step
-// window closes are drained and their latencies kept — they arrived inside
-// the window, so dropping them would censor the tail.
+// end-to-end nanoseconds from arrival to commit, queue wait included
+// (simulated cycles converted via cycles_per_us in deterministic mode).
+// Requests still queued when the step window closes are drained and their
+// latencies kept — they arrived inside the window, so dropping them would
+// censor the tail.
 struct StepStats {
   double offered_rate = 0.0;  // base rate of this step (requests/second)
   double duration_s = 0.0;    // measured window (excludes warmup)
@@ -100,7 +104,7 @@ struct StepStats {
   std::uint64_t p999_ns = 0;
   std::uint64_t max_ns = 0;
   std::uint64_t queue_depth_peak = 0;
-  std::uint64_t sgl_commits = 0;  // real mode: counted commits via fallback
+  std::uint64_t sgl_commits = 0;  // counted commits via the SGL fallback
   double sgl_fraction = 0.0;      // sgl_commits / completed
 };
 

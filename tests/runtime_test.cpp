@@ -551,51 +551,6 @@ INSTANTIATE_TEST_SUITE_P(
                       PolicyStressCase{PolicyKind::kSeer, htm::AbortCause::kExplicit},
                       PolicyStressCase{PolicyKind::kSeer, htm::AbortCause::kOther}));
 
-TEST(SeerPolicy, SampledStatisticsScaleDownButStayUnbiased) {
-  // Extension (SeerConfig::sampling_shift): with shift = 2 roughly a quarter
-  // of the events are recorded, and the abort/commit RATIO — all the
-  // inference consumes — is preserved.
-  PolicyConfig cfg = seer_config();
-  cfg.seer.sampling_shift = 2;
-  PolicyShared shared(cfg, 8, 4);
-  auto p0 = shared.make_thread_policy(0);
-  auto p1 = shared.make_thread_policy(1);
-  p1->begin_tx(3, 0);  // keep a peer announced
-
-  constexpr int kRounds = 4000;
-  for (int i = 0; i < kRounds; ++i) {
-    p0->begin_tx(2, 0);
-    (void)p0->next_attempt(0);
-    p0->on_abort(AbortStatus::conflict(), 0);  // one abort...
-    (void)p0->next_attempt(0);
-    (void)p0->on_commit(true, 0);  // ...and one commit per round
-  }
-  const core::GlobalStats g = shared.seer()->merged_stats();
-  const double recorded =
-      static_cast<double>(g.abort(2, 3) + g.commit(2, 3));
-  EXPECT_NEAR(recorded / (2.0 * kRounds), 0.25, 0.05)
-      << "sampling rate should be ~2^-shift";
-  ASSERT_GT(g.abort(2, 3) + g.commit(2, 3), 100u);
-  const double ratio = static_cast<double>(g.abort(2, 3)) /
-                       static_cast<double>(g.abort(2, 3) + g.commit(2, 3));
-  EXPECT_NEAR(ratio, 0.5, 0.06) << "sampling must not bias the ratio";
-}
-
-TEST(SeerPolicy, SamplingShiftZeroRecordsEverything) {
-  PolicyConfig cfg = seer_config();
-  cfg.seer.sampling_shift = 0;
-  PolicyShared shared(cfg, 8, 4);
-  auto p0 = shared.make_thread_policy(0);
-  auto p1 = shared.make_thread_policy(1);
-  p1->begin_tx(3, 0);
-  for (int i = 0; i < 100; ++i) {
-    p0->begin_tx(2, 0);
-    (void)p0->next_attempt(0);
-    (void)p0->on_commit(true, 0);
-  }
-  EXPECT_EQ(shared.seer()->merged_stats().commit(2, 3), 100u);
-}
-
 // ----------------------------------------------------------------- Oracle --
 
 TEST(OraclePolicy, LearnsFromPreciseAttribution) {

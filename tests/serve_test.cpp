@@ -1,7 +1,8 @@
 // Serving-harness building blocks (DESIGN.md §12): the MPMC admission
 // queue, exact/bucket latency accounting, the arrival schedule, open_loop
 // config validation, and the deterministic serve driver's contracts —
-// accounting identities, byte-identical reruns, and --jobs invariance.
+// accounting identities, byte-identical reruns, and --jobs invariance, for
+// every policy on the simulated machine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -388,63 +389,91 @@ TEST(ServeDriver, SweepFindsTheSaturationKnee) {
   EXPECT_GT(report.steps[1].p99_ns, report.steps[0].p99_ns);
 }
 
-// --- serve driver (deterministic conflict service model) --------------------
+// --- serve driver (deterministic backend, every policy) ----------------------
 
-// The conflict model runs a real SeerScheduler inside the virtual-time loop:
-// per-request instances drawn from the generator, overlap-driven retry
-// ladders, scheme-driven deferral, SGL fallback. All of it must stay inside
-// the deterministic-bytes contract.
-constexpr const char* kConflictOpenLoop = R"({
+using seer::rt::PolicyKind;
+
+constexpr PolicyKind kAllPolicies[] = {PolicyKind::kHle, PolicyKind::kRtm,
+                                       PolicyKind::kScm, PolicyKind::kAts,
+                                       PolicyKind::kSgl, PolicyKind::kSeer,
+                                       PolicyKind::kOracle};
+
+// Eight simulated hardware threads on the hot-region lookup/update mix:
+// footprints overlap, so requests conflict, abort and retry on the machine.
+constexpr const char* kContendedOpenLoop = R"({
   "rate": 4000, "duration_s": 0.3, "warmup_s": 0.05,
   "queue_capacity": 128, "workers": 8, "emit_interval_ms": 50,
-  "cycles_per_us": 1.0, "model": "conflict"
+  "cycles_per_us": 1.0
 })";
 
-TEST(ServeDriver, ConflictModelRunsAndKeepsAccountingIdentities) {
-  const auto desc = desc_of(service_config(kConflictOpenLoop));
-  ASSERT_TRUE(desc.open_loop->model == seer::workload::OpenLoopConfig::Model::kConflict);
+TEST(ServeDriver, EveryPolicyIsDeterministicOnTheMachine) {
+  const auto desc = desc_of(service_config(kContendedOpenLoop));
+  std::uint64_t arrivals = 0;
+  for (const PolicyKind kind : kAllPolicies) {
+    SCOPED_TRACE(seer::rt::to_string(kind));
+    seer::workload::ServeOptions opts;
+    opts.deterministic = true;
+    opts.policy.kind = kind;
+    opts.seed = 5;
+    const auto a = run_serve(desc, *desc.open_loop, opts);
+    EXPECT_EQ(a.jsonl, run_serve(desc, *desc.open_loop, opts).jsonl)
+        << "not run-deterministic";
+    opts.jobs = 4;
+    EXPECT_EQ(a.jsonl, run_serve(desc, *desc.open_loop, opts).jsonl)
+        << "not jobs-invariant";
+    opts.jobs = 1;
+
+    ASSERT_EQ(a.steps.size(), 1u);
+    const auto& s = a.steps[0];
+    EXPECT_EQ(s.arrivals, s.accepted + s.rejected);
+    EXPECT_EQ(s.completed, s.accepted);
+    EXPECT_GT(s.latency_count, 0u);
+    EXPECT_GT(s.p999_ns, s.p50_ns);
+    if (kind == PolicyKind::kRtm) {
+      EXPECT_GT(s.sgl_commits, 0u)
+          << "no request exhausted its retries: footprints never conflicted";
+    }
+    // The arrival stream is sampled before any request reaches the
+    // machine, so the policy cannot change it.
+    if (arrivals == 0) arrivals = s.arrivals;
+    EXPECT_EQ(s.arrivals, arrivals);
+
+    opts.seed = 6;
+    EXPECT_NE(a.jsonl, run_serve(desc, *desc.open_loop, opts).jsonl)
+        << "another seed must sample other arrivals";
+  }
+
+  // Every request commits through the global lock under SGL; with no
+  // warmup every one of them is counted.
+  auto ol = *desc.open_loop;
+  ol.warmup_s = 0.0;
   seer::workload::ServeOptions opts;
   opts.deterministic = true;
-  const auto report = run_serve(desc, *desc.open_loop, opts);
-  ASSERT_EQ(report.steps.size(), 1u);
-  const auto& s = report.steps[0];
-  EXPECT_EQ(s.arrivals, s.accepted + s.rejected);
-  EXPECT_EQ(s.completed, s.accepted);
-  // The hot-region update/lookup mix must actually collide: a conflict model
-  // that never aborts anything is the mgk path with extra steps.
-  EXPECT_GT(s.sgl_commits, 0u)
-      << "no request ever fell back to the SGL — the ladder never engaged";
-  EXPECT_GT(s.p999_ns, s.p50_ns);
+  opts.policy.kind = PolicyKind::kSgl;
+  const auto sgl = run_serve(desc, ol, opts);
+  EXPECT_EQ(sgl.steps[0].sgl_fraction, 1.0);
 }
 
-TEST(ServeDriver, ConflictModelIsByteIdenticalAcrossRunsAndJobsAt64Workers) {
+TEST(ServeDriver, SeerIsByteIdenticalAcrossRunsAndJobsAt64Workers) {
   const auto desc = desc_of(service_config(R"({
     "sweep": {"rates": [2000, 6000], "knee_p99_ms": 5.0},
     "duration_s": 0.2, "warmup_s": 0.05, "queue_capacity": 256,
-    "workers": 64, "cycles_per_us": 1.0, "model": "conflict"
+    "workers": 64, "cycles_per_us": 1.0
   })"));
   seer::workload::ServeOptions opts;
   opts.deterministic = true;
+  opts.policy.kind = PolicyKind::kSeer;
   opts.seed = 11;
   const auto a = run_serve(desc, *desc.open_loop, opts);
   const auto b = run_serve(desc, *desc.open_loop, opts);
-  EXPECT_EQ(a.jsonl, b.jsonl) << "conflict model is not run-deterministic";
+  EXPECT_EQ(a.jsonl, b.jsonl) << "not run-deterministic";
   opts.jobs = 4;
   const auto c = run_serve(desc, *desc.open_loop, opts);
-  EXPECT_EQ(a.jsonl, c.jsonl) << "conflict model is not jobs-invariant";
+  EXPECT_EQ(a.jsonl, c.jsonl) << "not jobs-invariant";
   // Different seed, different arrivals and instances.
   opts.seed = 12;
   const auto d = run_serve(desc, *desc.open_loop, opts);
   EXPECT_NE(a.jsonl, d.jsonl);
-}
-
-TEST(ServeDriver, ConflictModelOffByDefaultKeepsLegacyBytes) {
-  // The mgk default must be unaffected by the conflict-model machinery:
-  // same config minus "model" produces the same bytes as before the
-  // feature existed (pinned indirectly by DeterministicRunsAreByteIdentical
-  // goldens; here we check the model flag is what switches behaviour).
-  const auto mgk = desc_of(service_config(kSmallOpenLoop));
-  EXPECT_TRUE(mgk.open_loop->model == seer::workload::OpenLoopConfig::Model::kMgk);
 }
 
 // --- serve driver (real backend, kept tiny for test walltime) ---------------

@@ -553,5 +553,56 @@ TEST(Machine, NumaHandoffSurchargeStretchesTheMakespan) {
       << "cross-socket surcharges never applied on an all-conflict run";
 }
 
+// ------------------------------------------------------------ open loop --
+
+TEST(MachineServe, LoneRequestCostsItsAttemptAndABurstSheds) {
+  auto cfg = base_config(rt::PolicyKind::kRtm, 1);
+  cfg.p_other_abort = 0.0;
+  Machine m(cfg, std::make_unique<SyntheticWorkload>(no_conflict_params()));
+  std::vector<Served> served;
+  m.serve(2, [&](const Served& s) { served.push_back(s); });
+  TxInstance inst;
+  inst.duration = 1000;
+  inst.writes = {7};
+
+  // An idle machine starts the request on arrival: latency is the begin
+  // cost plus the body.
+  ASSERT_TRUE(m.arrive(100, inst));
+  m.drain();
+  ASSERT_EQ(served.size(), 1u);
+  EXPECT_EQ(served[0].arrival, 100u);
+  EXPECT_EQ(served[0].commit - served[0].arrival, cfg.costs.xbegin + inst.duration);
+  EXPECT_EQ(served[0].mode, rt::CommitMode::kHtmNoLocks);
+
+  // A burst at one instant: one request enters service, two fill the
+  // two-slot queue, the rest are shed, and the admitted ones commit in
+  // arrival order.
+  served.clear();
+  int accepted = 0;
+  for (int i = 0; i < 10; ++i) accepted += m.arrive(50000, inst) ? 1 : 0;
+  EXPECT_EQ(accepted, 3);
+  m.drain();
+  ASSERT_EQ(served.size(), 3u);
+  EXPECT_LT(served[0].commit, served[1].commit);
+  EXPECT_LT(served[1].commit, served[2].commit);
+}
+
+// Parked threads wake lowest-numbered first, so under light load thread 0 —
+// the only thread that runs Seer's scheme maintenance — serves every
+// request and the scheme is still rebuilt.
+TEST(MachineServe, LightLoadKeepsThreadZeroServing) {
+  Machine m(base_config(rt::PolicyKind::kSeer, 4),
+            std::make_unique<SyntheticWorkload>(hot_type_params()));
+  std::size_t served = 0;
+  m.serve(16, [&](const Served&) { ++served; });
+  TxInstance inst;
+  inst.duration = 100;
+  inst.writes = {99};
+  for (Time t = 0; t < 2000; ++t) ASSERT_TRUE(m.arrive(t * 10000, inst));
+  m.drain();
+  EXPECT_EQ(served, 2000u);
+  EXPECT_GT(m.policy_shared().seer()->rebuild_count(), 0u);
+}
+
 }  // namespace
 }  // namespace seer::sim

@@ -10,9 +10,11 @@
 // Two backends, selected by --deterministic:
 //   real           measure THIS machine: wall-clock arrivals, real threads,
 //                  real SoftHtm transactions;
-//   deterministic  virtual-time queueing simulation of the same schedule —
-//                  byte-identical output for a (config, seed) pair at any
-//                  --jobs, which is what makes it CI-gateable.
+//   deterministic  the same schedule served by sim::Machine, the simulated
+//                  HTM multiprocessor of the paper exhibits, under the
+//                  selected policy — byte-identical output for a (config,
+//                  policy, seed) triple at any --jobs, which is what makes
+//                  it CI-gateable.
 //
 // --listen PORT raises the live telemetry plane (DESIGN.md §13): an HTTP
 // endpoint on 127.0.0.1 serving /metrics (Prometheus exposition), /status
@@ -109,7 +111,8 @@ void usage(const char* argv0) {
       "  --workload FILE.json   workload config with an open_loop section\n"
       "  --policy NAME          HLE|RTM|SCM|ATS|SGL|Seer|Oracle (default RTM)\n"
       "  --workers N            override the config's service thread count\n"
-      "  --deterministic        virtual-time backend (byte-stable output)\n"
+      "  --deterministic        serve on the simulated HTM machine in\n"
+      "                         virtual time (byte-stable output)\n"
       "  --jobs N               deterministic only: parallel rate steps\n"
       "                         (0 = all cores); output bytes are identical\n"
       "  --seed N               arrival/instance RNG seed (default 1)\n"
@@ -119,8 +122,6 @@ void usage(const char* argv0) {
       "                         interval lines (needs SEER_OBS=ON)\n"
       "  --storm-response       Seer scheduler: decay stats and re-infer\n"
       "                         immediately on abort-/SGL-storm entry\n"
-      "                         (affects the conflict service model and\n"
-      "                         real-mode Seer runs)\n"
       "  --storm-enter R        abort-rate threshold that opens a storm\n"
       "                         episode (default 0.90; exit follows at 2/3)\n"
       "  --storm-decay F        history multiplier applied on storm entry\n"
