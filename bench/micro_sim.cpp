@@ -1,5 +1,7 @@
-// Microbenchmarks of the machine simulator: raw event throughput and
-// whole-machine simulation rates (events and transactions per second).
+// Microbenchmarks of the machine simulator: raw event throughput,
+// whole-machine simulation rates (events and transactions per second), and
+// the per-instance hot path — footprint sampling and the pairwise conflict
+// test, reference and indexed.
 #include <benchmark/benchmark.h>
 
 #include "sim/event_queue.hpp"
@@ -48,8 +50,10 @@ void BM_MachineRun(benchmark::State& state) {
 }
 BENCHMARK(BM_MachineRun)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
-void BM_WorkloadSampling(benchmark::State& state) {
-  const auto wl = stamp::make_workload("vacation-high", 8);
+// One instance per iteration. genome's cost is its Zipf draws, yada's the
+// canonicalisation of its long line vectors, vacation-high a mix of both.
+void BM_WorkloadSampling(benchmark::State& state, const char* name) {
+  const auto wl = stamp::make_workload(name, 8);
   util::Xoshiro256 rng(3);
   sim::TxInstance inst;
   for (auto _ : state) {
@@ -58,7 +62,9 @@ void BM_WorkloadSampling(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_WorkloadSampling);
+BENCHMARK_CAPTURE(BM_WorkloadSampling, genome, "genome");
+BENCHMARK_CAPTURE(BM_WorkloadSampling, vacation_high, "vacation-high");
+BENCHMARK_CAPTURE(BM_WorkloadSampling, yada, "yada");
 
 void BM_ConflictCheck(benchmark::State& state) {
   const auto wl = stamp::make_workload("yada", 8);
@@ -73,6 +79,26 @@ void BM_ConflictCheck(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ConflictCheck);
+
+// The same pair through the footprint indexes Machine::begin() builds once
+// per instance: each side's writes probed in the other's set.
+void BM_ConflictCheckIndexed(benchmark::State& state) {
+  const auto wl = stamp::make_workload("yada", 8);
+  util::Xoshiro256 rng(3);
+  sim::TxInstance a;
+  sim::TxInstance b;
+  wl->next(0, 0.5, rng, a);
+  wl->next(1, 0.5, rng, b);
+  sim::FootprintIndex ia;
+  sim::FootprintIndex ib;
+  ia.build(a);
+  ib.build(b);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim::FootprintIndex::conflict(a, ia, b, ib));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ConflictCheckIndexed);
 
 }  // namespace
 

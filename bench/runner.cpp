@@ -196,11 +196,20 @@ std::vector<CellResult> run_cells(const std::vector<Cell>& cells,
   if (!opts.record_path.empty() && !cells.empty()) {
     record = std::make_unique<workload::InstanceTrace>();
   }
-  auto results = util::parallel_for_indexed(
-      opts.effective_jobs(), cells.size(), [&](std::size_t i) {
-        return run_cell(cells[i], opts, i == 0 ? trace.get() : nullptr,
-                        i == 0 ? record.get() : nullptr);
-      });
+  // A generator can still reject its thread count when a cell builds it
+  // (a spec whose per-thread regions outgrow the line-id space): the same
+  // usage error as a bad --workload, so the same diagnostic and exit 2.
+  std::vector<CellResult> results;
+  try {
+    results = util::parallel_for_indexed(
+        opts.effective_jobs(), cells.size(), [&](std::size_t i) {
+          return run_cell(cells[i], opts, i == 0 ? trace.get() : nullptr,
+                          i == 0 ? record.get() : nullptr);
+        });
+  } catch (const workload::ConfigError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
+  }
   if (record != nullptr) {
     if (!workload::write_trace_json(*record, opts.record_path)) {
       std::fprintf(stderr, "cannot open --record path: %s\n",

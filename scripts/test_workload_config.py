@@ -135,6 +135,40 @@ class ValidateWorkloadTest(unittest.TestCase):
         self.assertEqual(code, 2)
         self.assertIn("absent.json", err)
 
+    # --- region geometry --------------------------------------------------
+
+    def regions_config(self, regions):
+        doc = spec_config()
+        doc["params"]["regions"] = regions
+        return doc
+
+    def test_zipf_region_above_2pow22_lines_is_named(self):
+        # The Zipf table holds one entry per line; at the 2^32 - 1 line
+        # limit it would take tens of GB to build.
+        doc = self.regions_config(
+            [{"name": "r", "lines": 4194305, "zipf_skew": 0.5}])
+        code, _, err = self.validate(self.write("bad.json", doc))
+        self.assertEqual(code, 2)
+        self.assertIn("regions[0].lines", err)
+        self.assertIn("2^22", err)
+
+    def test_line_space_past_2pow32_is_named(self):
+        # Past 2^32 lines, the second region's ids would wrap onto the first.
+        doc = self.regions_config([{"name": "r", "lines": 3000000000},
+                                   {"name": "s", "lines": 3000000000}])
+        code, _, err = self.validate(self.write("bad.json", doc))
+        self.assertEqual(code, 2)
+        self.assertIn("2^32 line ids", err)
+
+    def test_per_thread_regions_count_once_per_thread(self):
+        # Fits one thread; the validator builds the generator for two.
+        doc = self.regions_config([
+            {"name": "r", "lines": 2147483648},
+            {"name": "p", "lines": 1610612736, "per_thread": True}])
+        code, _, err = self.validate(self.write("bad.json", doc))
+        self.assertEqual(code, 2)
+        self.assertIn("at 2 thread(s)", err)
+
     # --- topology section (sockets x cores_per_socket x smt_per_core) -----
 
     def test_good_topology_section_validates(self):
@@ -272,6 +306,20 @@ class BenchWorkloadFlagTest(unittest.TestCase):
             os.path.join(self.tmp.name, "absent.json"))
         self.assertEqual(code, 2)
         self.assertIn("absent.json", err)
+
+    def test_per_thread_line_space_past_2pow32_exits_nonzero(self):
+        # 2^30 lines per thread fit up to four threads; the sweep's 5-thread
+        # cells would wrap the line ids, so the exhibit stops with the
+        # named error instead.
+        doc = spec_config()
+        doc["params"]["regions"] = [
+            {"name": "r", "lines": 1073741824, "per_thread": True}]
+        path = os.path.join(self.tmp.name, "wide.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(doc, f)
+        code, err = self.run_bench(path)
+        self.assertEqual(code, 2)
+        self.assertIn("at 5 thread(s)", err)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ struct Machine::ThreadCtx {
   std::uint64_t pending_cost = 0;
 
   TxInstance inst;
+  FootprintIndex fp;  // inst's footprint; built by begin(), kept across retries
   Time arrival = 0;  // open loop: when the request in service arrived
   rt::Directive d;
   std::size_t acquire_idx = 0;
@@ -269,7 +270,7 @@ void Machine::on_event(const Event& e) {
       // our tracked set is evicted). Core locks rely on this: once the
       // sibling is parked, pending doom evaporates.
       if (t.in_hw) {
-        if (t.inst.footprint_lines() > effective_capacity(t)) {
+        if (t.fp.lines() > effective_capacity(t)) {
           abort_hw(t, htm::AbortStatus::capacity());
         } else {
           t.capacity_scheduled = false;  // re-armed if a sibling reappears
@@ -335,6 +336,7 @@ void Machine::serve_next(ThreadCtx& t) {
 }
 
 void Machine::begin(ThreadCtx& t) {
+  t.fp.build(t.inst);
   t.policy->begin_tx(t.inst.type, now_);
   if (is_seer()) t.pending_cost += cfg_.costs.announce;
   assert(t.held.empty());
@@ -458,10 +460,11 @@ void Machine::start_hw(ThreadCtx& t) {
   // point within their coexistence window. The victim learns only
   // "conflict", never the culprit, and its retry (same footprint!)
   // typically strikes back: the mutual-kill thrash that motivates
-  // transaction scheduling in the first place.
+  // transaction scheduling in the first place. The index decides exactly
+  // instances_conflict(), and the id-order visit keeps every draw in place.
   for (auto& other : threads_) {
     if (other->id == t.id || !other->in_hw) continue;
-    if (instances_conflict(t.inst, other->inst)) {
+    if (FootprintIndex::conflict(t.inst, t.fp, other->inst, other->fp)) {
       const Time horizon = std::min(other->hw_end, commit_at);
       const Time window = horizon > now_ ? horizon - now_ : 1;
       // The conflict only materializes if the colliding accesses actually
@@ -514,7 +517,7 @@ void Machine::start_hw(ThreadCtx& t) {
 
 void Machine::schedule_capacity_check(ThreadCtx& t) {
   if (!t.in_hw || t.capacity_scheduled) return;
-  if (t.inst.footprint_lines() <= effective_capacity(t)) return;
+  if (t.fp.lines() <= effective_capacity(t)) return;
   // The transaction will overflow its buffers partway through its
   // remaining execution. Once scheduled the abort is not cancelled even if
   // the sibling leaves: evicting a tracked line is irrecoverable in real

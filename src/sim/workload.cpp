@@ -50,4 +50,31 @@ bool write_conflicts(const TxInstance& a, const TxInstance& b) noexcept {
   return sorted_intersects(a.writes, b.reads) || sorted_intersects(a.writes, b.writes);
 }
 
+void FootprintIndex::build(const TxInstance& inst) {
+  const std::size_t keys = inst.reads.size() + inst.writes.size();
+  unsigned bits = 4;
+  while ((std::size_t{1} << bits) < 2 * keys) ++bits;
+  slots_.assign(std::size_t{1} << bits, kEmpty);
+  mask_ = slots_.size() - 1;
+  shift_ = 64 - bits;
+  holds_empty_key_ = false;
+  lines_ = 0;
+  for (const std::uint32_t l : inst.reads) insert(l);
+  for (const std::uint32_t l : inst.writes) insert(l);
+}
+
+void FootprintIndex::insert(std::uint32_t line) {
+  if (line == kEmpty) {
+    lines_ += holds_empty_key_ ? 0 : 1;
+    holds_empty_key_ = true;
+    return;
+  }
+  std::size_t i = slot_of(line);
+  for (; slots_[i] != kEmpty; i = (i + 1) & mask_) {
+    if (slots_[i] == line) return;
+  }
+  slots_[i] = line;
+  ++lines_;
+}
+
 }  // namespace seer::sim

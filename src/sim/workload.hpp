@@ -79,10 +79,64 @@ class Workload {
 [[nodiscard]] bool write_conflicts(const TxInstance& a, const TxInstance& b) noexcept;
 
 // Symmetric transactional conflict: either side's writes intersect the
-// other's footprint.
+// other's footprint. The reference for FootprintIndex::conflict.
 [[nodiscard]] inline bool instances_conflict(const TxInstance& a,
                                              const TxInstance& b) noexcept {
   return write_conflicts(a, b) || write_conflicts(b, a);
 }
+
+// One instance's footprint, indexed for the machine's pairwise conflict
+// test: the cached |reads ∪ writes| and an open-addressing set of those
+// lines. The machine builds one per instance and reuses it across retries,
+// so a pair test probes each side's writes in the other's set — O(|w_a| +
+// |w_b|) — instead of merging both full footprints four times.
+class FootprintIndex {
+ public:
+  // Indexes `inst`, reusing the storage of the previous build.
+  void build(const TxInstance& inst);
+
+  // |reads ∪ writes| of the indexed instance: its footprint_lines().
+  [[nodiscard]] std::size_t lines() const noexcept { return lines_; }
+
+  [[nodiscard]] bool contains(std::uint32_t line) const noexcept {
+    if (line == kEmpty) return holds_empty_key_;
+    for (std::size_t i = slot_of(line);; i = (i + 1) & mask_) {
+      if (slots_[i] == line) return true;
+      if (slots_[i] == kEmpty) return false;
+    }
+  }
+
+  // True when some line of `lines` is in this footprint.
+  [[nodiscard]] bool intersects(const std::vector<std::uint32_t>& lines) const noexcept {
+    for (const std::uint32_t l : lines) {
+      if (contains(l)) return true;
+    }
+    return false;
+  }
+
+  // instances_conflict(a, b), where `ia` indexes `a` and `ib` indexes `b`.
+  [[nodiscard]] static bool conflict(const TxInstance& a, const FootprintIndex& ia,
+                                     const TxInstance& b,
+                                     const FootprintIndex& ib) noexcept {
+    return ib.intersects(a.writes) || ia.intersects(b.writes);
+  }
+
+ private:
+  // Marks a free slot. It is also a valid line id, tracked out of band.
+  static constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
+
+  [[nodiscard]] std::size_t slot_of(std::uint32_t line) const noexcept {
+    // Fibonacci hashing: the top bits of the product spread clustered ids.
+    return static_cast<std::size_t>((line * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+  void insert(std::uint32_t line);
+
+  // Power-of-two size, at most half full; starts as an empty 16-slot index.
+  std::vector<std::uint32_t> slots_ = std::vector<std::uint32_t>(16, kEmpty);
+  std::size_t mask_ = 15;
+  unsigned shift_ = 60;
+  bool holds_empty_key_ = false;
+  std::size_t lines_ = 0;
+};
 
 }  // namespace seer::sim

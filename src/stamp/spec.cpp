@@ -6,8 +6,65 @@
 
 namespace seer::stamp {
 
+namespace {
+
+// LSD radix sort, one byte per pass. A pass whose byte is the same in every
+// key would only copy, so it is skipped: line ids rarely use all 32 bits.
+void radix_sort(std::vector<std::uint32_t>& v, std::vector<std::uint32_t>& scratch) {
+  const std::size_t n = v.size();
+  std::uint32_t count[4][256] = {};
+  for (const std::uint32_t x : v) {
+    ++count[0][x & 0xFFu];
+    ++count[1][(x >> 8) & 0xFFu];
+    ++count[2][(x >> 16) & 0xFFu];
+    ++count[3][x >> 24];
+  }
+  scratch.resize(n);
+  std::uint32_t* src = v.data();
+  std::uint32_t* dst = scratch.data();
+  for (unsigned d = 0; d < 4; ++d) {
+    const unsigned shift = 8 * d;
+    std::uint32_t* c = count[d];
+    if (c[(src[0] >> shift) & 0xFFu] == n) continue;
+    std::uint32_t offset = 0;
+    for (unsigned b = 0; b < 256; ++b) {
+      const std::uint32_t k = c[b];
+      c[b] = offset;
+      offset += k;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t x = src[i];
+      dst[c[(x >> shift) & 0xFFu]++] = x;
+    }
+    std::swap(src, dst);
+  }
+  if (src != v.data()) std::copy(src, src + n, v.data());
+}
+
+}  // namespace
+
+std::uint64_t laid_out_lines(const WorkloadSpec& spec, std::size_t n_threads) {
+  std::uint64_t lines = 0;
+  for (const Region& r : spec.regions) {
+    lines += static_cast<std::uint64_t>(r.lines) * (r.per_thread ? n_threads : 1);
+  }
+  return lines;
+}
+
+void canonicalize_lines(std::vector<std::uint32_t>& v,
+                        std::vector<std::uint32_t>& scratch) {
+  if (v.size() >= kRadixMinLines) {
+    radix_sort(v, scratch);
+  } else {
+    std::sort(v.begin(), v.end());
+  }
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+}
+
 SpecWorkload::SpecWorkload(WorkloadSpec spec, std::size_t n_threads)
-    : spec_(std::move(spec)), n_threads_(n_threads) {
+    : spec_(std::move(spec)),
+      n_threads_(n_threads),
+      scratch_(std::max<std::size_t>(1, n_threads)) {
   assert(!spec_.types.empty());
   assert(!spec_.regions.empty());
   if (spec_.phases.empty()) {
@@ -21,6 +78,9 @@ SpecWorkload::SpecWorkload(WorkloadSpec spec, std::size_t n_threads)
     assert(p.mix.size() == spec_.types.size());
     (void)p;
   }
+
+  // Config front ends reject a layout past the 32-bit line ids (ConfigError).
+  assert(laid_out_lines(spec_, n_threads_) <= kMaxLineSpace);
 
   // Lay regions out in one global line-id space; per-thread regions get one
   // disjoint slice per thread.
@@ -85,6 +145,8 @@ void SpecWorkload::next(core::ThreadId thread, double progress, util::Xoshiro256
 
   // Footprint: sample concrete lines per region access. Reads and writes
   // are kept sorted/unique as the conflict detector requires.
+  assert(static_cast<std::size_t>(thread) < scratch_.size());
+  std::vector<std::uint32_t>& scratch = *scratch_[static_cast<std::size_t>(thread)];
   out.reads.clear();
   out.writes.clear();
   for (const RegionAccess& a : ts.accesses) {
@@ -95,12 +157,8 @@ void SpecWorkload::next(core::ThreadId thread, double progress, util::Xoshiro256
       out.writes.push_back(sample_line(a.region, thread, rng));
     }
   }
-  auto canonicalize = [](std::vector<std::uint32_t>& v) {
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-  };
-  canonicalize(out.reads);
-  canonicalize(out.writes);
+  canonicalize_lines(out.reads, scratch);
+  canonicalize_lines(out.writes, scratch);
 }
 
 std::uint64_t SpecWorkload::think_time(core::ThreadId /*thread*/,

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "sim/workload.hpp"
+#include "util/cacheline.hpp"
 #include "util/small_vec.hpp"
 #include "util/zipf.hpp"
 
@@ -62,8 +63,29 @@ struct WorkloadSpec {
   std::uint64_t think_mean = 300;   // exponential inter-transaction gap
 };
 
+// Line ids are 32-bit, so a spec may lay out at most 2^32 lines.
+inline constexpr std::uint64_t kMaxLineSpace = std::uint64_t{1} << 32;
+
+// Largest Zipf-skewed region: its inverse-CDF table holds one entry per
+// line (the same bound `bst` puts on its keys).
+inline constexpr std::uint32_t kMaxZipfLines = std::uint32_t{1} << 22;
+
+// Lines the spec lays out at `n_threads` threads: shared regions once,
+// per-thread regions once per thread.
+[[nodiscard]] std::uint64_t laid_out_lines(const WorkloadSpec& spec,
+                                           std::size_t n_threads);
+
+// Sorts `v` ascending and drops duplicates: exactly std::sort followed by
+// std::unique. Vectors of at least kRadixMinLines lines go through an LSD
+// radix sort that uses `scratch` as its second buffer; shorter ones, where
+// the radix passes' fixed cost dominates, through std::sort.
+inline constexpr std::size_t kRadixMinLines = 32;
+void canonicalize_lines(std::vector<std::uint32_t>& v,
+                        std::vector<std::uint32_t>& scratch);
+
 // Turns a spec into an executable workload. One instance per simulated run
-// (it is stateless apart from precomputed tables, so reuse is also fine).
+// (it is stateless apart from precomputed tables and per-thread scratch
+// space, so reuse is also fine).
 class SpecWorkload final : public sim::Workload {
  public:
   explicit SpecWorkload(WorkloadSpec spec, std::size_t n_threads);
@@ -74,6 +96,7 @@ class SpecWorkload final : public sim::Workload {
     return spec_.types[static_cast<std::size_t>(t)].name;
   }
 
+  // `thread` must be below the n_threads the workload was built for.
   void next(core::ThreadId thread, double progress, util::Xoshiro256& rng,
             sim::TxInstance& out) override;
 
@@ -91,6 +114,9 @@ class SpecWorkload final : public sim::Workload {
   std::size_t n_threads_;
   std::vector<std::uint64_t> region_base_;           // global line-id offsets
   std::vector<std::unique_ptr<util::Zipf>> zipf_;    // per skewed region
+  // Radix-sort buffer per thread: next() for one thread touches only its
+  // own lane (the generator contract's single-writer lanes).
+  std::vector<util::Padded<std::vector<std::uint32_t>>> scratch_;
 };
 
 }  // namespace seer::stamp

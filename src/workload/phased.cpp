@@ -84,6 +84,8 @@ std::unique_ptr<PhasedWorkload> PhasedWorkload::from_json(const Value& params,
     }
   }
 
+  // Every regime shares phase 0's layout.
+  check_line_space(first, n_threads, origin);
   return std::make_unique<PhasedWorkload>(name, std::move(regimes), think_mean,
                                           n_threads);
 }

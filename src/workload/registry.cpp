@@ -115,7 +115,8 @@ Registry make_builtin_registry() {
     auto spec = std::make_shared<stamp::WorkloadSpec>(
         spec_from_json(params, origin, display));
     return Desc(spec->name, 4000,
-                [spec](std::size_t n_threads) -> std::unique_ptr<Generator> {
+                [spec, origin](std::size_t n_threads) -> std::unique_ptr<Generator> {
+                  check_line_space(*spec, n_threads, origin);
                   return std::make_unique<stamp::SpecWorkload>(*spec, n_threads);
                 });
   });

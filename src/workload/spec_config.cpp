@@ -77,6 +77,11 @@ stamp::WorkloadSpec spec_from_json(const Value& obj, const std::string& origin,
     if (region.zipf_skew < 0.0) {
       jsonu::fail(jsonu::sub(ro, "zipf_skew"), "must be non-negative");
     }
+    if (region.zipf_skew > 0.0 && region.lines > stamp::kMaxZipfLines) {
+      jsonu::fail(jsonu::sub(ro, "lines"),
+                  "must be at most 2^22 when zipf_skew > 0 (the Zipf table holds "
+                  "one entry per line)");
+    }
     region.per_thread = jsonu::opt_bool(r, "per_thread", false, ro);
     for (const stamp::Region& prev : spec.regions) {
       if (prev.name == region.name) {
@@ -86,6 +91,7 @@ stamp::WorkloadSpec spec_from_json(const Value& obj, const std::string& origin,
     }
     spec.regions.push_back(std::move(region));
   }
+  check_line_space(spec, 1, origin);
 
   // Transaction types, with region accesses referenced by region *name*.
   const Value& types = jsonu::require_array(obj, "types", origin);
@@ -172,6 +178,18 @@ stamp::WorkloadSpec spec_from_json(const Value& obj, const std::string& origin,
   }
 
   return spec;
+}
+
+void check_line_space(const stamp::WorkloadSpec& spec, std::size_t n_threads,
+                      const std::string& origin) {
+  const std::uint64_t lines = stamp::laid_out_lines(spec, n_threads);
+  if (lines > stamp::kMaxLineSpace) {
+    jsonu::fail(jsonu::sub(origin, "regions"),
+                "lay out " + std::to_string(lines) + " lines at " +
+                    std::to_string(n_threads) +
+                    " thread(s), more than the 2^32 line ids (per-thread regions "
+                    "count once per thread)");
+  }
 }
 
 }  // namespace seer::workload

@@ -22,4 +22,12 @@ namespace seer::workload {
                                                  const std::string& origin,
                                                  const std::string& default_name);
 
+// Throws ConfigError when `spec` lays out more than 2^32 lines at
+// `n_threads` threads: past that, 32-bit line ids would wrap into another
+// region's range and conflict with lines the spec never shares.
+// spec_from_json checks one thread; generators built for more threads
+// check again with their real count.
+void check_line_space(const stamp::WorkloadSpec& spec, std::size_t n_threads,
+                      const std::string& origin);
+
 }  // namespace seer::workload

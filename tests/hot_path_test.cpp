@@ -1,0 +1,353 @@
+// Exactness tests for the simulator's hot path. Each fast structure must
+// decide exactly what the reference it replaced decides, so every simulated
+// statistic stays bit-identical:
+//
+//   * sim::FootprintIndex against sim::instances_conflict and
+//     TxInstance::footprint_lines, on random pairs from every registered
+//     generator plus hand-built edge cases;
+//   * util::Zipf's guide-table search against a plain binary search over
+//     the same CDF;
+//   * stamp::canonicalize_lines against std::sort + std::unique on both
+//     sides of its radix threshold.
+//
+// Random inputs derive from one master seed. SEER_PROPERTY_SEED=<n>
+// replays a failing run; failures print the seed.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <functional>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "sim/workload.hpp"
+#include "stamp/spec.hpp"
+#include "util/json.hpp"
+#include "util/rng.hpp"
+#include "util/zipf.hpp"
+#include "workload/registry.hpp"
+
+namespace seer {
+namespace {
+
+std::uint64_t master_seed() {
+  const char* v = std::getenv("SEER_PROPERTY_SEED");
+  return v != nullptr ? std::strtoull(v, nullptr, 10) : 0x5EE4A11u;
+}
+
+std::string replay_hint(std::uint64_t seed) {
+  return "replay with: SEER_PROPERTY_SEED=" + std::to_string(seed) +
+         " ./build/tests/hot_path_test";
+}
+
+// ------------------------------------------------------ FootprintIndex ----
+
+sim::TxInstance make_inst(std::vector<std::uint32_t> reads,
+                          std::vector<std::uint32_t> writes) {
+  sim::TxInstance i;
+  i.reads = std::move(reads);
+  i.writes = std::move(writes);
+  i.duration = 100;
+  return i;
+}
+
+// Indexes both instances (reusing the caller's indexes) and checks the
+// indexed pair test and cached counts against the references, both ways
+// round. Returns the reference verdict.
+bool expect_index_exact(const sim::TxInstance& a, const sim::TxInstance& b,
+                        sim::FootprintIndex& ia, sim::FootprintIndex& ib,
+                        const std::string& where) {
+  ia.build(a);
+  ib.build(b);
+  EXPECT_EQ(ia.lines(), a.footprint_lines()) << where;
+  EXPECT_EQ(ib.lines(), b.footprint_lines()) << where;
+  const bool ref = sim::instances_conflict(a, b);
+  EXPECT_EQ(sim::FootprintIndex::conflict(a, ia, b, ib), ref) << where;
+  EXPECT_EQ(sim::FootprintIndex::conflict(b, ib, a, ia), ref) << where;
+  for (const auto* side : {&a.reads, &a.writes}) {
+    for (const std::uint32_t l : *side) {
+      EXPECT_TRUE(ia.contains(l)) << where << ": indexed line " << l << " missing";
+    }
+  }
+  return ref;
+}
+
+TEST(FootprintIndex, EdgeCasesMatchTheReference) {
+  sim::FootprintIndex ia;
+  sim::FootprintIndex ib;
+  constexpr std::uint32_t kTop = 0xFFFFFFFFu;
+  struct Case {
+    const char* what;
+    sim::TxInstance a;
+    sim::TxInstance b;
+    bool conflict;
+  };
+  const std::vector<Case> cases = {
+      {"both empty", make_inst({}, {}), make_inst({}, {}), false},
+      {"empty vs writer", make_inst({}, {}), make_inst({}, {1, 2}), false},
+      {"empty reads: writer hits reader", make_inst({}, {5}), make_inst({5}, {}), true},
+      {"reader hit by writer", make_inst({5}, {}), make_inst({}, {5}), true},
+      {"empty writes: readers share", make_inst({1, 2, 3}, {}), make_inst({2, 3, 4}, {}),
+       false},
+      {"line 0 written", make_inst({}, {0}), make_inst({0}, {}), true},
+      {"line 0 read by both", make_inst({0}, {7}), make_inst({0}, {8}), false},
+      {"top line written", make_inst({}, {kTop}), make_inst({kTop}, {}), true},
+      {"top line read by both", make_inst({kTop}, {1}), make_inst({kTop}, {2}), false},
+      {"0 and top held, neighbours written", make_inst({0, kTop}, {}),
+       make_inst({}, {1, kTop - 1}), false},
+      {"top in reads and writes", make_inst({3, kTop}, {kTop}), make_inst({}, {3}), true},
+      {"identical writers", make_inst({1, 4}, {2, 9}), make_inst({1, 4}, {2, 9}), true},
+      {"identical readers", make_inst({1, 4, 9}, {}), make_inst({1, 4, 9}, {}), false},
+      {"overlap only through writes", make_inst({1, 2}, {50, 60}),
+       make_inst({3, 4}, {60, 70}), true},
+      {"write-write on the last line", make_inst({}, {1, 2, kTop}),
+       make_inst({}, {3, kTop}), true},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(expect_index_exact(c.a, c.b, ia, ib, c.what), c.conflict) << c.what;
+  }
+  // A fresh index is the empty footprint.
+  EXPECT_EQ(sim::FootprintIndex{}.lines(), 0u);
+  EXPECT_FALSE(sim::FootprintIndex{}.contains(0));
+  EXPECT_FALSE(sim::FootprintIndex{}.contains(kTop));
+  // A line both read and written counts once; the top id counts like any other.
+  ia.build(make_inst({0, 5, kTop}, {5, kTop}));
+  EXPECT_EQ(ia.lines(), 3u);
+  EXPECT_FALSE(ia.contains(1));
+  EXPECT_FALSE(ia.contains(kTop - 1));
+  // Rebuilding a smaller instance forgets the previous one.
+  ia.build(make_inst({7}, {}));
+  EXPECT_EQ(ia.lines(), 1u);
+  EXPECT_FALSE(ia.contains(0));
+  EXPECT_FALSE(ia.contains(kTop));
+  EXPECT_TRUE(ia.contains(7));
+}
+
+// Sorted unique lines `base + stride * k` for random k < span: strides that
+// are powers of two stress the open-addressing probe sequences.
+std::vector<std::uint32_t> strided_lines(util::Xoshiro256& rng, std::size_t n,
+                                         std::uint32_t base, std::uint32_t stride,
+                                         std::uint32_t span) {
+  std::vector<std::uint32_t> v;
+  for (std::size_t i = 0; i < n; ++i) {
+    v.push_back(base + stride * static_cast<std::uint32_t>(rng.below(span)));
+  }
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+  return v;
+}
+
+TEST(FootprintIndex, StridedFootprintsMatchTheReference) {
+  const std::uint64_t seed = master_seed();
+  util::Xoshiro256 rng(seed);
+  sim::FootprintIndex ia;
+  sim::FootprintIndex ib;
+  int conflicts = 0;
+  constexpr int kPairs = 3000;
+  for (int i = 0; i < kPairs; ++i) {
+    const std::uint32_t stride = std::uint32_t{1} << rng.below(24);
+    const std::uint32_t base = static_cast<std::uint32_t>(rng.below(1u << 20));
+    const std::uint32_t span = std::uint32_t{64} << rng.below(8);
+    const auto lines = [&](std::uint64_t most) {
+      return strided_lines(rng, static_cast<std::size_t>(rng.below(most + 1)), base,
+                           stride, span);
+    };
+    const sim::TxInstance a = make_inst(lines(300), lines(60));
+    const sim::TxInstance b = make_inst(lines(300), lines(60));
+    if (expect_index_exact(a, b, ia, ib, "pair " + std::to_string(i))) ++conflicts;
+    if (HasFailure()) FAIL() << replay_hint(seed);
+  }
+  EXPECT_GT(conflicts, kPairs / 20) << "the pairs never exercise a conflict";
+  EXPECT_LT(conflicts, kPairs - kPairs / 20) << "the pairs never exercise a miss";
+}
+
+util::json::Value parse_or_die(const std::string& text) {
+  std::string err;
+  auto doc = util::json::parse(text, &err);
+  EXPECT_TRUE(doc.has_value()) << err;
+  return doc.has_value() ? *doc : util::json::Value{};
+}
+
+// Every registered generator that needs no file: the eight STAMP stand-ins
+// by name, plus "spec", "bst" and "phased" configs. At kThreads threads the
+// spec lays out the whole 2^32 line space, so its one-line "top" region is
+// line 0xFFFFFFFF, next to long radix-sorted reads and a per-thread region.
+constexpr std::size_t kThreads = 4;
+
+constexpr const char* kEdgeSpec = R"({
+  "generator": "spec", "name": "edge-spec",
+  "params": {
+    "regions": [{"name": "low", "lines": 64, "zipf_skew": 0.9},
+                {"name": "own", "lines": 16, "per_thread": true},
+                {"name": "wide", "lines": 4294967167},
+                {"name": "top", "lines": 1}],
+    "types": [
+      {"name": "scan", "duration_mean": 500,
+       "accesses": [{"region": "wide", "reads": 120},
+                    {"region": "top", "reads": 1},
+                    {"region": "low", "reads": 4, "writes": 1}]},
+      {"name": "bump", "duration_mean": 200,
+       "accesses": [{"region": "top", "writes": 1},
+                    {"region": "own", "reads": 2, "writes": 2}]},
+      {"name": "poke", "duration_mean": 100,
+       "accesses": [{"region": "low", "reads": 2, "writes": 2}]}],
+    "mix": [2, 1, 3]}})";
+
+constexpr const char* kBst = R"({
+  "generator": "bst", "params": {"keys": 64, "key_skew": 0.8}})";
+
+constexpr const char* kPhased = R"({
+  "generator": "phased",
+  "params": {"phases": [
+    {"until": 0.5, "spec": {
+      "regions": [{"name": "r", "lines": 96, "zipf_skew": 0.5}],
+      "types": [{"name": "t", "duration_mean": 100,
+                 "accesses": [{"region": "r", "reads": 40, "writes": 3}]}]}},
+    {"until": 1.0, "spec": {
+      "regions": [{"name": "r", "lines": 96}],
+      "types": [{"name": "t", "duration_mean": 100,
+                 "accesses": [{"region": "r", "reads": 6, "writes": 1}]}]}}]}})";
+
+std::vector<workload::Desc> every_generator() {
+  std::vector<workload::Desc> out;
+  for (const std::string& name : workload::stamp_names()) {
+    out.push_back(workload::find(name));
+  }
+  for (const char* config : {kEdgeSpec, kBst, kPhased}) {
+    out.push_back(workload::from_config_json(parse_or_die(config), "<config>"));
+  }
+  return out;
+}
+
+TEST(FootprintIndex, EveryGeneratorsPairsMatchTheReference) {
+  const std::uint64_t seed = master_seed();
+  constexpr int kPairs = 400;
+  sim::FootprintIndex ia;
+  sim::FootprintIndex ib;
+  for (const workload::Desc& d : every_generator()) {
+    const auto wl = d.make(kThreads);
+    util::Xoshiro256 rng(seed);
+    for (std::size_t t = 0; t < kThreads; ++t) wl->init(static_cast<core::ThreadId>(t));
+    sim::TxInstance a;
+    sim::TxInstance b;
+    int conflicts = 0;
+    for (int i = 0; i < kPairs; ++i) {
+      const double progress = static_cast<double>(i) / kPairs;
+      wl->next(static_cast<core::ThreadId>(i % kThreads), progress, rng, a);
+      wl->next(static_cast<core::ThreadId>((i + 1) % kThreads), progress, rng, b);
+      if (expect_index_exact(a, b, ia, ib, d.name + " pair " + std::to_string(i))) {
+        ++conflicts;
+      }
+      if (HasFailure()) FAIL() << replay_hint(seed);
+    }
+    if (d.name != "ssca2") {
+      EXPECT_GT(conflicts, 0) << d.name << " never conflicts";
+    }
+  }
+}
+
+// ---------------------------------------------------------------- Zipf ----
+
+// The search the guide table replaced: first CDF entry >= u, else the last.
+std::size_t binary_search_rank(const std::vector<double>& cdf, double u) {
+  std::size_t lo = 0;
+  std::size_t hi = cdf.size() - 1;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (cdf[mid] < u) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+class ZipfGuide : public ::testing::TestWithParam<std::tuple<std::uint64_t, double>> {};
+
+TEST_P(ZipfGuide, SampleEqualsBinarySearch) {
+  const auto [n, skew] = GetParam();
+  const std::uint64_t seed = master_seed();
+  const util::Zipf z(n, skew);
+  const std::vector<double>& cdf = z.cdf();
+  ASSERT_EQ(cdf.size(), n);
+
+  // Random draws, through sample() itself.
+  util::Xoshiro256 rng(seed);
+  util::Xoshiro256 twin(seed);
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t got = z.sample(rng);
+    const double u = twin.uniform01();
+    ASSERT_EQ(got, binary_search_rank(cdf, u)) << "u=" << u << "\n" << replay_hint(seed);
+  }
+
+  // Draws on and next to CDF entries and guide-bucket edges, where an
+  // off-by-one in the table would show.
+  std::vector<double> us = {0.0, std::nextafter(1.0, 0.0)};
+  const auto around = [&us](double x) {
+    for (const double v : {std::nextafter(x, 0.0), x, std::nextafter(x, 1.0)}) {
+      if (v >= 0.0 && v < 1.0) us.push_back(v);
+    }
+  };
+  const std::size_t probes = std::min<std::size_t>(cdf.size(), 4096);
+  for (std::size_t k = 0; k < probes; ++k) {
+    const std::size_t idx =
+        cdf.size() <= 4096 ? k : static_cast<std::size_t>(rng.below(cdf.size()));
+    around(cdf[idx]);
+    around(static_cast<double>(idx) / static_cast<double>(cdf.size()));
+  }
+  around(cdf.back());
+  for (const double u : us) {
+    ASSERT_EQ(z.rank_of(u), binary_search_rank(cdf, u)) << "u=" << u << "\n"
+                                                        << replay_hint(seed);
+  }
+}
+
+constexpr std::uint64_t kZipfSizes[] = {1, 2, 3, 16, 2048, std::uint64_t{1} << 22};
+constexpr double kZipfSkews[] = {0.01, 0.5, 0.99, 2.0};
+
+INSTANTIATE_TEST_SUITE_P(Grid, ZipfGuide,
+                         ::testing::Combine(::testing::ValuesIn(kZipfSizes),
+                                            ::testing::ValuesIn(kZipfSkews)));
+
+// ------------------------------------------------------- canonicalize ----
+
+TEST(CanonicalizeLines, EqualsSortUniqueAcrossTheRadixThreshold) {
+  const std::uint64_t seed = master_seed();
+  util::Xoshiro256 rng(seed);
+  std::vector<std::uint32_t> scratch;
+  // Value generators: heavy duplicates, one shared digit, top-byte-only
+  // differences, and the full range with 0xFFFFFFFF forced in.
+  const std::vector<std::function<std::uint32_t()>> draws = {
+      [&] { return static_cast<std::uint32_t>(rng.below(8)); },
+      [&] { return 0x00ABCD00u | static_cast<std::uint32_t>(rng.below(256)); },
+      [&] { return static_cast<std::uint32_t>(rng.below(256)) << 24; },
+      [&] { return 0xFFFFFFF0u + static_cast<std::uint32_t>(rng.below(16)); },
+      [&] { return static_cast<std::uint32_t>(rng.next()); },
+      [] { return 0xFFFFFFFFu; },
+  };
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 3 * stamp::kRadixMinLines; ++n) sizes.push_back(n);
+  for (const std::size_t n : {500, 1000, 4000}) sizes.push_back(n);
+  for (const std::size_t n : sizes) {
+    for (std::size_t g = 0; g < draws.size(); ++g) {
+      std::vector<std::uint32_t> v(n);
+      for (auto& x : v) x = draws[g]();
+      // One outlier whose low byte sorts it early: every byte above is
+      // shared by all keys but it, so no radix pass may be skipped.
+      if (n > 0 && g <= 1) v[rng.below(n)] = 0xFFFFFF00u;
+      if (n > 0 && g == 4) v[rng.below(n)] = 0xFFFFFFFFu;
+      std::vector<std::uint32_t> want = v;
+      std::sort(want.begin(), want.end());
+      want.erase(std::unique(want.begin(), want.end()), want.end());
+      stamp::canonicalize_lines(v, scratch);
+      ASSERT_EQ(v, want) << "n=" << n << " generator " << g << "\n" << replay_hint(seed);
+    }
+  }
+}
+
+}  // namespace
+}  // namespace seer

@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "stamp/spec.hpp"
 #include "stamp/workloads.hpp"
@@ -231,6 +233,64 @@ TEST(SpecWorkload, DefaultPhaseIsUniformMix) {
     if (inst.type == 0) ++count_a;
   }
   EXPECT_NEAR(count_a / static_cast<double>(kN), 0.5, 0.05);
+}
+
+// The generator contract lets different threads sample concurrently, one
+// caller per thread. Four threads drive one workload at once — long reads
+// that take the radix path through each thread's scratch lane, Zipf draws,
+// a per-thread region — and each thread's stream must equal a
+// single-threaded replay. Under tsan this also checks the lanes share no
+// state.
+TEST(SpecWorkload, ConcurrentThreadsMatchSingleThreadedReplay) {
+  WorkloadSpec spec;
+  spec.name = "lanes";
+  spec.regions = {{.name = "mesh", .lines = 1u << 19},
+                  {.name = "hot", .lines = 512, .zipf_skew = 0.8},
+                  {.name = "own", .lines = 64, .zipf_skew = 0.0, .per_thread = true}};
+  spec.types = {{.name = "refine",
+                 .duration_mean = 4000,
+                 .duration_jitter = 0.3,
+                 .accesses = {{.region = 0, .reads = 300, .writes = 120},
+                              {.region = 1, .reads = 40, .writes = 2}}},
+                {.name = "touch",
+                 .duration_mean = 300,
+                 .duration_jitter = 0.3,
+                 .accesses = {{.region = 1, .reads = 3, .writes = 1},
+                              {.region = 2, .reads = 4, .writes = 4}}}};
+  constexpr std::size_t kThreads = 4;
+  constexpr int kPerThread = 400;
+  const auto stream = [](SpecWorkload& wl, core::ThreadId t) {
+    util::Xoshiro256 rng(1000 + t);
+    std::vector<sim::TxInstance> out(kPerThread);
+    for (int i = 0; i < kPerThread; ++i) {
+      wl.next(t, static_cast<double>(i) / kPerThread, rng,
+              out[static_cast<std::size_t>(i)]);
+    }
+    return out;
+  };
+
+  SpecWorkload shared(spec, kThreads);
+  std::vector<std::vector<sim::TxInstance>> concurrent(kThreads);
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      concurrent[t] = stream(shared, static_cast<core::ThreadId>(t));
+    });
+  }
+  for (std::thread& w : workers) w.join();
+
+  SpecWorkload replay(spec, kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    const std::vector<sim::TxInstance> want =
+        stream(replay, static_cast<core::ThreadId>(t));
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const sim::TxInstance& got = concurrent[t][i];
+      ASSERT_EQ(got.type, want[i].type) << "thread " << t << " instance " << i;
+      ASSERT_EQ(got.duration, want[i].duration) << "thread " << t << " instance " << i;
+      ASSERT_EQ(got.reads, want[i].reads) << "thread " << t << " instance " << i;
+      ASSERT_EQ(got.writes, want[i].writes) << "thread " << t << " instance " << i;
+    }
+  }
 }
 
 TEST(SpecWorkload, TypeNamesExposed) {

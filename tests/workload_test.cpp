@@ -557,6 +557,68 @@ TEST(Config, NegativeCasesNameTheBadKey) {
       "missing_config");
 }
 
+// A "spec" config with the given regions JSON and one type reading region "r".
+std::string spec_with_regions(const std::string& regions) {
+  return R"({"generator": "spec", "params": {"regions": [)" + regions +
+         R"(], "types": [{"name": "t", "duration_mean": 10,
+                          "accesses": [{"region": "r", "reads": 1}]}]}})";
+}
+
+// A skewed region's Zipf table holds one entry per line and costs one pow()
+// per entry at build time, so the front door caps it at 2^22 lines (as bst
+// caps keys) instead of letting 2^32 - 1 lines exhaust memory. Uniform
+// regions keep the full range.
+TEST(Config, ZipfRegionsAbove2Pow22LinesAreRejected) {
+  const auto cfg = [](const std::string& regions) {
+    return [regions] {
+      (void)from_config_json(parse_or_die(spec_with_regions(regions)), "<c>");
+    };
+  };
+  expect_config_error(cfg(R"({"name": "r", "lines": 4194305, "zipf_skew": 0.5})"),
+                      "regions[0].lines");
+  expect_config_error(cfg(R"({"name": "r", "lines": 4294967295, "zipf_skew": 1})"),
+                      "2^22");
+  // Parsing builds no table, so the accepted extremes are cheap to check.
+  EXPECT_NO_THROW(cfg(R"({"name": "r", "lines": 4194304, "zipf_skew": 2.0})")());
+  EXPECT_NO_THROW(cfg(R"({"name": "r", "lines": 4294967295})")());
+}
+
+// Line ids are 32-bit: a layout past 2^32 lines would wrap the later
+// regions' ids onto the earlier ones and conflict on lines no transaction
+// shares.
+TEST(Config, LineSpacesPast2Pow32AreRejected) {
+  const auto cfg = [](const std::string& regions) {
+    return [regions] {
+      (void)from_config_json(parse_or_die(spec_with_regions(regions)), "<c>");
+    };
+  };
+  expect_config_error(cfg(R"({"name": "r", "lines": 3000000000},
+                             {"name": "s", "lines": 3000000000})"),
+                      "2^32 line ids");
+  // Exactly 2^32 lines fit.
+  EXPECT_NO_THROW(cfg(R"({"name": "r", "lines": 4294967295},
+                         {"name": "s", "lines": 1})")());
+
+  // Per-thread regions count once per thread: 2^31 shared + 2^30 per
+  // thread fits two threads exactly, and a third is rejected when the
+  // generator is built.
+  const std::string regions = R"({"name": "r", "lines": 2147483648},
+                                 {"name": "p", "lines": 1073741824, "per_thread": true})";
+  const Desc d = from_config_json(parse_or_die(spec_with_regions(regions)), "<c>");
+  EXPECT_NO_THROW((void)d.make(2));
+  expect_config_error([&] { (void)d.make(3); }, "at 3 thread(s)");
+
+  // phased checks its shared layout the same way.
+  const std::string phased_config =
+      R"({"generator": "phased", "params": {"phases": [{"until": 1.0, "spec": {
+            "regions": [)" + regions + R"(],
+            "types": [{"name": "t", "duration_mean": 10,
+                       "accesses": [{"region": "r", "reads": 1}]}]}}]}})";
+  const Desc phased = from_config_json(parse_or_die(phased_config), "<c>");
+  EXPECT_NO_THROW((void)phased.make(2));
+  expect_config_error([&] { (void)phased.make(3); }, "per-thread regions");
+}
+
 TEST(Config, SpecGeneratorBuildsARunnableWorkload) {
   const Value doc = parse_or_die(R"({
     "generator": "spec",
