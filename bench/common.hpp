@@ -12,11 +12,15 @@
 // whole sweep, in cell order.
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "sim/machine.hpp"
@@ -26,6 +30,28 @@
 #include "workload/registry.hpp"
 
 namespace seer::bench {
+
+// Parses a numeric flag value in full (no trailing characters) and checks
+// it against [lo, hi]. Bad syntax or a value out of range is a usage
+// error: the flag's name and the accepted range on stderr, exit 2.
+template <typename T>
+T parse_flag(const std::string& flag, const char* text, T lo, T hi) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok || value < lo || value > hi) {
+    auto str = [](T v) {
+      char buf[32];
+      return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    };
+    std::fprintf(stderr, "invalid value '%s' for %s: expected a number from %s to %s\n",
+                 text, flag.c_str(), str(lo).c_str(), str(hi).c_str());
+    std::exit(2);
+  }
+  return value;
+}
 
 struct Options {
   int runs = 2;             // seeds per configuration (simulator runs are
@@ -40,6 +66,13 @@ struct Options {
   std::string record_path;     // instance-trace capture of cell 0 (--record)
   std::vector<std::string> workloads;  // names or *.json configs; empty = all eight
 
+  // Accepted flag ranges. --jobs 0 means "every hardware thread"; a scale
+  // is positive (each run is floored at 200 transactions per thread).
+  static constexpr int kMaxRuns = 10000;
+  static constexpr int kMaxJobs = 1024;
+  static constexpr double kMinTxsScale = 1e-6;
+  static constexpr double kMaxTxsScale = 1000.0;
+
   static Options parse(int argc, char** argv) {
     Options o;
     for (int i = 1; i < argc; ++i) {
@@ -52,13 +85,13 @@ struct Options {
         return argv[++i];
       };
       if (arg == "--runs") {
-        o.runs = std::atoi(next());
+        o.runs = parse_flag(arg, next(), 1, kMaxRuns);
       } else if (arg == "--txs-scale") {
-        o.txs_scale = std::atof(next());
+        o.txs_scale = parse_flag(arg, next(), kMinTxsScale, kMaxTxsScale);
       } else if (arg == "--seed") {
-        o.base_seed = static_cast<std::uint64_t>(std::atoll(next()));
+        o.base_seed = parse_flag<std::uint64_t>(arg, next(), 0, UINT64_MAX);
       } else if (arg == "--jobs") {
-        o.jobs = std::atoi(next());
+        o.jobs = parse_flag(arg, next(), 0, kMaxJobs);
       } else if (arg == "--json") {
         o.json_path = next();
       } else if (arg == "--metrics") {

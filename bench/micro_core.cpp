@@ -2,7 +2,8 @@
 //
 // These quantify the per-event costs the paper's Figure 4 argues are small:
 // announcing to the active table, scanning it on commit/abort (Alg. 3), the
-// probability computations, and a full scheme rebuild (Alg. 5).
+// probability computations, a full scheme rebuild (Alg. 5), and the whole
+// per-transaction driver loop around an empty body.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -14,6 +15,8 @@
 #include "core/hill_climber.hpp"
 #include "core/lock_scheme.hpp"
 #include "core/seer_scheduler.hpp"
+#include "htm/soft_htm.hpp"
+#include "runtime/threaded_executor.hpp"
 #include "util/gaussian.hpp"
 #include "util/rng.hpp"
 
@@ -191,6 +194,29 @@ BENCHMARK_CAPTURE(BM_SchedulerRebuild, foldall, 0)
     ->Arg(8)->Arg(32)->Arg(64)->Arg(128);
 BENCHMARK_CAPTURE(BM_SchedulerRebuild, budget1, 1)
     ->Arg(8)->Arg(32)->Arg(64)->Arg(128);
+
+// The real-thread driver's cost outside the transaction body (ROADMAP
+// 8(b)): ThreadHandle::run around an empty body on one thread — policy
+// hooks, directives, lock waits, clock reads, the SGL subscription and a
+// read-only SoftHtm commit. Seer adds the announce/clear, the Alg. 3 scan
+// and thread 0's maintenance poll to RTM's retry loop.
+void BM_RunEmptyBody(benchmark::State& state, rt::PolicyKind kind) {
+  htm::SoftHtm tm;
+  rt::PolicyConfig policy;
+  policy.kind = kind;
+  rt::ThreadedExecutor::Options opts;
+  opts.n_threads = 1;
+  opts.n_types = 1;
+  opts.physical_cores = 1;
+  rt::ThreadedExecutor exec(tm, policy, opts);
+  const std::unique_ptr<rt::ThreadedExecutor::ThreadHandle> handle = exec.make_handle(0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(handle->run(0, [](auto&) {}));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_RunEmptyBody, RTM, rt::PolicyKind::kRtm);
+BENCHMARK_CAPTURE(BM_RunEmptyBody, Seer, rt::PolicyKind::kSeer);
 
 }  // namespace
 

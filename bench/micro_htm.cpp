@@ -80,6 +80,42 @@ void BM_AbortRollback(benchmark::State& state) {
 }
 BENCHMARK(BM_AbortRollback);
 
+// The two ways a conflict ends an attempt, priced side by side. Context B
+// commits into context A's read set inside A's body (one thread, so every
+// iteration conflicts), then A writes one word. When A read the word
+// before B's commit, A's commit-time validation fails and commit() returns
+// the abort; when A reads it after, the read aborts in the body and the
+// attempt unwinds. Each iteration also pays B's one-word commit.
+template <bool kReadFirst>
+void conflict_abort(benchmark::State& state) {
+  htm::SoftHtm tm;
+  htm::SoftHtm::ThreadContext a(tm);
+  htm::SoftHtm::ThreadContext b(tm);
+  htm::TmWord read{0};
+  htm::TmWord written{0};
+  std::uint64_t v = 0;
+  auto aggressor = [&](htm::SoftHtm::Tx& tx) { tx.write(read, ++v); };
+  for (auto _ : state) {
+    const auto s = a.attempt([&](htm::SoftHtm::Tx& tx) {
+      if constexpr (kReadFirst) (void)tx.read(read);
+      (void)b.attempt(aggressor);
+      if constexpr (!kReadFirst) (void)tx.read(read);
+      tx.write(written, 1);
+    });
+    if (s.raw() == htm::kXBeginStarted) {
+      state.SkipWithError("the attempt committed; expected a conflict abort");
+      break;
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_CommitConflictAbort(benchmark::State& state) { conflict_abort<true>(state); }
+BENCHMARK(BM_CommitConflictAbort);
+
+void BM_BodyConflictAbort(benchmark::State& state) { conflict_abort<false>(state); }
+BENCHMARK(BM_BodyConflictAbort);
+
 // ------------------------------------------------- multi-threaded variants --
 // One shared SoftHtm (shared clock + stripe table, as in any real embedding),
 // per-thread contexts, per-thread disjoint words.

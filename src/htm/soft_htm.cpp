@@ -10,10 +10,8 @@ SoftHtm::SoftHtm(Config cfg) : cfg_(cfg) {
   assert(std::has_single_bit(cfg_.stripes) && "stripe count must be a power of two");
   assert(cfg_.stripes <= (1ULL << 31) && "stripe indices must fit in 32 bits");
   stripe_mask_ = cfg_.stripes - 1;
-  stripes_ = std::make_unique<util::Padded<std::atomic<std::uint64_t>>[]>(cfg_.stripes);
-  for (std::size_t i = 0; i < cfg_.stripes; ++i) {
-    stripes_[i].value.store(0, std::memory_order_relaxed);
-  }
+  // Value-initialized: every stripe starts unlocked at version 0.
+  stripes_ = std::make_unique<std::atomic<std::uint64_t>[]>(cfg_.stripes);
 }
 
 void SoftHtm::Tx::abort(std::uint8_t code) {
@@ -38,12 +36,11 @@ void SoftHtm::ThreadContext::begin() {
   t0_next_ = t0_buf_.get();
   t0_check_ = std::min(t0_end_, t0_next_ + kT0SatCheckStride);
   read_sig_.clear();
-  // One integer bump retires every stamp and index slot of the previous
-  // attempt. On the (once per 2^32 attempts) wraparound the tagged
-  // structures must forget their stale epochs, or a recycled epoch value
-  // would resurrect entries from 4 billion attempts ago.
+  // One integer bump retires every index slot of the previous attempt. On
+  // the (once per 2^32 attempts) wraparound the tagged structures must
+  // forget their stale epochs, or a recycled epoch value would resurrect
+  // entries from 4 billion attempts ago.
   if (++epoch_ == 0) {
-    std::fill_n(stamps_.get(), tm_.cfg_.stripes, 0);
     write_index_.hard_reset();
     read_words_.hard_reset();
     epoch_ = 1;
@@ -76,15 +73,26 @@ void SoftHtm::ThreadContext::abort_with(AbortStatus status) {
   throw TxAbortException{status};
 }
 
-void SoftHtm::ThreadContext::maybe_fault_slow(TxOp op) {
+AbortStatus SoftHtm::ThreadContext::fail_commit(AbortStatus status,
+                                                std::size_t locked) noexcept {
+  for (std::size_t i = 0; i < locked; ++i) {
+    tm_.stripe_at(lock_stripes_[i]).fetch_and(~kLockedBit, std::memory_order_release);
+  }
+  if (obs_ != nullptr) {
+    obs_->emit(obs_lane_, obs::TraceKind::kTxAbort, obs::now_ticks(),
+               static_cast<std::uint64_t>(status.cause()));
+  }
+  rollback();
+  return status;
+}
+
+std::optional<AbortStatus> SoftHtm::ThreadContext::injected_fault(TxOp op) {
   // Injection models *hardware* abort noise, so the capacity-exempt path
   // (the pessimistic SGL fallback, which is not speculative) is exempt too —
   // otherwise a high-rate plan could starve the fallback's retry loop (the
-  // inline maybe_fault wrapper filters both conditions before landing here).
+  // callers check faults_armed() before landing here).
   const std::uint64_t i = op_index_++;
-  if (const auto forced = fault_->before_op(op, attempt_count_ - 1, i)) {
-    abort_with(*forced);
-  }
+  return fault_->before_op(op, attempt_count_ - 1, i);
 }
 
 // Tier-0 → Tier-1 promotion: replay the logged addresses through the exact
@@ -172,10 +180,14 @@ void SoftHtm::ThreadContext::do_subscribe(const std::atomic<std::uint64_t>& word
 
 AbortStatus SoftHtm::ThreadContext::commit() {
   assert(active_);
-  maybe_fault(TxOp::kCommit);
+  if (faults_armed()) {
+    if (const auto forced = injected_fault(TxOp::kCommit)) {
+      return fail_commit(*forced, 0);
+    }
+  }
   if (writes_.empty()) {
     // Read-only transactions were validated on every read; nothing to publish.
-    check_subscriptions();
+    if (!subscriptions_hold()) return fail_commit(AbortStatus::conflict(), 0);
     if (log_ != nullptr) {
       // A read-only commit serializes at its snapshot: it saw every write
       // with version <= read_version_ and none after.
@@ -192,96 +204,72 @@ AbortStatus SoftHtm::ThreadContext::commit() {
     return AbortStatus(kXBeginStarted);
   }
 
-  // The stripes to lock, deduplicated through the stamp table while the
-  // owned mark is planted — commit read-set validation below recognizes
-  // own-locked stripes with one stamp lookup instead of scanning the write
-  // set. lock_stripes_ is a reusable member: the commit path performs no
-  // heap allocation once warm.
+  // The stripes to lock in canonical (stripe-index) order, deadlock-free
+  // across committers. Duplicates are distinct words sharing a stripe (the
+  // write set itself is deduplicated by word); one lock covers them. Small
+  // write sets touch stripes in hash order, which is rarely sorted, but the
+  // is_sorted probe is cheap and spares the common single-stripe and
+  // sequential-buffer cases the full sort. lock_stripes_ is a reusable
+  // member: the commit path performs no heap allocation once warm.
   lock_stripes_.clear();
-  for (const WriteEntry& e : writes_) {
-    if (!stamp_has(e.stripe, kStampOwned)) {
-      stamp_set(e.stripe, kStampOwned);
-      lock_stripes_.push_back(e.stripe);
-    }
-  }
-  // Canonical (stripe-index) order, deadlock-free across committers. Small
-  // write sets touch stripes in hash order, which is rarely sorted, but
-  // the is_sorted probe is cheap and spares the common already-sorted
-  // single-stripe and sequential-buffer cases the full sort.
+  for (const WriteEntry& e : writes_) lock_stripes_.push_back(e.stripe);
   if (!std::is_sorted(lock_stripes_.begin(), lock_stripes_.end())) {
     std::sort(lock_stripes_.begin(), lock_stripes_.end());
   }
+  lock_stripes_.erase(std::unique(lock_stripes_.begin(), lock_stripes_.end()),
+                      lock_stripes_.end());
 
-  // NOTE: every abort below this point must release the stripes acquired so
-  // far — a leaked stripe lock poisons that stripe forever (all later
-  // transactions touching it abort with CONFLICT unconditionally).
+  // Every abort below this point goes through fail_commit with the number
+  // of stripes acquired so far — a leaked stripe lock poisons that stripe
+  // forever (all later transactions touching it abort with CONFLICT).
+  // Acquire in canonical order; never block — a busy stripe means a
+  // concurrent committer, which an HTM would report as a conflict abort.
   std::size_t locked = 0;
-  auto release_locked = [&]() noexcept {
-    for (std::size_t i = 0; i < locked; ++i) {
-      tm_.stripe_at(lock_stripes_[i]).fetch_and(~kLockedBit, std::memory_order_release);
+  for (const std::uint32_t si : lock_stripes_) {
+    std::atomic<std::uint64_t>& s = tm_.stripe_at(si);
+    std::uint64_t cur = s.load(std::memory_order_acquire);
+    if ((cur & kLockedBit) != 0 || cur > (read_version_ << 1) ||
+        !s.compare_exchange_strong(cur, cur | kLockedBit, std::memory_order_acq_rel)) {
+      return fail_commit(AbortStatus::conflict(), locked);
     }
-  };
-
-  std::uint64_t wv = 0;
-  try {
-    // Acquire in canonical order; never block — a busy stripe means a
-    // concurrent committer, which an HTM would report as a conflict abort.
-    for (const std::uint32_t si : lock_stripes_) {
-      std::atomic<std::uint64_t>& s = tm_.stripe_at(si);
-      std::uint64_t cur = s.load(std::memory_order_acquire);
-      if ((cur & kLockedBit) != 0 || cur > (read_version_ << 1) ||
-          !s.compare_exchange_strong(cur, cur | kLockedBit,
-                                     std::memory_order_acq_rel)) {
-        release_locked();
-        abort_with(AbortStatus::conflict());
-      }
-      ++locked;
-    }
-
-    // Take the write version now, after locking and before validating (the
-    // TL2 order). A writer that locks one of our read stripes after we
-    // validated it then takes a larger version, so commit-version order is
-    // a serialization order; validating first would let it slip in between
-    // and publish a smaller version than ours.
-    wv = tm_.clock_.fetch_add(1, std::memory_order_acq_rel) + 1;
-
-    // Validate the read set against the read version. A locked stripe is
-    // fine iff the lock is ours, which the owned stamp answers in O(1)
-    // (stripes we own passed the version check just before locking).
-    if (tm_.cfg_.defect != Defect::kSkipCommitValidation) {
-      auto validate_stripe = [&](std::uint32_t si) {
-        const std::uint64_t v = tm_.stripe_at(si).load(std::memory_order_acquire);
-        if ((v & kLockedBit) != 0) {
-          if (!stamp_has(si, kStampOwned)) {
-            release_locked();
-            abort_with(AbortStatus::conflict());
-          }
-        } else if (v > (read_version_ << 1)) {
-          release_locked();
-          abort_with(AbortStatus::conflict());
-        }
-      };
-      // Tier-0 reads never built reads_: walk the replay log instead,
-      // recomputing each entry's stripe. Undeduplicated, so a re-read
-      // stripe validates more than once — the price a writer pays for
-      // having skipped per-read exact accounting, and exactly why a
-      // read-only commit (the Tier-0 sweet spot) skips this entirely.
-      for (const TmWord* const* p = t0_buf_.get(); p != t0_next_; ++p) {
-        validate_stripe(static_cast<std::uint32_t>(mix_addr(*p) & stripe_mask_));
-      }
-      // Tier-1 reads: each distinct stripe entry once. Empty in Tier 0.
-      for (const std::uint32_t si : reads_) validate_stripe(si);
-    }
-    for (const Subscription& sub : subs_) {
-      if (sub.word->load(std::memory_order_acquire) != sub.expected) {
-        release_locked();
-        abort_with(AbortStatus::conflict());
-      }
-    }
-  } catch (const TxAbortException&) {
-    rollback();
-    throw;
+    ++locked;
   }
+
+  // Take the write version now, after locking and before validating (the
+  // TL2 order). A writer that locks one of our read stripes after we
+  // validated it then takes a larger version, so commit-version order is
+  // a serialization order; validating first would let it slip in between
+  // and publish a smaller version than ours.
+  const std::uint64_t wv = tm_.clock_.fetch_add(1, std::memory_order_acq_rel) + 1;
+
+  // Validate the read set against the read version. A locked stripe is
+  // fine iff the lock is ours (stripes we own passed the version check
+  // just before locking). Only a stripe found locked asks that question,
+  // and a binary search of the sorted lock list answers it.
+  if (tm_.cfg_.defect != Defect::kSkipCommitValidation) {
+    auto stripe_valid = [&](std::uint32_t si) {
+      const std::uint64_t v = tm_.stripe_at(si).load(std::memory_order_acquire);
+      if ((v & kLockedBit) != 0) {
+        return std::binary_search(lock_stripes_.begin(), lock_stripes_.end(), si);
+      }
+      return v <= (read_version_ << 1);
+    };
+    // Tier-0 reads never built reads_: walk the replay log instead,
+    // recomputing each entry's stripe. Undeduplicated, so a re-read
+    // stripe validates more than once — the price a writer pays for
+    // having skipped per-read exact accounting, and exactly why a
+    // read-only commit (the Tier-0 sweet spot) skips this entirely.
+    for (const TmWord* const* p = t0_buf_.get(); p != t0_next_; ++p) {
+      if (!stripe_valid(static_cast<std::uint32_t>(mix_addr(*p) & stripe_mask_))) {
+        return fail_commit(AbortStatus::conflict(), locked);
+      }
+    }
+    // Tier-1 reads: each distinct stripe entry once. Empty in Tier 0.
+    for (const std::uint32_t si : reads_) {
+      if (!stripe_valid(si)) return fail_commit(AbortStatus::conflict(), locked);
+    }
+  }
+  if (!subscriptions_hold()) return fail_commit(AbortStatus::conflict(), locked);
 
   // Publish: write back, release stripes at the new version.
   for (const WriteEntry& e : writes_) {

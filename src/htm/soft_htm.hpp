@@ -30,6 +30,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "htm/abort_code.hpp"
@@ -129,13 +130,20 @@ class SoftHtm {
   // Every per-access structure is O(1) and reusable across attempts
   // (DESIGN.md §10): the write set is indexed by an open-addressed hash
   // table behind a 64-bit signature filter (read-own-writes and write
-  // dedup in constant time), reads start in a signature-only Tier 0 (a
+  // dedup in constant time), and reads start in a signature-only Tier 0 (a
   // 1024-bit Bloom filter plus an address replay log) and are promoted
   // lazily to the exact distinct-word index only under capacity pressure
-  // or filter saturation, owned stripes are marked at commit in an
-  // epoch-tagged stripe-stamp table (cleared by bumping the epoch, never
-  // memset), and the commit path sorts a reusable stripe list — zero heap
-  // allocations once the vectors and tables are warm.
+  // or filter saturation. Both indices are epoch-tagged: one integer bump
+  // per attempt clears them. The commit path sorts and deduplicates a
+  // reusable stripe list, which then answers "is this locked stripe mine?"
+  // by binary search — zero heap allocations once the vectors and tables
+  // are warm.
+  //
+  // Aborts raised inside the body (read validation, capacity, tx.abort,
+  // a subscription checked during a read, an injected in-body fault) throw
+  // TxAbortException: they must leave user code. Commit-time aborts happen
+  // after the body has returned, so commit() reports them as its return
+  // value and never unwinds.
   class ThreadContext {
    public:
     explicit ThreadContext(SoftHtm& tm)
@@ -148,8 +156,7 @@ class SoftHtm {
           t0_end_(t0_buf_.get() + tm.cfg_.max_read_set),
           t0_check_(t0_buf_.get() + (tm.cfg_.max_read_set < kT0SatCheckStride
                                          ? tm.cfg_.max_read_set
-                                         : kT0SatCheckStride)),
-          stamps_(std::make_unique<std::uint64_t[]>(tm.cfg_.stripes)) {}
+                                         : kT0SatCheckStride)) {}
     ThreadContext(const ThreadContext&) = delete;
     ThreadContext& operator=(const ThreadContext&) = delete;
 
@@ -162,11 +169,11 @@ class SoftHtm {
         begin();
         Tx tx(*this);
         body(tx);
-        return commit();
       } catch (const TxAbortException& e) {
         rollback();
         return e.status;
       }
+      return commit();
     }
 
     // Like attempt(), but exempt from the modelled hardware-capacity caps.
@@ -210,13 +217,11 @@ class SoftHtm {
       return promote_saturation_;
     }
 
-    // Jumps the stamp/index epoch counter (tests only: exercising the
-    // wraparound path without running 2^32 attempts). The next begin()
-    // advances from this value.
-    void set_stamp_epoch_for_testing(std::uint32_t epoch) noexcept { epoch_ = epoch; }
-    [[nodiscard]] std::uint32_t stamp_epoch_for_testing() const noexcept {
-      return epoch_;
-    }
+    // Jumps the index epoch counter (tests only: exercising the wraparound
+    // path without running 2^32 attempts). The next begin() advances from
+    // this value.
+    void set_epoch_for_testing(std::uint32_t epoch) noexcept { epoch_ = epoch; }
+    [[nodiscard]] std::uint32_t epoch_for_testing() const noexcept { return epoch_; }
 
     // --- check-harness instrumentation (src/check/) ----------------------
     // Installs a deterministic fault injector consulted before every
@@ -255,15 +260,13 @@ class SoftHtm {
       std::uint64_t expected;
     };
 
-    // Stripe-stamp flag bits (stored in the low bits of a stamp; the
-    // current epoch lives in the bits above them). Deliberately touched
-    // only at commit time: the table is sized by the stripe count, too
-    // large to stay cache-resident, so the per-access paths must not walk
-    // it (see do_read).
-    static constexpr std::uint64_t kStampOwned = 2;  // commit locks this stripe
-
     void begin();
+    // Runs after the body returned: every abort here is reported through
+    // fail_commit's return value, never thrown.
     AbortStatus commit();
+    // The one exit of a commit-time abort: releases the first `locked`
+    // entries of lock_stripes_, emits the abort trace event, rolls back.
+    AbortStatus fail_commit(AbortStatus status, std::size_t locked) noexcept;
     void rollback() noexcept;
 
     // The per-access paths (and everything they touch) are defined inline
@@ -289,32 +292,24 @@ class SoftHtm {
     void promote_reads(bool saturated);
     [[noreturn]] void abort_capacity();
     [[noreturn]] void abort_with(AbortStatus status);
-    void check_subscriptions();
+    [[nodiscard]] bool subscriptions_hold() const noexcept;
     // Fault injection is dormant in every non-check embedding: the inline
     // wrapper is one pointer test, the consult lives out of line.
+    [[nodiscard]] bool faults_armed() const noexcept {
+      return fault_ != nullptr && enforce_capacity_;
+    }
     void maybe_fault(TxOp op) {
-      if (fault_ == nullptr || !enforce_capacity_) return;
-      maybe_fault_slow(op);
+      if (!faults_armed()) return;
+      if (const auto forced = injected_fault(op)) abort_with(*forced);
     }
-    void maybe_fault_slow(TxOp op);
-
-    [[nodiscard]] bool stamp_has(std::uint32_t stripe,
-                                 std::uint64_t flag) const noexcept {
-      const std::uint64_t s = stamps_[stripe];
-      return (s >> 2) == epoch_ && (s & flag) != 0;
-    }
-    void stamp_set(std::uint32_t stripe, std::uint64_t flag) noexcept {
-      std::uint64_t s = stamps_[stripe];
-      if ((s >> 2) != epoch_) s = static_cast<std::uint64_t>(epoch_) << 2;
-      stamps_[stripe] = s | flag;
-    }
+    [[nodiscard]] std::optional<AbortStatus> injected_fault(TxOp op);
 
     SoftHtm& tm_;
     // Hot-path constants hoisted out of tm_ at construction (the config and
     // stripe table are immutable after the SoftHtm ctor): per-access code
     // loads nothing through the tm_ indirection.
     std::size_t stripe_mask_;
-    util::Padded<std::atomic<std::uint64_t>>* stripe_tab_;
+    std::atomic<std::uint64_t>* stripe_tab_;
     bool validate_reads_;  // == (defect != kSkipReadValidation)
     bool active_ = false;
     bool enforce_capacity_ = true;
@@ -336,12 +331,12 @@ class SoftHtm {
     AddrIndex read_words_;   // distinct-words-read set (payload: stripe index)
     // Tier-0 read tracking (ReadTracking::kAdaptive; DESIGN.md §10). Every
     // cold read appends its address to the replay log and sets one filter
-    // bit — no hash-table probe, no stamp-table traffic. The log length is
-    // a sound upper bound on the distinct-word count (a filter miss is a
-    // definite new word; a hit is ambiguous and logged anyway), so Tier 0
-    // never needs to raise a read-capacity abort itself: promotion to exact
-    // accounting fires at the capacity budget, strictly before the true
-    // distinct count can exceed it.
+    // bit — no hash-table probe. The log length is a sound upper bound on
+    // the distinct-word count (a filter miss is a definite new word; a hit
+    // is ambiguous and logged anyway), so Tier 0 never needs to raise a
+    // read-capacity abort itself: promotion to exact accounting fires at
+    // the capacity budget, strictly before the true distinct count can
+    // exceed it.
     //
     // The log is a raw cursor over a fixed buffer of max_read_set slots
     // (allocated once, reused across attempts) so the per-read cost is one
@@ -358,9 +353,10 @@ class SoftHtm {
     bool read_tier_exact_ = false;  // false: Tier 0; true: exact accounting
     std::uint64_t promote_capacity_ = 0;    // promotions by log-at-budget
     std::uint64_t promote_saturation_ = 0;  // promotions by filter saturation
-    std::unique_ptr<std::uint64_t[]> stamps_;  // per-stripe (epoch<<2)|flags
-    std::uint32_t epoch_ = 0;    // bumped per begin(); 0 is never live
-    // Commit scratch (reused; member so the commit path never allocates).
+    std::uint32_t epoch_ = 0;  // index epoch, bumped per begin(); 0 is never live
+    // Commit scratch (reused; member so the commit path never allocates):
+    // the write set's stripes, sorted and deduplicated — the canonical
+    // lock order and, by binary search, the set of stripes this commit owns.
     std::vector<std::uint32_t> lock_stripes_;
     // Single-subscription fast path: the executor subscribes to exactly one
     // word (the SGL), so per-read revalidation is one load/compare.
@@ -394,12 +390,16 @@ class SoftHtm {
   static constexpr std::uint64_t kLockedBit = 1ULL;
 
   [[nodiscard]] std::atomic<std::uint64_t>& stripe_at(std::size_t index) noexcept {
-    return stripes_[index].value;
+    return stripes_[index];
   }
 
   Config cfg_;
   std::size_t stripe_mask_;
-  std::unique_ptr<util::Padded<std::atomic<std::uint64_t>>[]> stripes_;
+  // One word per stripe, unpadded: 8 stripes share a cache line, so a
+  // commit to one stripe invalidates its neighbours' line (false sharing).
+  // Versions stay per stripe, so it never causes a false conflict; the
+  // table is 8x smaller than one line per stripe (DESIGN.md §10).
+  std::unique_ptr<std::atomic<std::uint64_t>[]> stripes_;
   alignas(util::kCacheLineBytes) std::atomic<std::uint64_t> clock_{0};
 };
 
@@ -411,21 +411,18 @@ class SoftHtm {
 // stripe_tab_, validate_reads_) stay in registers. Cold continuations —
 // begin/commit, promotion, every abort — remain out of line in soft_htm.cpp.
 
-inline void SoftHtm::ThreadContext::check_subscriptions() {
+inline bool SoftHtm::ThreadContext::subscriptions_hold() const noexcept {
   const std::size_t n = subs_.size();
-  if (n == 0) return;
+  if (n == 0) return true;
   // Single-subscription fast path: the executor subscribes to exactly one
   // word (the SGL fallback lock), so the per-access revalidation is one
   // load/compare against inline members instead of a vector walk.
-  if (sub0_word_->load(std::memory_order_acquire) != sub0_expected_) {
-    abort_with(AbortStatus::conflict());
-  }
+  if (sub0_word_->load(std::memory_order_acquire) != sub0_expected_) return false;
   for (std::size_t i = 1; i < n; ++i) {
     const Subscription& s = subs_[i];
-    if (s.word->load(std::memory_order_acquire) != s.expected) {
-      abort_with(AbortStatus::conflict());
-    }
+    if (s.word->load(std::memory_order_acquire) != s.expected) return false;
   }
+  return true;
 }
 
 inline std::uint64_t SoftHtm::ThreadContext::do_read(const TmWord& w) {
@@ -442,7 +439,7 @@ inline std::uint64_t SoftHtm::ThreadContext::do_read(const TmWord& w) {
     if (idx != AddrIndex::kNpos) return writes_[idx].value;
   }
   const auto si = static_cast<std::uint32_t>(h & stripe_mask_);
-  std::atomic<std::uint64_t>& stripe = stripe_tab_[si].value;
+  std::atomic<std::uint64_t>& stripe = stripe_tab_[si];
   // TL2 post-validated read: sample the stripe version, read the word,
   // re-check the stripe. Any concurrent commit to this stripe is caught.
   const std::uint64_t v_before = stripe.load(std::memory_order_acquire);
@@ -455,17 +452,17 @@ inline std::uint64_t SoftHtm::ThreadContext::do_read(const TmWord& w) {
   if (validate_reads_ && v_after != v_before) {
     abort_with(AbortStatus::conflict());
   }
-  check_subscriptions();
+  if (!subscriptions_hold()) abort_with(AbortStatus::conflict());
   if (log_ != nullptr) read_log_.push_back(TxRead{&w, value});
   // Two-tier read tracking (DESIGN.md §10). Tier 0 (the common case): log
-  // the address and set one filter bit — no hash-table probe, no stamp
-  // traffic. Every read is logged, filter hit or miss: a miss is a definite
-  // new word, a hit cannot be told from a false positive without the exact
-  // probe Tier 0 exists to avoid, so counting both keeps the log length a
-  // sound UPPER bound on the distinct-word count. The single cursor
-  // compare folds both promotion predicates: t0_check_ is the budget
-  // boundary or the next saturation checkpoint, whichever is nearer (the
-  // slow halves of both live out of line in soft_htm.cpp).
+  // the address and set one filter bit — no hash-table probe. Every read is
+  // logged, filter hit or miss: a miss is a definite new word, a hit
+  // cannot be told from a false positive without the exact probe Tier 0
+  // exists to avoid, so counting both keeps the log length a sound UPPER
+  // bound on the distinct-word count. The single cursor compare folds both
+  // promotion predicates: t0_check_ is the budget boundary or the next
+  // saturation checkpoint, whichever is nearer (the slow halves of both
+  // live out of line in soft_htm.cpp).
   if (!read_tier_exact_) {
     if (t0_next_ != t0_check_) [[likely]] {
       read_sig_.add(h);
@@ -480,8 +477,6 @@ inline std::uint64_t SoftHtm::ThreadContext::do_read(const TmWord& w) {
   // already in reads_ and, per the L1d model, a resident line consumes no
   // new capacity). A new word appends its stripe — two distinct words can
   // share a stripe, which merely validates that stripe twice at commit.
-  // Keeping the big per-stripe stamp table off the read path matters: it
-  // is the one structure too large to stay cache-resident.
   track_read_exact(&w, si, h);
   return value;
 }

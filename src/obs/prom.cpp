@@ -36,7 +36,7 @@ std::string prom_sanitize_name(std::string_view name) {
       out += '_';
     }
   }
-  if (out.empty()) out = "_";
+  if (out.empty()) out.push_back('_');
   return out;
 }
 

@@ -37,12 +37,12 @@ class HlePolicy final : public Policy {
  public:
   explicit HlePolicy(int budget) : budget_(budget) {}
 
-  void begin_tx(core::TxTypeId tx, std::uint64_t) override {
+  void begin_tx(core::TxTypeId tx) override {
     tx_ = tx;
     attempts_ = budget_;
   }
 
-  Directive next_attempt(std::uint64_t) override {
+  Directive next_attempt() override {
     Directive d;
     if (attempts_ <= 0) {
       d.mode = Directive::Mode::kFallback;
@@ -53,9 +53,9 @@ class HlePolicy final : public Policy {
     return d;
   }
 
-  void on_abort(htm::AbortStatus, std::uint64_t) override { --attempts_; }
+  void on_abort(htm::AbortStatus) override { --attempts_; }
 
-  LockList on_commit(bool, std::uint64_t) override { return {}; }
+  LockList on_commit(bool) override { return {}; }
 
  private:
   int budget_;
@@ -70,12 +70,12 @@ class RtmPolicy final : public Policy {
  public:
   explicit RtmPolicy(int budget) : budget_(budget) {}
 
-  void begin_tx(core::TxTypeId tx, std::uint64_t) override {
+  void begin_tx(core::TxTypeId tx) override {
     tx_ = tx;
     attempts_ = budget_;
   }
 
-  Directive next_attempt(std::uint64_t) override {
+  Directive next_attempt() override {
     Directive d;
     if (attempts_ <= 0) {
       d.mode = Directive::Mode::kFallback;
@@ -86,9 +86,9 @@ class RtmPolicy final : public Policy {
     return d;
   }
 
-  void on_abort(htm::AbortStatus, std::uint64_t) override { --attempts_; }
+  void on_abort(htm::AbortStatus) override { --attempts_; }
 
-  LockList on_commit(bool, std::uint64_t) override { return {}; }
+  LockList on_commit(bool) override { return {}; }
 
  private:
   int budget_;
@@ -106,14 +106,14 @@ class ScmPolicy final : public Policy {
  public:
   explicit ScmPolicy(int budget) : budget_(budget) {}
 
-  void begin_tx(core::TxTypeId tx, std::uint64_t) override {
+  void begin_tx(core::TxTypeId tx) override {
     tx_ = tx;
     attempts_ = budget_;
     want_aux_ = false;
     holds_aux_ = false;
   }
 
-  Directive next_attempt(std::uint64_t) override {
+  Directive next_attempt() override {
     Directive d;
     if (attempts_ <= 0) {
       d.mode = Directive::Mode::kFallback;
@@ -132,12 +132,12 @@ class ScmPolicy final : public Policy {
     return d;
   }
 
-  void on_abort(htm::AbortStatus, std::uint64_t) override {
+  void on_abort(htm::AbortStatus) override {
     --attempts_;
     want_aux_ = true;
   }
 
-  LockList on_commit(bool, std::uint64_t) override {
+  LockList on_commit(bool) override {
     LockList rel;
     if (holds_aux_) {
       rel.push_back(kAuxLock);
@@ -164,14 +164,14 @@ class AtsPolicy final : public Policy {
   AtsPolicy(PolicyShared& shared, core::ThreadId self, int budget)
       : shared_(shared), self_(self), budget_(budget) {}
 
-  void begin_tx(core::TxTypeId tx, std::uint64_t) override {
+  void begin_tx(core::TxTypeId tx) override {
     tx_ = tx;
     attempts_ = budget_;
     holds_sched_ = false;
     serialize_ = shared_.ats_contention(self_) > shared_.config().ats.threshold;
   }
 
-  Directive next_attempt(std::uint64_t) override {
+  Directive next_attempt() override {
     Directive d;
     if (attempts_ <= 0) {
       d.mode = Directive::Mode::kFallback;
@@ -190,12 +190,12 @@ class AtsPolicy final : public Policy {
     return d;
   }
 
-  void on_abort(htm::AbortStatus, std::uint64_t) override {
+  void on_abort(htm::AbortStatus) override {
     --attempts_;
     shared_.ats_update(self_, /*aborted=*/true);
   }
 
-  LockList on_commit(bool, std::uint64_t) override {
+  LockList on_commit(bool) override {
     shared_.ats_update(self_, /*aborted=*/false);
     LockList rel;
     if (holds_sched_) {
@@ -226,7 +226,7 @@ class OraclePolicy final : public Policy {
   OraclePolicy(OracleShared& shared, core::ThreadId self, int budget)
       : shared_(shared), self_(self), budget_(budget) {}
 
-  void begin_tx(core::TxTypeId tx, std::uint64_t) override {
+  void begin_tx(core::TxTypeId tx) override {
     tx_ = tx;
     attempts_ = budget_;
     holds_tx_ = false;
@@ -235,7 +235,7 @@ class OraclePolicy final : public Policy {
     shared_.maybe_rebuild();
   }
 
-  Directive next_attempt(std::uint64_t) override {
+  Directive next_attempt() override {
     Directive d;
     if (attempts_ <= 0) {
       d.mode = Directive::Mode::kFallback;
@@ -266,9 +266,9 @@ class OraclePolicy final : public Policy {
     shared_.record_conflict(tx_, culprit);
   }
 
-  void on_abort(htm::AbortStatus, std::uint64_t) override { --attempts_; }
+  void on_abort(htm::AbortStatus) override { --attempts_; }
 
-  LockList on_commit(bool, std::uint64_t) override {
+  LockList on_commit(bool) override {
     LockList rel = held_locks();
     holds_tx_ = false;
     held_row_.clear();
@@ -299,14 +299,14 @@ class OraclePolicy final : public Policy {
 // SGL: pessimistic lower bound — every transaction takes the global lock.
 class SglPolicy final : public Policy {
  public:
-  void begin_tx(core::TxTypeId, std::uint64_t) override {}
-  Directive next_attempt(std::uint64_t) override {
+  void begin_tx(core::TxTypeId) override {}
+  Directive next_attempt() override {
     Directive d;
     d.mode = Directive::Mode::kFallback;
     return d;
   }
-  void on_abort(htm::AbortStatus, std::uint64_t) override {}
-  LockList on_commit(bool, std::uint64_t) override { return {}; }
+  void on_abort(htm::AbortStatus) override {}
+  LockList on_commit(bool) override { return {}; }
 };
 
 // ---------------------------------------------------------------------------
@@ -320,21 +320,20 @@ class SeerPolicy final : public Policy {
         my_core_(static_cast<std::uint16_t>(self % cfg_.physical_cores)),
         budget_(budget) {}
 
-  void begin_tx(core::TxTypeId tx, std::uint64_t now) override {
+  void begin_tx(core::TxTypeId tx) override {
     tx_ = tx;
     attempts_ = budget_;
     want_core_ = false;
     holds_core_ = false;
     holds_tx_ = false;
     held_row_.clear();
-    (void)now;
     // Announce before executing (Alg. 1 line 5). Scheme maintenance is
     // driven by the driver through maintenance() — at transaction start
     // (DESIGN.md deviation #1) and while waiting on the SGL.
     sched_.announce(self_, tx);
   }
 
-  Directive next_attempt(std::uint64_t) override {
+  Directive next_attempt() override {
     Directive d;
     if (attempts_ <= 0) {
       // Alg. 1 lines 18-20: release every Seer lock, then take the SGL.
@@ -389,13 +388,13 @@ class SeerPolicy final : public Policy {
     return d;
   }
 
-  void on_abort(htm::AbortStatus status, std::uint64_t) override {
+  void on_abort(htm::AbortStatus status) override {
     sched_.record_abort(self_, tx_);  // Alg. 1 line 16
     --attempts_;
     if (status.cause() == htm::AbortCause::kCapacity) want_core_ = true;
   }
 
-  LockList on_commit(bool hardware, std::uint64_t) override {
+  LockList on_commit(bool hardware) override {
     // Alg. 2 line 28 (only hardware commits carry scheduling evidence).
     if (hardware) sched_.record_commit(self_, tx_);
     sched_.clear(self_);                             // Alg. 2 line 32

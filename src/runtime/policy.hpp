@@ -5,9 +5,10 @@
 // executor or the machine simulator — owns the concrete locks and the HTM
 // and runs this loop for every transaction:
 //
-//   policy.begin_tx(tx, now)
+//   policy.maintenance(now)   (a designated thread may rebuild its scheme)
+//   policy.begin_tx(tx)
 //   loop:
-//     d = policy.next_attempt(now)
+//     d = policy.next_attempt()
 //     release d.releases; acquire d.acquires (canonical order, optionally
 //       batched in one HTM transaction if d.htm_batch); honour d.waits
 //     if d.mode == kFallback:
@@ -91,13 +92,13 @@ class Policy {
   virtual ~Policy() = default;
 
   // A new transaction instance of type `tx` starts on this thread.
-  virtual void begin_tx(core::TxTypeId tx, std::uint64_t now) = 0;
+  virtual void begin_tx(core::TxTypeId tx) = 0;
 
   // What should the driver do for the next attempt?
-  [[nodiscard]] virtual Directive next_attempt(std::uint64_t now) = 0;
+  [[nodiscard]] virtual Directive next_attempt() = 0;
 
   // A hardware attempt aborted with `status`.
-  virtual void on_abort(htm::AbortStatus status, std::uint64_t now) = 0;
+  virtual void on_abort(htm::AbortStatus status) = 0;
 
   // PRECISE conflict attribution — the information commodity HTMs do NOT
   // provide (Figure 1 of the paper). Only drivers that actually know the
@@ -109,12 +110,13 @@ class Policy {
   // The transaction committed (hardware == false means via the SGL).
   // Returns the locks the driver must now release (SGL excluded; the driver
   // manages the SGL itself).
-  [[nodiscard]] virtual LockList on_commit(bool hardware, std::uint64_t now) = 0;
+  [[nodiscard]] virtual LockList on_commit(bool hardware) = 0;
 
   // Called by the driver at transaction start and while the thread is
   // waiting (e.g. on the SGL) so a designated thread can run scheme
-  // maintenance (Alg. 4 lines 52-54). Returns true when a scheme rebuild
-  // actually happened (the simulator charges its cost model for it).
+  // maintenance (Alg. 4 lines 52-54). The only hook that reads the clock:
+  // `now` paces the rebuilds. Returns true when a scheme rebuild actually
+  // happened (the simulator charges its cost model for it).
   virtual bool maintenance(std::uint64_t now) {
     (void)now;
     return false;

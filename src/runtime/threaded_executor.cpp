@@ -109,7 +109,7 @@ void ThreadedExecutor::ThreadHandle::wait_locks(const Directive& d) {
 }
 
 void ThreadedExecutor::ThreadHandle::finish(bool hardware, LockList& held) {
-  const LockList to_release = policy_->on_commit(hardware, now());
+  const LockList to_release = policy_->on_commit(hardware);
   for (const LockId& id : to_release) {
     exec_->locks_.get(id).unlock();
     auto it = std::find(held.begin(), held.end(), id);

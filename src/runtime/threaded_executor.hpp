@@ -129,11 +129,11 @@ class ThreadedExecutor {
     CommitMode run(core::TxTypeId tx, Body&& body) {
       assert(tx >= 0 && static_cast<std::size_t>(tx) < exec_->opts_.n_types);
       policy_->maintenance(now());
-      policy_->begin_tx(tx, now());
+      policy_->begin_tx(tx);
       LockList held;
       std::uint64_t tx_attempts = 0;
       while (true) {
-        const Directive d = policy_->next_attempt(now());
+        const Directive d = policy_->next_attempt();
         apply_releases(d, held);
         acquire_locks(d, held);
         if (d.mode == Directive::Mode::kFallback) {
@@ -158,7 +158,7 @@ class ThreadedExecutor {
           exec_->opts_.metrics->add(
               exec_->m_aborts_[static_cast<std::size_t>(status.cause())], id_);
         }
-        policy_->on_abort(status, now());
+        policy_->on_abort(status);
       }
     }
 

@@ -337,14 +337,14 @@ void Machine::serve_next(ThreadCtx& t) {
 
 void Machine::begin(ThreadCtx& t) {
   t.fp.build(t.inst);
-  t.policy->begin_tx(t.inst.type, now_);
+  t.policy->begin_tx(t.inst.type);
   if (is_seer()) t.pending_cost += cfg_.costs.announce;
   assert(t.held.empty());
   dispatch(t);
 }
 
 void Machine::dispatch(ThreadCtx& t) {
-  t.d = t.policy->next_attempt(now_);
+  t.d = t.policy->next_attempt();
   t.acquire_idx = 0;
   t.wait_idx = 0;
   for (const rt::LockId& id : t.d.releases) release_one(t, id);
@@ -436,7 +436,7 @@ void Machine::start_hw(ThreadCtx& t) {
     const auto status = htm::AbortStatus::explicit_abort(htm::kXAbortCodeSglLocked);
     stats_.aborts_by_cause[static_cast<std::size_t>(status.cause())]++;
     record_abort_obs(t, status);
-    t.policy->on_abort(status, now_);
+    t.policy->on_abort(status);
     ++t.gen;
     t.st = ThreadCtx::St::kIdle;
     push(now_ + t.pending_cost + cfg_.costs.abort_penalty + scan_cost(), t.id,
@@ -560,7 +560,7 @@ void Machine::abort_hw(ThreadCtx& t, htm::AbortStatus status) {
   }
   t.pending_culprit = core::kNoTx;
   t.pending_culprit_thread = -1;
-  t.policy->on_abort(status, now_);
+  t.policy->on_abort(status);
   t.st = ThreadCtx::St::kIdle;
   push(now_ + cfg_.costs.abort_penalty + numa_extra + scan_cost(), t.id,
        EventKind::kResume, t.gen);
@@ -613,7 +613,7 @@ void Machine::finish_tx(ThreadCtx& t, bool hardware) {
                      static_cast<std::uint64_t>(t.inst.type));
   }
 
-  const rt::LockList to_release = t.policy->on_commit(hardware, now_);
+  const rt::LockList to_release = t.policy->on_commit(hardware);
   for (const rt::LockId& id : to_release) release_one(t, id);
   assert(t.held.empty() && "policy leaked locks at commit");
   t.held.clear();

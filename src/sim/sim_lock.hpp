@@ -73,17 +73,6 @@ class SimLock {
     return out;
   }
 
-  // Drops `t` from the wait queue (used when a queued thread is redirected;
-  // not part of the normal flow but needed for robustness).
-  void cancel_wait(core::ThreadId t) {
-    for (auto it = waiters_.begin(); it != waiters_.end(); ++it) {
-      if (*it == t) {
-        waiters_.erase(it);
-        return;
-      }
-    }
-  }
-
  private:
   std::optional<core::ThreadId> owner_;
   std::deque<core::ThreadId> waiters_;

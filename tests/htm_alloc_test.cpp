@@ -1,7 +1,9 @@
-// Proves the SoftHtm writer commit path is allocation-free once warm
-// (ISSUE 5 acceptance): after a few warm-up transactions every vector and
-// index has reached steady-state capacity, and whole attempt/commit cycles
-// must run without touching the global allocator.
+// Proves the SoftHtm writer commit path is allocation-free once warm:
+// after a few warm-up transactions every vector and index has reached
+// steady-state capacity, and whole attempt/commit cycles must run without
+// touching the global allocator. It also proves a commit-time abort never
+// unwinds: the binary is linked with -Wl,--wrap=__cxa_allocate_exception,
+// so every C++ throw in SoftHtm passes through a counting forwarder.
 //
 // The instrumentation replaces global operator new/delete with counting
 // forwarders, so this binary is deliberately NOT in the sanitizer label set
@@ -18,7 +20,15 @@
 
 namespace {
 std::atomic<std::uint64_t> g_news{0};
+std::atomic<std::uint64_t> g_exceptions{0};
 }  // namespace
+
+// Every `throw` allocates its exception object here first.
+extern "C" void* __real___cxa_allocate_exception(std::size_t size) noexcept;
+extern "C" void* __wrap___cxa_allocate_exception(std::size_t size) noexcept {
+  g_exceptions.fetch_add(1, std::memory_order_relaxed);
+  return __real___cxa_allocate_exception(size);
+}
 
 // GCC cannot see through the counting forwarders below and flags new/free
 // pairs that are in fact malloc/free end to end.
@@ -153,6 +163,40 @@ TEST(SoftHtmAlloc, WarmPostPromotionWriterCommitsAreAllocationFree) {
   }
   EXPECT_EQ(g_news.load(), before)
       << "a warm promote-read-write-commit cycle must never hit the allocator";
+}
+
+TEST(SoftHtmAlloc, CommitTimeAbortsThrowNothingAndInBodyAbortsThrowOnce) {
+  SoftHtm tm;
+  SoftHtm::ThreadContext a(tm);
+  SoftHtm::ThreadContext b(tm);
+  TmWord read{0};
+  TmWord written{0};
+  auto bump_read = [&](SoftHtm::Tx& tx) { tx.write(read, tx.read(read) + 1); };
+
+  // Commit-time abort: B overwrites A's read set inside A's body, so A's
+  // read-set validation fails after the body returned.
+  std::uint64_t before = g_exceptions.load();
+  AbortStatus s = a.attempt([&](SoftHtm::Tx& tx) {
+    (void)tx.read(read);
+    ASSERT_TRUE(committed(b.attempt(bump_read)));
+    tx.write(written, 1);
+  });
+  ASSERT_EQ(s.cause(), AbortCause::kConflict);
+  EXPECT_EQ(g_exceptions.load(), before) << "a commit-time abort must not throw";
+
+  // In-body abort: the same conflict seen by a read inside the body must
+  // leave user code, with exactly one thrown exception — which also proves
+  // the counter is wired up.
+  before = g_exceptions.load();
+  s = a.attempt([&](SoftHtm::Tx& tx) {
+    ASSERT_TRUE(committed(b.attempt(bump_read)));
+    (void)tx.read(read);
+    tx.write(written, 1);
+  });
+  ASSERT_EQ(s.cause(), AbortCause::kConflict);
+  EXPECT_EQ(g_exceptions.load(), before + 1) << "the counting wrapper is not linked in";
+  EXPECT_EQ(written.load(), 0u);
+  EXPECT_EQ(read.load(), 2u);
 }
 
 }  // namespace

@@ -9,8 +9,10 @@
 #include <thread>
 #include <vector>
 
+#include "check/fault_plan.hpp"
 #include "htm/abort_code.hpp"
 #include "htm/soft_htm.hpp"
+#include "obs/trace.hpp"
 #include "util/rng.hpp"
 
 namespace seer::htm {
@@ -415,7 +417,7 @@ TEST(SoftHtm, SignatureFalsePositiveFallsBackToExactProbe) {
   EXPECT_EQ(aliased.load(), 77u);
 }
 
-TEST(SoftHtm, StampEpochWraparoundDoesNotResurrectState) {
+TEST(SoftHtm, EpochWraparoundDoesNotResurrectState) {
   // The context's first attempt runs under epoch 1. Jumping the counter to
   // its maximum makes the next begin() wrap to 0, which must hard-reset
   // every epoch-tagged structure before recycling epoch 1 — otherwise the
@@ -434,9 +436,9 @@ TEST(SoftHtm, StampEpochWraparoundDoesNotResurrectState) {
     tx.abort(0x01);  // populate the indices under epoch 1, publish nothing
   });
   ASSERT_FALSE(committed(first));
-  EXPECT_EQ(ctx.stamp_epoch_for_testing(), 1u);
+  EXPECT_EQ(ctx.epoch_for_testing(), 1u);
 
-  ctx.set_stamp_epoch_for_testing(0xFFFFFFFFu);
+  ctx.set_epoch_for_testing(0xFFFFFFFFu);
   const AbortStatus s = ctx.attempt([&](SoftHtm::Tx& tx) {
     // A resurrected read_words_ entry would swallow this read's accounting.
     (void)tx.read(r);
@@ -448,7 +450,7 @@ TEST(SoftHtm, StampEpochWraparoundDoesNotResurrectState) {
     if (ctx.write_set_size() != 2) tx.abort(0x03);
   });
   ASSERT_TRUE(committed(s));
-  EXPECT_EQ(ctx.stamp_epoch_for_testing(), 1u) << "wrap lands on epoch 1 again";
+  EXPECT_EQ(ctx.epoch_for_testing(), 1u) << "wrap lands on epoch 1 again";
   EXPECT_EQ(w.load(), 7u);
   EXPECT_EQ(other.load(), 5u);
   EXPECT_EQ(r.load(), 0u);
@@ -653,6 +655,161 @@ TEST(SoftHtm, MidAcquisitionAbortReleasesExactlyTheAcquiredStripes) {
   EXPECT_EQ(s0_a->load(), 1u);
   EXPECT_EQ(s0_b->load(), 3u);
   EXPECT_EQ(s1_w->load(), 4u);
+}
+
+// ------------------------------------------------- commit-time aborts ----
+// DESIGN.md §10: an abort decided in commit() is returned, not thrown. Each
+// kind must report its cause, emit exactly one abort event, and release
+// every stripe it locked — checked by committing the same words from a
+// second context afterwards. The aborts are driven on one thread: context
+// B commits inside context A's body.
+
+// Abort and commit events on trace lane 0 (no events under SEER_OBS=OFF).
+std::size_t lane0_events(const obs::TraceSink& sink, obs::TraceKind kind) {
+  std::size_t n = 0;
+  for (const obs::TraceEvent& e : sink.drain_sorted()) {
+    if (e.thread == 0 && e.kind == kind) ++n;
+  }
+  return n;
+}
+
+constexpr std::size_t kOneEvent = SEER_OBS_ENABLED ? 1 : 0;
+
+// A context whose trace lane records exactly one attempt's outcome.
+struct TracedPair {
+  explicit TracedPair(SoftHtm::Config cfg = {}) : tm(cfg), a(tm), b(tm) {
+    a.set_obs(&sink, 0);
+  }
+  void expect_one_abort(AbortStatus s, AbortCause cause) const {
+    EXPECT_FALSE(committed(s));
+    EXPECT_EQ(s.cause(), cause);
+    EXPECT_EQ(lane0_events(sink, obs::TraceKind::kTxAbort), kOneEvent);
+    EXPECT_EQ(lane0_events(sink, obs::TraceKind::kTxCommit), 0u);
+  }
+  SoftHtm tm;
+  obs::TraceSink sink{1};
+  SoftHtm::ThreadContext a;
+  SoftHtm::ThreadContext b;
+};
+
+// Writes `words` from context `ctx` and reports whether that committed:
+// fails if any of their stripes was left locked.
+bool commit_all(SoftHtm::ThreadContext& ctx, std::vector<TmWord>& words,
+                std::uint64_t value) {
+  return committed(ctx.attempt([&](SoftHtm::Tx& tx) {
+    for (auto& w : words) tx.write(w, value);
+  }));
+}
+
+// Index of the word whose stripe A locks last (the highest stripe index),
+// so a conflict there aborts with every other stripe already acquired.
+std::size_t last_locked(const SoftHtm& tm, const std::vector<TmWord>& words) {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < words.size(); ++i) {
+    if (tm.stripe_index_of(&words[i]) > tm.stripe_index_of(&words[best])) best = i;
+  }
+  return best;
+}
+
+TEST(SoftHtmCommitAbort, NewerStripeAtLockTimeReleasesTheAcquiredPrefix) {
+  TracedPair p;
+  std::vector<TmWord> words(16);
+  const std::size_t victim = last_locked(p.tm, words);
+  const AbortStatus s = p.a.attempt([&](SoftHtm::Tx& tx) {
+    for (auto& w : words) tx.write(w, 1);
+    // B publishes the last stripe A will lock at a version above A's
+    // snapshot; A never read it, so only the lock-time check sees it.
+    ASSERT_TRUE(committed(p.b.attempt([&](SoftHtm::Tx& txb) {
+      txb.write(words[victim], 99);
+    })));
+  });
+  p.expect_one_abort(s, AbortCause::kConflict);
+  EXPECT_EQ(words[victim].load(), 99u);
+  EXPECT_TRUE(commit_all(p.b, words, 5)) << "a stripe lock leaked";
+  EXPECT_TRUE(commit_all(p.a, words, 6));
+}
+
+TEST(SoftHtmCommitAbort, FailedReadValidationReleasesEveryStripe) {
+  using Tracking = SoftHtm::ReadTracking;
+  for (const Tracking tracking : {Tracking::kAdaptive, Tracking::kExact}) {
+    SCOPED_TRACE(tracking == Tracking::kExact ? "exact" : "adaptive");
+    TracedPair p(SoftHtm::Config{.read_tracking = tracking});
+    std::vector<TmWord> words(16);
+    TmWord read{0};
+    const AbortStatus s = p.a.attempt([&](SoftHtm::Tx& tx) {
+      (void)tx.read(read);
+      // B overwrites A's read after A read it: every lock A takes is
+      // free, and validation fails with all of them held.
+      ASSERT_TRUE(committed(p.b.attempt([&](SoftHtm::Tx& txb) { txb.write(read, 7); })));
+      for (auto& w : words) tx.write(w, 1);
+    });
+    p.expect_one_abort(s, AbortCause::kConflict);
+    EXPECT_EQ(words[0].load(), 0u) << "aborted writes must not publish";
+    EXPECT_TRUE(commit_all(p.b, words, 5)) << "a stripe lock leaked";
+  }
+}
+
+TEST(SoftHtmCommitAbort, SglChangeBeforeWriterCommitReleasesEveryStripe) {
+  TracedPair p;
+  std::vector<TmWord> words(16);
+  std::atomic<std::uint64_t> sgl{0};
+  const AbortStatus s = p.a.attempt([&](SoftHtm::Tx& tx) {
+    tx.subscribe(sgl, 0);
+    for (auto& w : words) tx.write(w, 1);
+    sgl.store(1);  // a fallback thread takes the lock after the last access
+  });
+  p.expect_one_abort(s, AbortCause::kConflict);
+  EXPECT_EQ(words[0].load(), 0u);
+  EXPECT_TRUE(commit_all(p.b, words, 5)) << "a stripe lock leaked";
+}
+
+TEST(SoftHtmCommitAbort, SglChangeBeforeReadOnlyCommitAborts) {
+  TracedPair p;
+  TmWord read{3};
+  std::atomic<std::uint64_t> sgl{0};
+  const AbortStatus s = p.a.attempt([&](SoftHtm::Tx& tx) {
+    tx.subscribe(sgl, 0);
+    (void)tx.read(read);
+    sgl.store(1);
+  });
+  p.expect_one_abort(s, AbortCause::kConflict);
+  EXPECT_TRUE(committed(p.b.attempt([&](SoftHtm::Tx& tx) { tx.write(read, 4); })));
+}
+
+TEST(SoftHtmCommitAbort, InjectedCommitFaultIsReturnedOnce) {
+  TracedPair p;
+  check::FaultPlan fault;
+  fault.force(/*attempt=*/0, TxOp::kCommit, /*occurrence=*/0,
+              AbortStatus::explicit_abort(0x5A));
+  p.a.set_fault_injector(&fault);
+  std::vector<TmWord> words(16);
+  const AbortStatus s = p.a.attempt([&](SoftHtm::Tx& tx) {
+    for (auto& w : words) tx.write(w, 1);
+  });
+  p.expect_one_abort(s, AbortCause::kExplicit);
+  EXPECT_EQ(s.explicit_code(), 0x5A);
+  EXPECT_EQ(words[0].load(), 0u);
+  EXPECT_TRUE(commit_all(p.b, words, 5));
+  // The capacity-exempt fallback path is never injected.
+  EXPECT_TRUE(committed(p.a.attempt_unbounded([&](SoftHtm::Tx& tx) {
+    tx.write(words[0], 6);
+  })));
+}
+
+TEST(SoftHtmCommitAbort, SelfLockedReadStripesValidateThroughTheSortedLockList) {
+  // Two stripes for 64 words: every word read is in a stripe this commit
+  // locked itself, and the write set maps to each stripe many times — the
+  // lock list must be deduplicated, and validation must recognise each
+  // locked read stripe as its own.
+  SoftHtm tm(SoftHtm::Config{.stripes = 2});
+  SoftHtm::ThreadContext ctx(tm);
+  std::vector<TmWord> words(64);
+  for (int round = 1; round <= 3; ++round) {
+    ASSERT_TRUE(committed(ctx.attempt([&](SoftHtm::Tx& tx) {
+      for (auto& w : words) tx.write(w, tx.read(w) + 1);
+    })));
+  }
+  for (const auto& w : words) EXPECT_EQ(w.load(), 3u);
 }
 
 }  // namespace

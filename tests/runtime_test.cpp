@@ -72,21 +72,21 @@ struct Trace {
 
 Trace run_scripted(Policy& p, core::TxTypeId tx, std::vector<AbortStatus> statuses) {
   Trace trace;
-  p.begin_tx(tx, 0);
+  p.begin_tx(tx);
   std::size_t next = 0;
   for (int guard = 0; guard < 64; ++guard) {
-    Directive d = p.next_attempt(0);
+    Directive d = p.next_attempt();
     trace.directives.push_back(d);
     if (d.mode == Directive::Mode::kFallback) {
       trace.hardware_commit = false;
-      trace.final_releases = p.on_commit(/*hardware=*/false, 0);
+      trace.final_releases = p.on_commit(/*hardware=*/false);
       return trace;
     }
     if (next < statuses.size()) {
-      p.on_abort(statuses[next++], 0);
+      p.on_abort(statuses[next++]);
     } else {
       trace.hardware_commit = true;
-      trace.final_releases = p.on_commit(/*hardware=*/true, 0);
+      trace.final_releases = p.on_commit(/*hardware=*/true);
       return trace;
     }
   }
@@ -272,18 +272,18 @@ void plant_edge(core::SeerScheduler& s, core::TxTypeId a, core::TxTypeId b) {
 TEST(SeerPolicy, AnnouncesOnBeginAndClearsOnCommit) {
   PolicyShared shared(seer_config(), 8, 4);
   auto p = shared.make_thread_policy(3);
-  p->begin_tx(2, 0);
+  p->begin_tx(2);
   EXPECT_EQ(shared.seer()->active_table().peek(3), 2);
-  (void)p->next_attempt(0);
-  (void)p->on_commit(true, 0);
+  (void)p->next_attempt();
+  (void)p->on_commit(true);
   EXPECT_EQ(shared.seer()->active_table().peek(3), core::kNoTx);
 }
 
 TEST(SeerPolicy, WaitsOnOwnLocksEveryAttempt) {
   PolicyShared shared(seer_config(), 8, 4);
   auto p = shared.make_thread_policy(5);  // physical core 5 % 4 = 1
-  p->begin_tx(2, 0);
-  const Directive d = p->next_attempt(0);
+  p->begin_tx(2);
+  const Directive d = p->next_attempt();
   EXPECT_EQ(d.mode, Directive::Mode::kHardware);
   EXPECT_TRUE(d.wait_sgl);
   EXPECT_TRUE(d.waits.contains(tx_lock(2))) << "Alg. 4 line 57: own tx lock";
@@ -294,16 +294,16 @@ TEST(SeerPolicy, WaitsOnOwnLocksEveryAttempt) {
 TEST(SeerPolicy, CapacityAbortTriggersCoreLock) {
   PolicyShared shared(seer_config(), 8, 4);
   auto p = shared.make_thread_policy(6);  // core 2
-  p->begin_tx(0, 0);
-  (void)p->next_attempt(0);
-  p->on_abort(AbortStatus::capacity(), 0);
-  const Directive d = p->next_attempt(0);
+  p->begin_tx(0);
+  (void)p->next_attempt();
+  p->on_abort(AbortStatus::capacity());
+  const Directive d = p->next_attempt();
   ASSERT_EQ(d.acquires.size(), 1u);
   EXPECT_EQ(d.acquires[0], core_lock(2));
   // Once held, the own-core-lock wait disappears.
   EXPECT_FALSE(d.waits.contains(core_lock(2)));
   // Held until commit.
-  const LockList rel = p->on_commit(true, 0);
+  const LockList rel = p->on_commit(true);
   ASSERT_EQ(rel.size(), 1u);
   EXPECT_EQ(rel[0], core_lock(2));
 }
@@ -311,10 +311,10 @@ TEST(SeerPolicy, CapacityAbortTriggersCoreLock) {
 TEST(SeerPolicy, ConflictAbortDoesNotTakeCoreLock) {
   PolicyShared shared(seer_config(), 8, 4);
   auto p = shared.make_thread_policy(0);
-  p->begin_tx(0, 0);
-  (void)p->next_attempt(0);
-  p->on_abort(AbortStatus::conflict(), 0);
-  const Directive d = p->next_attempt(0);
+  p->begin_tx(0);
+  (void)p->next_attempt();
+  p->on_abort(AbortStatus::conflict());
+  const Directive d = p->next_attempt();
   EXPECT_TRUE(d.acquires.empty());
 }
 
@@ -324,20 +324,20 @@ TEST(SeerPolicy, TxLocksAcquiredOnlyOnLastAttempt) {
   ASSERT_TRUE(shared.seer()->scheme()->row(1).contains(2));
 
   auto p = shared.make_thread_policy(0);
-  p->begin_tx(1, 0);
+  p->begin_tx(1);
   for (int attempt = 0; attempt < 3; ++attempt) {
-    const Directive d = p->next_attempt(0);
+    const Directive d = p->next_attempt();
     EXPECT_TRUE(d.acquires.empty()) << "no tx locks before the last attempt";
-    p->on_abort(AbortStatus::conflict(), 0);
+    p->on_abort(AbortStatus::conflict());
   }
   // 4th abort leaves one attempt: the next directive takes the row locks.
-  p->on_abort(AbortStatus::conflict(), 0);
-  const Directive d = p->next_attempt(0);
+  p->on_abort(AbortStatus::conflict());
+  const Directive d = p->next_attempt();
   ASSERT_EQ(d.acquires.size(), 1u);
   EXPECT_EQ(d.acquires[0], tx_lock(2));
   EXPECT_FALSE(d.waits.contains(tx_lock(1)))
       << "holding tx locks suppresses the own-lock wait (Alg. 4 line 57)";
-  const LockList rel = p->on_commit(true, 0);
+  const LockList rel = p->on_commit(true);
   EXPECT_TRUE(rel.contains(tx_lock(2)));
 }
 
@@ -345,23 +345,23 @@ TEST(SeerPolicy, FallbackReleasesEverything) {
   PolicyShared shared(seer_config(), 8, 4);
   plant_edge(*shared.seer(), 1, 2);
   auto p = shared.make_thread_policy(0);
-  p->begin_tx(1, 0);
-  (void)p->next_attempt(0);
-  p->on_abort(AbortStatus::capacity(), 0);  // -> core lock
-  (void)p->next_attempt(0);
-  p->on_abort(AbortStatus::conflict(), 0);
-  (void)p->next_attempt(0);
-  p->on_abort(AbortStatus::conflict(), 0);
-  (void)p->next_attempt(0);
-  p->on_abort(AbortStatus::conflict(), 0);  // attempts = 1 next
-  (void)p->next_attempt(0);                 // acquires tx locks
-  p->on_abort(AbortStatus::conflict(), 0);  // attempts = 0
-  const Directive fb = p->next_attempt(0);
+  p->begin_tx(1);
+  (void)p->next_attempt();
+  p->on_abort(AbortStatus::capacity());  // -> core lock
+  (void)p->next_attempt();
+  p->on_abort(AbortStatus::conflict());
+  (void)p->next_attempt();
+  p->on_abort(AbortStatus::conflict());
+  (void)p->next_attempt();
+  p->on_abort(AbortStatus::conflict());  // attempts = 1 next
+  (void)p->next_attempt();                 // acquires tx locks
+  p->on_abort(AbortStatus::conflict());  // attempts = 0
+  const Directive fb = p->next_attempt();
   EXPECT_EQ(fb.mode, Directive::Mode::kFallback);
   EXPECT_TRUE(fb.releases.contains(core_lock(0)));
   EXPECT_TRUE(fb.releases.contains(tx_lock(2)));
   EXPECT_TRUE(fb.acquires.empty());
-  const LockList rel = p->on_commit(false, 0);
+  const LockList rel = p->on_commit(false);
   EXPECT_TRUE(rel.empty()) << "everything was already released pre-SGL";
 }
 
@@ -369,16 +369,16 @@ TEST(SeerPolicy, CanonicalReacquisitionWhenTxLocksJoinCoreLock) {
   PolicyShared shared(seer_config(), 8, 4);
   plant_edge(*shared.seer(), 1, 2);
   auto p = shared.make_thread_policy(2);  // core 2
-  p->begin_tx(1, 0);
-  (void)p->next_attempt(0);
-  p->on_abort(AbortStatus::capacity(), 0);
-  (void)p->next_attempt(0);  // acquires core lock
-  p->on_abort(AbortStatus::conflict(), 0);
-  (void)p->next_attempt(0);
-  p->on_abort(AbortStatus::conflict(), 0);
-  (void)p->next_attempt(0);
-  p->on_abort(AbortStatus::conflict(), 0);  // one attempt left
-  const Directive d = p->next_attempt(0);
+  p->begin_tx(1);
+  (void)p->next_attempt();
+  p->on_abort(AbortStatus::capacity());
+  (void)p->next_attempt();  // acquires core lock
+  p->on_abort(AbortStatus::conflict());
+  (void)p->next_attempt();
+  p->on_abort(AbortStatus::conflict());
+  (void)p->next_attempt();
+  p->on_abort(AbortStatus::conflict());  // one attempt left
+  const Directive d = p->next_attempt();
   // Core lock must be released and re-acquired ahead of the tx locks so the
   // global acquisition order (core < tx) is preserved.
   ASSERT_EQ(d.releases.size(), 1u);
@@ -393,15 +393,15 @@ TEST(SeerPolicy, HtmBatchDisabledByConfig) {
   PolicyShared shared(seer_config(true, true, /*htm_acquire=*/false), 8, 4);
   plant_edge(*shared.seer(), 1, 2);
   auto p = shared.make_thread_policy(2);
-  p->begin_tx(1, 0);
-  (void)p->next_attempt(0);
-  p->on_abort(AbortStatus::capacity(), 0);
-  (void)p->next_attempt(0);
+  p->begin_tx(1);
+  (void)p->next_attempt();
+  p->on_abort(AbortStatus::capacity());
+  (void)p->next_attempt();
   for (int i = 0; i < 3; ++i) {
-    p->on_abort(AbortStatus::conflict(), 0);
-    if (i < 2) (void)p->next_attempt(0);
+    p->on_abort(AbortStatus::conflict());
+    if (i < 2) (void)p->next_attempt();
   }
-  const Directive d = p->next_attempt(0);
+  const Directive d = p->next_attempt();
   EXPECT_GE(d.acquires.size(), 2u);
   EXPECT_FALSE(d.htm_batch);
 }
@@ -411,13 +411,13 @@ TEST(SeerPolicy, ProfileOnlyVariantNeverAcquiresOrWaits) {
   PolicyShared shared(seer_config(false, false, false), 8, 4);
   plant_edge(*shared.seer(), 1, 2);
   auto p = shared.make_thread_policy(0);
-  p->begin_tx(1, 0);
+  p->begin_tx(1);
   for (int i = 0; i < 5; ++i) {
-    const Directive d = p->next_attempt(0);
+    const Directive d = p->next_attempt();
     if (d.mode == Directive::Mode::kFallback) break;
     EXPECT_TRUE(d.acquires.empty());
     EXPECT_TRUE(d.waits.empty());
-    p->on_abort(AbortStatus::capacity(), 0);
+    p->on_abort(AbortStatus::capacity());
   }
   // Profiling still ran: statistics accumulated.
   EXPECT_GT(shared.seer()->merged_stats().total_executions(), 0u);
@@ -426,12 +426,12 @@ TEST(SeerPolicy, ProfileOnlyVariantNeverAcquiresOrWaits) {
 TEST(SeerPolicy, EmptyRowMeansNoTxLockAcquisition) {
   PolicyShared shared(seer_config(), 8, 4);  // empty scheme
   auto p = shared.make_thread_policy(0);
-  p->begin_tx(1, 0);
+  p->begin_tx(1);
   for (int i = 0; i < 4; ++i) {
-    (void)p->next_attempt(0);
-    p->on_abort(AbortStatus::conflict(), 0);
+    (void)p->next_attempt();
+    p->on_abort(AbortStatus::conflict());
   }
-  const Directive d = p->next_attempt(0);  // last attempt, row empty
+  const Directive d = p->next_attempt();  // last attempt, row empty
   EXPECT_TRUE(d.acquires.empty());
 }
 
@@ -453,12 +453,12 @@ TEST(SeerPolicy, RecordsAbortAndCommitStats) {
   PolicyShared shared(seer_config(), 8, 4);
   auto p0 = shared.make_thread_policy(0);
   auto p1 = shared.make_thread_policy(1);
-  p1->begin_tx(3, 0);  // announce type 3 on thread 1
-  p0->begin_tx(2, 0);
-  (void)p0->next_attempt(0);
-  p0->on_abort(AbortStatus::conflict(), 0);
-  (void)p0->next_attempt(0);
-  (void)p0->on_commit(true, 0);
+  p1->begin_tx(3);  // announce type 3 on thread 1
+  p0->begin_tx(2);
+  (void)p0->next_attempt();
+  p0->on_abort(AbortStatus::conflict());
+  (void)p0->next_attempt();
+  (void)p0->on_commit(true);
   const core::GlobalStats g = shared.seer()->merged_stats();
   EXPECT_EQ(g.abort(2, 3), 1u);
   EXPECT_EQ(g.commit(2, 3), 1u);
@@ -469,9 +469,9 @@ TEST(SeerPolicy, SglCommitDoesNotRecordCommitStats) {
   PolicyShared shared(seer_config(), 8, 4);
   auto p0 = shared.make_thread_policy(0);
   auto p1 = shared.make_thread_policy(1);
-  p1->begin_tx(3, 0);
-  p0->begin_tx(2, 0);
-  (void)p0->on_commit(/*hardware=*/false, 0);  // Alg. 2: only HW commits record
+  p1->begin_tx(3);
+  p0->begin_tx(2);
+  (void)p0->on_commit(/*hardware=*/false);  // Alg. 2: only HW commits record
   const core::GlobalStats g = shared.seer()->merged_stats();
   EXPECT_EQ(g.commit(2, 3), 0u);
   EXPECT_EQ(g.execs(2), 0u);
@@ -507,10 +507,10 @@ TEST_P(PolicyStress, TerminatesAndBalancesLocks) {
 
   for (int round = 0; round < 10; ++round) {
     LockList held;
-    p->begin_tx(round % 4, 0);
+    p->begin_tx(round % 4);
     for (int guard = 0;; ++guard) {
       ASSERT_LT(guard, 32) << "policy failed to terminate";
-      const Directive d = p->next_attempt(0);
+      const Directive d = p->next_attempt();
       for (const LockId& id : d.releases) {
         auto it = std::find(held.begin(), held.end(), id);
         ASSERT_NE(it, held.end()) << "released a lock it does not hold";
@@ -522,7 +522,7 @@ TEST_P(PolicyStress, TerminatesAndBalancesLocks) {
         held.push_back(id);
       }
       if (d.mode == Directive::Mode::kFallback) {
-        const LockList rel = p->on_commit(false, 0);
+        const LockList rel = p->on_commit(false);
         for (const LockId& id : rel) {
           auto it = std::find(held.begin(), held.end(), id);
           ASSERT_NE(it, held.end());
@@ -531,7 +531,7 @@ TEST_P(PolicyStress, TerminatesAndBalancesLocks) {
         }
         break;
       }
-      p->on_abort(status, 0);
+      p->on_abort(status);
     }
     EXPECT_TRUE(held.empty()) << "locks leaked across a transaction";
   }
@@ -562,12 +562,12 @@ TEST(OraclePolicy, LearnsFromPreciseAttribution) {
 
   // Feed precisely-attributed conflicts: type 1 keeps getting killed by 2.
   for (int i = 0; i < 20; ++i) {
-    p->begin_tx(1, 0);
-    (void)p->next_attempt(0);
+    p->begin_tx(1);
+    (void)p->next_attempt();
     p->on_conflict_attribution(2);
-    p->on_abort(AbortStatus::conflict(), 0);
-    (void)p->next_attempt(0);
-    (void)p->on_commit(true, 0);
+    p->on_abort(AbortStatus::conflict());
+    (void)p->next_attempt();
+    (void)p->on_commit(true);
   }
   ASSERT_NE(shared.oracle(), nullptr);
   EXPECT_GE(shared.oracle()->conflicts(1, 2), 20u);
@@ -581,24 +581,24 @@ TEST(OraclePolicy, SerializesFromFirstRetry) {
   PolicyShared shared(cfg, 4, 4);
   auto p = shared.make_thread_policy(0);
   for (int i = 0; i < 10; ++i) {
-    p->begin_tx(1, 0);
-    (void)p->next_attempt(0);
+    p->begin_tx(1);
+    (void)p->next_attempt();
     p->on_conflict_attribution(2);
-    p->on_abort(AbortStatus::conflict(), 0);
-    (void)p->next_attempt(0);
-    (void)p->on_commit(true, 0);
+    p->on_abort(AbortStatus::conflict());
+    (void)p->next_attempt();
+    (void)p->on_commit(true);
   }
   // Now a fresh instance: first attempt free, first RETRY takes the lock —
   // earlier than Seer's attempts==1 last resort.
-  p->begin_tx(1, 0);
-  const Directive first = p->next_attempt(0);
+  p->begin_tx(1);
+  const Directive first = p->next_attempt();
   EXPECT_TRUE(first.acquires.empty());
   EXPECT_TRUE(first.waits.contains(tx_lock(1))) << "waits on own lock";
-  p->on_abort(AbortStatus::conflict(), 0);
-  const Directive retry = p->next_attempt(0);
+  p->on_abort(AbortStatus::conflict());
+  const Directive retry = p->next_attempt();
   ASSERT_EQ(retry.acquires.size(), 1u);
   EXPECT_EQ(retry.acquires[0], tx_lock(2));
-  const LockList rel = p->on_commit(true, 0);
+  const LockList rel = p->on_commit(true);
   EXPECT_TRUE(rel.contains(tx_lock(2)));
 }
 
@@ -608,11 +608,11 @@ TEST(OraclePolicy, IgnoresAttributionlessAborts) {
   PolicyShared shared(cfg, 4, 4);
   auto p = shared.make_thread_policy(0);
   for (int i = 0; i < 10; ++i) {
-    p->begin_tx(1, 0);
-    (void)p->next_attempt(0);
-    p->on_abort(AbortStatus::capacity(), 0);  // no attribution call
-    (void)p->next_attempt(0);
-    (void)p->on_commit(true, 0);
+    p->begin_tx(1);
+    (void)p->next_attempt();
+    p->on_abort(AbortStatus::capacity());  // no attribution call
+    (void)p->next_attempt();
+    (void)p->on_commit(true);
   }
   EXPECT_TRUE(shared.oracle()->scheme()->empty());
 }

@@ -111,16 +111,6 @@ TEST(SimLock, SubscriptionsAreOneShot) {
   EXPECT_TRUE(out.notified.empty());
 }
 
-TEST(SimLock, CancelWaitRemovesFromQueue) {
-  SimLock l;
-  ASSERT_TRUE(l.try_acquire(0));
-  l.enqueue(1);
-  l.enqueue(2);
-  l.cancel_wait(1);
-  const auto out = l.release(0);
-  EXPECT_EQ(*out.granted, 2u);
-}
-
 // --------------------------------------------------------- TxInstance ------
 
 TxInstance make_inst(std::vector<std::uint32_t> reads,
@@ -182,7 +172,7 @@ class SyntheticWorkload final : public Workload {
   explicit SyntheticWorkload(Params p) : p_(std::move(p)) {
     type_names_.reserve(p_.n_types);
     for (std::size_t i = 0; i < p_.n_types; ++i) {
-      type_names_.push_back("t" + std::to_string(i));
+      type_names_.push_back(std::string(1, 't').append(std::to_string(i)));
     }
   }
 
