@@ -12,46 +12,19 @@
 // whole sweep, in cell order.
 #pragma once
 
-#include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <system_error>
-#include <type_traits>
 #include <vector>
 
 #include "sim/machine.hpp"
-#include "stamp/workloads.hpp"
+#include "util/cli.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/registry.hpp"
 
 namespace seer::bench {
-
-// Parses a numeric flag value in full (no trailing characters) and checks
-// it against [lo, hi]. Bad syntax or a value out of range is a usage
-// error: the flag's name and the accepted range on stderr, exit 2.
-template <typename T>
-T parse_flag(const std::string& flag, const char* text, T lo, T hi) {
-  T value{};
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  bool ok = ec == std::errc() && ptr == end;
-  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
-  if (!ok || value < lo || value > hi) {
-    auto str = [](T v) {
-      char buf[32];
-      return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
-    };
-    std::fprintf(stderr, "invalid value '%s' for %s: expected a number from %s to %s\n",
-                 text, flag.c_str(), str(lo).c_str(), str(hi).c_str());
-    std::exit(2);
-  }
-  return value;
-}
 
 struct Options {
   int runs = 2;             // seeds per configuration (simulator runs are
@@ -74,6 +47,7 @@ struct Options {
   static constexpr double kMaxTxsScale = 1000.0;
 
   static Options parse(int argc, char** argv) {
+    using util::cli::parse_flag;
     Options o;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];

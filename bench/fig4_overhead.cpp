@@ -5,8 +5,10 @@
 // reports a geometric-mean slowdown under 5%, at most 8%, and at most 4% on
 // a low-contention hash-map microbenchmark — which is also reproduced here.
 #include <cstdio>
+#include <memory>
 
 #include "bench/runner.hpp"
+#include "stamp/spec.hpp"
 
 namespace {
 
@@ -50,7 +52,10 @@ int main(int argc, char** argv) {
 
   const rt::PolicyConfig profile_only = bench::seer_variant(false, false, false, true);
   const rt::PolicyConfig rtm = bench::policy_of(rt::PolicyKind::kRtm);
-  const stamp::WorkloadInfo hm{"hashmap-4k", hashmap_spec, 8000};
+  const workload::Desc hm("hashmap-4k", 8000, [](std::size_t n_threads) {
+    return std::unique_ptr<workload::Generator>(
+        std::make_unique<stamp::SpecWorkload>(hashmap_spec(), n_threads));
+  });
 
   // Cells: the STAMP block [(ti, wi) × {Seer-profile, RTM}] followed by the
   // hash-map block [ti × {RTM, Seer-profile}].

@@ -6,7 +6,7 @@
 
 #include "sim/event_queue.hpp"
 #include "sim/machine.hpp"
-#include "stamp/workloads.hpp"
+#include "workload/registry.hpp"
 
 namespace {
 
@@ -33,6 +33,7 @@ BENCHMARK(BM_EventQueuePushPop);
 
 void BM_MachineRun(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
+  const workload::Desc intruder = workload::find("intruder");
   std::uint64_t total_commits = 0;
   for (auto _ : state) {
     sim::MachineConfig cfg;
@@ -40,8 +41,7 @@ void BM_MachineRun(benchmark::State& state) {
     cfg.txs_per_thread = 500;
     cfg.policy.kind = rt::PolicyKind::kSeer;
     cfg.seed = 7;
-    const auto stats =
-        sim::run_machine(cfg, stamp::make_workload("intruder", threads));
+    const auto stats = sim::run_machine(cfg, intruder.make(threads));
     total_commits += stats.commits;
     benchmark::DoNotOptimize(stats.makespan);
   }
@@ -53,7 +53,7 @@ BENCHMARK(BM_MachineRun)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 // One instance per iteration. genome's cost is its Zipf draws, yada's the
 // canonicalisation of its long line vectors, vacation-high a mix of both.
 void BM_WorkloadSampling(benchmark::State& state, const char* name) {
-  const auto wl = stamp::make_workload(name, 8);
+  const auto wl = workload::find(name).make(8);
   util::Xoshiro256 rng(3);
   sim::TxInstance inst;
   for (auto _ : state) {
@@ -67,7 +67,7 @@ BENCHMARK_CAPTURE(BM_WorkloadSampling, vacation_high, "vacation-high");
 BENCHMARK_CAPTURE(BM_WorkloadSampling, yada, "yada");
 
 void BM_ConflictCheck(benchmark::State& state) {
-  const auto wl = stamp::make_workload("yada", 8);
+  const auto wl = workload::find("yada").make(8);
   util::Xoshiro256 rng(3);
   sim::TxInstance a;
   sim::TxInstance b;
@@ -83,7 +83,7 @@ BENCHMARK(BM_ConflictCheck);
 // The same pair through the footprint indexes Machine::begin() builds once
 // per instance: each side's writes probed in the other's set.
 void BM_ConflictCheckIndexed(benchmark::State& state) {
-  const auto wl = stamp::make_workload("yada", 8);
+  const auto wl = workload::find("yada").make(8);
   util::Xoshiro256 rng(3);
   sim::TxInstance a;
   sim::TxInstance b;

@@ -6,68 +6,105 @@
 #include <stdexcept>
 
 #include "htm/abort_code.hpp"
+#include "util/json_writer.hpp"
 #include "util/thread_pool.hpp"
 
 namespace seer::bench {
 
 namespace {
 
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  out += buf;
-}
+namespace json = util::json;
 
 // Sparse victim-major dump of the simulator's exact conflict attribution —
 // the reference tools/seer_inspect scores the inferred scheme against.
 std::string ground_truth_json(const sim::MachineStats& s) {
   const std::size_t n = s.commits_by_type.size();
-  std::string out = "{\"n_types\": ";
-  append_u64(out, n);
-  out += ", \"commits_by_type\": [";
-  for (std::size_t t = 0; t < n; ++t) {
-    if (t > 0) out += ", ";
-    append_u64(out, s.commits_by_type[t]);
-  }
-  out += "], \"conflicts\": [";
-  bool first = true;
+  std::string out;
+  json::Writer w(out);
+  w.begin_object().u64("n_types", n).begin_array("commits_by_type");
+  for (const std::uint64_t c : s.commits_by_type) w.u64(c);
+  w.end_array().begin_array("conflicts");
   for (std::size_t v = 0; v < n; ++v) {
     for (std::size_t a = 0; a < n; ++a) {
       const std::uint64_t c = s.gt_conflicts[v * n + a];
-      if (c == 0) continue;
-      out += first ? "{\"x\": " : ", {\"x\": ";
-      append_u64(out, v);
-      out += ", \"y\": ";
-      append_u64(out, a);
-      out += ", \"count\": ";
-      append_u64(out, c);
-      out += "}";
-      first = false;
+      if (c != 0) w.begin_object().u64("x", v).u64("y", a).u64("count", c).end_object();
     }
   }
-  out += "]}";
+  w.end_array().end_object();
   return out;
 }
 
 std::string scheme_json(const std::vector<std::vector<core::TxTypeId>>& rows) {
-  std::string out = "[";
-  for (std::size_t x = 0; x < rows.size(); ++x) {
-    if (x > 0) out += ", ";
-    out += "[";
-    for (std::size_t j = 0; j < rows[x].size(); ++j) {
-      if (j > 0) out += ", ";
-      append_u64(out, rows[x][j]);
-    }
-    out += "]";
-  }
-  out += "]";
+  std::string out;
+  json::Writer w(out);
+  obs::append_scheme_json(w, rows);
   return out;
 }
 
 std::string params_json(const core::InferenceParams& p) {
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "{\"th1\": %.9g, \"th2\": %.9g}", p.th1, p.th2);
-  return buf;
+  std::string out;
+  json::Writer(out).begin_object().g9("th1", p.th1).g9("th2", p.th2).end_object();
+  return out;
+}
+
+const char* policy_label(const Cell& cell) {
+  return cell.policy_label.empty() ? rt::to_string(cell.policy.kind)
+                                   : cell.policy_label.c_str();
+}
+
+// The envelope every exhibit file shares: the harness parameters, then one
+// record per (cell, seed) in cell order, each opening with the cell's
+// identity and continuing with `body`. --snapshots files carry a version.
+template <typename Body>
+void write_envelope(const std::string& path, const char* flag, bool versioned,
+                    const std::string& exhibit, const std::vector<Cell>& cells,
+                    const std::vector<CellResult>& results, const Options& opts,
+                    Body body) {
+  if (path.empty()) return;
+  if (cells.size() != results.size()) {
+    throw std::logic_error(std::string(flag) + ": cells/results size mismatch");
+  }
+  std::string out = "{\n";
+  if (versioned) out += "  \"version\": 1,\n";
+  out += "  \"exhibit\": ";
+  json::put_string(out, exhibit);
+  out += ",\n  \"runs\": ";
+  json::put_u64(out, static_cast<std::uint64_t>(opts.runs));
+  out += ",\n  \"txs_scale\": ";
+  json::put_g6(out, opts.txs_scale);
+  out += ",\n  \"base_seed\": ";
+  json::put_u64(out, opts.base_seed);
+  out += ",\n  \"results\": [\n";
+  bool first = true;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const Cell& cell = cells[i];
+    for (const RunRecord& r : results[i].runs) {
+      out += first ? "    " : ",\n    ";
+      first = false;
+      json::Writer w(out);
+      w.begin_object()
+          .str("workload", cell.info.name)
+          .str("policy", policy_label(cell))
+          .u64("threads", cell.threads)
+          .u64("seed", r.seed);
+      body(w, r);
+      w.end_object();
+    }
+  }
+  out += "\n  ]\n}\n";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    // A CLI usage error, not a programming error: report and exit cleanly
+    // instead of letting an exception terminate() the bench binary.
+    std::fprintf(stderr, "cannot open %s path: %s\n", flag, path.c_str());
+    std::exit(2);
+  }
+  std::fwrite(out.data(), 1, out.size(), f);
+  std::fclose(f);
+}
+
+std::string_view or_empty(const std::string& fragment, std::string_view empty) {
+  return fragment.empty() ? empty : std::string_view(fragment);
 }
 
 }  // namespace
@@ -102,9 +139,9 @@ CellResult run_cell(const Cell& cell, const Options& opts, obs::TraceSink* trace
     // fed only by this run's single-threaded simulator.
     obs::FlightRecorder recorder;
     if (want_snapshots) cfg.recorder = &recorder;
-    // The cell's generator comes from the registry (or an implicit STAMP
-    // adapter); --record wraps the first seed's instance stream in a
-    // pass-through recorder, leaving the draws untouched.
+    // The cell's generator comes from its Desc; --record wraps the first
+    // seed's instance stream in a pass-through recorder, leaving the draws
+    // untouched.
     std::unique_ptr<sim::Workload> wl = cell.info.make(cell.threads);
     if (record != nullptr && r == 0) {
       wl = std::make_unique<workload::InstanceTraceRecorder>(
@@ -249,154 +286,35 @@ Summary run_config(const workload::Desc& info, const Options& opts,
   return run_cell(cell, opts).summary;
 }
 
-void write_json(const std::string& exhibit, const std::vector<Cell>& cells,
-                const std::vector<CellResult>& results, const Options& opts) {
-  if (opts.json_path.empty()) return;
-  if (cells.size() != results.size()) {
-    throw std::logic_error("write_json: cells/results size mismatch");
-  }
-  std::FILE* f = std::fopen(opts.json_path.c_str(), "w");
-  if (f == nullptr) {
-    // A CLI usage error, not a programming error: report and exit cleanly
-    // instead of letting the exception terminate() the bench binary.
-    std::fprintf(stderr, "cannot open --json path: %s\n", opts.json_path.c_str());
-    std::exit(2);
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"exhibit\": \"%s\",\n"
-               "  \"runs\": %d,\n"
-               "  \"txs_scale\": %g,\n"
-               "  \"base_seed\": %llu,\n"
-               "  \"results\": [\n",
-               exhibit.c_str(), opts.runs, opts.txs_scale,
-               static_cast<unsigned long long>(opts.base_seed));
-  bool first = true;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& cell = cells[i];
-    const char* policy = cell.policy_label.empty()
-                             ? rt::to_string(cell.policy.kind)
-                             : cell.policy_label.c_str();
-    for (const RunRecord& r : results[i].runs) {
-      std::fprintf(
-          f,
-          "%s    {\"workload\": \"%s\", \"policy\": \"%s\", \"threads\": %zu, "
-          "\"seed\": %llu, \"speedup\": %.6f, \"commits\": %llu, "
-          "\"makespan_cycles\": %llu, \"commits_per_mcycle\": %.6f, "
-          "\"aborts\": {\"conflict\": %llu, \"capacity\": %llu, "
-          "\"explicit\": %llu, \"other\": %llu}}",
-          first ? "" : ",\n", cell.info.name.c_str(), policy, cell.threads,
-          static_cast<unsigned long long>(r.seed), r.speedup,
-          static_cast<unsigned long long>(r.commits),
-          static_cast<unsigned long long>(r.makespan), r.commits_per_mcycle,
-          static_cast<unsigned long long>(
-              r.aborts_by_cause[static_cast<std::size_t>(htm::AbortCause::kConflict)]),
-          static_cast<unsigned long long>(
-              r.aborts_by_cause[static_cast<std::size_t>(htm::AbortCause::kCapacity)]),
-          static_cast<unsigned long long>(
-              r.aborts_by_cause[static_cast<std::size_t>(htm::AbortCause::kExplicit)]),
-          static_cast<unsigned long long>(
-              r.aborts_by_cause[static_cast<std::size_t>(htm::AbortCause::kOther)]));
-      first = false;
-    }
-  }
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
-}
-
-void write_metrics_json(const std::string& exhibit, const std::vector<Cell>& cells,
-                        const std::vector<CellResult>& results, const Options& opts) {
-  if (opts.metrics_path.empty()) return;
-  if (cells.size() != results.size()) {
-    throw std::logic_error("write_metrics_json: cells/results size mismatch");
-  }
-  std::FILE* f = std::fopen(opts.metrics_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open --metrics path: %s\n", opts.metrics_path.c_str());
-    std::exit(2);
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"exhibit\": \"%s\",\n"
-               "  \"runs\": %d,\n"
-               "  \"txs_scale\": %g,\n"
-               "  \"base_seed\": %llu,\n"
-               "  \"results\": [\n",
-               exhibit.c_str(), opts.runs, opts.txs_scale,
-               static_cast<unsigned long long>(opts.base_seed));
-  bool first = true;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& cell = cells[i];
-    const char* policy = cell.policy_label.empty()
-                             ? rt::to_string(cell.policy.kind)
-                             : cell.policy_label.c_str();
-    for (const RunRecord& r : results[i].runs) {
-      // r.metrics is already a JSON object (MetricsSnapshot::to_json).
-      std::fprintf(f,
-                   "%s    {\"workload\": \"%s\", \"policy\": \"%s\", "
-                   "\"threads\": %zu, \"seed\": %llu, \"metrics\": %s}",
-                   first ? "" : ",\n", cell.info.name.c_str(), policy,
-                   cell.threads, static_cast<unsigned long long>(r.seed),
-                   r.metrics.empty() ? "{}" : r.metrics.c_str());
-      first = false;
-    }
-  }
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
-}
-
-void write_snapshots_json(const std::string& exhibit, const std::vector<Cell>& cells,
-                          const std::vector<CellResult>& results, const Options& opts) {
-  if (opts.snapshots_path.empty()) return;
-  if (cells.size() != results.size()) {
-    throw std::logic_error("write_snapshots_json: cells/results size mismatch");
-  }
-  std::FILE* f = std::fopen(opts.snapshots_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot open --snapshots path: %s\n",
-                 opts.snapshots_path.c_str());
-    std::exit(2);
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"version\": 1,\n"
-               "  \"exhibit\": \"%s\",\n"
-               "  \"runs\": %d,\n"
-               "  \"txs_scale\": %g,\n"
-               "  \"base_seed\": %llu,\n"
-               "  \"results\": [\n",
-               exhibit.c_str(), opts.runs, opts.txs_scale,
-               static_cast<unsigned long long>(opts.base_seed));
-  bool first = true;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& cell = cells[i];
-    const char* policy = cell.policy_label.empty()
-                             ? rt::to_string(cell.policy.kind)
-                             : cell.policy_label.c_str();
-    for (const RunRecord& r : results[i].runs) {
-      std::fprintf(f,
-                   "%s    {\"workload\": \"%s\", \"policy\": \"%s\", "
-                   "\"threads\": %zu, \"seed\": %llu, \"flight\": %s, "
-                   "\"ground_truth\": %s, \"final_scheme\": %s, "
-                   "\"final_params\": %s}",
-                   first ? "" : ",\n", cell.info.name.c_str(), policy,
-                   cell.threads, static_cast<unsigned long long>(r.seed),
-                   r.flight.empty() ? "{}" : r.flight.c_str(),
-                   r.ground_truth.empty() ? "{}" : r.ground_truth.c_str(),
-                   r.final_scheme.empty() ? "[]" : r.final_scheme.c_str(),
-                   r.final_params.empty() ? "{}" : r.final_params.c_str());
-      first = false;
-    }
-  }
-  std::fprintf(f, "\n  ]\n}\n");
-  std::fclose(f);
-}
-
 void write_outputs(const std::string& exhibit, const std::vector<Cell>& cells,
                    const std::vector<CellResult>& results, const Options& opts) {
-  write_json(exhibit, cells, results, opts);
-  write_metrics_json(exhibit, cells, results, opts);
-  write_snapshots_json(exhibit, cells, results, opts);
+  write_envelope(opts.json_path, "--json", false, exhibit, cells, results, opts,
+                 [](json::Writer& w, const RunRecord& r) {
+                   const auto aborts = [&](htm::AbortCause c) {
+                     return r.aborts_by_cause[static_cast<std::size_t>(c)];
+                   };
+                   w.f6("speedup", r.speedup)
+                       .u64("commits", r.commits)
+                       .u64("makespan_cycles", r.makespan)
+                       .f6("commits_per_mcycle", r.commits_per_mcycle)
+                       .begin_object("aborts")
+                       .u64("conflict", aborts(htm::AbortCause::kConflict))
+                       .u64("capacity", aborts(htm::AbortCause::kCapacity))
+                       .u64("explicit", aborts(htm::AbortCause::kExplicit))
+                       .u64("other", aborts(htm::AbortCause::kOther))
+                       .end_object();
+                 });
+  write_envelope(opts.metrics_path, "--metrics", false, exhibit, cells, results,
+                 opts, [](json::Writer& w, const RunRecord& r) {
+                   w.raw("metrics", or_empty(r.metrics, "{}"));
+                 });
+  write_envelope(opts.snapshots_path, "--snapshots", true, exhibit, cells, results,
+                 opts, [](json::Writer& w, const RunRecord& r) {
+                   w.raw("flight", or_empty(r.flight, "{}"))
+                       .raw("ground_truth", or_empty(r.ground_truth, "{}"))
+                       .raw("final_scheme", or_empty(r.final_scheme, "[]"))
+                       .raw("final_params", or_empty(r.final_params, "{}"));
+                 });
 }
 
 }  // namespace seer::bench

@@ -20,9 +20,8 @@
 namespace seer::bench {
 
 struct Cell {
-  // Any registered generator (workload::Desc converts implicitly from
-  // stamp::WorkloadInfo, so exhibits that hand-build STAMP cells compile
-  // unchanged).
+  // Any registered generator (workload::find / resolve, or a Desc built
+  // from a spec, as fig4's hashmap cell does).
   workload::Desc info;
   rt::PolicyConfig policy;
   std::size_t threads = 8;
@@ -81,25 +80,15 @@ struct CellResult {
                                  const Options& opts, rt::PolicyConfig policy,
                                  std::size_t threads);
 
-// Writes opts.json_path (no-op when empty): an object with the harness
-// parameters and one record per (cell, seed), in cell order — the stable
-// format BENCH_*.json perf trajectories are tracked with across PRs.
-void write_json(const std::string& exhibit, const std::vector<Cell>& cells,
-                const std::vector<CellResult>& results, const Options& opts);
-
-// Writes opts.metrics_path (no-op when empty): one MetricsRegistry snapshot
-// per (cell, seed), in cell order. Byte-identical for any --jobs value.
-void write_metrics_json(const std::string& exhibit, const std::vector<Cell>& cells,
-                        const std::vector<CellResult>& results, const Options& opts);
-
-// Writes opts.snapshots_path (no-op when empty): one flight-recorder dump +
-// simulator ground truth per (cell, seed), in cell order — the input format
-// of tools/seer_inspect (DESIGN.md §9). Byte-identical for any --jobs value.
-void write_snapshots_json(const std::string& exhibit, const std::vector<Cell>& cells,
-                          const std::vector<CellResult>& results, const Options& opts);
-
-// write_json + write_metrics_json + write_snapshots_json — what every
-// exhibit main calls.
+// Writes every requested exhibit file, each a no-op when its path is empty.
+// All three share one envelope (the harness parameters, then one record per
+// (cell, seed) in cell order) and are byte-identical for any --jobs value:
+//   opts.json_path       speedup, throughput and aborts per run — the
+//                        format BENCH_*.json trajectories are tracked with;
+//   opts.metrics_path    one MetricsRegistry snapshot per run;
+//   opts.snapshots_path  one flight-recorder dump + simulator ground truth
+//                        per run, the input of tools/seer_inspect (DESIGN.md
+//                        §9); this envelope carries "version": 1.
 void write_outputs(const std::string& exhibit, const std::vector<Cell>& cells,
                    const std::vector<CellResult>& results, const Options& opts);
 

@@ -7,19 +7,25 @@
 // locking scheme — annotated with the workload's actual atomic-block names.
 //
 //   usage: inference_explorer [workload=intruder] [threads=8] [txs=4000]
+//
+// `workload` is any registered generator name; threads is 1-256 and txs
+// (per thread) 1-1000000.
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/probability.hpp"
 #include "sim/machine.hpp"
-#include "stamp/workloads.hpp"
+#include "util/cli.hpp"
+#include "workload/registry.hpp"
 
 using namespace seer;
 
 int main(int argc, char** argv) {
-  const std::string workload = argc > 1 ? argv[1] : "intruder";
-  const std::size_t threads = argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 8;
-  const std::uint64_t txs = argc > 3 ? static_cast<std::uint64_t>(std::atoll(argv[3])) : 4000;
+  using util::cli::parse_flag;
+  const std::string name = argc > 1 ? argv[1] : "intruder";
+  const std::size_t threads =
+      argc > 2 ? parse_flag<std::size_t>("threads", argv[2], 1, core::kMaxThreads) : 8;
+  const std::uint64_t txs =
+      argc > 3 ? parse_flag<std::uint64_t>("txs", argv[3], 1, 1000000) : 4000;
 
   sim::MachineConfig cfg;
   cfg.n_threads = threads;
@@ -29,13 +35,9 @@ int main(int argc, char** argv) {
 
   std::unique_ptr<sim::Workload> wl;
   try {
-    wl = stamp::make_workload(workload, threads);
-  } catch (const std::out_of_range&) {
-    std::fprintf(stderr, "unknown workload '%s'; available:", workload.c_str());
-    for (const auto& info : stamp::all_workloads()) {
-      std::fprintf(stderr, " %s", info.name.c_str());
-    }
-    std::fprintf(stderr, "\n");
+    wl = workload::find(name).make(threads);
+  } catch (const workload::ConfigError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
 
@@ -44,7 +46,7 @@ int main(int argc, char** argv) {
   core::SeerScheduler* seer = machine.policy_shared().seer();
 
   std::printf("workload %s, %zu threads, %llu txs/thread -> speedup %.2f\n",
-              workload.c_str(), threads, static_cast<unsigned long long>(txs),
+              name.c_str(), threads, static_cast<unsigned long long>(txs),
               stats.speedup());
   std::printf("commit modes:");
   for (int m = 0; m < static_cast<int>(rt::CommitMode::kModeCount); ++m) {

@@ -5,37 +5,40 @@
 // rates side by side.
 //
 //   usage: policy_faceoff [workload=genome] [txs=3000] [seed=7]
+//
+// `workload` is any registered generator name; txs (per thread) is
+// 1-1000000 and seed any 64-bit unsigned value.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "sim/machine.hpp"
-#include "stamp/workloads.hpp"
+#include "util/cli.hpp"
+#include "workload/registry.hpp"
 
 using namespace seer;
 
 int main(int argc, char** argv) {
-  const std::string workload = argc > 1 ? argv[1] : "genome";
-  const std::uint64_t txs = argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 3000;
-  const std::uint64_t seed = argc > 3 ? static_cast<std::uint64_t>(std::atoll(argv[3])) : 7;
+  using util::cli::parse_flag;
+  const std::string name = argc > 1 ? argv[1] : "genome";
+  const std::uint64_t txs =
+      argc > 2 ? parse_flag<std::uint64_t>("txs", argv[2], 1, 1000000) : 3000;
+  const std::uint64_t seed =
+      argc > 3 ? parse_flag<std::uint64_t>("seed", argv[3], 0, UINT64_MAX) : 7;
 
   constexpr rt::PolicyKind kPolicies[] = {rt::PolicyKind::kHle, rt::PolicyKind::kRtm,
                                           rt::PolicyKind::kScm, rt::PolicyKind::kAts,
                                           rt::PolicyKind::kSgl, rt::PolicyKind::kSeer};
   constexpr std::size_t kThreads[] = {1, 2, 4, 6, 8};
 
+  workload::Desc desc;
   try {
-    (void)stamp::make_workload(workload, 1);
-  } catch (const std::out_of_range&) {
-    std::fprintf(stderr, "unknown workload '%s'; available:", workload.c_str());
-    for (const auto& info : stamp::all_workloads()) {
-      std::fprintf(stderr, " %s", info.name.c_str());
-    }
-    std::fprintf(stderr, "\n");
+    desc = workload::find(name);
+  } catch (const workload::ConfigError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
 
-  std::printf("workload %s, %llu txs/thread, seed %llu\n\n", workload.c_str(),
+  std::printf("workload %s, %llu txs/thread, seed %llu\n\n", name.c_str(),
               static_cast<unsigned long long>(txs),
               static_cast<unsigned long long>(seed));
   std::printf("speedup vs sequential:\n%-6s", "thr");
@@ -53,8 +56,7 @@ int main(int argc, char** argv) {
       cfg.txs_per_thread = txs;
       cfg.policy.kind = kPolicies[pi];
       cfg.seed = seed;
-      const sim::MachineStats s =
-          sim::run_machine(cfg, stamp::make_workload(workload, threads));
+      const sim::MachineStats s = sim::run_machine(cfg, desc.make(threads));
       std::printf("  %8.2f", s.speedup());
       if (threads == 8) {
         sgl_at_8[pi] = s.mode_fraction(rt::CommitMode::kSglFallback);

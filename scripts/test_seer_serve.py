@@ -115,6 +115,18 @@ class SeerServeCliTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertIn("3 step(s)", proc.stdout)
 
+    def test_special_character_name_keeps_every_line_valid(self):
+        doc = serve_config(SMALL_OPEN_LOOP)
+        doc["name"] = 'tab\there "quoted" \\ \u00e9'
+        config = os.path.join(self.tmp.name, "named.json")
+        with open(config, "w", encoding="utf-8") as f:
+            json.dump(doc, f)
+        lines = self.serve_bytes(config).decode("utf-8").splitlines()
+        self.assertGreater(len(lines), 2)
+        parsed = [json.loads(line) for line in lines]
+        self.assertEqual(parsed[0]["kind"], "serve_header")
+        self.assertEqual(parsed[0]["workload"], doc["name"])
+
     def test_config_without_open_loop_exits_2(self):
         config = self.write_config(None)
         code, _, err = self.run_serve("--workload", config, "--deterministic")

@@ -307,6 +307,57 @@ class BenchWorkloadFlagTest(unittest.TestCase):
         self.assertEqual(code, 2)
         self.assertIn("absent.json", err)
 
+    def test_special_character_name_round_trips_through_every_dump(self):
+        # A quote, a backslash, a tab and a non-ASCII character: every dump
+        # must stay valid JSON and give the name back unchanged.
+        name = 'a "quoted" \\ name\t\u00e9'
+        path = os.path.join(self.tmp.name, "named.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(spec_config(name=name), f)
+        outputs = {flag: os.path.join(self.tmp.name, flag[2:] + ".json")
+                   for flag in ("--json", "--metrics", "--snapshots")}
+        args = [a for flag, out in outputs.items() for a in (flag, out)]
+        proc = subprocess.run(
+            [BENCH_BIN, "--runs", "1", "--txs-scale", "0.01", "--jobs", "2",
+             "--workload", path, *args],
+            capture_output=True, text=True, check=False)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        for flag, out in outputs.items():
+            with self.subTest(flag=flag):
+                with open(out, encoding="utf-8") as f:
+                    doc = json.load(f)
+                self.assertTrue(doc["results"])
+                for run in doc["results"]:
+                    self.assertEqual(run["workload"], name)
+
+    def test_recorded_trace_keeps_a_quoted_type_name_and_replays(self):
+        doc = spec_config(name='rec "name"\t\u00e9')
+        doc["params"]["types"][0]["name"] = 'look"up'
+        path = os.path.join(self.tmp.name, "rec_spec.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(doc, f)
+        trace = os.path.join(self.tmp.name, "rec.json")
+        proc = subprocess.run(
+            [BENCH_BIN, "--runs", "1", "--txs-scale", "0.01", "--jobs", "1",
+             "--workload", path, "--record", trace],
+            capture_output=True, text=True, check=False)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        with open(trace, encoding="utf-8") as f:
+            recorded = json.load(f)
+        self.assertEqual(recorded["type_names"], ['look"up'])
+        self.assertEqual(recorded["workload"], doc["name"])
+        replayed = os.path.join(self.tmp.name, "replay.json")
+        proc = subprocess.run(
+            [BENCH_BIN, "--runs", "1", "--txs-scale", "0.01", "--jobs", "1",
+             "--workload", trace, "--json", replayed],
+            capture_output=True, text=True, check=False)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        with open(replayed, encoding="utf-8") as f:
+            runs = json.load(f)["results"]
+        self.assertTrue(runs)
+        for run in runs:
+            self.assertEqual(run["workload"], "replay:" + doc["name"])
+
     def test_per_thread_line_space_past_2pow32_exits_nonzero(self):
         # 2^30 lines per thread fit up to four threads; the sweep's 5-thread
         # cells would wrap the line ids, so the exhibit stops with the

@@ -1,28 +1,12 @@
 #include "obs/flight_recorder.hpp"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
+
+#include "util/json_writer.hpp"
 
 #if SEER_OBS_ENABLED
 
 namespace seer::obs {
-
-namespace {
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
-
-void append_rate(std::string& out, double v) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%.6f", v);
-  out += buf;
-}
-
-}  // namespace
 
 FlightRecorder::FlightRecorder(FlightRecorderConfig cfg)
     : cfg_(cfg), detector_(cfg.storm()) {
@@ -127,41 +111,27 @@ std::vector<const ModelSnapshot*> FlightRecorder::snapshots() const {
 }
 
 std::string FlightRecorder::to_json() const {
-  std::string out = "{\"version\": ";
-  append_u64(out, kModelSnapshotVersion);
-  out += ", \"captured\": ";
-  append_u64(out, captured_);
-  out += ", \"dropped\": ";
-  append_u64(out, dropped());
-  out += ", \"snapshots\": [";
-  bool first = true;
-  for (const ModelSnapshot* s : snapshots()) {
-    if (!first) out += ", ";
-    first = false;
-    s->append_json(out);
-  }
-  out += "], \"anomalies\": [";
-  first = true;
+  std::string out;
+  util::json::Writer w(out);
+  w.begin_object()
+      .u64("version", kModelSnapshotVersion)
+      .u64("captured", captured_)
+      .u64("dropped", dropped())
+      .begin_array("snapshots");
+  for (const ModelSnapshot* s : snapshots()) s->append_json(w);
+  w.end_array().begin_array("anomalies");
   for (const AnomalyEpisode& ep : episodes_) {
-    if (!first) out += ", ";
-    first = false;
-    out += "{\"kind\": \"";
-    out += to_string(ep.kind);
-    out += "\", \"start_now\": ";
-    append_u64(out, ep.start_now);
-    out += ", \"start_rebuild\": ";
-    append_u64(out, ep.start_rebuild);
-    out += ", \"end_now\": ";
-    append_u64(out, ep.end_now);
-    out += ", \"end_rebuild\": ";
-    append_u64(out, ep.end_rebuild);
-    out += ", \"peak_rate\": ";
-    append_rate(out, ep.peak_rate);
-    out += ", \"open\": ";
-    out += ep.open ? "true" : "false";
-    out += "}";
+    w.begin_object()
+        .str("kind", to_string(ep.kind))
+        .u64("start_now", ep.start_now)
+        .u64("start_rebuild", ep.start_rebuild)
+        .u64("end_now", ep.end_now)
+        .u64("end_rebuild", ep.end_rebuild)
+        .f6("peak_rate", ep.peak_rate)
+        .boolean("open", ep.open)
+        .end_object();
   }
-  out += "]}";
+  w.end_array().end_object();
   return out;
 }
 

@@ -1,63 +1,35 @@
 #include "obs/metrics.hpp"
 
-#include <cinttypes>
-#include <cstdio>
+#include "util/json_writer.hpp"
 
 namespace seer::obs {
 
-namespace {
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
-
-}  // namespace
-
 std::string MetricsSnapshot::to_json() const {
   if (counters.empty() && gauges.empty() && histograms.empty()) return "{}";
-  std::string out = "{\"counters\": {";
-  for (std::size_t i = 0; i < counters.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += "\"" + counters[i].name + "\": ";
-    append_u64(out, counters[i].value);
-  }
-  out += "}, ";
+  std::string out;
+  util::json::Writer w(out);
+  w.begin_object().begin_object("counters");
+  for (const CounterSnapshot& c : counters) w.u64(c.name, c.value);
+  w.end_object();
   // Emitted only when present so pre-gauge dumps stay byte-identical (the
   // bench --metrics byte-stability tests compare against that shape).
   if (!gauges.empty()) {
-    out += "\"gauges\": {";
-    for (std::size_t i = 0; i < gauges.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += "\"" + gauges[i].name + "\": ";
-      append_u64(out, gauges[i].value);
-    }
-    out += "}, ";
+    w.begin_object("gauges");
+    for (const GaugeSnapshot& g : gauges) w.u64(g.name, g.value);
+    w.end_object();
   }
-  out += "\"histograms\": {";
-  for (std::size_t i = 0; i < histograms.size(); ++i) {
-    const HistogramSnapshot& h = histograms[i];
-    if (i > 0) out += ", ";
-    out += "\"" + h.name + "\": {\"count\": ";
-    append_u64(out, h.count);
-    out += ", \"sum\": ";
-    append_u64(out, h.sum);
-    out += ", \"buckets\": [";
-    bool first = true;
+  w.begin_object("histograms");
+  for (const HistogramSnapshot& h : histograms) {
+    w.begin_object(h.name)
+        .u64("count", h.count)
+        .u64("sum", h.sum)
+        .begin_array("buckets");
     for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-      if (h.buckets[b] == 0) continue;
-      if (!first) out += ", ";
-      first = false;
-      out += "[";
-      append_u64(out, b);
-      out += ", ";
-      append_u64(out, h.buckets[b]);
-      out += "]";
+      if (h.buckets[b] != 0) w.begin_array().u64(b).u64(h.buckets[b]).end_array();
     }
-    out += "]}";
+    w.end_array().end_object();
   }
-  out += "}}";
+  w.end_object().end_object();
   return out;
 }
 

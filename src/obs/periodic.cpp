@@ -1,7 +1,6 @@
 #include "obs/periodic.hpp"
 
-#include <cinttypes>
-#include <cstdio>
+#include "util/json_writer.hpp"
 
 namespace seer::obs {
 
@@ -9,6 +8,7 @@ std::string PeriodicMetricsDelta::delta_fields(
     std::initializer_list<std::string_view> prefixes) {
   std::string out;
   if (registry_ == nullptr) return out;
+  util::json::Writer w(out);
   const MetricsSnapshot snap = registry_->snapshot();
   if (prev_.size() < snap.counters.size()) prev_.resize(snap.counters.size(), 0);
   for (std::size_t i = 0; i < snap.counters.size(); ++i) {
@@ -24,13 +24,7 @@ std::string PeriodicMetricsDelta::delta_fields(
         break;
       }
     }
-    if (!wanted) continue;
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%" PRIu64, delta);
-    out += ", \"";
-    out += c.name;  // registered names are plain identifiers, no escaping
-    out += "\": ";
-    out += buf;
+    if (wanted) w.u64(c.name, delta);
   }
   return out;
 }

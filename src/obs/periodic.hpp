@@ -34,8 +34,8 @@ class PeriodicMetricsDelta {
   explicit PeriodicMetricsDelta(const MetricsRegistry* registry)
       : registry_(registry) {}
 
-  // JSON fields (`, "name": delta` fragments, leading comma included, empty
-  // string when nothing to emit) for every counter whose name starts with
+  // JSON members (`"name": delta, ...`, for util::json::Writer::raw; empty
+  // when there is nothing to emit) for every counter whose name starts with
   // one of `prefixes`, valued as the increase since the previous call (the
   // whole current value on the first call). Counters that did not move are
   // still emitted — a stalled service showing "rt.commits": 0 is signal.

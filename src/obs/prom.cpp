@@ -1,17 +1,12 @@
 #include "obs/prom.hpp"
 
-#include <cinttypes>
-#include <cstdio>
+#include "util/json_writer.hpp"
 
 namespace seer::obs {
 
 namespace {
 
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
+using util::json::put_u64;
 
 bool valid_name_char(char c, bool first) {
   if ((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' || c == ':') {
@@ -63,7 +58,7 @@ void append_prom_value(std::string& out, std::string_view sanitized_name,
   out += '\n';
   out += sanitized_name;
   out += ' ';
-  append_u64(out, value);
+  put_u64(out, value);
   out += '\n';
 }
 
@@ -90,22 +85,22 @@ std::string to_prometheus(const MetricsSnapshot& snap, std::string_view prefix) 
       if (b == 0) {
         out += '0';
       } else if (b >= 64) {
-        append_u64(out, ~std::uint64_t{0});
+        put_u64(out, ~std::uint64_t{0});
       } else {
-        append_u64(out, (std::uint64_t{1} << b) - 1);
+        put_u64(out, (std::uint64_t{1} << b) - 1);
       }
       out += "\"} ";
-      append_u64(out, cum);
+      put_u64(out, cum);
       out += '\n';
     }
     out += name + "_bucket{le=\"+Inf\"} ";
-    append_u64(out, h.count);
+    put_u64(out, h.count);
     out += '\n';
     out += name + "_sum ";
-    append_u64(out, h.sum);
+    put_u64(out, h.sum);
     out += '\n';
     out += name + "_count ";
-    append_u64(out, h.count);
+    put_u64(out, h.count);
     out += '\n';
   }
   return out;

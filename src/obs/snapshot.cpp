@@ -1,120 +1,63 @@
 #include "obs/snapshot.hpp"
 
-#include <cinttypes>
-#include <cstdio>
-
 namespace seer::obs {
 
-namespace {
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
-
-// Shortest round-trippable-enough form: thresholds and scores are plain
-// doubles computed deterministically, and %.9g prints them identically on
-// every run — the formatting half of the --jobs byte-identity contract.
-void append_dbl(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  out += buf;
-}
-
-void append_prob(std::string& out, double v) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%.6f", v);
-  out += buf;
-}
-
-}  // namespace
-
-void ModelSnapshot::append_json(std::string& out) const {
-  out += "{\"seq\": ";
-  append_u64(out, seq);
-  out += ", \"reason\": \"";
-  out += to_string(reason);
-  out += "\", \"now\": ";
-  append_u64(out, now);
-  out += ", \"rebuild\": ";
-  append_u64(out, rebuild);
-  out += ", \"executions\": ";
-  append_u64(out, executions);
-  out += ", \"commits\": ";
-  append_u64(out, commits);
-  out += ", \"sgl_fallbacks\": ";
-  append_u64(out, sgl_fallbacks);
-
-  out += ", \"params\": {\"th1\": ";
-  append_dbl(out, th1);
-  out += ", \"th2\": ";
-  append_dbl(out, th2);
-  out += "}";
-
-  out += ", \"climber\": {\"cur\": [";
-  append_dbl(out, climber_cur_x);
-  out += ", ";
-  append_dbl(out, climber_cur_y);
-  out += "], \"best\": [";
-  append_dbl(out, climber_best_x);
-  out += ", ";
-  append_dbl(out, climber_best_y);
-  out += "], \"best_score\": ";
-  append_dbl(out, climber_best_score);
-  out += ", \"epochs\": ";
-  append_u64(out, climber_epochs);
-  out += "}";
-
-  out += ", \"n_types\": ";
-  append_u64(out, n_types);
-  out += ", \"execs\": [";
-  for (std::size_t t = 0; t < execs.size(); ++t) {
-    if (t != 0) out += ", ";
-    append_u64(out, execs[t]);
+void append_scheme_json(util::json::Writer& w,
+                        const std::vector<std::vector<core::TxTypeId>>& rows) {
+  w.begin_array();
+  for (const std::vector<core::TxTypeId>& row : rows) {
+    w.begin_array();
+    for (const core::TxTypeId owner : row) w.u64(static_cast<std::uint64_t>(owner));
+    w.end_array();
   }
-  out += "]";
+  w.end_array();
+}
 
-  out += ", \"pairs\": [";
-  bool first = true;
+// Thresholds and climber state print as %.9g, probabilities as %.6f: the
+// formatting half of the --jobs byte-identity contract.
+void ModelSnapshot::append_json(util::json::Writer& w) const {
+  w.begin_object()
+      .u64("seq", seq)
+      .str("reason", to_string(reason))
+      .u64("now", now)
+      .u64("rebuild", rebuild)
+      .u64("executions", executions)
+      .u64("commits", commits)
+      .u64("sgl_fallbacks", sgl_fallbacks);
+  w.begin_object("params").g9("th1", th1).g9("th2", th2).end_object();
+  w.begin_object("climber");
+  w.begin_array("cur").g9(climber_cur_x).g9(climber_cur_y).end_array();
+  w.begin_array("best").g9(climber_best_x).g9(climber_best_y).end_array();
+  w.g9("best_score", climber_best_score).u64("epochs", climber_epochs).end_object();
+
+  w.u64("n_types", n_types).begin_array("execs");
+  for (const std::uint64_t e : execs) w.u64(e);
+  w.end_array();
+
+  w.begin_array("pairs");
   for (std::size_t x = 0; x < n_types; ++x) {
     for (std::size_t y = 0; y < n_types; ++y) {
       const std::uint64_t a = aborts[x * n_types + y];
       const std::uint64_t c = commit_pairs[x * n_types + y];
       if (a + c == 0) continue;  // no joint evidence: omit (sparse format)
-      if (!first) out += ", ";
-      first = false;
-      out += "{\"x\": ";
-      append_u64(out, x);
-      out += ", \"y\": ";
-      append_u64(out, y);
-      out += ", \"aborts\": ";
-      append_u64(out, a);
-      out += ", \"commits\": ";
-      append_u64(out, c);
       // P(x aborts | x || y) and P(x aborts ∩ x || y) — core/probability.hpp.
-      out += ", \"p_cond\": ";
-      append_prob(out, static_cast<double>(a) / static_cast<double>(a + c));
-      out += ", \"p_conj\": ";
       const std::uint64_t e = execs[x];
-      append_prob(out,
-                  e == 0 ? 0.0 : static_cast<double>(a) / static_cast<double>(e));
-      out += "}";
+      w.begin_object()
+          .u64("x", x)
+          .u64("y", y)
+          .u64("aborts", a)
+          .u64("commits", c)
+          .f6("p_cond", static_cast<double>(a) / static_cast<double>(a + c))
+          .f6("p_conj",
+              e == 0 ? 0.0 : static_cast<double>(a) / static_cast<double>(e))
+          .end_object();
     }
   }
-  out += "]";
+  w.end_array();
 
-  out += ", \"scheme\": [";
-  for (std::size_t x = 0; x < scheme.size(); ++x) {
-    if (x != 0) out += ", ";
-    out += "[";
-    for (std::size_t i = 0; i < scheme[x].size(); ++i) {
-      if (i != 0) out += ", ";
-      append_u64(out, static_cast<std::uint64_t>(scheme[x][i]));
-    }
-    out += "]";
-  }
-  out += "]}";
+  w.key("scheme");
+  append_scheme_json(w, scheme);
+  w.end_object();
 }
 
 }  // namespace seer::obs

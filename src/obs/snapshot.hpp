@@ -13,8 +13,8 @@
 // Serialization is a versioned JSON object (kModelSnapshotVersion). The
 // format is append-only by contract: consumers (tools/seer_inspect) must
 // tolerate unknown keys, and any key removal or meaning change bumps the
-// version. All numeric formatting is locale-independent printf, so dumps
-// are byte-identical across runs of the same deterministic embedding — the
+// version. Every number is spelled by util/json_writer.hpp, so dumps are
+// byte-identical across runs of the same deterministic embedding — the
 // property the bench harness's --jobs invariance tests pin down.
 #pragma once
 
@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/types.hpp"
+#include "util/json_writer.hpp"
 
 namespace seer::obs {
 
@@ -91,7 +92,16 @@ struct ModelSnapshot {
   // the raw tallies AND the derived probabilities the paper's inference
   // consumes — P(x aborts | x||y) and P(x aborts ∩ x||y) — so offline tools
   // need not re-derive them.
-  void append_json(std::string& out) const;
+  void append_json(util::json::Writer& w) const;
+  void append_json(std::string& out) const {
+    util::json::Writer w(out);
+    append_json(w);
+  }
 };
+
+// Writes locksToAcquire rows as an array of arrays of lock owners: a
+// snapshot's "scheme" and the bench dump's "final_scheme".
+void append_scheme_json(util::json::Writer& w,
+                        const std::vector<std::vector<core::TxTypeId>>& rows);
 
 }  // namespace seer::obs

@@ -7,6 +7,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "util/json_writer.hpp"
+
 namespace seer::obs {
 
 std::uint64_t now_ticks() noexcept {
@@ -93,24 +95,36 @@ bool TraceSink::write_chrome_json(const std::string& path) const {
   // seerMeta carries the sink's bookkeeping (ignored by Chrome/Perfetto,
   // read by tools/seer_inspect): droppedPerThread nonzero means that lane's
   // oldest events were overwritten and the trace is a suffix of reality.
-  const std::vector<std::uint64_t> lane_drops = dropped_per_lane();
-  std::fprintf(f,
-               "{\"displayTimeUnit\": \"ns\", \"seerMeta\": {\"emitted\": %" PRIu64
-               ", \"dropped\": %" PRIu64 ", \"droppedPerThread\": [",
-               emitted(), dropped());
-  for (std::size_t t = 0; t < lane_drops.size(); ++t) {
-    std::fprintf(f, "%s%" PRIu64, t > 0 ? ", " : "", lane_drops[t]);
-  }
-  std::fprintf(f, "]}, \"traceEvents\": [\n");
+  std::string out;
+  util::json::Writer head(out);
+  head.begin_object()
+      .str("displayTimeUnit", "ns")
+      .begin_object("seerMeta")
+      .u64("emitted", emitted())
+      .u64("dropped", dropped())
+      .begin_array("droppedPerThread");
+  for (const std::uint64_t d : dropped_per_lane()) head.u64(d);
+  head.end_array().end_object().key("traceEvents");
+  out += "[\n";
   bool first = true;
   auto emit_record = [&](const char* name, const char* ph, std::uint64_t ts,
                          core::ThreadId tid, std::uint64_t arg, bool instant) {
-    std::fprintf(f,
-                 "%s  {\"name\": \"%s\", \"ph\": \"%s\", \"ts\": %" PRIu64
-                 ", \"pid\": 0, \"tid\": %u%s, \"args\": {\"arg\": %" PRIu64 "}}",
-                 first ? "" : ",\n", name, ph, ts, tid,
-                 instant ? ", \"s\": \"t\"" : "", arg);
+    out += first ? "  " : ",\n  ";
     first = false;
+    util::json::Writer w(out);
+    w.begin_object()
+        .str("name", name)
+        .str("ph", ph)
+        .u64("ts", ts)
+        .u64("pid", 0)
+        .u64("tid", tid);
+    if (instant) w.str("s", "t");
+    w.begin_object("args").u64("arg", arg).end_object().end_object();
+    // One file write per 64 KiB keeps memory flat on long traces.
+    if (out.size() >= (64u << 10)) {
+      std::fwrite(out.data(), 1, out.size(), f);
+      out.clear();
+    }
   };
 
   for (const TraceEvent& e : events) {
@@ -140,7 +154,8 @@ bool TraceSink::write_chrome_json(const std::string& path) const {
       --depth[t];
     }
   }
-  std::fprintf(f, "\n]}\n");
+  out += "\n]}\n";
+  std::fwrite(out.data(), 1, out.size(), f);
   std::fclose(f);
   return true;
 }

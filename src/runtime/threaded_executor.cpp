@@ -8,6 +8,17 @@
 
 namespace seer::rt {
 
+namespace {
+
+// Spin budget for cooperative (non-acquiring) waits on tx/core locks.
+// Bounded so that the wait heuristic can never deadlock (DESIGN.md).
+constexpr std::uint64_t kWaitSpinBudget = 1u << 14;
+// All-or-nothing batched lock acquisition attempts before falling back to
+// blocking in-order acquisition.
+constexpr int kBatchTries = 8;
+
+}  // namespace
+
 ThreadedExecutor::ThreadedExecutor(htm::SoftHtm& tm, const PolicyConfig& policy,
                                    Options opts)
     : tm_(tm),
@@ -62,7 +73,7 @@ void ThreadedExecutor::ThreadHandle::acquire_locks(const Directive& d, LockList&
     // software TM an equivalent atomic try-all (see DESIGN.md) keeps the
     // all-or-nothing semantics without transacting on directly-mutated
     // words.
-    for (int attempt = 0; attempt < exec_->opts_.batch_tries && !done; ++attempt) {
+    for (int attempt = 0; attempt < kBatchTries && !done; ++attempt) {
       std::size_t got = 0;
       for (; got < d.acquires.size(); ++got) {
         if (!exec_->locks_.get(d.acquires[got]).try_lock()) break;
@@ -102,7 +113,7 @@ void ThreadedExecutor::ThreadHandle::wait_locks(const Directive& d) {
     const WordLock& l = exec_->locks_.get(id);
     util::Backoff backoff;
     for (std::uint64_t spin = 0;
-         l.is_locked() && spin < exec_->opts_.wait_spin_budget; ++spin) {
+         l.is_locked() && spin < kWaitSpinBudget; ++spin) {
       backoff.pause();
     }
   }

@@ -103,12 +103,6 @@ class ThreadedExecutor {
     // physical_cores and the scheduler derives the same count from the
     // topology.
     std::optional<core::Topology> topology;
-    // Spin budget for cooperative (non-acquiring) waits on tx/core locks.
-    // Bounded so that the wait heuristic can never deadlock (DESIGN.md).
-    std::uint64_t wait_spin_budget = 1u << 14;
-    // All-or-nothing batched lock acquisition attempts before falling back
-    // to blocking in-order acquisition.
-    int batch_tries = 8;
 
     // --- observability (src/obs/, DESIGN.md §8) --------------------------
     // Optional sinks shared by the executor, the SoftHtm contexts it owns

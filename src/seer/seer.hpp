@@ -5,7 +5,7 @@
 //   * run transactions on real threads:   rt::ThreadedExecutor (+ htm::SoftHtm)
 //   * pick a scheduling policy:           rt::PolicyConfig / rt::PolicyKind
 //   * inspect what Seer inferred:         core::SeerScheduler
-//   * evaluate policies in simulation:    sim::Machine + stamp::make_workload
+//   * evaluate policies in simulation:    sim::Machine + workload::find
 #pragma once
 
 #include "core/seer_scheduler.hpp"
@@ -14,7 +14,7 @@
 #include "runtime/policies.hpp"
 #include "runtime/threaded_executor.hpp"
 #include "sim/machine.hpp"
-#include "stamp/workloads.hpp"
+#include "workload/registry.hpp"
 
 #if defined(SEER_ENABLE_TSX)
 #include "htm/tsx_backend.hpp"

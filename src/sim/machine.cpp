@@ -107,21 +107,7 @@ std::uint32_t Machine::effective_capacity(const ThreadCtx& t) const noexcept {
   for (std::size_t m = core; m < cfg_.n_threads; m += p) {
     if (m != static_cast<std::size_t>(t.id) && threads_[m]->in_hw) ++sharers;
   }
-  std::uint32_t cap = cfg_.cache_lines_per_core / sharers;
-  if (cfg_.l3_lines_per_socket > 0) {
-    // Socket cache domain: every transaction concurrently speculating on
-    // this socket carves a slice out of the shared L3 budget.
-    const std::size_t sock = topo_.socket_of(t.id);
-    std::uint32_t socket_txers = 1;
-    for (const auto& other : threads_) {
-      if (other->id != t.id && other->in_hw &&
-          topo_.socket_of(other->id) == sock) {
-        ++socket_txers;
-      }
-    }
-    cap = std::min(cap, cfg_.l3_lines_per_socket / socket_txers);
-  }
-  return cap;
+  return cfg_.cache_lines_per_core / sharers;
 }
 
 void Machine::push(Time at, core::ThreadId th, EventKind kind, std::uint64_t gen,
@@ -490,22 +476,13 @@ void Machine::start_hw(ThreadCtx& t) {
   }
 
   // Capacity: evaluate for this thread and re-evaluate every transactional
-  // core-mate (whose effective budget we just shrank). With an L3 domain
-  // modeled, socket-mates' budgets shrank too.
+  // core-mate (whose effective budget we just shrank).
   t.capacity_scheduled = false;
   schedule_capacity_check(t);
   const std::size_t p = topo_.physical_cores();
   for (std::size_t m = topo_.core_of(t.id); m < cfg_.n_threads; m += p) {
     if (m != static_cast<std::size_t>(t.id) && threads_[m]->in_hw) {
       schedule_capacity_check(*threads_[m]);
-    }
-  }
-  if (cfg_.l3_lines_per_socket > 0) {
-    for (auto& other : threads_) {
-      if (other->id != t.id && other->in_hw &&
-          topo_.same_socket(other->id, t.id)) {
-        schedule_capacity_check(*other);
-      }
     }
   }
 

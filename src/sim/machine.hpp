@@ -87,10 +87,6 @@ struct MachineConfig {
   // inherits the same topology so placement decisions agree.
   std::optional<core::Topology> topology;
   std::uint32_t cache_lines_per_core = 448;
-  // Per-socket L3 transactional-capacity domain, in cache lines. 0 (default)
-  // leaves the socket cache unmodeled; when set, concurrent transactions on
-  // one socket split its L3 budget the way SMT siblings split the L1d.
-  std::uint32_t l3_lines_per_socket = 0;
   // Fraction of the (remaining) duration after which an over-capacity
   // transaction overflows and aborts.
   double capacity_abort_point = 0.6;

@@ -1,7 +1,5 @@
 #include "stamp/workloads.hpp"
 
-#include <stdexcept>
-
 namespace seer::stamp {
 
 // Calibration note. The shapes the specs below are steered toward (see
@@ -256,16 +254,6 @@ const std::vector<WorkloadInfo>& all_workloads() {
       {"yada", yada_spec, 1200},
   };
   return kAll;
-}
-
-std::unique_ptr<sim::Workload> make_workload(const std::string& name,
-                                             std::size_t n_threads) {
-  for (const WorkloadInfo& info : all_workloads()) {
-    if (info.name == name) {
-      return std::make_unique<SpecWorkload>(info.spec(), n_threads);
-    }
-  }
-  throw std::out_of_range("unknown workload: " + name);
 }
 
 }  // namespace seer::stamp

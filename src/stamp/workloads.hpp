@@ -18,7 +18,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -44,11 +43,7 @@ struct WorkloadInfo {
 };
 
 // The eight benchmarks, in the paper's presentation order (Figure 3 a-h).
+// Harnesses build them through the workload registry (workload::find).
 [[nodiscard]] const std::vector<WorkloadInfo>& all_workloads();
-
-// Builds the named workload ("genome", "kmeans-high", ...). Throws
-// std::out_of_range for unknown names.
-[[nodiscard]] std::unique_ptr<sim::Workload> make_workload(const std::string& name,
-                                                           std::size_t n_threads);
 
 }  // namespace seer::stamp

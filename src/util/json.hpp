@@ -6,8 +6,8 @@
 // Scope: full JSON value grammar (null, bool, number, string, array,
 // object) with the usual escapes; numbers are held as double (every counter
 // we emit fits 2^53 losslessly); object member order is preserved.
-// Out of scope: serialization (the writers hand-format for byte-stable
-// output), streaming, and >64-deep nesting (parse error, not UB).
+// Out of scope: serialization (util/json_writer.hpp), streaming, and
+// >64-deep nesting (parse error, not UB).
 #pragma once
 
 #include <cstdint>

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "stamp/spec.hpp"
+#include "stamp/workloads.hpp"
 #include "workload/bst.hpp"
 #include "workload/json_util.hpp"
 #include "workload/phased.hpp"
@@ -13,13 +14,6 @@
 namespace seer::workload {
 
 using jsonu::Value;
-
-Desc::Desc(const stamp::WorkloadInfo& info)
-    : name(info.name),
-      bench_txs_per_thread(info.bench_txs_per_thread),
-      make([spec = info.spec](std::size_t n_threads) -> std::unique_ptr<Generator> {
-        return std::make_unique<stamp::SpecWorkload>(spec(), n_threads);
-      }) {}
 
 void Registry::add(std::string name, Factory factory) {
   entries_.emplace_back(std::move(name), std::move(factory));
@@ -103,9 +97,11 @@ Registry make_builtin_registry() {
     reg.add(info.name, [info](const Value& params, const std::string& display,
                               const std::string& origin) -> Desc {
       require_no_params(params, info.name, origin);
-      Desc d{info};
-      if (!display.empty()) d.name = display;
-      return d;
+      const auto spec = info.spec;
+      return Desc(display.empty() ? info.name : display, info.bench_txs_per_thread,
+                  [spec](std::size_t n_threads) -> std::unique_ptr<Generator> {
+                    return std::make_unique<stamp::SpecWorkload>(spec(), n_threads);
+                  });
     });
   }
 

@@ -1,9 +1,8 @@
 // Name → generator registry with a JSON config front-end.
 //
 // Every workload the harnesses can run is registered here under a name:
-// the eight compiled-in STAMP stand-ins (thin adapters over
-// stamp::make_workload — the legacy call sites keep working), plus the
-// data-driven generators ("spec", "phased", "bst", "trace-replay"). A
+// the eight compiled-in STAMP stand-ins (stamp/workloads.hpp's specs), plus
+// the data-driven generators ("spec", "phased", "bst", "trace-replay"). A
 // `--workload` argument is either a registered NAME or a FILE.json config:
 //
 //   {
@@ -35,7 +34,6 @@
 #include <vector>
 
 #include "core/topology.hpp"
-#include "stamp/workloads.hpp"
 #include "util/json.hpp"
 #include "workload/generator.hpp"
 #include "workload/open_loop.hpp"
@@ -62,9 +60,6 @@ struct Desc {
   Desc(std::string n, std::uint64_t txs,
        std::function<std::unique_ptr<Generator>(std::size_t)> m)
       : name(std::move(n)), bench_txs_per_thread(txs), make(std::move(m)) {}
-  // Adapter so bench code that builds ad-hoc stamp::WorkloadInfo values
-  // (e.g. fig4's hashmap) keeps working unchanged.
-  Desc(const stamp::WorkloadInfo& info);  // NOLINT(google-explicit-constructor)
 };
 
 // Builds a Desc from a params object; `display_name` is the config's "name"

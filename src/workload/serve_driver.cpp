@@ -2,9 +2,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -13,6 +11,7 @@
 #include "obs/metrics.hpp"
 #include "obs/periodic.hpp"
 #include "sim/machine.hpp"
+#include "util/json_writer.hpp"
 #include "util/latency_histogram.hpp"
 #include "util/mpmc_queue.hpp"
 #include "util/rng.hpp"
@@ -40,31 +39,6 @@ bool tel_lane_ok(const ServeTelemetry* tel, std::size_t lane) {
 
 bool stop_requested(const ServeOptions& opts) {
   return opts.stop != nullptr && opts.stop->load(std::memory_order_relaxed);
-}
-
-// --- byte-stable JSONL formatting (the snapshot.cpp conventions) -----------
-// Deterministic mode promises byte-identical output for a (config, seed)
-// pair, so every number goes through one fixed snprintf recipe.
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
-
-void append_dbl(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  out += buf;
-}
-
-void append_str(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
 }
 
 // Per-step seed: decorrelated from sibling steps the same way the threaded
@@ -97,28 +71,24 @@ void append_interval_line(std::string& out, std::size_t step, double t_s,
   for (std::size_t i = 0; i < util::kLatencyBucketCount; ++i) {
     delta[i] = bcur[i] - bprev[i];
   }
-  out += "{\"kind\": \"interval\", \"step\": ";
-  append_u64(out, step);
-  out += ", \"t_s\": ";
-  append_dbl(out, t_s);
-  out += ", \"offered_rate\": ";
-  append_dbl(out, rate_now);
-  out += ", \"arrivals\": ";
-  append_u64(out, cur.arrivals - prev.arrivals);
-  out += ", \"accepted\": ";
-  append_u64(out, cur.accepted - prev.accepted);
-  out += ", \"rejected\": ";
-  append_u64(out, cur.rejected - prev.rejected);
-  out += ", \"completed\": ";
-  append_u64(out, cur.completed - prev.completed);
-  out += ", \"queue_depth\": ";
-  append_u64(out, queue_depth);
-  out += ", \"p50_est_us\": ";
-  append_dbl(out, util::bucket_quantile_estimate(delta, 0.5) / 1000.0);
-  out += ", \"p99_est_us\": ";
-  append_dbl(out, util::bucket_quantile_estimate(delta, 0.99) / 1000.0);
-  out += metric_fields;
-  out += "}\n";
+  // Deterministic mode promises byte-identical output for a (config, seed)
+  // pair: every number goes through util/json_writer.hpp's %.9g or decimal.
+  util::json::Writer w(out);
+  w.begin_object()
+      .str("kind", "interval")
+      .u64("step", step)
+      .g9("t_s", t_s)
+      .g9("offered_rate", rate_now)
+      .u64("arrivals", cur.arrivals - prev.arrivals)
+      .u64("accepted", cur.accepted - prev.accepted)
+      .u64("rejected", cur.rejected - prev.rejected)
+      .u64("completed", cur.completed - prev.completed)
+      .u64("queue_depth", queue_depth)
+      .g9("p50_est_us", util::bucket_quantile_estimate(delta, 0.5) / 1000.0)
+      .g9("p99_est_us", util::bucket_quantile_estimate(delta, 0.99) / 1000.0)
+      .raw(metric_fields)
+      .end_object();
+  out += '\n';
   prev = cur;
   bprev = bcur;
 }
@@ -158,43 +128,31 @@ StepStats finalize_step(double rate, double duration_s, const Totals& totals,
 }
 
 void append_step_line(std::string& out, std::size_t step, const StepStats& s) {
-  out += "{\"kind\": \"step\", \"step\": ";
-  append_u64(out, step);
-  out += ", \"offered_rate\": ";
-  append_dbl(out, s.offered_rate);
-  out += ", \"duration_s\": ";
-  append_dbl(out, s.duration_s);
-  out += ", \"arrivals\": ";
-  append_u64(out, s.arrivals);
-  out += ", \"accepted\": ";
-  append_u64(out, s.accepted);
-  out += ", \"rejected\": ";
-  append_u64(out, s.rejected);
-  out += ", \"rejected_fraction\": ";
-  append_dbl(out, s.rejected_fraction);
-  out += ", \"completed\": ";
-  append_u64(out, s.completed);
-  out += ", \"throughput_rps\": ";
-  append_dbl(out, s.throughput_rps);
-  out += ", \"latency_ns\": {\"count\": ";
-  append_u64(out, s.latency_count);
-  out += ", \"mean\": ";
-  append_dbl(out, s.latency_mean_ns);
-  out += ", \"p50\": ";
-  append_u64(out, s.p50_ns);
-  out += ", \"p90\": ";
-  append_u64(out, s.p90_ns);
-  out += ", \"p99\": ";
-  append_u64(out, s.p99_ns);
-  out += ", \"p999\": ";
-  append_u64(out, s.p999_ns);
-  out += ", \"max\": ";
-  append_u64(out, s.max_ns);
-  out += "}, \"queue_depth_peak\": ";
-  append_u64(out, s.queue_depth_peak);
-  out += ", \"sgl_fraction\": ";
-  append_dbl(out, s.sgl_fraction);
-  out += "}\n";
+  util::json::Writer w(out);
+  w.begin_object()
+      .str("kind", "step")
+      .u64("step", step)
+      .g9("offered_rate", s.offered_rate)
+      .g9("duration_s", s.duration_s)
+      .u64("arrivals", s.arrivals)
+      .u64("accepted", s.accepted)
+      .u64("rejected", s.rejected)
+      .g9("rejected_fraction", s.rejected_fraction)
+      .u64("completed", s.completed)
+      .g9("throughput_rps", s.throughput_rps)
+      .begin_object("latency_ns")
+      .u64("count", s.latency_count)
+      .g9("mean", s.latency_mean_ns)
+      .u64("p50", s.p50_ns)
+      .u64("p90", s.p90_ns)
+      .u64("p99", s.p99_ns)
+      .u64("p999", s.p999_ns)
+      .u64("max", s.max_ns)
+      .end_object()
+      .u64("queue_depth_peak", s.queue_depth_peak)
+      .g9("sgl_fraction", s.sgl_fraction)
+      .end_object();
+  out += '\n';
 }
 
 struct StepOutput {
@@ -601,34 +559,26 @@ ServeReport run_serve(const Desc& desc, const OpenLoopConfig& ol,
 
   ServeReport report;
   std::string& out = report.jsonl;
-  out += "{\"kind\": \"serve_header\", \"version\": 1, \"workload\": ";
-  append_str(out, desc.name);
-  out += ", \"policy\": ";
-  append_str(out, rt::to_string(opts.policy.kind));
-  out += ", \"mode\": ";
-  append_str(out, opts.deterministic ? "deterministic" : "real");
-  out += ", \"process\": ";
-  append_str(out, to_string(ol.process));
-  out += ", \"workers\": ";
-  append_u64(out, workers);
-  out += ", \"queue_capacity\": ";
-  append_u64(out, ol.queue_capacity);
-  out += ", \"table_words\": ";
-  append_u64(out, ol.table_words);
-  out += ", \"rates\": [";
-  for (std::size_t i = 0; i < rates.size(); ++i) {
-    if (i != 0) out += ", ";
-    append_dbl(out, rates[i]);
-  }
-  out += "], \"duration_s\": ";
-  append_dbl(out, duration_s);
-  out += ", \"warmup_s\": ";
-  append_dbl(out, ol.warmup_s);
-  out += ", \"emit_interval_ms\": ";
-  append_u64(out, ol.emit_interval_ms);
-  out += ", \"seed\": ";
-  append_u64(out, opts.seed);
-  out += "}\n";
+  util::json::Writer header(out);
+  header.begin_object()
+      .str("kind", "serve_header")
+      .u64("version", 1)
+      .str("workload", desc.name)
+      .str("policy", rt::to_string(opts.policy.kind))
+      .str("mode", opts.deterministic ? "deterministic" : "real")
+      .str("process", to_string(ol.process))
+      .u64("workers", workers)
+      .u64("queue_capacity", ol.queue_capacity)
+      .u64("table_words", ol.table_words)
+      .begin_array("rates");
+  for (const double r : rates) header.g9(r);
+  header.end_array()
+      .g9("duration_s", duration_s)
+      .g9("warmup_s", ol.warmup_s)
+      .u64("emit_interval_ms", ol.emit_interval_ms)
+      .u64("seed", opts.seed)
+      .end_object();
+  out += '\n';
 
   std::vector<StepOutput> steps;
   if (opts.deterministic) {
@@ -672,22 +622,19 @@ ServeReport run_serve(const Desc& desc, const OpenLoopConfig& ol,
   }
   report.knee_rate = report.saturated ? report.knee_rate : 0.0;
 
-  out += "{\"kind\": \"summary\", \"steps\": ";
-  append_u64(out, steps.size());
-  out += ", \"knee_rate\": ";
-  append_dbl(out, report.knee_rate);
-  out += ", \"saturated\": ";
-  out += report.saturated ? "true" : "false";
-  out += ", \"worst_p99_ns\": ";
-  append_u64(out, worst_p99);
-  out += ", \"arrivals\": ";
-  append_u64(out, grand.arrivals);
-  out += ", \"rejected\": ";
-  append_u64(out, grand.rejected);
-  out += ", \"completed\": ";
-  append_u64(out, grand.completed);
-  if (report.interrupted) out += ", \"interrupted\": true";
-  out += "}\n";
+  util::json::Writer summary(out);
+  summary.begin_object()
+      .str("kind", "summary")
+      .u64("steps", steps.size())
+      .g9("knee_rate", report.knee_rate)
+      .boolean("saturated", report.saturated)
+      .u64("worst_p99_ns", worst_p99)
+      .u64("arrivals", grand.arrivals)
+      .u64("rejected", grand.rejected)
+      .u64("completed", grand.completed);
+  if (report.interrupted) summary.boolean("interrupted", true);
+  summary.end_object();
+  out += '\n';
 
   if (opts.telemetry != nullptr) {
     opts.telemetry->set_state(ServeTelemetry::State::kDone);

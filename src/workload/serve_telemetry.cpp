@@ -1,27 +1,14 @@
 #include "workload/serve_telemetry.hpp"
 
 #include <bit>
-#include <cinttypes>
-#include <cstdio>
 #include <utility>
 
 #include "obs/prom.hpp"
+#include "util/json_writer.hpp"
 
 namespace seer::workload {
 
 namespace {
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
-}
-
-void append_dbl(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  out += buf;
-}
 
 // Registration-order lookup: snapshot vectors mirror id order, so the hub's
 // own ids index them directly. The OBS=OFF stub snapshot is empty — then
@@ -97,31 +84,23 @@ std::string ServeTelemetry::metrics_exposition() const {
 std::string ServeTelemetry::status_json() const {
   const obs::MetricsSnapshot snap = registry_.snapshot();
   const util::LatencyBucketCounts lat = latency_.snapshot();
-  std::string out = "{\"state\": \"";
-  out += state_name();
-  out += "\", \"step\": ";
-  append_u64(out, gauge_at(snap, step));
-  out += ", \"workers\": ";
-  append_u64(out, gauge_at(snap, workers));
-  out += ", \"offered_rate\": ";
-  append_dbl(out, offered_rate());
-  out += ", \"arrivals\": ";
-  append_u64(out, counter_at(snap, arrivals));
-  out += ", \"accepted\": ";
-  append_u64(out, counter_at(snap, accepted));
-  out += ", \"rejected\": ";
-  append_u64(out, counter_at(snap, rejected));
-  out += ", \"completed\": ";
-  append_u64(out, counter_at(snap, completed));
-  out += ", \"queue_depth\": ";
-  append_u64(out, gauge_at(snap, queue_depth));
-  out += ", \"active_workers\": ";
-  append_u64(out, gauge_at(snap, active_workers));
-  out += ", \"p50_est_us\": ";
-  append_dbl(out, util::bucket_quantile_estimate(lat, 0.5) / 1000.0);
-  out += ", \"p99_est_us\": ";
-  append_dbl(out, util::bucket_quantile_estimate(lat, 0.99) / 1000.0);
-  out += "}\n";
+  std::string out;
+  util::json::Writer w(out);
+  w.begin_object()
+      .str("state", state_name())
+      .u64("step", gauge_at(snap, step))
+      .u64("workers", gauge_at(snap, workers))
+      .g9("offered_rate", offered_rate())
+      .u64("arrivals", counter_at(snap, arrivals))
+      .u64("accepted", counter_at(snap, accepted))
+      .u64("rejected", counter_at(snap, rejected))
+      .u64("completed", counter_at(snap, completed))
+      .u64("queue_depth", gauge_at(snap, queue_depth))
+      .u64("active_workers", gauge_at(snap, active_workers))
+      .g9("p50_est_us", util::bucket_quantile_estimate(lat, 0.5) / 1000.0)
+      .g9("p99_est_us", util::bucket_quantile_estimate(lat, 0.99) / 1000.0)
+      .end_object();
+  out += '\n';
   return out;
 }
 
@@ -145,19 +124,16 @@ ServeTelemetry::Health ServeTelemetry::healthz(std::uint64_t now_ns,
       verdict = "workers_stalled";
     }
   }
-  h.body = "{\"ok\": ";
-  h.body += h.ok ? "true" : "false";
-  h.body += ", \"verdict\": \"";
-  h.body += verdict;
-  h.body += "\", \"state\": \"";
-  h.body += state_name();
-  h.body += "\", \"producer_age_ms\": ";
-  append_u64(h.body, page / 1000000);
-  h.body += ", \"worker_age_ms\": ";
-  append_u64(h.body, wage / 1000000);
-  h.body += ", \"queue_depth\": ";
-  append_u64(h.body, depth);
-  h.body += "}\n";
+  util::json::Writer w(h.body);
+  w.begin_object()
+      .boolean("ok", h.ok)
+      .str("verdict", verdict)
+      .str("state", state_name())
+      .u64("producer_age_ms", page / 1000000)
+      .u64("worker_age_ms", wage / 1000000)
+      .u64("queue_depth", depth)
+      .end_object();
+  h.body += '\n';
   return h;
 }
 

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "util/json_writer.hpp"
 #include "workload/json_util.hpp"
 
 namespace seer::workload {
@@ -11,34 +12,24 @@ using jsonu::Value;
 
 namespace {
 
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-void append_rng(std::string& out, const RngState& s) {
-  out += "\"rng\": [";
-  for (std::size_t i = 0; i < 4; ++i) {
-    char buf[20];
-    std::snprintf(buf, sizeof buf, "\"%016llx\"",
-                  static_cast<unsigned long long>(s[i]));
-    if (i > 0) out += ", ";
-    out += buf;
+// The RNG words are 16-digit lowercase hex strings (a JSON number would
+// lose the low bits of a 64-bit word).
+void append_rng(util::json::Writer& w, const RngState& s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  w.begin_array("rng");
+  for (const std::uint64_t word : s) {
+    char hex[16];
+    for (int i = 0; i < 16; ++i) hex[i] = kHex[(word >> (60 - 4 * i)) & 0xF];
+    w.str(std::string_view(hex, sizeof hex));
   }
-  out += "]";
+  w.end_array();
 }
 
-void append_lines(std::string& out, const char* key,
+void append_lines(util::json::Writer& w, const char* key,
                   const std::vector<std::uint32_t>& v) {
-  out += "\"";
-  out += key;
-  out += "\": [";
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) out += ", ";
-    append_u64(out, v[i]);
-  }
-  out += "]";
+  w.begin_array(key);
+  for (const std::uint32_t line : v) w.u64(line);
+  w.end_array();
 }
 
 RngState parse_rng(const Value& obj, const std::string& origin) {
@@ -85,42 +76,37 @@ std::vector<std::uint32_t> parse_lines(const Value& obj, const char* key,
 }  // namespace
 
 std::string InstanceTrace::to_json() const {
-  std::string out = "{\n  \"version\": 1,\n  \"workload\": \"";
-  out += workload;
-  out += "\",\n  \"type_names\": [";
-  for (std::size_t i = 0; i < type_names.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += "\"";
-    out += type_names[i];
-    out += "\"";
-  }
-  out += "],\n  \"threads\": [\n";
+  namespace json = util::json;
+  std::string out = "{\n  \"version\": 1,\n  \"workload\": ";
+  json::put_string(out, workload);
+  out += ",\n  ";
+  json::Writer names(out);
+  names.begin_array("type_names");
+  for (const std::string& n : type_names) names.str(n);
+  names.end_array();
+  out += ",\n  \"threads\": [\n";
   for (std::size_t t = 0; t < lanes.size(); ++t) {
     const TraceLane& lane = lanes[t];
     out += t > 0 ? ",\n    {\"thread\": " : "    {\"thread\": ";
-    append_u64(out, t);
+    json::put_u64(out, t);
     out += ",\n     \"thinks\": [";
     for (std::size_t i = 0; i < lane.thinks.size(); ++i) {
-      out += i > 0 ? ",\n       {\"t\": " : "\n       {\"t\": ";
-      append_u64(out, lane.thinks[i]);
-      out += ", ";
-      append_rng(out, lane.think_rng[i]);
-      out += "}";
+      out += i > 0 ? ",\n       " : "\n       ";
+      json::Writer w(out);
+      w.begin_object().u64("t", lane.thinks[i]);
+      append_rng(w, lane.think_rng[i]);
+      w.end_object();
     }
     out += "],\n     \"instances\": [";
     for (std::size_t i = 0; i < lane.instances.size(); ++i) {
       const TxInstance& inst = lane.instances[i];
-      out += i > 0 ? ",\n       {\"type\": " : "\n       {\"type\": ";
-      append_u64(out, inst.type);
-      out += ", \"duration\": ";
-      append_u64(out, inst.duration);
-      out += ", ";
-      append_lines(out, "reads", inst.reads);
-      out += ", ";
-      append_lines(out, "writes", inst.writes);
-      out += ", ";
-      append_rng(out, lane.instance_rng[i]);
-      out += "}";
+      out += i > 0 ? ",\n       " : "\n       ";
+      json::Writer w(out);
+      w.begin_object().u64("type", inst.type).u64("duration", inst.duration);
+      append_lines(w, "reads", inst.reads);
+      append_lines(w, "writes", inst.writes);
+      append_rng(w, lane.instance_rng[i]);
+      w.end_object();
     }
     out += "]}";
   }

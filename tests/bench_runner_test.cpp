@@ -25,10 +25,7 @@ Options tiny_options() {
 
 // A small Figure-3 slice: one workload, two policies, two thread counts.
 std::vector<Cell> fig3_slice() {
-  stamp::WorkloadInfo genome;
-  for (const auto& info : stamp::all_workloads()) {
-    if (info.name == "genome") genome = info;
-  }
+  const workload::Desc genome = workload::find("genome");
   std::vector<Cell> cells;
   for (std::size_t threads : {2u, 4u}) {
     for (auto kind : {rt::PolicyKind::kRtm, rt::PolicyKind::kSeer}) {
@@ -78,10 +75,7 @@ TEST(BenchRunner, JobsInvarianceHoldsWithSampledStats) {
   // stream to the Seer hot path; the byte-identical --jobs invariance must
   // survive it — sampling decisions may depend on the run's own seed, never
   // on worker scheduling.
-  stamp::WorkloadInfo genome;
-  for (const auto& info : stamp::all_workloads()) {
-    if (info.name == "genome") genome = info;
-  }
+  const workload::Desc genome = workload::find("genome");
   std::vector<Cell> cells;
   for (std::size_t threads : {2u, 4u}) {
     rt::PolicyConfig pol = policy_of(rt::PolicyKind::kSeer);
@@ -125,7 +119,7 @@ TEST(BenchRunner, WriteJsonEmitsOneRecordPerCellAndSeed) {
   opts.jobs = 4;
   opts.json_path = ::testing::TempDir() + "bench_runner_test.json";
   const auto results = run_cells(cells, opts);
-  write_json("fig3_slice", cells, results, opts);
+  write_outputs("fig3_slice", cells, results, opts);
 
   std::ifstream in(opts.json_path);
   ASSERT_TRUE(in.good()) << opts.json_path;
@@ -160,7 +154,7 @@ TEST(BenchRunner, MetricsOutputIsByteIdenticalForAnyJobsCount) {
     opts.jobs = jobs;
     opts.metrics_path = path;
     const auto results = run_cells(cells, opts);
-    write_metrics_json("fig3_slice", cells, results, opts);
+    write_outputs("fig3_slice", cells, results, opts);
     std::ifstream in(path);
     EXPECT_TRUE(in.good()) << path;
     std::stringstream ss;
@@ -196,7 +190,7 @@ TEST(BenchRunner, EmptyJsonPathIsNoOp) {
   const std::vector<Cell> cells;
   const std::vector<CellResult> results;
   Options opts = tiny_options();
-  EXPECT_NO_THROW(write_json("noop", cells, results, opts));
+  EXPECT_NO_THROW(write_outputs("noop", cells, results, opts));
 }
 
 namespace {
@@ -210,7 +204,7 @@ std::string snapshots_file(const std::vector<Cell>& cells, int jobs,
   opts.jobs = jobs;
   opts.snapshots_path = path;
   const auto results = run_cells(patched, opts);
-  write_snapshots_json("fig3_slice", patched, results, opts);
+  write_outputs("fig3_slice", patched, results, opts);
   std::ifstream in(path);
   EXPECT_TRUE(in.good()) << path;
   std::stringstream ss;

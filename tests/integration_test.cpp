@@ -7,12 +7,12 @@
 #include <memory>
 
 #include "sim/machine.hpp"
-#include "stamp/workloads.hpp"
+#include "workload/registry.hpp"
 
 namespace seer {
 namespace {
 
-sim::MachineStats run(const std::string& workload, rt::PolicyKind kind,
+sim::MachineStats run(const std::string& name, rt::PolicyKind kind,
                       std::size_t threads, std::uint64_t txs = 1200,
                       std::uint64_t seed = 21) {
   sim::MachineConfig cfg;
@@ -20,7 +20,7 @@ sim::MachineStats run(const std::string& workload, rt::PolicyKind kind,
   cfg.txs_per_thread = txs;
   cfg.policy.kind = kind;
   cfg.seed = seed;
-  return sim::run_machine(cfg, stamp::make_workload(workload, threads));
+  return sim::run_machine(cfg, workload::find(name).make(threads));
 }
 
 double sgl_fraction(const sim::MachineStats& s) {
@@ -185,7 +185,7 @@ TEST(Shape, HillClimbingMovesThresholds) {
   cfg.txs_per_thread = 3000;
   cfg.policy.kind = rt::PolicyKind::kSeer;
   cfg.seed = 21;
-  const auto s = sim::run_machine(cfg, stamp::make_workload("intruder", 8));
+  const auto s = sim::run_machine(cfg, workload::find("intruder").make(8));
   const bool moved = s.final_params.th1 != 0.3 || s.final_params.th2 != 0.8;
   EXPECT_TRUE(moved) << "self-tuning never adjusted (Th1, Th2)";
 }
@@ -212,7 +212,7 @@ TEST(Shape, OracleLearnsPreciselyOnIntruder) {
   cfg.txs_per_thread = 2000;
   cfg.policy.kind = rt::PolicyKind::kOracle;
   cfg.seed = 21;
-  sim::Machine m(cfg, stamp::make_workload("intruder", 8));
+  sim::Machine m(cfg, workload::find("intruder").make(8));
   (void)m.run();
   auto* oracle = m.policy_shared().oracle();
   ASSERT_NE(oracle, nullptr);
@@ -236,9 +236,9 @@ TEST(Shape, TxLocksImproveOverProfileOnly) {
   with_tx.policy.seer.enable_tx_locks = true;
 
   const auto profile_only =
-      sim::run_machine(base, stamp::make_workload("intruder", 8));
+      sim::run_machine(base, workload::find("intruder").make(8));
   const auto tx_locks =
-      sim::run_machine(with_tx, stamp::make_workload("intruder", 8));
+      sim::run_machine(with_tx, workload::find("intruder").make(8));
   EXPECT_GT(tx_locks.speedup(), profile_only.speedup())
       << "Figure 5: transaction locks provide the largest boost";
 }
@@ -257,8 +257,8 @@ TEST(Shape, CoreLocksAloneHelpYadaAt8Threads) {
   auto with_core = base;
   with_core.policy.seer.enable_core_locks = true;
 
-  const auto off = sim::run_machine(base, stamp::make_workload("yada", 8));
-  const auto on = sim::run_machine(with_core, stamp::make_workload("yada", 8));
+  const auto off = sim::run_machine(base, workload::find("yada").make(8));
+  const auto on = sim::run_machine(with_core, workload::find("yada").make(8));
   EXPECT_GT(on.speedup(), off.speedup())
       << "§5.3: enabling only core locks speeds up SMT-capacity workloads";
 }

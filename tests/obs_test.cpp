@@ -218,7 +218,10 @@ void validate_chrome_json(const std::string& json) {
 }
 
 std::string write_and_read(const TraceSink& sink) {
-  const std::string path = ::testing::TempDir() + "obs_test_trace.json";
+  // One file per test: ctest runs the test cases as concurrent processes.
+  const std::string path =
+      ::testing::TempDir() + "obs_test_trace_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".json";
   EXPECT_TRUE(sink.write_chrome_json(path));
   std::ifstream in(path);
   EXPECT_TRUE(in.good());

@@ -11,8 +11,8 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/snapshot.hpp"
 #include "sim/machine.hpp"
-#include "stamp/workloads.hpp"
 #include "util/json.hpp"
+#include "workload/registry.hpp"
 
 // The OFF-build contract (on_rebuild always false, to_json "{}") is covered
 // by bench_runner_test, which runs in both configurations; everything below
@@ -271,7 +271,7 @@ TEST(MachineIntegration, SeerRunFeedsRecorderAndFinalSnapshot) {
   cfg.recorder = &rec;
 
   const sim::MachineStats stats =
-      sim::run_machine(cfg, stamp::make_workload("intruder", cfg.n_threads));
+      sim::run_machine(cfg, workload::find("intruder").make(cfg.n_threads));
 
   ASSERT_GE(rec.captured(), 1u);
   const auto snaps = rec.snapshots();

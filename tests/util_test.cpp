@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <set>
 #include <thread>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "util/cacheline.hpp"
 #include "util/gaussian.hpp"
 #include "util/json.hpp"
+#include "util/json_writer.hpp"
 #include "util/rng.hpp"
 #include "util/small_vec.hpp"
 #include "util/spinlock.hpp"
@@ -524,6 +526,105 @@ TEST(Json, ParseFileReportsMissingFile) {
   std::string err;
   EXPECT_FALSE(json::parse_file("/nonexistent/x.json", &err).has_value());
   EXPECT_NE(err.find("cannot open"), std::string::npos) << err;
+}
+
+// ------------------------------------------------------- JSON writer ------
+
+std::string spelled(void (*put)(std::string&, double), double v) {
+  std::string out;
+  put(out, v);
+  return out;
+}
+
+std::string printf_spelled(const char* fmt, double v) {
+  char buf[400];
+  std::snprintf(buf, sizeof buf, fmt, v);
+  return buf;
+}
+
+TEST(JsonWriter, DoubleSpellingsAreThePrintfOnes) {
+  struct Row {
+    double v;
+    const char* g9;  // %.9g
+    const char* f6;  // %.6f
+    const char* g6;  // %g
+  };
+  const Row rows[] = {
+      {0.0, "0", "0.000000", "0"},
+      {0.1, "0.1", "0.100000", "0.1"},
+      {1e-7, "1e-07", "0.000000", "1e-07"},
+      {123456789.123, "123456789", "123456789.123000", "1.23457e+08"},
+      {9007199254740992.0, "9.00719925e+15", "9007199254740992.000000",
+       "9.0072e+15"},
+  };
+  for (const Row& r : rows) {
+    EXPECT_EQ(spelled(json::put_g9, r.v), r.g9);
+    EXPECT_EQ(spelled(json::put_f6, r.v), r.f6);
+    EXPECT_EQ(spelled(json::put_g6, r.v), r.g6);
+    EXPECT_EQ(printf_spelled("%.9g", r.v), r.g9);
+    EXPECT_EQ(printf_spelled("%.6f", r.v), r.f6);
+    EXPECT_EQ(printf_spelled("%g", r.v), r.g6);
+  }
+}
+
+TEST(JsonWriter, IntegersAreDecimal) {
+  std::string out;
+  json::put_u64(out, 0);
+  out += ' ';
+  json::put_u64(out, ~std::uint64_t{0});
+  EXPECT_EQ(out, "0 18446744073709551615");
+}
+
+TEST(JsonWriter, StringsEscapeQuotesBackslashesAndControlBytes) {
+  std::string out;
+  json::put_string(out, "a\"b\\c\nd\te\x01" "f\x1f");
+  EXPECT_EQ(out, R"("a\"b\\c\nd\te\u0001f\u001f")");
+  out.clear();
+  json::put_string(out, std::string("\0\b\f\r\x7f", 5));
+  EXPECT_EQ(out, R"("\u0000\b\f\r)" "\x7f\"");
+}
+
+TEST(JsonWriter, NonAsciiUtf8PassesThroughUnchanged) {
+  // Bytes >= 0x80 are negative as a signed char; they must not be mistaken
+  // for control bytes.
+  const std::string name = "caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x98\x80";
+  std::string out;
+  json::put_string(out, name);
+  EXPECT_EQ(out, "\"" + name + "\"");
+}
+
+TEST(JsonWriter, EveryByteRoundTripsThroughTheParser) {
+  std::string all;
+  for (int c = 1; c < 0x80; ++c) all += static_cast<char>(c);
+  all += "\xc3\xa9";
+  std::string out;
+  json::put_string(out, all);
+  const auto v = json::parse(out);
+  ASSERT_TRUE(v.has_value()) << out;
+  EXPECT_EQ(v->string, all);
+}
+
+TEST(JsonWriter, SeparatesMembersAndTakesRenderedFragments) {
+  std::string out;
+  json::Writer w(out);
+  w.begin_object()
+      .u64("n", 1)
+      .str("name", "t\"1")
+      .begin_array("xs")
+      .u64(1)
+      .g9(0.5)
+      .end_array()
+      .begin_object("inner")
+      .boolean("ok", true)
+      .end_object()
+      .raw("")  // nothing, not even a separator
+      .raw("\"m\": 2, \"k\": 3")
+      .raw("nested", "{\"a\": []}")
+      .end_object();
+  EXPECT_EQ(out,
+            R"({"n": 1, "name": "t\"1", "xs": [1, 0.5], "inner": {"ok": true}, )"
+            R"("m": 2, "k": 3, "nested": {"a": []}})");
+  EXPECT_TRUE(json::parse(out).has_value());
 }
 
 }  // namespace

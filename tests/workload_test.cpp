@@ -1,11 +1,8 @@
 // Tests for the pluggable workload-generator API (src/workload/):
 //
-//   * golden equivalence — every STAMP name resolved through the registry
-//     produces the byte-identical instance/think stream (and machine run)
-//     as the legacy stamp::make_workload path;
-//   * bench equivalence — cells built from `--workload genome` match cells
-//     built from the legacy stamp::WorkloadInfo table, byte for byte in the
-//     --json output, for any --jobs value;
+//   * the STAMP registry — the eight names in the paper's order with their
+//     bench transaction counts, and `--workload genome` cells whose --json
+//     output is byte-identical for any --jobs value;
 //   * trace record/replay — a recorded run replays decision-for-decision
 //     (PR 2 differential checker) and cycle-for-cycle; malformed and
 //     truncated trace files fail with errors naming the bad key;
@@ -22,12 +19,12 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/runner.hpp"
 #include "check/differential.hpp"
 #include "sim/machine.hpp"
-#include "stamp/workloads.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "workload/bst.hpp"
@@ -63,117 +60,42 @@ std::string temp_path(const std::string& leaf) {
   return ::testing::TempDir() + leaf;
 }
 
-// ------------------------------------------------- golden equivalence ----
+// ------------------------------------------------------ STAMP registry ----
 
-void expect_same_instance(const sim::TxInstance& a, const sim::TxInstance& b,
-                          const std::string& where) {
-  EXPECT_EQ(a.type, b.type) << where;
-  EXPECT_EQ(a.duration, b.duration) << where;
-  EXPECT_EQ(a.reads, b.reads) << where;
-  EXPECT_EQ(a.writes, b.writes) << where;
-}
-
-TEST(GoldenEquivalence, RegistryMatchesLegacyStampStreams) {
-  for (const std::string& name : stamp_names()) {
-    for (const std::uint64_t seed : {1ull, 0xBEEFull}) {
-      for (const std::size_t n_threads : {1u, 4u}) {
-        const Desc desc = find(name);
-        EXPECT_EQ(desc.name, name);
-        const auto via_registry = desc.make(n_threads);
-        const auto legacy = stamp::make_workload(name, n_threads);
-        ASSERT_EQ(via_registry->n_types(), legacy->n_types()) << name;
-        for (std::size_t t = 0; t < legacy->n_types(); ++t) {
-          EXPECT_EQ(via_registry->type_name(static_cast<core::TxTypeId>(t)),
-                    legacy->type_name(static_cast<core::TxTypeId>(t)));
-        }
-        // Identical seeds in, identical streams out — interleaved think/next
-        // like the executors drive it.
-        for (std::size_t th = 0; th < n_threads; ++th) {
-          const auto id = static_cast<core::ThreadId>(th);
-          util::Xoshiro256 rng_a(seed ^ th);
-          util::Xoshiro256 rng_b(seed ^ th);
-          via_registry->init(id);
-          legacy->init(id);
-          sim::TxInstance ia;
-          sim::TxInstance ib;
-          for (int i = 0; i < 40; ++i) {
-            const std::string where = name + " seed=" + std::to_string(seed) +
-                                      " thread=" + std::to_string(th) +
-                                      " i=" + std::to_string(i);
-            EXPECT_EQ(via_registry->think_time(id, rng_a),
-                      legacy->think_time(id, rng_b))
-                << where;
-            const double progress = i / 40.0;
-            via_registry->next(id, progress, rng_a, ia);
-            legacy->next(id, progress, rng_b, ib);
-            expect_same_instance(ia, ib, where);
-          }
-          EXPECT_EQ(rng_a.state(), rng_b.state())
-              << name << ": the paths consumed different draw counts";
-        }
-      }
-    }
+TEST(StampRegistry, NamesAndBenchTxsInPaperOrder) {
+  const std::vector<std::pair<std::string, std::uint64_t>> expected = {
+      {"genome", 4000},       {"intruder", 5000},      {"kmeans-high", 4000},
+      {"kmeans-low", 4000},   {"ssca2", 8000},         {"vacation-high", 3000},
+      {"vacation-low", 3000}, {"yada", 1200},
+  };
+  ASSERT_EQ(stamp_names().size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(stamp_names()[i], expected[i].first) << "presentation order changed";
+    const Desc d = find(expected[i].first);
+    EXPECT_EQ(d.name, expected[i].first);
+    EXPECT_EQ(d.bench_txs_per_thread, expected[i].second) << d.name;
   }
 }
 
-TEST(GoldenEquivalence, DescMetadataMatchesLegacyTable) {
-  const auto& legacy = stamp::all_workloads();
-  ASSERT_EQ(stamp_names().size(), legacy.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(stamp_names()[i], legacy[i].name) << "presentation order changed";
-    const Desc d = find(legacy[i].name);
-    EXPECT_EQ(d.bench_txs_per_thread, legacy[i].bench_txs_per_thread);
-  }
-}
-
-TEST(GoldenEquivalence, MachineRunsMatchLegacyConstruction) {
-  sim::MachineConfig cfg;
-  cfg.n_threads = 4;
-  cfg.txs_per_thread = 250;
-  cfg.seed = 99;
-  cfg.policy.kind = rt::PolicyKind::kSeer;
-
-  sim::Machine a(cfg, find("genome").make(cfg.n_threads));
-  const sim::MachineStats sa = a.run();
-  sim::Machine b(cfg, stamp::make_workload("genome", cfg.n_threads));
-  const sim::MachineStats sb = b.run();
-
-  EXPECT_EQ(sa.commits, sb.commits);
-  EXPECT_EQ(sa.makespan, sb.makespan);
-  EXPECT_EQ(sa.aborts_by_cause, sb.aborts_by_cause);
-  EXPECT_EQ(sa.commits_by_mode, sb.commits_by_mode);
-  EXPECT_EQ(sa.gt_conflicts, sb.gt_conflicts);
-}
-
-TEST(GoldenEquivalence, BenchWorkloadFlagMatchesLegacyPathForAnyJobs) {
+TEST(StampRegistry, BenchJsonIsJobsInvariant) {
   bench::Options opts;
   opts.runs = 1;
   opts.txs_scale = 0.02;
   opts.base_seed = 777;
   opts.workloads = {"genome"};
-
-  auto cells_for = [](const Desc& d) {
-    std::vector<bench::Cell> cells;
-    for (std::size_t threads : {2u, 4u}) {
-      cells.push_back({d, bench::policy_of(rt::PolicyKind::kSeer), threads, {}});
-    }
-    return cells;
-  };
-  // The registry path (--workload genome) vs the legacy table entry,
-  // through the implicit WorkloadInfo → Desc adapter.
   const auto selected = opts.selected();
   ASSERT_EQ(selected.size(), 1u);
-  stamp::WorkloadInfo legacy_info;
-  for (const auto& info : stamp::all_workloads()) {
-    if (info.name == "genome") legacy_info = info;
+  std::vector<bench::Cell> cells;
+  for (std::size_t threads : {2u, 4u}) {
+    cells.push_back({selected[0], bench::policy_of(rt::PolicyKind::kSeer), threads, {}});
   }
 
-  auto json_of = [&](const std::vector<bench::Cell>& cells, int jobs) {
+  auto json_of = [&](int jobs) {
     bench::Options o = opts;
     o.jobs = jobs;
     o.json_path = temp_path("workload_equiv.json");
     const auto results = bench::run_cells(cells, o);
-    bench::write_json("equiv", cells, results, o);
+    bench::write_outputs("equiv", cells, results, o);
     std::ifstream in(o.json_path);
     EXPECT_TRUE(in.good());
     std::stringstream ss;
@@ -181,14 +103,7 @@ TEST(GoldenEquivalence, BenchWorkloadFlagMatchesLegacyPathForAnyJobs) {
     std::remove(o.json_path.c_str());
     return ss.str();
   };
-
-  const std::string registry_j1 = json_of(cells_for(selected[0]), 1);
-  const std::string registry_j4 = json_of(cells_for(selected[0]), 4);
-  const std::string legacy_j1 = json_of(cells_for(Desc{legacy_info}), 1);
-  const std::string legacy_j4 = json_of(cells_for(Desc{legacy_info}), 4);
-  EXPECT_EQ(registry_j1, legacy_j1) << "registry path diverges from legacy";
-  EXPECT_EQ(registry_j1, registry_j4) << "--jobs changed the output";
-  EXPECT_EQ(legacy_j1, legacy_j4) << "--jobs changed the output";
+  EXPECT_EQ(json_of(1), json_of(4)) << "--jobs changed the output";
 }
 
 // ------------------------------------------------ trace record/replay ----

@@ -1,6 +1,6 @@
 // seer-inspect — offline analysis of the bench harness's introspection dumps.
 //
-// Input: a --snapshots file (bench/runner.cpp write_snapshots_json), which
+// Input: a --snapshots file (bench/runner.cpp write_outputs), which
 // holds one flight-recorder dump + simulator ground truth per (cell, seed).
 // Optionally the matching --metrics and --trace files from the same run.
 //
@@ -49,6 +49,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/tcp_listener.hpp"
 #include "workload/registry.hpp"
@@ -69,12 +70,20 @@ struct CliOptions {
   double stable_eps = 1e-9;         // (Th1, Th2) change below this = stable
 };
 
+// Accepted flag ranges (usage() states them).
+constexpr double kMaxWatchS = 86400;
+constexpr std::size_t kMaxPairs = 1000000;
+constexpr double kMaxGtThreshold = 1000;
+
 void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s SNAPSHOTS.json [--metrics PATH] [--trace PATH]\n"
                "          [--pairs N] [--gt-threshold F] [--stable-eps F]\n"
                "       %s --validate-workload CONFIG.json\n"
                "       %s --connect URL [--watch S] [--pairs N]\n"
+               "\n"
+               "  --pairs N (1-1000000)  --gt-threshold F (0-1000)\n"
+               "  --stable-eps F (0-1)  --watch S (above 0, up to 86400)\n"
                "\n"
                "Analyzes the model-introspection dump a bench binary wrote with\n"
                "--snapshots: per-pair abort attribution, lock-scheme quality vs\n"
@@ -91,6 +100,8 @@ void usage(const char* argv0) {
 }
 
 CliOptions parse_cli(int argc, char** argv) {
+  using seer::util::cli::parse_flag;
+  using seer::util::cli::parse_positive;
   CliOptions o;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -123,17 +134,13 @@ CliOptions parse_cli(int argc, char** argv) {
     } else if (arg == "--connect") {
       o.connect_url = next();
     } else if (arg == "--watch") {
-      o.watch_s = std::atof(next());
-      if (o.watch_s <= 0.0) {
-        std::fprintf(stderr, "--watch needs a positive period in seconds\n");
-        std::exit(2);
-      }
+      o.watch_s = parse_positive(arg, next(), kMaxWatchS);
     } else if (arg == "--pairs") {
-      o.top_pairs = static_cast<std::size_t>(std::atoi(next()));
+      o.top_pairs = parse_flag<std::size_t>(arg, next(), 1, kMaxPairs);
     } else if (arg == "--gt-threshold") {
-      o.gt_threshold = std::atof(next());
+      o.gt_threshold = parse_flag(arg, next(), 0.0, kMaxGtThreshold);
     } else if (arg == "--stable-eps") {
-      o.stable_eps = std::atof(next());
+      o.stable_eps = parse_flag(arg, next(), 0.0, 1.0);
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       std::exit(0);

@@ -37,9 +37,9 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -49,6 +49,8 @@
 #include "obs/obs_config.hpp"
 #include "obs/snapshot.hpp"
 #include "runtime/policies.hpp"
+#include "util/cli.hpp"
+#include "util/json_writer.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/registry.hpp"
 #include "workload/serve_driver.hpp"
@@ -79,6 +81,14 @@ void on_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
 // of silence mean a genuine wedge, not scheduling jitter.
 constexpr std::uint64_t kStallNs = 5ULL * 1000 * 1000 * 1000;
 
+// Accepted flag ranges (usage() states them). Workers match the config key
+// `workers`, jobs the exhibits' --jobs; the rate and duration ceilings only
+// turn a typo into a usage error instead of a run that never ends.
+constexpr std::size_t kMaxWorkers = 256;
+constexpr int kMaxJobs = 1024;
+constexpr double kMaxRate = 1e8;         // requests per second
+constexpr double kMaxDurationS = 86400;  // one day
+
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -88,15 +98,16 @@ std::uint64_t now_ns() {
 
 // One body for --buildinfo and GET /buildinfo.
 std::string buildinfo_json() {
-  std::string out = "{\"tool\": \"seer-serve\", \"commit\": \"";
-  out += SEER_GIT_SHA;
-  out += "\", \"build_type\": \"";
-  out += SEER_BUILD_TYPE;
-  out += "\", \"seer_obs\": ";
-  out += SEER_OBS_ENABLED ? "true" : "false";
-  out += ", \"snapshot_version\": ";
-  out += std::to_string(seer::obs::kModelSnapshotVersion);
-  out += "}\n";
+  std::string out;
+  seer::util::json::Writer w(out);
+  w.begin_object()
+      .str("tool", "seer-serve")
+      .str("commit", SEER_GIT_SHA)
+      .str("build_type", SEER_BUILD_TYPE)
+      .boolean("seer_obs", SEER_OBS_ENABLED)
+      .u64("snapshot_version", seer::obs::kModelSnapshotVersion)
+      .end_object();
+  out += '\n';
   return out;
 }
 
@@ -110,28 +121,30 @@ void usage(const char* argv0) {
       "\n"
       "  --workload FILE.json   workload config with an open_loop section\n"
       "  --policy NAME          HLE|RTM|SCM|ATS|SGL|Seer|Oracle (default RTM)\n"
-      "  --workers N            override the config's service thread count\n"
+      "  --workers N            override the config's service thread count (1-256)\n"
       "  --deterministic        serve on the simulated HTM machine in\n"
       "                         virtual time (byte-stable output)\n"
       "  --jobs N               deterministic only: parallel rate steps\n"
-      "                         (0 = all cores); output bytes are identical\n"
-      "  --seed N               arrival/instance RNG seed (default 1)\n"
-      "  --rate R               override: serve only this rate (no sweep)\n"
-      "  --duration S           override the per-step measured window\n"
+      "                         (0-1024, 0 = all cores); output bytes are identical\n"
+      "  --seed N               arrival/instance RNG seed (uint64, default 1)\n"
+      "  --rate R               override: serve only this rate (no sweep),\n"
+      "                         in req/s, above 0 and up to 1e8\n"
+      "  --duration S           override the per-step measured window, in\n"
+      "                         seconds, above 0 and up to 86400\n"
       "  --metrics              real mode: runtime counter deltas on\n"
       "                         interval lines (needs SEER_OBS=ON)\n"
       "  --storm-response       Seer scheduler: decay stats and re-infer\n"
       "                         immediately on abort-/SGL-storm entry\n"
-      "  --storm-enter R        abort-rate threshold that opens a storm\n"
+      "  --storm-enter R        abort-rate threshold in (0, 1] that opens a storm\n"
       "                         episode (default 0.90; exit follows at 2/3)\n"
-      "  --storm-decay F        history multiplier applied on storm entry\n"
-      "                         (default 0.25; 1 = re-infer without decay)\n"
+      "  --storm-decay F        history multiplier in [0, 1] applied on storm\n"
+      "                         entry (default 0.25; 1 = re-infer without decay)\n"
       "  --update-period N      Seer scheduler: executions per scheme\n"
-      "                         rebuild (default 512)\n"
+      "                         rebuild (default 512; at least 1)\n"
       "  --out FILE             write JSONL here instead of stdout\n"
       "  --listen PORT          live telemetry on http://127.0.0.1:PORT\n"
-      "                         (0 = ephemeral; the bound port is printed\n"
-      "                         on stderr; needs SEER_OBS=ON)\n"
+      "                         (0-65535; 0 = ephemeral, the bound port is\n"
+      "                         printed on stderr; needs SEER_OBS=ON)\n"
       "  --linger               after the run, keep serving the telemetry\n"
       "                         endpoints until SIGINT/SIGTERM\n"
       "  --metrics-out FILE     write the final Prometheus exposition (the\n"
@@ -163,6 +176,8 @@ bool parse_policy(const std::string& name, seer::rt::PolicyKind& out) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using seer::util::cli::parse_flag;
+  using seer::util::cli::parse_positive;
   std::string workload_path;
   std::string out_path;
   std::string metrics_out_path;
@@ -185,44 +200,36 @@ int main(int argc, char** argv) {
             "\" (known: HLE, RTM, SCM, ATS, SGL, Seer, Oracle)");
       }
     } else if (arg == "--workers") {
-      opts.workers_override = static_cast<std::size_t>(std::atoll(next()));
+      opts.workers_override = parse_flag<std::size_t>(arg, next(), 1, kMaxWorkers);
     } else if (arg == "--deterministic") {
       opts.deterministic = true;
     } else if (arg == "--jobs") {
-      const long long v = std::atoll(next());
-      opts.jobs = v <= 0 ? seer::util::ThreadPool::hardware_jobs()
+      const int v = parse_flag(arg, next(), 0, kMaxJobs);
+      opts.jobs = v == 0 ? seer::util::ThreadPool::hardware_jobs()
                          : static_cast<std::size_t>(v);
     } else if (arg == "--seed") {
-      opts.seed = static_cast<std::uint64_t>(std::atoll(next()));
+      opts.seed = parse_flag<std::uint64_t>(arg, next(), 0, UINT64_MAX);
     } else if (arg == "--rate") {
-      opts.rate_override = std::atof(next());
-      if (opts.rate_override <= 0.0) die("--rate must be positive");
+      opts.rate_override = parse_positive(arg, next(), kMaxRate);
     } else if (arg == "--duration") {
-      opts.duration_override_s = std::atof(next());
-      if (opts.duration_override_s <= 0.0) die("--duration must be positive");
+      opts.duration_override_s = parse_positive(arg, next(), kMaxDurationS);
     } else if (arg == "--storm-response") {
       opts.policy.seer.storm_response = true;
     } else if (arg == "--storm-enter") {
-      const double v = std::atof(next());
-      if (v <= 0.0 || v > 1.0) die("--storm-enter must be in (0, 1]");
+      const double v = parse_positive(arg, next(), 1.0);
       opts.policy.seer.storm.abort_rate_enter = v;
       opts.policy.seer.storm.abort_rate_exit = v * 2.0 / 3.0;
     } else if (arg == "--storm-decay") {
-      const double v = std::atof(next());
-      if (v < 0.0 || v > 1.0) die("--storm-decay must be in [0, 1]");
-      opts.policy.seer.storm_decay = v;
+      opts.policy.seer.storm_decay = parse_flag(arg, next(), 0.0, 1.0);
     } else if (arg == "--update-period") {
-      const long long v = std::atoll(next());
-      if (v <= 0) die("--update-period must be positive");
-      opts.policy.seer.update_period = static_cast<std::uint64_t>(v);
+      opts.policy.seer.update_period =
+          parse_flag<std::uint64_t>(arg, next(), 1, UINT64_MAX);
     } else if (arg == "--metrics") {
       opts.emit_metrics = true;
     } else if (arg == "--out") {
       out_path = next();
     } else if (arg == "--listen") {
-      const long long p = std::atoll(next());
-      if (p < 0 || p > 65535) die("--listen port must be in [0, 65535]");
-      listen_port = static_cast<int>(p);
+      listen_port = parse_flag(arg, next(), 0, 65535);
     } else if (arg == "--linger") {
       linger = true;
     } else if (arg == "--metrics-out") {
@@ -281,11 +288,14 @@ int main(int argc, char** argv) {
       opts.policy.seer.recorder = &recorder;
       recorder.set_publish([tel = telemetry.get()](
                                const seer::obs::ModelSnapshot& snap) {
-        std::string json = "{\"version\": ";
-        json += std::to_string(seer::obs::kModelSnapshotVersion);
-        json += ", \"snapshot\": ";
-        snap.append_json(json);
-        json += "}\n";
+        std::string json;
+        seer::util::json::Writer w(json);
+        w.begin_object()
+            .u64("version", seer::obs::kModelSnapshotVersion)
+            .key("snapshot");
+        snap.append_json(w);
+        w.end_object();
+        json += '\n';
         tel->publish_model_json(std::move(json));
       });
     }
