@@ -40,6 +40,11 @@ TEST(Registry, MakeWorkloadByName) {
   EXPECT_EQ(wl->n_types(), 3u);
 }
 
+TEST(Registry, UnknownNameThrows) {
+  // Labyrinth is the STAMP benchmark the paper leaves out.
+  EXPECT_THROW((void)make_workload("labyrinth", 8), workload::ConfigError);
+}
+
 // ---------------------------------------------------------- spec sanity ----
 
 class SpecSanity : public ::testing::TestWithParam<std::string> {};

@@ -1,8 +1,11 @@
 // Tests for the pluggable workload-generator API (src/workload/):
 //
-//   * the STAMP registry — the eight names in the paper's order with their
-//     bench transaction counts, and `--workload genome` cells whose --json
-//     output is byte-identical for any --jobs value;
+//   * golden equivalence — every STAMP name resolved through the registry
+//     produces the byte-identical instance/think stream (and machine run)
+//     as its stamp::all_workloads() table entry built straight into a
+//     SpecWorkload; the eight names keep the paper's order and their bench
+//     transaction counts; `--workload genome` cells match cells built from
+//     the table entry, byte for byte in the --json output, for any --jobs;
 //   * trace record/replay — a recorded run replays decision-for-decision
 //     (PR 2 differential checker) and cycle-for-cycle; malformed and
 //     truncated trace files fail with errors naming the bad key;
@@ -25,6 +28,8 @@
 #include "bench/runner.hpp"
 #include "check/differential.hpp"
 #include "sim/machine.hpp"
+#include "stamp/spec.hpp"
+#include "stamp/workloads.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "workload/bst.hpp"
@@ -60,16 +65,89 @@ std::string temp_path(const std::string& leaf) {
   return ::testing::TempDir() + leaf;
 }
 
-// ------------------------------------------------------ STAMP registry ----
+// ------------------------------------------------- golden equivalence ----
 
-TEST(StampRegistry, NamesAndBenchTxsInPaperOrder) {
+// The reference side of the golden comparisons: a STAMP name's entry in the
+// stamp::all_workloads() table, built straight into a SpecWorkload without
+// the registry — the construction the registry's STAMP factories wrap.
+const stamp::WorkloadInfo& stamp_entry(const std::string& name) {
+  for (const stamp::WorkloadInfo& info : stamp::all_workloads()) {
+    if (info.name == name) return info;
+  }
+  ADD_FAILURE() << "no STAMP table entry named " << name;
+  return stamp::all_workloads().front();
+}
+
+std::unique_ptr<Generator> legacy_make(const std::string& name, std::size_t n_threads) {
+  return std::make_unique<stamp::SpecWorkload>(stamp_entry(name).spec(), n_threads);
+}
+
+void expect_same_instance(const sim::TxInstance& a, const sim::TxInstance& b,
+                          const std::string& where) {
+  EXPECT_EQ(a.type, b.type) << where;
+  EXPECT_EQ(a.duration, b.duration) << where;
+  EXPECT_EQ(a.reads, b.reads) << where;
+  EXPECT_EQ(a.writes, b.writes) << where;
+}
+
+TEST(GoldenEquivalence, RegistryMatchesLegacyStampStreams) {
+  for (const std::string& name : stamp_names()) {
+    for (const std::uint64_t seed : {1ull, 0xBEEFull}) {
+      for (const std::size_t n_threads : {1u, 4u}) {
+        const Desc desc = find(name);
+        EXPECT_EQ(desc.name, name);
+        const auto via_registry = desc.make(n_threads);
+        const auto legacy = legacy_make(name, n_threads);
+        ASSERT_EQ(via_registry->n_types(), legacy->n_types()) << name;
+        for (std::size_t t = 0; t < legacy->n_types(); ++t) {
+          EXPECT_EQ(via_registry->type_name(static_cast<core::TxTypeId>(t)),
+                    legacy->type_name(static_cast<core::TxTypeId>(t)));
+        }
+        // Identical seeds in, identical streams out — interleaved think/next
+        // like the executors drive it.
+        for (std::size_t th = 0; th < n_threads; ++th) {
+          const auto id = static_cast<core::ThreadId>(th);
+          util::Xoshiro256 rng_a(seed ^ th);
+          util::Xoshiro256 rng_b(seed ^ th);
+          via_registry->init(id);
+          legacy->init(id);
+          sim::TxInstance ia;
+          sim::TxInstance ib;
+          for (int i = 0; i < 40; ++i) {
+            const std::string where = name + " seed=" + std::to_string(seed) +
+                                      " thread=" + std::to_string(th) +
+                                      " i=" + std::to_string(i);
+            EXPECT_EQ(via_registry->think_time(id, rng_a),
+                      legacy->think_time(id, rng_b))
+                << where;
+            const double progress = i / 40.0;
+            via_registry->next(id, progress, rng_a, ia);
+            legacy->next(id, progress, rng_b, ib);
+            expect_same_instance(ia, ib, where);
+          }
+          EXPECT_EQ(rng_a.state(), rng_b.state())
+              << name << ": the paths consumed different draw counts";
+        }
+      }
+    }
+  }
+}
+
+TEST(GoldenEquivalence, DescMetadataMatchesLegacyTable) {
+  // The eight names in the paper's order, with their bench transaction
+  // counts, pinned as literals and checked against both the table and the
+  // registry.
   const std::vector<std::pair<std::string, std::uint64_t>> expected = {
       {"genome", 4000},       {"intruder", 5000},      {"kmeans-high", 4000},
       {"kmeans-low", 4000},   {"ssca2", 8000},         {"vacation-high", 3000},
       {"vacation-low", 3000}, {"yada", 1200},
   };
+  const auto& legacy = stamp::all_workloads();
+  ASSERT_EQ(legacy.size(), expected.size());
   ASSERT_EQ(stamp_names().size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(legacy[i].name, expected[i].first) << "presentation order changed";
+    EXPECT_EQ(legacy[i].bench_txs_per_thread, expected[i].second) << legacy[i].name;
     EXPECT_EQ(stamp_names()[i], expected[i].first) << "presentation order changed";
     const Desc d = find(expected[i].first);
     EXPECT_EQ(d.name, expected[i].first);
@@ -77,20 +155,48 @@ TEST(StampRegistry, NamesAndBenchTxsInPaperOrder) {
   }
 }
 
-TEST(StampRegistry, BenchJsonIsJobsInvariant) {
+TEST(GoldenEquivalence, MachineRunsMatchLegacyConstruction) {
+  sim::MachineConfig cfg;
+  cfg.n_threads = 4;
+  cfg.txs_per_thread = 250;
+  cfg.seed = 99;
+  cfg.policy.kind = rt::PolicyKind::kSeer;
+
+  sim::Machine a(cfg, find("genome").make(cfg.n_threads));
+  const sim::MachineStats sa = a.run();
+  sim::Machine b(cfg, legacy_make("genome", cfg.n_threads));
+  const sim::MachineStats sb = b.run();
+
+  EXPECT_EQ(sa.commits, sb.commits);
+  EXPECT_EQ(sa.makespan, sb.makespan);
+  EXPECT_EQ(sa.aborts_by_cause, sb.aborts_by_cause);
+  EXPECT_EQ(sa.commits_by_mode, sb.commits_by_mode);
+  EXPECT_EQ(sa.gt_conflicts, sb.gt_conflicts);
+}
+
+TEST(GoldenEquivalence, BenchWorkloadFlagMatchesLegacyPathForAnyJobs) {
   bench::Options opts;
   opts.runs = 1;
   opts.txs_scale = 0.02;
   opts.base_seed = 777;
   opts.workloads = {"genome"};
+
+  auto cells_for = [](const Desc& d) {
+    std::vector<bench::Cell> cells;
+    for (std::size_t threads : {2u, 4u}) {
+      cells.push_back({d, bench::policy_of(rt::PolicyKind::kSeer), threads, {}});
+    }
+    return cells;
+  };
+  // The registry path (--workload genome) vs a Desc built by hand from the
+  // STAMP table entry.
   const auto selected = opts.selected();
   ASSERT_EQ(selected.size(), 1u);
-  std::vector<bench::Cell> cells;
-  for (std::size_t threads : {2u, 4u}) {
-    cells.push_back({selected[0], bench::policy_of(rt::PolicyKind::kSeer), threads, {}});
-  }
+  const stamp::WorkloadInfo& info = stamp_entry("genome");
+  const Desc legacy_desc(info.name, info.bench_txs_per_thread,
+                         [](std::size_t n_threads) { return legacy_make("genome", n_threads); });
 
-  auto json_of = [&](int jobs) {
+  auto json_of = [&](const std::vector<bench::Cell>& cells, int jobs) {
     bench::Options o = opts;
     o.jobs = jobs;
     o.json_path = temp_path("workload_equiv.json");
@@ -103,7 +209,14 @@ TEST(StampRegistry, BenchJsonIsJobsInvariant) {
     std::remove(o.json_path.c_str());
     return ss.str();
   };
-  EXPECT_EQ(json_of(1), json_of(4)) << "--jobs changed the output";
+
+  const std::string registry_j1 = json_of(cells_for(selected[0]), 1);
+  const std::string registry_j4 = json_of(cells_for(selected[0]), 4);
+  const std::string legacy_j1 = json_of(cells_for(legacy_desc), 1);
+  const std::string legacy_j4 = json_of(cells_for(legacy_desc), 4);
+  EXPECT_EQ(registry_j1, legacy_j1) << "registry path diverges from the STAMP table";
+  EXPECT_EQ(registry_j1, registry_j4) << "--jobs changed the output";
+  EXPECT_EQ(legacy_j1, legacy_j4) << "--jobs changed the output";
 }
 
 // ------------------------------------------------ trace record/replay ----
