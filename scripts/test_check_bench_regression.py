@@ -227,7 +227,7 @@ class CheckBenchRegressionTest(unittest.TestCase):
     def test_gbench_missing_instance_fails_clearly(self):
         base = self.write("base.json", gbench_doc([
             gbench_run("BM_MtReadHeavy/threads:4", 170e6),
-            gbench_run("BM_MtReadPromoteSaturation/threads:4", 100e6),
+            gbench_run("BM_MtReadWide/threads:4", 100e6),
         ]))
         baseline = self.make_baseline(base, "baseline_htm.json")
         partial = self.write("partial.json", gbench_doc(
@@ -235,7 +235,7 @@ class CheckBenchRegressionTest(unittest.TestCase):
         code, out = self.run_check("--baseline", baseline, partial)
         self.assertEqual(code, 1, out)
         self.assertIn("MISSING", out)
-        self.assertIn("BM_MtReadPromoteSaturation", out)
+        self.assertIn("BM_MtReadWide", out)
 
     def test_gbench_entry_without_items_per_second_is_usage_error(self):
         entry = gbench_run("BM_MtReadHeavy/threads:4", 170e6)

@@ -57,7 +57,7 @@ run_property() {
     exit 1
   fi
   SEER_PROPERTY_ITERS=100 ./build/tests/property_test \
-    --gtest_filter='PropertyHarness.RandomWorkloadsStayOpaque'
+    --gtest_filter='PropertyHarness.RandomWorkloadsStayOpaque:PropertyHarness.CapacityDecisionsMatchAnExactModel'
 }
 
 case "${STAGE}" in

@@ -14,27 +14,21 @@
 //     transaction attempts is one integer bump, never a memset. The table
 //     only allocates when it grows past its load factor, so a warmed-up
 //     context runs allocation-free.
-//   * ReadSignature — a 1024-bit Bloom filter over word addresses with an
-//     incrementally maintained population count. Tier-0 read tracking
-//     (DESIGN.md §10) records cold reads here for near-zero cost; the
-//     population count drives the saturation predicate that promotes the
-//     transaction to exact accounting before the filter's false-positive
-//     rate becomes meaningless.
 //
-// All are strictly thread-local (one per ThreadContext) and need no
-// synchronization.
+// Both are strictly thread-local (one per ThreadContext) and need no
+// synchronization. Reads need neither on the common path: Tier-0 read
+// tracking is a plain replay log of word pointers (DESIGN.md §10.1).
 #pragma once
 
-#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <memory>
 
 namespace seer::htm {
 
-// Address mixer shared by the stripe map, the signature filter and the
-// index probes (same constants as SoftHtm::stripe_index_of: words 8 bytes
-// apart spread out).
+// Address mixer shared by the stripe map, the write filter and the index
+// probes (same constants as SoftHtm::stripe_index_of: words 8 bytes apart
+// spread out).
 [[nodiscard]] inline std::uint64_t mix_addr(const void* addr) noexcept {
   auto h = static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(addr) >> 3);
   h ^= h >> 17;
@@ -68,60 +62,6 @@ class AddrSignature {
   std::uint64_t bits_ = 0;
 };
 
-// 1024-bit read-side Bloom filter (no false negatives) with an incremental
-// population count. Bits 45..54 of the mixed hash index the filter —
-// disjoint from both the write signature (top 6 bits) and the stripe map
-// (low bits), so a transaction's three filters never alias through the one
-// shared mix. One bit per add (k = 1): at the saturation threshold below
-// the expected distinct-word count is m·ln2 ≈ 710, far past the point where
-// exact accounting should have taken over anyway.
-class ReadSignature {
- public:
-  static constexpr std::size_t kBits = 1024;
-  static constexpr std::size_t kWords = kBits / 64;
-  // Promotion predicate: at half the bits set the false-positive rate is
-  // ~50% and the filter stops carrying information — the owner must switch
-  // to exact tracking no later than this.
-  static constexpr std::uint32_t kSaturationPop = kBits / 2;
-
-  [[nodiscard]] static unsigned bit_of_hash(std::uint64_t h) noexcept {
-    return static_cast<unsigned>((h >> 45) & (kBits - 1));
-  }
-  // Exposed so tests can manufacture deliberate bit collisions.
-  [[nodiscard]] static unsigned bit_of(const void* addr) noexcept {
-    return bit_of_hash(mix_addr(addr));
-  }
-
-  // Deliberately does NOT maintain an incremental population count: add()
-  // sits on the per-read hot path and must stay a load/or/store. Owners
-  // evaluate saturation at checkpoints (every kSatCheckStride logged reads)
-  // via the pop() scan — 16 popcounts, amortized to noise.
-  void add(std::uint64_t h) noexcept {
-    const unsigned b = bit_of_hash(h);
-    words_[b >> 6] |= 1ULL << (b & 63);
-  }
-  [[nodiscard]] bool may_contain(std::uint64_t h) const noexcept {
-    const unsigned b = bit_of_hash(h);
-    return ((words_[b >> 6] >> (b & 63)) & 1ULL) != 0;
-  }
-  // Distinct set bits — a lower bound on the distinct words added (never an
-  // upper bound: collisions hide adds, which is why the owner's capacity
-  // account must come from its replay log, not from here).
-  [[nodiscard]] std::uint32_t pop() const noexcept {
-    std::uint32_t n = 0;
-    for (const std::uint64_t w : words_) n += static_cast<std::uint32_t>(std::popcount(w));
-    return n;
-  }
-  [[nodiscard]] bool saturated() const noexcept { return pop() >= kSaturationPop; }
-
-  void clear() noexcept {
-    for (std::uint64_t& w : words_) w = 0;
-  }
-
- private:
-  std::uint64_t words_[kWords] = {};
-};
-
 // Open-addressed (linear probing), epoch-tagged addr -> uint32 map.
 class AddrIndex {
  public:
@@ -148,7 +88,7 @@ class AddrIndex {
   }
 
   // The hashed variants take the pre-mixed hash of `addr` (mix_addr): the
-  // caller computes it once per access and feeds the signature filter, the
+  // caller computes it once per access and feeds the write filter, the
   // stripe map and the index probes from the same 64 bits.
   [[nodiscard]] std::uint32_t find(const void* addr, std::uint64_t h) const noexcept {
     std::size_t i = h & mask_;

@@ -30,12 +30,9 @@ void SoftHtm::ThreadContext::begin() {
   subs_.clear();
   read_log_.clear();
   write_sig_.clear();
-  // Reads start signature-only (Tier 0) unless the config demands exact
-  // accounting from the first access. 16 word stores clear the filter.
-  read_tier_exact_ = tm_.cfg_.read_tracking == ReadTracking::kExact;
+  // Reads start log-only (Tier 0): an empty log is one cursor reset.
+  read_tier_exact_ = false;
   t0_next_ = t0_buf_.get();
-  t0_check_ = std::min(t0_end_, t0_next_ + kT0SatCheckStride);
-  read_sig_.clear();
   // One integer bump retires every index slot of the previous attempt. On
   // the (once per 2^32 attempts) wraparound the tagged structures must
   // forget their stale epochs, or a recycled epoch value would resurrect
@@ -95,48 +92,41 @@ std::optional<AbortStatus> SoftHtm::ThreadContext::injected_fault(TxOp op) {
   return fault_->before_op(op, attempt_count_ - 1, i);
 }
 
-// Tier-0 → Tier-1 promotion: replay the logged addresses through the exact
-// distinct-word index once, then continue with exact accounting for the
+// Tier-0 → exact promotion, run by the read `w` that finds the log full:
+// replay the logged addresses through the exact distinct-word index once,
+// then track `w` itself exactly and continue with exact accounting for the
 // rest of the attempt. The replay dedups — reads_ ends at the true distinct
-// count ≤ log length — so a capacity-pressure promotion (log == budget)
-// can never itself overflow the cap; the belt-and-braces check at the end
-// guards the invariant, not a reachable state. reserve_for/reserve make
+// count ≤ log length == budget — so the replay can never overflow the cap.
+// `w` is the first read that can, and track_read_exact raises that abort
+// at the same read an always-exact tracker would. reserve_for/reserve make
 // the rebuild at most one allocation each the first time a context
 // promotes at a given size, and none once warm.
-void SoftHtm::ThreadContext::promote_reads(bool saturated) {
+void SoftHtm::ThreadContext::promote_reads(const TmWord* w, std::uint64_t h) {
   const auto logged = static_cast<std::size_t>(t0_next_ - t0_buf_.get());
   read_words_.reserve_for(logged + 1);
   if (reads_.capacity() < logged) reads_.reserve(logged);
   for (const TmWord* const* p = t0_buf_.get(); p != t0_next_; ++p) {
     const TmWord* a = *p;
-    const std::uint64_t h = mix_addr(a);
-    const auto si = static_cast<std::uint32_t>(h & stripe_mask_);
-    if (read_words_.find_or_insert(a, si, h) == AddrIndex::kNpos) {
+    const std::uint64_t ha = mix_addr(a);
+    const auto si = static_cast<std::uint32_t>(ha & stripe_mask_);
+    if (read_words_.find_or_insert(a, si, ha) == AddrIndex::kNpos) {
       reads_.push_back(si);
     }
   }
   t0_next_ = t0_buf_.get();
   read_tier_exact_ = true;
-  if (saturated) {
-    ++promote_saturation_;
-  } else {
-    ++promote_capacity_;
-  }
+  ++promote_capacity_;
   if (metrics_.registry != nullptr) {
-    metrics_.registry->add(
-        saturated ? metrics_.promote_saturation : metrics_.promote_capacity,
-        metrics_.lane);
+    metrics_.registry->add(metrics_.promote_capacity, metrics_.lane);
   }
-  if (enforce_capacity_ && reads_.size() > tm_.cfg_.max_read_set) {
-    abort_capacity();
-  }
+  assert(reads_.size() <= tm_.cfg_.max_read_set);
+  track_read_exact(w, static_cast<std::uint32_t>(h & stripe_mask_), h);
 }
 
 // Capacity aborts funnel through here so abort attribution can split them
-// by read tier: "capacity while signature-only" means the write set (or a
-// promotion replay) overflowed while reads were still approximate;
-// "capacity after exact accounting" means the exact distinct-word count
-// did. Read-capacity aborts always land in the exact bucket by
+// by read tier: sig_only counts aborts raised while reads were still in
+// the Tier-0 log (a write-set overflow); exact counts those raised after
+// promotion. Read-capacity aborts always land in the exact bucket by
 // construction — Tier 0 promotes at the budget instead of aborting.
 void SoftHtm::ThreadContext::abort_capacity() {
   if (metrics_.registry != nullptr) {
@@ -145,23 +135,6 @@ void SoftHtm::ThreadContext::abort_capacity() {
                            metrics_.lane);
   }
   abort_with(AbortStatus::capacity());
-}
-
-// Tier-0 slow path: the log cursor reached t0_check_. Either this is just
-// a saturation checkpoint — scan the filter population (16 popcounts, paid
-// once per kT0SatCheckStride logged reads), push the checkpoint forward and
-// keep logging — or the log hit the capacity budget / the filter saturated,
-// in which case the attempt promotes to exact accounting and the current
-// read is the first one tracked exactly.
-void SoftHtm::ThreadContext::t0_checkpoint(const TmWord* w, std::uint64_t h) {
-  if (t0_next_ != t0_end_ && !read_sig_.saturated()) {
-    t0_check_ = std::min(t0_end_, t0_next_ + kT0SatCheckStride);
-    read_sig_.add(h);
-    *t0_next_++ = w;
-    return;
-  }
-  promote_reads(/*saturated=*/t0_next_ != t0_end_);
-  track_read_exact(w, static_cast<std::uint32_t>(h & stripe_mask_), h);
 }
 
 void SoftHtm::ThreadContext::do_subscribe(const std::atomic<std::uint64_t>& word,

@@ -53,9 +53,10 @@ using TmWord = std::atomic<std::uint64_t>;
 struct HtmMetrics {
   obs::MetricsRegistry* registry = nullptr;
   core::ThreadId lane = 0;
-  obs::MetricId promote_capacity = obs::kNoMetric;    // htm.read_promote.capacity
-  obs::MetricId promote_saturation = obs::kNoMetric;  // htm.read_promote.saturation
-  obs::MetricId capacity_abort_sig = obs::kNoMetric;  // htm.aborts.capacity.sig_only
+  obs::MetricId promote_capacity = obs::kNoMetric;  // htm.read_promote.capacity
+  // htm.aborts.capacity.sig_only: raised while reads were still in the
+  // Tier-0 log (perfbench reads the counter by this name).
+  obs::MetricId capacity_abort_sig = obs::kNoMetric;
   obs::MetricId capacity_abort_exact = obs::kNoMetric;  // htm.aborts.capacity.exact
 };
 
@@ -77,16 +78,6 @@ class SoftHtm {
     kSkipReadValidation,    // reads skip stripe pre/post-validation
   };
 
-  // How reads are tracked for capacity accounting and commit validation
-  // (DESIGN.md §10). kAdaptive transactions start in Tier 0 — cold reads go
-  // into a signature filter plus an address replay log, near-zero cost —
-  // and are promoted to Tier 1 (PR 5's exact distinct-word accounting) only
-  // when the log reaches the capacity budget or the signature saturates.
-  // kExact skips Tier 0 entirely: every read pays the exact index probe
-  // from the first access, which some tests (and any embedder that wants
-  // read_set_size() to be exact mid-transaction) rely on.
-  enum class ReadTracking : std::uint8_t { kAdaptive, kExact };
-
   struct Config {
     // Capacity model. Haswell TSX tracks reads in L1d+L2-victim structures
     // (large) and writes strictly in L1d (small); we default to word counts
@@ -96,7 +87,6 @@ class SoftHtm {
     // Number of versioned-lock stripes (power of two).
     std::size_t stripes = 1u << 16;
     Defect defect = Defect::kNone;
-    ReadTracking read_tracking = ReadTracking::kAdaptive;
   };
 
   SoftHtm() : SoftHtm(Config{}) {}
@@ -130,14 +120,13 @@ class SoftHtm {
   // Every per-access structure is O(1) and reusable across attempts
   // (DESIGN.md §10): the write set is indexed by an open-addressed hash
   // table behind a 64-bit signature filter (read-own-writes and write
-  // dedup in constant time), and reads start in a signature-only Tier 0 (a
-  // 1024-bit Bloom filter plus an address replay log) and are promoted
-  // lazily to the exact distinct-word index only under capacity pressure
-  // or filter saturation. Both indices are epoch-tagged: one integer bump
-  // per attempt clears them. The commit path sorts and deduplicates a
-  // reusable stripe list, which then answers "is this locked stripe mine?"
-  // by binary search — zero heap allocations once the vectors and tables
-  // are warm.
+  // dedup in constant time), and reads start in a log-only Tier 0 (an
+  // address replay log) and are promoted to the exact distinct-word index
+  // only when the log reaches the capacity budget. Both indices are
+  // epoch-tagged: one integer bump per attempt clears them. The commit path
+  // sorts and deduplicates a reusable stripe list, which then answers "is
+  // this locked stripe mine?" by binary search — zero heap allocations once
+  // the vectors and tables are warm.
   //
   // Aborts raised inside the body (read validation, capacity, tx.abort,
   // a subscription checked during a read, an injected in-body fault) throw
@@ -153,16 +142,16 @@ class SoftHtm {
           validate_reads_(tm.cfg_.defect != Defect::kSkipReadValidation),
           t0_buf_(std::make_unique<const TmWord*[]>(tm.cfg_.max_read_set)),
           t0_next_(t0_buf_.get()),
-          t0_end_(t0_buf_.get() + tm.cfg_.max_read_set),
-          t0_check_(t0_buf_.get() + (tm.cfg_.max_read_set < kT0SatCheckStride
-                                         ? tm.cfg_.max_read_set
-                                         : kT0SatCheckStride)) {}
+          t0_end_(t0_buf_.get() + tm.cfg_.max_read_set) {}
     ThreadContext(const ThreadContext&) = delete;
     ThreadContext& operator=(const ThreadContext&) = delete;
 
     // Runs `body(Tx&)` as one optimistic transaction attempt.
     // Returns kXBeginStarted's AbortStatus-equivalent on success
-    // (status.raw() == kXBeginStarted) or the abort status.
+    // (status.raw() == kXBeginStarted) or the abort status. Any other
+    // exception the body throws rolls the attempt back and propagates:
+    // the context leaves the transaction, with capacity enforcement (and
+    // with it fault injection) back on, exactly as after an abort.
     template <typename Body>
     AbortStatus attempt(Body&& body) {
       try {
@@ -172,6 +161,10 @@ class SoftHtm {
       } catch (const TxAbortException& e) {
         rollback();
         return e.status;
+      } catch (...) {
+        rollback();
+        enforce_capacity_ = true;  // attempt_unbounded's reset is skipped
+        throw;
       }
       return commit();
     }
@@ -196,10 +189,10 @@ class SoftHtm {
     // Introspection for tests: words read / written this attempt — the
     // quantity the capacity model caps (capacity models L1d words;
     // re-accessing a word consumes no new capacity, exactly like TSX).
-    // While reads are still Tier 0 (signature-only) the read count is the
+    // While reads are still Tier 0 (log-only) the read count is the
     // replay-log length: a conservative UPPER bound on the distinct-word
-    // count, exact whenever no word was read twice. After promotion — and
-    // always under ReadTracking::kExact — it is the exact distinct count.
+    // count, exact whenever no word was read twice. After promotion it is
+    // the exact distinct count.
     [[nodiscard]] std::size_t read_set_size() const noexcept {
       return read_tier_exact_ ? reads_.size()
                               : static_cast<std::size_t>(t0_next_ - t0_buf_.get());
@@ -208,13 +201,11 @@ class SoftHtm {
 
     // Read-tracking tier introspection (tests and metrics plumbing): which
     // tier the current/last attempt's reads are tracked in, and how many
-    // promotions this context has performed, split by triggering predicate.
+    // promotions (each one a log that reached the budget) this context has
+    // performed.
     [[nodiscard]] bool read_tier_is_exact() const noexcept { return read_tier_exact_; }
     [[nodiscard]] std::uint64_t read_promotions_capacity() const noexcept {
       return promote_capacity_;
-    }
-    [[nodiscard]] std::uint64_t read_promotions_saturation() const noexcept {
-      return promote_saturation_;
     }
 
     // Jumps the index epoch counter (tests only: exercising the wraparound
@@ -285,11 +276,9 @@ class SoftHtm {
         }
       }
     }
-    // Tier-0 slow path, reached when the log cursor hits t0_check_: either
-    // a saturation checkpoint (scan the filter, move the checkpoint, keep
-    // logging) or a promotion to exact accounting.
-    void t0_checkpoint(const TmWord* w, std::uint64_t h);
-    void promote_reads(bool saturated);
+    // Tier-0 slow path, run by the read that finds the log full: replays
+    // the log into the exact tier, then tracks that read exactly.
+    void promote_reads(const TmWord* w, std::uint64_t h);
     [[noreturn]] void abort_capacity();
     [[noreturn]] void abort_with(AbortStatus status);
     [[nodiscard]] bool subscriptions_hold() const noexcept;
@@ -329,30 +318,22 @@ class SoftHtm {
     AddrSignature write_sig_;
     AddrIndex write_index_;  // word addr -> writes_ slot
     AddrIndex read_words_;   // distinct-words-read set (payload: stripe index)
-    // Tier-0 read tracking (ReadTracking::kAdaptive; DESIGN.md §10). Every
-    // cold read appends its address to the replay log and sets one filter
-    // bit — no hash-table probe. The log length is a sound upper bound on
-    // the distinct-word count (a filter miss is a definite new word; a hit
-    // is ambiguous and logged anyway), so Tier 0 never needs to raise a
-    // read-capacity abort itself: promotion to exact accounting fires at
-    // the capacity budget, strictly before the true distinct count can
-    // exceed it.
+    // Tier-0 read tracking (DESIGN.md §10.1). Every read appends its
+    // address to the replay log — no hash-table probe, no dedup. Re-reads
+    // are logged too, so the log length is a sound upper bound on the
+    // distinct-word count and Tier 0 never raises a read-capacity abort
+    // itself: the read that finds the log full promotes to exact
+    // accounting, strictly before the true distinct count can exceed the
+    // budget.
     //
     // The log is a raw cursor over a fixed buffer of max_read_set slots
     // (allocated once, reused across attempts) so the per-read cost is one
-    // pointer compare + store. t0_check_ is the next point the slow path
-    // runs: the budget boundary (t0_end_) or a saturation checkpoint every
-    // kT0SatCheckStride logged reads, whichever is nearer — the filter's
-    // population is scanned only there, never per read.
-    static constexpr std::size_t kT0SatCheckStride = 64;
+    // pointer compare + store.
     std::unique_ptr<const TmWord*[]> t0_buf_;  // replay log, program order
-    const TmWord** t0_next_;   // log cursor (== t0_buf_ when empty)
-    const TmWord** t0_end_;    // t0_buf_ + cfg_.max_read_set (the budget)
-    const TmWord** t0_check_;  // next slow-path stop: min(end, checkpoint)
-    ReadSignature read_sig_;
+    const TmWord** t0_next_;  // log cursor (== t0_buf_ when empty)
+    const TmWord** t0_end_;   // t0_buf_ + cfg_.max_read_set (the budget)
     bool read_tier_exact_ = false;  // false: Tier 0; true: exact accounting
-    std::uint64_t promote_capacity_ = 0;    // promotions by log-at-budget
-    std::uint64_t promote_saturation_ = 0;  // promotions by filter saturation
+    std::uint64_t promote_capacity_ = 0;  // promotions (log at the budget)
     std::uint32_t epoch_ = 0;  // index epoch, bumped per begin(); 0 is never live
     // Commit scratch (reused; member so the commit path never allocates):
     // the write set's stripes, sorted and deduplicated — the canonical
@@ -428,8 +409,8 @@ inline bool SoftHtm::ThreadContext::subscriptions_hold() const noexcept {
 inline std::uint64_t SoftHtm::ThreadContext::do_read(const TmWord& w) {
   assert(active_);
   maybe_fault(TxOp::kRead);
-  // One address mix feeds everything below: the signature filter (top
-  // bits), the stripe map (low bits) and both index probes.
+  // One address mix feeds everything below: the write filter (top bits),
+  // the stripe map (low bits) and both index probes.
   const std::uint64_t h = mix_addr(&w);
   // Read-own-writes: the write buffer wins over memory. One AND/compare
   // rules out the overwhelmingly common "not in my write set" case; a
@@ -454,22 +435,17 @@ inline std::uint64_t SoftHtm::ThreadContext::do_read(const TmWord& w) {
   }
   if (!subscriptions_hold()) abort_with(AbortStatus::conflict());
   if (log_ != nullptr) read_log_.push_back(TxRead{&w, value});
-  // Two-tier read tracking (DESIGN.md §10). Tier 0 (the common case): log
-  // the address and set one filter bit — no hash-table probe. Every read is
-  // logged, filter hit or miss: a miss is a definite new word, a hit
-  // cannot be told from a false positive without the exact probe Tier 0
-  // exists to avoid, so counting both keeps the log length a sound UPPER
-  // bound on the distinct-word count. The single cursor compare folds both
-  // promotion predicates: t0_check_ is the budget boundary or the next
-  // saturation checkpoint, whichever is nearer (the slow halves of both
-  // live out of line in soft_htm.cpp).
+  // Two-tier read tracking (DESIGN.md §10.1). Tier 0 (the common case): log
+  // the address — no hash-table probe. Every read is logged, re-reads
+  // included, so the log length stays a sound UPPER bound on the
+  // distinct-word count. The read that finds the log full promotes (out of
+  // line in soft_htm.cpp) before it is tracked.
   if (!read_tier_exact_) {
-    if (t0_next_ != t0_check_) [[likely]] {
-      read_sig_.add(h);
+    if (t0_next_ != t0_end_) [[likely]] {
       *t0_next_++ = &w;
       return value;
     }
-    t0_checkpoint(&w, h);
+    promote_reads(&w, h);
     return value;
   }
   // Tier 1 (exact): one L1-resident probe both dedups the read set and
@@ -498,7 +474,8 @@ inline void SoftHtm::ThreadContext::do_write(TmWord& w, std::uint64_t value) {
       WriteEntry{&w, value, static_cast<std::uint32_t>(h & stripe_mask_)});
   if (enforce_capacity_ && writes_.size() > tm_.cfg_.max_write_set) {
     // A write overflow can fire in either read tier — this is the one
-    // capacity abort that genuinely lands in the sig_only bucket.
+    // capacity abort that lands in the sig_only bucket, when reads are
+    // still in the Tier-0 log.
     abort_capacity();
   }
 }

@@ -37,7 +37,6 @@ ThreadedExecutor::ThreadedExecutor(htm::SoftHtm& tm, const PolicyConfig& policy,
     }
     htm_metrics_.registry = opts_.metrics;
     htm_metrics_.promote_capacity = m.counter("htm.read_promote.capacity");
-    htm_metrics_.promote_saturation = m.counter("htm.read_promote.saturation");
     htm_metrics_.capacity_abort_sig = m.counter("htm.aborts.capacity.sig_only");
     htm_metrics_.capacity_abort_exact = m.counter("htm.aborts.capacity.exact");
   }

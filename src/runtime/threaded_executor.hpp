@@ -300,11 +300,11 @@ class ThreadedExecutor {
   obs::MetricId h_retry_depth_ = obs::kNoMetric;
   std::array<obs::MetricId, 4> m_aborts_{obs::kNoMetric, obs::kNoMetric,
                                          obs::kNoMetric, obs::kNoMetric};
-  // SoftHtm read-tier counters (htm.read_promote.*, htm.aborts.capacity.*),
-  // registered alongside the rt.* metrics and handed to every ThreadHandle's
-  // context with its own lane. These let abort attribution distinguish a
-  // capacity abort raised while reads were still signature-only from one
-  // raised under exact accounting.
+  // SoftHtm read-tier counters (htm.read_promote.capacity,
+  // htm.aborts.capacity.*), registered alongside the rt.* metrics and handed
+  // to every ThreadHandle's context with its own lane. These let abort
+  // attribution distinguish a capacity abort raised while reads were still
+  // in the Tier-0 log from one raised under exact accounting.
   htm::HtmMetrics htm_metrics_;
 };
 

@@ -6,12 +6,14 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "check/fault_plan.hpp"
 #include "htm/abort_code.hpp"
 #include "htm/soft_htm.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/rng.hpp"
 
@@ -235,6 +237,36 @@ TEST(SoftHtm, AbortClearsContextState) {
   EXPECT_EQ(w.load(), 2u);
 }
 
+TEST(SoftHtm, ForeignExceptionRollsBackTheAttempt) {
+  // A body may throw something other than an abort. The exception reaches
+  // the caller, and the context leaves the transaction as it does after an
+  // abort: nothing publishes, and the capacity-exempt fallback path turns
+  // capacity enforcement back on.
+  SoftHtm tm(SoftHtm::Config{.max_read_set = 4});
+  SoftHtm::ThreadContext ctx(tm);
+  std::vector<TmWord> words(32);
+  auto write_then_throw = [&](SoftHtm::Tx& tx) {
+    tx.write(words[0], 1);
+    throw std::runtime_error("body failed");
+  };
+  EXPECT_THROW((void)ctx.attempt(write_then_throw), std::runtime_error);
+  EXPECT_FALSE(ctx.in_tx());
+  EXPECT_EQ(words[0].load(), 0u);
+
+  auto read_then_throw = [&](SoftHtm::Tx& tx) {
+    (void)tx.read(words[0]);
+    throw std::runtime_error("fallback body failed");
+  };
+  EXPECT_THROW((void)ctx.attempt_unbounded(read_then_throw), std::runtime_error);
+  EXPECT_FALSE(ctx.in_tx());
+  // 32 distinct reads against a budget of 4 must still capacity-abort.
+  const AbortStatus s = ctx.attempt([&](SoftHtm::Tx& tx) {
+    for (auto& w : words) (void)tx.read(w);
+  });
+  EXPECT_FALSE(committed(s));
+  EXPECT_EQ(s.cause(), AbortCause::kCapacity);
+}
+
 TEST(SoftHtm, SequentialTransactionsSeeEachOther) {
   SoftHtm tm;
   SoftHtm::ThreadContext ctx(tm);
@@ -422,10 +454,10 @@ TEST(SoftHtm, EpochWraparoundDoesNotResurrectState) {
   // its maximum makes the next begin() wrap to 0, which must hard-reset
   // every epoch-tagged structure before recycling epoch 1 — otherwise the
   // first attempt's index entries come back from the dead.
-  // kExact: under adaptive tracking these few reads would stay in the
-  // Tier-0 log and never touch the epoch-stamped read index this test
-  // exists to exercise.
-  SoftHtm tm(SoftHtm::Config{.read_tracking = SoftHtm::ReadTracking::kExact});
+  // A one-word read budget: reading r twice fills the Tier-0 log and
+  // promotes, so r lands in the epoch-stamped read index this test exists
+  // to exercise.
+  SoftHtm tm(SoftHtm::Config{.max_read_set = 1});
   SoftHtm::ThreadContext ctx(tm);
   TmWord w{0};
   TmWord r{0};
@@ -433,15 +465,20 @@ TEST(SoftHtm, EpochWraparoundDoesNotResurrectState) {
   const AbortStatus first = ctx.attempt([&](SoftHtm::Tx& tx) {
     tx.write(w, 42);
     (void)tx.read(r);
+    (void)tx.read(r);  // the boundary read: promotes
+    if (!ctx.read_tier_is_exact()) tx.abort(0x04);
     tx.abort(0x01);  // populate the indices under epoch 1, publish nothing
   });
   ASSERT_FALSE(committed(first));
+  EXPECT_EQ(first.explicit_code(), 0x01);
   EXPECT_EQ(ctx.epoch_for_testing(), 1u);
 
   ctx.set_epoch_for_testing(0xFFFFFFFFu);
   const AbortStatus s = ctx.attempt([&](SoftHtm::Tx& tx) {
     // A resurrected read_words_ entry would swallow this read's accounting.
     (void)tx.read(r);
+    (void)tx.read(r);
+    if (!ctx.read_tier_is_exact()) tx.abort(0x05);
     if (ctx.read_set_size() != 1) tx.abort(0x02);
     // A resurrected write_index_ entry for w (slot 0 under the stale epoch
     // 1) would redirect this write into `other`'s buffer slot.
@@ -482,9 +519,9 @@ TEST(SoftHtm, ReReadsConsumeNoReadCapacity) {
 }
 
 // ------------------------------------- adaptive read-tracking tiers ----
-// DESIGN.md §10: reads start signature-only (Tier 0, a fixed replay log +
-// Bloom signature) and promote to the exact per-word index only when the
-// log reaches the capacity budget or the signature saturates.
+// DESIGN.md §10.1: reads start log-only (Tier 0, a fixed replay log) and
+// promote to the exact per-word index only when the log reaches the
+// capacity budget.
 
 TEST(SoftHtm, AdaptiveReadTrackingPromotesAtTheBudgetBoundary) {
   SoftHtm tm(SoftHtm::Config{.max_read_set = 8});
@@ -499,7 +536,6 @@ TEST(SoftHtm, AdaptiveReadTrackingPromotesAtTheBudgetBoundary) {
   });
   EXPECT_TRUE(committed(s));
   EXPECT_EQ(ctx.read_promotions_capacity(), 0u);
-  EXPECT_EQ(ctx.read_promotions_saturation(), 0u);
 
   // A 9th LOGGED read — a duplicate — fills the log: the boundary read
   // promotes, the replay dedups back to 8 distinct, and the transaction
@@ -512,7 +548,6 @@ TEST(SoftHtm, AdaptiveReadTrackingPromotesAtTheBudgetBoundary) {
   });
   EXPECT_TRUE(committed(s));
   EXPECT_EQ(ctx.read_promotions_capacity(), 1u);
-  EXPECT_EQ(ctx.read_promotions_saturation(), 0u);
 
   // Every attempt starts over in Tier 0 — the promotion does not stick.
   s = ctx.attempt([&](SoftHtm::Tx& tx) {
@@ -521,52 +556,89 @@ TEST(SoftHtm, AdaptiveReadTrackingPromotesAtTheBudgetBoundary) {
   });
   EXPECT_TRUE(committed(s));
   EXPECT_EQ(ctx.read_promotions_capacity(), 1u);
+
+  // A 9th DISTINCT word is the boundary read: it promotes, and the exact
+  // tier raises the capacity abort on that very read.
+  TmWord extra{0};
+  bool past_extra = false;
+  s = ctx.attempt([&](SoftHtm::Tx& tx) {
+    for (auto& w : words) (void)tx.read(w);
+    (void)tx.read(extra);
+    past_extra = true;
+  });
+  EXPECT_FALSE(committed(s));
+  EXPECT_EQ(s.cause(), AbortCause::kCapacity);
+  EXPECT_FALSE(past_extra);
+  EXPECT_TRUE(ctx.read_tier_is_exact()) << "only the exact tier raises it";
+  EXPECT_EQ(ctx.read_promotions_capacity(), 2u);
 }
 
-TEST(SoftHtm, SignatureSaturationPromotesWellBeforeTheBudget) {
-  // 2048 distinct reads against the 1024-bit signature push its population
-  // far past the saturation threshold (expected ~885 bits set), so the
-  // checkpoint scan must promote on saturation long before the 4096-word
-  // budget — and the exact tail must still account every distinct word.
+TEST(SoftHtm, ExactReadTrackingModeNeverEntersTier0) {
+  // Once the budget promotes an attempt to exact read tracking it stays
+  // exact for the rest of that attempt: re-reads are absorbed by the index
+  // instead of refilling the Tier-0 log, so they neither promote again nor
+  // grow read_set_size().
+  SoftHtm tm(SoftHtm::Config{.max_read_set = 8});
+  SoftHtm::ThreadContext ctx(tm);
+  std::vector<TmWord> words(8);
+  const AbortStatus s = ctx.attempt([&](SoftHtm::Tx& tx) {
+    for (auto& w : words) (void)tx.read(w);
+    (void)tx.read(words[0]);  // the boundary read: promotes
+    if (!ctx.read_tier_is_exact()) tx.abort(0x01);
+    for (int round = 0; round < 100; ++round) {
+      for (auto& w : words) (void)tx.read(w);  // free re-reads
+    }
+    if (!ctx.read_tier_is_exact()) tx.abort(0x02);
+    if (ctx.read_set_size() != words.size()) tx.abort(0x03);
+  });
+  EXPECT_TRUE(committed(s));
+  EXPECT_EQ(ctx.read_promotions_capacity(), 1u)
+      << "800 re-reads after the promotion must not refill a log";
+
+  // Exact capacity semantics hold after the promotion: one extra distinct
+  // word, read well past the boundary, aborts on that very read.
+  TmWord extra{0};
+  bool past_extra = false;
+  const AbortStatus over = ctx.attempt([&](SoftHtm::Tx& tx) {
+    for (auto& w : words) (void)tx.read(w);
+    for (int i = 0; i < 100; ++i) (void)tx.read(words[0]);
+    (void)tx.read(extra);
+    past_extra = true;
+  });
+  EXPECT_FALSE(committed(over));
+  EXPECT_EQ(over.cause(), AbortCause::kCapacity);
+  EXPECT_FALSE(past_extra);
+  EXPECT_TRUE(ctx.read_tier_is_exact());
+  EXPECT_EQ(ctx.read_promotions_capacity(), 2u);
+}
+
+TEST(SoftHtm, WideReadOnlyTransactionsStayInTheLog) {
+  // 2048 distinct reads fit the default 4096-word log: the scan commits
+  // without entering the exact tier, and nothing promotes — neither the
+  // context's count nor the exported htm.read_promote.capacity counter.
+  obs::MetricsRegistry reg(1);
+  HtmMetrics metrics;
+  metrics.registry = &reg;
+  metrics.promote_capacity = reg.counter("htm.read_promote.capacity");
+  reg.freeze();
   SoftHtm tm;
   SoftHtm::ThreadContext ctx(tm);
+  ctx.set_metrics(metrics);
   std::vector<TmWord> words(2048);
+  std::size_t read_set = 0;
   const AbortStatus s = ctx.attempt([&](SoftHtm::Tx& tx) {
     std::uint64_t acc = 0;
     for (auto& w : words) acc += tx.read(w);
     (void)acc;
-    if (!ctx.read_tier_is_exact()) tx.abort(0x01);
-    if (ctx.read_set_size() != words.size()) tx.abort(0x02);
+    read_set = ctx.read_set_size();
   });
   EXPECT_TRUE(committed(s));
-  EXPECT_EQ(ctx.read_promotions_saturation(), 1u);
+  EXPECT_FALSE(ctx.read_tier_is_exact());
+  EXPECT_EQ(read_set, words.size());
   EXPECT_EQ(ctx.read_promotions_capacity(), 0u);
-}
-
-TEST(SoftHtm, ExactReadTrackingModeNeverEntersTier0) {
-  SoftHtm tm(SoftHtm::Config{.max_read_set = 8,
-                             .read_tracking = SoftHtm::ReadTracking::kExact});
-  SoftHtm::ThreadContext ctx(tm);
-  std::vector<TmWord> words(8);
-  const AbortStatus s = ctx.attempt([&](SoftHtm::Tx& tx) {
-    if (!ctx.read_tier_is_exact()) tx.abort(0x01);
-    for (auto& w : words) (void)tx.read(w);
-    for (int i = 0; i < 100; ++i) (void)tx.read(words[0]);  // free re-reads
-    if (ctx.read_set_size() != words.size()) tx.abort(0x02);
-  });
-  EXPECT_TRUE(committed(s));
-  EXPECT_EQ(ctx.read_promotions_capacity(), 0u)
-      << "kExact starts exact; there is nothing to promote";
-  EXPECT_EQ(ctx.read_promotions_saturation(), 0u);
-
-  // Exact capacity semantics are unchanged: one extra distinct word aborts.
-  TmWord extra{0};
-  const AbortStatus over = ctx.attempt([&](SoftHtm::Tx& tx) {
-    for (auto& w : words) (void)tx.read(w);
-    (void)tx.read(extra);
-  });
-  EXPECT_FALSE(committed(over));
-  EXPECT_EQ(over.cause(), AbortCause::kCapacity);
+  for (const auto& c : reg.snapshot().counters) {
+    EXPECT_EQ(c.value, 0u) << c.name;
+  }
 }
 
 // --------------------------------- duplicate-stripe commit accounting ----
@@ -730,14 +802,17 @@ TEST(SoftHtmCommitAbort, NewerStripeAtLockTimeReleasesTheAcquiredPrefix) {
 }
 
 TEST(SoftHtmCommitAbort, FailedReadValidationReleasesEveryStripe) {
-  using Tracking = SoftHtm::ReadTracking;
-  for (const Tracking tracking : {Tracking::kAdaptive, Tracking::kExact}) {
-    SCOPED_TRACE(tracking == Tracking::kExact ? "exact" : "adaptive");
-    TracedPair p(SoftHtm::Config{.read_tracking = tracking});
+  // Both read tiers: with a one-word budget, a re-read is the boundary
+  // read that promotes the read set to the exact tier.
+  for (const bool exact : {false, true}) {
+    SCOPED_TRACE(exact ? "exact" : "tier 0");
+    TracedPair p(SoftHtm::Config{.max_read_set = 1});
     std::vector<TmWord> words(16);
     TmWord read{0};
     const AbortStatus s = p.a.attempt([&](SoftHtm::Tx& tx) {
       (void)tx.read(read);
+      if (exact) (void)tx.read(read);
+      EXPECT_EQ(p.a.read_tier_is_exact(), exact);
       // B overwrites A's read after A read it: every lock A takes is
       // free, and validation fails with all of them held.
       ASSERT_TRUE(committed(p.b.attempt([&](SoftHtm::Tx& txb) { txb.write(read, 7); })));

@@ -356,7 +356,7 @@ TEST(ObsIntegration, ThreadedExecutorRegistersAndBumpsHtmTierCounters) {
   // (DESIGN.md §10) alongside its own rt.* metrics and installs it into
   // every handle's SoftHtm context. A workload whose Tier-0 log fills every
   // transaction must show up in htm.read_promote.capacity; nothing here
-  // saturates the signature or capacity-aborts, so those stay zero.
+  // capacity-aborts, so both htm.aborts.capacity.* counters stay zero.
   constexpr std::size_t kThreads = 2;
   constexpr int kTxPerThread = 50;
   MetricsRegistry reg(kThreads);
@@ -400,7 +400,7 @@ TEST(ObsIntegration, ThreadedExecutorRegistersAndBumpsHtmTierCounters) {
       EXPECT_EQ(c.value, 0u) << c.name << " must stay untouched";
     }
   }
-  EXPECT_EQ(found, 4u) << "all four htm.* counters must be registered";
+  EXPECT_EQ(found, 3u) << "all three htm.* counters must be registered";
   EXPECT_GE(promotions, kThreads * static_cast<std::uint64_t>(kTxPerThread))
       << "every committed transaction crossed the tier boundary";
 }

@@ -10,6 +10,7 @@
 //   SEER_PROPERTY_SEED   — replay exactly this iteration seed and stop
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -17,6 +18,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "check/fault_plan.hpp"
@@ -80,7 +82,7 @@ struct Outcome {
   std::uint64_t expected_total = 0;  // sum of all per-word increments
   std::uint64_t actual_total = 0;
   std::uint64_t injected = 0;
-  std::uint64_t promotions = 0;  // htm.read_promote.* across all threads
+  std::uint64_t promotions = 0;  // htm.read_promote.capacity, all threads
 };
 
 Outcome run_iteration(std::uint64_t seed, htm::SoftHtm::Defect defect,
@@ -170,10 +172,7 @@ Outcome run_iteration(std::uint64_t seed, htm::SoftHtm::Defect defect,
   for (const auto& w : words) out.actual_total += w.load();
   for (const auto& p : plans) out.injected += p.total_injected();
   for (const auto& c : metrics.snapshot().counters) {
-    if (c.name == "htm.read_promote.capacity" ||
-        c.name == "htm.read_promote.saturation") {
-      out.promotions += c.value;
-    }
+    if (c.name == "htm.read_promote.capacity") out.promotions += c.value;
   }
   return out;
 }
@@ -241,6 +240,126 @@ TEST(PropertyHarness, RandomWorkloadsStayOpaqueAcrossTierTransitions) {
 #else
   (void)promoted_somewhere;  // counters are stubs under SEER_OBS=OFF
 #endif
+}
+
+// ------------------------------------------------- capacity decisions ----
+
+// Read capacity counts distinct words (DESIGN.md §10), however the read set
+// is tracked. A test-local set is the exact model for it: an attempt must
+// capacity-abort iff the model's distinct count exceeds max_read_set, on
+// the very read that pushes it over; once the reads are in the exact tier,
+// read_set_size() is the model's count; and the capacity-exempt fallback
+// path never capacity-aborts.
+
+// Up to 3x the budget reads from a pool of up to 2x the budget words, so
+// the distinct count lands on both sides of the budget and the Tier-0 log
+// fills with every mix of fresh and repeated words. Some sequences open
+// with a run of fresh words, so the boundary is often crossed exactly.
+std::vector<std::size_t> capacity_reads(util::Xoshiro256& rng, std::size_t budget) {
+  const std::size_t pool = 1 + rng.below(2 * budget);
+  const std::size_t n = rng.below(3 * budget + 1);
+  const std::size_t fresh_max = std::min(n, pool);
+  const std::size_t fresh = rng.bernoulli(0.5) ? fresh_max : rng.below(fresh_max + 1);
+  std::vector<std::size_t> reads;
+  reads.reserve(n);
+  for (std::size_t k = 0; k < n; ++k) reads.push_back(k < fresh ? k : rng.below(pool));
+  return reads;
+}
+
+struct CapacityCheck {
+  std::string error;  // the first disagreement with the model; empty if none
+  bool aborted = false;
+  bool promoted = false;
+};
+
+// Runs `reads` (indices into `pool`) as one attempt on `ctx` and checks
+// every capacity decision against the model.
+CapacityCheck check_capacity(htm::SoftHtm::ThreadContext& ctx,
+                             std::vector<htm::TmWord>& pool,
+                             const std::vector<std::size_t>& reads, std::size_t budget,
+                             bool unbounded) {
+  // The model's verdict: the index of the read whose distinct count first
+  // exceeds the budget; reads.size() when none does or capacity is exempt.
+  std::size_t abort_at = reads.size();
+  if (!unbounded) {
+    std::unordered_set<const htm::TmWord*> distinct;
+    for (std::size_t k = 0; k < reads.size() && abort_at == reads.size(); ++k) {
+      distinct.insert(&pool[reads[k]]);
+      if (distinct.size() > budget) abort_at = k;
+    }
+  }
+  CapacityCheck out;
+  std::unordered_set<const htm::TmWord*> seen;  // the model, read by read
+  std::size_t returned = 0;
+  auto body = [&](htm::SoftHtm::Tx& tx) {
+    for (const std::size_t r : reads) {
+      (void)tx.read(pool[r]);
+      ++returned;
+      seen.insert(&pool[r]);
+      const bool exact = ctx.read_tier_is_exact();
+      const std::size_t want = exact ? seen.size() : returned;
+      if (out.error.empty() && ctx.read_set_size() != want) {
+        out.error = "read_set_size() " + std::to_string(ctx.read_set_size()) +
+                    " after read " + std::to_string(returned) + ", want " +
+                    std::to_string(want) + (exact ? " distinct" : " logged");
+      }
+    }
+  };
+  const htm::AbortStatus s = unbounded ? ctx.attempt_unbounded(body) : ctx.attempt(body);
+  const bool ok = s.raw() == htm::kXBeginStarted;
+  out.aborted = !ok;
+  out.promoted = ctx.read_tier_is_exact();
+  if (!out.error.empty()) return out;
+  if (abort_at == reads.size()) {
+    if (!ok) {
+      out.error = "expected a commit, got a " + std::string(htm::to_string(s.cause())) +
+                  " abort";
+    }
+  } else if (ok || s.cause() != htm::AbortCause::kCapacity) {
+    out.error = "expected a capacity abort at read " + std::to_string(abort_at + 1);
+  } else if (returned != abort_at) {
+    out.error = "capacity abort after " + std::to_string(returned) +
+                " reads returned, the model says " + std::to_string(abort_at);
+  }
+  return out;
+}
+
+TEST(PropertyHarness, CapacityDecisionsMatchAnExactModel) {
+  constexpr std::size_t kDefaultBudget = htm::SoftHtm::Config{}.max_read_set;
+  const std::uint64_t master = env_u64("SEER_PROPERTY_SEED", 0);
+  const std::uint64_t iters = master != 0 ? 1 : env_u64("SEER_PROPERTY_ITERS", 25);
+  std::vector<htm::TmWord> pool(2 * kDefaultBudget);
+  std::uint64_t aborted = 0;
+  std::uint64_t promoted_commits = 0;
+  for (std::uint64_t i = 0; i < iters; ++i) {
+    const std::uint64_t seed = master != 0 ? master : 0xCA9A000u + i;
+    util::Xoshiro256 rng(seed);
+    // A drawn budget of 1-64 words, then one pass at the default budget.
+    const std::array<std::size_t, 2> budgets{1 + rng.below(64), kDefaultBudget};
+    for (const std::size_t budget : budgets) {
+      htm::SoftHtm tm(htm::SoftHtm::Config{.max_read_set = budget});
+      htm::SoftHtm::ThreadContext ctx(tm);
+      const int sequences = budget == kDefaultBudget ? 2 : 16;
+      for (int q = 0; q < sequences; ++q) {
+        const std::vector<std::size_t> reads = capacity_reads(rng, budget);
+        for (const bool unbounded : {false, true}) {
+          const CapacityCheck c = check_capacity(ctx, pool, reads, budget, unbounded);
+          if (!c.error.empty()) {
+            FAIL() << c.error << " (" << reads.size() << " reads, max_read_set "
+                   << budget << (unbounded ? ", attempt_unbounded" : ", attempt")
+                   << ") at seed " << seed << "\n"
+                   << replay_hint(seed);
+          }
+          aborted += c.aborted ? 1 : 0;
+          promoted_commits += !c.aborted && c.promoted ? 1 : 0;
+        }
+      }
+    }
+  }
+  if (iters > 1) {
+    EXPECT_GT(aborted, 0u) << "no sequence crossed the budget";
+    EXPECT_GT(promoted_commits, 0u) << "no promoted attempt committed";
+  }
 }
 
 // ------------------------------------------------ phased regime shifts ----
