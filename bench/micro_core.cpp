@@ -51,12 +51,10 @@ BENCHMARK(BM_RecordAbortScan)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
 // The stats hot path end-to-end, under genuine multi-thread recording: N
 // threads each own one flattened slab (exactly the SeerScheduler layout) and
-// record against one shared active table. Quantifies (a) that the contiguous
+// record against one shared active table. Quantifies that the contiguous
 // slab keeps per-event cost flat as recording threads are added — no false
-// sharing, no shared counters — and (b) the stats_sample_period win: with
-// period k, k-1 of every k events pay only a single-counter bump instead of
-// the execution bump + table scan.
-void BM_StatsRecordHotPath(benchmark::State& state, std::uint32_t period) {
+// sharing, no shared counters.
+void BM_StatsRecordHotPath(benchmark::State& state) {
   constexpr std::size_t kSlots = 8;
   static core::ActiveTxTable* table = nullptr;
   static std::vector<std::unique_ptr<core::ThreadStats>>* slabs = nullptr;
@@ -67,7 +65,7 @@ void BM_StatsRecordHotPath(benchmark::State& state, std::uint32_t period) {
     }
     slabs = new std::vector<std::unique_ptr<core::ThreadStats>>();
     for (std::size_t t = 0; t < kSlots; ++t) {
-      slabs->push_back(std::make_unique<core::ThreadStats>(8, period));
+      slabs->push_back(std::make_unique<core::ThreadStats>(8));
     }
   }
   // google-benchmark's loop-entry barrier orders the setup above before any
@@ -92,9 +90,7 @@ void BM_StatsRecordHotPath(benchmark::State& state, std::uint32_t period) {
     table = nullptr;
   }
 }
-BENCHMARK_CAPTURE(BM_StatsRecordHotPath, unsampled, 1)
-    ->Threads(1)->Threads(2)->Threads(4)->Threads(8)->UseRealTime();
-BENCHMARK_CAPTURE(BM_StatsRecordHotPath, sampled_k8, 8)
+BENCHMARK(BM_StatsRecordHotPath)
     ->Threads(1)->Threads(2)->Threads(4)->Threads(8)->UseRealTime();
 
 void BM_MergeStats(benchmark::State& state) {
@@ -157,23 +153,17 @@ void BM_SchedulerRecordCommit(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerRecordCommit);
 
-// Rebuild-cost scaling (the 64-128 thread tentpole): one full scheme
-// rebuild with every per-thread slab carrying evidence. `foldall` re-sums
-// every slab each rebuild — the monolithic Alg. 5 prologue, linear in thread
-// count. `budget1` folds one 8-thread shard per rebuild: its per-rebuild
-// merge cost is the shard size, not the machine width, so the 8-vs-64-vs-128
-// items_per_second should stay near-flat (the acceptance criterion gates
-// 64t <= 2x 8t through bench/baseline_htm.json; the deterministic
-// cells_merged form of the same bound lives in core_test).
-void BM_SchedulerRebuild(benchmark::State& state, std::size_t fold_budget) {
+// Rebuild cost across machine widths: one full scheme rebuild with every
+// per-thread slab carrying evidence. Each rebuild re-sums every slab (the
+// Alg. 5 prologue), so the cost is linear in thread count; the name keeps
+// the `foldall` records of bench/baseline_htm.json comparable.
+void BM_SchedulerRebuild(benchmark::State& state) {
   const auto n_threads = static_cast<std::size_t>(state.range(0));
   core::SeerConfig cfg;
   cfg.n_threads = n_threads;
   cfg.n_types = 8;
-  cfg.stats_shard_threads = 8;
-  cfg.rebuild_fold_budget = fold_budget;
   core::SeerScheduler sched(cfg);
-  // Conflict-rich evidence in every slab so the fold and the inference both
+  // Conflict-rich evidence in every slab so the merge and the inference both
   // do real work: each thread records against a fully announced table.
   for (core::ThreadId t = 0; t < n_threads; ++t) {
     sched.announce(t, static_cast<core::TxTypeId>(t % 8));
@@ -190,9 +180,8 @@ void BM_SchedulerRebuild(benchmark::State& state, std::size_t fold_budget) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_CAPTURE(BM_SchedulerRebuild, foldall, 0)
-    ->Arg(8)->Arg(32)->Arg(64)->Arg(128);
-BENCHMARK_CAPTURE(BM_SchedulerRebuild, budget1, 1)
+BENCHMARK(BM_SchedulerRebuild)
+    ->Name("BM_SchedulerRebuild/foldall")
     ->Arg(8)->Arg(32)->Arg(64)->Arg(128);
 
 // The real-thread driver's cost outside the transaction body (ROADMAP

@@ -14,15 +14,6 @@
 // (2·n² + n + 2 counters, padded to whole lines). One slab, one stream of
 // lines per recording thread — no per-vector headers interleaved with other
 // threads' data, no false sharing between slabs.
-//
-// Sampling: with `sample_period` k > 1 only every k-th recorded event pays
-// for the execution bump and the active-table scan; the merge step scales
-// the sampled counters back up by k. The inference consumes only count
-// *ratios* (the paper's statistics tolerate imprecision by design — §4), so
-// systematic 1-in-k sampling leaves the probabilities asymptotically
-// unbiased while cutting the instrumentation cost k-fold. The raw event and
-// commit tallies used for rebuild cadence and throughput feedback are NOT
-// sampled — they are single-counter bumps and stay exact.
 #pragma once
 
 #include <algorithm>
@@ -78,19 +69,15 @@ struct GlobalStats {
 
 class ThreadStats {
  public:
-  explicit ThreadStats(std::size_t n_types, std::uint32_t sample_period = 1)
+  explicit ThreadStats(std::size_t n_types)
       : n_types_(n_types),
         cells_(n_types * n_types),
-        sample_period_(sample_period == 0 ? 1 : sample_period),
-        until_sample_(1),
         slab_(util::make_cache_aligned_slab<Counter>(2 * cells_ + n_types + 2)) {}
 
   // Alg. 3 lines 33-37. `self` is the slot of the recording thread, which is
   // skipped when scanning (a transaction is not concurrent with itself).
   void record_abort(TxTypeId tx, ThreadId self, const ActiveTxTable& active) noexcept {
     bump(slab_[kRawEvents + 2 * cells_ + n_types_]);
-    if (--until_sample_ > 0) return;
-    until_sample_ = sample_period_;
     bump(slab_[2 * cells_ + static_cast<std::size_t>(tx)]);
     scan(tx, self, active, /*matrix=*/&slab_[0]);
   }
@@ -99,34 +86,28 @@ class ThreadStats {
   void record_commit(TxTypeId tx, ThreadId self, const ActiveTxTable& active) noexcept {
     bump(slab_[kRawEvents + 2 * cells_ + n_types_]);
     bump(slab_[kRawCommits + 2 * cells_ + n_types_]);
-    if (--until_sample_ > 0) return;
-    until_sample_ = sample_period_;
     bump(slab_[2 * cells_ + static_cast<std::size_t>(tx)]);
     scan(tx, self, active, /*matrix=*/&slab_[cells_]);
   }
 
-  // Adds this slab into `out`, scaling sampled counters back to event units
-  // (Alg. 5: periodic merge across per-core matrices). Safe to run
-  // concurrently with the owner thread recording.
+  // Adds this slab into `out` (Alg. 5: periodic merge across per-core
+  // matrices). Safe to run concurrently with the owner thread recording.
   void merge_into(GlobalStats& out) const noexcept {
     assert(out.n_types == n_types_);
-    const std::uint64_t k = sample_period_;
     for (std::size_t i = 0; i < cells_; ++i) {
-      out.aborts[i] += slab_[i].load(std::memory_order_relaxed) * k;
-      out.commits[i] += slab_[cells_ + i].load(std::memory_order_relaxed) * k;
+      out.aborts[i] += slab_[i].load(std::memory_order_relaxed);
+      out.commits[i] += slab_[cells_ + i].load(std::memory_order_relaxed);
     }
     for (std::size_t t = 0; t < n_types_; ++t) {
-      out.executions[t] += slab_[2 * cells_ + t].load(std::memory_order_relaxed) * k;
+      out.executions[t] += slab_[2 * cells_ + t].load(std::memory_order_relaxed);
     }
   }
 
   [[nodiscard]] std::size_t n_types() const noexcept { return n_types_; }
-  [[nodiscard]] std::uint32_t sample_period() const noexcept { return sample_period_; }
 
-  // Exact (unsampled) tallies: every recorded event / every recorded commit.
+  // Every recorded event / every recorded commit, whatever its type.
   // Single-writer counters like the rest of the slab; used for the rebuild
-  // cadence and the hill climber's throughput signal, which must not drift
-  // with the sampling rate.
+  // cadence and the hill climber's throughput signal.
   [[nodiscard]] std::uint64_t raw_events() const noexcept {
     return slab_[kRawEvents + 2 * cells_ + n_types_].load(std::memory_order_relaxed);
   }
@@ -134,7 +115,7 @@ class ThreadStats {
     return slab_[kRawCommits + 2 * cells_ + n_types_].load(std::memory_order_relaxed);
   }
 
-  // Test hooks (unscaled, as physically recorded).
+  // Test hooks.
   [[nodiscard]] std::uint64_t abort_cell(TxTypeId x, TxTypeId y) const noexcept {
     return slab_[cell_idx(x, y)].load(std::memory_order_relaxed);
   }
@@ -171,8 +152,6 @@ class ThreadStats {
 
   std::size_t n_types_;
   std::size_t cells_;  // n_types_^2, size of each matrix
-  std::uint32_t sample_period_;
-  std::uint32_t until_sample_;  // owner-thread-only countdown to next sample
   // [0, cells_): aborts   [cells_, 2·cells_): commits
   // [2·cells_, +n_types_): executions   then raw events, raw commits.
   util::CacheAlignedSlab<Counter> slab_;

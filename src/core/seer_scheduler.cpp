@@ -25,24 +25,14 @@ SeerScheduler::SeerScheduler(const SeerConfig& cfg)
       climber_(HillClimberConfig{.initial_x = cfg.initial_params.th1,
                                  .initial_y = cfg.initial_params.th2,
                                  .seed = cfg.seed}),
-      merge_bufs_{GlobalStats(cfg.n_types), GlobalStats(cfg.n_types)},
+      merged_(cfg.n_types),
       storm_(cfg.storm),
-      discount_(cfg.n_types),
-      decay_snapshot_(cfg.n_types) {
-  // A topology is authoritative for the core count; the flat knob used to
-  // keep its default silently when both were supplied.
-  if (cfg_.topology) {
-    assert(cfg_.topology->valid());
-    assert(cfg_.n_threads <= cfg_.topology->hw_threads());
-    cfg_.physical_cores = cfg_.topology->physical_cores();
-  }
+      discount_(cfg.n_types) {
   assert(cfg_.n_threads > 0);
   slabs_.reserve(cfg.n_threads);
   for (std::size_t t = 0; t < cfg.n_threads; ++t) {
-    slabs_.push_back(
-        std::make_unique<ThreadStats>(cfg.n_types, cfg.stats_sample_period));
+    slabs_.push_back(std::make_unique<ThreadStats>(cfg.n_types));
   }
-  sharded_ = std::make_unique<ShardedStats>(cfg_.n_types, shard_layout());
   if (cfg_.metrics != nullptr) {
     metrics_ = cfg_.metrics;
     m_announces_ = metrics_->counter("seer.announces");
@@ -51,37 +41,20 @@ SeerScheduler::SeerScheduler(const SeerConfig& cfg)
     m_rebuilds_ = metrics_->counter("seer.rebuilds");
     m_climber_steps_ = metrics_->counter("seer.climber_steps");
     h_scheme_edges_ = metrics_->histogram("seer.scheme_edges");
-    m_shards_merged_ = metrics_->counter("seer.rebuild.shards_merged");
     h_rebuild_ns_ = metrics_->histogram("seer.rebuild.ns");
   }
   obs_trace_ = cfg_.obs_trace;
   recorder_ = cfg_.recorder;
-  if (cfg_.stats_decay < 1.0) {
-    decayed_aborts_.assign(cfg.n_types * cfg.n_types, 0.0);
-    decayed_commits_.assign(cfg.n_types * cfg.n_types, 0.0);
-    decayed_execs_.assign(cfg.n_types, 0.0);
-  }
 }
 
-std::vector<std::size_t> SeerScheduler::shard_layout() const {
-  std::size_t group = cfg_.stats_shard_threads;
-  if (group == 0) {
-    // Contiguous thread-id blocks of cores_per_socket are socket-homogeneous
-    // under the Linux-style enumeration (thread t -> core t % P), so the
-    // auto layout keeps each shard's slabs on one socket.
-    group = cfg_.topology ? cfg_.topology->cores_per_socket : 8;
-  }
-  group = std::min(group, cfg_.n_threads);
-  std::vector<std::size_t> sizes;
-  for (std::size_t done = 0; done < cfg_.n_threads; done += group) {
-    sizes.push_back(std::min(group, cfg_.n_threads - done));
-  }
-  return sizes;
+void SeerScheduler::merge_slabs(GlobalStats& out) const noexcept {
+  out.reset();
+  for (const auto& slab : slabs_) slab->merge_into(out);
 }
 
 GlobalStats SeerScheduler::merged_stats() const {
   GlobalStats out(cfg_.n_types);
-  for (const auto& slab : slabs_) slab->merge_into(out);
+  merge_slabs(out);
   return out;
 }
 
@@ -106,7 +79,7 @@ bool SeerScheduler::maybe_update(ThreadId thread, std::uint64_t now) {
   // Storm probe (storm_response): runs at a finer cadence than the rebuild
   // period, so a contention storm triggers re-inference immediately instead
   // of waiting out the rest of the window. Entry forces the rebuild below,
-  // which sees storm_pending_ and folds everything + decays history.
+  // which sees storm_pending_ and decays history.
   if (cfg_.storm_response) {
     const std::uint64_t probe = std::max<std::uint64_t>(
         cfg_.storm.min_window_events, cfg_.update_period / 8);
@@ -176,104 +149,38 @@ void SeerScheduler::rebuild(std::uint64_t now) {
 
   // Online re-inference (storm_response): maybe_update's storm probe set
   // storm_pending_ when the detector entered a storm; this rebuild is the
-  // immediate response. Entry widens the fold to every shard and decays
-  // accumulated history so the inference runs on predominantly fresh
-  // evidence.
+  // immediate response, and entry decays accumulated history so the
+  // inference runs on predominantly fresh evidence.
   const bool storm_entered = storm_pending_;
   storm_pending_ = false;
 
-  // Fold the statistics shards: all of them by default (numerically the
-  // monolithic merge), a bounded round-robin subset under a fold budget.
-  // Storm entry always folds everything — re-inference wants fresh evidence,
-  // not last epoch's partials.
-  const std::size_t shards_folded =
-      sharded_->fold_some(storm_entered ? 0 : cfg_.rebuild_fold_budget, slabs_);
-
-  // Copy the combined view into the scratch buffer that does NOT hold the
-  // previous rebuild's totals; the other buffer IS the previous snapshot, so
-  // the decay path reads its delta directly instead of copying lifetime
-  // totals around. (Same-size vector assignments — no allocation.)
-  GlobalStats& merged = merge_bufs_[cur_buf_];
-  merged.aborts = sharded_->combined().aborts;
-  merged.commits = sharded_->combined().commits;
-  merged.executions = sharded_->combined().executions;
-
-  const GlobalStats* inference_input = &merged;
-  if (cfg_.stats_decay < 1.0) {
-    if (storm_entered) {
-      // Storm-entry decay: down-weight everything accumulated so far; the
-      // per-rebuild fold below then adds the fully-refolded fresh delta.
-      for (double& v : decayed_aborts_) v *= cfg_.storm_decay;
-      for (double& v : decayed_commits_) v *= cfg_.storm_decay;
-      for (double& v : decayed_execs_) v *= cfg_.storm_decay;
-    }
-    const GlobalStats& prev = merge_bufs_[1 - cur_buf_];
-    // Fold the delta since the previous rebuild into exponentially decayed
-    // accumulators, then hand the inference a rounded snapshot of those.
-    const double d = cfg_.stats_decay;
-    for (std::size_t i = 0; i < merged.aborts.size(); ++i) {
-      decayed_aborts_[i] =
-          decayed_aborts_[i] * d +
-          static_cast<double>(merged.aborts[i] - prev.aborts[i]);
-      decayed_commits_[i] =
-          decayed_commits_[i] * d +
-          static_cast<double>(merged.commits[i] - prev.commits[i]);
-      decay_snapshot_.aborts[i] = static_cast<std::uint64_t>(decayed_aborts_[i]);
-      decay_snapshot_.commits[i] = static_cast<std::uint64_t>(decayed_commits_[i]);
-    }
-    for (std::size_t t = 0; t < merged.executions.size(); ++t) {
-      decayed_execs_[t] =
-          decayed_execs_[t] * d +
-          static_cast<double>(merged.executions[t] - prev.executions[t]);
-      decay_snapshot_.executions[t] = static_cast<std::uint64_t>(decayed_execs_[t]);
-    }
-    inference_input = &decay_snapshot_;
-  } else if (cfg_.storm_response) {
-    if (storm_entered) {
-      // Pure-accumulation runs cannot decay the monotonic counters in place.
-      // Advance a discount so the live view (merged - discount) shrinks to
-      // storm_decay of itself; future evidence then accrues undiscounted.
-      const double d = cfg_.storm_decay;
-      for (std::size_t i = 0; i < merged.aborts.size(); ++i) {
-        discount_.aborts[i] =
-            merged.aborts[i] -
-            static_cast<std::uint64_t>(
-                d * static_cast<double>(merged.aborts[i] - discount_.aborts[i]));
-        discount_.commits[i] =
-            merged.commits[i] -
-            static_cast<std::uint64_t>(
-                d *
-                static_cast<double>(merged.commits[i] - discount_.commits[i]));
+  merge_slabs(merged_);
+  discount_active_ = discount_active_ || storm_entered;
+  if (discount_active_) {
+    // The monotonic counters cannot decay in place. On entry, advance a
+    // discount so the live view (merged - discount) shrinks to storm_decay of
+    // itself; future evidence then accrues undiscounted.
+    const double d = cfg_.storm_decay;
+    const auto discount = [&](std::vector<std::uint64_t>& merged,
+                              std::vector<std::uint64_t>& disc) {
+      for (std::size_t i = 0; i < merged.size(); ++i) {
+        if (storm_entered) {
+          const auto live = static_cast<double>(merged[i] - disc[i]);
+          disc[i] = merged[i] - static_cast<std::uint64_t>(d * live);
+        }
+        merged[i] -= disc[i];
       }
-      for (std::size_t t = 0; t < merged.executions.size(); ++t) {
-        discount_.executions[t] =
-            merged.executions[t] -
-            static_cast<std::uint64_t>(
-                d * static_cast<double>(merged.executions[t] -
-                                        discount_.executions[t]));
-      }
-      discount_active_ = true;
-    }
-    if (discount_active_) {
-      for (std::size_t i = 0; i < merged.aborts.size(); ++i) {
-        decay_snapshot_.aborts[i] = merged.aborts[i] - discount_.aborts[i];
-        decay_snapshot_.commits[i] = merged.commits[i] - discount_.commits[i];
-      }
-      for (std::size_t t = 0; t < merged.executions.size(); ++t) {
-        decay_snapshot_.executions[t] =
-            merged.executions[t] - discount_.executions[t];
-      }
-      inference_input = &decay_snapshot_;
-    }
+    };
+    discount(merged_.aborts, discount_.aborts);
+    discount(merged_.commits, discount_.commits);
+    discount(merged_.executions, discount_.executions);
   }
-  cur_buf_ = 1 - cur_buf_;
 
-  auto next = build_lock_scheme(*inference_input, params_);
+  auto next = build_lock_scheme(merged_, params_);
   if (trace_) trace_->on_rebuild(rebuilds_, params_, *next);
   if (metrics_) {
     metrics_->add(m_rebuilds_, 0);
     metrics_->observe(h_scheme_edges_, 0, next->edge_count());
-    metrics_->add(m_shards_merged_, 0, shards_folded);
   }
   if (obs_trace_) {
     obs_trace_->emit(0, obs::TraceKind::kSchemeRebuild, now, next->edge_count());

@@ -15,16 +15,13 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/active_tx_table.hpp"
 #include "core/conflict_stats.hpp"
 #include "core/hill_climber.hpp"
 #include "core/lock_scheme.hpp"
-#include "core/sharded_stats.hpp"
 #include "core/storm_detector.hpp"
-#include "core/topology.hpp"
 #include "core/types.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -39,16 +36,9 @@ namespace seer::core {
 struct SeerConfig {
   std::size_t n_threads = 8;
   std::size_t n_types = 8;
-  // SMT siblings share thread % physical_cores. When `topology` is set this
-  // field is DERIVED (sockets x cores_per_socket) by the constructor — it
-  // used to silently keep its default, leaving the per-core locks sized for
-  // a machine nobody configured. The config-file front end rejects an
-  // explicitly conflicting value as a named ConfigError before it ever
-  // reaches this struct.
+  // SMT siblings share thread % physical_cores. Both backends overwrite it
+  // with the core count they size their core locks from.
   std::size_t physical_cores = 4;
-  // Explicit machine shape (core/topology.hpp). Unset = the legacy flat
-  // 1-socket view described by `physical_cores` alone.
-  std::optional<Topology> topology;
 
   // Mechanism toggles (§5.3: each is one cumulative variant of Figure 5).
   bool enable_tx_locks = true;        // fine-grained transaction locks
@@ -66,42 +56,14 @@ struct SeerConfig {
   InferenceParams initial_params{};
   std::uint64_t seed = 1;
 
-  // --- extensions beyond the paper (its §6 future-work directions) -------
-  // Sampling of the Alg. 3 statistics, INSIDE the statistics slabs: each
-  // thread records only every k-th of its commit/abort events (execution
-  // bump + active-table scan) and the merge scales the sampled counters by
-  // k. The inference consumes only count ratios, so this cuts the
-  // instrumentation cost without biasing them; it needs no per-event RNG
-  // draw, keeps the rebuild cadence and throughput feedback exact (raw
-  // tallies are never sampled), and is reproducible run-to-run. 0 or 1 =
-  // record everything (paper).
-  std::uint32_t stats_sample_period = 1;
-  // Exponential decay of the merged statistics between rebuilds, so the
-  // scheme tracks time-varying workloads (phased benchmarks) instead of
-  // being dominated by stale history. 1.0 = pure accumulation (paper).
-  double stats_decay = 1.0;
-
-  // --- sharded statistics & incremental rebuilds (DESIGN.md §14) ---------
-  // Threads per statistics shard for the tree-structured (shard-then-global)
-  // merge. 0 = auto: cores_per_socket when a topology is set (contiguous
-  // thread-id blocks of that size are socket-homogeneous under the Linux
-  // enumeration), otherwise blocks of 8.
-  std::size_t stats_shard_threads = 0;
-  // Shards re-folded per rebuild. 0 = fold every shard (the default), which
-  // keeps the combined view numerically identical to the monolithic merge —
-  // every legacy golden is byte-stable. A budget of k bounds the maintenance
-  // step to O(k x shard x types^2) slab reads regardless of thread count;
-  // unfolded shards contribute their last-folded partial (slightly stale
-  // evidence, which the probabilistic inference tolerates by design).
-  std::size_t rebuild_fold_budget = 0;
-  // Online re-inference loop: when enabled, maybe_update probes the shared
-  // storm detector (core/storm_detector.hpp) every
+  // --- online re-inference (DESIGN.md §14) --------------------------------
+  // When enabled, maybe_update probes the shared storm detector
+  // (core/storm_detector.hpp) every
   // max(storm.min_window_events, update_period / 8) executions — a finer
   // cadence than the rebuild period. Entering an abort- or SGL-storm forces
-  // an immediate rebuild with a full fold of every shard plus a
-  // `storm_decay` down-weighting of accumulated history, so re-inference
-  // runs on predominantly fresh evidence instead of waiting out the rest of
-  // the update window.
+  // an immediate rebuild with a `storm_decay` down-weighting of accumulated
+  // history, so re-inference runs on predominantly fresh evidence instead of
+  // waiting out the rest of the update window.
   bool storm_response = false;
   // Multiplier applied to accumulated history on storm entry (0 = forget
   // everything, 1 = change nothing). Only meaningful with storm_response.
@@ -246,10 +208,6 @@ class SeerScheduler {
   [[nodiscard]] HillClimber::State climber_state() const noexcept {
     return climber_.state();
   }
-  // Sharded-statistics introspection (tests and the scaling microbench).
-  [[nodiscard]] const ShardedStats& sharded_stats() const noexcept {
-    return *sharded_;
-  }
   [[nodiscard]] bool abort_storm_active() const noexcept {
     return storm_.abort_storm_active();
   }
@@ -268,7 +226,8 @@ class SeerScheduler {
 
  private:
   void rebuild(std::uint64_t now);
-  [[nodiscard]] std::vector<std::size_t> shard_layout() const;
+  // The one merge (Alg. 5 prologue): zeroes `out`, then adds every slab.
+  void merge_slabs(GlobalStats& out) const noexcept;
 
   SeerConfig cfg_;
   ActiveTxTable active_;
@@ -285,7 +244,6 @@ class SeerScheduler {
   obs::MetricId m_rebuilds_ = obs::kNoMetric;
   obs::MetricId m_climber_steps_ = obs::kNoMetric;
   obs::MetricId h_scheme_edges_ = obs::kNoMetric;
-  obs::MetricId m_shards_merged_ = obs::kNoMetric;
   obs::MetricId h_rebuild_ns_ = obs::kNoMetric;
 
   std::shared_ptr<const LockScheme> scheme_;
@@ -294,20 +252,13 @@ class SeerScheduler {
 
   // Rebuild scratch, sized once in the constructor and reused every period
   // (the maintenance path is allocation-free apart from the scheme object
-  // it publishes). merge_bufs_ double-buffers the merged lifetime totals:
-  // the current rebuild merges into one buffer while the other still holds
-  // the previous rebuild's totals, which is exactly the delta the decay
-  // extension needs — no copying of a `last_merged_` snapshot.
-  GlobalStats merge_bufs_[2];
-  std::size_t cur_buf_ = 0;
-  // Sharded merge state (DESIGN.md §14): per-shard partials plus a running
-  // global maintained by subtract-then-add. With the default fold-all budget
-  // its combined view equals the monolithic merge exactly.
-  std::unique_ptr<ShardedStats> sharded_;
+  // it publishes): the merged lifetime totals, minus the storm discount once
+  // one is active — exactly what the inference reads.
+  GlobalStats merged_;
   // Online re-inference state (storm_response): the shared hysteresis
-  // detector, the SGL feed it consumes, and — for pure-accumulation runs —
-  // the discount subtracted from the merged lifetime totals to realize
-  // storm-entry decay without touching the monotonic counters.
+  // detector, the SGL feed it consumes, and the discount subtracted from
+  // the merged lifetime totals to realize storm-entry decay without
+  // touching the monotonic counters.
   StormDetector storm_;
   std::atomic<std::uint64_t> sgl_fallbacks_{0};
   std::uint64_t storm_entries_ = 0;
@@ -315,12 +266,6 @@ class SeerScheduler {
   bool storm_pending_ = false;          // entry seen; consumed by rebuild()
   GlobalStats discount_;
   bool discount_active_ = false;
-  // Decay extension state (when stats_decay < 1): exponentially decayed
-  // accumulators and the rounded snapshot handed to the inference.
-  GlobalStats decay_snapshot_;
-  std::vector<double> decayed_aborts_;
-  std::vector<double> decayed_commits_;
-  std::vector<double> decayed_execs_;
 
   std::uint64_t executions_at_last_rebuild_ = 0;
   std::uint64_t rebuilds_ = 0;

@@ -2,17 +2,15 @@
 //
 // The paper's testbed is one 4-core/8-thread Haswell socket, and the flat
 // `physical_cores` knob the configs grew up with describes exactly that. To
-// scale the scheduler to 64-128 hardware threads the placement structure has
-// to become explicit: which threads share a physical core (they split the
-// L1d transactional budget), and which share a socket (cross-socket
-// communication is what the NUMA cost-model extensions charge for).
+// simulate 64-128 hardware threads the placement structure has to become
+// explicit: which threads share a physical core (they split the L1d
+// transactional budget).
 //
 // Thread enumeration stays Linux-style: hardware thread t runs on physical
 // core `t % physical_cores()`, so core c hosts threads {c, c + P, c + 2P,
 // ...} — with smt_per_core == 2 that is exactly the legacy `t <->
 // t + physical_cores` sibling rule, which keeps every existing config the
-// 1-socket special case. Cores [0, cores_per_socket) are socket 0, the next
-// cores_per_socket are socket 1, and so on.
+// 1-socket special case.
 #pragma once
 
 #include <cstddef>
@@ -39,16 +37,6 @@ struct Topology {
 
   [[nodiscard]] constexpr std::size_t core_of(ThreadId t) const noexcept {
     return static_cast<std::size_t>(t) % physical_cores();
-  }
-  [[nodiscard]] constexpr std::size_t socket_of(ThreadId t) const noexcept {
-    return core_of(t) / cores_per_socket;
-  }
-  [[nodiscard]] constexpr bool same_socket(ThreadId a, ThreadId b) const noexcept {
-    return socket_of(a) == socket_of(b);
-  }
-  // Threads per socket, assuming a fully populated machine.
-  [[nodiscard]] constexpr std::size_t threads_per_socket() const noexcept {
-    return cores_per_socket * smt_per_core;
   }
 
   // The legacy flat config as a topology: one socket, SMT pairs.

@@ -30,17 +30,17 @@ CommitMode classify_commit(const LockList& held, bool used_sgl) noexcept {
 namespace {
 
 // ---------------------------------------------------------------------------
-// HLE: implicit elision. Tiny retry budget and, crucially, no waiting on the
-// fallback lock before re-attempting — which is exactly what produces the
-// lemming effect the paper describes (§5.1, citing Dice et al. [6]).
-class HlePolicy final : public Policy {
+// HLE and RTM: a plain retry loop, `budget` hardware attempts and then the
+// SGL. RTM is the software loop every production TSX runtime uses (budget
+// MAX_ATTEMPTS, wait while the SGL is locked before each attempt). HLE is
+// implicit elision: a tiny budget and, crucially, no waiting on the fallback
+// lock before re-attempting, which is exactly what produces the lemming
+// effect the paper describes (§5.1, citing Dice et al. [6]).
+class RetryPolicy final : public Policy {
  public:
-  explicit HlePolicy(int budget) : budget_(budget) {}
+  RetryPolicy(int budget, bool wait_sgl) : budget_(budget), wait_sgl_(wait_sgl) {}
 
-  void begin_tx(core::TxTypeId tx) override {
-    tx_ = tx;
-    attempts_ = budget_;
-  }
+  void begin_tx(core::TxTypeId) override { attempts_ = budget_; }
 
   Directive next_attempt() override {
     Directive d;
@@ -49,7 +49,7 @@ class HlePolicy final : public Policy {
       return d;
     }
     d.mode = Directive::Mode::kHardware;
-    d.wait_sgl = false;  // no lemming avoidance: retry blindly
+    d.wait_sgl = wait_sgl_;
     return d;
   }
 
@@ -59,41 +59,8 @@ class HlePolicy final : public Policy {
 
  private:
   int budget_;
+  bool wait_sgl_;
   int attempts_ = 0;
-  core::TxTypeId tx_ = core::kNoTx;
-};
-
-// ---------------------------------------------------------------------------
-// RTM: the software retry loop every production TSX runtime uses — budget of
-// MAX_ATTEMPTS and wait-while-SGL-locked before each attempt.
-class RtmPolicy final : public Policy {
- public:
-  explicit RtmPolicy(int budget) : budget_(budget) {}
-
-  void begin_tx(core::TxTypeId tx) override {
-    tx_ = tx;
-    attempts_ = budget_;
-  }
-
-  Directive next_attempt() override {
-    Directive d;
-    if (attempts_ <= 0) {
-      d.mode = Directive::Mode::kFallback;
-      return d;
-    }
-    d.mode = Directive::Mode::kHardware;
-    d.wait_sgl = true;
-    return d;
-  }
-
-  void on_abort(htm::AbortStatus) override { --attempts_; }
-
-  LockList on_commit(bool) override { return {}; }
-
- private:
-  int budget_;
-  int attempts_ = 0;
-  core::TxTypeId tx_ = core::kNoTx;
 };
 
 // ---------------------------------------------------------------------------
@@ -106,8 +73,7 @@ class ScmPolicy final : public Policy {
  public:
   explicit ScmPolicy(int budget) : budget_(budget) {}
 
-  void begin_tx(core::TxTypeId tx) override {
-    tx_ = tx;
+  void begin_tx(core::TxTypeId) override {
     attempts_ = budget_;
     want_aux_ = false;
     holds_aux_ = false;
@@ -151,7 +117,6 @@ class ScmPolicy final : public Policy {
   int attempts_ = 0;
   bool want_aux_ = false;
   bool holds_aux_ = false;
-  core::TxTypeId tx_ = core::kNoTx;
 };
 
 // ---------------------------------------------------------------------------
@@ -164,8 +129,7 @@ class AtsPolicy final : public Policy {
   AtsPolicy(PolicyShared& shared, core::ThreadId self, int budget)
       : shared_(shared), self_(self), budget_(budget) {}
 
-  void begin_tx(core::TxTypeId tx) override {
-    tx_ = tx;
+  void begin_tx(core::TxTypeId) override {
     attempts_ = budget_;
     holds_sched_ = false;
     serialize_ = shared_.ats_contention(self_) > shared_.config().ats.threshold;
@@ -212,7 +176,6 @@ class AtsPolicy final : public Policy {
   int attempts_ = 0;
   bool holds_sched_ = false;
   bool serialize_ = false;
-  core::TxTypeId tx_ = core::kNoTx;
 };
 
 // ---------------------------------------------------------------------------
@@ -403,6 +366,11 @@ class SeerPolicy final : public Policy {
     return rel;
   }
 
+  void on_abandon() override {
+    sched_.clear(self_);
+    drop_held();
+  }
+
   bool maintenance(std::uint64_t now) override {
     // Alg. 4 lines 52-54: one designated thread exploits SGL wait time (the
     // driver also calls this on the start path — DESIGN.md deviation #1).
@@ -521,9 +489,9 @@ std::unique_ptr<Policy> PolicyShared::make_thread_policy(core::ThreadId thread) 
   assert(thread < n_threads_);
   switch (cfg_.kind) {
     case PolicyKind::kHle:
-      return std::make_unique<HlePolicy>(cfg_.hle_attempts);
+      return std::make_unique<RetryPolicy>(cfg_.hle_attempts, /*wait_sgl=*/false);
     case PolicyKind::kRtm:
-      return std::make_unique<RtmPolicy>(cfg_.max_attempts);
+      return std::make_unique<RetryPolicy>(cfg_.max_attempts, /*wait_sgl=*/true);
     case PolicyKind::kScm:
       return std::make_unique<ScmPolicy>(cfg_.max_attempts);
     case PolicyKind::kAts:

@@ -18,6 +18,8 @@
 //         run one hardware attempt (subscribed to the SGL word)
 //         committed ? policy.on_commit(hardware=true) -> release list
 //                   : policy.on_abort(status); continue
+//   on any other exception from the body: release every held lock,
+//     policy.on_abandon(), rethrow
 //
 // Policies never block and never touch memory shared with transaction
 // bodies; all waiting/acquiring is performed by the driver, which is what
@@ -111,6 +113,12 @@ class Policy {
   // Returns the locks the driver must now release (SGL excluded; the driver
   // manages the SGL itself).
   [[nodiscard]] virtual LockList on_commit(bool hardware) = 0;
+
+  // The body threw something other than an abort: the transaction ends
+  // without committing or aborting. The driver has already released every
+  // lock it held for this transaction; the policy drops whatever else it
+  // keeps for it.
+  virtual void on_abandon() {}
 
   // Called by the driver at transaction start and while the thread is
   // waiting (e.g. on the SGL) so a designated thread can run scheme

@@ -133,6 +133,12 @@ void ThreadedExecutor::ThreadHandle::finish(bool hardware, LockList& held) {
   held.clear();
 }
 
+void ThreadedExecutor::ThreadHandle::abandon(LockList& held) {
+  for (const LockId& id : held) exec_->locks_.get(id).unlock();
+  held.clear();
+  policy_->on_abandon();
+}
+
 ExecutorStats ThreadedExecutor::aggregate(
     const std::vector<std::unique_ptr<ThreadHandle>>& handles) {
   ExecutorStats stats;

@@ -19,10 +19,8 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
-#include "core/topology.hpp"
 #include "htm/soft_htm.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -97,12 +95,6 @@ class ThreadedExecutor {
     std::size_t n_threads = 4;
     std::size_t n_types = 4;
     std::size_t physical_cores = 4;
-    // Optional machine shape forwarded to the Seer scheduler (NUMA-aware
-    // shard layout). When set, keep physical_cores equal to its
-    // sockets x cores_per_socket — LockSpace's core slice is sized from
-    // physical_cores and the scheduler derives the same count from the
-    // topology.
-    std::optional<core::Topology> topology;
 
     // --- observability (src/obs/, DESIGN.md §8) --------------------------
     // Optional sinks shared by the executor, the SoftHtm contexts it owns
@@ -118,7 +110,9 @@ class ThreadedExecutor {
   class ThreadHandle {
    public:
     // Executes one transaction of type `tx` to completion under the policy.
-    // Returns how it ultimately committed.
+    // Returns how it ultimately committed. A body that throws anything but
+    // an abort has its updates rolled back, every lock released and the
+    // policy told (Policy::on_abandon); the exception then propagates.
     template <typename Body>
     CommitMode run(core::TxTypeId tx, Body&& body) {
       assert(tx >= 0 && static_cast<std::size_t>(tx) < exec_->opts_.n_types);
@@ -126,33 +120,38 @@ class ThreadedExecutor {
       policy_->begin_tx(tx);
       LockList held;
       std::uint64_t tx_attempts = 0;
-      while (true) {
-        const Directive d = policy_->next_attempt();
-        apply_releases(d, held);
-        acquire_locks(d, held);
-        if (d.mode == Directive::Mode::kFallback) {
-          run_fallback(body);
-          finish(/*hardware=*/false, held);
-          obs_tx_done(CommitMode::kSglFallback, tx, tx_attempts);
-          return CommitMode::kSglFallback;
+      try {
+        while (true) {
+          const Directive d = policy_->next_attempt();
+          apply_releases(d, held);
+          acquire_locks(d, held);
+          if (d.mode == Directive::Mode::kFallback) {
+            run_fallback(body);
+            finish(/*hardware=*/false, held);
+            obs_tx_done(CommitMode::kSglFallback, tx, tx_attempts);
+            return CommitMode::kSglFallback;
+          }
+          wait_locks(d);
+          ++counters_.hw_attempts;
+          ++tx_attempts;
+          const htm::AbortStatus status = hw_attempt(body);
+          if (status.raw() == htm::kXBeginStarted) {
+            const CommitMode mode = classify_commit(held, /*used_sgl=*/false);
+            counters_.commits_by_mode[static_cast<std::size_t>(mode)]++;
+            finish(/*hardware=*/true, held);
+            obs_tx_done(mode, tx, tx_attempts);
+            return mode;
+          }
+          counters_.aborts_by_cause[static_cast<std::size_t>(status.cause())]++;
+          if (exec_->opts_.metrics != nullptr) {
+            exec_->opts_.metrics->add(
+                exec_->m_aborts_[static_cast<std::size_t>(status.cause())], id_);
+          }
+          policy_->on_abort(status);
         }
-        wait_locks(d);
-        ++counters_.hw_attempts;
-        ++tx_attempts;
-        const htm::AbortStatus status = hw_attempt(body);
-        if (status.raw() == htm::kXBeginStarted) {
-          const CommitMode mode = classify_commit(held, /*used_sgl=*/false);
-          counters_.commits_by_mode[static_cast<std::size_t>(mode)]++;
-          finish(/*hardware=*/true, held);
-          obs_tx_done(mode, tx, tx_attempts);
-          return mode;
-        }
-        counters_.aborts_by_cause[static_cast<std::size_t>(status.cause())]++;
-        if (exec_->opts_.metrics != nullptr) {
-          exec_->opts_.metrics->add(
-              exec_->m_aborts_[static_cast<std::size_t>(status.cause())], id_);
-        }
-        policy_->on_abort(status);
+      } catch (...) {
+        abandon(held);
+        throw;
       }
     }
 
@@ -226,6 +225,10 @@ class ThreadedExecutor {
       // while we hold the SGL — so the retry loop terminates.
       WordLock& sgl = exec_->locks_.sgl();
       sgl.lock();
+      struct Unlock {  // a throwing body must not leave the SGL held
+        WordLock& lock;
+        ~Unlock() { lock.unlock(); }
+      } unlock{sgl};
       util::Backoff backoff;
       while (true) {
         const htm::AbortStatus s =
@@ -233,7 +236,6 @@ class ThreadedExecutor {
         if (s.raw() == htm::kXBeginStarted) break;
         backoff.pause();
       }
-      sgl.unlock();
       counters_.commits_by_mode[static_cast<std::size_t>(CommitMode::kSglFallback)]++;
     }
 
@@ -241,6 +243,7 @@ class ThreadedExecutor {
     void acquire_locks(const Directive& d, LockList& held);
     void wait_locks(const Directive& d);
     void finish(bool hardware, LockList& held);
+    void abandon(LockList& held);
 
     [[nodiscard]] static std::uint64_t now() noexcept;
 
@@ -279,9 +282,6 @@ class ThreadedExecutor {
     // output byte-stable.
     if (policy.seer.metrics != nullptr) policy.seer.measure_rebuild_ns = true;
     if (policy.seer.obs_trace == nullptr) policy.seer.obs_trace = opts.trace;
-    if (opts.topology && !policy.seer.topology) {
-      policy.seer.topology = opts.topology;
-    }
     // LockSpace is sized from opts.physical_cores; SeerPolicy indexes its core
     // slice with my_core_ = thread % seer.physical_cores, so keep them in sync.
     policy.seer.physical_cores = opts.physical_cores;

@@ -29,9 +29,6 @@ struct Machine::ThreadCtx {
   // the simulator has but a commodity HTM would not reveal. Forwarded via
   // Policy::on_conflict_attribution (used by the Oracle baseline only).
   core::TxTypeId pending_culprit = core::kNoTx;
-  // Aggressor *thread* behind the same abort (-1 = none): the NUMA cost
-  // model charges extra rollback latency when it ran on another socket.
-  std::int32_t pending_culprit_thread = -1;
 
   enum class St : std::uint8_t {
     kIdle,        // between transactions
@@ -465,11 +462,9 @@ void Machine::start_hw(ThreadCtx& t) {
       const Time when = now_ + t.rng.below(window);
       if (t.rng.bernoulli(cfg_.p_newcomer_aborts)) {
         t.pending_culprit = other->inst.type;
-        t.pending_culprit_thread = static_cast<std::int32_t>(other->id);
         push(when, t.id, EventKind::kConflictAbort, t.gen);
       } else {
         other->pending_culprit = t.inst.type;
-        other->pending_culprit_thread = static_cast<std::int32_t>(t.id);
         push(when, other->id, EventKind::kConflictAbort, other->gen);
       }
     }
@@ -519,7 +514,6 @@ void Machine::abort_hw(ThreadCtx& t, htm::AbortStatus status) {
   ++t.gen;  // cancels the pending commit/capacity/other events
   stats_.aborts_by_cause[static_cast<std::size_t>(status.cause())]++;
   record_abort_obs(t, status);
-  std::uint64_t numa_extra = 0;
   if (status.cause() == htm::AbortCause::kConflict &&
       t.pending_culprit != core::kNoTx) {
     // Ground truth the HTM would never reveal: who actually killed whom.
@@ -527,20 +521,11 @@ void Machine::abort_hw(ThreadCtx& t, htm::AbortStatus status) {
                             workload_->n_types() +
                         static_cast<std::size_t>(t.pending_culprit)]++;
     t.policy->on_conflict_attribution(t.pending_culprit);
-    if (t.pending_culprit_thread >= 0 &&
-        !topo_.same_socket(
-            t.id, static_cast<core::ThreadId>(t.pending_culprit_thread))) {
-      // Remote invalidations: the victim's working set was torn down over
-      // the interconnect, so restart re-fetches lines cross-socket.
-      numa_extra = cfg_.costs.numa_abort_penalty;
-    }
   }
   t.pending_culprit = core::kNoTx;
-  t.pending_culprit_thread = -1;
   t.policy->on_abort(status);
   t.st = ThreadCtx::St::kIdle;
-  push(now_ + cfg_.costs.abort_penalty + numa_extra + scan_cost(), t.id,
-       EventKind::kResume, t.gen);
+  push(now_ + cfg_.costs.abort_penalty + scan_cost(), t.id, EventKind::kResume, t.gen);
 }
 
 void Machine::sgl_granted(ThreadCtx& t) {
@@ -570,7 +555,7 @@ void Machine::sgl_done(ThreadCtx& t) {
   const auto out = sgl_.release(t.id);
   t.pending_cost += cfg_.costs.cas;
   if (out.granted) {
-    push(now_ + handoff_cost(t.id, *out.granted), *out.granted,
+    push(now_ + cfg_.costs.lock_handoff, *out.granted,
          EventKind::kLockGranted, kAnyGen, rt::kSglLock);
   }
   for (const auto& n : out.notified) {
@@ -626,7 +611,7 @@ void Machine::release_one(ThreadCtx& t, rt::LockId id) {
   t.pending_cost += cfg_.costs.cas;
   const auto out = lock_of(id).release(t.id);
   if (out.granted) {
-    push(now_ + handoff_cost(t.id, *out.granted), *out.granted,
+    push(now_ + cfg_.costs.lock_handoff, *out.granted,
          EventKind::kLockGranted, kAnyGen, id);
   }
   for (const auto& n : out.notified) {

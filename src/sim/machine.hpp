@@ -67,13 +67,6 @@ struct CostModel {
   std::uint64_t announce = 6;            // active-table store (Alg. 1 l.5)
   std::uint64_t scan_per_slot = 2;       // Alg. 3 scan, per table slot
   std::uint64_t scheme_rebuild = 1200;   // Alg. 5 merge + inference
-  // NUMA asymmetry (multi-socket topologies; both default 0 = symmetric):
-  // extra cycles when a queued lock handoff crosses sockets (the lock line
-  // migrates over the interconnect, not the shared L3)...
-  std::uint64_t numa_handoff = 0;
-  // ...and extra rollback latency when a conflict abort's aggressor ran on
-  // another socket (the victim's dirty lines were invalidated remotely).
-  std::uint64_t numa_abort_penalty = 0;
 };
 
 struct MachineConfig {
@@ -82,9 +75,8 @@ struct MachineConfig {
   std::size_t physical_cores = 4;
   // Explicit sockets x cores x SMT shape (core/topology.hpp). Unset = the
   // legacy 1-socket view: flat(physical_cores) with SMT pairs, which keeps
-  // every existing config byte-identical. When set it is authoritative —
-  // `physical_cores` is derived from it, and the embedded Seer scheduler
-  // inherits the same topology so placement decisions agree.
+  // every existing config byte-identical. When set it is authoritative:
+  // `physical_cores` is derived from it.
   std::optional<core::Topology> topology;
   std::uint32_t cache_lines_per_core = 448;
   // Fraction of the (remaining) duration after which an over-capacity
@@ -257,13 +249,6 @@ class Machine {
 
   [[nodiscard]] SimLock& lock_of(rt::LockId id) noexcept;
   [[nodiscard]] std::uint32_t effective_capacity(const ThreadCtx& t) const noexcept;
-  // Queued-handoff latency from `from` to `to`: the base cost plus the NUMA
-  // surcharge when the two run on different sockets.
-  [[nodiscard]] Time handoff_cost(core::ThreadId from,
-                                  core::ThreadId to) const noexcept {
-    return cfg_.costs.lock_handoff +
-           (topo_.same_socket(from, to) ? 0 : cfg_.costs.numa_handoff);
-  }
   void schedule_capacity_check(ThreadCtx& t);
   [[nodiscard]] bool is_seer() const noexcept {
     return cfg_.policy.kind == rt::PolicyKind::kSeer;
@@ -278,12 +263,8 @@ class Machine {
   // Routes cfg-level obs sinks into the embedded Seer scheduler before
   // PolicyShared is constructed from the patched config.
   [[nodiscard]] static MachineConfig with_obs(MachineConfig cfg) {
-    // An explicit topology is authoritative for the core count and is
-    // forwarded to the embedded Seer scheduler so both agree on placement.
-    if (cfg.topology) {
-      cfg.physical_cores = cfg.topology->physical_cores();
-      if (!cfg.policy.seer.topology) cfg.policy.seer.topology = cfg.topology;
-    }
+    // An explicit topology is authoritative for the core count.
+    if (cfg.topology) cfg.physical_cores = cfg.topology->physical_cores();
     if (cfg.policy.seer.metrics == nullptr) cfg.policy.seer.metrics = cfg.metrics;
     if (cfg.policy.seer.obs_trace == nullptr) cfg.policy.seer.obs_trace = cfg.trace;
     if (cfg.policy.seer.recorder == nullptr) cfg.policy.seer.recorder = cfg.recorder;

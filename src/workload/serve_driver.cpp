@@ -308,14 +308,9 @@ StepOutput run_step_real(const Desc& desc, const OpenLoopConfig& ol,
   rt::ThreadedExecutor::Options eopts;
   eopts.n_threads = workers;
   eopts.n_types = gen->n_types();
-  // Cores, as in the deterministic backend: the config's topology (which
-  // also routes to the scheduler's shard layout), else one per worker.
-  if (desc.topology) {
-    eopts.physical_cores = desc.topology->physical_cores();
-    eopts.topology = *desc.topology;
-  } else {
-    eopts.physical_cores = workers;
-  }
+  // Cores, as in the deterministic backend: the config's topology, else
+  // one per worker.
+  eopts.physical_cores = desc.topology ? desc.topology->physical_cores() : workers;
   // A live telemetry hub wants the rt./htm./seer. counters on /metrics even
   // when the interval lines don't carry them, so collection follows either
   // flag.

@@ -70,34 +70,6 @@ TEST(BenchRunner, JobsCountDoesNotChangeResults) {
   }
 }
 
-TEST(BenchRunner, JobsInvarianceHoldsWithSampledStats) {
-  // Statistical sampling (stats_sample_period > 1) adds another seeded RNG
-  // stream to the Seer hot path; the byte-identical --jobs invariance must
-  // survive it — sampling decisions may depend on the run's own seed, never
-  // on worker scheduling.
-  const workload::Desc genome = workload::find("genome");
-  std::vector<Cell> cells;
-  for (std::size_t threads : {2u, 4u}) {
-    rt::PolicyConfig pol = policy_of(rt::PolicyKind::kSeer);
-    pol.seer.stats_sample_period = 4;
-    cells.push_back({genome, pol, threads, {}});
-  }
-
-  Options serial = tiny_options();
-  serial.jobs = 1;
-  const auto base = run_cells(cells, serial);
-  ASSERT_EQ(base.size(), cells.size());
-
-  Options pooled = tiny_options();
-  pooled.jobs = 8;
-  const auto par = run_cells(cells, pooled);
-  ASSERT_EQ(par.size(), cells.size());
-
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    expect_identical(base[i], par[i], i);
-  }
-}
-
 TEST(BenchRunner, RunRecordsCarryThroughput) {
   Options opts = tiny_options();
   opts.jobs = 2;
@@ -196,15 +168,12 @@ TEST(BenchRunner, EmptyJsonPathIsNoOp) {
 namespace {
 
 std::string snapshots_file(const std::vector<Cell>& cells, int jobs,
-                           const std::string& path,
-                           std::uint32_t sample_period = 1) {
-  std::vector<Cell> patched = cells;
-  for (Cell& c : patched) c.policy.seer.stats_sample_period = sample_period;
+                           const std::string& path) {
   Options opts = tiny_options();
   opts.jobs = jobs;
   opts.snapshots_path = path;
-  const auto results = run_cells(patched, opts);
-  write_outputs("fig3_slice", patched, results, opts);
+  const auto results = run_cells(cells, opts);
+  write_outputs("fig3_slice", cells, results, opts);
   std::ifstream in(path);
   EXPECT_TRUE(in.good()) << path;
   std::stringstream ss;
@@ -229,18 +198,6 @@ TEST(BenchRunner, SnapshotsOutputIsByteIdenticalForAnyJobsCount) {
       snapshots_file(cells, 8, ::testing::TempDir() + "bench_snap_j8.json");
   EXPECT_EQ(serial, two) << "--snapshots must be --jobs invariant, byte for byte";
   EXPECT_EQ(serial, pooled) << "--snapshots must be --jobs invariant, byte for byte";
-}
-
-TEST(BenchRunner, SnapshotsInvarianceHoldsWithSampledStats) {
-  // Deterministic stats sampling changes WHAT the model snapshots contain
-  // (scaled counters) but must not break the invariance: sampling decisions
-  // live inside the per-run slabs, keyed by the run's own seed.
-  const std::vector<Cell> cells = fig3_slice();
-  const std::string serial = snapshots_file(
-      cells, 1, ::testing::TempDir() + "bench_snap_sp_j1.json", 4);
-  const std::string pooled = snapshots_file(
-      cells, 8, ::testing::TempDir() + "bench_snap_sp_j8.json", 4);
-  EXPECT_EQ(serial, pooled);
 }
 
 TEST(BenchRunner, SnapshotsDumpIsValidVersionedJson) {

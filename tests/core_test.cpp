@@ -13,7 +13,6 @@
 #include "core/lock_scheme.hpp"
 #include "core/probability.hpp"
 #include "core/seer_scheduler.hpp"
-#include "util/rng.hpp"
 
 namespace seer::core {
 namespace {
@@ -100,67 +99,6 @@ TEST(ThreadStats, MergeSumsAcrossSlabs) {
   EXPECT_EQ(g.commit(0, 0), 1u);
   EXPECT_EQ(g.execs(0), 3u);
   EXPECT_EQ(g.total_executions(), 3u);
-}
-
-TEST(ThreadStats, SampledMergeScalesBackToEventUnits) {
-  ActiveTxTable active(2);
-  active.announce(1, 1);
-  ThreadStats stats(2, /*sample_period=*/4);
-  for (int i = 0; i < 8; ++i) stats.record_commit(0, 0, active);
-  // Events 1 and 5 are the sampled ones (the countdown starts hot so short
-  // runs still record); the merge scales the 2 physical bumps back to 8.
-  EXPECT_EQ(stats.commit_cell(0, 1), 2u);
-  GlobalStats g(2);
-  stats.merge_into(g);
-  EXPECT_EQ(g.commit(0, 1), 8u);
-  EXPECT_EQ(g.execs(0), 8u);
-  // Raw tallies are exact regardless of the sampling period.
-  EXPECT_EQ(stats.raw_events(), 8u);
-  EXPECT_EQ(stats.raw_commits(), 8u);
-}
-
-TEST(ThreadStats, SampledMergeConvergesToUnsampled) {
-  // Satellite check for the stats_sample_period extension: on a synthetic
-  // workload the scaled sampled matrix must converge to the unsampled one.
-  constexpr std::size_t kTypes = 4;
-  constexpr std::uint32_t kPeriod = 8;
-  ActiveTxTable active(4);
-  ThreadStats exact(kTypes, 1);
-  ThreadStats sampled(kTypes, kPeriod);
-  util::Xoshiro256 rng(2024);
-  for (int i = 0; i < 64000; ++i) {
-    // Re-announce the two concurrent peers now and then, abort ~25% of the
-    // time — both slabs see the IDENTICAL event stream.
-    if (i % 7 == 0) {
-      active.announce(1, static_cast<TxTypeId>(rng.below(kTypes)));
-      active.announce(2, static_cast<TxTypeId>(rng.below(kTypes)));
-    }
-    const auto tx = static_cast<TxTypeId>(rng.below(kTypes));
-    if (rng.below(4) == 0) {
-      exact.record_abort(tx, 0, active);
-      sampled.record_abort(tx, 0, active);
-    } else {
-      exact.record_commit(tx, 0, active);
-      sampled.record_commit(tx, 0, active);
-    }
-  }
-  GlobalStats ge(kTypes);
-  GlobalStats gs(kTypes);
-  exact.merge_into(ge);
-  sampled.merge_into(gs);
-  EXPECT_EQ(exact.raw_events(), sampled.raw_events());
-  for (TxTypeId x = 0; x < static_cast<TxTypeId>(kTypes); ++x) {
-    // ~16k executions per type; systematic 1-in-8 sampling stays well
-    // within 10% on every aggregate the inference consumes.
-    EXPECT_NEAR(static_cast<double>(gs.execs(x)), static_cast<double>(ge.execs(x)),
-                0.10 * static_cast<double>(ge.execs(x)));
-    for (TxTypeId y = 0; y < static_cast<TxTypeId>(kTypes); ++y) {
-      const double e = static_cast<double>(ge.abort(x, y) + ge.commit(x, y));
-      const double s = static_cast<double>(gs.abort(x, y) + gs.commit(x, y));
-      if (e < 500.0) continue;  // skip cells without statistical mass
-      EXPECT_NEAR(s, e, 0.15 * e) << "cell (" << int(x) << "," << int(y) << ")";
-    }
-  }
 }
 
 // -------------------------------------------------- ProbabilityModel -------
@@ -623,46 +561,6 @@ TEST(SeerScheduler, SchemeSwapsAfterRebuildWithEvidence) {
   EXPECT_FALSE(scheme->row(0).contains(2));
 }
 
-TEST(SeerScheduler, SampledStatsReachSameSchemeOnStrongSignal) {
-  SeerConfig base = small_config();
-  base.enable_hill_climbing = false;
-  base.initial_params = InferenceParams{.th1 = 0.05, .th2 = 0.6};
-  SeerConfig sampled_cfg = base;
-  sampled_cfg.stats_sample_period = 8;
-  SeerScheduler exact(base);
-  SeerScheduler sampled(sampled_cfg);
-
-  // The SchemeSwapsAfterRebuildWithEvidence workload, scaled x8 so the 1-in-8
-  // sampler sees enough physical events in every phase.
-  auto drive = [](SeerScheduler& s) {
-    s.announce(1, 1);
-    for (int i = 0; i < 90 * 8; ++i) s.record_abort(0, 0);
-    for (int i = 0; i < 10 * 8; ++i) s.record_commit(0, 0);
-    s.clear(1);
-    s.announce(1, 2);
-    for (int i = 0; i < 5 * 8; ++i) s.record_abort(0, 0);
-    for (int i = 0; i < 95 * 8; ++i) s.record_commit(0, 0);
-    s.clear(1);
-    s.force_update(1234);
-  };
-  drive(exact);
-  drive(sampled);
-
-  // Raw (unsampled) tallies stay exact, so rebuild cadence is unaffected.
-  EXPECT_EQ(sampled.total_commits(), exact.total_commits());
-  EXPECT_EQ(sampled.executions_seen(), exact.executions_seen());
-
-  const auto se = exact.scheme();
-  const auto ss = sampled.scheme();
-  for (TxTypeId x = 0; x < 3; ++x) {
-    for (TxTypeId y = 0; y < 3; ++y) {
-      EXPECT_EQ(ss->row(x).contains(y), se->row(x).contains(y))
-          << "(" << int(x) << "," << int(y) << ")";
-    }
-  }
-  EXPECT_TRUE(ss->row(0).contains(1));
-}
-
 TEST(SeerScheduler, HillClimberAdvancesWithEpochs) {
   SeerConfig cfg = small_config();
   cfg.enable_hill_climbing = true;
@@ -677,51 +575,12 @@ TEST(SeerScheduler, HillClimberAdvancesWithEpochs) {
   EXPECT_GT(s.tuning_epochs(), 2u);
 }
 
-TEST(SeerScheduler, StatsDecayForgetsStaleConflicts) {
-  // Extension (SeerConfig::stats_decay): a pair that was hot long ago but
-  // has gone quiet must eventually drop out of the scheme; without decay it
-  // never would (lifetime accumulation).
-  SeerConfig cfg = small_config();
-  cfg.enable_hill_climbing = false;
-  cfg.initial_params = InferenceParams{.th1 = 0.05, .th2 = 0.6};
-  cfg.stats_decay = 0.3;
-  SeerScheduler s(cfg);
-
-  // Phase 1: heavy 0<->1 conflicts plus benign 0-with-2 background.
-  for (int round = 0; round < 3; ++round) {
-    s.announce(1, 1);
-    for (int i = 0; i < 90; ++i) s.record_abort(0, 0);
-    for (int i = 0; i < 10; ++i) s.record_commit(0, 0);
-    s.clear(1);
-    s.announce(1, 2);
-    for (int i = 0; i < 95; ++i) s.record_commit(0, 0);
-    for (int i = 0; i < 5; ++i) s.record_abort(0, 0);
-    s.clear(1);
-    s.force_update(100 * (round + 1));
-  }
-  ASSERT_TRUE(s.scheme()->row(0).contains(1)) << "phase-1 conflict learned";
-
-  // Phase 2: the workload shifted — type 0 now always commits, with both
-  // peers around. The decayed evidence must fall below the thresholds.
-  for (int round = 0; round < 12; ++round) {
-    s.announce(1, 1);
-    s.announce(2, 2);
-    for (int i = 0; i < 100; ++i) s.record_commit(0, 0);
-    s.clear(1);
-    s.clear(2);
-    s.force_update(1000 + 100 * round);
-  }
-  EXPECT_FALSE(s.scheme()->row(0).contains(1))
-      << "decay failed to forget the stale conflict";
-}
-
 TEST(SeerScheduler, NoDecayKeepsLifetimeEvidence) {
-  // Control for the previous test: with the paper's pure accumulation the
-  // stale edge persists through the same phase shift.
+  // The paper's statistics accumulate for the whole run: a pair that was hot
+  // and then went quiet stays flagged through a phase shift.
   SeerConfig cfg = small_config();
   cfg.enable_hill_climbing = false;
   cfg.initial_params = InferenceParams{.th1 = 0.05, .th2 = 0.6};
-  cfg.stats_decay = 1.0;
   SeerScheduler s(cfg);
   for (int round = 0; round < 3; ++round) {
     s.announce(1, 1);
@@ -762,38 +621,6 @@ TEST(SeerScheduler, HillClimbingDisabledKeepsParams) {
   EXPECT_DOUBLE_EQ(s.params().th1, 0.3);
   EXPECT_DOUBLE_EQ(s.params().th2, 0.8);
   EXPECT_EQ(s.tuning_epochs(), 0u);
-}
-
-// Deterministic form of the rebuild-scaling acceptance criterion: with
-// 8-thread shards and a fold budget of 1, a rebuild folds one shard of 8
-// slabs no matter how many threads exist, so the per-rebuild merge work —
-// counted exactly in matrix cells, immune to CI-runner noise — must be flat
-// from 8 to 64 threads. (Wall time is demonstrated by bench/micro_core.)
-TEST(SeerScheduler, ShardedFoldBudgetKeepsPerRebuildWorkFlatAcrossThreads) {
-  auto cells_after_rebuilds = [](std::size_t n_threads, int rebuilds) {
-    SeerConfig cfg;
-    cfg.n_threads = n_threads;
-    cfg.n_types = 3;
-    cfg.update_period = 4;
-    cfg.stats_shard_threads = 8;
-    cfg.rebuild_fold_budget = 1;
-    SeerScheduler s(cfg);
-    std::uint64_t now = 0;
-    for (int r = 0; r < rebuilds; ++r) {
-      for (int i = 0; i < 4; ++i) s.record_commit(0, 0);
-      now += 100;
-      EXPECT_TRUE(s.maybe_update(0, now));
-    }
-    EXPECT_EQ(s.rebuild_count(), static_cast<std::uint64_t>(rebuilds));
-    return s.sharded_stats().cells_merged();
-  };
-  const std::uint64_t at8 = cells_after_rebuilds(8, 16);
-  const std::uint64_t at64 = cells_after_rebuilds(64, 16);
-  EXPECT_GT(at8, 0u);
-  // Acceptance bound is <= 2x; with this layout the folds are identical
-  // (one 8-slab shard per rebuild), so the ratio is exactly 1.
-  EXPECT_LE(at64, 2 * at8);
-  EXPECT_EQ(at64, at8);
 }
 
 TEST(SeerScheduler, StormProbeForcesEarlyRebuildAndKeepsReinferring) {

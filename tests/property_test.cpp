@@ -22,9 +22,8 @@
 #include <vector>
 
 #include "check/fault_plan.hpp"
-#include "core/active_tx_table.hpp"
-#include "core/sharded_stats.hpp"
 #include "check/opacity.hpp"
+#include "core/seer_scheduler.hpp"
 #include "htm/soft_htm.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -622,145 +621,152 @@ TEST(PropertyHarness, CheckerCatchesBrokenHtm) {
   }
 }
 
-// ---------------------------------------------- sharded-stats equivalence --
+// ------------------------------------------- scheduler statistics oracle --
 
 bool stats_equal(const core::GlobalStats& a, const core::GlobalStats& b) {
   return a.n_types == b.n_types && a.aborts == b.aborts &&
          a.commits == b.commits && a.executions == b.executions;
 }
 
-core::GlobalStats monolithic_merge(
-    std::size_t n_types,
-    const std::vector<std::unique_ptr<core::ThreadStats>>& slabs) {
-  core::GlobalStats out(n_types);
-  for (const auto& slab : slabs) slab->merge_into(out);
-  return out;
+// Alg. 3 as a plain count model: what each record adds to the merged
+// statistics, given the types announced in the other slots at that moment.
+void model_record(core::GlobalStats& model, const std::vector<core::TxTypeId>& active,
+                  core::ThreadId self, core::TxTypeId tx, bool commit) {
+  ++model.executions[static_cast<std::size_t>(tx)];
+  std::vector<std::uint64_t>& matrix = commit ? model.commits : model.aborts;
+  for (std::size_t i = 0; i < active.size(); ++i) {
+    if (i == self || active[i] == core::kNoTx) continue;
+    ++matrix[model.idx(tx, active[i])];
+  }
 }
 
-// Drives a seeded random event stream through per-thread slabs while folding
-// the sharded view with a random budget, and checks the rebuild-boundary
-// contract from sharded_stats.hpp: after any full fold round (fold-all, or
-// budget-k repeated until every shard has been visited) with no intervening
-// records, combined() is numerically identical to the monolithic merge.
-// Integer sums are associative, so ANY grouping must agree exactly — a
-// mismatch means a shard's subtract-then-add delta lost or double-counted a
-// cell.
+// Drives a seeded random event stream through a real SeerScheduler and
+// checks every rebuild against a test-local count model: the merge equals
+// the model cell for cell, and the published scheme is exactly Alg. 5 over
+// the model with the thresholds the rebuild used. Hill climbing stays on, so
+// those thresholds move between rebuilds.
 TEST(PropertyHarness, ShardedFoldMatchesMonolithicMergeAtRebuildBoundaries) {
   const std::uint64_t master = env_u64("SEER_PROPERTY_SEED", 0);
   const std::uint64_t iters = master != 0 ? 1 : env_u64("SEER_PROPERTY_ITERS", 25);
   for (std::uint64_t i = 0; i < iters; ++i) {
     const std::uint64_t seed = master != 0 ? master : 0x5A4D000u + i;
     util::Xoshiro256 rng(seed);
-    const std::size_t n_types = 1 + rng.below(6);
-    const std::size_t n_threads = 1 + rng.below(64);
-    const std::uint32_t sample_period =
-        static_cast<std::uint32_t>(1 + rng.below(4));
-
-    std::vector<std::unique_ptr<core::ThreadStats>> slabs;
-    slabs.reserve(n_threads);
-    for (std::size_t t = 0; t < n_threads; ++t) {
-      slabs.push_back(
-          std::make_unique<core::ThreadStats>(n_types, sample_period));
-    }
-    std::vector<std::size_t> shard_sizes;
-    for (std::size_t done = 0; done < n_threads;) {
-      const std::size_t sz =
-          std::min(n_threads - done, std::size_t{1} + rng.below(9));
-      shard_sizes.push_back(sz);
-      done += sz;
-    }
-    core::ShardedStats sharded(n_types, shard_sizes);
-    core::ActiveTxTable active(n_threads);
+    core::SeerConfig cfg;
+    cfg.n_types = 1 + rng.below(6);
+    cfg.n_threads = 1 + rng.below(64);
+    cfg.seed = seed;
+    core::SeerScheduler sched(cfg);
+    core::GlobalStats model(cfg.n_types);
+    std::vector<core::TxTypeId> active(cfg.n_threads, core::kNoTx);
+    std::uint64_t now = 0;
 
     for (int round = 0; round < 8; ++round) {
       // A burst of records with a random subset of threads concurrently
       // active (the scan path reads the whole table).
       const std::size_t burst = 50 + rng.below(200);
       for (std::size_t e = 0; e < burst; ++e) {
-        const core::ThreadId t =
-            static_cast<core::ThreadId>(rng.below(n_threads));
-        const core::TxTypeId ty =
-            static_cast<core::TxTypeId>(rng.below(n_types));
-        active.announce(t, ty);
-        if (rng.bernoulli(0.4)) {
-          slabs[t]->record_abort(ty, t, active);
+        const auto t = static_cast<core::ThreadId>(rng.below(cfg.n_threads));
+        const auto ty = static_cast<core::TxTypeId>(rng.below(cfg.n_types));
+        sched.announce(t, ty);
+        active[t] = ty;
+        const bool commit = !rng.bernoulli(0.4);
+        if (commit) {
+          sched.record_commit(t, ty);
         } else {
-          slabs[t]->record_commit(ty, t, active);
+          sched.record_abort(t, ty);
         }
-        if (rng.bernoulli(0.5)) active.clear(t);
+        model_record(model, active, t, ty, commit);
+        if (rng.bernoulli(0.5)) {
+          sched.clear(t);
+          active[t] = core::kNoTx;
+        }
       }
-      // A full fold round: either one fold-all, or budget-k fold_some calls
-      // until every shard has been re-folded (round-robin guarantees a full
-      // pass after ceil(n/k) calls).
-      if (rng.bernoulli(0.5)) {
-        sharded.fold_some(0, slabs);
-      } else {
-        const std::size_t k = 1 + rng.below(sharded.n_shards());
-        std::size_t folded = 0;
-        while (folded < sharded.n_shards()) folded += sharded.fold_some(k, slabs);
-      }
-      ASSERT_TRUE(stats_equal(sharded.combined(),
-                              monolithic_merge(n_types, slabs)))
-          << "sharded/monolithic divergence at seed " << seed << " round "
-          << round << " (" << n_threads << " threads, "
-          << sharded.n_shards() << " shards)\n"
+      now += 1 + rng.below(10000);
+      sched.force_update(now);
+      ASSERT_TRUE(stats_equal(sched.merged_stats(), model))
+          << "merge diverged from the count model at seed " << seed << " round "
+          << round << " (" << cfg.n_threads << " threads, " << cfg.n_types
+          << " types)\n"
           << "  replay: SEER_PROPERTY_SEED=" << seed
           << " ./build/tests/property_test "
              "--gtest_filter='*ShardedFoldMatchesMonolithic*'";
+      ASSERT_EQ(sched.scheme()->to_rows(),
+                core::build_lock_scheme(model, sched.params())->to_rows())
+          << "published scheme is not Alg. 5 over the model at seed " << seed
+          << " round " << round;
     }
   }
 }
 
 // Concurrency contract (runs under the tsan preset via the SANITIZE label):
-// recording threads keep hammering their single-writer slabs while a
-// maintenance thread folds shards with a bounded budget — the
-// ThreadStats::merge_into contract says the scan is safe against concurrent
-// owners. After the writers join, one quiescent fold-all must restore exact
-// agreement with the monolithic merge; the concurrent folds may observe torn
-// *sets* of cells (by design — stale-partial mixtures), but never corrupt
-// the running global.
+// 8 owners record through the scheduler while a maintenance thread keeps
+// rebuilding, so every rebuild's merge scans slabs their owners are still
+// writing (the ThreadStats::merge_into contract). The owners record against
+// a fixed set of announced background slots and never announce themselves,
+// so each can tally exactly what its own records add; after the join the
+// merge must equal the sum of those tallies.
 TEST(PropertyHarness, ConcurrentShardFoldsStayCoherentUnderTsan) {
-  const std::size_t n_types = 4;
-  const std::size_t n_threads = 8;
-  std::vector<std::unique_ptr<core::ThreadStats>> slabs;
-  for (std::size_t t = 0; t < n_threads; ++t) {
-    slabs.push_back(std::make_unique<core::ThreadStats>(n_types, 2));
+  constexpr std::size_t kTypes = 4;
+  constexpr std::size_t kWriters = 8;
+  const std::vector<core::TxTypeId> background{1, 3, 3};
+  core::SeerConfig cfg;
+  cfg.n_threads = kWriters + background.size();
+  cfg.n_types = kTypes;
+  core::SeerScheduler sched(cfg);
+  std::vector<core::TxTypeId> active(cfg.n_threads, core::kNoTx);
+  for (std::size_t b = 0; b < background.size(); ++b) {
+    sched.announce(static_cast<core::ThreadId>(kWriters + b), background[b]);
+    active[kWriters + b] = background[b];
   }
-  core::ShardedStats sharded(n_types, {3, 3, 2});
-  core::ActiveTxTable active(n_threads);
 
-  std::atomic<bool> stop{false};
+  std::vector<core::GlobalStats> tallies(kWriters, core::GlobalStats(kTypes));
+  std::atomic<std::size_t> done{0};
   std::vector<std::thread> writers;
-  writers.reserve(n_threads);
-  for (std::size_t t = 0; t < n_threads; ++t) {
+  writers.reserve(kWriters);
+  for (std::size_t t = 0; t < kWriters; ++t) {
     writers.emplace_back([&, t] {
+      const auto self = static_cast<core::ThreadId>(t);
       util::Xoshiro256 rng(0xC0FFEE + t);
-      for (int e = 0; e < 20000 && !stop.load(std::memory_order_relaxed); ++e) {
-        const core::TxTypeId ty =
-            static_cast<core::TxTypeId>(rng.below(n_types));
-        active.announce(static_cast<core::ThreadId>(t), ty);
-        if (rng.bernoulli(0.3)) {
-          slabs[t]->record_abort(ty, static_cast<core::ThreadId>(t), active);
+      for (int e = 0; e < 20000; ++e) {
+        const auto ty = static_cast<core::TxTypeId>(rng.below(kTypes));
+        const bool commit = !rng.bernoulli(0.3);
+        if (commit) {
+          sched.record_commit(self, ty);
         } else {
-          slabs[t]->record_commit(ty, static_cast<core::ThreadId>(t), active);
+          sched.record_abort(self, ty);
         }
-        active.clear(static_cast<core::ThreadId>(t));
+        model_record(tallies[t], active, self, ty, commit);
       }
+      done.fetch_add(1, std::memory_order_release);
     });
   }
-  // The maintenance thread folds with budget 1 — the incremental path —
-  // concurrently with the writers, exactly the production interleaving.
+  // The maintenance thread rebuilds until every owner is done, exactly the
+  // production interleaving of thread 0's maintenance against recording.
   std::thread maintainer([&] {
-    for (int f = 0; f < 200; ++f) sharded.fold_some(1, slabs);
-    stop.store(true, std::memory_order_relaxed);
+    std::uint64_t now = 0;
+    do {
+      sched.force_update(now += 100);
+    } while (done.load(std::memory_order_acquire) < kWriters);
   });
-  maintainer.join();
   for (auto& w : writers) w.join();
+  maintainer.join();
 
-  sharded.fold_some(0, slabs);  // quiescent fold-all
-  EXPECT_TRUE(stats_equal(sharded.combined(), monolithic_merge(n_types, slabs)))
-      << "quiescent fold-all disagrees with the monolithic merge";
-  EXPECT_GE(sharded.total_folds(), 200u + 3u);
+  core::GlobalStats expected(kTypes);
+  for (const core::GlobalStats& tally : tallies) {
+    for (std::size_t c = 0; c < expected.aborts.size(); ++c) {
+      expected.aborts[c] += tally.aborts[c];
+      expected.commits[c] += tally.commits[c];
+    }
+    for (std::size_t x = 0; x < kTypes; ++x) {
+      expected.executions[x] += tally.executions[x];
+    }
+  }
+  EXPECT_TRUE(stats_equal(sched.merged_stats(), expected))
+      << "the merge lost or double-counted a concurrent record";
+  // One quiescent rebuild: its reused merge buffer must hold the same sum.
+  sched.force_update(std::uint64_t{1} << 40);
+  EXPECT_EQ(sched.scheme()->to_rows(),
+            core::build_lock_scheme(expected, sched.params())->to_rows());
 }
 
 }  // namespace

@@ -526,23 +526,6 @@ TEST(Machine, ExplicitFlatTopologyMatchesLegacyDefaultExactly) {
   }
 }
 
-// NUMA asymmetry must actually cost something: the same 2x2x2 shape with a
-// cross-socket handoff surcharge cannot finish faster than the symmetric
-// machine, and charging the surcharge moves the makespan.
-TEST(Machine, NumaHandoffSurchargeStretchesTheMakespan) {
-  auto cfg = base_config(rt::PolicyKind::kSeer, 8, 300, 5);
-  cfg.topology = core::Topology{2, 2, 2};
-  const MachineStats sym = run_machine(
-      cfg, std::make_unique<SyntheticWorkload>(all_conflict_params()));
-  cfg.costs.numa_handoff = 500;
-  cfg.costs.numa_abort_penalty = 300;
-  const MachineStats asym = run_machine(
-      cfg, std::make_unique<SyntheticWorkload>(all_conflict_params()));
-  EXPECT_EQ(sym.commits, asym.commits) << "costs must not change the work";
-  EXPECT_GT(asym.makespan, sym.makespan)
-      << "cross-socket surcharges never applied on an all-conflict run";
-}
-
 // ------------------------------------------------------------ open loop --
 
 TEST(MachineServe, LoneRequestCostsItsAttemptAndABurstSheds) {

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -121,6 +122,58 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyAtomicity,
                          ::testing::Values(PolicyKind::kHle, PolicyKind::kRtm,
                                            PolicyKind::kScm, PolicyKind::kAts,
                                            PolicyKind::kSgl, PolicyKind::kSeer));
+
+// A body that throws something other than an abort must leave no lock held
+// and no transaction announced, whichever policy runs it and whatever it
+// holds at the time. The thrower first aborts explicitly (SCM then takes its
+// aux lock), then overflows its write budget (Seer then takes its core lock),
+// then throws: HLE's budget of 2 puts that throw on the SGL path, and the SGL
+// policy throws on its only (SGL-path) call.
+class ThrowingBody : public ::testing::TestWithParam<PolicyKind> {};
+
+TEST_P(ThrowingBody, ReleasesEveryLockAndLetsOthersRun) {
+  const PolicyKind kind = GetParam();
+  htm::SoftHtm tm(htm::SoftHtm::Config{.max_read_set = 4, .max_write_set = 4});
+  ThreadedExecutor exec(tm, make_policy(kind), small_opts(2, 1));
+  auto thrower = exec.make_handle(0);
+  auto other = exec.make_handle(1);
+  htm::TmWord w{0};
+  std::vector<htm::TmWord> wide(8);
+  int calls = 0;
+  const auto body = [&](auto& tx) {
+    tx.write(w, tx.read(w) + 1);
+    ++calls;
+    if (kind != PolicyKind::kSgl && calls == 1) tx.abort(0x42);
+    if (kind != PolicyKind::kSgl && calls == 2) {
+      for (auto& x : wide) tx.write(x, 1);
+    }
+    throw std::runtime_error("foreign");
+  };
+  EXPECT_THROW((void)thrower->run(0, body), std::runtime_error);
+  EXPECT_EQ(calls, kind == PolicyKind::kSgl ? 1 : 3);
+  EXPECT_EQ(w.load(), 0u) << "the throwing attempt's write was rolled back";
+
+  // Checked before anyone else runs: a leaked lock would block `other`.
+  LockSpace& ls = exec.lock_space();
+  ASSERT_FALSE(ls.sgl().is_locked());
+  ASSERT_FALSE(ls.get(kAuxLock).is_locked());
+  ASSERT_FALSE(ls.get(kSchedLock).is_locked());
+  ASSERT_FALSE(ls.get(tx_lock(0)).is_locked());
+  for (std::uint16_t c = 0; c < 2; ++c) ASSERT_FALSE(ls.get(core_lock(c)).is_locked());
+  if (core::SeerScheduler* seer = exec.policy_shared().seer()) {
+    EXPECT_EQ(seer->active_table().peek(0), core::kNoTx);
+  }
+
+  (void)other->run(0, [&](auto& tx) { tx.write(w, tx.read(w) + 1); });
+  (void)thrower->run(0, [&](auto& tx) { tx.write(w, tx.read(w) + 1); });
+  EXPECT_EQ(w.load(), 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPolicies, ThrowingBody,
+                         ::testing::Values(PolicyKind::kHle, PolicyKind::kRtm,
+                                           PolicyKind::kScm, PolicyKind::kAts,
+                                           PolicyKind::kSgl, PolicyKind::kSeer,
+                                           PolicyKind::kOracle));
 
 TEST(ThreadedExecutor, BankInvariantUnderSeer) {
   htm::SoftHtm tm;

@@ -425,9 +425,9 @@ void report_metrics(const Value& metrics_doc, const Value& run) {
     if (!any) std::printf(" (no seer.*/sim.*/htm.* counters)");
     std::printf("\n");
     // Histograms carry the rebuild-cost telemetry (seer.rebuild.ns pairs with
-    // the seer.rebuild.shards_merged counter above): report count + mean and
-    // the top occupied power-of-two bucket so a fold-budget regression shows
-    // up as a mean shift without needing the raw bucket vector.
+    // the seer.rebuilds counter above): report count + mean and the top
+    // occupied power-of-two bucket so a rebuild-cost regression shows up as a
+    // mean shift without needing the raw bucket vector.
     const Value* hists = m != nullptr ? m->find("histograms") : nullptr;
     if (hists != nullptr && hists->is_object()) {
       for (const auto& [name, v] : hists->object) {
