@@ -95,8 +95,7 @@ struct Options {
   // Worker threads for the sweep: --jobs if given, else every hardware
   // thread (the simulator is single-threaded, so cells pack one per core).
   [[nodiscard]] std::size_t effective_jobs() const {
-    return jobs > 0 ? static_cast<std::size_t>(jobs)
-                    : util::ThreadPool::hardware_jobs();
+    return jobs > 0 ? static_cast<std::size_t>(jobs) : util::hardware_jobs();
   }
 
   // Resolves --workload arguments through the generator registry: each is a

@@ -127,7 +127,7 @@ void SeerScheduler::rebuild(std::uint64_t now) {
   // Hill-climber epoch boundary: score the thresholds that were live during
   // the epoch by the commit throughput they produced.
   if (cfg_.enable_hill_climbing &&
-      rebuilds_ - rebuilds_at_last_epoch_ >= cfg_.rebuilds_per_tuning_epoch) {
+      rebuilds_ - rebuilds_at_last_epoch_ >= kRebuildsPerTuningEpoch) {
     const std::uint64_t commits = total_commits();
     if (!epoch_clock_started_) {
       epoch_clock_started_ = true;
@@ -192,7 +192,7 @@ void SeerScheduler::rebuild(std::uint64_t now) {
   // the recorder's trigger — periodic cadence or storm entry — fires.
   if (recorder_ != nullptr) {
     const obs::RebuildSample sample{now, rebuilds_, executions_seen(),
-                                    total_commits()};
+                                    total_commits(), sgl_fallbacks()};
     if (recorder_->on_rebuild(sample)) {
       recorder_->record(make_model_snapshot(now));
     }
@@ -207,7 +207,7 @@ obs::ModelSnapshot SeerScheduler::make_model_snapshot(std::uint64_t now) const {
   snap.rebuild = rebuilds_;
   snap.executions = executions_seen();
   snap.commits = total_commits();
-  snap.sgl_fallbacks = recorder_ != nullptr ? recorder_->sgl_fallbacks() : 0;
+  snap.sgl_fallbacks = sgl_fallbacks();
   snap.th1 = params_.th1;
   snap.th2 = params_.th2;
   const HillClimber::State hc = climber_.state();

@@ -2,8 +2,8 @@
 // the per-thread statistics, the lock-scheme inference (Alg. 5) and the
 // threshold self-tuning.
 //
-// This class is backend-agnostic: the threaded runtime (over SoftHtm or real
-// TSX) and the machine simulator both drive it through the same five calls:
+// This class is backend-agnostic: the threaded runtime (over SoftHtm) and
+// the machine simulator both drive it through the same five calls:
 //
 //   announce / clear          — Alg. 1 line 5 / Alg. 2 line 32
 //   record_abort / commit     — Alg. 3
@@ -50,8 +50,6 @@ struct SeerConfig {
   // The paper rebuilds opportunistically while waiting on the SGL; we also
   // rebuild every `update_period` executions (DESIGN.md deviation #1).
   std::uint64_t update_period = 512;
-  // Hill-climber epoch length, in scheme rebuilds per tuning step.
-  std::uint64_t rebuilds_per_tuning_epoch = 2;
 
   InferenceParams initial_params{};
   std::uint64_t seed = 1;
@@ -170,10 +168,10 @@ class SeerScheduler {
     return std::atomic_load_explicit(&scheme_, std::memory_order_acquire);
   }
 
-  // SGL fallback feed (any thread; the fallback path is already slow). The
-  // storm detector classifies rebuild windows by fallbacks-per-execution —
-  // always compiled, unlike the flight recorder's twin counter, because the
-  // re-inference loop must not change behaviour with SEER_OBS=OFF.
+  // SGL fallback feed (any thread; the fallback path is already slow),
+  // bumped when the policy issues the fallback directive. The storm
+  // detector and the flight recorder both classify rebuild windows by
+  // fallbacks per execution from this one counter, and snapshots report it.
   void note_sgl_fallback() noexcept {
     sgl_fallbacks_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -269,6 +267,8 @@ class SeerScheduler {
 
   std::uint64_t executions_at_last_rebuild_ = 0;
   std::uint64_t rebuilds_ = 0;
+  // Hill-climber epoch length, in scheme rebuilds per tuning step.
+  static constexpr std::uint64_t kRebuildsPerTuningEpoch = 2;
   std::uint64_t rebuilds_at_last_epoch_ = 0;
   std::uint64_t commits_at_last_epoch_ = 0;
   std::uint64_t time_at_last_epoch_ = 0;

@@ -3,10 +3,10 @@
 // The entire premise of the paper is that commodity HTMs give only a COARSE
 // abort categorization: a conflict happened, or capacity was exceeded, or an
 // explicit abort / interrupt occurred — never *which* transaction caused it.
-// Every backend in this project (real TSX, the software TM, the simulator)
-// reports aborts through this one status word, whose bit layout follows
-// Intel's <immintrin.h> _XABORT_* definitions so the real-TSX backend can
-// pass statuses through unchanged.
+// Both backends in this project (the software TM and the simulator) report
+// aborts through this one status word, whose bit layout follows Intel's
+// <immintrin.h> _XABORT_* definitions, so a status reads exactly as RTM
+// hardware would have reported it.
 #pragma once
 
 #include <cstdint>

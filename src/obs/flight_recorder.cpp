@@ -9,7 +9,7 @@
 namespace seer::obs {
 
 FlightRecorder::FlightRecorder(FlightRecorderConfig cfg)
-    : cfg_(cfg), detector_(cfg.storm()) {
+    : cfg_(cfg), detector_(cfg.storm) {
   if (cfg_.capacity == 0) cfg_.capacity = 1;
   ring_.reserve(cfg_.capacity);
 }
@@ -44,7 +44,7 @@ bool FlightRecorder::note_transition(AnomalyEpisode::Kind kind,
 bool FlightRecorder::on_rebuild(const RebuildSample& s) {
   // Windows below min_window_events keep accumulating inside the detector.
   const core::StormDetector::Result r =
-      detector_.on_window(s.executions, s.commits, sgl_fallbacks());
+      detector_.on_window(s.executions, s.commits, s.sgl_fallbacks);
   bool anomaly_entered = false;
   if (r.evaluated) {
     anomaly_entered |=

@@ -1,22 +1,22 @@
 // FlightRecorder — a bounded ring of ModelSnapshots plus an anomaly trigger,
 // the always-on "black box" for the Seer scheduler's learned model.
 //
-// The recorder never touches the per-transaction hot path. It is fed from
-// exactly two places:
-//   * note_sgl_fallback() — on the SGL fallback path (already the slow
-//     path by definition; one relaxed atomic increment);
-//   * on_rebuild() — once per scheme rebuild, on the designated maintenance
-//     thread, with the exact lifetime tallies the scheduler already holds.
-// on_rebuild() decides — from the capture period and the anomaly detectors —
+// The recorder never touches the per-transaction hot path. Its one feed is
+// on_rebuild(): once per scheme rebuild, on the designated maintenance
+// thread, with the exact lifetime tallies the scheduler already holds —
+// executions, commits and SGL fallbacks (the scheduler's own counter, which
+// every backend's policy bumps when it issues the fallback). on_rebuild()
+// decides — from the capture period and the anomaly detectors —
 // whether the caller should build a full ModelSnapshot and record() it. The
 // expensive part (merging matrices, copying the scheme) therefore happens
 // only for rebuilds that are actually retained.
 //
-// Anomaly detection works on the *window* between consecutive rebuilds:
+// Anomaly detection works on the *window* between consecutive rebuilds,
+// through the shared core::StormDetector:
 //   abort storm — window abort rate (1 - commits/executions) crosses
-//       `abort_rate_enter`; re-arms when it falls below `abort_rate_exit`;
+//       `storm.abort_rate_enter`; re-arms below `storm.abort_rate_exit`;
 //   SGL storm  — window SGL fallbacks per execution crosses
-//       `sgl_rate_enter`; re-arms below `sgl_rate_exit`.
+//       `storm.sgl_rate_enter`; re-arms below `storm.sgl_rate_exit`.
 // Both detectors carry hysteresis so a rate hovering around the threshold
 // produces one episode, not a capture per rebuild. Entering an episode
 // forces a capture (reason "anomaly") regardless of the periodic cadence;
@@ -26,7 +26,6 @@
 // so the scheduler never builds a snapshot, and to_json() returns "{}".
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -45,23 +44,11 @@ struct FlightRecorderConfig {
   // Capture every `period`-th rebuild; 0 disables periodic capture (anomaly
   // and final captures still fire).
   std::uint64_t period = 8;
-  // Abort-storm detector thresholds (window abort rate), with hysteresis.
-  double abort_rate_enter = 0.90;
-  double abort_rate_exit = 0.60;
-  // SGL-storm detector thresholds (window fallbacks per execution).
-  double sgl_rate_enter = 0.25;
-  double sgl_rate_exit = 0.05;
-  // Windows with fewer executions than this carry too little evidence to
-  // classify and are skipped by the detectors.
-  std::uint64_t min_window_events = 64;
-
-  // The recorder's thresholds as the shared core state machine's config
-  // (core/storm_detector.hpp — the same detector drives the scheduler's
-  // online re-inference loop, independent of SEER_OBS).
-  [[nodiscard]] core::StormConfig storm() const noexcept {
-    return core::StormConfig{abort_rate_enter, abort_rate_exit, sgl_rate_enter,
-                             sgl_rate_exit, min_window_events};
-  }
+  // Storm thresholds with hysteresis, and the evidence floor below which a
+  // window is not classified (core/storm_detector.hpp — the same detector
+  // drives the scheduler's online re-inference loop, independent of
+  // SEER_OBS).
+  core::StormConfig storm{};
 };
 
 // Per-rebuild feed for the trigger logic: exact lifetime tallies, cheap to
@@ -71,6 +58,7 @@ struct RebuildSample {
   std::uint64_t rebuild = 0;
   std::uint64_t executions = 0;
   std::uint64_t commits = 0;
+  std::uint64_t sgl_fallbacks = 0;
 };
 
 struct AnomalyEpisode {
@@ -99,14 +87,6 @@ class FlightRecorder {
   explicit FlightRecorder(FlightRecorderConfig cfg = {});
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
-
-  // --- feed (any thread; the SGL path is already slow) ---------------------
-  void note_sgl_fallback() noexcept {
-    sgl_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t sgl_fallbacks() const noexcept {
-    return sgl_fallbacks_.load(std::memory_order_relaxed);
-  }
 
   // --- trigger (designated maintenance thread only) ------------------------
   // Returns true when the caller should build a ModelSnapshot for this
@@ -157,8 +137,6 @@ class FlightRecorder {
   std::uint64_t captured_ = 0;
   std::function<void(const ModelSnapshot&)> publish_;
 
-  std::atomic<std::uint64_t> sgl_fallbacks_{0};
-
   // Trigger state (maintenance thread only). The hysteresis/windowing state
   // machine is the shared core detector; the recorder keeps only the
   // episode bookkeeping layered on its transitions.
@@ -176,8 +154,6 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  void note_sgl_fallback() noexcept {}
-  [[nodiscard]] std::uint64_t sgl_fallbacks() const noexcept { return 0; }
   [[nodiscard]] bool on_rebuild(const RebuildSample&) { return false; }
   void record(ModelSnapshot&&) {}
   void record_final(ModelSnapshot&&) {}

@@ -300,7 +300,7 @@ class SeerPolicy final : public Policy {
     Directive d;
     if (attempts_ <= 0) {
       // Alg. 1 lines 18-20: release every Seer lock, then take the SGL.
-      sched_.note_sgl_fallback();  // storm-detector feed (both backends)
+      sched_.note_sgl_fallback();  // storm detector + flight recorder feed
       d.mode = Directive::Mode::kFallback;
       d.releases = held_locks();
       drop_held();

@@ -1,10 +1,10 @@
 // ThreadedExecutor — the real-threads driver of the policy protocol.
 //
 // Reifies the symbolic lock space as WordLocks, runs transaction bodies over
-// a SoftHtm (or, with SEER_ENABLE_TSX, real RTM hardware) and drives any
-// Policy through the protocol documented in policy.hpp. This is the
-// embedding a downstream user links against: create one executor, one
-// ThreadHandle per thread, and call handle.run(txType, body).
+// a SoftHtm and drives any Policy through the protocol documented in
+// policy.hpp. This is the embedding a downstream user links against: create
+// one executor, one ThreadHandle per thread, and call handle.run(txType,
+// body).
 //
 // The transaction body must be a generic callable `void(auto& tx)` using
 // only tx.read / tx.write / tx.abort on htm::TmWord memory. Both paths run

@@ -15,7 +15,3 @@
 #include "runtime/threaded_executor.hpp"
 #include "sim/machine.hpp"
 #include "workload/registry.hpp"
-
-#if defined(SEER_ENABLE_TSX)
-#include "htm/tsx_backend.hpp"
-#endif

@@ -45,14 +45,11 @@ struct Machine::ThreadCtx {
 
 Machine::Machine(MachineConfig cfg, std::unique_ptr<Workload> workload)
     : cfg_(with_obs(std::move(cfg))),
-      topo_(cfg_.topology ? *cfg_.topology
-                          : core::Topology::flat(cfg_.physical_cores)),
       workload_(std::move(workload)),
       shared_(cfg_.policy, cfg_.n_threads, workload_->n_types()),
       tx_locks_(workload_->n_types()),
       core_locks_(cfg_.physical_cores) {
-  assert(topo_.valid());
-  assert(cfg_.n_threads > 0 && cfg_.n_threads <= topo_.hw_threads());
+  assert(cfg_.n_threads > 0 && cfg_.physical_cores > 0);
   stats_.commits_by_type.assign(workload_->n_types(), 0);
   stats_.gt_conflicts.assign(workload_->n_types() * workload_->n_types(), 0);
 
@@ -97,9 +94,9 @@ std::uint32_t Machine::effective_capacity(const ThreadCtx& t) const noexcept {
   // Core-mates (Linux-style enumeration: threads {c, c+P, c+2P, ...} share
   // physical core c) simultaneously in transactions split the core's
   // transactional budget — the pathology core locks exist to suppress. With
-  // the legacy 2-way SMT shape this is exactly the old halving rule.
-  const std::size_t p = topo_.physical_cores();
-  const std::size_t core = topo_.core_of(t.id);
+  // two threads per core this is the halving rule.
+  const std::size_t p = cfg_.physical_cores;
+  const std::size_t core = t.id % p;
   std::uint32_t sharers = 1;
   for (std::size_t m = core; m < cfg_.n_threads; m += p) {
     if (m != static_cast<std::size_t>(t.id) && threads_[m]->in_hw) ++sharers;
@@ -474,8 +471,8 @@ void Machine::start_hw(ThreadCtx& t) {
   // core-mate (whose effective budget we just shrank).
   t.capacity_scheduled = false;
   schedule_capacity_check(t);
-  const std::size_t p = topo_.physical_cores();
-  for (std::size_t m = topo_.core_of(t.id); m < cfg_.n_threads; m += p) {
+  const std::size_t p = cfg_.physical_cores;
+  for (std::size_t m = t.id % p; m < cfg_.n_threads; m += p) {
     if (m != static_cast<std::size_t>(t.id) && threads_[m]->in_hw) {
       schedule_capacity_check(*threads_[m]);
     }
@@ -533,7 +530,6 @@ void Machine::sgl_granted(ThreadCtx& t) {
   t.st = ThreadCtx::St::kRunningSgl;
   ++t.gen;
   if (cfg_.metrics != nullptr) cfg_.metrics->add(m_sgl_fallbacks_, t.id);
-  if (cfg_.recorder != nullptr) cfg_.recorder->note_sgl_fallback();
   if (cfg_.trace != nullptr) {
     cfg_.trace->emit(t.id, obs::TraceKind::kSglFallback, now_,
                      static_cast<std::uint64_t>(t.inst.type));

@@ -3,12 +3,12 @@
 // (DESIGN.md §1 explains the substitution).
 //
 // Modelled hardware:
-//   * `n_threads` hardware threads on `physical_cores` cores, SMT siblings
-//     mapped as thread t <-> t + physical_cores (Linux-style enumeration,
-//     which is what Alg. 4's `core % PHYSICAL_CORES` adapts to);
-//   * per-core transactional capacity (cache lines), HALVED for a thread
-//     whose SMT sibling is simultaneously transactional — the capacity
-//     amplification that motivates Seer's core locks;
+//   * `n_threads` hardware threads on `physical_cores` cores, thread t on
+//     core t % physical_cores (Linux-style enumeration, which is what
+//     Alg. 4's `core % PHYSICAL_CORES` adapts to);
+//   * per-core transactional capacity (cache lines), split among the
+//     core-mates simultaneously in transactions (HALVED for an SMT pair) —
+//     the capacity amplification that motivates Seer's core locks;
 //   * eager requester-wins conflict detection over genuinely sampled
 //     read/write line sets: a transaction beginning with a footprint that
 //     overlaps a running one kills it at some point in their coexistence
@@ -37,10 +37,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
-#include "core/topology.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -71,13 +69,9 @@ struct CostModel {
 
 struct MachineConfig {
   std::size_t n_threads = 8;
-  // Flat core count; superseded (derived) when `topology` is set.
+  // Hardware thread t runs on core t % physical_cores; threads sharing a
+  // core split its transactional capacity.
   std::size_t physical_cores = 4;
-  // Explicit sockets x cores x SMT shape (core/topology.hpp). Unset = the
-  // legacy 1-socket view: flat(physical_cores) with SMT pairs, which keeps
-  // every existing config byte-identical. When set it is authoritative:
-  // `physical_cores` is derived from it.
-  std::optional<core::Topology> topology;
   std::uint32_t cache_lines_per_core = 448;
   // Fraction of the (remaining) duration after which an over-capacity
   // transaction overflows and aborts.
@@ -115,8 +109,8 @@ struct MachineConfig {
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceSink* trace = nullptr;
   // Model flight recorder: routed into the Seer scheduler (periodic/anomaly
-  // snapshots at rebuilds), fed SGL-fallback notes by the machine, and handed
-  // a final end-of-run capture. Null disables; stubbed under SEER_OBS=OFF.
+  // snapshots at rebuilds) and handed a final end-of-run capture. Null
+  // disables; stubbed under SEER_OBS=OFF.
   obs::FlightRecorder* recorder = nullptr;
 };
 
@@ -263,8 +257,6 @@ class Machine {
   // Routes cfg-level obs sinks into the embedded Seer scheduler before
   // PolicyShared is constructed from the patched config.
   [[nodiscard]] static MachineConfig with_obs(MachineConfig cfg) {
-    // An explicit topology is authoritative for the core count.
-    if (cfg.topology) cfg.physical_cores = cfg.topology->physical_cores();
     if (cfg.policy.seer.metrics == nullptr) cfg.policy.seer.metrics = cfg.metrics;
     if (cfg.policy.seer.obs_trace == nullptr) cfg.policy.seer.obs_trace = cfg.trace;
     if (cfg.policy.seer.recorder == nullptr) cfg.policy.seer.recorder = cfg.recorder;
@@ -276,9 +268,6 @@ class Machine {
   }
 
   MachineConfig cfg_;
-  // Resolved shape: cfg_.topology, or the legacy flat view (1 socket, SMT
-  // pairs) when none was given — all placement queries go through this.
-  core::Topology topo_;
   std::unique_ptr<Workload> workload_;
   rt::PolicyShared shared_;
   EventQueue queue_;

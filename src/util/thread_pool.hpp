@@ -1,161 +1,60 @@
-// Fixed-size worker pool + deterministic indexed fan-out.
+// Deterministic indexed fan-out.
 //
 // The evaluation harness replays hundreds of independent, deterministic
-// simulator configurations; this pool lets them run on every host core while
-// keeping the OBSERVABLE result identical to a serial sweep: work is handed
-// out by index, each result lands in the slot of its submitting index, and
-// the caller consumes the vector in order. Scheduling nondeterminism can
+// simulator configurations; parallel_for_indexed runs them on every host
+// core while keeping the OBSERVABLE result identical to a serial sweep:
+// items are claimed by index, each result lands in the slot of its index,
+// and the caller consumes the vector in order. Scheduling nondeterminism can
 // change only wall-clock time, never output.
 #pragma once
 
-#include <condition_variable>
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
-#include <deque>
 #include <exception>
-#include <functional>
-#include <mutex>
 #include <thread>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace seer::util {
 
-class ThreadPool {
- public:
-  // Spawns `n_workers` threads (clamped to at least one).
-  explicit ThreadPool(std::size_t n_workers) {
-    if (n_workers == 0) n_workers = 1;
-    workers_.reserve(n_workers);
-    for (std::size_t i = 0; i < n_workers; ++i) {
-      workers_.emplace_back([this] { worker_loop(); });
-    }
-  }
+// Number of logical CPUs, with a sane floor when the runtime cannot tell.
+[[nodiscard]] inline std::size_t hardware_jobs() noexcept {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+}
 
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  // Drains: every task already submitted runs to completion before the
-  // workers are joined.
-  ~ThreadPool() {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stop_ = true;
-    }
-    cv_task_.notify_all();
-    for (auto& w : workers_) w.join();
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
-
-  // Tasks must not throw — wrap exceptions into state the caller owns
-  // (parallel_for_indexed does exactly that).
-  void submit(std::function<void()> task) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      queue_.push_back(std::move(task));
-    }
-    cv_task_.notify_one();
-  }
-
-  // Blocks until the queue is empty and no worker is mid-task.
-  void wait_idle() {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_idle_.wait(lk, [&] { return queue_.empty() && active_ == 0; });
-  }
-
-  // Number of logical CPUs, with a sane floor when the runtime cannot tell.
-  [[nodiscard]] static std::size_t hardware_jobs() noexcept {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<std::size_t>(hw);
-  }
-
- private:
-  void worker_loop() {
-    for (;;) {
-      std::function<void()> task;
-      {
-        std::unique_lock<std::mutex> lk(mu_);
-        cv_task_.wait(lk, [&] { return stop_ || !queue_.empty(); });
-        if (queue_.empty()) return;  // stop_ requested and nothing left
-        task = std::move(queue_.front());
-        queue_.pop_front();
-        ++active_;
-      }
-      task();
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        --active_;
-        if (queue_.empty() && active_ == 0) cv_idle_.notify_all();
-      }
-    }
-  }
-
-  std::mutex mu_;
-  std::condition_variable cv_task_;
-  std::condition_variable cv_idle_;
-  std::deque<std::function<void()>> queue_;
-  std::size_t active_ = 0;
-  bool stop_ = false;
-  std::vector<std::thread> workers_;
-};
-
-// Invokes fn(0) .. fn(n-1) on the pool's workers and returns the results in
-// index order (fn must be safe to call concurrently; results must be
-// default-constructible). Every item is attempted even if some throw; after
-// the batch completes, the exception of the LOWEST failing index is
-// rethrown, so error reporting is as deterministic as the results.
+// Invokes fn(0) .. fn(n-1) and returns the results in index order (fn must
+// be safe to call concurrently; results must be default-constructible).
+// `jobs <= 1` runs inline on the calling thread; otherwise min(jobs, n)
+// threads take indices from one atomic counter. Every item is attempted
+// even if some throw; afterwards the exception of the LOWEST failing index
+// is rethrown, so error reporting is as deterministic as the results.
 template <typename F>
-auto parallel_for_indexed(ThreadPool& pool, std::size_t n, F&& fn)
+auto parallel_for_indexed(std::size_t jobs, std::size_t n, F&& fn)
     -> std::vector<std::invoke_result_t<F&, std::size_t>> {
-  using R = std::invoke_result_t<F&, std::size_t>;
-  std::vector<R> results(n);
+  std::vector<std::invoke_result_t<F&, std::size_t>> results(n);
   std::vector<std::exception_ptr> errors(n);
-
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  std::size_t done = 0;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    pool.submit([&, i] {
+  std::atomic<std::size_t> next{0};
+  const auto drain = [&] {
+    for (std::size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
       try {
         results[i] = fn(i);
       } catch (...) {
         errors[i] = std::current_exception();
       }
-      {
-        // Notify while still holding the lock: the caller destroys done_cv
-        // the moment its wait sees done == n, so a notify after unlocking
-        // could touch a dead condition variable.
-        std::lock_guard<std::mutex> lk(done_mu);
-        if (++done == n) done_cv.notify_one();
-      }
-    });
+    }
+  };
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; jobs > 1 && t < std::min(jobs, n); ++t) {
+    threads.emplace_back(drain);
   }
-  {
-    std::unique_lock<std::mutex> lk(done_mu);
-    done_cv.wait(lk, [&] { return done == n; });
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (errors[i]) std::rethrow_exception(errors[i]);
+  if (threads.empty()) drain();
+  for (std::thread& th : threads) th.join();
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
   }
   return results;
-}
-
-// Convenience form: `jobs <= 1` runs inline on the calling thread (no pool,
-// no synchronization — bitwise the same results by construction); otherwise
-// a transient pool of min(jobs, n) workers is used.
-template <typename F>
-auto parallel_for_indexed(std::size_t jobs, std::size_t n, F&& fn)
-    -> std::vector<std::invoke_result_t<F&, std::size_t>> {
-  using R = std::invoke_result_t<F&, std::size_t>;
-  if (jobs <= 1 || n <= 1) {
-    std::vector<R> results(n);
-    for (std::size_t i = 0; i < n; ++i) results[i] = fn(i);
-    return results;
-  }
-  ThreadPool pool(jobs < n ? jobs : n);
-  return parallel_for_indexed(pool, n, std::forward<F>(fn));
 }
 
 }  // namespace seer::util

@@ -1,8 +1,10 @@
 #include "workload/serve_driver.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -23,10 +25,12 @@ namespace seer::workload {
 
 namespace {
 
-std::uint64_t wall_ns() {
+using Clock = std::chrono::steady_clock;
+using namespace std::chrono_literals;
+
+std::uint64_t wall_ns(Clock::time_point t = Clock::now()) {
   return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t.time_since_epoch())
           .count());
 }
 
@@ -53,45 +57,10 @@ std::uint64_t seconds_to_ns(double s) {
 
 // --- shared accounting ------------------------------------------------------
 
-// Counted-traffic totals, snapshotted for interval deltas.
+// Step-window totals, snapshotted for interval deltas.
 struct Totals {
-  std::uint64_t arrivals = 0;
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t completed = 0;
+  std::uint64_t arrivals = 0, accepted = 0, rejected = 0, completed = 0;
 };
-
-void append_interval_line(std::string& out, std::size_t step, double t_s,
-                          double rate_now, const Totals& cur, Totals& prev,
-                          std::size_t queue_depth,
-                          const util::LatencyBucketCounts& bcur,
-                          util::LatencyBucketCounts& bprev,
-                          const std::string& metric_fields) {
-  util::LatencyBucketCounts delta{};
-  for (std::size_t i = 0; i < util::kLatencyBucketCount; ++i) {
-    delta[i] = bcur[i] - bprev[i];
-  }
-  // Deterministic mode promises byte-identical output for a (config, seed)
-  // pair: every number goes through util/json_writer.hpp's %.9g or decimal.
-  util::json::Writer w(out);
-  w.begin_object()
-      .str("kind", "interval")
-      .u64("step", step)
-      .g9("t_s", t_s)
-      .g9("offered_rate", rate_now)
-      .u64("arrivals", cur.arrivals - prev.arrivals)
-      .u64("accepted", cur.accepted - prev.accepted)
-      .u64("rejected", cur.rejected - prev.rejected)
-      .u64("completed", cur.completed - prev.completed)
-      .u64("queue_depth", queue_depth)
-      .g9("p50_est_us", util::bucket_quantile_estimate(delta, 0.5) / 1000.0)
-      .g9("p99_est_us", util::bucket_quantile_estimate(delta, 0.99) / 1000.0)
-      .raw(metric_fields)
-      .end_object();
-  out += '\n';
-  prev = cur;
-  bprev = bcur;
-}
 
 StepStats finalize_step(double rate, double duration_s, const Totals& totals,
                         const util::LatencyHistogram& hist,
@@ -160,61 +129,57 @@ struct StepOutput {
   std::string jsonl;  // interval lines then the step line
 };
 
-// --- deterministic backend: open-loop sim::Machine --------------------------
-//
-// One rate step on the machine simulator's open-loop entry: the HTM model,
-// cost model and Policy objects of the paper exhibits, with requests
-// arriving on the ArrivalSchedule instead of each thread running a closed
-// loop. Gaps and instances come from one per-step RNG, so the arrival
-// stream is the same for every policy; the machine's own RNG (conflict
-// timing, background aborts) is seeded from it. Machine time is cycles,
-// converted to and from nanoseconds at the edges with cycles_per_us. The
-// output is a pure function of (config, policy, seed).
+// Cores for either backend: the config's topology, else one per worker.
+std::size_t physical_cores(const Desc& desc, std::size_t workers) {
+  return desc.topology ? desc.topology->physical_cores() : workers;
+}
 
-StepOutput run_step_virtual(const Desc& desc, const OpenLoopConfig& ol,
-                            const ServeOptions& opts, std::size_t step,
-                            double rate, double duration_s,
-                            std::size_t workers) {
+// Completion accounting, the same for both backends and safe from any
+// serving thread: `worker` picks the exact histogram (merged once the step
+// quiesces), `lane` the hub counter lane. Only counted requests — those
+// that arrived after warmup_s — reach the latency and SGL figures.
+struct Completions {
+  Completions(std::size_t workers, ServeTelemetry* t) : hists(workers), tel(t) {}
+
+  void record(std::size_t worker, core::ThreadId lane, bool counted,
+              std::uint64_t latency_ns, rt::CommitMode mode) {
+    ++completed;
+    if (tel_lane_ok(tel, lane)) tel->registry().add(tel->completed, lane);
+    if (!counted) return;
+    hists[worker].record(latency_ns);
+    buckets.record(latency_ns);
+    if (tel != nullptr) tel->latency().record(latency_ns);
+    if (mode == rt::CommitMode::kSglFallback) ++sgl_commits;
+  }
+
+  std::vector<util::LatencyHistogram> hists;
+  util::LatencyBuckets buckets;  // sampled by the interval lines
+  std::atomic<std::uint64_t> completed{0}, sgl_commits{0};
+  ServeTelemetry* tel;
+};
+
+// --- the step loop ----------------------------------------------------------
+//
+// One rate step, whichever backend serves it. The loop owns the per-step RNG
+// and ArrivalSchedule, the arrival/accepted/rejected accounting and its hub
+// lane, an interval line at every boundary k x emit_interval_ms inside
+// [0, warmup_s + duration_s], the stop check, the drain and the step line.
+// The backend supplies only what differs: gen() and lane(), advance(t_ns)
+// (run or wait through step time t_ns), offer(t_ns, inst) (false = shed),
+// queue_depth(), interval_fields() (extra interval members) and drain()
+// (serve everything accepted, then quiesce); completions come back through
+// Completions::record. A stop request ends arrivals and interval lines, then
+// the step drains and finalizes as if its window had closed.
+template <typename Backend>
+StepOutput run_step(const Desc& desc, const OpenLoopConfig& ol,
+                    const ServeOptions& opts, std::size_t step, double rate,
+                    double duration_s, std::size_t workers) {
   util::Xoshiro256 rng(step_seed(opts.seed, step));
   const ArrivalSchedule sched(ol, rate);
-
-  sim::MachineConfig mcfg;
-  mcfg.n_threads = workers;
-  mcfg.physical_cores = workers;  // one core per worker, unless a topology
-  if (desc.topology) mcfg.topology = *desc.topology;
-  mcfg.seed = rng.next();
-  mcfg.policy = opts.policy;
-  mcfg.policy.seer.seed = mcfg.seed;
-  // Deterministic bytes cannot depend on observability wiring.
-  mcfg.policy.seer.metrics = nullptr;
-  mcfg.policy.seer.obs_trace = nullptr;
-  mcfg.policy.seer.recorder = nullptr;
-  mcfg.policy.seer.measure_rebuild_ns = false;
-  sim::Machine machine(mcfg, desc.make(1));
-  sim::Workload& gen = machine.workload();
-  gen.init(0);
-
   const std::uint64_t end_ns = seconds_to_ns(ol.warmup_s + duration_s);
   const std::uint64_t emit_ns = ol.emit_interval_ms * 1000000ULL;
-  const double cycles_per_ns = ol.cycles_per_us / 1000.0;
-  const auto to_cycles = [&](std::uint64_t ns) {
-    return static_cast<sim::Time>(std::ceil(static_cast<double>(ns) * cycles_per_ns));
-  };
-  const sim::Time warmup_c = to_cycles(seconds_to_ns(ol.warmup_s));
 
-  util::LatencyHistogram hist;
-  util::LatencyBuckets buckets;
-  util::LatencyBucketCounts bprev{};
-  Totals totals, tprev;
-  std::uint64_t queue_peak = 0, sgl_commits = 0;
-  StepOutput out;
-
-  // Virtual lane = step index: concurrent --jobs steps each own a lane, so
-  // hub counters stay single-writer. Gauges race across steps (last writer
-  // wins) — acceptable for point-in-time values by definition.
   ServeTelemetry* const tel = opts.telemetry;
-  const auto tid = static_cast<core::ThreadId>(step);
-  const bool tl = tel_lane_ok(tel, step);
   if (tel != nullptr) {
     tel->set_offered_rate(rate);
     tel->registry().set_gauge(tel->step, step);
@@ -222,69 +187,166 @@ StepOutput run_step_virtual(const Desc& desc, const OpenLoopConfig& ol,
     tel->registry().set_gauge(tel->offered_rate_millirps,
                               static_cast<std::uint64_t>(rate * 1000.0 + 0.5));
   }
+  Completions done(workers, tel);
+  Backend b(desc, ol, opts, step, workers, rng, done);
+  const core::ThreadId lane = b.lane();
+  const bool tl = tel_lane_ok(tel, lane);
 
-  machine.serve(ol.queue_capacity, [&](const sim::Served& s) {
-    ++totals.completed;
-    if (tl) tel->registry().add(tel->completed, tid);
-    if (s.arrival < warmup_c) return;
-    const auto lat = static_cast<std::uint64_t>(
-        static_cast<double>(s.commit - s.arrival) / cycles_per_ns + 0.5);
-    hist.record(lat);
-    buckets.record(lat);
-    if (tel != nullptr) tel->latency().record(lat);
-    if (s.mode == rt::CommitMode::kSglFallback) ++sgl_commits;
-  });
+  Totals totals, tprev;
+  util::LatencyBucketCounts bprev{};
+  std::uint64_t queue_peak = 0;
+  StepOutput out;
 
-  // Interval lines for every boundary up to `t_ns` (and inside the window),
-  // each after the machine has run through it.
   std::uint64_t next_emit = emit_ns;
   const auto emit_through = [&](std::uint64_t t_ns) {
-    while (next_emit <= t_ns && next_emit <= end_ns) {
-      machine.advance(to_cycles(next_emit));
+    for (; next_emit <= std::min(t_ns, end_ns); next_emit += emit_ns) {
+      b.advance(next_emit);
+      if (stop_requested(opts)) return;
       const double t_s = static_cast<double>(next_emit) / 1e9;
-      const std::size_t depth = machine.queue_depth();
-      append_interval_line(out.jsonl, step, t_s, sched.rate_at(t_s), totals,
-                           tprev, depth, buckets.snapshot(), bprev, "");
-      next_emit += emit_ns;
+      const std::size_t depth = b.queue_depth();
+      if (tel != nullptr) tel->registry().set_gauge(tel->queue_depth, depth);
+      totals.completed = done.completed.load(std::memory_order_relaxed);
+      const util::LatencyBucketCounts bcur = done.buckets.snapshot();
+      util::LatencyBucketCounts delta{};
+      for (std::size_t i = 0; i < delta.size(); ++i) delta[i] = bcur[i] - bprev[i];
+      // Deterministic mode promises byte-identical output for a (config,
+      // seed) pair: every number goes through util/json_writer.hpp.
+      util::json::Writer w(out.jsonl);
+      w.begin_object()
+          .str("kind", "interval")
+          .u64("step", step)
+          .g9("t_s", t_s)
+          .g9("offered_rate", sched.rate_at(t_s))
+          .u64("arrivals", totals.arrivals - tprev.arrivals)
+          .u64("accepted", totals.accepted - tprev.accepted)
+          .u64("rejected", totals.rejected - tprev.rejected)
+          .u64("completed", totals.completed - tprev.completed)
+          .u64("queue_depth", depth)
+          .g9("p50_est_us", util::bucket_quantile_estimate(delta, 0.5) / 1000.0)
+          .g9("p99_est_us", util::bucket_quantile_estimate(delta, 0.99) / 1000.0)
+          .raw(b.interval_fields())
+          .end_object();
+      out.jsonl += '\n';
+      tprev = totals;
+      bprev = bcur;
     }
   };
 
+  sim::Workload& gen = b.gen();
   sim::TxInstance inst;
   std::uint64_t now = sched.next_gap_ns(0.0, rng);
-  // A stop request ends arrivals early; either way the step then runs out
-  // its window and drains exactly as if the window had closed.
   while (now < end_ns && !gen.exhausted(0) && !stop_requested(opts)) {
     emit_through(now);
+    b.advance(now);
+    if (stop_requested(opts)) break;
     gen.next(0, static_cast<double>(now) / static_cast<double>(end_ns), rng, inst);
     ++totals.arrivals;
-    if (tl) tel->registry().add(tel->arrivals, tid);
-    if (machine.arrive(to_cycles(now), std::move(inst))) {
+    if (tl) tel->registry().add(tel->arrivals, lane);
+    if (b.offer(now, std::move(inst))) {
       ++totals.accepted;
-      if (tl) tel->registry().add(tel->accepted, tid);
-      queue_peak = std::max<std::uint64_t>(queue_peak, machine.queue_depth());
+      if (tl) tel->registry().add(tel->accepted, lane);
+      queue_peak = std::max<std::uint64_t>(queue_peak, b.queue_depth());
     } else {
       ++totals.rejected;
-      if (tl) tel->registry().add(tel->rejected, tid);
-    }
-    if (tel != nullptr && (totals.arrivals & 0xFFF) == 0) {
-      const std::uint64_t w = wall_ns();
-      tel->producer_beat(w);
-      tel->worker_beat(w);
-      tel->registry().set_gauge(tel->queue_depth, machine.queue_depth());
+      if (tl) tel->registry().add(tel->rejected, lane);
     }
     now += sched.next_gap_ns(static_cast<double>(now) / 1e9, rng);
   }
   // The interval cadence runs to the end of the window even when the step
-  // quiesced early, so both backends emit the same line count.
+  // quiesced early, so every step of a config writes the same line count.
   emit_through(end_ns);
-  machine.drain();
+  b.drain();
+  if (tel != nullptr) tel->registry().set_gauge(tel->queue_depth, 0);
 
-  out.stats = finalize_step(rate, duration_s, totals, hist, queue_peak, sgl_commits);
+  totals.completed = done.completed.load();
+  util::LatencyHistogram hist;
+  for (const util::LatencyHistogram& h : done.hists) hist.merge(h);
+  out.stats = finalize_step(rate, duration_s, totals, hist, queue_peak,
+                            done.sgl_commits.load());
   append_step_line(out.jsonl, step, out.stats);
   return out;
 }
 
-// --- real backend: wall-clock producer, real transactions -------------------
+// --- deterministic backend: open-loop sim::Machine --------------------------
+//
+// The machine simulator's open-loop entry: the HTM model, cost model and
+// Policy objects of the paper exhibits, with requests arriving on the
+// ArrivalSchedule instead of each thread running a closed loop. Gaps and
+// instances come from the step RNG, so the arrival stream is the same for
+// every policy; the machine's own RNG (conflict timing, background aborts)
+// is seeded from it. Machine time is cycles, converted to and from
+// nanoseconds at the edges with cycles_per_us. The output is a pure
+// function of (config, policy, seed).
+class SimBackend {
+ public:
+  SimBackend(const Desc& desc, const OpenLoopConfig& ol, const ServeOptions& opts,
+             std::size_t step, std::size_t workers, util::Xoshiro256& rng,
+             Completions& done)
+      : machine_(config(desc, opts, workers, rng), desc.make(1)),
+        cycles_per_ns_(ol.cycles_per_us / 1000.0),
+        tel_(opts.telemetry),
+        lane_(static_cast<core::ThreadId>(step)) {  // one hub lane per --jobs step
+    machine_.workload().init(0);
+    const sim::Time warmup_c = to_cycles(seconds_to_ns(ol.warmup_s));
+    // The machine is single-threaded: every completion lands in the first
+    // histogram, on the step's lane.
+    machine_.serve(ol.queue_capacity, [this, &done, warmup_c](const sim::Served& s) {
+      const auto lat = static_cast<std::uint64_t>(
+          static_cast<double>(s.commit - s.arrival) / cycles_per_ns_ + 0.5);
+      done.record(0, lane_, s.arrival >= warmup_c, lat, s.mode);
+    });
+  }
+  SimBackend(const SimBackend&) = delete;  // the machine's callback holds `this`
+  SimBackend& operator=(const SimBackend&) = delete;
+
+  sim::Workload& gen() { return machine_.workload(); }
+  [[nodiscard]] core::ThreadId lane() const { return lane_; }
+  void advance(std::uint64_t t_ns) { machine_.advance(to_cycles(t_ns)); }
+  bool offer(std::uint64_t t_ns, sim::TxInstance&& inst) {
+    if (tel_ != nullptr && (++offered_ & 0xFFF) == 0) {
+      tel_->producer_beat(wall_ns());
+      tel_->worker_beat(wall_ns());
+    }
+    return machine_.arrive(to_cycles(t_ns), std::move(inst));
+  }
+  [[nodiscard]] std::size_t queue_depth() const { return machine_.queue_depth(); }
+  [[nodiscard]] std::string interval_fields() const { return {}; }
+  void drain() { machine_.drain(); }
+
+ private:
+  static sim::MachineConfig config(const Desc& desc, const ServeOptions& opts,
+                                   std::size_t workers, util::Xoshiro256& rng) {
+    sim::MachineConfig mcfg;
+    mcfg.n_threads = workers;
+    mcfg.physical_cores = physical_cores(desc, workers);
+    mcfg.seed = rng.next();
+    mcfg.policy = opts.policy;
+    mcfg.policy.seer.seed = mcfg.seed;
+    // Deterministic bytes cannot depend on observability wiring.
+    mcfg.policy.seer.metrics = nullptr;
+    mcfg.policy.seer.obs_trace = nullptr;
+    mcfg.policy.seer.recorder = nullptr;
+    mcfg.policy.seer.measure_rebuild_ns = false;
+    return mcfg;
+  }
+  [[nodiscard]] sim::Time to_cycles(std::uint64_t ns) const {
+    return static_cast<sim::Time>(std::ceil(static_cast<double>(ns) * cycles_per_ns_));
+  }
+
+  sim::Machine machine_;
+  double cycles_per_ns_;
+  ServeTelemetry* tel_;
+  core::ThreadId lane_;
+  std::uint64_t offered_ = 0;  // heartbeats every 4096 arrivals
+};
+
+// --- real backend: wall-clock pacing, real transactions ---------------------
+//
+// The step loop's thread is the producer: advance() sleeps coarsely, then
+// yield-spins to t0 + t_ns, and offer() stamps the request with its enqueue
+// time and pushes it into the MpmcQueue without ever blocking. Workers pop,
+// run the instance through the ThreadedExecutor over SoftHtm and record
+// completion - enqueue, queue wait included.
 
 struct Request {
   std::uint64_t enqueue_ns = 0;
@@ -292,241 +354,118 @@ struct Request {
   sim::TxInstance inst;
 };
 
-using Clock = std::chrono::steady_clock;
-
-StepOutput run_step_real(const Desc& desc, const OpenLoopConfig& ol,
-                         const ServeOptions& opts, std::size_t step,
-                         double rate, double duration_s, std::size_t workers) {
-  auto gen = desc.make(1);  // one lane: the producer samples all instances
-  const ArrivalSchedule sched(ol, rate);
-  const std::uint64_t warmup_ns = seconds_to_ns(ol.warmup_s);
-  const std::uint64_t end_ns = seconds_to_ns(ol.warmup_s + duration_s);
-
-  std::vector<htm::TmWord> words(ol.table_words);
-  htm::SoftHtm tm;
-  obs::MetricsRegistry metrics(workers);
-  rt::ThreadedExecutor::Options eopts;
-  eopts.n_threads = workers;
-  eopts.n_types = gen->n_types();
-  // Cores, as in the deterministic backend: the config's topology, else
-  // one per worker.
-  eopts.physical_cores = desc.topology ? desc.topology->physical_cores() : workers;
-  // A live telemetry hub wants the rt./htm./seer. counters on /metrics even
-  // when the interval lines don't carry them, so collection follows either
-  // flag.
-  ServeTelemetry* const tel = opts.telemetry;
-  eopts.metrics = opts.emit_metrics || tel != nullptr ? &metrics : nullptr;
-  rt::ThreadedExecutor exec(tm, opts.policy, eopts);
-  metrics.freeze();
-
-  const auto pid = static_cast<core::ThreadId>(workers);  // producer's lane
-  const bool tlp = tel_lane_ok(tel, workers);
-  if (tel != nullptr) {
-    tel->attach_step_registry(&metrics);
-    tel->set_offered_rate(rate);
-    tel->registry().set_gauge(tel->step, step);
-    tel->registry().set_gauge(tel->workers, workers);
-    tel->registry().set_gauge(tel->offered_rate_millirps,
-                              static_cast<std::uint64_t>(rate * 1000.0 + 0.5));
+class RealBackend {
+ public:
+  RealBackend(const Desc& desc, const OpenLoopConfig& ol, const ServeOptions& opts,
+              std::size_t /*step*/, std::size_t workers, util::Xoshiro256& /*rng*/,
+              Completions& done)
+      : opts_(opts),
+        tel_(opts.telemetry),
+        gen_(desc.make(1)),  // one lane: the producer samples all instances
+        words_(ol.table_words),
+        metrics_(workers),
+        // A live telemetry hub wants the rt./htm./seer. counters on /metrics
+        // even when the interval lines don't carry them.
+        exec_(tm_, opts.policy,
+              {.n_threads = workers,
+               .n_types = gen_->n_types(),
+               .physical_cores = physical_cores(desc, workers),
+               .metrics = opts.emit_metrics || tel_ != nullptr ? &metrics_ : nullptr}),
+        queue_(ol.queue_capacity),
+        deltas_(opts.emit_metrics ? &metrics_ : nullptr),
+        warmup_ns_(seconds_to_ns(ol.warmup_s)),
+        lane_(static_cast<core::ThreadId>(workers)) {
+    metrics_.freeze();
+    if (tel_ != nullptr) tel_->attach_step_registry(&metrics_);
+    gen_->init(0);
+    threads_.reserve(workers);
+    for (std::size_t t = 0; t < workers; ++t) {
+      threads_.emplace_back([this, t, &done] { work(t, done); });
+    }
+    t0_ = Clock::now();
   }
-  std::atomic<std::size_t> active_workers{0};
+  RealBackend(const RealBackend&) = delete;  // the workers hold `this`
+  RealBackend& operator=(const RealBackend&) = delete;
+  ~RealBackend() { drain(); }
 
-  util::MpmcQueue<Request> queue(ol.queue_capacity);
-  util::LatencyBuckets buckets;
-  std::vector<util::LatencyHistogram> hists(workers);
-  std::atomic<std::uint64_t> arrivals{0}, accepted{0}, rejected{0}, completed{0};
-  std::atomic<std::uint64_t> sgl_commits{0}, queue_peak{0};
-  std::atomic<bool> producer_done{false}, emitter_stop{false};
-  std::atomic<std::size_t> ready{0};
-  const std::size_t participants = workers + 1;  // workers + producer
-  const auto t0_ready = [&] {
-    ready.fetch_add(1);
-    while (ready.load() < participants) std::this_thread::yield();
-  };
-  // t0 is set by the producer once everyone is spinning; the emitter only
-  // reads it after the producer published it.
-  std::atomic<std::int64_t> t0_ns{0};
+  sim::Workload& gen() { return *gen_; }
+  [[nodiscard]] core::ThreadId lane() const { return lane_; }  // past the workers'
 
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (std::size_t t = 0; t < workers; ++t) {
-    threads.emplace_back([&, t] {
-      auto h = exec.make_handle(static_cast<core::ThreadId>(t));
-      const bool tlw = tel_lane_ok(tel, t);
-      if (tel != nullptr) {
-        tel->registry().set_gauge(
-            tel->active_workers, active_workers.fetch_add(1) + 1);
-      }
-      t0_ready();
-      Request r;
-      const auto serve_one = [&] {
-        const rt::CommitMode mode = run_instance(*h, words, r.inst);
-        const std::uint64_t now = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                Clock::now().time_since_epoch())
-                .count());
-        completed.fetch_add(1, std::memory_order_relaxed);
-        if (tlw) tel->registry().add(tel->completed, static_cast<core::ThreadId>(t));
-        if (tel != nullptr) tel->worker_beat(now);
-        if (r.counted) {
-          const std::uint64_t lat = now > r.enqueue_ns ? now - r.enqueue_ns : 0;
-          hists[t].record(lat);
-          buckets.record(lat);
-          if (tel != nullptr) tel->latency().record(lat);
-          if (mode == rt::CommitMode::kSglFallback) {
-            sgl_commits.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      };
-      for (;;) {
-        if (queue.try_pop(r)) {
-          serve_one();
-          continue;
-        }
-        if (producer_done.load(std::memory_order_acquire)) {
-          // The producer stopped pushing before setting the flag, so one
-          // more failed pop after observing it means the queue is drained
-          // (a pop-miss against an empty queue, not a half-pushed cell).
-          if (!queue.try_pop(r)) break;
-          serve_one();
-          continue;
-        }
+  // Chunked sleeps keep the producer heartbeat ticking and honour a stop
+  // request promptly even between low-rate arrivals.
+  void advance(std::uint64_t t_ns) {
+    const auto target = t0_ + std::chrono::nanoseconds(static_cast<std::int64_t>(t_ns));
+    for (;;) {
+      const auto now = Clock::now();
+      if (now >= target || stop_requested(opts_)) return;
+      if (tel_ != nullptr) tel_->producer_beat(wall_ns(now));
+      if (target - now > 200us) {
+        std::this_thread::sleep_for(
+            std::min<Clock::duration>(target - now - 100us, 50ms));
+      } else {
         std::this_thread::yield();
       }
-      if (tel != nullptr) {
-        tel->registry().set_gauge(tel->active_workers,
-                                  active_workers.fetch_sub(1) - 1);
-      }
-    });
+    }
+  }
+  bool offer(std::uint64_t t_ns, sim::TxInstance&& inst) {
+    return queue_.try_push(Request{wall_ns(), t_ns >= warmup_ns_, std::move(inst)});
+  }
+  [[nodiscard]] std::size_t queue_depth() const { return queue_.approx_size(); }
+  std::string interval_fields() { return deltas_.delta_fields({"rt.", "htm.", "seer."}); }
+  // Idempotent: the destructor drains too, so an exception out of the step
+  // loop still joins the workers.
+  void drain() {
+    producer_done_.store(true, std::memory_order_release);
+    for (std::thread& th : threads_) th.join();
+    threads_.clear();
+    // The per-step registry dies with this backend; an in-flight scrape
+    // holds the hub lock, so it finishes before detach returns.
+    if (tel_ != nullptr) tel_->attach_step_registry(nullptr);
   }
 
-  std::thread producer([&] {
-    gen->init(0);
-    util::Xoshiro256 rng(step_seed(opts.seed, step));
-    t0_ready();
-    const auto t0 = Clock::now();
-    t0_ns.store(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    t0.time_since_epoch())
-                    .count(),
-                std::memory_order_release);
-    sim::TxInstance inst;
-    std::uint64_t next_ns = sched.next_gap_ns(0.0, rng);
-    while (next_ns < end_ns && !gen->exhausted(0) && !stop_requested(opts)) {
-      const auto target =
-          t0 + std::chrono::nanoseconds(static_cast<std::int64_t>(next_ns));
-      for (;;) {  // sleep coarsely, then yield-spin the last stretch
-        const auto now = Clock::now();
-        if (now >= target || stop_requested(opts)) break;
-        if (tel != nullptr) {
-          tel->producer_beat(static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  now.time_since_epoch())
-                  .count()));
-        }
-        if (target - now > std::chrono::microseconds(200)) {
-          // Chunked so the heartbeat keeps ticking and a stop request is
-          // honoured promptly even between low-rate arrivals.
-          const auto nap =
-              std::min<Clock::duration>(target - now -
-                                            std::chrono::microseconds(100),
-                                        std::chrono::milliseconds(50));
-          std::this_thread::sleep_for(nap);
-        } else {
-          std::this_thread::yield();
-        }
-      }
-      if (stop_requested(opts)) break;
-      const double progress =
-          static_cast<double>(next_ns) / static_cast<double>(end_ns);
-      gen->next(0, progress, rng, inst);
-      Request r;
-      r.enqueue_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              Clock::now().time_since_epoch())
-              .count());
-      r.counted = next_ns >= warmup_ns;
-      r.inst = std::move(inst);
-      arrivals.fetch_add(1, std::memory_order_relaxed);
-      if (tlp) tel->registry().add(tel->arrivals, pid);
-      if (queue.try_push(std::move(r))) {
-        accepted.fetch_add(1, std::memory_order_relaxed);
-        if (tlp) tel->registry().add(tel->accepted, pid);
-        const std::uint64_t depth = queue.approx_size();
-        std::uint64_t cur = queue_peak.load(std::memory_order_relaxed);
-        while (depth > cur && !queue_peak.compare_exchange_weak(
-                                  cur, depth, std::memory_order_relaxed)) {
-        }
-      } else {
-        rejected.fetch_add(1, std::memory_order_relaxed);
-        if (tlp) tel->registry().add(tel->rejected, pid);
-      }
-      next_ns += sched.next_gap_ns(static_cast<double>(next_ns) / 1e9, rng);
+ private:
+  void work(std::size_t t, Completions& done) {
+    const auto id = static_cast<core::ThreadId>(t);
+    auto h = exec_.make_handle(id);
+    if (tel_ != nullptr) {
+      tel_->registry().set_gauge(tel_->active_workers, active_workers_.fetch_add(1) + 1);
     }
-    producer_done.store(true, std::memory_order_release);
-  });
-
-  // Interval emitter: the monitor thread. Samples the shared counters and
-  // the coarse bucket histogram on a wall-clock cadence; exact numbers come
-  // from the per-worker histograms after the step quiesces.
-  std::string interval_jsonl;
-  std::thread emitter([&] {
-    obs::PeriodicMetricsDelta deltas(opts.emit_metrics ? &metrics : nullptr);
-    util::LatencyBucketCounts bprev{};
-    Totals tprev;
-    while (t0_ns.load(std::memory_order_acquire) == 0 &&
-           !emitter_stop.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-    const auto t0 = std::chrono::time_point<Clock>(
-        std::chrono::nanoseconds(t0_ns.load(std::memory_order_acquire)));
-    std::uint64_t tick = 1;
-    while (!emitter_stop.load(std::memory_order_acquire)) {
-      const auto target =
-          t0 + std::chrono::milliseconds(
-                   static_cast<std::int64_t>(tick * ol.emit_interval_ms));
-      std::this_thread::sleep_until(target);
-      if (emitter_stop.load(std::memory_order_acquire)) break;
-      const double t_s =
-          std::chrono::duration<double>(Clock::now() - t0).count();
-      const Totals cur{arrivals.load(std::memory_order_relaxed),
-                       accepted.load(std::memory_order_relaxed),
-                       rejected.load(std::memory_order_relaxed),
-                       completed.load(std::memory_order_relaxed)};
-      if (tel != nullptr) {
-        tel->registry().set_gauge(tel->queue_depth, queue.approx_size());
+    for (Request r;;) {
+      // The producer stops pushing before it sets the flag, so a pop that
+      // fails after the flag was seen misses an empty queue, not a
+      // half-pushed cell: the queue is drained.
+      const bool producer_done = producer_done_.load(std::memory_order_acquire);
+      if (!queue_.try_pop(r)) {
+        if (producer_done) break;
+        std::this_thread::yield();
+        continue;
       }
-      append_interval_line(
-          interval_jsonl, step, t_s, sched.rate_at(t_s), cur, tprev,
-          queue.approx_size(), buckets.snapshot(), bprev,
-          opts.emit_metrics ? deltas.delta_fields({"rt.", "htm.", "seer."})
-                            : std::string());
-      ++tick;
+      const rt::CommitMode mode = run_instance(*h, words_, r.inst);
+      const std::uint64_t now = wall_ns();
+      if (tel_ != nullptr) tel_->worker_beat(now);
+      done.record(t, id, r.counted, now > r.enqueue_ns ? now - r.enqueue_ns : 0, mode);
     }
-  });
-
-  producer.join();
-  for (auto& th : threads) th.join();
-  emitter_stop.store(true, std::memory_order_release);
-  emitter.join();
-
-  if (tel != nullptr) {
-    // The per-step registry dies with this frame; an in-flight scrape holds
-    // the hub lock until its snapshot completes, so detaching here is safe.
-    tel->attach_step_registry(nullptr);
-    tel->registry().set_gauge(tel->queue_depth, 0);
+    if (tel_ != nullptr) {
+      tel_->registry().set_gauge(tel_->active_workers, active_workers_.fetch_sub(1) - 1);
+    }
   }
 
-  util::LatencyHistogram hist;
-  for (const util::LatencyHistogram& h : hists) hist.merge(h);
-  Totals totals{arrivals.load(), accepted.load(), rejected.load(),
-                completed.load()};
-  StepOutput out;
-  out.jsonl = std::move(interval_jsonl);
-  out.stats = finalize_step(rate, duration_s, totals, hist, queue_peak.load(),
-                            sgl_commits.load());
-  append_step_line(out.jsonl, step, out.stats);
-  return out;
-}
+  const ServeOptions& opts_;
+  ServeTelemetry* tel_;
+  std::unique_ptr<sim::Workload> gen_;
+  std::vector<htm::TmWord> words_;
+  htm::SoftHtm tm_;
+  obs::MetricsRegistry metrics_;
+  rt::ThreadedExecutor exec_;
+  util::MpmcQueue<Request> queue_;
+  obs::PeriodicMetricsDelta deltas_;
+  std::uint64_t warmup_ns_;
+  core::ThreadId lane_;
+  std::atomic<std::size_t> active_workers_{0};
+  std::atomic<bool> producer_done_{false};
+  std::vector<std::thread> threads_;
+  Clock::time_point t0_;
+};
 
 }  // namespace
 
@@ -582,8 +521,8 @@ ServeReport run_serve(const Desc& desc, const OpenLoopConfig& ol,
     // a serial sweep, which is the --jobs byte-identity contract.
     steps = util::parallel_for_indexed(
         opts.jobs, rates.size(), [&](std::size_t i) {
-          return run_step_virtual(desc, ol, opts, i, rates[i], duration_s,
-                                  workers);
+          return run_step<SimBackend>(desc, ol, opts, i, rates[i], duration_s,
+                                      workers);
         });
   } else {
     // Real steps share the machine; running two at once would corrupt both
@@ -591,7 +530,7 @@ ServeReport run_serve(const Desc& desc, const OpenLoopConfig& ol,
     for (std::size_t i = 0; i < rates.size(); ++i) {
       if (stop_requested(opts)) break;  // skip remaining steps, keep the log
       steps.push_back(
-          run_step_real(desc, ol, opts, i, rates[i], duration_s, workers));
+          run_step<RealBackend>(desc, ol, opts, i, rates[i], duration_s, workers));
     }
   }
   report.interrupted = stop_requested(opts);
@@ -615,7 +554,6 @@ ServeReport run_serve(const Desc& desc, const OpenLoopConfig& ol,
       report.knee_rate = s.offered_rate;
     }
   }
-  report.knee_rate = report.saturated ? report.knee_rate : 0.0;
 
   util::json::Writer summary(out);
   summary.begin_object()

@@ -16,7 +16,9 @@
 // per-worker latency histograms. Requests that arrive during `warmup_s`
 // carry counted=false and are executed but excluded from step statistics.
 //
-// Two backends share all accounting and JSONL formatting:
+// Two backends run every rate step through one step loop, which owns the
+// arrival schedule, all accounting and the JSONL formatting; an `interval`
+// line lands exactly at each emit_interval_ms boundary of the window:
 //
 //   * real          — wall-clock arrivals, real threads, real SoftHtm
 //                     transactions. The numbers are about this machine.
@@ -72,8 +74,9 @@ struct ServeOptions {
   // byte-identical to a plain one.
   ServeTelemetry* telemetry = nullptr;
   // Cooperative stop (SIGINT/SIGTERM in seer_serve), or nullptr for none.
-  // When it flips: the running step stops producing, drains its queue, and
-  // finalizes normally; remaining steps are skipped; the summary line gains
+  // When it flips, in either backend: the running step stops producing and
+  // writing interval lines, drains what it accepted, and finalizes
+  // normally; remaining steps are skipped; the summary line gains
   // "interrupted": true. Already-emitted lines keep their usual shape, so
   // an interrupted log still parses.
   const std::atomic<bool>* stop = nullptr;

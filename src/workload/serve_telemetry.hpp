@@ -90,9 +90,9 @@ class ServeTelemetry {
   }
 
   // --- per-step registry attachment (real mode) ----------------------------
-  // run_step_real attaches its per-step registry so /metrics can include the
-  // live rt./htm./seer. counters, and detaches (nullptr) before the registry
-  // is destroyed. The scrape thread snapshots under the same lock, so an
+  // The real serve backend attaches its per-step registry so /metrics can
+  // include the live rt./htm./seer. counters, and detaches (nullptr) before
+  // the registry is destroyed. The scrape thread snapshots under the same lock, so an
   // in-flight scrape finishes before detach returns.
   void attach_step_registry(const obs::MetricsRegistry* reg);
 

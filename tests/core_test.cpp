@@ -496,7 +496,6 @@ SeerConfig small_config() {
   cfg.n_threads = 4;
   cfg.n_types = 3;
   cfg.update_period = 10;
-  cfg.rebuilds_per_tuning_epoch = 2;
   return cfg;
 }
 

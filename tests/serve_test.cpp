@@ -1,12 +1,14 @@
 // Serving-harness building blocks (DESIGN.md §12): the MPMC admission
 // queue, exact/bucket latency accounting, the arrival schedule, open_loop
-// config validation, and the deterministic serve driver's contracts —
-// accounting identities, byte-identical reruns, and --jobs invariance, for
-// every policy on the simulated machine.
+// config validation, and the serve driver's contracts — accounting
+// identities, byte-identical reruns and --jobs invariance for every policy on
+// the simulated machine, and the interval and stop contracts of the one step
+// loop both backends share.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -492,6 +494,83 @@ TEST(ServeDriver, RealModeServesAndDrainsEverything) {
   EXPECT_EQ(s.completed, s.accepted);
   EXPECT_EQ(s.latency_count, s.completed);  // warmup_s = 0: all counted
   EXPECT_GT(s.max_ns, 0u);
+}
+
+// --- the step loop's contract, in both backends ------------------------------
+
+struct IntervalLine {
+  double t_s = 0.0;
+  std::uint64_t arrivals = 0;
+};
+
+std::vector<IntervalLine> interval_lines(const std::string& jsonl) {
+  std::vector<IntervalLine> out;
+  std::size_t pos = 0;
+  while (pos < jsonl.size()) {
+    const std::size_t eol = jsonl.find('\n', pos);
+    const auto line = parse_json(jsonl.substr(pos, eol - pos));
+    if (line.str("kind") == "interval") {
+      out.push_back({line.num("t_s"), line.u64("arrivals")});
+    }
+    pos = eol + 1;
+  }
+  return out;
+}
+
+TEST(ServeDriver, BothBackendsEmitOneIntervalLinePerBoundary) {
+  // A 0.25-s window (warmup included) at 50-ms intervals has five
+  // boundaries; each backend writes exactly one line at each, stamped with
+  // the boundary itself, and none while the step drains.
+  const auto desc = desc_of(service_config(R"({
+    "rate": 2000, "duration_s": 0.2, "warmup_s": 0.05, "queue_capacity": 256,
+    "workers": 2, "emit_interval_ms": 50, "table_words": 4096
+  })"));
+  seer::workload::ServeOptions opts;  // RTM
+  opts.seed = 9;
+  const auto real_a = interval_lines(run_serve(desc, *desc.open_loop, opts).jsonl);
+  const auto real_b = interval_lines(run_serve(desc, *desc.open_loop, opts).jsonl);
+  opts.deterministic = true;
+  const auto sim = interval_lines(run_serve(desc, *desc.open_loop, opts).jsonl);
+
+  const double boundaries[] = {0.05, 0.10, 0.15, 0.20, 0.25};
+  for (const auto* run : {&sim, &real_a, &real_b}) {
+    ASSERT_EQ(run->size(), std::size(boundaries));
+    for (std::size_t i = 0; i < run->size(); ++i) {
+      EXPECT_DOUBLE_EQ((*run)[i].t_s, boundaries[i]) << "interval " << i;
+    }
+  }
+  // Arrivals follow the seeded schedule, not the host's timing: two real
+  // runs with one seed split them across the intervals identically.
+  for (std::size_t i = 0; i < real_a.size(); ++i) {
+    EXPECT_EQ(real_a[i].arrivals, real_b[i].arrivals) << "interval " << i;
+  }
+}
+
+TEST(ServeDriver, StopRequestEndsTheStepAndKeepsTheIdentities) {
+  const auto desc = desc_of(service_config(R"({
+    "sweep": {"rates": [2000, 4000]}, "duration_s": 30, "queue_capacity": 256,
+    "workers": 2, "emit_interval_ms": 50, "table_words": 4096
+  })"));
+  std::atomic<bool> stop{false};
+  seer::workload::ServeOptions opts;  // real mode
+  opts.stop = &stop;
+  std::thread stopper([&stop] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    stop.store(true);
+  });
+  const auto start = std::chrono::steady_clock::now();
+  const auto report = run_serve(desc, *desc.open_loop, opts);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  stopper.join();
+
+  EXPECT_LT(elapsed, std::chrono::seconds(10));
+  EXPECT_TRUE(report.interrupted);
+  ASSERT_EQ(report.steps.size(), 1u);
+  const auto& s = report.steps[0];
+  EXPECT_GT(s.arrivals, 0u);
+  EXPECT_EQ(s.arrivals, s.accepted + s.rejected);
+  EXPECT_EQ(s.completed, s.accepted);
+  EXPECT_NE(report.jsonl.find("\"interrupted\": true"), std::string::npos);
 }
 
 }  // namespace

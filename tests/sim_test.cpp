@@ -498,34 +498,6 @@ TEST_P(SpeedupBound, NeverExceedsThreadCount) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, SpeedupBound, ::testing::Values(1u, 2u, 4u, 8u));
 
-// ------------------------------------------------------------ topology -----
-
-// The legacy-compatibility contract from machine.hpp: an explicit flat
-// topology (1 socket, SMT pairs) is the SAME machine as the default flat
-// view — every statistic must agree exactly, or old configs change meaning
-// the moment they spell out their shape.
-TEST(Machine, ExplicitFlatTopologyMatchesLegacyDefaultExactly) {
-  for (const auto kind : {rt::PolicyKind::kRtm, rt::PolicyKind::kSeer}) {
-    auto legacy_cfg = base_config(kind, 8, 300, 21);
-    legacy_cfg.physical_cores = 4;
-    auto explicit_cfg = legacy_cfg;
-    explicit_cfg.topology = core::Topology::flat(4);
-
-    const MachineStats a = run_machine(
-        legacy_cfg, std::make_unique<SyntheticWorkload>(all_conflict_params()));
-    const MachineStats b = run_machine(
-        explicit_cfg,
-        std::make_unique<SyntheticWorkload>(all_conflict_params()));
-    EXPECT_EQ(a.commits, b.commits) << rt::to_string(kind);
-    EXPECT_EQ(a.makespan, b.makespan) << rt::to_string(kind);
-    EXPECT_EQ(a.aborts_by_cause, b.aborts_by_cause) << rt::to_string(kind);
-    EXPECT_EQ(a.commits_by_mode, b.commits_by_mode) << rt::to_string(kind);
-    EXPECT_EQ(a.scheme_rebuilds, b.scheme_rebuilds) << rt::to_string(kind);
-    EXPECT_EQ(a.gt_conflicts, b.gt_conflicts) << rt::to_string(kind);
-    EXPECT_EQ(a.final_scheme, b.final_scheme) << rt::to_string(kind);
-  }
-}
-
 // ------------------------------------------------------------ open loop --
 
 TEST(MachineServe, LoneRequestCostsItsAttemptAndABurstSheds) {

@@ -2,14 +2,18 @@
 // ModelSnapshot serialization, and the scheduler/machine integration.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/seer_scheduler.hpp"
+#include "htm/soft_htm.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/snapshot.hpp"
+#include "runtime/threaded_executor.hpp"
 #include "sim/machine.hpp"
 #include "util/json.hpp"
 #include "workload/registry.hpp"
@@ -33,16 +37,16 @@ ModelSnapshot tiny_snapshot(std::uint64_t now, std::uint64_t rebuild) {
   return s;
 }
 
-// One rebuild window worth of feed: `commit_share` of `events` commit.
+// The lifetime tallies the scheduler hands over at rebuild `rebuild`.
 RebuildSample sample_at(std::uint64_t rebuild, std::uint64_t executions,
-                        std::uint64_t commits) {
-  return RebuildSample{rebuild * 1000, rebuild, executions, commits};
+                        std::uint64_t commits, std::uint64_t sgl_fallbacks = 0) {
+  return RebuildSample{rebuild * 1000, rebuild, executions, commits, sgl_fallbacks};
 }
 
 TEST(FlightRecorder, PeriodicCadenceCapturesEveryKthRebuild) {
   FlightRecorderConfig cfg;
   cfg.period = 3;
-  cfg.min_window_events = 1u << 20;  // detectors never arm in this test
+  cfg.storm.min_window_events = 1u << 20;  // detectors never arm in this test
   FlightRecorder rec(cfg);
 
   std::vector<std::uint64_t> captured_at;
@@ -64,7 +68,7 @@ TEST(FlightRecorder, PeriodicCadenceCapturesEveryKthRebuild) {
 TEST(FlightRecorder, ZeroPeriodDisablesPeriodicCapture) {
   FlightRecorderConfig cfg;
   cfg.period = 0;
-  cfg.min_window_events = 1u << 20;
+  cfg.storm.min_window_events = 1u << 20;
   FlightRecorder rec(cfg);
   for (std::uint64_t r = 1; r <= 5; ++r) {
     EXPECT_FALSE(rec.on_rebuild(sample_at(r, r * 100, r * 90)));
@@ -78,7 +82,7 @@ TEST(FlightRecorder, RingOverwritesOldestAndKeepsSeqOrder) {
   FlightRecorderConfig cfg;
   cfg.capacity = 4;
   cfg.period = 1;
-  cfg.min_window_events = 1u << 20;
+  cfg.storm.min_window_events = 1u << 20;
   FlightRecorder rec(cfg);
   for (std::uint64_t r = 1; r <= 10; ++r) {
     ASSERT_TRUE(rec.on_rebuild(sample_at(r, r * 100, r * 90)));
@@ -98,9 +102,9 @@ TEST(FlightRecorder, RingOverwritesOldestAndKeepsSeqOrder) {
 TEST(FlightRecorder, AbortStormOpensOneEpisodeWithHysteresis) {
   FlightRecorderConfig cfg;
   cfg.period = 0;  // isolate the anomaly trigger
-  cfg.min_window_events = 64;
-  cfg.abort_rate_enter = 0.90;
-  cfg.abort_rate_exit = 0.60;
+  cfg.storm.min_window_events = 64;
+  cfg.storm.abort_rate_enter = 0.90;
+  cfg.storm.abort_rate_exit = 0.60;
   FlightRecorder rec(cfg);
 
   std::uint64_t executions = 0;
@@ -137,29 +141,26 @@ TEST(FlightRecorder, AbortStormOpensOneEpisodeWithHysteresis) {
 TEST(FlightRecorder, SglStormTracksFallbackRate) {
   FlightRecorderConfig cfg;
   cfg.period = 0;
-  cfg.min_window_events = 64;
-  cfg.sgl_rate_enter = 0.25;
-  cfg.sgl_rate_exit = 0.05;
+  cfg.storm.min_window_events = 64;
+  cfg.storm.sgl_rate_enter = 0.25;
+  cfg.storm.sgl_rate_exit = 0.05;
   FlightRecorder rec(cfg);
 
   EXPECT_FALSE(rec.on_rebuild(sample_at(1, 0, 0)));  // bootstrap
-  // Healthy window: 1000 executions, few fallbacks.
-  for (int i = 0; i < 10; ++i) rec.note_sgl_fallback();
-  EXPECT_FALSE(rec.on_rebuild(sample_at(2, 1000, 900)));
-  // Storm window: 300 fallbacks over 1000 executions = 0.30 >= enter.
-  for (int i = 0; i < 300; ++i) rec.note_sgl_fallback();
-  ASSERT_TRUE(rec.on_rebuild(sample_at(3, 2000, 1500)));
+  // Healthy window: 1000 executions, 10 fallbacks.
+  EXPECT_FALSE(rec.on_rebuild(sample_at(2, 1000, 900, 10)));
+  // Storm window: 300 more fallbacks over 1000 executions = 0.30 >= enter.
+  ASSERT_TRUE(rec.on_rebuild(sample_at(3, 2000, 1500, 310)));
   rec.record(tiny_snapshot(3000, 3));
   ASSERT_EQ(rec.episodes().size(), 1u);
   EXPECT_EQ(rec.episodes()[0].kind, AnomalyEpisode::Kind::kSglStorm);
   EXPECT_NEAR(rec.episodes()[0].peak_rate, 0.30, 1e-9);
-  EXPECT_EQ(rec.sgl_fallbacks(), 310u);
 }
 
 TEST(FlightRecorder, RecordFinalClosesOpenEpisodesAtFinalClock) {
   FlightRecorderConfig cfg;
   cfg.period = 0;
-  cfg.min_window_events = 64;
+  cfg.storm.min_window_events = 64;
   FlightRecorder rec(cfg);
   EXPECT_FALSE(rec.on_rebuild(sample_at(1, 0, 0)));
   ASSERT_TRUE(rec.on_rebuild(sample_at(2, 1000, 10)));  // abort storm
@@ -231,7 +232,7 @@ TEST(ModelSnapshot, JsonRoundTripsThroughParser) {
 TEST(SchedulerIntegration, RebuildFeedsRecorderAndSnapshotsModel) {
   FlightRecorderConfig rcfg;
   rcfg.period = 1;
-  rcfg.min_window_events = 1u << 20;
+  rcfg.storm.min_window_events = 1u << 20;
   FlightRecorder rec(rcfg);
 
   core::SeerConfig cfg;
@@ -255,6 +256,55 @@ TEST(SchedulerIntegration, RebuildFeedsRecorderAndSnapshotsModel) {
   EXPECT_EQ(snap->executions, sched.executions_seen());
   EXPECT_GT(snap->abort(0, 1), 0u) << "thread 1 was announced as type 1";
   EXPECT_EQ(snap->th1, sched.params().th1);
+}
+
+TEST(SchedulerIntegration, RealThreadsFeedTheRecorderEverySglFallback) {
+  // Every transaction writes more distinct words than SoftHtm's write set
+  // holds, so each one exhausts its two hardware attempts on capacity
+  // aborts and commits on the SGL: one fallback per two executions, twice
+  // the SGL-storm entry rate.
+  constexpr std::size_t kThreads = 2, kTxs = 300, kWords = 600;
+  htm::SoftHtm tm;
+  ASSERT_GT(kWords, tm.config().max_write_set);
+  FlightRecorderConfig rcfg;
+  rcfg.period = 0;
+  FlightRecorder rec(rcfg);
+  rt::PolicyConfig policy;
+  policy.kind = rt::PolicyKind::kSeer;
+  policy.max_attempts = 2;
+  policy.seer.update_period = 64;
+  policy.seer.recorder = &rec;
+  rt::ThreadedExecutor::Options opts;
+  opts.n_threads = kThreads;
+  opts.n_types = 1;
+  opts.physical_cores = kThreads;
+  rt::ThreadedExecutor exec(tm, policy, opts);
+
+  std::vector<htm::TmWord> words(kThreads * kWords);  // one disjoint block per thread
+  std::atomic<std::uint64_t> sgl_commits{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      auto h = exec.make_handle(static_cast<core::ThreadId>(t));
+      for (std::size_t i = 0; i < kTxs; ++i) {
+        const rt::CommitMode mode = h->run(0, [&](auto& tx) {
+          for (std::size_t j = 0; j < kWords; ++j) tx.write(words[t * kWords + j], i);
+        });
+        if (mode == rt::CommitMode::kSglFallback) ++sgl_commits;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  ASSERT_EQ(sgl_commits.load(), kThreads * kTxs);
+  core::SeerScheduler& sched = *exec.policy_shared().seer();
+  EXPECT_EQ(sched.sgl_fallbacks(), sgl_commits.load());
+  EXPECT_EQ(sched.make_model_snapshot(0).sgl_fallbacks, sgl_commits.load());
+  bool sgl_storm = false;
+  for (const AnomalyEpisode& ep : rec.episodes()) {
+    if (ep.kind == AnomalyEpisode::Kind::kSglStorm) sgl_storm = true;
+  }
+  EXPECT_TRUE(sgl_storm) << rec.to_json();
 }
 
 // --------------------------------------------------- machine integration ---

@@ -1,11 +1,12 @@
-// Tests for the evaluation harness's worker pool: deterministic by-index
-// result collection, exception propagation, and drain-on-destruction — the
-// properties that make fanning the benchmark sweep out across cores safe.
+// Tests for the evaluation harness's indexed fan-out: deterministic by-index
+// result collection, exception propagation that attempts every item, and the
+// inline serial path — the properties that make fanning the benchmark sweep
+// out across cores safe.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "util/thread_pool.hpp"
@@ -14,9 +15,8 @@ namespace seer::util {
 namespace {
 
 TEST(ThreadPool, ResultsLandAtSubmittingIndex) {
-  ThreadPool pool(4);
-  const auto results = parallel_for_indexed(
-      pool, 200, [](std::size_t i) { return i * i; });
+  const auto results =
+      parallel_for_indexed(std::size_t{4}, 200, [](std::size_t i) { return i * i; });
   ASSERT_EQ(results.size(), 200u);
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i], i * i);
@@ -33,8 +33,7 @@ TEST(ThreadPool, JobCountDoesNotChangeResults) {
 }
 
 TEST(ThreadPool, ExceptionsPropagateToCaller) {
-  ThreadPool pool(4);
-  EXPECT_THROW(parallel_for_indexed(pool, 50,
+  EXPECT_THROW(parallel_for_indexed(std::size_t{4}, 50,
                                     [](std::size_t i) -> int {
                                       if (i == 17) throw std::runtime_error("boom 17");
                                       return 0;
@@ -44,16 +43,20 @@ TEST(ThreadPool, ExceptionsPropagateToCaller) {
 
 TEST(ThreadPool, LowestFailingIndexWins) {
   // All items run; the rethrown error is the lowest index, deterministically,
-  // no matter which worker hit its exception first.
-  ThreadPool pool(8);
-  try {
-    (void)parallel_for_indexed(pool, 100, [](std::size_t i) -> int {
-      if (i == 5 || i == 80) throw std::runtime_error("item " + std::to_string(i));
-      return 0;
-    });
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "item 5");
+  // no matter which thread hit its exception first.
+  for (std::size_t jobs : {1u, 8u}) {
+    std::atomic<int> ran{0};
+    try {
+      (void)parallel_for_indexed(jobs, 100, [&ran](std::size_t i) -> int {
+        ran.fetch_add(1, std::memory_order_relaxed);
+        if (i == 5 || i == 80) throw std::runtime_error("item " + std::to_string(i));
+        return 0;
+      });
+      FAIL() << "expected an exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "item 5") << "jobs=" << jobs;
+    }
+    EXPECT_EQ(ran.load(), 100) << "jobs=" << jobs;
   }
 }
 
@@ -66,43 +69,18 @@ TEST(ThreadPool, SerialPathPropagatesExceptions) {
                std::runtime_error);
 }
 
-TEST(ThreadPool, DrainsQueuedTasksOnDestruction) {
-  std::atomic<int> done{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 32; ++i) {
-      pool.submit([&done] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        done.fetch_add(1, std::memory_order_relaxed);
-      });
-    }
-    // Destructor runs here, with most tasks still queued.
-  }
-  EXPECT_EQ(done.load(), 32);
-}
-
-TEST(ThreadPool, WaitIdleBlocksUntilQueueEmpty) {
-  ThreadPool pool(3);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 20; ++i) {
-    pool.submit([&done] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      done.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 20);
-}
-
 TEST(ThreadPool, ZeroItemsIsEmpty) {
   EXPECT_TRUE(
       parallel_for_indexed(std::size_t{4}, 0, [](std::size_t) { return 1; }).empty());
 }
 
 TEST(ThreadPool, ZeroWorkersClampedToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
-  const auto r = parallel_for_indexed(pool, 5, [](std::size_t i) { return i; });
+  // jobs = 0 means one job: every item runs inline on the calling thread.
+  const std::thread::id caller = std::this_thread::get_id();
+  const auto r = parallel_for_indexed(std::size_t{0}, 5, [caller](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    return i;
+  });
   ASSERT_EQ(r.size(), 5u);
   EXPECT_EQ(r[4], 4u);
 }

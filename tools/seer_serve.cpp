@@ -25,10 +25,10 @@
 // with --listen is byte-identical to one without. Scrapes only read
 // wait-free structures, so they never delay a producer or worker.
 //
-// SIGINT/SIGTERM stop the run gracefully: the current step stops producing,
-// drains its queue, and finalizes; remaining steps are skipped and the
-// summary line carries "interrupted": true. The JSONL therefore stays
-// parseable however early the signal lands.
+// SIGINT/SIGTERM stop the run gracefully: the current step stops producing
+// and writing interval lines, drains its queue, and finalizes; remaining
+// steps are skipped and the summary line carries "interrupted": true. The
+// JSONL therefore stays parseable however early the signal lands.
 //
 // Exit codes: 0 run completed (interrupted-but-drained counts as
 // completed), 2 usage/config error (including a workload config without an
@@ -205,8 +205,7 @@ int main(int argc, char** argv) {
       opts.deterministic = true;
     } else if (arg == "--jobs") {
       const int v = parse_flag(arg, next(), 0, kMaxJobs);
-      opts.jobs = v == 0 ? seer::util::ThreadPool::hardware_jobs()
-                         : static_cast<std::size_t>(v);
+      opts.jobs = v == 0 ? seer::util::hardware_jobs() : static_cast<std::size_t>(v);
     } else if (arg == "--seed") {
       opts.seed = parse_flag<std::uint64_t>(arg, next(), 0, UINT64_MAX);
     } else if (arg == "--rate") {
