@@ -14,14 +14,6 @@ SoftHtm::SoftHtm(Config cfg) : cfg_(cfg) {
   stripes_ = std::make_unique<std::atomic<std::uint64_t>[]>(cfg_.stripes);
 }
 
-void SoftHtm::Tx::abort(std::uint8_t code) {
-  ctx_.abort_with(AbortStatus::explicit_abort(code));
-}
-void SoftHtm::Tx::subscribe(const std::atomic<std::uint64_t>& word,
-                            std::uint64_t expected) {
-  ctx_.do_subscribe(word, expected);
-}
-
 void SoftHtm::ThreadContext::begin() {
   assert(!active_ && "SoftHtm transactions do not nest");
   active_ = true;
@@ -60,14 +52,6 @@ void SoftHtm::ThreadContext::rollback() noexcept {
   writes_.clear();
   subs_.clear();
   t0_next_ = t0_buf_.get();
-}
-
-void SoftHtm::ThreadContext::abort_with(AbortStatus status) {
-  if (obs_ != nullptr) {
-    obs_->emit(obs_lane_, obs::TraceKind::kTxAbort, obs::now_ticks(),
-               static_cast<std::uint64_t>(status.cause()));
-  }
-  throw TxAbortException{status};
 }
 
 AbortStatus SoftHtm::ThreadContext::fail_commit(AbortStatus status,
@@ -128,27 +112,13 @@ void SoftHtm::ThreadContext::promote_reads(const TmWord* w, std::uint64_t h) {
 // the Tier-0 log (a write-set overflow); exact counts those raised after
 // promotion. Read-capacity aborts always land in the exact bucket by
 // construction — Tier 0 promotes at the budget instead of aborting.
-void SoftHtm::ThreadContext::abort_capacity() {
+AbortStatus SoftHtm::ThreadContext::count_capacity_abort() noexcept {
   if (metrics_.registry != nullptr) {
     metrics_.registry->add(read_tier_exact_ ? metrics_.capacity_abort_exact
                                             : metrics_.capacity_abort_sig,
                            metrics_.lane);
   }
-  abort_with(AbortStatus::capacity());
-}
-
-void SoftHtm::ThreadContext::do_subscribe(const std::atomic<std::uint64_t>& word,
-                                          std::uint64_t expected) {
-  assert(active_);
-  maybe_fault(TxOp::kSubscribe);
-  if (word.load(std::memory_order_acquire) != expected) {
-    abort_with(AbortStatus::conflict());
-  }
-  if (subs_.empty()) {
-    sub0_word_ = &word;
-    sub0_expected_ = expected;
-  }
-  subs_.push_back(Subscription{&word, expected});
+  return AbortStatus::capacity();
 }
 
 AbortStatus SoftHtm::ThreadContext::commit() {

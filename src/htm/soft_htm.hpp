@@ -96,18 +96,21 @@ class SoftHtm {
 
   class ThreadContext;
 
-  // Handle passed to the transaction body for transactional accesses.
+  // Handle passed to the transaction body for transactional accesses. Every
+  // member is forced inline into the body (DESIGN.md §10), so an abort it
+  // raises throws from the body's own frame.
   class Tx {
    public:
-    [[nodiscard]] std::uint64_t read(const TmWord& w);
-    void write(TmWord& w, std::uint64_t value);
+    [[nodiscard, gnu::always_inline]] std::uint64_t read(const TmWord& w);
+    [[gnu::always_inline]] void write(TmWord& w, std::uint64_t value);
 
     // Abort programmatically with an 8-bit code (TSX xabort).
-    [[noreturn]] void abort(std::uint8_t code);
+    [[noreturn, gnu::always_inline]] void abort(std::uint8_t code);
 
     // Subscribe to a non-transactional word: the commit (and every later
     // access) fails with CONFLICT if the word no longer equals `expected`.
-    void subscribe(const std::atomic<std::uint64_t>& word, std::uint64_t expected);
+    [[gnu::always_inline]] void subscribe(const std::atomic<std::uint64_t>& word,
+                                          std::uint64_t expected);
 
    private:
     friend class ThreadContext;
@@ -130,9 +133,9 @@ class SoftHtm {
   //
   // Aborts raised inside the body (read validation, capacity, tx.abort,
   // a subscription checked during a read, an injected in-body fault) throw
-  // TxAbortException: they must leave user code. Commit-time aborts happen
-  // after the body has returned, so commit() reports them as its return
-  // value and never unwinds.
+  // TxAbortException from the body's own frame: they must leave user code.
+  // Commit-time aborts happen after the body has returned, so commit()
+  // reports them as its return value and never unwinds.
   class ThreadContext {
    public:
     explicit ThreadContext(SoftHtm& tm)
@@ -260,36 +263,49 @@ class SoftHtm {
     AbortStatus fail_commit(AbortStatus status, std::size_t locked) noexcept;
     void rollback() noexcept;
 
-    // The per-access paths (and everything they touch) are defined inline
-    // at the bottom of this header: the call itself is the largest single
-    // cost left on a warmed-up read, and inlining lets the caller's loop
-    // hoist the dormant-feature checks and hot constants into registers.
-    std::uint64_t do_read(const TmWord& w);
-    void do_write(TmWord& w, std::uint64_t value);
-    void do_subscribe(const std::atomic<std::uint64_t>& word, std::uint64_t expected);
+    // The per-access paths (and everything they touch) are defined at the
+    // bottom of this header and forced inline (see the comment there).
+    [[gnu::always_inline]] std::uint64_t do_read(const TmWord& w);
+    [[gnu::always_inline]] void do_write(TmWord& w, std::uint64_t value);
+    [[gnu::always_inline]] void do_subscribe(const std::atomic<std::uint64_t>& word,
+                                             std::uint64_t expected);
     // Tier-1 tracking for one read: the exact dedup-and-account probe.
-    void track_read_exact(const TmWord* w, std::uint32_t si, std::uint64_t h) {
+    [[gnu::always_inline]] void track_read_exact(const TmWord* w, std::uint32_t si,
+                                                 std::uint64_t h) {
       if (read_words_.find_or_insert(w, si, h) == AddrIndex::kNpos) {
         reads_.push_back(si);
-        if (enforce_capacity_ && reads_.size() > tm_.cfg_.max_read_set) {
-          abort_capacity();
+        if (enforce_capacity_ && reads_.size() > tm_.cfg_.max_read_set) [[unlikely]] {
+          abort_with(count_capacity_abort());
         }
       }
     }
     // Tier-0 slow path, run by the read that finds the log full: replays
-    // the log into the exact tier, then tracks that read exactly.
+    // the log into the exact tier, then tracks that read exactly (so a
+    // read-capacity abort there throws from this frame, once per attempt).
     void promote_reads(const TmWord* w, std::uint64_t h);
-    [[noreturn]] void abort_capacity();
-    [[noreturn]] void abort_with(AbortStatus status);
+    // The one exit of an in-body abort: emits the kTxAbort trace event and
+    // throws from the frame of the code that made the access.
+    [[noreturn, gnu::always_inline]] void abort_with(AbortStatus status) {
+      if (obs_ != nullptr) {
+        obs_->emit(obs_lane_, obs::TraceKind::kTxAbort, obs::now_ticks(),
+                   static_cast<std::uint64_t>(status.cause()));
+      }
+      throw TxAbortException{status};
+    }
+    // Capacity-abort bookkeeping, out of line: counts the abort in its
+    // read-tier bucket and returns the status for the caller to raise.
+    [[nodiscard]] AbortStatus count_capacity_abort() noexcept;
     [[nodiscard]] bool subscriptions_hold() const noexcept;
     // Fault injection is dormant in every non-check embedding: the inline
-    // wrapper is one pointer test, the consult lives out of line.
+    // wrapper is one pointer test, the consult lives out of line and
+    // returns the injected status for the caller to raise.
     [[nodiscard]] bool faults_armed() const noexcept {
       return fault_ != nullptr && enforce_capacity_;
     }
-    void maybe_fault(TxOp op) {
-      if (!faults_armed()) return;
-      if (const auto forced = injected_fault(op)) abort_with(*forced);
+    [[gnu::always_inline]] void maybe_fault(TxOp op) {
+      if (faults_armed()) [[unlikely]] {
+        if (const auto forced = injected_fault(op)) abort_with(*forced);
+      }
     }
     [[nodiscard]] std::optional<AbortStatus> injected_fault(TxOp op);
 
@@ -386,11 +402,17 @@ class SoftHtm {
 
 // ---------------------------------------------------------------------------
 // Inline per-access paths. These run once per transactional read/write, so
-// they live in the header: inlined into the caller's loop, the dormant
-// instrumentation checks (fault injector, tx log, subscriptions) fold into
-// single predictable tests and the hoisted constants (stripe_mask_,
-// stripe_tab_, validate_reads_) stay in registers. Cold continuations —
-// begin/commit, promotion, every abort — remain out of line in soft_htm.cpp.
+// they live in the header, and `gnu::always_inline` forces them into the
+// body at every call site: a plain `inline` is only a hint, and GCC 12 kept
+// do_read out of line in perfbench's and micro_htm's bodies. Inlined into
+// the caller's loop, the dormant instrumentation checks (fault injector,
+// tx log, subscriptions) fold into single predictable tests and the
+// hoisted constants (stripe_mask_, stripe_tab_, validate_reads_) stay in
+// registers. Every in-body abort throws through the inlined abort_with in
+// an [[unlikely]] branch, so the unwinder walks the body's frame and then
+// attempt()'s catch, and nothing else. Cold continuations — begin/commit,
+// promotion, and the capacity and fault bookkeeping, which return a
+// status — stay out of line in soft_htm.cpp.
 
 inline bool SoftHtm::ThreadContext::subscriptions_hold() const noexcept {
   const std::size_t n = subs_.size();
@@ -425,15 +447,15 @@ inline std::uint64_t SoftHtm::ThreadContext::do_read(const TmWord& w) {
   // re-check the stripe. Any concurrent commit to this stripe is caught.
   const std::uint64_t v_before = stripe.load(std::memory_order_acquire);
   if (validate_reads_ &&
-      ((v_before & kLockedBit) != 0 || v_before > (read_version_ << 1))) {
+      ((v_before & kLockedBit) != 0 || v_before > (read_version_ << 1))) [[unlikely]] {
     abort_with(AbortStatus::conflict());
   }
   const std::uint64_t value = w.load(std::memory_order_acquire);
   const std::uint64_t v_after = stripe.load(std::memory_order_acquire);
-  if (validate_reads_ && v_after != v_before) {
+  if (validate_reads_ && v_after != v_before) [[unlikely]] {
     abort_with(AbortStatus::conflict());
   }
-  if (!subscriptions_hold()) abort_with(AbortStatus::conflict());
+  if (!subscriptions_hold()) [[unlikely]] abort_with(AbortStatus::conflict());
   if (log_ != nullptr) read_log_.push_back(TxRead{&w, value});
   // Two-tier read tracking (DESIGN.md §10.1). Tier 0 (the common case): log
   // the address — no hash-table probe. Every read is logged, re-reads
@@ -472,17 +494,38 @@ inline void SoftHtm::ThreadContext::do_write(TmWord& w, std::uint64_t value) {
   write_sig_.add(h);
   writes_.push_back(
       WriteEntry{&w, value, static_cast<std::uint32_t>(h & stripe_mask_)});
-  if (enforce_capacity_ && writes_.size() > tm_.cfg_.max_write_set) {
+  if (enforce_capacity_ && writes_.size() > tm_.cfg_.max_write_set) [[unlikely]] {
     // A write overflow can fire in either read tier — this is the one
     // capacity abort that lands in the sig_only bucket, when reads are
     // still in the Tier-0 log.
-    abort_capacity();
+    abort_with(count_capacity_abort());
   }
+}
+
+inline void SoftHtm::ThreadContext::do_subscribe(const std::atomic<std::uint64_t>& word,
+                                                 std::uint64_t expected) {
+  assert(active_);
+  maybe_fault(TxOp::kSubscribe);
+  if (word.load(std::memory_order_acquire) != expected) [[unlikely]] {
+    abort_with(AbortStatus::conflict());
+  }
+  if (subs_.empty()) {
+    sub0_word_ = &word;
+    sub0_expected_ = expected;
+  }
+  subs_.push_back(Subscription{&word, expected});
 }
 
 inline std::uint64_t SoftHtm::Tx::read(const TmWord& w) { return ctx_.do_read(w); }
 inline void SoftHtm::Tx::write(TmWord& w, std::uint64_t value) {
   ctx_.do_write(w, value);
+}
+inline void SoftHtm::Tx::abort(std::uint8_t code) {
+  ctx_.abort_with(AbortStatus::explicit_abort(code));
+}
+inline void SoftHtm::Tx::subscribe(const std::atomic<std::uint64_t>& word,
+                                   std::uint64_t expected) {
+  ctx_.do_subscribe(word, expected);
 }
 
 }  // namespace seer::htm

@@ -19,6 +19,8 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "htm/soft_htm.hpp"
@@ -57,6 +59,23 @@ class LockSpace {
   WordLock sched_;
   std::vector<util::Padded<WordLock>> tx_locks_;
   std::vector<util::Padded<WordLock>> core_locks_;
+};
+
+// Thrown out of ThreadHandle::run when a body aborts explicitly (tx.abort)
+// on the SGL fallback path. That path holds the SGL and retries only the
+// conflicts that in-flight speculative commits cause; an explicit abort
+// would recur on every retry, so it ends the transaction instead. The SGL
+// and every policy lock are released before the exception leaves run().
+class ExplicitAbortOnFallback : public std::runtime_error {
+ public:
+  explicit ExplicitAbortOnFallback(std::uint8_t code)
+      : std::runtime_error("explicit abort (code " + std::to_string(code) +
+                           ") on the SGL fallback path"),
+        code_(code) {}
+  [[nodiscard]] std::uint8_t code() const noexcept { return code_; }
+
+ private:
+  std::uint8_t code_;
 };
 
 // Per-thread outcome counters (single-writer; summed on demand).
@@ -112,7 +131,9 @@ class ThreadedExecutor {
     // Executes one transaction of type `tx` to completion under the policy.
     // Returns how it ultimately committed. A body that throws anything but
     // an abort has its updates rolled back, every lock released and the
-    // policy told (Policy::on_abandon); the exception then propagates.
+    // policy told (Policy::on_abandon); the exception then propagates. So
+    // does ExplicitAbortOnFallback, for a body that calls tx.abort on the
+    // SGL fallback path.
     template <typename Body>
     CommitMode run(core::TxTypeId tx, Body&& body) {
       assert(tx >= 0 && static_cast<std::size_t>(tx) < exec_->opts_.n_types);
@@ -222,7 +243,10 @@ class ThreadedExecutor {
       // coordinated transaction so its updates are atomic even against
       // hardware transactions that were already mid-commit when we took the
       // lock. Those in-flight commits drain quickly — new ones cannot start
-      // while we hold the SGL — so the retry loop terminates.
+      // while we hold the SGL — so the retry loop terminates. Only their
+      // conflicts are retried: nothing here is capacity-bounded or
+      // fault-injected, and an explicit abort is the body's own decision,
+      // which it would repeat on every retry.
       WordLock& sgl = exec_->locks_.sgl();
       sgl.lock();
       struct Unlock {  // a throwing body must not leave the SGL held
@@ -234,6 +258,7 @@ class ThreadedExecutor {
         const htm::AbortStatus s =
             tm_ctx_.attempt_unbounded([&](htm::SoftHtm::Tx& tx) { body(tx); });
         if (s.raw() == htm::kXBeginStarted) break;
+        if (s.is_explicit()) throw ExplicitAbortOnFallback(s.explicit_code());
         backoff.pause();
       }
       counters_.commits_by_mode[static_cast<std::size_t>(CommitMode::kSglFallback)]++;

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -885,6 +886,181 @@ TEST(SoftHtmCommitAbort, SelfLockedReadStripesValidateThroughTheSortedLockList) 
     })));
   }
   for (const auto& w : words) EXPECT_EQ(w.load(), 3u);
+}
+
+// ---------------------------------------------------- in-body aborts ----
+// DESIGN.md §10: an abort decided while the body runs throws from the
+// body's own frame. Each kind must report its status, emit exactly one
+// abort event and no commit event, count a capacity abort in its read-tier
+// bucket (§10.1) and nothing else, and leave the context able to commit its
+// next attempt. As above, context B commits inside context A's body.
+
+// TracedPair with the read-tier counters installed on context A.
+struct MeteredPair : TracedPair {
+  explicit MeteredPair(SoftHtm::Config cfg = {}) : TracedPair(cfg) {
+    HtmMetrics m;
+    m.registry = &reg;
+    m.promote_capacity = reg.counter("htm.read_promote.capacity");
+    m.capacity_abort_sig = reg.counter("htm.aborts.capacity.sig_only");
+    m.capacity_abort_exact = reg.counter("htm.aborts.capacity.exact");
+    reg.freeze();
+    a.set_metrics(m);
+  }
+  // A counter's value; 0 when absent, as every counter is under OBS=OFF.
+  [[nodiscard]] std::uint64_t count(std::string_view name) const {
+    for (const auto& c : reg.snapshot().counters) {
+      if (c.name == name) return c.value;
+    }
+    return 0;
+  }
+  // `s` is `want`, raised in the body: one abort event, no commit, and the
+  // capacity buckets hold `sig_only` and `exact` aborts (OBS=ON counts).
+  void expect_body_abort(AbortStatus s, AbortStatus want, std::uint64_t sig_only = 0,
+                         std::uint64_t exact = 0) const {
+    expect_one_abort(s, want.cause());
+    EXPECT_EQ(s.raw(), want.raw());
+    EXPECT_EQ(count("htm.aborts.capacity.sig_only"), SEER_OBS_ENABLED ? sig_only : 0);
+    EXPECT_EQ(count("htm.aborts.capacity.exact"), SEER_OBS_ENABLED ? exact : 0);
+  }
+  // The context's next attempt, over `w`, commits.
+  void expect_next_attempt_commits(TmWord& w) {
+    EXPECT_TRUE(
+        committed(a.attempt([&](SoftHtm::Tx& tx) { tx.write(w, tx.read(w) + 1); })));
+  }
+  obs::MetricsRegistry reg{1};
+};
+
+TEST(SoftHtmBodyAbort, NewerStripeAtReadConflicts) {
+  MeteredPair p;
+  TmWord w{0};
+  bool past_read = false;
+  const AbortStatus s = p.a.attempt([&](SoftHtm::Tx& tx) {
+    // B commits w after A's snapshot: A's first read of it sees a newer
+    // stripe and aborts in the body.
+    ASSERT_TRUE(committed(p.b.attempt([&](SoftHtm::Tx& txb) { txb.write(w, 7); })));
+    (void)tx.read(w);
+    past_read = true;
+  });
+  p.expect_body_abort(s, AbortStatus::conflict());
+  EXPECT_FALSE(past_read);
+  p.expect_next_attempt_commits(w);
+  EXPECT_EQ(w.load(), 8u);
+}
+
+TEST(SoftHtmBodyAbort, SubscriptionMismatchAtSubscribeConflicts) {
+  MeteredPair p;
+  TmWord w{0};
+  std::atomic<std::uint64_t> sgl{1};
+  bool past_subscribe = false;
+  const AbortStatus s = p.a.attempt([&](SoftHtm::Tx& tx) {
+    tx.subscribe(sgl, 0);
+    past_subscribe = true;
+  });
+  p.expect_body_abort(s, AbortStatus::conflict());
+  EXPECT_FALSE(past_subscribe);
+  p.expect_next_attempt_commits(w);
+}
+
+TEST(SoftHtmBodyAbort, SubscriptionLostBeforeALaterReadConflicts) {
+  MeteredPair p;
+  TmWord first{1};
+  TmWord second{2};
+  std::atomic<std::uint64_t> sgl{0};
+  bool past_second = false;
+  const AbortStatus s = p.a.attempt([&](SoftHtm::Tx& tx) {
+    tx.subscribe(sgl, 0);
+    (void)tx.read(first);
+    sgl.store(1);  // a fallback thread takes the lock mid-body
+    (void)tx.read(second);
+    past_second = true;
+  });
+  p.expect_body_abort(s, AbortStatus::conflict());
+  EXPECT_FALSE(past_second);
+  p.expect_next_attempt_commits(first);
+}
+
+TEST(SoftHtmBodyAbort, ExplicitAbortCarriesItsCode) {
+  MeteredPair p;
+  TmWord w{0};
+  const AbortStatus s = p.a.attempt([&](SoftHtm::Tx& tx) {
+    tx.write(w, 5);
+    tx.abort(0x42);
+  });
+  p.expect_body_abort(s, AbortStatus::explicit_abort(0x42));
+  EXPECT_EQ(s.explicit_code(), 0x42);
+  EXPECT_EQ(w.load(), 0u);
+  p.expect_next_attempt_commits(w);
+  EXPECT_EQ(w.load(), 1u);
+}
+
+TEST(SoftHtmBodyAbort, InjectedReadFaultIsRaisedInTheBody) {
+  MeteredPair p;
+  check::FaultPlan fault;
+  fault.force(/*attempt=*/0, TxOp::kRead, /*occurrence=*/1,
+              AbortStatus::explicit_abort(0x5A));
+  p.a.set_fault_injector(&fault);
+  std::vector<TmWord> words(4);
+  std::size_t reads = 0;
+  const AbortStatus s = p.a.attempt([&](SoftHtm::Tx& tx) {
+    for (auto& w : words) {
+      (void)tx.read(w);
+      ++reads;
+    }
+  });
+  p.expect_body_abort(s, AbortStatus::explicit_abort(0x5A));
+  EXPECT_EQ(s.explicit_code(), 0x5A);
+  EXPECT_EQ(reads, 1u) << "the second read raised the fault";
+  p.expect_next_attempt_commits(words[0]);
+}
+
+TEST(SoftHtmBodyAbort, ReadCapacityAfterPromotionCountsAsExact) {
+  // Either the boundary read itself overflows (raised from the promotion),
+  // or a re-read promotes and a later distinct read overflows in the exact
+  // tier's inline path. Both are exact-tier aborts.
+  for (const bool overflow_at_boundary : {true, false}) {
+    SCOPED_TRACE(overflow_at_boundary ? "at the boundary" : "after a re-read");
+    MeteredPair p(SoftHtm::Config{.max_read_set = 4});
+    std::vector<TmWord> words(4);
+    TmWord extra{0};
+    bool past_extra = false;
+    const AbortStatus s = p.a.attempt([&](SoftHtm::Tx& tx) {
+      for (auto& w : words) (void)tx.read(w);
+      if (!overflow_at_boundary) {
+        (void)tx.read(words[0]);
+        EXPECT_TRUE(p.a.read_tier_is_exact());
+      }
+      (void)tx.read(extra);
+      past_extra = true;
+    });
+    p.expect_body_abort(s, AbortStatus::capacity(), /*sig_only=*/0, /*exact=*/1);
+    EXPECT_FALSE(past_extra);
+    EXPECT_EQ(p.count("htm.read_promote.capacity"), SEER_OBS_ENABLED ? 1u : 0u);
+    p.expect_next_attempt_commits(extra);
+  }
+}
+
+TEST(SoftHtmBodyAbort, WriteCapacityCountsByReadTier) {
+  // Reads still in the Tier-0 log: sig_only. Reads promoted first: exact.
+  for (const bool promoted : {false, true}) {
+    SCOPED_TRACE(promoted ? "promoted" : "tier 0");
+    MeteredPair p(SoftHtm::Config{.max_read_set = 1, .max_write_set = 2});
+    TmWord read{0};
+    std::vector<TmWord> words(3);
+    std::size_t writes = 0;
+    const AbortStatus s = p.a.attempt([&](SoftHtm::Tx& tx) {
+      (void)tx.read(read);
+      if (promoted) (void)tx.read(read);
+      EXPECT_EQ(p.a.read_tier_is_exact(), promoted);
+      for (auto& w : words) {
+        tx.write(w, 1);
+        ++writes;
+      }
+    });
+    p.expect_body_abort(s, AbortStatus::capacity(), promoted ? 0 : 1, promoted ? 1 : 0);
+    EXPECT_EQ(writes, 2u) << "the third write overflowed";
+    EXPECT_EQ(words[0].load(), 0u);
+    p.expect_next_attempt_commits(words[0]);
+  }
 }
 
 }  // namespace

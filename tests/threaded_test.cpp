@@ -175,6 +175,58 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, ThrowingBody,
                                            PolicyKind::kSgl, PolicyKind::kSeer,
                                            PolicyKind::kOracle));
 
+// A body that always aborts explicitly would abort on every retry of the
+// SGL fallback path too. Whichever policy runs it, run() must end it with
+// ExplicitAbortOnFallback carrying the code, not retry it forever while
+// holding the SGL.
+class AlwaysAbortingBody : public ::testing::TestWithParam<PolicyKind> {};
+
+TEST_P(AlwaysAbortingBody, EndsOnTheFallbackPathAndReleasesEveryLock) {
+  const PolicyKind kind = GetParam();
+  htm::SoftHtm tm;
+  ThreadedExecutor exec(tm, make_policy(kind), small_opts(2, 1));
+  auto aborter = exec.make_handle(0);
+  auto other = exec.make_handle(1);
+  htm::TmWord w{0};
+  int calls = 0;
+  try {
+    (void)aborter->run(0, [&](auto& tx) {
+      ++calls;
+      tx.write(w, tx.read(w) + 1);
+      tx.abort(0x42);
+    });
+    ADD_FAILURE() << "run() returned from a body that always aborts";
+  } catch (const ExplicitAbortOnFallback& e) {
+    EXPECT_EQ(e.code(), 0x42);
+  }
+  const ThreadCounters& c = aborter->counters();
+  EXPECT_EQ(calls, static_cast<int>(c.hw_attempts) + 1) << "one fallback call";
+  EXPECT_EQ(c.aborts_by_cause[static_cast<std::size_t>(htm::AbortCause::kExplicit)],
+            c.hw_attempts);
+  EXPECT_EQ(c.commits_by_mode[static_cast<std::size_t>(CommitMode::kSglFallback)], 0u);
+  EXPECT_EQ(w.load(), 0u) << "no aborted attempt published its write";
+
+  LockSpace& ls = exec.lock_space();
+  ASSERT_FALSE(ls.sgl().is_locked());
+  ASSERT_FALSE(ls.get(kAuxLock).is_locked());
+  ASSERT_FALSE(ls.get(kSchedLock).is_locked());
+  ASSERT_FALSE(ls.get(tx_lock(0)).is_locked());
+  for (std::uint16_t i = 0; i < 2; ++i) ASSERT_FALSE(ls.get(core_lock(i)).is_locked());
+  if (core::SeerScheduler* seer = exec.policy_shared().seer()) {
+    EXPECT_EQ(seer->active_table().peek(0), core::kNoTx);
+  }
+
+  (void)other->run(0, [&](auto& tx) { tx.write(w, tx.read(w) + 1); });
+  (void)aborter->run(0, [&](auto& tx) { tx.write(w, tx.read(w) + 1); });
+  EXPECT_EQ(w.load(), 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPolicies, AlwaysAbortingBody,
+                         ::testing::Values(PolicyKind::kHle, PolicyKind::kRtm,
+                                           PolicyKind::kScm, PolicyKind::kAts,
+                                           PolicyKind::kSgl, PolicyKind::kSeer,
+                                           PolicyKind::kOracle));
+
 TEST(ThreadedExecutor, BankInvariantUnderSeer) {
   htm::SoftHtm tm;
   constexpr std::size_t kThreads = 4;
