@@ -1,19 +1,23 @@
 // Symbolic lock identifiers.
 //
-// Policies are pure decision logic shared between the real-threads driver
+// Policies are pure decision logic shared between the real-threads executor
 // and the machine simulator, so they cannot hold pointers to concrete lock
-// objects. Instead they name locks symbolically and each driver reifies the
-// names (WordLock for threads, SimLock for the simulator).
+// objects. Instead they name locks symbolically and each backend reifies the
+// names in a LockTable (of WordLocks for threads, SimLocks for the
+// simulator).
 //
 // Canonical acquisition order (kind, then index) is a total order used by
 // every multi-lock acquisition in the system, which rules out deadlock
 // between acquirers: aux < sched < core < tx, and the SGL is never co-held
-// with anything (Seer releases all of its locks before falling back,
+// with anything (the TxDriver releases every lock before falling back,
 // Alg. 1 line 19).
 #pragma once
 
 #include <compare>
 #include <cstdint>
+#include <vector>
+
+#include "util/cacheline.hpp"
 
 namespace seer::rt {
 
@@ -42,5 +46,33 @@ inline constexpr LockId kSchedLock{LockKind::kSched, 0};
 [[nodiscard]] constexpr LockId tx_lock(std::uint16_t tx_type) noexcept {
   return LockId{LockKind::kTx, tx_type};
 }
+
+// The concrete locks behind the symbolic LockIds, one per id.
+template <typename Lock>
+class LockTable {
+ public:
+  LockTable(std::size_t n_types, std::size_t physical_cores)
+      : tx_locks_(n_types), core_locks_(physical_cores) {}
+
+  [[nodiscard]] Lock& sgl() noexcept { return sgl_; }
+
+  [[nodiscard]] Lock& get(LockId id) noexcept {
+    switch (id.kind) {
+      case LockKind::kSgl: return sgl_;
+      case LockKind::kAux: return aux_;
+      case LockKind::kSched: return sched_;
+      case LockKind::kTx: return tx_locks_[id.index].value;
+      case LockKind::kCore: return core_locks_[id.index].value;
+    }
+    __builtin_unreachable();
+  }
+
+ private:
+  Lock sgl_;
+  Lock aux_;
+  Lock sched_;
+  std::vector<util::Padded<Lock>> tx_locks_;
+  std::vector<util::Padded<Lock>> core_locks_;
+};
 
 }  // namespace seer::rt

@@ -4,38 +4,17 @@
 
 namespace seer::rt {
 
-CommitMode classify_commit(const LockList& held, bool used_sgl) noexcept {
-  if (used_sgl) return CommitMode::kSglFallback;
-  bool aux = false;
-  bool sched = false;
-  bool txl = false;
-  bool corel = false;
-  for (const LockId& l : held) {
-    switch (l.kind) {
-      case LockKind::kAux: aux = true; break;
-      case LockKind::kSched: sched = true; break;
-      case LockKind::kTx: txl = true; break;
-      case LockKind::kCore: corel = true; break;
-      case LockKind::kSgl: break;
-    }
-  }
-  if (aux) return CommitMode::kHtmAuxLock;
-  if (sched) return CommitMode::kHtmSchedLock;
-  if (txl && corel) return CommitMode::kHtmTxAndCore;
-  if (txl) return CommitMode::kHtmTxLocks;
-  if (corel) return CommitMode::kHtmCoreLock;
-  return CommitMode::kHtmNoLocks;
-}
-
 namespace {
 
 // ---------------------------------------------------------------------------
-// HLE and RTM: a plain retry loop, `budget` hardware attempts and then the
-// SGL. RTM is the software loop every production TSX runtime uses (budget
+// HLE, RTM and SGL: a plain retry loop, `budget` hardware attempts and then
+// the SGL. RTM is the software loop every production TSX runtime uses (budget
 // MAX_ATTEMPTS, wait while the SGL is locked before each attempt). HLE is
 // implicit elision: a tiny budget and, crucially, no waiting on the fallback
 // lock before re-attempting, which is exactly what produces the lemming
-// effect the paper describes (§5.1, citing Dice et al. [6]).
+// effect the paper describes (§5.1, citing Dice et al. [6]). SGL, the
+// pessimistic lower bound, has no attempts: every transaction takes the
+// global lock.
 class RetryPolicy final : public Policy {
  public:
   RetryPolicy(int budget, bool wait_sgl) : budget_(budget), wait_sgl_(wait_sgl) {}
@@ -54,8 +33,6 @@ class RetryPolicy final : public Policy {
   }
 
   void on_abort(htm::AbortStatus) override { --attempts_; }
-
-  LockList on_commit(bool) override { return {}; }
 
  private:
   int budget_;
@@ -83,10 +60,6 @@ class ScmPolicy final : public Policy {
     Directive d;
     if (attempts_ <= 0) {
       d.mode = Directive::Mode::kFallback;
-      if (holds_aux_) {
-        d.releases.push_back(kAuxLock);
-        holds_aux_ = false;
-      }
       return d;
     }
     d.mode = Directive::Mode::kHardware;
@@ -101,15 +74,6 @@ class ScmPolicy final : public Policy {
   void on_abort(htm::AbortStatus) override {
     --attempts_;
     want_aux_ = true;
-  }
-
-  LockList on_commit(bool) override {
-    LockList rel;
-    if (holds_aux_) {
-      rel.push_back(kAuxLock);
-      holds_aux_ = false;
-    }
-    return rel;
   }
 
  private:
@@ -139,10 +103,6 @@ class AtsPolicy final : public Policy {
     Directive d;
     if (attempts_ <= 0) {
       d.mode = Directive::Mode::kFallback;
-      if (holds_sched_) {
-        d.releases.push_back(kSchedLock);
-        holds_sched_ = false;
-      }
       return d;
     }
     d.mode = Directive::Mode::kHardware;
@@ -159,15 +119,7 @@ class AtsPolicy final : public Policy {
     shared_.ats_update(self_, /*aborted=*/true);
   }
 
-  LockList on_commit(bool) override {
-    shared_.ats_update(self_, /*aborted=*/false);
-    LockList rel;
-    if (holds_sched_) {
-      rel.push_back(kSchedLock);
-      holds_sched_ = false;
-    }
-    return rel;
-  }
+  void on_commit(bool) override { shared_.ats_update(self_, /*aborted=*/false); }
 
  private:
   PolicyShared& shared_;
@@ -180,20 +132,18 @@ class AtsPolicy final : public Policy {
 
 // ---------------------------------------------------------------------------
 // Oracle: the upper-bound scheduler built on PRECISE conflict attribution
-// (available only from drivers that know the aggressor — the simulator,
+// (available only from backends that know the aggressor — the simulator,
 // standing in for an STM's feedback). With exact pair conflict counts there
 // is nothing to infer: flagged pairs are serialized from the FIRST retry,
 // not the last-resort attempt, and no Gaussian filtering is needed.
 class OraclePolicy final : public Policy {
  public:
-  OraclePolicy(OracleShared& shared, core::ThreadId self, int budget)
-      : shared_(shared), self_(self), budget_(budget) {}
+  OraclePolicy(OracleShared& shared, int budget) : shared_(shared), budget_(budget) {}
 
   void begin_tx(core::TxTypeId tx) override {
     tx_ = tx;
     attempts_ = budget_;
     holds_tx_ = false;
-    held_row_.clear();
     shared_.record_execution(tx);
     shared_.maybe_rebuild();
   }
@@ -202,9 +152,6 @@ class OraclePolicy final : public Policy {
     Directive d;
     if (attempts_ <= 0) {
       d.mode = Directive::Mode::kFallback;
-      d.releases = held_locks();
-      holds_tx_ = false;
-      held_row_.clear();
       return d;
     }
     d.mode = Directive::Mode::kHardware;
@@ -217,7 +164,6 @@ class OraclePolicy final : public Policy {
         for (core::TxTypeId y : row) {
           d.acquires.push_back(tx_lock(static_cast<std::uint16_t>(y)));
         }
-        held_row_ = row;
         holds_tx_ = true;
       }
     }
@@ -231,45 +177,12 @@ class OraclePolicy final : public Policy {
 
   void on_abort(htm::AbortStatus) override { --attempts_; }
 
-  LockList on_commit(bool) override {
-    LockList rel = held_locks();
-    holds_tx_ = false;
-    held_row_.clear();
-    return rel;
-  }
-
  private:
-  [[nodiscard]] LockList held_locks() const {
-    LockList held;
-    if (holds_tx_) {
-      for (core::TxTypeId y : held_row_) {
-        held.push_back(tx_lock(static_cast<std::uint16_t>(y)));
-      }
-    }
-    return held;
-  }
-
   OracleShared& shared_;
-  core::ThreadId self_;
   int budget_;
   int attempts_ = 0;
   bool holds_tx_ = false;
-  core::LockRow held_row_;
   core::TxTypeId tx_ = core::kNoTx;
-};
-
-// ---------------------------------------------------------------------------
-// SGL: pessimistic lower bound — every transaction takes the global lock.
-class SglPolicy final : public Policy {
- public:
-  void begin_tx(core::TxTypeId) override {}
-  Directive next_attempt() override {
-    Directive d;
-    d.mode = Directive::Mode::kFallback;
-    return d;
-  }
-  void on_abort(htm::AbortStatus) override {}
-  LockList on_commit(bool) override { return {}; }
 };
 
 // ---------------------------------------------------------------------------
@@ -289,7 +202,6 @@ class SeerPolicy final : public Policy {
     want_core_ = false;
     holds_core_ = false;
     holds_tx_ = false;
-    held_row_.clear();
     // Announce before executing (Alg. 1 line 5). Scheme maintenance is
     // driven by the driver through maintenance() — at transaction start
     // (DESIGN.md deviation #1) and while waiting on the SGL.
@@ -299,11 +211,10 @@ class SeerPolicy final : public Policy {
   Directive next_attempt() override {
     Directive d;
     if (attempts_ <= 0) {
-      // Alg. 1 lines 18-20: release every Seer lock, then take the SGL.
+      // Alg. 1 lines 18-20: the driver releases every Seer lock, then takes
+      // the SGL.
       sched_.note_sgl_fallback();  // storm detector + flight recorder feed
       d.mode = Directive::Mode::kFallback;
-      d.releases = held_locks();
-      drop_held();
       return d;
     }
     d.mode = Directive::Mode::kHardware;
@@ -335,7 +246,6 @@ class SeerPolicy final : public Policy {
       for (core::TxTypeId y : row) {
         d.acquires.push_back(tx_lock(static_cast<std::uint16_t>(y)));
       }
-      held_row_ = row;
       holds_tx_ = true;
     }
     // §4's multi-CAS optimization: batch 2+ lock acquisitions in one HTM
@@ -357,19 +267,13 @@ class SeerPolicy final : public Policy {
     if (status.cause() == htm::AbortCause::kCapacity) want_core_ = true;
   }
 
-  LockList on_commit(bool hardware) override {
+  void on_commit(bool hardware) override {
     // Alg. 2 line 28 (only hardware commits carry scheduling evidence).
     if (hardware) sched_.record_commit(self_, tx_);
-    sched_.clear(self_);                             // Alg. 2 line 32
-    LockList rel = held_locks();
-    drop_held();
-    return rel;
+    sched_.clear(self_);  // Alg. 2 line 32
   }
 
-  void on_abandon() override {
-    sched_.clear(self_);
-    drop_held();
-  }
+  void on_abandon() override { sched_.clear(self_); }
 
   bool maintenance(std::uint64_t now) override {
     // Alg. 4 lines 52-54: one designated thread exploits SGL wait time (the
@@ -379,22 +283,6 @@ class SeerPolicy final : public Policy {
   }
 
  private:
-  [[nodiscard]] LockList held_locks() const {
-    LockList held;
-    if (holds_core_) held.push_back(core_lock(my_core_));
-    if (holds_tx_) {
-      for (core::TxTypeId y : held_row_) {
-        held.push_back(tx_lock(static_cast<std::uint16_t>(y)));
-      }
-    }
-    return held;
-  }
-  void drop_held() {
-    holds_core_ = false;
-    holds_tx_ = false;
-    held_row_.clear();
-  }
-
   core::SeerScheduler& sched_;
   const core::SeerConfig& cfg_;
   core::ThreadId self_;
@@ -405,7 +293,6 @@ class SeerPolicy final : public Policy {
   bool want_core_ = false;
   bool holds_core_ = false;
   bool holds_tx_ = false;
-  core::LockRow held_row_;
 };
 
 }  // namespace
@@ -497,11 +384,11 @@ std::unique_ptr<Policy> PolicyShared::make_thread_policy(core::ThreadId thread) 
     case PolicyKind::kAts:
       return std::make_unique<AtsPolicy>(*this, thread, cfg_.max_attempts);
     case PolicyKind::kSgl:
-      return std::make_unique<SglPolicy>();
+      return std::make_unique<RetryPolicy>(/*budget=*/0, /*wait_sgl=*/false);
     case PolicyKind::kSeer:
       return std::make_unique<SeerPolicy>(*seer_, thread, cfg_.max_attempts);
     case PolicyKind::kOracle:
-      return std::make_unique<OraclePolicy>(*oracle_, thread, cfg_.max_attempts);
+      return std::make_unique<OraclePolicy>(*oracle_, cfg_.max_attempts);
   }
   return nullptr;
 }

@@ -1,29 +1,6 @@
-// The policy protocol: how a scheduling policy talks to an execution driver.
-//
-// A Policy instance is per-thread decision logic (it may share global state
-// with its siblings, e.g. the SeerScheduler). A *driver* — the real-threads
-// executor or the machine simulator — owns the concrete locks and the HTM
-// and runs this loop for every transaction:
-//
-//   policy.maintenance(now)   (a designated thread may rebuild its scheme)
-//   policy.begin_tx(tx)
-//   loop:
-//     d = policy.next_attempt()
-//     release d.releases; acquire d.acquires (canonical order, optionally
-//       batched in one HTM transaction if d.htm_batch); honour d.waits
-//     if d.mode == kFallback:
-//         take SGL, run body pessimistically, release SGL
-//         policy.on_commit(hardware=false) -> locks to release
-//     else:
-//         run one hardware attempt (subscribed to the SGL word)
-//         committed ? policy.on_commit(hardware=true) -> release list
-//                   : policy.on_abort(status); continue
-//   on any other exception from the body: release every held lock,
-//     policy.on_abandon(), rethrow
-//
-// Policies never block and never touch memory shared with transaction
-// bodies; all waiting/acquiring is performed by the driver, which is what
-// lets the identical policy code run on real threads and in simulation.
+// The policy interface: per-thread scheduling decisions, no I/O. A Policy may
+// share global state with its siblings (e.g. the SeerScheduler); its only
+// caller is rt::TxDriver (tx_driver.hpp), which states the protocol.
 #pragma once
 
 #include <cstdint>
@@ -45,8 +22,8 @@ struct Directive {
   };
 
   Mode mode = Mode::kHardware;
-  // Locks to release before acquiring (canonical-order re-acquisition and
-  // the pre-fallback release of Alg. 1 line 19).
+  // Locks to release before acquiring: Seer's canonical-order re-acquisition.
+  // The driver itself releases every held lock at commit and before the SGL.
   LockList releases;
   // Locks to acquire, already in canonical order.
   LockList acquires;
@@ -54,7 +31,7 @@ struct Directive {
   // optimization). Only meaningful when acquires.size() >= 2.
   bool htm_batch = false;
   // Locks to wait on until free WITHOUT acquiring (cooperative waiting,
-  // Alg. 4 lines 57-58). Drivers bound these waits (see DESIGN.md).
+  // Alg. 4 lines 57-58). Backends bound these waits (DESIGN.md §7).
   LockList waits;
   // Wait for the SGL to be free before starting (lemming-effect avoidance).
   bool wait_sgl = false;
@@ -86,9 +63,6 @@ enum class CommitMode : std::uint8_t {
   return "?";
 }
 
-// Derives the census row from the set of locks held at commit time.
-[[nodiscard]] CommitMode classify_commit(const LockList& held, bool used_sgl) noexcept;
-
 class Policy {
  public:
   virtual ~Policy() = default;
@@ -103,32 +77,27 @@ class Policy {
   virtual void on_abort(htm::AbortStatus status) = 0;
 
   // PRECISE conflict attribution — the information commodity HTMs do NOT
-  // provide (Figure 1 of the paper). Only drivers that actually know the
-  // aggressor call this (the machine simulator, emulating an STM's precise
-  // feedback), immediately before the corresponding on_abort. Real-HTM
+  // provide (Figure 1 of the paper). The driver calls this right before the
+  // corresponding on_abort, and only when the backend knows the aggressor
+  // (the machine simulator, emulating an STM's precise feedback). Real-HTM
   // policies must not depend on it; the Oracle baseline is built on it.
   virtual void on_conflict_attribution(core::TxTypeId culprit) { (void)culprit; }
 
-  // The transaction committed (hardware == false means via the SGL).
-  // Returns the locks the driver must now release (SGL excluded; the driver
-  // manages the SGL itself).
-  [[nodiscard]] virtual LockList on_commit(bool hardware) = 0;
+  // The transaction committed (hardware == false means via the SGL). The
+  // driver then releases every lock it holds; a policy never says which.
+  virtual void on_commit(bool hardware) { (void)hardware; }
 
   // The body threw something other than an abort: the transaction ends
-  // without committing or aborting. The driver has already released every
-  // lock it held for this transaction; the policy drops whatever else it
-  // keeps for it.
+  // without committing or aborting. The driver releases every lock it holds
+  // for it; the policy drops whatever else it keeps for it.
   virtual void on_abandon() {}
 
-  // Called by the driver at transaction start and while the thread is
-  // waiting (e.g. on the SGL) so a designated thread can run scheme
+  // Called through the driver at transaction start and while the thread
+  // waits on the SGL, so a designated thread can run scheme
   // maintenance (Alg. 4 lines 52-54). The only hook that reads the clock:
   // `now` paces the rebuilds. Returns true when a scheme rebuild actually
   // happened (the simulator charges its cost model for it).
-  virtual bool maintenance(std::uint64_t now) {
-    (void)now;
-    return false;
-  }
+  virtual bool maintenance(std::uint64_t /*now*/) { return false; }
 };
 
 }  // namespace seer::rt

@@ -1,10 +1,9 @@
-// ThreadedExecutor — the real-threads driver of the policy protocol.
+// ThreadedExecutor — the real-threads backend of the policy protocol.
 //
 // Reifies the symbolic lock space as WordLocks, runs transaction bodies over
-// a SoftHtm and drives any Policy through the protocol documented in
-// policy.hpp. This is the embedding a downstream user links against: create
-// one executor, one ThreadHandle per thread, and call handle.run(txType,
-// body).
+// a SoftHtm and performs the steps of each thread's TxDriver (tx_driver.hpp).
+// This is the embedding a downstream user links against: create one
+// executor, one ThreadHandle per thread, and call handle.run(txType, body).
 //
 // The transaction body must be a generic callable `void(auto& tx)` using
 // only tx.read / tx.write / tx.abort on htm::TmWord memory. Both paths run
@@ -14,8 +13,6 @@
 // updates atomic against in-flight speculative commits).
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -27,39 +24,13 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/policies.hpp"
-#include "runtime/policy.hpp"
+#include "runtime/tx_driver.hpp"
 #include "runtime/word_lock.hpp"
 #include "util/backoff.hpp"
-#include "util/cacheline.hpp"
 
 namespace seer::rt {
 
-// The concrete lock objects behind the symbolic LockIds.
-class LockSpace {
- public:
-  LockSpace(std::size_t n_types, std::size_t physical_cores)
-      : tx_locks_(n_types), core_locks_(physical_cores) {}
-
-  [[nodiscard]] WordLock& sgl() noexcept { return sgl_; }
-
-  [[nodiscard]] WordLock& get(LockId id) noexcept {
-    switch (id.kind) {
-      case LockKind::kSgl: return sgl_;
-      case LockKind::kAux: return aux_;
-      case LockKind::kSched: return sched_;
-      case LockKind::kTx: return tx_locks_[id.index].value;
-      case LockKind::kCore: return core_locks_[id.index].value;
-    }
-    __builtin_unreachable();
-  }
-
- private:
-  WordLock sgl_;
-  WordLock aux_;
-  WordLock sched_;
-  std::vector<util::Padded<WordLock>> tx_locks_;
-  std::vector<util::Padded<WordLock>> core_locks_;
-};
+using LockSpace = LockTable<WordLock>;
 
 // Thrown out of ThreadHandle::run when a body aborts explicitly (tx.abort)
 // on the SGL fallback path. That path holds the SGL and retries only the
@@ -76,14 +47,6 @@ class ExplicitAbortOnFallback : public std::runtime_error {
 
  private:
   std::uint8_t code_;
-};
-
-// Per-thread outcome counters (single-writer; summed on demand).
-struct ThreadCounters {
-  std::array<std::uint64_t, static_cast<std::size_t>(CommitMode::kModeCount)>
-      commits_by_mode{};
-  std::array<std::uint64_t, 4> aborts_by_cause{};  // indexed by AbortCause
-  std::uint64_t hw_attempts = 0;
 };
 
 struct ExecutorStats {
@@ -137,46 +100,42 @@ class ThreadedExecutor {
     template <typename Body>
     CommitMode run(core::TxTypeId tx, Body&& body) {
       assert(tx >= 0 && static_cast<std::size_t>(tx) < exec_->opts_.n_types);
-      policy_->maintenance(now());
-      policy_->begin_tx(tx);
-      LockList held;
-      std::uint64_t tx_attempts = 0;
+      driver_.maintenance(obs::now_ticks());  // the paper's RDTSC feedback clock
+      driver_.begin(tx);
+      CommitMode mode = CommitMode::kHtmNoLocks;
       try {
-        while (true) {
-          const Directive d = policy_->next_attempt();
-          apply_releases(d, held);
-          acquire_locks(d, held);
-          if (d.mode == Directive::Mode::kFallback) {
+        for (Step s = driver_.next(); s.kind != Step::Kind::kDone; s = driver_.next()) {
+          if (s.kind == Step::Kind::kHwAttempt) {
+            const htm::AbortStatus status = hw_attempt(body);
+            if (status.raw() == htm::kXBeginStarted) {
+              mode = driver_.committed(/*hardware=*/true);
+            } else {
+              driver_.aborted(status);
+            }
+          } else if (s.kind == Step::Kind::kFallback) {
             run_fallback(body);
-            finish(/*hardware=*/false, held);
-            obs_tx_done(CommitMode::kSglFallback, tx, tx_attempts);
-            return CommitMode::kSglFallback;
+            mode = driver_.committed(/*hardware=*/false);
+          } else {
+            perform(s);
           }
-          wait_locks(d);
-          ++counters_.hw_attempts;
-          ++tx_attempts;
-          const htm::AbortStatus status = hw_attempt(body);
-          if (status.raw() == htm::kXBeginStarted) {
-            const CommitMode mode = classify_commit(held, /*used_sgl=*/false);
-            counters_.commits_by_mode[static_cast<std::size_t>(mode)]++;
-            finish(/*hardware=*/true, held);
-            obs_tx_done(mode, tx, tx_attempts);
-            return mode;
-          }
-          counters_.aborts_by_cause[static_cast<std::size_t>(status.cause())]++;
-          if (exec_->opts_.metrics != nullptr) {
-            exec_->opts_.metrics->add(
-                exec_->m_aborts_[static_cast<std::size_t>(status.cause())], id_);
-          }
-          policy_->on_abort(status);
         }
       } catch (...) {
-        abandon(held);
+        driver_.abandon();
+        for (Step s = driver_.next(); s.kind != Step::Kind::kDone; s = driver_.next()) {
+          perform(s);  // releases
+        }
         throw;
       }
+      if (exec_->opts_.trace != nullptr && mode == CommitMode::kSglFallback) {
+        exec_->opts_.trace->emit(id_, obs::TraceKind::kSglFallback, obs::now_ticks(),
+                                 static_cast<std::uint64_t>(tx));
+      }
+      return mode;
     }
 
-    [[nodiscard]] const ThreadCounters& counters() const noexcept { return counters_; }
+    [[nodiscard]] const ThreadCounters& counters() const noexcept {
+      return driver_.counters();
+    }
     [[nodiscard]] core::ThreadId id() const noexcept { return id_; }
 
     // --- check-harness instrumentation (src/check/) ----------------------
@@ -195,29 +154,12 @@ class ThreadedExecutor {
         : exec_(&exec),
           id_(id),
           tm_ctx_(exec.tm_),
-          policy_(exec.shared_.make_thread_policy(id)) {
+          driver_(exec.shared_, id, exec.tx_metrics_) {
       tm_ctx_.set_obs(exec.opts_.trace, id);
       if (exec.opts_.metrics != nullptr) {
         htm::HtmMetrics m = exec.htm_metrics_;
         m.lane = id;
         tm_ctx_.set_metrics(m);
-      }
-    }
-
-    // Per-completed-transaction observability: one commit bump, the retry
-    // depth (hardware attempts consumed, 0 = straight to fallback), and the
-    // fallback counter/event when the SGL path was taken.
-    void obs_tx_done(CommitMode mode, core::TxTypeId tx,
-                     std::uint64_t attempts) noexcept {
-      obs::MetricsRegistry* m = exec_->opts_.metrics;
-      if (m != nullptr) {
-        m->add(exec_->m_commits_, id_);
-        m->observe(exec_->h_retry_depth_, id_, attempts);
-        if (mode == CommitMode::kSglFallback) m->add(exec_->m_sgl_fallbacks_, id_);
-      }
-      if (exec_->opts_.trace != nullptr && mode == CommitMode::kSglFallback) {
-        exec_->opts_.trace->emit(id_, obs::TraceKind::kSglFallback,
-                                 obs::now_ticks(), static_cast<std::uint64_t>(tx));
       }
     }
 
@@ -261,22 +203,15 @@ class ThreadedExecutor {
         if (s.is_explicit()) throw ExplicitAbortOnFallback(s.explicit_code());
         backoff.pause();
       }
-      counters_.commits_by_mode[static_cast<std::size_t>(CommitMode::kSglFallback)]++;
     }
 
-    void apply_releases(const Directive& d, LockList& held);
-    void acquire_locks(const Directive& d, LockList& held);
-    void wait_locks(const Directive& d);
-    void finish(bool hardware, LockList& held);
-    void abandon(LockList& held);
-
-    [[nodiscard]] static std::uint64_t now() noexcept;
+    // Performs a release, acquire or wait step on the WordLocks.
+    void perform(const Step& s);
 
     ThreadedExecutor* exec_;
     core::ThreadId id_;
     htm::SoftHtm::ThreadContext tm_ctx_;
-    std::unique_ptr<Policy> policy_;
-    ThreadCounters counters_;
+    TxDriver driver_;
   };
 
   // One handle per thread; create before spawning, use strictly from the
@@ -318,13 +253,9 @@ class ThreadedExecutor {
   PolicyShared shared_;
   LockSpace locks_;
 
-  // Observability metric ids (registered in the constructor when
-  // opts_.metrics is set; kNoMetric otherwise).
-  obs::MetricId m_commits_ = obs::kNoMetric;
-  obs::MetricId m_sgl_fallbacks_ = obs::kNoMetric;
-  obs::MetricId h_retry_depth_ = obs::kNoMetric;
-  std::array<obs::MetricId, 4> m_aborts_{obs::kNoMetric, obs::kNoMetric,
-                                         obs::kNoMetric, obs::kNoMetric};
+  // The rt.* transaction counters (registered in the constructor when
+  // opts_.metrics is set; detached otherwise).
+  TxMetrics tx_metrics_;
   // SoftHtm read-tier counters (htm.read_promote.capacity,
   // htm.aborts.capacity.*), registered alongside the rt.* metrics and handed
   // to every ThreadHandle's context with its own lane. These let abort

@@ -1,0 +1,174 @@
+#include "runtime/tx_driver.hpp"
+
+#include <algorithm>
+#include <cassert>
+#include <new>
+#include <string>
+#include <type_traits>
+
+namespace seer::rt {
+
+ThreadCounters& ThreadCounters::operator+=(const ThreadCounters& o) noexcept {
+  for (std::size_t m = 0; m < commits_by_mode.size(); ++m) {
+    commits_by_mode[m] += o.commits_by_mode[m];
+  }
+  for (std::size_t c = 0; c < aborts_by_cause.size(); ++c) {
+    aborts_by_cause[c] += o.aborts_by_cause[c];
+  }
+  hw_attempts += o.hw_attempts;
+  return *this;
+}
+
+CommitMode classify_commit(const LockList& held, bool used_sgl) noexcept {
+  if (used_sgl) return CommitMode::kSglFallback;
+  bool aux = false;
+  bool sched = false;
+  bool txl = false;
+  bool corel = false;
+  for (const LockId& l : held) {
+    switch (l.kind) {
+      case LockKind::kAux: aux = true; break;
+      case LockKind::kSched: sched = true; break;
+      case LockKind::kTx: txl = true; break;
+      case LockKind::kCore: corel = true; break;
+      case LockKind::kSgl: break;
+    }
+  }
+  if (aux) return CommitMode::kHtmAuxLock;
+  if (sched) return CommitMode::kHtmSchedLock;
+  if (txl && corel) return CommitMode::kHtmTxAndCore;
+  if (txl) return CommitMode::kHtmTxLocks;
+  if (corel) return CommitMode::kHtmCoreLock;
+  return CommitMode::kHtmNoLocks;
+}
+
+TxMetrics::TxMetrics(obs::MetricsRegistry& m)
+    : registry(&m),
+      commits(m.counter("rt.commits")),
+      hw_attempts(m.counter("rt.hw_attempts")),
+      sgl_fallbacks(m.counter("rt.sgl_fallbacks")) {
+  for (std::size_t c = 0; c < aborts.size(); ++c) {
+    const auto cause = static_cast<htm::AbortCause>(c);
+    aborts[c] = m.counter(std::string("rt.aborts.").append(htm::to_string(cause)));
+  }
+  retry_depth = m.histogram("rt.retry_depth");
+}
+
+TxDriver::TxDriver(PolicyShared& shared, core::ThreadId self, TxMetrics metrics)
+    : policy_(shared.make_thread_policy(self)), self_(self), metrics_(metrics) {}
+
+void TxDriver::begin(core::TxTypeId tx) {
+  assert(state_ == State::kIdle && held_.empty());
+  policy_->begin_tx(tx);
+  tx_attempts_ = 0;
+  state_ = State::kDirective;
+}
+
+static_assert(std::is_trivially_destructible_v<Directive>);
+
+Step TxDriver::next() {
+  while (true) {
+    switch (state_) {
+      case State::kDirective:
+        // Built in place: a Directive is a few hundred bytes, trivially
+        // destructible, and this runs once per attempt.
+        ::new (static_cast<void*>(&d_)) Directive(policy_->next_attempt());
+        next_release_ = 0;
+        wait_idx_ = 0;
+        if (d_.mode == Directive::Mode::kFallback) {
+          assert(d_.releases.empty() && d_.acquires.empty());
+          release_held_then(State::kFallback);
+        } else {
+          state_ = State::kRelease;
+        }
+        break;
+      case State::kRelease:
+        if (next_release_ < d_.releases.size()) {
+          return release(d_.releases[next_release_++]);
+        }
+        state_ = d_.acquires.empty() ? State::kWaitSgl : State::kAcquire;
+        break;
+      case State::kAcquire:
+        return {Step::Kind::kAcquire, d_.htm_batch && d_.acquires.size() >= 2, {},
+                &d_.acquires};
+      case State::kWaitSgl:
+        if (d_.wait_sgl) return {Step::Kind::kWaitSgl, false, kSglLock};
+        state_ = State::kWaitLock;
+        break;
+      case State::kWaitLock:
+        if (wait_idx_ < d_.waits.size()) {
+          return {Step::Kind::kWaitLock, false, d_.waits[wait_idx_]};
+        }
+        state_ = State::kAttempt;
+        ++counters_.hw_attempts;
+        ++tx_attempts_;
+        if (metrics_.registry != nullptr) {
+          metrics_.registry->add(metrics_.hw_attempts, self_);
+        }
+        return {Step::Kind::kHwAttempt};
+      case State::kAttempt: return {Step::Kind::kHwAttempt};
+      case State::kReleaseHeld:
+        if (!held_.empty()) return release(held_[0]);
+        state_ = then_;
+        break;
+      case State::kFallback: return {Step::Kind::kFallback};
+      case State::kDone:
+      case State::kIdle:
+        assert(state_ == State::kDone && "next() outside a transaction");
+        state_ = State::kIdle;
+        return {Step::Kind::kDone};
+    }
+  }
+}
+
+Step TxDriver::release(LockId id) {
+  LockId* it = std::find(held_.begin(), held_.end(), id);
+  assert(it != held_.end() && "policy released a lock the driver never took");
+  if (it != held_.end()) {
+    std::rotate(it, it + 1, held_.end());  // the rest stays in canonical order
+    held_.pop_back();
+  }
+  return {Step::Kind::kRelease, false, id};
+}
+
+void TxDriver::acquired() {
+  assert(state_ == State::kAcquire);
+  for (const LockId& id : d_.acquires) {
+    LockId* pos = std::lower_bound(held_.begin(), held_.end(), id);
+    assert((pos == held_.end() || *pos != id) && "lock acquired twice");
+    held_.push_back(id);
+    std::rotate(pos, held_.end() - 1, held_.end());
+  }
+  state_ = State::kWaitSgl;
+}
+
+CommitMode TxDriver::committed(bool hardware) {
+  assert(state_ == (hardware ? State::kAttempt : State::kFallback));
+  const CommitMode mode = classify_commit(held_, /*used_sgl=*/!hardware);
+  counters_.commits_by_mode[static_cast<std::size_t>(mode)]++;
+  if (obs::MetricsRegistry* m = metrics_.registry; m != nullptr) {
+    m->add(metrics_.commits, self_);
+    m->observe(metrics_.retry_depth, self_, tx_attempts_);
+    if (mode == CommitMode::kSglFallback) m->add(metrics_.sgl_fallbacks, self_);
+  }
+  policy_->on_commit(hardware);
+  release_held_then(State::kDone);
+  return mode;
+}
+
+void TxDriver::aborted(htm::AbortStatus status, core::TxTypeId culprit) {
+  assert(state_ == State::kAttempt);
+  const auto cause = static_cast<std::size_t>(status.cause());
+  counters_.aborts_by_cause[cause]++;
+  if (metrics_.registry != nullptr) metrics_.registry->add(metrics_.aborts[cause], self_);
+  if (culprit != core::kNoTx) policy_->on_conflict_attribution(culprit);
+  policy_->on_abort(status);
+  state_ = State::kDirective;
+}
+
+void TxDriver::abandon() {
+  policy_->on_abandon();
+  release_held_then(State::kDone);
+}
+
+}  // namespace seer::rt

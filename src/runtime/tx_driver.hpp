@@ -1,0 +1,160 @@
+// TxDriver — the policy protocol, stated once for both backends.
+//
+// One driver per thread runs each of its transactions through its Policy
+// (Alg. 1's START/END loop around Alg. 4's ACQUIRE/WAIT/RELEASE-SEER-LOCKS).
+// It does no I/O: it emits steps, a backend performs each one its own way
+// (the ThreadedExecutor on WordLocks and SoftHtm, the sim::Machine on
+// SimLocks and its event queue) and reports the outcome:
+//
+//   maintenance(now); begin(tx)       policy.maintenance, policy.begin_tx
+//   loop: d = policy.next_attempt()
+//     fallback: release every held lock (Alg. 1 lines 18-20), then
+//               kFallback: take the SGL, run the body, release the SGL
+//     hardware: release d.releases (canonical-order re-acquisition)
+//               kAcquire d.acquires, batched if d.htm_batch -> acquired()
+//               kWaitSgl if d.wait_sgl (lemming avoidance) -> wait_over()
+//               kWaitLock per d.waits (cooperative)        -> wait_over()
+//               kHwAttempt, subscribed to the SGL -> aborted(status,
+//               culprit): on_conflict_attribution(culprit) if known,
+//               policy.on_abort(status); loop
+//   committed(hardware): policy.on_commit; release every held lock; done
+//   abandon(), the body threw: policy.on_abandon; release every held lock
+//
+// The driver owns the held set and releases it in canonical LockId order
+// (lock_id.hpp), so nothing is ever co-held with the SGL and policies never
+// track what to give back. It alone calls Policy and classify_commit, and it
+// counts every outcome once, into ThreadCounters and the rt.* registry set.
+#pragma once
+
+#include <array>
+#include <cassert>
+#include <cstdint>
+#include <memory>
+
+#include "obs/metrics.hpp"
+#include "runtime/policies.hpp"
+#include "runtime/policy.hpp"
+
+namespace seer::rt {
+
+// Derives the census row from the set of locks held at commit time.
+[[nodiscard]] CommitMode classify_commit(const LockList& held, bool used_sgl) noexcept;
+
+// Per-thread outcome counters (single-writer; summed on demand).
+struct ThreadCounters {
+  std::array<std::uint64_t, static_cast<std::size_t>(CommitMode::kModeCount)>
+      commits_by_mode{};
+  std::array<std::uint64_t, 4> aborts_by_cause{};  // indexed by AbortCause
+  std::uint64_t hw_attempts = 0;
+
+  ThreadCounters& operator+=(const ThreadCounters& o) noexcept;
+};
+
+// The rt.* transaction counters. A backend registers them once and hands a
+// copy to each thread's driver, which records on its thread's lane.
+struct TxMetrics {
+  TxMetrics() = default;
+  explicit TxMetrics(obs::MetricsRegistry& registry);
+
+  obs::MetricsRegistry* registry = nullptr;
+  obs::MetricId commits = obs::kNoMetric;        // rt.commits
+  obs::MetricId hw_attempts = obs::kNoMetric;    // rt.hw_attempts
+  obs::MetricId sgl_fallbacks = obs::kNoMetric;  // rt.sgl_fallbacks, at commit
+  std::array<obs::MetricId, 4> aborts{};         // rt.aborts.<cause>
+  // rt.retry_depth: hardware attempts per commit (0 = straight to the SGL).
+  obs::MetricId retry_depth = obs::kNoMetric;
+};
+
+struct Step {
+  enum class Kind : std::uint8_t {
+    kRelease,    // release `lock`
+    kAcquire,    // acquire `*locks` in order, all at once if htm_batch
+    kWaitSgl,    // wait until `lock`, the SGL, is free
+    kWaitLock,   // wait until `lock` is not held by another thread
+    kHwAttempt,  // run one hardware attempt
+    kFallback,   // take the SGL, run the body, release the SGL
+    kDone,       // the transaction is over
+  };
+  Kind kind = Kind::kDone;
+  bool htm_batch = false;
+  LockId lock{};
+  const LockList* locks = nullptr;  // valid until the next directive
+};
+
+// How a wait step ended. How it ends is the backend's rule; what follows is
+// the driver's.
+enum class WaitEnd : std::uint8_t {
+  kFree,      // the lock was free when looked at: go on
+  kReleased,  // a release ended a blocked wait, but the lock may be taken
+              // again: look at the SGL, then at the same lock again
+  kTimedOut,  // the backend's bound ran out: look at the SGL, then go on
+};
+
+class TxDriver {
+ public:
+  TxDriver(PolicyShared& shared, core::ThreadId self, TxMetrics metrics = {});
+
+  // Forwards to Policy::maintenance: true when a scheme rebuild ran.
+  bool maintenance(std::uint64_t now) { return policy_->maintenance(now); }
+  // Starts a transaction of type `tx`; the last step was kDone.
+  void begin(core::TxTypeId tx);
+
+  // The step to perform now. Acquire, wait, attempt and fallback steps are
+  // returned again until their outcome is reported; the others need none.
+  [[nodiscard]] Step next();
+
+  void acquired();
+  void wait_over(WaitEnd end) {
+    if (state_ == State::kWaitSgl) {
+      if (end != WaitEnd::kReleased) state_ = State::kWaitLock;
+      return;
+    }
+    assert(state_ == State::kWaitLock);
+    if (end != WaitEnd::kReleased) ++wait_idx_;
+    if (end != WaitEnd::kFree) state_ = State::kWaitSgl;
+  }
+  // Returns the Table 3 census row of the commit.
+  CommitMode committed(bool hardware);
+  // `culprit`: the aggressor's type where the backend knows it, else kNoTx.
+  void aborted(htm::AbortStatus status, core::TxTypeId culprit = core::kNoTx);
+  // The body threw; the next steps release every held lock, then kDone.
+  void abandon();
+
+  // Held locks, in canonical order.
+  [[nodiscard]] const LockList& held() const noexcept { return held_; }
+  [[nodiscard]] const ThreadCounters& counters() const noexcept { return counters_; }
+
+ private:
+  enum class State : std::uint8_t {
+    kIdle,         // between transactions
+    kDirective,    // ask the policy for the next attempt
+    kRelease,      // the directive's own releases
+    kAcquire,      // awaiting acquired()
+    kWaitSgl,      // awaiting wait_over() when d_.wait_sgl
+    kWaitLock,     // awaiting wait_over() for d_.waits[wait_idx_]
+    kAttempt,      // awaiting committed(true) or aborted()
+    kReleaseHeld,  // release every held lock, then go to then_
+    kFallback,     // awaiting committed(false)
+    kDone,
+  };
+
+  [[nodiscard]] Step release(LockId id);
+  void release_held_then(State then) noexcept {
+    state_ = State::kReleaseHeld;
+    then_ = then;
+  }
+
+  std::unique_ptr<Policy> policy_;
+  core::ThreadId self_;
+  TxMetrics metrics_;
+  ThreadCounters counters_;
+  Directive d_;
+  LockList held_;
+  State state_ = State::kIdle;
+  State then_ = State::kDone;
+  std::size_t next_release_ = 0;
+  std::size_t wait_idx_ = 0;
+  std::uint64_t tx_attempts_ = 0;
+};
+
+}  // namespace seer::rt

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/types.hpp"
-#include "runtime/lock_id.hpp"
 
 namespace seer::sim {
 
@@ -39,7 +38,6 @@ struct Event {
   // dropped if the thread moved on. Ownership-transfer events
   // (kLockGranted) must always be delivered and carry kAnyGen.
   std::uint64_t gen = 0;
-  rt::LockId lock{};  // payload for lock-related events
 };
 
 inline constexpr std::uint64_t kAnyGen = ~std::uint64_t{0};

@@ -6,8 +6,12 @@
 namespace seer::sim {
 
 struct Machine::ThreadCtx {
+  ThreadCtx(rt::PolicyShared& shared, core::ThreadId self,
+            const rt::TxMetrics& metrics)
+      : id(self), driver(shared, self, metrics) {}
+
   core::ThreadId id = 0;
-  std::unique_ptr<rt::Policy> policy;
+  rt::TxDriver driver;
   util::Xoshiro256 rng{0};
   std::uint64_t txs_done = 0;
   std::uint64_t gen = 0;
@@ -18,23 +22,23 @@ struct Machine::ThreadCtx {
   TxInstance inst;
   FootprintIndex fp;  // inst's footprint; built by begin(), kept across retries
   Time arrival = 0;  // open loop: when the request in service arrived
-  rt::Directive d;
+  // How the transaction in service committed.
+  rt::CommitMode mode = rt::CommitMode::kHtmNoLocks;
+  // The kAcquire step in progress: its locks, and how many are held.
+  const rt::LockList* acquiring = nullptr;
   std::size_t acquire_idx = 0;
-  std::size_t wait_idx = 0;
-  rt::LockList held;
   bool in_hw = false;
   Time hw_end = 0;
   bool capacity_scheduled = false;
   // Aggressor type behind a scheduled conflict abort — precise information
-  // the simulator has but a commodity HTM would not reveal. Forwarded via
-  // Policy::on_conflict_attribution (used by the Oracle baseline only).
+  // the simulator has but a commodity HTM would not reveal. The driver
+  // forwards it to Policy::on_conflict_attribution (only Oracle uses it).
   core::TxTypeId pending_culprit = core::kNoTx;
 
   enum class St : std::uint8_t {
     kIdle,        // between transactions
-    kAcquiring,   // queued on a lock in d.acquires
-    kWaitSglFree, // subscribed to the SGL becoming free
-    kCoopWait,    // bounded cooperative wait on a tx/core lock
+    kAcquiring,   // queued on a lock of the acquire step
+    kWaiting,     // subscribed to the SGL or a tx/core lock becoming free
     kRunningHw,   // speculative execution in flight
     kQueuedSgl,   // fallback: queued on the SGL
     kRunningSgl,  // pessimistic execution in flight
@@ -47,48 +51,26 @@ Machine::Machine(MachineConfig cfg, std::unique_ptr<Workload> workload)
     : cfg_(with_obs(std::move(cfg))),
       workload_(std::move(workload)),
       shared_(cfg_.policy, cfg_.n_threads, workload_->n_types()),
-      tx_locks_(workload_->n_types()),
-      core_locks_(cfg_.physical_cores) {
+      locks_(workload_->n_types(), cfg_.physical_cores) {
   assert(cfg_.n_threads > 0 && cfg_.physical_cores > 0);
   stats_.commits_by_type.assign(workload_->n_types(), 0);
   stats_.gt_conflicts.assign(workload_->n_types() * workload_->n_types(), 0);
 
   if (cfg_.metrics != nullptr) {
-    obs::MetricsRegistry& m = *cfg_.metrics;
-    m_commits_ = m.counter("sim.commits");
-    m_hw_attempts_ = m.counter("sim.hw_attempts");
-    m_sgl_fallbacks_ = m.counter("sim.sgl_fallbacks");
-    h_queue_depth_ = m.histogram("sim.queue_depth");
-    for (std::size_t c = 0; c < m_aborts_.size(); ++c) {
-      m_aborts_[c] = m.counter(
-          std::string("sim.aborts.")
-              .append(htm::to_string(static_cast<htm::AbortCause>(c))));
-    }
+    tx_metrics_ = rt::TxMetrics(*cfg_.metrics);
+    h_queue_depth_ = cfg_.metrics->histogram("sim.queue_depth");
   }
 
   util::Xoshiro256 master(cfg_.seed);
   threads_.reserve(cfg_.n_threads);
   for (core::ThreadId id = 0; id < cfg_.n_threads; ++id) {
-    auto t = std::make_unique<ThreadCtx>();
-    t->id = id;
-    t->policy = shared_.make_thread_policy(id);
+    auto t = std::make_unique<ThreadCtx>(shared_, id, tx_metrics_);
     t->rng = master.split();
     threads_.push_back(std::move(t));
   }
 }
 
 Machine::~Machine() = default;
-
-SimLock& Machine::lock_of(rt::LockId id) noexcept {
-  switch (id.kind) {
-    case rt::LockKind::kSgl: return sgl_;
-    case rt::LockKind::kAux: return aux_;
-    case rt::LockKind::kSched: return sched_;
-    case rt::LockKind::kTx: return tx_locks_[id.index];
-    case rt::LockKind::kCore: return core_locks_[id.index];
-  }
-  __builtin_unreachable();
-}
 
 std::uint32_t Machine::effective_capacity(const ThreadCtx& t) const noexcept {
   // Core-mates (Linux-style enumeration: threads {c, c+P, c+2P, ...} share
@@ -104,14 +86,12 @@ std::uint32_t Machine::effective_capacity(const ThreadCtx& t) const noexcept {
   return cfg_.cache_lines_per_core / sharers;
 }
 
-void Machine::push(Time at, core::ThreadId th, EventKind kind, std::uint64_t gen,
-                   rt::LockId lockid) {
+void Machine::push(Time at, core::ThreadId th, EventKind kind, std::uint64_t gen) {
   Event e;
   e.time = at;
   e.thread = th;
   e.kind = kind;
   e.gen = gen;
-  e.lock = lockid;
   queue_.push(e);
 }
 
@@ -135,6 +115,12 @@ MachineStats Machine::run() {
   while (!queue_.empty() && done_count_ < cfg_.n_threads) step();
 
   stats_.makespan = now_;
+  rt::ThreadCounters total;
+  for (const auto& t : threads_) total += t->driver.counters();
+  stats_.commits_by_mode = total.commits_by_mode;
+  stats_.aborts_by_cause = total.aborts_by_cause;
+  stats_.hw_attempts = total.hw_attempts;
+  for (auto c : total.commits_by_mode) stats_.commits += c;
   if (auto* s = shared_.seer()) {
     stats_.final_params = s->params();
     stats_.scheme_rebuilds = s->rebuild_count();
@@ -192,6 +178,9 @@ void Machine::drain() {
 void Machine::on_event(const Event& e) {
   ThreadCtx& t = *threads_[e.thread];
   if (t.st == ThreadCtx::St::kDone) return;
+  // Transient events are dropped once the thread has moved on; ownership
+  // transfers and transaction starts carry kAnyGen and are always delivered.
+  if (e.gen != kAnyGen && e.gen != t.gen) return;
 
   switch (e.kind) {
     case EventKind::kStartTx:
@@ -200,50 +189,42 @@ void Machine::on_event(const Event& e) {
 
     case EventKind::kLockGranted:
       // Ownership was already transferred by release(); must be consumed.
-      if (t.st == ThreadCtx::St::kAcquiring) {
-        t.held.push_back(e.lock);
-        ++t.acquire_idx;
-        continue_acquire(t);
-      } else if (t.st == ThreadCtx::St::kQueuedSgl) {
+      if (t.st == ThreadCtx::St::kQueuedSgl) {
         sgl_granted(t);
-      } else {
-        assert(false && "lock granted to a thread that is not waiting");
+        break;
       }
+      assert(t.st == ThreadCtx::St::kAcquiring && "lock granted to a non-waiter");
+      ++t.acquire_idx;
+      if (acquire_rest(t)) perform(t);
       break;
 
     case EventKind::kFreeNotify:
-      if (e.gen != t.gen) break;
-      if (t.st == ThreadCtx::St::kWaitSglFree) {
-        ++t.gen;
-        continue_waits(t);  // re-checks the SGL (it may be taken again)
-      } else if (t.st == ThreadCtx::St::kCoopWait) {
-        ++t.gen;  // invalidates the paired timeout
-        continue_waits(t);
-      }
+      // Only a waiting thread subscribes. The lock may be taken again by
+      // now, so the driver looks again.
+      ++t.gen;  // invalidates a cooperative wait's paired timeout
+      t.driver.wait_over(rt::WaitEnd::kReleased);
+      perform(t);
       break;
 
-    case EventKind::kWaitTimeout:
-      if (e.gen != t.gen) break;
-      if (t.st == ThreadCtx::St::kCoopWait) {
-        ++t.gen;
-        ++t.wait_idx;  // bounded wait expired: move on regardless
-        continue_waits(t);
-      }
+    case EventKind::kWaitTimeout:  // the bounded cooperative wait expired
+      ++t.gen;
+      t.driver.wait_over(rt::WaitEnd::kTimedOut);
+      perform(t);
       break;
 
     case EventKind::kHwCommit:
-      if (e.gen != t.gen) break;
       assert(t.in_hw);
-      hw_commit(t);
+      t.in_hw = false;
+      ++t.gen;
+      t.pending_cost += cfg_.costs.xcommit + scan_cost();
+      committed(t, /*hardware=*/true);
       break;
 
     case EventKind::kConflictAbort:
-      if (e.gen != t.gen) break;
       if (t.in_hw) abort_hw(t, htm::AbortStatus::conflict());
       break;
 
     case EventKind::kCapacityAbort:
-      if (e.gen != t.gen) break;
       // Lazy revalidation: the overflow only materializes if the capacity
       // squeeze still holds when the high-water point is reached (an SMT
       // sibling that finished early releases its share of the cache before
@@ -259,18 +240,16 @@ void Machine::on_event(const Event& e) {
       break;
 
     case EventKind::kOtherAbort:
-      if (e.gen != t.gen) break;
       if (t.in_hw) abort_hw(t, htm::AbortStatus::other());
       break;
 
     case EventKind::kSglBodyDone:
-      if (e.gen != t.gen) break;
-      sgl_done(t);
+      release(t, rt::kSglLock);
+      committed(t, /*hardware=*/false);
       break;
 
     case EventKind::kResume:
-      if (e.gen != t.gen) break;
-      dispatch(t);
+      perform(t);
       break;
 
     case EventKind::kServeNext:
@@ -279,24 +258,11 @@ void Machine::on_event(const Event& e) {
   }
 }
 
-void Machine::record_abort_obs(const ThreadCtx& t, htm::AbortStatus status) {
-  if (cfg_.metrics != nullptr) {
-    cfg_.metrics->add(m_aborts_[static_cast<std::size_t>(status.cause())], t.id);
-  }
-  if (cfg_.trace != nullptr) {
-    cfg_.trace->emit(t.id, obs::TraceKind::kTxAbort, now_,
-                     static_cast<std::uint64_t>(status.cause()));
-  }
-}
-
 void Machine::run_maintenance(ThreadCtx& t) {
-  if (t.policy->maintenance(now_)) {
-    t.pending_cost += cfg_.costs.scheme_rebuild;
-  }
+  if (t.driver.maintenance(now_)) t.pending_cost += cfg_.costs.scheme_rebuild;
 }
 
 void Machine::start_tx(ThreadCtx& t) {
-  run_maintenance(t);  // DESIGN.md deviation #1: start-path trigger
   const double progress = static_cast<double>(t.txs_done) /
                           static_cast<double>(cfg_.txs_per_thread);
   workload_->next(t.id, progress, t.rng, t.inst);
@@ -309,119 +275,128 @@ void Machine::serve_next(ThreadCtx& t) {
     t.st = ThreadCtx::St::kParked;
     return;
   }
-  run_maintenance(t);
   t.arrival = r.arrival;
   t.inst = std::move(r.inst);
   begin(t);
 }
 
 void Machine::begin(ThreadCtx& t) {
+  run_maintenance(t);  // DESIGN.md deviation #1: start-path trigger
   t.fp.build(t.inst);
-  t.policy->begin_tx(t.inst.type);
+  t.driver.begin(t.inst.type);
   if (is_seer()) t.pending_cost += cfg_.costs.announce;
-  assert(t.held.empty());
-  dispatch(t);
+  perform(t);
 }
 
-void Machine::dispatch(ThreadCtx& t) {
-  t.d = t.policy->next_attempt();
-  t.acquire_idx = 0;
-  t.wait_idx = 0;
-  for (const rt::LockId& id : t.d.releases) release_one(t, id);
+// Performs the driver's steps until one has to wait for an event.
+void Machine::perform(ThreadCtx& t) {
+  while (true) {
+    const rt::Step s = t.driver.next();
+    switch (s.kind) {
+      case rt::Step::Kind::kRelease:
+        release(t, s.lock);
+        break;
 
-  // §5.2 census: how fine-grained is each tx-lock acquisition?
-  std::size_t n_tx_locks = 0;
-  for (const rt::LockId& id : t.d.acquires) {
-    if (id.kind == rt::LockKind::kTx) ++n_tx_locks;
+      case rt::Step::Kind::kAcquire: {
+        // §5.2 census: how fine-grained is each tx-lock acquisition?
+        const auto n_tx_locks =
+            std::count_if(s.locks->begin(), s.locks->end(),
+                          [](rt::LockId id) { return id.kind == rt::LockKind::kTx; });
+        if (n_tx_locks > 0) {
+          stats_.txlock_fraction.add(static_cast<double>(n_tx_locks) /
+                                     static_cast<double>(workload_->n_types()));
+        }
+        // Batched (multi-CAS-by-HTM) acquisition costs one synchronization
+        // round-trip instead of one per lock (§4's optimization).
+        t.pending_cost += s.htm_batch ? cfg_.costs.xbegin + cfg_.costs.cas
+                                      : cfg_.costs.cas * s.locks->size();
+        t.acquiring = s.locks;
+        t.acquire_idx = 0;
+        if (!acquire_rest(t)) return;  // resumed by kLockGranted
+        break;
+      }
+
+      case rt::Step::Kind::kWaitSgl:
+      case rt::Step::Kind::kWaitLock: {
+        SimLock& l = locks_.get(s.lock);
+        if (l.is_locked() && l.owner() != t.id) {
+          t.st = ThreadCtx::St::kWaiting;
+          l.subscribe_free(t.id, t.gen);
+          if (s.kind == rt::Step::Kind::kWaitSgl) {
+            // Lemming avoidance (Alg. 4 line 55) lends the wait to scheme
+            // maintenance (lines 52-54).
+            run_maintenance(t);
+          } else {
+            // Cooperative waits on tx/core locks (lines 57-58) are bounded.
+            push(now_ + cfg_.wait_budget, t.id, EventKind::kWaitTimeout, t.gen);
+          }
+          return;
+        }
+        t.driver.wait_over(rt::WaitEnd::kFree);
+        break;
+      }
+
+      case rt::Step::Kind::kHwAttempt:
+        start_hw(t);
+        return;
+
+      case rt::Step::Kind::kFallback:
+        t.pending_cost += cfg_.costs.cas;  // SGL acquisition round-trip
+        if (locks_.sgl().try_acquire(t.id)) {
+          sgl_granted(t);
+        } else {
+          locks_.sgl().enqueue(t.id);
+          t.st = ThreadCtx::St::kQueuedSgl;
+        }
+        return;
+
+      case rt::Step::Kind::kDone:
+        stats_.serial_work += t.inst.duration;
+        t.st = ThreadCtx::St::kIdle;
+        if (serving_) {
+          serving_->on_served(Served{t.arrival, now_, t.mode});
+          push(now_ + t.pending_cost, t.id, EventKind::kServeNext, kAnyGen);
+        } else if (++t.txs_done >= cfg_.txs_per_thread || workload_->exhausted(t.id)) {
+          t.st = ThreadCtx::St::kDone;
+          ++done_count_;
+        } else {
+          const std::uint64_t think = workload_->think_time(t.id, t.rng);
+          stats_.serial_work += think;
+          push(now_ + t.pending_cost + think, t.id, EventKind::kStartTx, kAnyGen);
+        }
+        t.pending_cost = 0;
+        return;
+    }
   }
-  if (n_tx_locks > 0) {
-    stats_.txlock_fraction.add(static_cast<double>(n_tx_locks) /
-                               static_cast<double>(workload_->n_types()));
-  }
-  // Batched (multi-CAS-by-HTM) acquisition costs one synchronization
-  // round-trip instead of one per lock (§4's optimization).
-  if (t.d.htm_batch && t.d.acquires.size() >= 2) {
-    t.pending_cost += cfg_.costs.xbegin + cfg_.costs.cas;
-  } else {
-    t.pending_cost += cfg_.costs.cas * t.d.acquires.size();
-  }
-  continue_acquire(t);
 }
 
-void Machine::continue_acquire(ThreadCtx& t) {
-  while (t.acquire_idx < t.d.acquires.size()) {
-    const rt::LockId id = t.d.acquires[t.acquire_idx];
-    SimLock& l = lock_of(id);
-    if (l.try_acquire(t.id)) {
-      t.held.push_back(id);
-      ++t.acquire_idx;
-    } else {
+// Takes the acquire step's locks in order from acquire_idx and tells the
+// driver once all are held; false when queued on one (kLockGranted hands it
+// over and resumes).
+bool Machine::acquire_rest(ThreadCtx& t) {
+  const rt::LockList& locks = *t.acquiring;
+  for (; t.acquire_idx < locks.size(); ++t.acquire_idx) {
+    SimLock& l = locks_.get(locks[t.acquire_idx]);
+    if (!l.try_acquire(t.id)) {
       l.enqueue(t.id);
       t.st = ThreadCtx::St::kAcquiring;
-      return;  // resumed by kLockGranted
+      return false;
     }
   }
-  after_acquires(t);
-}
-
-void Machine::after_acquires(ThreadCtx& t) {
-  if (t.d.mode == rt::Directive::Mode::kFallback) {
-    t.pending_cost += cfg_.costs.cas;  // SGL acquisition round-trip
-    if (sgl_.try_acquire(t.id)) {
-      sgl_granted(t);
-    } else {
-      sgl_.enqueue(t.id);
-      t.st = ThreadCtx::St::kQueuedSgl;
-    }
-    return;
-  }
-  continue_waits(t);
-}
-
-void Machine::continue_waits(ThreadCtx& t) {
-  // Lemming avoidance (Alg. 4 line 55): wait for the SGL to be free, and
-  // exploit the wait to run scheme maintenance (lines 52-54).
-  if (t.d.wait_sgl && sgl_.is_locked()) {
-    t.st = ThreadCtx::St::kWaitSglFree;
-    sgl_.subscribe_free(t.id, t.gen);
-    run_maintenance(t);
-    return;
-  }
-  // Cooperative bounded waits on tx/core locks (lines 57-58).
-  while (t.wait_idx < t.d.waits.size()) {
-    const rt::LockId id = t.d.waits[t.wait_idx];
-    SimLock& l = lock_of(id);
-    if (l.is_locked() && l.owner() != t.id) {
-      t.st = ThreadCtx::St::kCoopWait;
-      l.subscribe_free(t.id, t.gen);
-      push(now_ + cfg_.wait_budget, t.id, EventKind::kWaitTimeout, t.gen, id);
-      return;
-    }
-    ++t.wait_idx;
-  }
-  start_hw(t);
+  t.driver.acquired();
+  return true;
 }
 
 void Machine::start_hw(ThreadCtx& t) {
-  ++stats_.hw_attempts;
-  if (cfg_.metrics != nullptr) cfg_.metrics->add(m_hw_attempts_, t.id);
   if (cfg_.trace != nullptr) {
     cfg_.trace->emit(t.id, obs::TraceKind::kTxBegin, now_,
                      static_cast<std::uint64_t>(t.inst.type));
   }
   // Alg. 1 lines 11-12: a transaction beginning while the fallback lock is
   // held aborts explicitly (the subscription check).
-  if (sgl_.is_locked()) {
+  if (locks_.sgl().is_locked()) {
     t.pending_cost += cfg_.costs.xbegin;
-    const auto status = htm::AbortStatus::explicit_abort(htm::kXAbortCodeSglLocked);
-    stats_.aborts_by_cause[static_cast<std::size_t>(status.cause())]++;
-    record_abort_obs(t, status);
-    t.policy->on_abort(status);
-    ++t.gen;
-    t.st = ThreadCtx::St::kIdle;
-    push(now_ + t.pending_cost + cfg_.costs.abort_penalty + scan_cost(), t.id,
-         EventKind::kResume, t.gen);
-    t.pending_cost = 0;
+    abort_hw(t, htm::AbortStatus::explicit_abort(htm::kXAbortCodeSglLocked));
     return;
   }
 
@@ -498,38 +473,37 @@ void Machine::schedule_capacity_check(ThreadCtx& t) {
   t.capacity_scheduled = true;
 }
 
-void Machine::hw_commit(ThreadCtx& t) {
-  t.in_hw = false;
-  ++t.gen;
-  t.pending_cost += cfg_.costs.xcommit + scan_cost();
-  finish_tx(t, /*hardware=*/true);
-}
-
+// The attempt aborted (or could not begin): the driver hears of it, and the
+// thread resumes after the abort penalty.
 void Machine::abort_hw(ThreadCtx& t, htm::AbortStatus status) {
-  assert(t.in_hw);
   t.in_hw = false;
   ++t.gen;  // cancels the pending commit/capacity/other events
-  stats_.aborts_by_cause[static_cast<std::size_t>(status.cause())]++;
-  record_abort_obs(t, status);
-  if (status.cause() == htm::AbortCause::kConflict &&
-      t.pending_culprit != core::kNoTx) {
-    // Ground truth the HTM would never reveal: who actually killed whom.
-    stats_.gt_conflicts[static_cast<std::size_t>(t.inst.type) *
-                            workload_->n_types() +
-                        static_cast<std::size_t>(t.pending_culprit)]++;
-    t.policy->on_conflict_attribution(t.pending_culprit);
+  if (cfg_.trace != nullptr) {
+    cfg_.trace->emit(t.id, obs::TraceKind::kTxAbort, now_,
+                     static_cast<std::uint64_t>(status.cause()));
+  }
+  core::TxTypeId culprit = core::kNoTx;
+  if (status.cause() == htm::AbortCause::kConflict) {
+    culprit = t.pending_culprit;
+    if (culprit != core::kNoTx) {
+      // Ground truth the HTM would never reveal: who actually killed whom.
+      stats_.gt_conflicts[static_cast<std::size_t>(t.inst.type) *
+                              workload_->n_types() +
+                          static_cast<std::size_t>(culprit)]++;
+    }
   }
   t.pending_culprit = core::kNoTx;
-  t.policy->on_abort(status);
+  t.driver.aborted(status, culprit);
   t.st = ThreadCtx::St::kIdle;
-  push(now_ + cfg_.costs.abort_penalty + scan_cost(), t.id, EventKind::kResume, t.gen);
+  push(now_ + t.pending_cost + cfg_.costs.abort_penalty + scan_cost(), t.id,
+       EventKind::kResume, t.gen);
+  t.pending_cost = 0;
 }
 
 void Machine::sgl_granted(ThreadCtx& t) {
-  assert(sgl_.owner() == t.id);
+  assert(locks_.sgl().owner() == t.id);
   t.st = ThreadCtx::St::kRunningSgl;
   ++t.gen;
-  if (cfg_.metrics != nullptr) cfg_.metrics->add(m_sgl_fallbacks_, t.id);
   if (cfg_.trace != nullptr) {
     cfg_.trace->emit(t.id, obs::TraceKind::kSglFallback, now_,
                      static_cast<std::uint64_t>(t.inst.type));
@@ -547,72 +521,23 @@ void Machine::sgl_granted(ThreadCtx& t) {
   t.pending_cost = 0;
 }
 
-void Machine::sgl_done(ThreadCtx& t) {
-  const auto out = sgl_.release(t.id);
-  t.pending_cost += cfg_.costs.cas;
-  if (out.granted) {
-    push(now_ + cfg_.costs.lock_handoff, *out.granted,
-         EventKind::kLockGranted, kAnyGen, rt::kSglLock);
-  }
-  for (const auto& n : out.notified) {
-    push(now_, n.thread, EventKind::kFreeNotify, n.gen, rt::kSglLock);
-  }
-  finish_tx(t, /*hardware=*/false);
-}
-
-void Machine::finish_tx(ThreadCtx& t, bool hardware) {
-  const rt::CommitMode mode = rt::classify_commit(t.held, !hardware);
-  stats_.commits_by_mode[static_cast<std::size_t>(mode)]++;
-  ++stats_.commits;
-  stats_.commits_by_type[static_cast<std::size_t>(t.inst.type)]++;
-  if (cfg_.metrics != nullptr) cfg_.metrics->add(m_commits_, t.id);
+void Machine::committed(ThreadCtx& t, bool hardware) {
   if (cfg_.trace != nullptr) {
     cfg_.trace->emit(t.id, obs::TraceKind::kTxCommit, now_,
                      static_cast<std::uint64_t>(t.inst.type));
   }
-
-  const rt::LockList to_release = t.policy->on_commit(hardware);
-  for (const rt::LockId& id : to_release) release_one(t, id);
-  assert(t.held.empty() && "policy leaked locks at commit");
-  t.held.clear();
-
-  stats_.serial_work += t.inst.duration;
-  if (serving_) {
-    serving_->on_served(Served{t.arrival, now_, mode});
-    t.st = ThreadCtx::St::kIdle;
-    push(now_ + t.pending_cost, t.id, EventKind::kServeNext, kAnyGen);
-    t.pending_cost = 0;
-    return;
-  }
-  ++t.txs_done;
-  if (t.txs_done >= cfg_.txs_per_thread || workload_->exhausted(t.id)) {
-    t.st = ThreadCtx::St::kDone;
-    ++done_count_;
-    return;
-  }
-  t.st = ThreadCtx::St::kIdle;
-  const std::uint64_t think = workload_->think_time(t.id, t.rng);
-  stats_.serial_work += think;
-  push(now_ + t.pending_cost + think, t.id, EventKind::kStartTx, kAnyGen);
-  t.pending_cost = 0;
+  t.mode = t.driver.committed(hardware);
+  stats_.commits_by_type[static_cast<std::size_t>(t.inst.type)]++;
+  perform(t);  // the driver releases every held lock, then kDone
 }
 
-void Machine::release_one(ThreadCtx& t, rt::LockId id) {
-  auto it = std::find(t.held.begin(), t.held.end(), id);
-  assert(it != t.held.end() && "policy released a lock the machine never took");
-  if (it != t.held.end()) {
-    *it = t.held.back();
-    t.held.pop_back();
-  }
+void Machine::release(ThreadCtx& t, rt::LockId id) {
   t.pending_cost += cfg_.costs.cas;
-  const auto out = lock_of(id).release(t.id);
+  const auto out = locks_.get(id).release(t.id);
   if (out.granted) {
-    push(now_ + cfg_.costs.lock_handoff, *out.granted,
-         EventKind::kLockGranted, kAnyGen, id);
+    push(now_ + cfg_.costs.lock_handoff, *out.granted, EventKind::kLockGranted, kAnyGen);
   }
-  for (const auto& n : out.notified) {
-    push(now_, n.thread, EventKind::kFreeNotify, n.gen, id);
-  }
+  for (const auto& n : out.notified) push(now_, n.thread, EventKind::kFreeNotify, n.gen);
 }
 
 MachineStats run_machine(const MachineConfig& cfg, std::unique_ptr<Workload> workload) {

@@ -20,11 +20,12 @@
 //     abort explicitly (Alg. 1 lines 11-12);
 //   * background OTHER aborts (interrupts etc.) with small probability.
 //
-// The scheduling policies under test (HLE/RTM/SCM/ATS/SGL/Seer) run as real
-// code — the identical Policy objects the threaded driver uses — against
-// simulated FIFO locks and a logical-cycle cost model that charges CAS,
-// begin/commit, abort penalties, and Seer's instrumentation (announcement,
-// active-table scans, scheme rebuilds — this is what Figure 4 measures).
+// The scheduling policies under test (HLE/RTM/SCM/ATS/SGL/Seer/Oracle) run
+// as real code — each thread's rt::TxDriver, the same protocol the threaded
+// executor performs — against simulated FIFO locks and a logical-cycle cost
+// model that charges CAS, begin/commit, abort penalties, and Seer's
+// instrumentation (announcement, active-table scans, scheme rebuilds — this
+// is what Figure 4 measures).
 //
 // Two ways to drive it: run() is the closed loop of the paper exhibits
 // (each thread samples, executes and thinks until its quota is done);
@@ -43,6 +44,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/policies.hpp"
+#include "runtime/tx_driver.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/sim_lock.hpp"
 #include "sim/workload.hpp"
@@ -139,13 +141,6 @@ struct MachineStats {
   // for false serializations and missed conflicts against reality.
   std::vector<std::uint64_t> gt_conflicts;
 
-  [[nodiscard]] std::uint64_t gt_conflict(core::TxTypeId victim,
-                                          core::TxTypeId aggressor,
-                                          std::size_t n_types) const noexcept {
-    return gt_conflicts[static_cast<std::size_t>(victim) * n_types +
-                        static_cast<std::size_t>(aggressor)];
-  }
-
   [[nodiscard]] double speedup() const noexcept {
     return makespan == 0 ? 0.0
                          : static_cast<double>(serial_work) /
@@ -227,21 +222,15 @@ class Machine {
   void start_tx(ThreadCtx& t);
   void serve_next(ThreadCtx& t);
   void begin(ThreadCtx& t);
-  void dispatch(ThreadCtx& t);
-  void continue_acquire(ThreadCtx& t);
-  void after_acquires(ThreadCtx& t);
-  void continue_waits(ThreadCtx& t);
+  void perform(ThreadCtx& t);
+  [[nodiscard]] bool acquire_rest(ThreadCtx& t);
   void start_hw(ThreadCtx& t);
-  void hw_commit(ThreadCtx& t);
   void abort_hw(ThreadCtx& t, htm::AbortStatus status);
   void sgl_granted(ThreadCtx& t);
-  void sgl_done(ThreadCtx& t);
-  void finish_tx(ThreadCtx& t, bool hardware);
-  void release_one(ThreadCtx& t, rt::LockId id);
+  void committed(ThreadCtx& t, bool hardware);
+  void release(ThreadCtx& t, rt::LockId id);
   void run_maintenance(ThreadCtx& t);
-  void record_abort_obs(const ThreadCtx& t, htm::AbortStatus status);
 
-  [[nodiscard]] SimLock& lock_of(rt::LockId id) noexcept;
   [[nodiscard]] std::uint32_t effective_capacity(const ThreadCtx& t) const noexcept;
   void schedule_capacity_check(ThreadCtx& t);
   [[nodiscard]] bool is_seer() const noexcept {
@@ -251,8 +240,7 @@ class Machine {
     return is_seer() ? cfg_.costs.scan_per_slot * cfg_.n_threads : 0;
   }
 
-  void push(Time at, core::ThreadId th, EventKind kind, std::uint64_t gen,
-            rt::LockId lock = {});
+  void push(Time at, core::ThreadId th, EventKind kind, std::uint64_t gen);
 
   // Routes cfg-level obs sinks into the embedded Seer scheduler before
   // PolicyShared is constructed from the patched config.
@@ -260,7 +248,7 @@ class Machine {
     if (cfg.policy.seer.metrics == nullptr) cfg.policy.seer.metrics = cfg.metrics;
     if (cfg.policy.seer.obs_trace == nullptr) cfg.policy.seer.obs_trace = cfg.trace;
     if (cfg.policy.seer.recorder == nullptr) cfg.policy.seer.recorder = cfg.recorder;
-    // core_locks_ is sized from cfg.physical_cores, and SeerPolicy indexes it
+    // locks_ is sized from cfg.physical_cores, and SeerPolicy indexes it
     // with my_core_ = thread % seer.physical_cores; the two must agree or the
     // policy hands out lock ids past the end of the array.
     cfg.policy.seer.physical_cores = cfg.physical_cores;
@@ -273,25 +261,17 @@ class Machine {
   EventQueue queue_;
   Time now_ = 0;
 
-  SimLock sgl_;
-  SimLock aux_;
-  SimLock sched_;
-  std::vector<SimLock> tx_locks_;
-  std::vector<SimLock> core_locks_;
+  rt::LockTable<SimLock> locks_;
 
   std::vector<std::unique_ptr<ThreadCtx>> threads_;
   std::size_t done_count_ = 0;
   MachineStats stats_;
   std::unique_ptr<Serving> serving_;  // set by serve(); null under run()
 
-  // Observability metric ids (registered in the constructor when
-  // cfg_.metrics is set; kNoMetric otherwise).
-  obs::MetricId m_commits_ = obs::kNoMetric;
-  obs::MetricId m_hw_attempts_ = obs::kNoMetric;
-  obs::MetricId m_sgl_fallbacks_ = obs::kNoMetric;
+  // Observability (registered in the constructor when cfg_.metrics is set):
+  // the drivers' rt.* transaction counters, and the event queue's depth.
+  rt::TxMetrics tx_metrics_;
   obs::MetricId h_queue_depth_ = obs::kNoMetric;
-  std::array<obs::MetricId, 4> m_aborts_{obs::kNoMetric, obs::kNoMetric,
-                                         obs::kNoMetric, obs::kNoMetric};
 };
 
 // Convenience: build, run, return.

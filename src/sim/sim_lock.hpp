@@ -1,7 +1,7 @@
 // Simulated locks: strict-FIFO queued mutexes plus free-notification
 // subscriptions, reifying the symbolic LockIds inside the machine simulator.
 //
-// Semantics mirror the WordLocks of the threaded driver:
+// Semantics mirror the WordLocks of the threaded executor:
 //   * try_acquire / release with FIFO handover (release passes ownership to
 //     the queue head directly — no barging, deterministic order);
 //   * free subscriptions model the cooperative "wait while locked" loops
@@ -23,7 +23,6 @@ class SimLock {
  public:
   [[nodiscard]] bool is_locked() const noexcept { return owner_.has_value(); }
   [[nodiscard]] std::optional<core::ThreadId> owner() const noexcept { return owner_; }
-  [[nodiscard]] std::size_t queue_length() const noexcept { return waiters_.size(); }
 
   // Immediate acquisition if free. Never queues.
   [[nodiscard]] bool try_acquire(core::ThreadId t) noexcept {

@@ -141,7 +141,8 @@ TEST(BenchRunner, MetricsOutputIsByteIdenticalForAnyJobsCount) {
       metrics_file(8, ::testing::TempDir() + "bench_metrics_j8.json");
   EXPECT_EQ(serial, pooled) << "--metrics must be --jobs invariant, byte for byte";
 #if SEER_OBS_ENABLED
-  EXPECT_NE(serial.find("\"sim.commits\""), std::string::npos);
+  EXPECT_NE(serial.find("\"rt.commits\""), std::string::npos);
+  EXPECT_NE(serial.find("\"rt.retry_depth\""), std::string::npos);
   EXPECT_NE(serial.find("\"seer.announces\""), std::string::npos);
   EXPECT_NE(serial.find("\"sim.queue_depth\""), std::string::npos);
 #endif

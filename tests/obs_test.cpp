@@ -1,12 +1,16 @@
 // Tests for the observability layer (src/obs/): metrics registry semantics,
 // concurrent snapshotting, ring-buffer tracing (wraparound, drop counts),
 // Chrome trace_event export well-formedness, and the end-to-end integration
-// with the ThreadedExecutor. Built only with SEER_OBS=ON — the OFF
-// configuration replaces everything here with inline no-op stubs.
+// with the ThreadedExecutor and the machine simulator. Built only with
+// SEER_OBS=ON — the OFF configuration replaces everything here with inline
+// no-op stubs.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -16,6 +20,9 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/threaded_executor.hpp"
+#include "sim/machine.hpp"
+#include "stamp/spec.hpp"
+#include "stamp/workloads.hpp"
 
 namespace seer::obs {
 namespace {
@@ -403,6 +410,111 @@ TEST(ObsIntegration, ThreadedExecutorRegistersAndBumpsHtmTierCounters) {
   EXPECT_EQ(found, 3u) << "all three htm.* counters must be registered";
   EXPECT_GE(promotions, kThreads * static_cast<std::uint64_t>(kTxPerThread))
       << "every committed transaction crossed the tier boundary";
+}
+
+// Checks the rt.* transaction counters of `snap` against a backend's own
+// totals. Every name must be registered.
+void expect_rt_counters_match(const MetricsSnapshot& snap, std::uint64_t commits,
+                              std::uint64_t hw_attempts,
+                              const std::array<std::uint64_t, 4>& aborts_by_cause,
+                              std::uint64_t sgl_commits) {
+  std::map<std::string, std::uint64_t> counters;
+  for (const auto& c : snap.counters) counters[c.name] = c.value;
+  const auto expect = [&](const std::string& name, std::uint64_t want) {
+    const auto it = counters.find(name);
+    ASSERT_NE(it, counters.end()) << name << " is not registered";
+    EXPECT_EQ(it->second, want) << name;
+  };
+  expect("rt.commits", commits);
+  expect("rt.hw_attempts", hw_attempts);
+  expect("rt.sgl_fallbacks", sgl_commits);
+  for (std::size_t c = 0; c < aborts_by_cause.size(); ++c) {
+    const auto cause = static_cast<htm::AbortCause>(c);
+    expect(std::string("rt.aborts.").append(htm::to_string(cause)), aborts_by_cause[c]);
+  }
+  const HistogramSnapshot* depth = nullptr;
+  for (const auto& h : snap.histograms) {
+    if (h.name == "rt.retry_depth") depth = &h;
+  }
+  ASSERT_NE(depth, nullptr) << "rt.retry_depth is not registered";
+  EXPECT_EQ(depth->count, commits) << "one retry depth per commit";
+  EXPECT_EQ(depth->sum, hw_attempts) << "every attempt belongs to a committed tx";
+}
+
+// Both backends count transactions once, in the driver, under one set of
+// rt.* names: a contended simulated run and a contended real-thread run,
+// each with aborts and SGL fallbacks, agree with MachineStats and
+// ThreadedExecutor::aggregate respectively.
+TEST(ObsIntegration, BothBackendsCountIntoOneRtCounterSet) {
+  {
+    constexpr std::size_t kThreads = 8;
+    MetricsRegistry reg(kThreads);
+    sim::MachineConfig cfg;
+    cfg.n_threads = kThreads;
+    cfg.txs_per_thread = 300;
+    cfg.policy.kind = rt::PolicyKind::kRtm;
+    cfg.metrics = &reg;
+    sim::Machine machine(
+        cfg, std::make_unique<stamp::SpecWorkload>(stamp::intruder_spec(), kThreads));
+    reg.freeze();
+    const sim::MachineStats s = machine.run();
+    const std::uint64_t sgl =
+        s.commits_by_mode[static_cast<std::size_t>(rt::CommitMode::kSglFallback)];
+    ASSERT_GT(s.aborts(), 0u);
+    ASSERT_GT(sgl, 0u);
+    const MetricsSnapshot snap = reg.snapshot();
+    expect_rt_counters_match(snap, s.commits, s.hw_attempts, s.aborts_by_cause, sgl);
+    for (const auto& c : snap.counters) {
+      EXPECT_NE(c.name.rfind("sim.", 0), 0u) << c.name << ": the driver counts";
+    }
+  }
+  {
+    constexpr std::size_t kThreads = 2;
+    constexpr int kTxPerThread = 200;
+    MetricsRegistry reg(kThreads);
+    // Every 8th transaction writes past the write budget: capacity aborts
+    // until the budget runs out, then the SGL.
+    htm::SoftHtm tm{htm::SoftHtm::Config{.max_write_set = 4}};
+    rt::ThreadedExecutor::Options opts;
+    opts.n_threads = kThreads;
+    opts.n_types = 1;
+    opts.physical_cores = 2;
+    opts.metrics = &reg;
+    rt::PolicyConfig policy;
+    policy.kind = rt::PolicyKind::kRtm;
+    rt::ThreadedExecutor exec(tm, policy, opts);
+    reg.freeze();
+
+    htm::TmWord counter{0};
+    std::vector<std::unique_ptr<rt::ThreadedExecutor::ThreadHandle>> handles;
+    for (core::ThreadId id = 0; id < kThreads; ++id) {
+      handles.push_back(exec.make_handle(id));
+    }
+    std::vector<std::thread> threads;
+    for (core::ThreadId id = 0; id < kThreads; ++id) {
+      threads.emplace_back([&, id] {
+        std::vector<htm::TmWord> wide(8);
+        for (int i = 0; i < kTxPerThread; ++i) {
+          (void)handles[id]->run(0, [&](auto& tx) {
+            tx.write(counter, tx.read(counter) + 1);
+            if (i % 8 == 0) {
+              for (auto& w : wide) tx.write(w, 1);
+            }
+          });
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(counter.load(), kThreads * static_cast<std::uint64_t>(kTxPerThread));
+
+    const rt::ExecutorStats st = rt::ThreadedExecutor::aggregate(handles);
+    const std::uint64_t sgl =
+        st.total.commits_by_mode[static_cast<std::size_t>(rt::CommitMode::kSglFallback)];
+    ASSERT_GT(st.aborts(), 0u);
+    ASSERT_GT(sgl, 0u);
+    expect_rt_counters_match(reg.snapshot(), st.commits(), st.total.hw_attempts,
+                             st.total.aborts_by_cause, sgl);
+  }
 }
 
 }  // namespace

@@ -411,18 +411,20 @@ void report_metrics(const Value& metrics_doc, const Value& run) {
     std::printf("  metrics:");
     bool any = false;
     for (const auto& [name, v] : counters->object) {
-      // htm.* carries the adaptive read-tracking telemetry (DESIGN.md §10):
-      // promotion counts plus the sig_only/exact split of capacity aborts,
-      // which attributes a capacity regression to the tier that raised it.
-      if (name.rfind("seer.", 0) != 0 && name.rfind("sim.", 0) != 0 &&
-          name.rfind("htm.", 0) != 0) {
+      // rt.* carries both backends' transaction counters (commits,
+      // attempts, aborts by cause, SGL fallbacks). htm.* carries the adaptive
+      // read-tracking telemetry (DESIGN.md §10): promotion counts plus the
+      // sig_only/exact split of capacity aborts, which attributes a capacity
+      // regression to the tier that raised it.
+      if (name.rfind("seer.", 0) != 0 && name.rfind("rt.", 0) != 0 &&
+          name.rfind("sim.", 0) != 0 && name.rfind("htm.", 0) != 0) {
         continue;
       }
       std::printf(" %s=%llu", name.c_str(),
                   static_cast<unsigned long long>(v.as_u64()));
       any = true;
     }
-    if (!any) std::printf(" (no seer.*/sim.*/htm.* counters)");
+    if (!any) std::printf(" (no seer.*/rt.*/sim.*/htm.* counters)");
     std::printf("\n");
     // Histograms carry the rebuild-cost telemetry (seer.rebuild.ns pairs with
     // the seer.rebuilds counter above): report count + mean and the top
@@ -431,8 +433,8 @@ void report_metrics(const Value& metrics_doc, const Value& run) {
     const Value* hists = m != nullptr ? m->find("histograms") : nullptr;
     if (hists != nullptr && hists->is_object()) {
       for (const auto& [name, v] : hists->object) {
-        if (name.rfind("seer.", 0) != 0 && name.rfind("sim.", 0) != 0 &&
-            name.rfind("htm.", 0) != 0) {
+        if (name.rfind("seer.", 0) != 0 && name.rfind("rt.", 0) != 0 &&
+            name.rfind("sim.", 0) != 0 && name.rfind("htm.", 0) != 0) {
           continue;
         }
         const std::uint64_t count = v.u64("count");
