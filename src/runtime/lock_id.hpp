@@ -6,11 +6,13 @@
 // names in a LockTable (of WordLocks for threads, SimLocks for the
 // simulator).
 //
-// Canonical acquisition order (kind, then index) is a total order used by
-// every multi-lock acquisition in the system, which rules out deadlock
-// between acquirers: aux < sched < core < tx, and the SGL is never co-held
-// with anything (the TxDriver releases every lock before falling back,
-// Alg. 1 line 19).
+// Canonical acquisition order (kind, then index) is a total order: aux <
+// sched < core < tx. Every acquire step takes only locks above every lock
+// its thread already holds (the TxDriver asserts it), so hold-and-wait
+// follows the order and no waits-for cycle can form between acquirers; no
+// lock is given back to be taken again. The SGL is never co-held with
+// anything (the TxDriver releases every lock before falling back, Alg. 1
+// line 19).
 #pragma once
 
 #include <compare>

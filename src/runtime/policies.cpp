@@ -220,33 +220,20 @@ class SeerPolicy final : public Policy {
     d.mode = Directive::Mode::kHardware;
     d.wait_sgl = true;  // Alg. 4 line 55
 
-    // Last-resort tx-lock acquisition (Alg. 4 lines 47-49): only when one
-    // attempt remains.
-    bool acquire_tx = cfg_.enable_tx_locks && attempts_ == 1 && !holds_tx_;
-    core::LockRow row;
-    if (acquire_tx) {
-      row = sched_.scheme()->row(tx_);
-      acquire_tx = !row.empty();
-    }
-    bool acquire_core = cfg_.enable_core_locks && want_core_ && !holds_core_;
-
-    // Canonical-order re-acquisition: if tx locks are needed while the core
-    // lock is already held, release it and take everything back in global
-    // order (core before tx). Keeps hold-and-wait acyclic — see lock_id.hpp.
-    if (acquire_tx && holds_core_) {
-      d.releases.push_back(core_lock(my_core_));
-      holds_core_ = false;
-      acquire_core = cfg_.enable_core_locks;
-    }
-    if (acquire_core) {
+    // The core lock after a capacity abort; then the last-resort tx locks
+    // (Alg. 4 lines 47-49), only when one attempt remains. So the tx locks
+    // come once per transaction, never before the core lock: every step
+    // takes locks above the ones held (core < tx, lock_id.hpp).
+    if (cfg_.enable_core_locks && want_core_ && !holds_core_) {
       d.acquires.push_back(core_lock(my_core_));
       holds_core_ = true;
     }
-    if (acquire_tx) {
+    if (cfg_.enable_tx_locks && attempts_ == 1 && !holds_tx_) {
+      const core::LockRow row = sched_.scheme()->row(tx_);
       for (core::TxTypeId y : row) {
         d.acquires.push_back(tx_lock(static_cast<std::uint16_t>(y)));
       }
-      holds_tx_ = true;
+      holds_tx_ = !row.empty();
     }
     // §4's multi-CAS optimization: batch 2+ lock acquisitions in one HTM
     // transaction.

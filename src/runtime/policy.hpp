@@ -22,16 +22,16 @@ struct Directive {
   };
 
   Mode mode = Mode::kHardware;
-  // Locks to release before acquiring: Seer's canonical-order re-acquisition.
-  // The driver itself releases every held lock at commit and before the SGL.
-  LockList releases;
-  // Locks to acquire, already in canonical order.
+  // Locks to acquire, in canonical order and above every lock already held
+  // (lock_id.hpp). A policy never releases: the driver releases every held
+  // lock at commit and before the SGL.
   LockList acquires;
   // Hint: batch `acquires` in a single HTM transaction (§4's multi-CAS
   // optimization). Only meaningful when acquires.size() >= 2.
   bool htm_batch = false;
-  // Locks to wait on until free WITHOUT acquiring (cooperative waiting,
-  // Alg. 4 lines 57-58). Backends bound these waits (DESIGN.md §7).
+  // Locks to wait on WITHOUT acquiring (cooperative waiting, Alg. 4 lines
+  // 57-58). A wait ends at the first release after it began, or when the
+  // backend's budget runs out (DESIGN.md §7).
   LockList waits;
   // Wait for the SGL to be free before starting (lemming-effect avoidance).
   bool wait_sgl = false;

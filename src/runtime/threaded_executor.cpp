@@ -74,11 +74,9 @@ void ThreadedExecutor::ThreadHandle::perform(const Step& s) {
     case Step::Kind::kWaitLock: {
       // Cooperative waits are bounded: they are a scheduling heuristic, not
       // a correctness mechanism, and bounding them rules out waiting cycles.
-      const WordLock& l = locks.get(s.lock);
       util::Backoff backoff;
-      std::uint64_t spin = 0;
-      for (; l.is_locked() && spin < kWaitSpinBudget; ++spin) backoff.pause();
-      driver_.wait_over(spin < kWaitSpinBudget ? WaitEnd::kFree : WaitEnd::kTimedOut);
+      driver_.wait_over(wait_for_release(locks.get(s.lock), kWaitSpinBudget,
+                                         [&] { backoff.pause(); }));
       return;
     }
     case Step::Kind::kHwAttempt:

@@ -32,6 +32,19 @@ namespace seer::rt {
 
 using LockSpace = LockTable<WordLock>;
 
+// The executor's cooperative wait (Alg. 4 lines 57-58; DESIGN.md §7): kFree
+// when `l` is free at first look. Otherwise it pauses until the first
+// release after the wait began — the sequence advances, whoever takes the
+// lock next — or for `budget` pauses, and returns kBlocked.
+template <typename Pause>
+[[nodiscard]] WaitEnd wait_for_release(const WordLock& l, std::uint64_t budget,
+                                       Pause&& pause) {
+  const std::uint64_t seq = l.sequence();
+  if ((seq & 1) == 0) return WaitEnd::kFree;
+  for (std::uint64_t spin = 0; spin < budget && l.sequence() == seq; ++spin) pause();
+  return WaitEnd::kBlocked;
+}
+
 // Thrown out of ThreadHandle::run when a body aborts explicitly (tx.abort)
 // on the SGL fallback path. That path holds the SGL and retries only the
 // conflicts that in-flight speculative commits cause; an explicit abort

@@ -73,20 +73,13 @@ Step TxDriver::next() {
         // Built in place: a Directive is a few hundred bytes, trivially
         // destructible, and this runs once per attempt.
         ::new (static_cast<void*>(&d_)) Directive(policy_->next_attempt());
-        next_release_ = 0;
         wait_idx_ = 0;
         if (d_.mode == Directive::Mode::kFallback) {
-          assert(d_.releases.empty() && d_.acquires.empty());
+          assert(d_.acquires.empty());
           release_held_then(State::kFallback);
         } else {
-          state_ = State::kRelease;
+          state_ = d_.acquires.empty() ? State::kWaitSgl : State::kAcquire;
         }
-        break;
-      case State::kRelease:
-        if (next_release_ < d_.releases.size()) {
-          return release(d_.releases[next_release_++]);
-        }
-        state_ = d_.acquires.empty() ? State::kWaitSgl : State::kAcquire;
         break;
       case State::kAcquire:
         return {Step::Kind::kAcquire, d_.htm_batch && d_.acquires.size() >= 2, {},
@@ -108,7 +101,12 @@ Step TxDriver::next() {
         return {Step::Kind::kHwAttempt};
       case State::kAttempt: return {Step::Kind::kHwAttempt};
       case State::kReleaseHeld:
-        if (!held_.empty()) return release(held_[0]);
+        if (!held_.empty()) {
+          const LockId id = held_[0];
+          std::rotate(held_.begin(), held_.begin() + 1, held_.end());
+          held_.pop_back();  // the rest stays in canonical order
+          return {Step::Kind::kRelease, false, id};
+        }
         state_ = then_;
         break;
       case State::kFallback: return {Step::Kind::kFallback};
@@ -121,23 +119,14 @@ Step TxDriver::next() {
   }
 }
 
-Step TxDriver::release(LockId id) {
-  LockId* it = std::find(held_.begin(), held_.end(), id);
-  assert(it != held_.end() && "policy released a lock the driver never took");
-  if (it != held_.end()) {
-    std::rotate(it, it + 1, held_.end());  // the rest stays in canonical order
-    held_.pop_back();
-  }
-  return {Step::Kind::kRelease, false, id};
-}
-
 void TxDriver::acquired() {
   assert(state_ == State::kAcquire);
   for (const LockId& id : d_.acquires) {
-    LockId* pos = std::lower_bound(held_.begin(), held_.end(), id);
-    assert((pos == held_.end() || *pos != id) && "lock acquired twice");
+    // Canonical order with nothing given back early: a step takes only locks
+    // above every lock already held, so hold-and-wait stays acyclic and the
+    // held set stays sorted.
+    assert((held_.empty() || held_.back() < id) && "acquired below a held lock");
     held_.push_back(id);
-    std::rotate(pos, held_.end() - 1, held_.end());
   }
   state_ = State::kWaitSgl;
 }

@@ -10,8 +10,7 @@
 //   loop: d = policy.next_attempt()
 //     fallback: release every held lock (Alg. 1 lines 18-20), then
 //               kFallback: take the SGL, run the body, release the SGL
-//     hardware: release d.releases (canonical-order re-acquisition)
-//               kAcquire d.acquires, batched if d.htm_batch -> acquired()
+//     hardware: kAcquire d.acquires, batched if d.htm_batch -> acquired()
 //               kWaitSgl if d.wait_sgl (lemming avoidance) -> wait_over()
 //               kWaitLock per d.waits (cooperative)        -> wait_over()
 //               kHwAttempt, subscribed to the SGL -> aborted(status,
@@ -20,10 +19,13 @@
 //   committed(hardware): policy.on_commit; release every held lock; done
 //   abandon(), the body threw: policy.on_abandon; release every held lock
 //
-// The driver owns the held set and releases it in canonical LockId order
-// (lock_id.hpp), so nothing is ever co-held with the SGL and policies never
-// track what to give back. It alone calls Policy and classify_commit, and it
-// counts every outcome once, into ThreadCounters and the rt.* registry set.
+// The driver owns the held set. An acquire step only takes locks above every
+// lock already held (canonical LockId order, lock_id.hpp), so hold-and-wait
+// is acyclic and no lock is ever given back early; the driver releases the
+// whole set, in canonical order, at commit and before the SGL, so nothing is
+// ever co-held with the SGL and policies never track what to give back. It
+// alone calls Policy and classify_commit, and it counts every outcome once,
+// into ThreadCounters and the rt.* registry set.
 #pragma once
 
 #include <array>
@@ -70,7 +72,7 @@ struct Step {
     kRelease,    // release `lock`
     kAcquire,    // acquire `*locks` in order, all at once if htm_batch
     kWaitSgl,    // wait until `lock`, the SGL, is free
-    kWaitLock,   // wait until `lock` is not held by another thread
+    kWaitLock,   // wait on `lock` while another thread holds it
     kHwAttempt,  // run one hardware attempt
     kFallback,   // take the SGL, run the body, release the SGL
     kDone,       // the transaction is over
@@ -81,13 +83,15 @@ struct Step {
   const LockList* locks = nullptr;  // valid until the next directive
 };
 
-// How a wait step ended. How it ends is the backend's rule; what follows is
-// the driver's.
+// How a wait step ended. One rule for both backends: a wait that finds the
+// lock held ends at the first release of it after the wait began, whoever
+// takes it next, or when the backend's budget runs out (DESIGN.md §7). The
+// SGL wait (Alg. 4 line 55) has no budget and lasts until the SGL is free:
+// after kBlocked the driver looks at it again.
 enum class WaitEnd : std::uint8_t {
-  kFree,      // the lock was free when looked at: go on
-  kReleased,  // a release ended a blocked wait, but the lock may be taken
-              // again: look at the SGL, then at the same lock again
-  kTimedOut,  // the backend's bound ran out: look at the SGL, then go on
+  kFree,     // the lock was free at first look: go on
+  kBlocked,  // the wait blocked until a release or the budget: look at the
+             // SGL, then at the next lock, never the same one again
 };
 
 class TxDriver {
@@ -106,12 +110,12 @@ class TxDriver {
   void acquired();
   void wait_over(WaitEnd end) {
     if (state_ == State::kWaitSgl) {
-      if (end != WaitEnd::kReleased) state_ = State::kWaitLock;
+      if (end == WaitEnd::kFree) state_ = State::kWaitLock;
       return;
     }
     assert(state_ == State::kWaitLock);
-    if (end != WaitEnd::kReleased) ++wait_idx_;
-    if (end != WaitEnd::kFree) state_ = State::kWaitSgl;
+    ++wait_idx_;
+    if (end == WaitEnd::kBlocked) state_ = State::kWaitSgl;
   }
   // Returns the Table 3 census row of the commit.
   CommitMode committed(bool hardware);
@@ -128,7 +132,6 @@ class TxDriver {
   enum class State : std::uint8_t {
     kIdle,         // between transactions
     kDirective,    // ask the policy for the next attempt
-    kRelease,      // the directive's own releases
     kAcquire,      // awaiting acquired()
     kWaitSgl,      // awaiting wait_over() when d_.wait_sgl
     kWaitLock,     // awaiting wait_over() for d_.waits[wait_idx_]
@@ -138,7 +141,6 @@ class TxDriver {
     kDone,
   };
 
-  [[nodiscard]] Step release(LockId id);
   void release_held_then(State then) noexcept {
     state_ = State::kReleaseHeld;
     then_ = then;
@@ -152,7 +154,6 @@ class TxDriver {
   LockList held_;
   State state_ = State::kIdle;
   State then_ = State::kDone;
-  std::size_t next_release_ = 0;
   std::size_t wait_idx_ = 0;
   std::uint64_t tx_attempts_ = 0;
 };

@@ -21,7 +21,6 @@
 #include "htm/soft_htm.hpp"
 #include "util/backoff.hpp"
 #include "util/cacheline.hpp"
-#include "util/spinlock.hpp"
 
 namespace seer::rt {
 

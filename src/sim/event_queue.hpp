@@ -18,8 +18,7 @@ using Time = std::uint64_t;  // logical cycles
 enum class EventKind : std::uint8_t {
   kStartTx,        // thread begins its next transaction instance
   kLockGranted,    // FIFO lock ownership transferred to the thread
-  kFreeNotify,     // a lock the thread subscribed to became free
-  kWaitTimeout,    // bounded cooperative wait expired
+  kWaitOver,       // the watched lock was released, or the wait budget ran out
   kHwCommit,       // the thread's hardware transaction reaches its end
   kConflictAbort,  // a concurrent requester's access invalidated this tx
   kCapacityAbort,  // the transaction overflows its transactional buffers
@@ -34,6 +33,9 @@ struct Event {
   std::uint64_t seq = 0;  // tie-breaker, assigned by the queue
   core::ThreadId thread = 0;
   EventKind kind = EventKind::kStartTx;
+  // kConflictAbort: the aggressor's type, which a commodity HTM would not
+  // reveal (the driver forwards it to Policy::on_conflict_attribution).
+  core::TxTypeId culprit = core::kNoTx;
   // Generation stamp: transient events (commit, aborts, waits, resume) are
   // dropped if the thread moved on. Ownership-transfer events
   // (kLockGranted) must always be delivered and carry kAnyGen.

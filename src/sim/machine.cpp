@@ -30,15 +30,11 @@ struct Machine::ThreadCtx {
   bool in_hw = false;
   Time hw_end = 0;
   bool capacity_scheduled = false;
-  // Aggressor type behind a scheduled conflict abort — precise information
-  // the simulator has but a commodity HTM would not reveal. The driver
-  // forwards it to Policy::on_conflict_attribution (only Oracle uses it).
-  core::TxTypeId pending_culprit = core::kNoTx;
 
   enum class St : std::uint8_t {
     kIdle,        // between transactions
     kAcquiring,   // queued on a lock of the acquire step
-    kWaiting,     // subscribed to the SGL or a tx/core lock becoming free
+    kWaiting,     // subscribed to the next release of the SGL or a tx/core lock
     kRunningHw,   // speculative execution in flight
     kQueuedSgl,   // fallback: queued on the SGL
     kRunningSgl,  // pessimistic execution in flight
@@ -86,11 +82,13 @@ std::uint32_t Machine::effective_capacity(const ThreadCtx& t) const noexcept {
   return cfg_.cache_lines_per_core / sharers;
 }
 
-void Machine::push(Time at, core::ThreadId th, EventKind kind, std::uint64_t gen) {
+void Machine::push(Time at, core::ThreadId th, EventKind kind, std::uint64_t gen,
+                   core::TxTypeId culprit) {
   Event e;
   e.time = at;
   e.thread = th;
   e.kind = kind;
+  e.culprit = culprit;
   e.gen = gen;
   queue_.push(e);
 }
@@ -198,17 +196,12 @@ void Machine::on_event(const Event& e) {
       if (acquire_rest(t)) perform(t);
       break;
 
-    case EventKind::kFreeNotify:
-      // Only a waiting thread subscribes. The lock may be taken again by
-      // now, so the driver looks again.
-      ++t.gen;  // invalidates a cooperative wait's paired timeout
-      t.driver.wait_over(rt::WaitEnd::kReleased);
-      perform(t);
-      break;
-
-    case EventKind::kWaitTimeout:  // the bounded cooperative wait expired
+    case EventKind::kWaitOver:
+      // The first release after the wait began, or the cooperative wait's
+      // budget: whichever comes first ends the wait, and the bump drops the
+      // other.
       ++t.gen;
-      t.driver.wait_over(rt::WaitEnd::kTimedOut);
+      t.driver.wait_over(rt::WaitEnd::kBlocked);
       perform(t);
       break;
 
@@ -221,7 +214,7 @@ void Machine::on_event(const Event& e) {
       break;
 
     case EventKind::kConflictAbort:
-      if (t.in_hw) abort_hw(t, htm::AbortStatus::conflict());
+      if (t.in_hw) abort_hw(t, htm::AbortStatus::conflict(), e.culprit);
       break;
 
     case EventKind::kCapacityAbort:
@@ -321,14 +314,14 @@ void Machine::perform(ThreadCtx& t) {
         SimLock& l = locks_.get(s.lock);
         if (l.is_locked() && l.owner() != t.id) {
           t.st = ThreadCtx::St::kWaiting;
-          l.subscribe_free(t.id, t.gen);
+          l.subscribe(t.id, t.gen);
           if (s.kind == rt::Step::Kind::kWaitSgl) {
             // Lemming avoidance (Alg. 4 line 55) lends the wait to scheme
             // maintenance (lines 52-54).
             run_maintenance(t);
           } else {
             // Cooperative waits on tx/core locks (lines 57-58) are bounded.
-            push(now_ + cfg_.wait_budget, t.id, EventKind::kWaitTimeout, t.gen);
+            push(now_ + cfg_.wait_budget, t.id, EventKind::kWaitOver, t.gen);
           }
           return;
         }
@@ -433,11 +426,9 @@ void Machine::start_hw(ThreadCtx& t) {
       if (!t.rng.bernoulli(p_hit)) continue;
       const Time when = now_ + t.rng.below(window);
       if (t.rng.bernoulli(cfg_.p_newcomer_aborts)) {
-        t.pending_culprit = other->inst.type;
-        push(when, t.id, EventKind::kConflictAbort, t.gen);
+        push(when, t.id, EventKind::kConflictAbort, t.gen, other->inst.type);
       } else {
-        other->pending_culprit = t.inst.type;
-        push(when, other->id, EventKind::kConflictAbort, other->gen);
+        push(when, other->id, EventKind::kConflictAbort, other->gen, t.inst.type);
       }
     }
   }
@@ -474,25 +465,20 @@ void Machine::schedule_capacity_check(ThreadCtx& t) {
 }
 
 // The attempt aborted (or could not begin): the driver hears of it, and the
-// thread resumes after the abort penalty.
-void Machine::abort_hw(ThreadCtx& t, htm::AbortStatus status) {
+// thread resumes after the abort penalty. `culprit`: the aggressor's type
+// for a conflict abort, else kNoTx.
+void Machine::abort_hw(ThreadCtx& t, htm::AbortStatus status, core::TxTypeId culprit) {
   t.in_hw = false;
   ++t.gen;  // cancels the pending commit/capacity/other events
   if (cfg_.trace != nullptr) {
     cfg_.trace->emit(t.id, obs::TraceKind::kTxAbort, now_,
                      static_cast<std::uint64_t>(status.cause()));
   }
-  core::TxTypeId culprit = core::kNoTx;
-  if (status.cause() == htm::AbortCause::kConflict) {
-    culprit = t.pending_culprit;
-    if (culprit != core::kNoTx) {
-      // Ground truth the HTM would never reveal: who actually killed whom.
-      stats_.gt_conflicts[static_cast<std::size_t>(t.inst.type) *
-                              workload_->n_types() +
-                          static_cast<std::size_t>(culprit)]++;
-    }
+  if (culprit != core::kNoTx) {
+    // Ground truth the HTM would never reveal: who actually killed whom.
+    stats_.gt_conflicts[static_cast<std::size_t>(t.inst.type) * workload_->n_types() +
+                        static_cast<std::size_t>(culprit)]++;
   }
-  t.pending_culprit = core::kNoTx;
   t.driver.aborted(status, culprit);
   t.st = ThreadCtx::St::kIdle;
   push(now_ + t.pending_cost + cfg_.costs.abort_penalty + scan_cost(), t.id,
@@ -537,7 +523,7 @@ void Machine::release(ThreadCtx& t, rt::LockId id) {
   if (out.granted) {
     push(now_ + cfg_.costs.lock_handoff, *out.granted, EventKind::kLockGranted, kAnyGen);
   }
-  for (const auto& n : out.notified) push(now_, n.thread, EventKind::kFreeNotify, n.gen);
+  for (const auto& n : out.notified) push(now_, n.thread, EventKind::kWaitOver, n.gen);
 }
 
 MachineStats run_machine(const MachineConfig& cfg, std::unique_ptr<Workload> workload) {

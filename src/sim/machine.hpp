@@ -225,7 +225,8 @@ class Machine {
   void perform(ThreadCtx& t);
   [[nodiscard]] bool acquire_rest(ThreadCtx& t);
   void start_hw(ThreadCtx& t);
-  void abort_hw(ThreadCtx& t, htm::AbortStatus status);
+  void abort_hw(ThreadCtx& t, htm::AbortStatus status,
+                core::TxTypeId culprit = core::kNoTx);
   void sgl_granted(ThreadCtx& t);
   void committed(ThreadCtx& t, bool hardware);
   void release(ThreadCtx& t, rt::LockId id);
@@ -240,7 +241,8 @@ class Machine {
     return is_seer() ? cfg_.costs.scan_per_slot * cfg_.n_threads : 0;
   }
 
-  void push(Time at, core::ThreadId th, EventKind kind, std::uint64_t gen);
+  void push(Time at, core::ThreadId th, EventKind kind, std::uint64_t gen,
+            core::TxTypeId culprit = core::kNoTx);
 
   // Routes cfg-level obs sinks into the embedded Seer scheduler before
   // PolicyShared is constructed from the patched config.

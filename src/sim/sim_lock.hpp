@@ -1,12 +1,13 @@
-// Simulated locks: strict-FIFO queued mutexes plus free-notification
-// subscriptions, reifying the symbolic LockIds inside the machine simulator.
+// Simulated locks: strict-FIFO queued mutexes plus release subscriptions,
+// reifying the symbolic LockIds inside the machine simulator.
 //
 // Semantics mirror the WordLocks of the threaded executor:
 //   * try_acquire / release with FIFO handover (release passes ownership to
 //     the queue head directly — no barging, deterministic order);
-//   * free subscriptions model the cooperative "wait while locked" loops
-//     (Alg. 4 lines 55-58): subscribers are notified when the lock becomes
-//     free without receiving ownership.
+//   * subscriptions model the waits of Alg. 4 lines 55-58: every release
+//     notifies every subscriber, a handover included, without giving it
+//     ownership — the executor's waits see the same release as a new
+//     sequence value (DESIGN.md §7).
 #pragma once
 
 #include <cassert>
@@ -34,13 +35,11 @@ class SimLock {
   // Joins the FIFO acquisition queue (caller must have failed try_acquire).
   void enqueue(core::ThreadId t) { waiters_.push_back(t); }
 
-  // Subscribes to (one-shot) notification of the lock becoming free. The
+  // Subscribes to (one-shot) notification of the next release. The
   // subscriber's current generation stamp is echoed back in the
   // notification so stale subscriptions (the thread moved on) are dropped
   // by the machine's generation check.
-  void subscribe_free(core::ThreadId t, std::uint64_t gen) {
-    free_subs_.emplace_back(t, gen);
-  }
+  void subscribe(core::ThreadId t, std::uint64_t gen) { subs_.emplace_back(t, gen); }
 
   struct Notification {
     core::ThreadId thread;
@@ -50,24 +49,23 @@ class SimLock {
   struct ReleaseOutcome {
     // Thread that now owns the lock (ownership handed over), if any.
     std::optional<core::ThreadId> granted;
-    // Threads to notify that the lock became free (only when not handed
-    // over: a handover keeps the lock held).
+    // Every subscriber, whether or not the lock was handed over.
     std::vector<Notification> notified;
   };
 
   // Releases the lock held by `t`. The caller (the machine) turns the
-  // outcome into kLockGranted / kFreeNotify events.
+  // outcome into kLockGranted / kWaitOver events.
   [[nodiscard]] ReleaseOutcome release(core::ThreadId t) {
     assert(owner_ == t && "release by non-owner");
     (void)t;
     ReleaseOutcome out;
-    if (!waiters_.empty()) {
+    out.notified.swap(subs_);
+    if (waiters_.empty()) {
+      owner_.reset();
+    } else {
       out.granted = waiters_.front();
       waiters_.pop_front();
       owner_ = out.granted;
-    } else {
-      owner_.reset();
-      out.notified.swap(free_subs_);
     }
     return out;
   }
@@ -75,7 +73,7 @@ class SimLock {
  private:
   std::optional<core::ThreadId> owner_;
   std::deque<core::ThreadId> waiters_;
-  std::vector<Notification> free_subs_;
+  std::vector<Notification> subs_;
 };
 
 }  // namespace seer::sim

@@ -7,12 +7,20 @@
 // waited for cannot run until the waiter burns its scheduling quantum.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <thread>
 
-#include "util/spinlock.hpp"
-
 namespace seer::util {
+
+// One spin-wait hint: `pause` where the ISA has it.
+inline void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#else
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+#endif
+}
 
 class Backoff {
  public:
@@ -23,7 +31,7 @@ class Backoff {
   void pause() noexcept {
     if (spins_ < spin_limit_) {
       ++spins_;
-      SpinLock::cpu_relax();
+      cpu_relax();
     } else {
       std::this_thread::yield();
     }

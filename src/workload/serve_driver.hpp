@@ -123,8 +123,9 @@ struct ServeReport {
 
 // Serves every rate step of `ol` using `desc`'s generator. The Desc's own
 // open_loop pointer is NOT consulted — callers pass the section explicitly
-// so overrides stay visible at the call site. Throws ConfigError on
-// impossible combinations (none today; reserved for CLI overrides).
+// so overrides stay visible at the call site. Throws ConfigError when the
+// worker count (the config's or ServeOptions::workers_override) exceeds the
+// hardware threads of the config's topology.
 [[nodiscard]] ServeReport run_serve(const Desc& desc, const OpenLoopConfig& ol,
                                     const ServeOptions& opts);
 

@@ -57,24 +57,24 @@ double ServeTelemetry::offered_rate() const noexcept {
 }
 
 void ServeTelemetry::attach_step_registry(const obs::MetricsRegistry* reg) {
-  util::SpinGuard g(mu_);
+  const std::lock_guard<std::mutex> g(mu_);
   step_registry_ = reg;
 }
 
 void ServeTelemetry::publish_model_json(std::string json) {
   auto next = std::make_shared<const std::string>(std::move(json));
-  util::SpinGuard g(mu_);
+  const std::lock_guard<std::mutex> g(mu_);
   model_json_ = std::move(next);
 }
 
 std::shared_ptr<const std::string> ServeTelemetry::model_json() const {
-  util::SpinGuard g(mu_);
+  const std::lock_guard<std::mutex> g(mu_);
   return model_json_;
 }
 
 std::string ServeTelemetry::metrics_exposition() const {
   std::string out = obs::to_prometheus(registry_.snapshot());
-  util::SpinGuard g(mu_);
+  const std::lock_guard<std::mutex> g(mu_);
   if (step_registry_ != nullptr) {
     out += obs::to_prometheus(step_registry_->snapshot());
   }

@@ -13,11 +13,11 @@
 //     cells, last-writer-wins;
 //   * run state, offered rate and the producer/worker heartbeats are plain
 //     atomics;
-//   * the only locks are a SpinLock around two cold pointers — the per-step
+//   * the only lock is a std::mutex around two cold pointers — the per-step
 //     registry attachment and the latest model-snapshot JSON — taken by the
 //     scrape thread and by once-per-step (or once-per-rebuild) maintenance
-//     code, never by the request hot path. Scrapes are therefore wait-free
-//     with respect to producers and workers.
+//     code, never by the request hot path. Scrapes therefore never block
+//     producers or workers.
 //
 // Lane assignment (callers must size `lanes` to cover every writer):
 //   real mode           worker t -> lane t, producer -> lane `workers`
@@ -34,11 +34,11 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "obs/metrics.hpp"
 #include "util/latency_histogram.hpp"
-#include "util/spinlock.hpp"
 
 namespace seer::workload {
 
@@ -98,7 +98,7 @@ class ServeTelemetry {
 
   // --- model snapshot feed (/snapshot) -------------------------------------
   // Called from the FlightRecorder publish hook with the rendered snapshot
-  // JSON; a pointer swap under the spinlock.
+  // JSON; a pointer swap under the lock.
   void publish_model_json(std::string json);
   // Latest published snapshot, or nullptr before the first rebuild capture.
   [[nodiscard]] std::shared_ptr<const std::string> model_json() const;
@@ -129,7 +129,7 @@ class ServeTelemetry {
   std::atomic<std::uint64_t> producer_beat_ns_{0};
   std::atomic<std::uint64_t> worker_beat_ns_{0};
 
-  mutable util::SpinLock mu_;  // guards the two cold pointers below
+  mutable std::mutex mu_;  // guards the two cold pointers below
   const obs::MetricsRegistry* step_registry_ = nullptr;
   std::shared_ptr<const std::string> model_json_;
 };

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -26,6 +27,16 @@ struct ClassifyCase {
   bool sgl;
   CommitMode expected;
 };
+
+// Names a case after its path and locks ("htm_core0_tx2"), so its test name
+// is stable; gtest would print the raw bytes, padding included.
+void PrintTo(const ClassifyCase& c, std::ostream* os) {
+  static constexpr const char* kKind[] = {"sgl", "aux", "sched", "core", "tx"};
+  *os << (c.sgl ? "sgl" : "htm");
+  for (const LockId& l : c.held) {
+    *os << '_' << kKind[static_cast<std::size_t>(l.kind)] << l.index;
+  }
+}
 
 class ClassifyParam : public ::testing::TestWithParam<ClassifyCase> {};
 
@@ -69,12 +80,13 @@ PolicyConfig config_for(PolicyKind kind) {
 // status sequence. `statuses` aborts are consumed one per hardware attempt
 // (attributed to `culprit`, as the simulator would); when they run out, the
 // next hardware attempt commits. Every wait ends at once. Each directive is
-// rebuilt from the steps that carried it out: the releases, acquisition and
-// waits before its attempt — for the fallback, the driver's releases before
-// the SGL step.
+// rebuilt from the steps that carried it out: the acquisition and waits
+// before its attempt.
 struct Trace {
   std::vector<Directive> directives;
   bool hardware_commit = false;
+  LockList sgl_releases;    // the driver's releases before the commit: the
+                            // fallback's, before its SGL step
   LockList final_releases;  // the driver's releases after the commit
   std::vector<Step::Kind> steps;
 };
@@ -91,7 +103,7 @@ Trace run_scripted(TxDriver& drv, core::TxTypeId tx, std::vector<AbortStatus> st
     trace.steps.push_back(s.kind);
     switch (s.kind) {
       case Step::Kind::kRelease:
-        (committed ? trace.final_releases : d.releases).push_back(s.lock);
+        (committed ? trace.final_releases : trace.sgl_releases).push_back(s.lock);
         break;
       case Step::Kind::kAcquire:
         d.acquires = *s.locks;
@@ -221,10 +233,9 @@ TEST(ScmPolicy, FallbackReleasesAuxFirst) {
   PolicyShared shared(config_for(PolicyKind::kScm), 4, 4);
   TxDriver p(shared, 0);
   const Trace t = run_scripted(p, 0, conflicts(5));
-  const Directive& fb = t.directives.back();
-  EXPECT_EQ(fb.mode, Directive::Mode::kFallback);
-  ASSERT_EQ(fb.releases.size(), 1u);
-  EXPECT_EQ(fb.releases[0], kAuxLock);
+  EXPECT_EQ(t.directives.back().mode, Directive::Mode::kFallback);
+  ASSERT_EQ(t.sgl_releases.size(), 1u);
+  EXPECT_EQ(t.sgl_releases[0], kAuxLock);
   EXPECT_TRUE(t.final_releases.empty());
   EXPECT_EQ(last_steps(t, 3), (std::vector<K>{K::kRelease, K::kFallback, K::kDone}))
       << "the aux lock is released before the SGL step";
@@ -343,8 +354,9 @@ TEST(SeerPolicy, WaitsOnOwnLocksEveryAttempt) {
 }
 
 // How a wait ended decides what the driver looks at next (DESIGN.md §7):
-// after kFree it goes on; after kReleased it looks at the SGL and then the
-// same lock again; after kTimedOut at the SGL and then the next lock.
+// after kFree it goes on. After kBlocked — the wait lasted until a release
+// or the budget — a lock wait moves to the SGL and then the next lock, never
+// the same one again, while the SGL wait looks at the SGL again.
 TEST(TxDriver, WaitEndDecidesWhatIsLookedAtNext) {
   PolicyShared shared(seer_config(), 8, 4);
   TxDriver drv(shared, 5);  // waits on tx_lock(2), then core_lock(1)
@@ -355,18 +367,16 @@ TEST(TxDriver, WaitEndDecidesWhatIsLookedAtNext) {
     EXPECT_EQ(s.lock, lock);
   };
   expect_next(K::kWaitSgl, kSglLock);
-  drv.wait_over(WaitEnd::kReleased);
+  drv.wait_over(WaitEnd::kBlocked);
   expect_next(K::kWaitSgl, kSglLock);
   drv.wait_over(WaitEnd::kFree);
   expect_next(K::kWaitLock, tx_lock(2));
-  drv.wait_over(WaitEnd::kReleased);
-  expect_next(K::kWaitSgl, kSglLock);
-  drv.wait_over(WaitEnd::kFree);
-  expect_next(K::kWaitLock, tx_lock(2));
-  drv.wait_over(WaitEnd::kTimedOut);
+  drv.wait_over(WaitEnd::kBlocked);
   expect_next(K::kWaitSgl, kSglLock);
   drv.wait_over(WaitEnd::kFree);
   expect_next(K::kWaitLock, core_lock(1));
+  drv.wait_over(WaitEnd::kBlocked);
+  expect_next(K::kWaitSgl, kSglLock);
   drv.wait_over(WaitEnd::kFree);
   expect_next(K::kHwAttempt, LockId{});
   EXPECT_EQ(drv.counters().hw_attempts, 1u) << "one attempt, however long the waits";
@@ -435,9 +445,7 @@ TEST(SeerPolicy, FallbackReleasesEverything) {
   ASSERT_EQ(t.directives.size(), 6u);
   const Directive& fb = t.directives.back();
   EXPECT_EQ(fb.mode, Directive::Mode::kFallback);
-  EXPECT_TRUE(fb.releases.contains(core_lock(0)));
-  EXPECT_TRUE(fb.releases.contains(tx_lock(2)));
-  EXPECT_EQ(fb.releases, (LockList{core_lock(0), tx_lock(2)})) << "canonical order";
+  EXPECT_EQ(t.sgl_releases, (LockList{core_lock(0), tx_lock(2)})) << "canonical order";
   EXPECT_TRUE(fb.acquires.empty());
   EXPECT_EQ(last_steps(t, 4),
             (std::vector<K>{K::kRelease, K::kRelease, K::kFallback, K::kDone}))
@@ -445,45 +453,43 @@ TEST(SeerPolicy, FallbackReleasesEverything) {
   EXPECT_TRUE(t.final_releases.empty()) << "everything was already released pre-SGL";
 }
 
-TEST(SeerPolicy, CanonicalReacquisitionWhenTxLocksJoinCoreLock) {
+// The tx locks join a held core lock above it (core < tx): the core lock
+// is kept, nothing is given back and taken again (DESIGN.md §3, deviation 5).
+TEST(SeerPolicy, TxLocksJoinTheHeldCoreLock) {
   PolicyShared shared(seer_config(), 8, 4);
   plant_edge(*shared.seer(), 1, 2);
-  auto p = shared.make_thread_policy(2);  // core 2
-  p->begin_tx(1);
-  (void)p->next_attempt();
-  p->on_abort(AbortStatus::capacity());
-  (void)p->next_attempt();  // acquires core lock
-  p->on_abort(AbortStatus::conflict());
-  (void)p->next_attempt();
-  p->on_abort(AbortStatus::conflict());
-  (void)p->next_attempt();
-  p->on_abort(AbortStatus::conflict());  // one attempt left
-  const Directive d = p->next_attempt();
-  // Core lock must be released and re-acquired ahead of the tx locks so the
-  // global acquisition order (core < tx) is preserved.
-  ASSERT_EQ(d.releases.size(), 1u);
-  EXPECT_EQ(d.releases[0], core_lock(2));
-  ASSERT_EQ(d.acquires.size(), 2u);
-  EXPECT_EQ(d.acquires[0], core_lock(2));
-  EXPECT_EQ(d.acquires[1], tx_lock(2));
-  EXPECT_TRUE(d.htm_batch) << "2+ locks: the multi-CAS-by-HTM path applies";
+  TxDriver drv(shared, 2);  // core 2
+  const Trace t = run_scripted(drv, 1,
+                               {AbortStatus::capacity(), AbortStatus::conflict(),
+                                AbortStatus::conflict(), AbortStatus::conflict()});
+  ASSERT_EQ(t.directives.size(), 5u);
+  EXPECT_EQ(t.directives[1].acquires, (LockList{core_lock(2)}));
+  const Directive& last = t.directives[4];  // one attempt left
+  EXPECT_EQ(last.acquires, (LockList{tx_lock(2)})) << "only the tx locks";
+  EXPECT_FALSE(last.htm_batch) << "one lock: nothing to batch";
+  EXPECT_TRUE(t.sgl_releases.empty()) << "no release before the commit";
+  EXPECT_EQ(t.final_releases, (LockList{core_lock(2), tx_lock(2)}));
 }
 
+// A capacity abort that leaves one attempt asks for the core lock and the
+// tx locks at once: one step, core first, batched by the multi-CAS path
+// unless the config turns it off.
 TEST(SeerPolicy, HtmBatchDisabledByConfig) {
-  PolicyShared shared(seer_config(true, true, /*htm_acquire=*/false), 8, 4);
-  plant_edge(*shared.seer(), 1, 2);
-  auto p = shared.make_thread_policy(2);
-  p->begin_tx(1);
-  (void)p->next_attempt();
-  p->on_abort(AbortStatus::capacity());
-  (void)p->next_attempt();
-  for (int i = 0; i < 3; ++i) {
-    p->on_abort(AbortStatus::conflict());
-    if (i < 2) (void)p->next_attempt();
+  for (const bool htm_acquire : {true, false}) {
+    PolicyShared shared(seer_config(true, true, htm_acquire), 8, 4);
+    plant_edge(*shared.seer(), 1, 2);
+    auto p = shared.make_thread_policy(2);
+    p->begin_tx(1);
+    for (int i = 0; i < 3; ++i) {
+      (void)p->next_attempt();
+      p->on_abort(AbortStatus::conflict());
+    }
+    (void)p->next_attempt();
+    p->on_abort(AbortStatus::capacity());  // one attempt left
+    const Directive d = p->next_attempt();
+    EXPECT_EQ(d.acquires, (LockList{core_lock(2), tx_lock(2)}));
+    EXPECT_EQ(d.htm_batch, htm_acquire);
   }
-  const Directive d = p->next_attempt();
-  EXPECT_GE(d.acquires.size(), 2u);
-  EXPECT_FALSE(d.htm_batch);
 }
 
 TEST(SeerPolicy, ProfileOnlyVariantNeverAcquiresOrWaits) {
@@ -641,11 +647,13 @@ INSTANTIATE_TEST_SUITE_P(
                       PolicyStressCase{PolicyKind::kSeer, htm::AbortCause::kOther}));
 
 // The held set is empty after every commit and at every SGL step (Alg. 1
-// lines 18-20), for every policy under every abort cause, checked on the
-// driver both backends run. Round r aborts r % 8 times before committing, so
-// short rounds commit in hardware with locks held and long ones exhaust the
-// budget; Seer gets a planted scheme edge and Oracle learns one from the
-// attributed conflicts, so both really take tx locks.
+// lines 18-20), and every acquire step takes only locks above the held ones
+// (canonical order, nothing given back early), for every policy under every
+// abort cause, checked on the driver both backends run. Round r aborts r % 8
+// times before committing, so short rounds commit in hardware with locks
+// held and long ones exhaust the budget; Seer gets a planted scheme edge and
+// Oracle learns one from the attributed conflicts, so both really take tx
+// locks.
 class DriverHeldSet
     : public ::testing::TestWithParam<std::tuple<PolicyKind, htm::AbortCause>> {};
 
@@ -668,10 +676,16 @@ TEST_P(DriverHeldSet, EmptyAfterEveryCommitAndAtEverySglStep) {
       switch (s.kind) {
         case Step::Kind::kRelease:
           break;
-        case Step::Kind::kAcquire:
+        case Step::Kind::kAcquire: {
+          LockList held = drv.held();
+          for (const LockId& id : *s.locks) {
+            EXPECT_TRUE(held.empty() || held.back() < id) << "taken below a held lock";
+            held.push_back(id);
+          }
           drv.acquired();
           most_held = std::max(most_held, drv.held().size());
           break;
+        }
         case Step::Kind::kWaitSgl:
         case Step::Kind::kWaitLock:
           drv.wait_over(WaitEnd::kFree);

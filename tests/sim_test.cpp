@@ -3,9 +3,11 @@
 // controlled conflict/capacity structure (including failure injection).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
+#include "runtime/threaded_executor.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/machine.hpp"
 #include "sim/sim_lock.hpp"
@@ -79,36 +81,82 @@ TEST(SimLock, FifoHandover) {
   ASSERT_TRUE(out.granted.has_value());
   EXPECT_EQ(*out.granted, 1u);
   EXPECT_TRUE(l.is_locked()) << "handover keeps the lock held";
-  EXPECT_TRUE(out.notified.empty()) << "no free notification on handover";
+  EXPECT_TRUE(out.notified.empty()) << "nobody subscribed";
   out = l.release(1);
   EXPECT_EQ(*out.granted, 2u);
   out = l.release(2);
   EXPECT_FALSE(out.granted.has_value());
 }
 
-TEST(SimLock, SubscribersNotifiedOnlyWhenFree) {
+TEST(SimLock, SubscribersNotifiedAtEveryRelease) {
   SimLock l;
   ASSERT_TRUE(l.try_acquire(0));
-  l.subscribe_free(5, 42);
-  l.subscribe_free(6, 43);
+  l.subscribe(5, 42);
+  l.subscribe(6, 43);
   l.enqueue(1);
-  auto out = l.release(0);  // handover to 1 — no notifications
-  EXPECT_TRUE(out.notified.empty());
-  out = l.release(1);  // now actually free
+  auto out = l.release(0);  // handover to 1 notifies as well
+  EXPECT_EQ(*out.granted, 1u);
   ASSERT_EQ(out.notified.size(), 2u);
   EXPECT_EQ(out.notified[0].thread, 5u);
   EXPECT_EQ(out.notified[0].gen, 42u);
   EXPECT_EQ(out.notified[1].thread, 6u);
+  l.subscribe(7, 44);
+  out = l.release(1);  // now free
+  EXPECT_FALSE(l.is_locked());
+  ASSERT_EQ(out.notified.size(), 1u);
+  EXPECT_EQ(out.notified[0].thread, 7u);
 }
 
 TEST(SimLock, SubscriptionsAreOneShot) {
   SimLock l;
   ASSERT_TRUE(l.try_acquire(0));
-  l.subscribe_free(5, 1);
+  l.subscribe(5, 1);
   (void)l.release(0);
   ASSERT_TRUE(l.try_acquire(0));
   const auto out = l.release(0);
   EXPECT_TRUE(out.notified.empty());
+}
+
+// ---------------------------------------------------------- wait rule ------
+
+// One wait rule for both backends (DESIGN.md §7): a wait that finds the lock
+// held ends at the first release after it began, even when the lock is taken
+// again at once — handed to the queued acquirer by the FIFO SimLock,
+// re-taken by a barging thread on the WordLock.
+TEST(WaitRule, EndsAtTheFirstReleaseInBothBackends) {
+  // Machine: thread 5 waits while thread 0 holds the lock and 1 is queued.
+  SimLock sim;
+  ASSERT_TRUE(sim.try_acquire(0));
+  sim.enqueue(1);
+  sim.subscribe(5, 7);
+  const SimLock::ReleaseOutcome out = sim.release(0);
+  EXPECT_EQ(*out.granted, 1u);
+  EXPECT_TRUE(sim.is_locked()) << "handed over";
+  ASSERT_EQ(out.notified.size(), 1u) << "the handover ends the wait";
+  EXPECT_EQ(out.notified[0].thread, 5u);
+
+  // Executor: the holder releases and re-takes the lock during the waiter's
+  // first pause.
+  rt::WordLock word;
+  word.lock();
+  int pauses = 0;
+  const auto end = rt::wait_for_release(word, /*budget=*/1000, [&] {
+    if (pauses++ == 0) {
+      word.unlock();
+      word.lock();
+    }
+  });
+  EXPECT_EQ(end, rt::WaitEnd::kBlocked);
+  EXPECT_TRUE(word.is_locked()) << "re-taken";
+  EXPECT_EQ(pauses, 1) << "the release ends the wait, not the budget";
+
+  // With no release the budget ends it; a free lock is no wait at all.
+  pauses = 0;
+  EXPECT_EQ(rt::wait_for_release(word, 16, [&] { ++pauses; }), rt::WaitEnd::kBlocked);
+  EXPECT_EQ(pauses, 16);
+  word.unlock();
+  EXPECT_EQ(rt::wait_for_release(word, 16, [&] { ++pauses; }), rt::WaitEnd::kFree);
+  EXPECT_EQ(pauses, 16);
 }
 
 // --------------------------------------------------------- TxInstance ------
@@ -530,6 +578,80 @@ TEST(MachineServe, LoneRequestCostsItsAttemptAndABurstSheds) {
   ASSERT_EQ(served.size(), 3u);
   EXPECT_LT(served[0].commit, served[1].commit);
   EXPECT_LT(served[1].commit, served[2].commit);
+}
+
+// A victim with two conflict aborts scheduled in one attempt is credited to
+// the aggressor of the event that fires. One-cycle bodies make every overlap
+// a certain hit, and newcomers are always the victim: thread 2 starts one
+// cycle before thread 0's transaction ends, so the abort thread 0 causes
+// fires at once, ahead of the one thread 1 causes, which was scheduled
+// after it.
+TEST(MachineServe, ConflictAbortCreditsTheAggressorOfTheEventThatFired) {
+  auto cfg = base_config(rt::PolicyKind::kOracle, 3);
+  cfg.p_other_abort = 0.0;
+  cfg.p_newcomer_aborts = 1.0;
+  SyntheticWorkload::Params p;
+  p.n_types = 3;
+  Machine m(cfg, std::make_unique<SyntheticWorkload>(p));
+  m.serve(4, [](const Served&) {});
+  const auto inst = [](core::TxTypeId type, std::vector<std::uint32_t> writes) {
+    TxInstance i;
+    i.type = type;
+    i.duration = 1;
+    i.writes = std::move(writes);
+    return i;
+  };
+  const Time t0_ends = cfg.costs.xbegin + 1;
+  ASSERT_TRUE(m.arrive(0, inst(1, {1})));               // thread 0
+  ASSERT_TRUE(m.arrive(t0_ends - 1, inst(2, {2})));     // thread 1, disjoint
+  ASSERT_TRUE(m.arrive(t0_ends - 1, inst(0, {1, 2})));  // thread 2, the victim
+  m.drain();
+  const rt::OracleShared& oracle = *m.policy_shared().oracle();
+  EXPECT_EQ(oracle.conflicts(0, 1), 1u) << "credited to the event that fired";
+  EXPECT_EQ(oracle.conflicts(0, 2), 0u);
+}
+
+// The SGL wait (Alg. 4 line 55) lasts until the SGL is free, even though a
+// handover now notifies its waiters too (DESIGN.md §7): a notified waiter
+// looks again. RTM with one attempt: thread 0 overflows its capacity and
+// takes the SGL, which aborts thread 1 onto the SGL queue; thread 2 arrives
+// while the SGL is held and waits. When thread 0 hands the SGL to thread 1,
+// thread 2 must keep waiting. Had it attempted then, the held SGL would
+// have aborted its one attempt and sent it to the fallback.
+TEST(MachineServe, SglWaitLastsUntilTheSglIsFree) {
+  auto cfg = base_config(rt::PolicyKind::kRtm, 3);
+  cfg.p_other_abort = 0.0;
+  cfg.policy.max_attempts = 1;
+  SyntheticWorkload::Params p;
+  p.n_types = 3;
+  Machine m(cfg, std::make_unique<SyntheticWorkload>(p));
+  std::vector<Served> served;
+  m.serve(4, [&](const Served& s) { served.push_back(s); });
+  const auto inst = [](core::TxTypeId type, std::uint64_t duration,
+                       std::vector<std::uint32_t> writes) {
+    TxInstance i;
+    i.type = type;
+    i.duration = duration;
+    i.writes = std::move(writes);
+    return i;
+  };
+  std::vector<std::uint32_t> overflow(cfg.cache_lines_per_core + 1);
+  for (std::size_t k = 0; k < overflow.size(); ++k) {
+    overflow[k] = static_cast<std::uint32_t>(1000 + k);
+  }
+  ASSERT_TRUE(m.arrive(0, inst(0, 10000, std::move(overflow))));  // thread 0
+  ASSERT_TRUE(m.arrive(1, inst(1, 20000, {1})));                  // thread 1
+  ASSERT_TRUE(m.arrive(8000, inst(2, 100, {2})));                 // thread 2
+  m.drain();
+  ASSERT_EQ(served.size(), 3u);
+  std::sort(served.begin(), served.end(),
+            [](const Served& a, const Served& b) { return a.arrival < b.arrival; });
+  EXPECT_EQ(served[0].mode, rt::CommitMode::kSglFallback);
+  EXPECT_EQ(served[1].mode, rt::CommitMode::kSglFallback);
+  EXPECT_LT(served[0].commit, served[1].commit) << "the SGL was handed over";
+  EXPECT_EQ(served[2].mode, rt::CommitMode::kHtmNoLocks)
+      << "the waiter attempted while the SGL was held";
+  EXPECT_GT(served[2].commit, served[1].commit) << "it began once the SGL was free";
 }
 
 // Parked threads wake lowest-numbered first, so under light load thread 0 —

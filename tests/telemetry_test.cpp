@@ -301,6 +301,46 @@ TEST(ServeTelemetryTest, MetricsExpositionIncludesAttachedStepRegistry) {
             std::string::npos);
 }
 
+// Maintenance code swaps the two cold pointers while the scrape thread
+// reads them (the lock the header documents): every scrape sees a whole
+// published snapshot, never an older one than it saw before.
+TEST(ServeTelemetryTest, ColdPointersSwapUnderConcurrentScrapes) {
+  ServeTelemetry tel(1);
+  MetricsRegistry step_reg(1);
+  const auto c = step_reg.counter("rt.commits");
+  step_reg.freeze();
+  step_reg.add(c, 0, 9);
+  constexpr int kSwaps = 2000;
+  std::atomic<bool> done{false};
+  std::thread maintenance([&] {
+    for (int i = 0; i < kSwaps; ++i) {
+      tel.publish_model_json("{\"gen\": " + std::to_string(i) + "}");
+      tel.attach_step_registry(i % 2 == 0 ? &step_reg : nullptr);
+    }
+    done.store(true, std::memory_order_release);
+  });
+  const std::string prefix = "{\"gen\": ";
+  int last = -1;
+  bool whole = true;
+  bool ordered = true;
+  while (!done.load(std::memory_order_acquire)) {
+    if (const auto p = tel.model_json()) {
+      whole = whole && p->rfind(prefix, 0) == 0 && p->back() == '}';
+      const int gen = std::atoi(p->c_str() + prefix.size());
+      ordered = ordered && gen >= last;
+      last = gen;
+    }
+    const std::string prom = tel.metrics_exposition();
+    whole = whole && prom.find("seer_serve_arrivals") != std::string::npos;
+  }
+  maintenance.join();
+  EXPECT_TRUE(whole);
+  EXPECT_TRUE(ordered) << "a scrape saw an older snapshot after a newer one";
+  EXPECT_EQ(*tel.model_json(), "{\"gen\": 1999}");
+  EXPECT_EQ(tel.metrics_exposition().find("seer_rt_commits"), std::string::npos)
+      << "the last swap detached the step registry";
+}
+
 // --- HttpExporter over a real loopback socket -------------------------------
 
 TEST(HttpExporterTest, ServesRoutedPathsAnd404sUnknown) {

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "util/cacheline.hpp"
@@ -14,7 +13,6 @@
 #include "util/json_writer.hpp"
 #include "util/rng.hpp"
 #include "util/small_vec.hpp"
-#include "util/spinlock.hpp"
 #include "util/stats.hpp"
 #include "util/zipf.hpp"
 
@@ -378,55 +376,6 @@ TEST(SmallVec, IterationOrder) {
     EXPECT_EQ(x, idx * idx);
     ++idx;
   }
-}
-
-// ----------------------------------------------------------- SpinLock ------
-
-TEST(SpinLock, TryLockSemantics) {
-  SpinLock l;
-  EXPECT_FALSE(l.is_locked());
-  EXPECT_TRUE(l.try_lock());
-  EXPECT_TRUE(l.is_locked());
-  EXPECT_FALSE(l.try_lock());
-  l.unlock();
-  EXPECT_FALSE(l.is_locked());
-}
-
-TEST(SpinLock, GuardReleases) {
-  SpinLock l;
-  {
-    SpinGuard g(l);
-    EXPECT_TRUE(l.is_locked());
-  }
-  EXPECT_FALSE(l.is_locked());
-}
-
-TEST(SpinLock, GuardEarlyRelease) {
-  SpinLock l;
-  SpinGuard g(l);
-  g.release();
-  EXPECT_FALSE(l.is_locked());
-  g.release();  // idempotent
-  EXPECT_FALSE(l.is_locked());
-}
-
-TEST(SpinLock, MutualExclusionUnderThreads) {
-  SpinLock l;
-  long counter = 0;
-  constexpr int kThreads = 4;
-  constexpr int kIters = 20000;
-  std::vector<std::thread> ts;
-  ts.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    ts.emplace_back([&] {
-      for (int i = 0; i < kIters; ++i) {
-        SpinGuard g(l);
-        ++counter;
-      }
-    });
-  }
-  for (auto& t : ts) t.join();
-  EXPECT_EQ(counter, static_cast<long>(kThreads) * kIters);
 }
 
 // ------------------------------------------------------------ Padded ------
