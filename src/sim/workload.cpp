@@ -51,30 +51,19 @@ bool write_conflicts(const TxInstance& a, const TxInstance& b) noexcept {
 }
 
 void FootprintIndex::build(const TxInstance& inst) {
-  const std::size_t keys = inst.reads.size() + inst.writes.size();
-  unsigned bits = 4;
-  while ((std::size_t{1} << bits) < 2 * keys) ++bits;
-  slots_.assign(std::size_t{1} << bits, kEmpty);
-  mask_ = slots_.size() - 1;
+  const auto& r = inst.reads;
+  const auto& w = inst.writes;
+  union_.resize(r.size() + w.size());
+  const auto end = std::set_union(r.begin(), r.end(), w.begin(), w.end(), union_.begin());
+  union_.erase(end, union_.end());
+  unsigned bits = 6;
+  while ((std::size_t{1} << bits) < kBitsPerLine * union_.size()) ++bits;
+  filter_.assign(std::size_t{1} << (bits - 6), 0);
   shift_ = 64 - bits;
-  holds_empty_key_ = false;
-  lines_ = 0;
-  for (const std::uint32_t l : inst.reads) insert(l);
-  for (const std::uint32_t l : inst.writes) insert(l);
-}
-
-void FootprintIndex::insert(std::uint32_t line) {
-  if (line == kEmpty) {
-    lines_ += holds_empty_key_ ? 0 : 1;
-    holds_empty_key_ = true;
-    return;
+  for (const std::uint32_t l : union_) {
+    const std::uint64_t bit = bit_of(l);
+    filter_[bit >> 6] |= std::uint64_t{1} << (bit & 63);
   }
-  std::size_t i = slot_of(line);
-  for (; slots_[i] != kEmpty; i = (i + 1) & mask_) {
-    if (slots_[i] == line) return;
-  }
-  slots_[i] = line;
-  ++lines_;
 }
 
 }  // namespace seer::sim

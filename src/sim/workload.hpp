@@ -8,6 +8,7 @@
 // (and why Seer's inference works on the real benchmarks).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -86,24 +87,25 @@ class Workload {
 }
 
 // One instance's footprint, indexed for the machine's pairwise conflict
-// test: the cached |reads ∪ writes| and an open-addressing set of those
-// lines. The machine builds one per instance and reuses it across retries,
-// so a pair test probes each side's writes in the other's set — O(|w_a| +
-// |w_b|) — instead of merging both full footprints four times.
+// test: the sorted union of its reads and writes, and a one-hash bit filter
+// over that union. The machine builds one per instance and reuses it across
+// retries, so a pair test probes each side's writes in the other's filter —
+// O(|w_a| + |w_b|) bit tests — instead of merging both full footprints four
+// times. Every union line has its bit set, and a set bit is confirmed by a
+// binary search of the union, so the answer is exact; at 32 or more filter
+// bits per line, few probes that miss the footprint reach the search.
 class FootprintIndex {
  public:
   // Indexes `inst`, reusing the storage of the previous build.
   void build(const TxInstance& inst);
 
   // |reads ∪ writes| of the indexed instance: its footprint_lines().
-  [[nodiscard]] std::size_t lines() const noexcept { return lines_; }
+  [[nodiscard]] std::size_t lines() const noexcept { return union_.size(); }
 
   [[nodiscard]] bool contains(std::uint32_t line) const noexcept {
-    if (line == kEmpty) return holds_empty_key_;
-    for (std::size_t i = slot_of(line);; i = (i + 1) & mask_) {
-      if (slots_[i] == line) return true;
-      if (slots_[i] == kEmpty) return false;
-    }
+    const std::uint64_t bit = bit_of(line);
+    if (((filter_[bit >> 6] >> (bit & 63)) & 1) == 0) return false;
+    return std::binary_search(union_.begin(), union_.end(), line);
   }
 
   // True when some line of `lines` is in this footprint.
@@ -122,21 +124,18 @@ class FootprintIndex {
   }
 
  private:
-  // Marks a free slot. It is also a valid line id, tracked out of band.
-  static constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
+  // Filter bits per union line, at least; the filter is a power of two.
+  static constexpr std::size_t kBitsPerLine = 32;
 
-  [[nodiscard]] std::size_t slot_of(std::uint32_t line) const noexcept {
+  [[nodiscard]] std::uint64_t bit_of(std::uint32_t line) const noexcept {
     // Fibonacci hashing: the top bits of the product spread clustered ids.
-    return static_cast<std::size_t>((line * 0x9E3779B97F4A7C15ull) >> shift_);
+    return (line * 0x9E3779B97F4A7C15ull) >> shift_;
   }
-  void insert(std::uint32_t line);
 
-  // Power-of-two size, at most half full; starts as an empty 16-slot index.
-  std::vector<std::uint32_t> slots_ = std::vector<std::uint32_t>(16, kEmpty);
-  std::size_t mask_ = 15;
-  unsigned shift_ = 60;
-  bool holds_empty_key_ = false;
-  std::size_t lines_ = 0;
+  std::vector<std::uint32_t> union_;  // reads ∪ writes, sorted unique
+  // Starts as one clear 64-bit word: the empty footprint.
+  std::vector<std::uint64_t> filter_ = std::vector<std::uint64_t>(1, 0);
+  unsigned shift_ = 58;  // 64 - log2(filter bits)
 };
 
 }  // namespace seer::sim

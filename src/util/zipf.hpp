@@ -5,18 +5,22 @@
 // universe sizes involved (up to a few hundred thousand lines) a precomputed
 // inverse-CDF table is both exact and fast to sample from.
 //
-// A guide table over the CDF (Chen & Asau's indexed search) narrows each
-// draw to one bucket's CDF entries — about one on average — instead of a
-// binary search over all n ranks, and returns the same rank for the same
-// uniform draw: guide_[j] counts the CDF entries whose bucket lies below j,
-// and bucket() is monotone, so for u in bucket j every entry before
-// guide_[j] is < u and the entry at guide_[j + 1], if any, is >= u.
+// A guide table over the CDF (Chen & Asau's indexed search) returns the
+// rank a binary search over all n ranks would. guide_[j] counts the CDF
+// entries whose bucket lies below j, and bucket() is monotone, so for u in
+// bucket j every entry before guide_[j] is < u, and a scan from there stops
+// at the first entry >= u, or at the +inf sentinel after the last one.
+// There are 8 buckets per rank up to 2^16 ranks, then 2^19 (a larger table
+// only misses cache) until that is one per rank. A draw scans 0–1 entries,
+// at most n / buckets on average for any skew; a heavy skew (s >= 2) over
+// many ranks crowds the top bucket, and the rare draw landing there scans it.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -29,7 +33,7 @@ class Zipf {
   // 0.99 ~ YCSB-hot).
   Zipf(std::uint64_t n, double s) : n_(n), s_(s) {
     assert(n >= 1 && n < (std::uint64_t{1} << 32));
-    cdf_.reserve(static_cast<std::size_t>(n));
+    cdf_.reserve(static_cast<std::size_t>(n) + 1);
     double acc = 0.0;
     for (std::uint64_t k = 1; k <= n; ++k) {
       acc += 1.0 / std::pow(static_cast<double>(k), s);
@@ -37,13 +41,15 @@ class Zipf {
     }
     const double total = acc;
     for (auto& c : cdf_) c /= total;
+    cdf_.push_back(std::numeric_limits<double>::infinity());
 
-    // Buckets 0..n (u * n can round up to n), plus an end marker so that
-    // guide_[j + 1] exists for every bucket j.
-    guide_.resize(cdf_.size() + 2);
+    // Buckets 0..buckets_ (u * buckets_ can round up to buckets_).
+    const auto ranks = static_cast<std::size_t>(n);
+    buckets_ = std::max(ranks, std::min(kBucketsPerRank * ranks, kMaxFineBuckets));
+    guide_.resize(buckets_ + 1);
     std::size_t i = 0;
     for (std::size_t j = 0; j < guide_.size(); ++j) {
-      while (i < cdf_.size() && bucket(cdf_[i]) < j) ++i;
+      while (i < n && bucket(cdf_[i]) < j) ++i;
       guide_[j] = static_cast<std::uint32_t>(i);
     }
   }
@@ -59,16 +65,14 @@ class Zipf {
   // The rank a uniform draw u in [0, 1) selects: the first CDF entry >= u,
   // or the last rank when rounding left every entry below u.
   [[nodiscard]] std::uint64_t rank_of(double u) const noexcept {
-    const std::size_t j = bucket(u);
-    const auto first = cdf_.begin() + guide_[j];
-    const auto end = cdf_.begin() + guide_[j + 1];
-    const auto i =
-        static_cast<std::size_t>(std::lower_bound(first, end, u) - cdf_.begin());
-    return static_cast<std::uint64_t>(std::min(i, cdf_.size() - 1));
+    std::size_t i = guide_[bucket(u)];
+    while (cdf_[i] < u) ++i;
+    return std::min<std::uint64_t>(i, n_ - 1);
   }
 
-  // cdf()[k] = P(rank <= k) (diagnostics / tests).
-  [[nodiscard]] const std::vector<double>& cdf() const noexcept { return cdf_; }
+  // cdf()[k] = P(rank <= k), n entries (diagnostics / tests; a copy
+  // without the sentinel).
+  [[nodiscard]] std::vector<double> cdf() const { return {cdf_.begin(), cdf_.end() - 1}; }
 
   // Probability mass of rank k (diagnostics / tests).
   [[nodiscard]] double pmf(std::uint64_t k) const noexcept {
@@ -79,15 +83,21 @@ class Zipf {
   }
 
  private:
-  // Guide bucket of a value in [0, 1]: one of cdf_.size() equal slices,
-  // plus bucket cdf_.size() for 1.0 itself.
+  // Buckets per rank, and the cap on the bucket count, which never falls
+  // below one per rank. Constants, not knobs: no rank depends on them.
+  static constexpr std::size_t kBucketsPerRank = 8;
+  static constexpr std::size_t kMaxFineBuckets = std::size_t{1} << 19;
+
+  // Guide bucket of a value in [0, 1]: one of buckets_ equal slices, plus
+  // bucket buckets_ for 1.0 itself.
   [[nodiscard]] std::size_t bucket(double x) const noexcept {
-    return static_cast<std::size_t>(x * static_cast<double>(cdf_.size()));
+    return static_cast<std::size_t>(x * static_cast<double>(buckets_));
   }
 
   std::uint64_t n_;
   double s_;
-  std::vector<double> cdf_;
+  std::vector<double> cdf_;  // n entries, then the +inf sentinel
+  std::size_t buckets_ = 0;
   std::vector<std::uint32_t> guide_;
 };
 

@@ -4,7 +4,8 @@
 //
 //   * sim::FootprintIndex against sim::instances_conflict and
 //     TxInstance::footprint_lines, on random pairs from every registered
-//     generator plus hand-built edge cases;
+//     generator plus hand-built edge cases, a probe that shares a
+//     footprint line's filter bit, and footprints of 4 096+ lines;
 //   * util::Zipf's guide-table search against a plain binary search over
 //     the same CDF;
 //   * stamp::canonicalize_lines against std::sort + std::unique on both
@@ -127,7 +128,7 @@ TEST(FootprintIndex, EdgeCasesMatchTheReference) {
 }
 
 // Sorted unique lines `base + stride * k` for random k < span: strides that
-// are powers of two stress the open-addressing probe sequences.
+// are powers of two stress the hash's spread of clustered ids.
 std::vector<std::uint32_t> strided_lines(util::Xoshiro256& rng, std::size_t n,
                                          std::uint32_t base, std::uint32_t stride,
                                          std::uint32_t span) {
@@ -162,6 +163,72 @@ TEST(FootprintIndex, StridedFootprintsMatchTheReference) {
   }
   EXPECT_GT(conflicts, kPairs / 20) << "the pairs never exercise a conflict";
   EXPECT_LT(conflicts, kPairs - kPairs / 20) << "the pairs never exercise a miss";
+}
+
+// A probe whose filter bit is set by a footprint line it is not must be
+// turned away by the confirm step. The hash is fixed, so the test searches
+// for a line whose top 20 hash bits equal the footprint line's: the two
+// share a bit in every filter of up to 2^20 bits.
+TEST(FootprintIndex, ProbeSharingAFilterBitIsNotInTheFootprint) {
+  const auto top_bits = [](std::uint32_t l) { return (l * 0x9E3779B97F4A7C15ull) >> 44; };
+  constexpr std::uint32_t kLine = 1000;
+  std::uint32_t twin = kLine + 1;
+  while (top_bits(twin) != top_bits(kLine)) ++twin;
+  sim::FootprintIndex ia;
+  sim::FootprintIndex ib;
+  // Two writers: each side's write lands on the other's set bit, and the
+  // pair test must find no conflict either way round.
+  const sim::TxInstance a = make_inst({}, {kLine});
+  const sim::TxInstance b = make_inst({}, {twin});
+  EXPECT_FALSE(expect_index_exact(a, b, ia, ib, "filter-bit twins"));
+  EXPECT_TRUE(ia.contains(kLine));
+  EXPECT_FALSE(ia.contains(twin)) << "line " << twin << " shares line " << kLine
+                                  << "'s bit but is not in its footprint";
+  // The twin next to other lines of a wider footprint: still a miss.
+  const sim::TxInstance wide = make_inst({kLine - 7, kLine, kLine + 7}, {twin + 1});
+  EXPECT_FALSE(expect_index_exact(wide, b, ia, ib, "twin against a wider footprint"));
+}
+
+// Footprints of 4 096 lines and more: the filter grows with the union, and
+// a few of the probes that miss land on a set bit and reach the confirm step.
+TEST(FootprintIndex, LargeFootprintsMatchTheReference) {
+  const std::uint64_t seed = master_seed();
+  util::Xoshiro256 rng(seed);
+  sim::FootprintIndex ia;
+  sim::FootprintIndex ib;
+  int conflicts = 0;
+  constexpr int kPairs = 40;
+  for (int i = 0; i < kPairs; ++i) {
+    // a holds even lines only. Even pairs draw b's lines from odd ids, so
+    // they miss a; odd pairs draw them from a's even ids.
+    const std::uint32_t span = std::uint32_t{1} << (16 + rng.below(6));
+    const auto draw = [&](std::size_t n, bool odd) {
+      std::vector<std::uint32_t> v;
+      while (v.size() < n) {
+        for (std::size_t k = v.size(); k < n; ++k) {
+          const auto l = static_cast<std::uint32_t>(rng.below(span));
+          v.push_back(odd ? (l | 1u) : (l & ~1u));
+        }
+        std::sort(v.begin(), v.end());
+        v.erase(std::unique(v.begin(), v.end()), v.end());
+      }
+      return v;
+    };
+    const bool disjoint = i % 2 == 0;
+    const sim::TxInstance a =
+        make_inst(draw(4096 + rng.below(4096), false), draw(400, false));
+    const sim::TxInstance b =
+        make_inst(draw(rng.below(300), disjoint), draw(1 + rng.below(100), disjoint));
+    const std::string where = "large pair " + std::to_string(i);
+    ASSERT_GE(a.footprint_lines(), 4096u) << where;
+    const bool conflict = expect_index_exact(a, b, ia, ib, where);
+    if (disjoint) {
+      EXPECT_FALSE(conflict) << where;
+    }
+    if (conflict) ++conflicts;
+    if (HasFailure()) FAIL() << replay_hint(seed);
+  }
+  EXPECT_GT(conflicts, 0) << "the pairs never exercise a conflict";
 }
 
 util::json::Value parse_or_die(const std::string& text) {
@@ -306,7 +373,9 @@ TEST_P(ZipfGuide, SampleEqualsBinarySearch) {
   }
 }
 
-constexpr std::uint64_t kZipfSizes[] = {1, 2, 3, 16, 2048, std::uint64_t{1} << 22};
+// 65536 = 2^16 and 65537 sit on both sides of the guide-size cap: the last
+// size with 8 buckets per rank, and the first with fewer.
+constexpr std::uint64_t kZipfSizes[] = {1, 2, 3, 16, 2048, 65536, 65537, 1 << 22};
 constexpr double kZipfSkews[] = {0.01, 0.5, 0.99, 2.0};
 
 INSTANTIATE_TEST_SUITE_P(Grid, ZipfGuide,
