@@ -36,9 +36,6 @@ namespace seer::core {
 struct SeerConfig {
   std::size_t n_threads = 8;
   std::size_t n_types = 8;
-  // SMT siblings share thread % physical_cores. Both backends overwrite it
-  // with the core count they size their core locks from.
-  std::size_t physical_cores = 4;
 
   // Mechanism toggles (§5.3: each is one cumulative variant of Figure 5).
   bool enable_tx_locks = true;        // fine-grained transaction locks
@@ -169,7 +166,7 @@ class SeerScheduler {
   }
 
   // SGL fallback feed (any thread; the fallback path is already slow),
-  // bumped when the policy issues the fallback directive. The storm
+  // bumped when the driver decides to fall back (SeerPolicy::on_fallback). The storm
   // detector and the flight recorder both classify rebuild windows by
   // fallbacks per execution from this one counter, and snapshots report it.
   void note_sgl_fallback() noexcept {

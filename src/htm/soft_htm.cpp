@@ -19,7 +19,7 @@ void SoftHtm::ThreadContext::begin() {
   active_ = true;
   reads_.clear();
   writes_.clear();
-  subs_.clear();
+  sub_word_ = nullptr;
   read_log_.clear();
   write_sig_.clear();
   // Reads start log-only (Tier 0): an empty log is one cursor reset.
@@ -50,7 +50,7 @@ void SoftHtm::ThreadContext::rollback() noexcept {
   active_ = false;
   reads_.clear();
   writes_.clear();
-  subs_.clear();
+  sub_word_ = nullptr;
   t0_next_ = t0_buf_.get();
 }
 

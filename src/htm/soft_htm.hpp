@@ -109,6 +109,7 @@ class SoftHtm {
 
     // Subscribe to a non-transactional word: the commit (and every later
     // access) fails with CONFLICT if the word no longer equals `expected`.
+    // At most once per attempt.
     [[gnu::always_inline]] void subscribe(const std::atomic<std::uint64_t>& word,
                                           std::uint64_t expected);
 
@@ -249,11 +250,6 @@ class SoftHtm {
       std::uint64_t value;
       std::uint32_t stripe;  // index into tm_.stripes_
     };
-    struct Subscription {
-      const std::atomic<std::uint64_t>* word;
-      std::uint64_t expected;
-    };
-
     void begin();
     // Runs after the body returned: every abort here is reported through
     // fail_commit's return value, never thrown.
@@ -328,7 +324,6 @@ class SoftHtm {
     // the stripe count). Empty while reads are still Tier 0.
     std::vector<std::uint32_t> reads_;
     std::vector<WriteEntry> writes_;
-    std::vector<Subscription> subs_;
     // O(1) access-path structures (all epoch-cleared, reused across
     // attempts; see access_set.hpp and DESIGN.md §10).
     AddrSignature write_sig_;
@@ -355,10 +350,10 @@ class SoftHtm {
     // the write set's stripes, sorted and deduplicated — the canonical
     // lock order and, by binary search, the set of stripes this commit owns.
     std::vector<std::uint32_t> lock_stripes_;
-    // Single-subscription fast path: the executor subscribes to exactly one
-    // word (the SGL), so per-read revalidation is one load/compare.
-    const std::atomic<std::uint64_t>* sub0_word_ = nullptr;
-    std::uint64_t sub0_expected_ = 0;
+    // The attempt's one subscription (the executor's SGL word), or null:
+    // per-access revalidation is one load/compare. begin and rollback reset it.
+    const std::atomic<std::uint64_t>* sub_word_ = nullptr;
+    std::uint64_t sub_expected_ = 0;
     // Check-harness state (dormant unless installed).
     FaultInjector* fault_ = nullptr;
     TxLog* log_ = nullptr;
@@ -415,17 +410,8 @@ class SoftHtm {
 // status — stay out of line in soft_htm.cpp.
 
 inline bool SoftHtm::ThreadContext::subscriptions_hold() const noexcept {
-  const std::size_t n = subs_.size();
-  if (n == 0) return true;
-  // Single-subscription fast path: the executor subscribes to exactly one
-  // word (the SGL fallback lock), so the per-access revalidation is one
-  // load/compare against inline members instead of a vector walk.
-  if (sub0_word_->load(std::memory_order_acquire) != sub0_expected_) return false;
-  for (std::size_t i = 1; i < n; ++i) {
-    const Subscription& s = subs_[i];
-    if (s.word->load(std::memory_order_acquire) != s.expected) return false;
-  }
-  return true;
+  return sub_word_ == nullptr ||
+         sub_word_->load(std::memory_order_acquire) == sub_expected_;
 }
 
 inline std::uint64_t SoftHtm::ThreadContext::do_read(const TmWord& w) {
@@ -509,11 +495,9 @@ inline void SoftHtm::ThreadContext::do_subscribe(const std::atomic<std::uint64_t
   if (word.load(std::memory_order_acquire) != expected) [[unlikely]] {
     abort_with(AbortStatus::conflict());
   }
-  if (subs_.empty()) {
-    sub0_word_ = &word;
-    sub0_expected_ = expected;
-  }
-  subs_.push_back(Subscription{&word, expected});
+  assert(sub_word_ == nullptr && "one subscription per attempt");
+  sub_word_ = &word;
+  sub_expected_ = expected;
 }
 
 inline std::uint64_t SoftHtm::Tx::read(const TmWord& w) { return ctx_.do_read(w); }

@@ -6,127 +6,53 @@ namespace seer::rt {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// HLE, RTM and SGL: a plain retry loop, `budget` hardware attempts and then
-// the SGL. RTM is the software loop every production TSX runtime uses (budget
-// MAX_ATTEMPTS, wait while the SGL is locked before each attempt). HLE is
-// implicit elision: a tiny budget and, crucially, no waiting on the fallback
-// lock before re-attempting, which is exactly what produces the lemming
-// effect the paper describes (§5.1, citing Dice et al. [6]). SGL, the
-// pessimistic lower bound, has no attempts: every transaction takes the
-// global lock.
-class RetryPolicy final : public Policy {
- public:
-  RetryPolicy(int budget, bool wait_sgl) : budget_(budget), wait_sgl_(wait_sgl) {}
-
-  void begin_tx(core::TxTypeId) override { attempts_ = budget_; }
-
-  Directive next_attempt() override {
-    Directive d;
-    if (attempts_ <= 0) {
-      d.mode = Directive::Mode::kFallback;
-      return d;
-    }
-    d.mode = Directive::Mode::kHardware;
-    d.wait_sgl = wait_sgl_;
-    return d;
-  }
-
-  void on_abort(htm::AbortStatus) override { --attempts_; }
-
- private:
-  int budget_;
-  bool wait_sgl_;
-  int attempts_ = 0;
-};
+// ATS's moving-average weight and the contention factor above which a
+// thread serializes (Yoo & Lee's defaults).
+constexpr double kAtsAlpha = 0.3;
+constexpr double kAtsThreshold = 0.5;
+// The Oracle serializes pair (x, y) once precisely-attributed conflicts
+// between them account for more than this fraction of x's executions.
+constexpr double kOracleConflictThreshold = 0.05;
 
 // ---------------------------------------------------------------------------
 // SCM (Afek, Levy, Morrison — PODC'14): after the first abort the
 // transaction serializes on one auxiliary lock and keeps retrying in
-// hardware while holding it; the SGL is reached only when the budget runs
-// out. Restricts parallelism among *all* restarting transactions (the
-// coarse-grained behaviour Table 3 quantifies).
+// hardware while holding it. Restricts parallelism among *all* restarting
+// transactions (the coarse-grained behaviour Table 3 quantifies).
 class ScmPolicy final : public Policy {
  public:
-  explicit ScmPolicy(int budget) : budget_(budget) {}
-
-  void begin_tx(core::TxTypeId) override {
-    attempts_ = budget_;
-    want_aux_ = false;
-    holds_aux_ = false;
-  }
-
-  Directive next_attempt() override {
+  Directive next_attempt(int k, bool) override {
     Directive d;
-    if (attempts_ <= 0) {
-      d.mode = Directive::Mode::kFallback;
-      return d;
-    }
-    d.mode = Directive::Mode::kHardware;
-    d.wait_sgl = true;
-    if (want_aux_ && !holds_aux_) {
-      d.acquires.push_back(kAuxLock);
-      holds_aux_ = true;
-    }
+    if (k == 1) d.acquires.push_back(kAuxLock);
     return d;
   }
-
-  void on_abort(htm::AbortStatus) override {
-    --attempts_;
-    want_aux_ = true;
-  }
-
- private:
-  int budget_;
-  int attempts_ = 0;
-  bool want_aux_ = false;
-  bool holds_aux_ = false;
 };
 
 // ---------------------------------------------------------------------------
 // ATS (Yoo & Lee, SPAA'08): each thread keeps a contention factor updated on
 // commit/abort; when it exceeds a threshold the thread serializes its whole
-// attempt behind a single scheduling lock. Coarse-grained by construction —
-// the contrast Seer is built against (Table 1).
+// transaction behind a single scheduling lock. Coarse-grained by
+// construction — the contrast Seer is built against (Table 1). The factor is
+// this thread's alone, so it lives here.
 class AtsPolicy final : public Policy {
  public:
-  AtsPolicy(PolicyShared& shared, core::ThreadId self, int budget)
-      : shared_(shared), self_(self), budget_(budget) {}
+  void begin_tx(core::TxTypeId) override { serialize_ = contention_ > kAtsThreshold; }
 
-  void begin_tx(core::TxTypeId) override {
-    attempts_ = budget_;
-    holds_sched_ = false;
-    serialize_ = shared_.ats_contention(self_) > shared_.config().ats.threshold;
-  }
-
-  Directive next_attempt() override {
+  Directive next_attempt(int k, bool) override {
     Directive d;
-    if (attempts_ <= 0) {
-      d.mode = Directive::Mode::kFallback;
-      return d;
-    }
-    d.mode = Directive::Mode::kHardware;
-    d.wait_sgl = true;
-    if (serialize_ && !holds_sched_) {
-      d.acquires.push_back(kSchedLock);
-      holds_sched_ = true;
-    }
+    if (serialize_ && k == 0) d.acquires.push_back(kSchedLock);
     return d;
   }
 
-  void on_abort(htm::AbortStatus) override {
-    --attempts_;
-    shared_.ats_update(self_, /*aborted=*/true);
-  }
-
-  void on_commit(bool) override { shared_.ats_update(self_, /*aborted=*/false); }
+  void on_abort(htm::AbortStatus) override { update(/*aborted=*/true); }
+  void on_commit(bool) override { update(/*aborted=*/false); }
 
  private:
-  PolicyShared& shared_;
-  core::ThreadId self_;
-  int budget_;
-  int attempts_ = 0;
-  bool holds_sched_ = false;
+  void update(bool aborted) noexcept {
+    contention_ = contention_ * (1.0 - kAtsAlpha) + (aborted ? kAtsAlpha : 0.0);
+  }
+
+  double contention_ = 0.0;
   bool serialize_ = false;
 };
 
@@ -138,34 +64,26 @@ class AtsPolicy final : public Policy {
 // not the last-resort attempt, and no Gaussian filtering is needed.
 class OraclePolicy final : public Policy {
  public:
-  OraclePolicy(OracleShared& shared, int budget) : shared_(shared), budget_(budget) {}
+  explicit OraclePolicy(OracleShared& shared) : shared_(shared) {}
 
   void begin_tx(core::TxTypeId tx) override {
     tx_ = tx;
-    attempts_ = budget_;
     holds_tx_ = false;
     shared_.record_execution(tx);
     shared_.maybe_rebuild();
   }
 
-  Directive next_attempt() override {
+  Directive next_attempt(int k, bool) override {
     Directive d;
-    if (attempts_ <= 0) {
-      d.mode = Directive::Mode::kFallback;
-      return d;
-    }
-    d.mode = Directive::Mode::kHardware;
-    d.wait_sgl = true;
     // Precise knowledge engages immediately: after the first abort the
-    // flagged peers' locks are taken (contrast: Seer waits for attempts==1).
-    if (!holds_tx_ && attempts_ < budget_) {
+    // flagged peers' locks are taken (contrast: Seer waits for the last
+    // attempt).
+    if (!holds_tx_ && k >= 1) {
       const core::LockRow row = shared_.scheme()->row(tx_);
-      if (!row.empty()) {
-        for (core::TxTypeId y : row) {
-          d.acquires.push_back(tx_lock(static_cast<std::uint16_t>(y)));
-        }
-        holds_tx_ = true;
+      for (core::TxTypeId y : row) {
+        d.acquires.push_back(tx_lock(static_cast<std::uint16_t>(y)));
       }
+      holds_tx_ = !row.empty();
     }
     if (!holds_tx_) d.waits.push_back(tx_lock(static_cast<std::uint16_t>(tx_)));
     return d;
@@ -175,12 +93,8 @@ class OraclePolicy final : public Policy {
     shared_.record_conflict(tx_, culprit);
   }
 
-  void on_abort(htm::AbortStatus) override { --attempts_; }
-
  private:
   OracleShared& shared_;
-  int budget_;
-  int attempts_ = 0;
   bool holds_tx_ = false;
   core::TxTypeId tx_ = core::kNoTx;
 };
@@ -189,59 +103,44 @@ class OraclePolicy final : public Policy {
 // Seer — Alg. 1-4 over the core scheduler (Alg. 5 lives in seer_core).
 class SeerPolicy final : public Policy {
  public:
-  SeerPolicy(core::SeerScheduler& sched, core::ThreadId self, int budget)
-      : sched_(sched),
-        cfg_(sched.config()),
-        self_(self),
-        my_core_(static_cast<std::uint16_t>(self % cfg_.physical_cores)),
-        budget_(budget) {}
+  SeerPolicy(core::SeerScheduler& sched, core::ThreadId self, std::uint16_t my_core)
+      : sched_(sched), cfg_(sched.config()), self_(self), my_core_(my_core) {}
 
   void begin_tx(core::TxTypeId tx) override {
     tx_ = tx;
-    attempts_ = budget_;
     want_core_ = false;
     holds_core_ = false;
-    holds_tx_ = false;
     // Announce before executing (Alg. 1 line 5). Scheme maintenance is
     // driven by the driver through maintenance() — at transaction start
     // (DESIGN.md deviation #1) and while waiting on the SGL.
     sched_.announce(self_, tx);
   }
 
-  Directive next_attempt() override {
+  Directive next_attempt(int, bool last) override {
     Directive d;
-    if (attempts_ <= 0) {
-      // Alg. 1 lines 18-20: the driver releases every Seer lock, then takes
-      // the SGL.
-      sched_.note_sgl_fallback();  // storm detector + flight recorder feed
-      d.mode = Directive::Mode::kFallback;
-      return d;
-    }
-    d.mode = Directive::Mode::kHardware;
-    d.wait_sgl = true;  // Alg. 4 line 55
-
     // The core lock after a capacity abort; then the last-resort tx locks
-    // (Alg. 4 lines 47-49), only when one attempt remains. So the tx locks
-    // come once per transaction, never before the core lock: every step
-    // takes locks above the ones held (core < tx, lock_id.hpp).
+    // (Alg. 4 lines 47-49), only on the last attempt. So the tx locks come
+    // once per transaction, never before the core lock: every step takes
+    // locks above the ones held (core < tx, lock_id.hpp).
     if (cfg_.enable_core_locks && want_core_ && !holds_core_) {
       d.acquires.push_back(core_lock(my_core_));
       holds_core_ = true;
     }
-    if (cfg_.enable_tx_locks && attempts_ == 1 && !holds_tx_) {
+    bool holds_tx = false;
+    if (cfg_.enable_tx_locks && last) {
       const core::LockRow row = sched_.scheme()->row(tx_);
       for (core::TxTypeId y : row) {
         d.acquires.push_back(tx_lock(static_cast<std::uint16_t>(y)));
       }
-      holds_tx_ = !row.empty();
+      holds_tx = !row.empty();
     }
-    // §4's multi-CAS optimization: batch 2+ lock acquisitions in one HTM
+    // §4's multi-CAS optimization: batch the lock acquisitions in one HTM
     // transaction.
-    d.htm_batch = cfg_.enable_htm_lock_acquire && d.acquires.size() >= 2;
+    d.htm_batch = cfg_.enable_htm_lock_acquire;
 
     // Cooperative waiting (Alg. 4 lines 57-58): wait for our own tx lock and
     // core lock when some *other* thread holds them.
-    if (!holds_tx_ && cfg_.enable_tx_locks) {
+    if (!holds_tx && cfg_.enable_tx_locks) {
       d.waits.push_back(tx_lock(static_cast<std::uint16_t>(tx_)));
     }
     if (!holds_core_ && cfg_.enable_core_locks) d.waits.push_back(core_lock(my_core_));
@@ -250,9 +149,11 @@ class SeerPolicy final : public Policy {
 
   void on_abort(htm::AbortStatus status) override {
     sched_.record_abort(self_, tx_);  // Alg. 1 line 16
-    --attempts_;
     if (status.cause() == htm::AbortCause::kCapacity) want_core_ = true;
   }
+
+  // Alg. 1 lines 18-20: the storm detector and flight recorder feed.
+  void on_fallback() override { sched_.note_sgl_fallback(); }
 
   void on_commit(bool hardware) override {
     // Alg. 2 line 28 (only hardware commits carry scheduling evidence).
@@ -274,12 +175,9 @@ class SeerPolicy final : public Policy {
   const core::SeerConfig& cfg_;
   core::ThreadId self_;
   std::uint16_t my_core_;
-  int budget_;
   core::TxTypeId tx_ = core::kNoTx;
-  int attempts_ = 0;
   bool want_core_ = false;
   bool holds_core_ = false;
-  bool holds_tx_ = false;
 };
 
 }  // namespace
@@ -323,7 +221,7 @@ void OracleShared::maybe_rebuild() {
     if (ex <= 0.0) continue;
     for (core::TxTypeId y = 0; y < n; ++y) {
       const auto cxy = static_cast<double>(conflicts(x, y));
-      if (cxy / ex > params_.conflict_threshold) {
+      if (cxy / ex > kOracleConflictThreshold) {
         next->add(x, y);
         next->add(y, x);
       }
@@ -334,8 +232,8 @@ void OracleShared::maybe_rebuild() {
 }
 
 PolicyShared::PolicyShared(const PolicyConfig& cfg, std::size_t n_threads,
-                           std::size_t n_types)
-    : cfg_(cfg), n_threads_(n_threads), n_types_(n_types), ats_cf_(n_threads) {
+                           std::size_t n_types, std::size_t n_cores)
+    : cfg_(cfg), n_threads_(n_threads), n_types_(n_types), n_cores_(n_cores) {
   if (cfg_.kind == PolicyKind::kSeer) {
     core::SeerConfig sc = cfg_.seer;
     sc.n_threads = n_threads;
@@ -345,37 +243,20 @@ PolicyShared::PolicyShared(const PolicyConfig& cfg, std::size_t n_threads,
   if (cfg_.kind == PolicyKind::kOracle) {
     oracle_ = std::make_unique<OracleShared>(n_types, cfg_.oracle);
   }
-  for (auto& c : ats_cf_) c.value.store(0.0, std::memory_order_relaxed);
-}
-
-double PolicyShared::ats_contention(core::ThreadId t) const noexcept {
-  return ats_cf_[t].value.load(std::memory_order_relaxed);
-}
-
-void PolicyShared::ats_update(core::ThreadId t, bool aborted) noexcept {
-  const double alpha = cfg_.ats.alpha;
-  const double cur = ats_cf_[t].value.load(std::memory_order_relaxed);
-  const double next = cur * (1.0 - alpha) + (aborted ? alpha : 0.0);
-  ats_cf_[t].value.store(next, std::memory_order_relaxed);
 }
 
 std::unique_ptr<Policy> PolicyShared::make_thread_policy(core::ThreadId thread) {
   assert(thread < n_threads_);
   switch (cfg_.kind) {
     case PolicyKind::kHle:
-      return std::make_unique<RetryPolicy>(cfg_.hle_attempts, /*wait_sgl=*/false);
     case PolicyKind::kRtm:
-      return std::make_unique<RetryPolicy>(cfg_.max_attempts, /*wait_sgl=*/true);
-    case PolicyKind::kScm:
-      return std::make_unique<ScmPolicy>(cfg_.max_attempts);
-    case PolicyKind::kAts:
-      return std::make_unique<AtsPolicy>(*this, thread, cfg_.max_attempts);
-    case PolicyKind::kSgl:
-      return std::make_unique<RetryPolicy>(/*budget=*/0, /*wait_sgl=*/false);
+    case PolicyKind::kSgl: return std::make_unique<Policy>();  // no locks
+    case PolicyKind::kScm: return std::make_unique<ScmPolicy>();
+    case PolicyKind::kAts: return std::make_unique<AtsPolicy>();
     case PolicyKind::kSeer:
-      return std::make_unique<SeerPolicy>(*seer_, thread, cfg_.max_attempts);
-    case PolicyKind::kOracle:
-      return std::make_unique<OraclePolicy>(*oracle_, cfg_.max_attempts);
+      return std::make_unique<SeerPolicy>(*seer_, thread,
+                                          static_cast<std::uint16_t>(thread % n_cores_));
+    case PolicyKind::kOracle: return std::make_unique<OraclePolicy>(*oracle_);
   }
   return nullptr;
 }

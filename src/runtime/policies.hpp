@@ -1,19 +1,24 @@
-// The scheduling policies evaluated in the paper (§2, §5.1) plus Seer.
+// The scheduling policies evaluated in the paper (§2, §5.1) plus Seer. All
+// of them run the one retry loop of rt::TxDriver (Alg. 1's START): `budget()`
+// hardware attempts, each preceded by a wait for the SGL to be free where
+// `waits_for_sgl()`, then the SGL. They differ in the budget, the SGL wait
+// and the locks they take around an attempt:
 //
-//   HLE  — hardware lock elision: a tiny implicit retry budget, no waiting
-//          on the fallback lock (hence the lemming effect under contention).
-//   RTM  — software retry loop (budget 5), waits for the SGL to be free
-//          before every attempt. The de-facto technique for commodity HTM;
-//          ATS-in-spirit per the paper's discussion.
+//   HLE  — hardware lock elision: a tiny implicit budget, no waiting on the
+//          fallback lock (hence the lemming effect under contention).
+//   RTM  — the software retry loop (budget 5) with the SGL wait. The
+//          de-facto technique for commodity HTM; ATS-in-spirit per the
+//          paper's discussion.
 //   SCM  — software-assisted conflict management (Afek et al., PODC'14):
 //          aborted transactions serialize on one auxiliary lock before
-//          retrying in hardware; the SGL is reached only on budget
-//          exhaustion.
+//          retrying in hardware.
 //   ATS  — adaptive transaction scheduling (Yoo & Lee, SPAA'08): a
 //          per-thread contention factor decides whether to serialize the
-//          whole attempt behind a single scheduling lock.
-//   SGL  — always take the global lock (pessimistic bound).
+//          whole transaction behind a single scheduling lock.
+//   SGL  — a budget of zero: always take the global lock (pessimistic bound).
 //   Seer — this paper: Alg. 1-5 over the core scheduler.
+//
+// HLE, RTM and SGL take no locks, so they run the base Policy.
 #pragma once
 
 #include <memory>
@@ -45,15 +50,10 @@ enum class PolicyKind : std::uint8_t { kHle, kRtm, kScm, kAts, kSgl, kSeer, kOra
   return "?";
 }
 
-struct AtsParams {
-  double alpha = 0.3;      // exponential moving average weight
-  double threshold = 0.5;  // contention factor above which to serialize
-};
+// HLE's implicit, implementation-defined budget.
+inline constexpr int kHleAttempts = 2;
 
 struct OracleParams {
-  // Serialize pair (x, y) once precisely-attributed conflicts between them
-  // account for more than this fraction of x's executions.
-  double conflict_threshold = 0.05;
   // Executions between scheme rebuilds.
   std::uint64_t update_period = 512;
 };
@@ -61,8 +61,6 @@ struct OracleParams {
 struct PolicyConfig {
   PolicyKind kind = PolicyKind::kRtm;
   int max_attempts = 5;  // paper §5.1: budget of 5 for all approaches
-  int hle_attempts = 2;  // HLE's implicit, implementation-defined budget
-  AtsParams ats{};
   OracleParams oracle{};
   core::SeerConfig seer{};
 };
@@ -94,12 +92,14 @@ class OracleShared {
   std::shared_ptr<const core::LockScheme> scheme_;
 };
 
-// Global state shared by all threads running one policy instance
-// (the SeerScheduler, ATS contention factors, ...). Create one per
-// experiment, then one Policy per thread from it.
+// Global state shared by all threads running one policy instance (the
+// SeerScheduler, the Oracle's counts). Create one per experiment, then one
+// Policy per thread from it. `n_cores` is the backend's core-lock count:
+// thread t's core lock is core_lock(t % n_cores).
 class PolicyShared {
  public:
-  PolicyShared(const PolicyConfig& cfg, std::size_t n_threads, std::size_t n_types);
+  PolicyShared(const PolicyConfig& cfg, std::size_t n_threads, std::size_t n_types,
+               std::size_t n_cores);
 
   [[nodiscard]] std::unique_ptr<Policy> make_thread_policy(core::ThreadId thread);
 
@@ -107,23 +107,31 @@ class PolicyShared {
   [[nodiscard]] std::size_t n_threads() const noexcept { return n_threads_; }
   [[nodiscard]] std::size_t n_types() const noexcept { return n_types_; }
 
+  // Hardware attempts per transaction before the SGL: kHleAttempts for HLE,
+  // 0 for SGL, max_attempts for every other kind.
+  [[nodiscard]] int budget() const noexcept {
+    if (cfg_.kind == PolicyKind::kHle) return kHleAttempts;
+    return cfg_.kind == PolicyKind::kSgl ? 0 : cfg_.max_attempts;
+  }
+  // Whether each attempt first waits for the SGL to be free (lemming-effect
+  // avoidance): every kind but HLE.
+  [[nodiscard]] bool waits_for_sgl() const noexcept {
+    return cfg_.kind != PolicyKind::kHle;
+  }
+
   // Non-null only for PolicyKind::kSeer.
   [[nodiscard]] core::SeerScheduler* seer() noexcept { return seer_.get(); }
 
   // Non-null only for PolicyKind::kOracle.
   [[nodiscard]] OracleShared* oracle() noexcept { return oracle_.get(); }
 
-  // ATS: per-thread contention factors (single-writer cells).
-  [[nodiscard]] double ats_contention(core::ThreadId t) const noexcept;
-  void ats_update(core::ThreadId t, bool aborted) noexcept;
-
  private:
   PolicyConfig cfg_;
   std::size_t n_threads_;
   std::size_t n_types_;
+  std::size_t n_cores_;
   std::unique_ptr<core::SeerScheduler> seer_;
   std::unique_ptr<OracleShared> oracle_;
-  std::vector<util::Padded<std::atomic<double>>> ats_cf_;
 };
 
 }  // namespace seer::rt

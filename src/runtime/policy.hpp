@@ -1,6 +1,9 @@
 // The policy interface: per-thread scheduling decisions, no I/O. A Policy may
 // share global state with its siblings (e.g. the SeerScheduler); its only
-// caller is rt::TxDriver (tx_driver.hpp), which states the protocol.
+// caller is rt::TxDriver (tx_driver.hpp), which states the protocol and runs
+// the one retry loop: the attempt budget, the SGL wait and the fallback are
+// the driver's. A policy only says which locks to take and wait on around
+// each attempt. The base class is the plain retry loop (HLE, RTM, SGL).
 #pragma once
 
 #include <cstdint>
@@ -15,13 +18,8 @@ namespace seer::rt {
 
 using LockList = util::SmallVec<LockId, 20>;
 
+// The locks around one hardware attempt.
 struct Directive {
-  enum class Mode : std::uint8_t {
-    kHardware,  // one more speculative attempt
-    kFallback,  // give up on HTM, serialize on the single global lock
-  };
-
-  Mode mode = Mode::kHardware;
   // Locks to acquire, in canonical order and above every lock already held
   // (lock_id.hpp). A policy never releases: the driver releases every held
   // lock at commit and before the SGL.
@@ -33,8 +31,6 @@ struct Directive {
   // 57-58). A wait ends at the first release after it began, or when the
   // backend's budget runs out (DESIGN.md §7).
   LockList waits;
-  // Wait for the SGL to be free before starting (lemming-effect avoidance).
-  bool wait_sgl = false;
 };
 
 // How a transaction ultimately committed — the Table 3 census.
@@ -68,13 +64,18 @@ class Policy {
   virtual ~Policy() = default;
 
   // A new transaction instance of type `tx` starts on this thread.
-  virtual void begin_tx(core::TxTypeId tx) = 0;
+  virtual void begin_tx(core::TxTypeId tx) { (void)tx; }
 
-  // What should the driver do for the next attempt?
-  [[nodiscard]] virtual Directive next_attempt() = 0;
+  // The locks around hardware attempt `k` (0-based) of the budget; `last`
+  // when it is the budget's final one.
+  [[nodiscard]] virtual Directive next_attempt(int k, bool last) {
+    (void)k;
+    (void)last;
+    return {};
+  }
 
   // A hardware attempt aborted with `status`.
-  virtual void on_abort(htm::AbortStatus status) = 0;
+  virtual void on_abort(htm::AbortStatus status) { (void)status; }
 
   // PRECISE conflict attribution — the information commodity HTMs do NOT
   // provide (Figure 1 of the paper). The driver calls this right before the
@@ -82,6 +83,10 @@ class Policy {
   // (the machine simulator, emulating an STM's precise feedback). Real-HTM
   // policies must not depend on it; the Oracle baseline is built on it.
   virtual void on_conflict_attribution(core::TxTypeId culprit) { (void)culprit; }
+
+  // The budget is spent: the driver calls this when it decides to fall back,
+  // before it releases every held lock and takes the SGL.
+  virtual void on_fallback() {}
 
   // The transaction committed (hardware == false means via the SGL). The
   // driver then releases every lock it holds; a policy never says which.

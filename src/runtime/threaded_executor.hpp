@@ -109,7 +109,10 @@ class ThreadedExecutor {
     // an abort has its updates rolled back, every lock released and the
     // policy told (Policy::on_abandon); the exception then propagates. So
     // does ExplicitAbortOnFallback, for a body that calls tx.abort on the
-    // SGL fallback path.
+    // SGL fallback path. The body must not call tx.subscribe: SoftHtm keeps
+    // one subscription per attempt, and the executor owns it (hw_attempt
+    // subscribes to the SGL, Alg. 1 lines 11-12). Only an assert catches a
+    // second one.
     template <typename Body>
     CommitMode run(core::TxTypeId tx, Body&& body) {
       assert(tx >= 0 && static_cast<std::size_t>(tx) < exec_->opts_.n_types);
@@ -255,9 +258,6 @@ class ThreadedExecutor {
     // output byte-stable.
     if (policy.seer.metrics != nullptr) policy.seer.measure_rebuild_ns = true;
     if (policy.seer.obs_trace == nullptr) policy.seer.obs_trace = opts.trace;
-    // LockSpace is sized from opts.physical_cores; SeerPolicy indexes its core
-    // slice with my_core_ = thread % seer.physical_cores, so keep them in sync.
-    policy.seer.physical_cores = opts.physical_cores;
     return policy;
   }
 

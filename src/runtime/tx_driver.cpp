@@ -55,12 +55,16 @@ TxMetrics::TxMetrics(obs::MetricsRegistry& m)
 }
 
 TxDriver::TxDriver(PolicyShared& shared, core::ThreadId self, TxMetrics metrics)
-    : policy_(shared.make_thread_policy(self)), self_(self), metrics_(metrics) {}
+    : policy_(shared.make_thread_policy(self)),
+      self_(self),
+      budget_(shared.budget()),
+      wait_sgl_(shared.waits_for_sgl()),
+      metrics_(metrics) {}
 
 void TxDriver::begin(core::TxTypeId tx) {
   assert(state_ == State::kIdle && held_.empty());
   policy_->begin_tx(tx);
-  tx_attempts_ = 0;
+  attempts_ = 0;
   state_ = State::kDirective;
 }
 
@@ -70,22 +74,25 @@ Step TxDriver::next() {
   while (true) {
     switch (state_) {
       case State::kDirective:
+        if (attempts_ >= budget_) {
+          // The budget is spent (Alg. 1 lines 18-20): release every held
+          // lock, then take the SGL.
+          policy_->on_fallback();
+          release_held_then(State::kFallback);
+          break;
+        }
         // Built in place: a Directive is a few hundred bytes, trivially
         // destructible, and this runs once per attempt.
-        ::new (static_cast<void*>(&d_)) Directive(policy_->next_attempt());
+        ::new (static_cast<void*>(&d_))
+            Directive(policy_->next_attempt(attempts_, attempts_ + 1 == budget_));
         wait_idx_ = 0;
-        if (d_.mode == Directive::Mode::kFallback) {
-          assert(d_.acquires.empty());
-          release_held_then(State::kFallback);
-        } else {
-          state_ = d_.acquires.empty() ? State::kWaitSgl : State::kAcquire;
-        }
+        state_ = d_.acquires.empty() ? State::kWaitSgl : State::kAcquire;
         break;
       case State::kAcquire:
         return {Step::Kind::kAcquire, d_.htm_batch && d_.acquires.size() >= 2, {},
                 &d_.acquires};
       case State::kWaitSgl:
-        if (d_.wait_sgl) return {Step::Kind::kWaitSgl, false, kSglLock};
+        if (wait_sgl_) return {Step::Kind::kWaitSgl, false, kSglLock};
         state_ = State::kWaitLock;
         break;
       case State::kWaitLock:
@@ -94,7 +101,7 @@ Step TxDriver::next() {
         }
         state_ = State::kAttempt;
         ++counters_.hw_attempts;
-        ++tx_attempts_;
+        ++attempts_;
         if (metrics_.registry != nullptr) {
           metrics_.registry->add(metrics_.hw_attempts, self_);
         }
@@ -137,7 +144,7 @@ CommitMode TxDriver::committed(bool hardware) {
   counters_.commits_by_mode[static_cast<std::size_t>(mode)]++;
   if (obs::MetricsRegistry* m = metrics_.registry; m != nullptr) {
     m->add(metrics_.commits, self_);
-    m->observe(metrics_.retry_depth, self_, tx_attempts_);
+    m->observe(metrics_.retry_depth, self_, static_cast<std::uint64_t>(attempts_));
     if (mode == CommitMode::kSglFallback) m->add(metrics_.sgl_fallbacks, self_);
   }
   policy_->on_commit(hardware);

@@ -1,17 +1,22 @@
 // TxDriver — the policy protocol, stated once for both backends.
 //
-// One driver per thread runs each of its transactions through its Policy
-// (Alg. 1's START/END loop around Alg. 4's ACQUIRE/WAIT/RELEASE-SEER-LOCKS).
-// It does no I/O: it emits steps, a backend performs each one its own way
-// (the ThreadedExecutor on WordLocks and SoftHtm, the sim::Machine on
-// SimLocks and its event queue) and reports the outcome:
+// One driver per thread runs each of its transactions through the one retry
+// loop every policy shares (Alg. 1's START/END around Alg. 4's
+// ACQUIRE/WAIT/RELEASE-SEER-LOCKS). It reads the budget and the SGL-wait
+// rule from PolicyShared once, and asks the Policy only for the locks around
+// each attempt. It does no I/O: it emits steps, a backend performs each one
+// its own way (the ThreadedExecutor on WordLocks and SoftHtm, the
+// sim::Machine on SimLocks and its event queue) and reports the outcome:
 //
 //   maintenance(now); begin(tx)       policy.maintenance, policy.begin_tx
-//   loop: d = policy.next_attempt()
-//     fallback: release every held lock (Alg. 1 lines 18-20), then
-//               kFallback: take the SGL, run the body, release the SGL
-//     hardware: kAcquire d.acquires, batched if d.htm_batch -> acquired()
-//               kWaitSgl if d.wait_sgl (lemming avoidance) -> wait_over()
+//   loop, k = hardware attempts so far:
+//     k == budget: policy.on_fallback; release every held lock (Alg. 1
+//               lines 18-20), then kFallback: take the SGL, run the body,
+//               release the SGL
+//     else:     d = policy.next_attempt(k, k + 1 == budget)
+//               kAcquire d.acquires, batched if d.htm_batch -> acquired()
+//               kWaitSgl unless HLE (lemming avoidance, Alg. 4 line 55)
+//                                                          -> wait_over()
 //               kWaitLock per d.waits (cooperative)        -> wait_over()
 //               kHwAttempt, subscribed to the SGL -> aborted(status,
 //               culprit): on_conflict_attribution(culprit) if known,
@@ -19,13 +24,14 @@
 //   committed(hardware): policy.on_commit; release every held lock; done
 //   abandon(), the body threw: policy.on_abandon; release every held lock
 //
-// The driver owns the held set. An acquire step only takes locks above every
-// lock already held (canonical LockId order, lock_id.hpp), so hold-and-wait
-// is acyclic and no lock is ever given back early; the driver releases the
-// whole set, in canonical order, at commit and before the SGL, so nothing is
-// ever co-held with the SGL and policies never track what to give back. It
-// alone calls Policy and classify_commit, and it counts every outcome once,
-// into ThreadCounters and the rt.* registry set.
+// So a transaction makes at most `budget` hardware attempts and then one
+// fallback. The driver owns the held set. An acquire step only takes locks
+// above every lock already held (canonical LockId order, lock_id.hpp), so
+// hold-and-wait is acyclic and no lock is ever given back early; the driver
+// releases the whole set, in canonical order, at commit and before the SGL,
+// so nothing is ever co-held with the SGL and policies never track what to
+// give back. It alone calls Policy and classify_commit, and it counts every
+// outcome once, into ThreadCounters and the rt.* registry set.
 #pragma once
 
 #include <array>
@@ -131,9 +137,9 @@ class TxDriver {
  private:
   enum class State : std::uint8_t {
     kIdle,         // between transactions
-    kDirective,    // ask the policy for the next attempt
+    kDirective,    // fall back, or ask the policy for the next attempt
     kAcquire,      // awaiting acquired()
-    kWaitSgl,      // awaiting wait_over() when d_.wait_sgl
+    kWaitSgl,      // awaiting wait_over() when wait_sgl_
     kWaitLock,     // awaiting wait_over() for d_.waits[wait_idx_]
     kAttempt,      // awaiting committed(true) or aborted()
     kReleaseHeld,  // release every held lock, then go to then_
@@ -148,6 +154,8 @@ class TxDriver {
 
   std::unique_ptr<Policy> policy_;
   core::ThreadId self_;
+  int budget_;      // hardware attempts before the SGL
+  bool wait_sgl_;   // wait for the SGL to be free before each attempt
   TxMetrics metrics_;
   ThreadCounters counters_;
   Directive d_;
@@ -155,7 +163,7 @@ class TxDriver {
   State state_ = State::kIdle;
   State then_ = State::kDone;
   std::size_t wait_idx_ = 0;
-  std::uint64_t tx_attempts_ = 0;
+  int attempts_ = 0;  // hardware attempts of this transaction so far
 };
 
 }  // namespace seer::rt

@@ -46,7 +46,7 @@ struct Machine::ThreadCtx {
 Machine::Machine(MachineConfig cfg, std::unique_ptr<Workload> workload)
     : cfg_(with_obs(std::move(cfg))),
       workload_(std::move(workload)),
-      shared_(cfg_.policy, cfg_.n_threads, workload_->n_types()),
+      shared_(cfg_.policy, cfg_.n_threads, workload_->n_types(), cfg_.physical_cores),
       locks_(workload_->n_types(), cfg_.physical_cores) {
   assert(cfg_.n_threads > 0 && cfg_.physical_cores > 0);
   stats_.commits_by_type.assign(workload_->n_types(), 0);

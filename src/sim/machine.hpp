@@ -250,10 +250,6 @@ class Machine {
     if (cfg.policy.seer.metrics == nullptr) cfg.policy.seer.metrics = cfg.metrics;
     if (cfg.policy.seer.obs_trace == nullptr) cfg.policy.seer.obs_trace = cfg.trace;
     if (cfg.policy.seer.recorder == nullptr) cfg.policy.seer.recorder = cfg.recorder;
-    // locks_ is sized from cfg.physical_cores, and SeerPolicy indexes it
-    // with my_core_ = thread % seer.physical_cores; the two must agree or the
-    // policy hands out lock ids past the end of the array.
-    cfg.policy.seer.physical_cores = cfg.physical_cores;
     return cfg;
   }
 

@@ -8,12 +8,14 @@
 // A guide table over the CDF (Chen & Asau's indexed search) returns the
 // rank a binary search over all n ranks would. guide_[j] counts the CDF
 // entries whose bucket lies below j, and bucket() is monotone, so for u in
-// bucket j every entry before guide_[j] is < u, and a scan from there stops
-// at the first entry >= u, or at the +inf sentinel after the last one.
-// There are 8 buckets per rank up to 2^16 ranks, then 2^19 (a larger table
-// only misses cache) until that is one per rank. A draw scans 0–1 entries,
-// at most n / buckets on average for any skew; a heavy skew (s >= 2) over
-// many ranks crowds the top bucket, and the rare draw landing there scans it.
+// bucket j every entry before guide_[j] is < u and the entry at
+// guide_[j + 1] is >= u (the last bucket ends at n, the +inf sentinel after
+// the last entry). A draw binary-searches its own bucket. There are 8
+// buckets per rank up to 2^16 ranks, then 2^19 (a larger table only misses
+// cache) until that is one per rank, so the bucket a draw lands in holds at
+// most n / buckets <= 1 entries on average, whatever the skew. A heavy skew
+// (s >= 2) over many ranks crowds the top bucket, and a draw landing there
+// still costs at most log2(n) + 1 comparisons.
 #pragma once
 
 #include <algorithm>
@@ -43,15 +45,17 @@ class Zipf {
     for (auto& c : cdf_) c /= total;
     cdf_.push_back(std::numeric_limits<double>::infinity());
 
-    // Buckets 0..buckets_ (u * buckets_ can round up to buckets_).
+    // Buckets 0..buckets_ (u * buckets_ can round up to buckets_), then the
+    // end of the last one.
     const auto ranks = static_cast<std::size_t>(n);
     buckets_ = std::max(ranks, std::min(kBucketsPerRank * ranks, kMaxFineBuckets));
-    guide_.resize(buckets_ + 1);
+    guide_.resize(buckets_ + 2);
     std::size_t i = 0;
-    for (std::size_t j = 0; j < guide_.size(); ++j) {
+    for (std::size_t j = 0; j <= buckets_; ++j) {
       while (i < n && bucket(cdf_[i]) < j) ++i;
       guide_[j] = static_cast<std::uint32_t>(i);
     }
+    guide_[buckets_ + 1] = static_cast<std::uint32_t>(n);
   }
 
   [[nodiscard]] std::uint64_t n() const noexcept { return n_; }
@@ -63,11 +67,20 @@ class Zipf {
   }
 
   // The rank a uniform draw u in [0, 1) selects: the first CDF entry >= u,
-  // or the last rank when rounding left every entry below u.
+  // or the last rank when rounding left every entry below u. A binary
+  // search narrows u's bucket to one candidate and adds the result of one
+  // last compare, so a draw into a bucket of 0–1 entries, the common case,
+  // costs one compare and never branches on it.
   [[nodiscard]] std::uint64_t rank_of(double u) const noexcept {
-    std::size_t i = guide_[bucket(u)];
-    while (cdf_[i] < u) ++i;
-    return std::min<std::uint64_t>(i, n_ - 1);
+    const std::size_t j = bucket(u);
+    const double* base = cdf_.data() + guide_[j];
+    for (std::size_t len = guide_[j + 1] - guide_[j]; len > 1; len -= len / 2) {
+      if (base[len / 2 - 1] < u) base += len / 2;
+    }
+    // The first entry >= u is now base or base + 1 (an empty bucket reads
+    // the next bucket's first entry, or the sentinel).
+    base += *base < u;
+    return std::min<std::uint64_t>(static_cast<std::uint64_t>(base - cdf_.data()), n_ - 1);
   }
 
   // cdf()[k] = P(rank <= k), n entries (diagnostics / tests; a copy
@@ -98,7 +111,7 @@ class Zipf {
   double s_;
   std::vector<double> cdf_;  // n entries, then the +inf sentinel
   std::size_t buckets_ = 0;
-  std::vector<std::uint32_t> guide_;
+  std::vector<std::uint32_t> guide_;  // buckets_ + 1 bucket starts, then n
 };
 
 }  // namespace seer::util

@@ -321,7 +321,6 @@ TEST(ObsIntegration, ThreadedExecutorRecordsCommitsAndTraces) {
   rt::PolicyConfig policy;
   policy.kind = rt::PolicyKind::kSeer;
   policy.seer.update_period = 64;
-  policy.seer.physical_cores = 2;
   rt::ThreadedExecutor exec(tm, policy, opts);
   reg.freeze();
 

@@ -96,7 +96,6 @@ Outcome run_iteration(std::uint64_t seed, htm::SoftHtm::Defect defect,
   policy.kind = shape.policy;
   if (shape.policy == rt::PolicyKind::kSeer) {
     policy.seer.update_period = 64;
-    policy.seer.physical_cores = 2;
   }
   rt::ThreadedExecutor::Options opts;
   opts.n_threads = shape.n_threads;
@@ -426,7 +425,6 @@ TEST(PropertyHarness, PhasedRegimeShiftsStayOpaqueWithExactCounts) {
         rng.bernoulli(0.5) ? rt::PolicyKind::kSeer : rt::PolicyKind::kRtm;
     if (opts.policy.kind == rt::PolicyKind::kSeer) {
       opts.policy.seer.update_period = 64;
-      opts.policy.seer.physical_cores = 2;
     }
     const auto gen = phased_for(seed, rng, opts.n_threads);
 

@@ -1,12 +1,13 @@
-// Tests for the policy layer: directive sequences of every policy under
-// scripted abort-status sequences (run through the TxDriver that both
-// backends use), commit-mode classification, and the Seer policy's
-// lock-management rules (Alg. 1-4).
+// Tests for the policy layer: the one retry loop every policy runs (the
+// TxDriver that both backends use), directive sequences of every policy under
+// scripted abort-status sequences, commit-mode classification, and the Seer
+// policy's lock-management rules (Alg. 1-4).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
 #include <ostream>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -72,19 +73,18 @@ PolicyConfig config_for(PolicyKind kind) {
   PolicyConfig cfg;
   cfg.kind = kind;
   cfg.max_attempts = 5;
-  cfg.hle_attempts = 2;
   return cfg;
 }
 
 // Runs a transaction to completion through a TxDriver against a scripted
 // status sequence. `statuses` aborts are consumed one per hardware attempt
 // (attributed to `culprit`, as the simulator would); when they run out, the
-// next hardware attempt commits. Every wait ends at once. Each directive is
-// rebuilt from the steps that carried it out: the acquisition and waits
-// before its attempt.
+// next hardware attempt commits. Every wait ends at once. Each hardware
+// attempt's directive is rebuilt from the steps that carried it out: the
+// acquisition and lock waits before it.
 struct Trace {
-  std::vector<Directive> directives;
-  bool hardware_commit = false;
+  std::vector<Directive> directives;  // one per hardware attempt
+  bool hardware_commit = false;       // false: committed through the SGL
   LockList sgl_releases;    // the driver's releases before the commit: the
                             // fallback's, before its SGL step
   LockList final_releases;  // the driver's releases after the commit
@@ -111,7 +111,6 @@ Trace run_scripted(TxDriver& drv, core::TxTypeId tx, std::vector<AbortStatus> st
         drv.acquired();
         break;
       case Step::Kind::kWaitSgl:
-        d.wait_sgl = true;
         drv.wait_over(WaitEnd::kFree);
         break;
       case Step::Kind::kWaitLock:
@@ -129,8 +128,6 @@ Trace run_scripted(TxDriver& drv, core::TxTypeId tx, std::vector<AbortStatus> st
         }
         break;
       case Step::Kind::kFallback:
-        d.mode = Directive::Mode::kFallback;
-        trace.directives.push_back(std::exchange(d, Directive{}));
         committed = true;
         (void)drv.committed(/*hardware=*/false);
         break;
@@ -155,156 +152,11 @@ std::vector<AbortStatus> conflicts(int n) {
                                   AbortStatus::conflict());
 }
 
-// ------------------------------------------------------------------ RTM ----
-
-TEST(RtmPolicy, CommitsFirstTryWithoutLocks) {
-  PolicyShared shared(config_for(PolicyKind::kRtm), 4, 4);
-  TxDriver p(shared, 0);
-  const Trace t = run_scripted(p, 0, {});
-  ASSERT_EQ(t.directives.size(), 1u);
-  EXPECT_EQ(t.directives[0].mode, Directive::Mode::kHardware);
-  EXPECT_TRUE(t.directives[0].wait_sgl) << "lemming avoidance";
-  EXPECT_TRUE(t.directives[0].acquires.empty());
-  EXPECT_TRUE(t.directives[0].waits.empty());
-  EXPECT_TRUE(t.hardware_commit);
-}
-
-TEST(RtmPolicy, FallsBackAfterBudgetExhausted) {
-  PolicyShared shared(config_for(PolicyKind::kRtm), 4, 4);
-  TxDriver p(shared, 0);
-  const Trace t = run_scripted(p, 0, conflicts(5));
-  ASSERT_EQ(t.directives.size(), 6u) << "5 hardware attempts then fallback";
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(t.directives[static_cast<std::size_t>(i)].mode,
-              Directive::Mode::kHardware);
-  }
-  EXPECT_EQ(t.directives[5].mode, Directive::Mode::kFallback);
-  EXPECT_FALSE(t.hardware_commit);
-}
-
-TEST(RtmPolicy, BudgetResetsPerTransaction) {
-  PolicyShared shared(config_for(PolicyKind::kRtm), 4, 4);
-  TxDriver p(shared, 0);
-  (void)run_scripted(p, 0, conflicts(5));
-  const Trace t = run_scripted(p, 0, conflicts(2));
-  EXPECT_EQ(t.directives.size(), 3u);
-  EXPECT_TRUE(t.hardware_commit);
-}
-
-// ------------------------------------------------------------------ HLE ----
-
-TEST(HlePolicy, SmallBudgetAndNoLemmingAvoidance) {
-  PolicyShared shared(config_for(PolicyKind::kHle), 4, 4);
-  TxDriver p(shared, 0);
-  const Trace t = run_scripted(p, 0, conflicts(5));
-  ASSERT_EQ(t.directives.size(), 3u) << "2 attempts then the elided lock";
-  EXPECT_FALSE(t.directives[0].wait_sgl) << "HLE retries blindly";
-  EXPECT_EQ(t.directives[2].mode, Directive::Mode::kFallback);
-}
-
-// ------------------------------------------------------------------ SCM ----
-
-TEST(ScmPolicy, AcquiresAuxAfterFirstAbort) {
-  PolicyShared shared(config_for(PolicyKind::kScm), 4, 4);
-  TxDriver p(shared, 0);
-  const Trace t = run_scripted(p, 0, conflicts(1));
-  ASSERT_EQ(t.directives.size(), 2u);
-  EXPECT_TRUE(t.directives[0].acquires.empty());
-  ASSERT_EQ(t.directives[1].acquires.size(), 1u);
-  EXPECT_EQ(t.directives[1].acquires[0], kAuxLock);
-  EXPECT_TRUE(t.hardware_commit);
-  ASSERT_EQ(t.final_releases.size(), 1u);
-  EXPECT_EQ(t.final_releases[0], kAuxLock);
-  EXPECT_EQ(last_steps(t, 3), (std::vector<K>{K::kHwAttempt, K::kRelease, K::kDone}))
-      << "the driver releases after the commit";
-}
-
-TEST(ScmPolicy, AuxAcquiredOnceAcrossRetries) {
-  PolicyShared shared(config_for(PolicyKind::kScm), 4, 4);
-  TxDriver p(shared, 0);
-  const Trace t = run_scripted(p, 0, conflicts(3));
-  ASSERT_EQ(t.directives.size(), 4u);
-  EXPECT_EQ(t.directives[1].acquires.size(), 1u);
-  EXPECT_TRUE(t.directives[2].acquires.empty());
-  EXPECT_TRUE(t.directives[3].acquires.empty());
-}
-
-TEST(ScmPolicy, FallbackReleasesAuxFirst) {
-  PolicyShared shared(config_for(PolicyKind::kScm), 4, 4);
-  TxDriver p(shared, 0);
-  const Trace t = run_scripted(p, 0, conflicts(5));
-  EXPECT_EQ(t.directives.back().mode, Directive::Mode::kFallback);
-  ASSERT_EQ(t.sgl_releases.size(), 1u);
-  EXPECT_EQ(t.sgl_releases[0], kAuxLock);
-  EXPECT_TRUE(t.final_releases.empty());
-  EXPECT_EQ(last_steps(t, 3), (std::vector<K>{K::kRelease, K::kFallback, K::kDone}))
-      << "the aux lock is released before the SGL step";
-}
-
-TEST(ScmPolicy, CleanRunNeverTouchesAux) {
-  PolicyShared shared(config_for(PolicyKind::kScm), 4, 4);
-  TxDriver p(shared, 0);
-  const Trace t = run_scripted(p, 0, {});
-  EXPECT_TRUE(t.directives[0].acquires.empty());
-  EXPECT_TRUE(t.final_releases.empty());
-  EXPECT_EQ(std::count(t.steps.begin(), t.steps.end(), K::kRelease), 0);
-}
-
-// ------------------------------------------------------------------ ATS ----
-
-TEST(AtsPolicy, ContentionFactorEma) {
-  PolicyShared shared(config_for(PolicyKind::kAts), 4, 4);
-  EXPECT_DOUBLE_EQ(shared.ats_contention(0), 0.0);
-  shared.ats_update(0, true);
-  EXPECT_DOUBLE_EQ(shared.ats_contention(0), 0.3);
-  shared.ats_update(0, true);
-  EXPECT_DOUBLE_EQ(shared.ats_contention(0), 0.3 * 0.7 + 0.3);
-  shared.ats_update(0, false);
-  EXPECT_NEAR(shared.ats_contention(0), (0.3 * 0.7 + 0.3) * 0.7, 1e-12);
-  EXPECT_DOUBLE_EQ(shared.ats_contention(1), 0.0) << "per-thread factors";
-}
-
-TEST(AtsPolicy, SerializesAboveThreshold) {
-  PolicyShared shared(config_for(PolicyKind::kAts), 4, 4);
-  TxDriver p(shared, 0);
-  // Drive the contention factor above 0.5 via repeated aborting runs.
-  (void)run_scripted(p, 0, conflicts(5));
-  ASSERT_GT(shared.ats_contention(0), 0.5);
-  const Trace t = run_scripted(p, 0, {});
-  ASSERT_EQ(t.directives.size(), 1u);
-  ASSERT_EQ(t.directives[0].acquires.size(), 1u);
-  EXPECT_EQ(t.directives[0].acquires[0], kSchedLock);
-  ASSERT_EQ(t.final_releases.size(), 1u);
-  EXPECT_EQ(t.final_releases[0], kSchedLock);
-  EXPECT_EQ(last_steps(t, 3), (std::vector<K>{K::kHwAttempt, K::kRelease, K::kDone}))
-      << "the driver releases after the commit";
-}
-
-TEST(AtsPolicy, CalmThreadRunsFree) {
-  PolicyShared shared(config_for(PolicyKind::kAts), 4, 4);
-  TxDriver p(shared, 1);
-  const Trace t = run_scripted(p, 0, {});
-  EXPECT_TRUE(t.directives[0].acquires.empty());
-}
-
-// ------------------------------------------------------------------ SGL ----
-
-TEST(SglPolicy, AlwaysFallsBack) {
-  PolicyShared shared(config_for(PolicyKind::kSgl), 4, 4);
-  TxDriver p(shared, 0);
-  const Trace t = run_scripted(p, 0, {});
-  ASSERT_EQ(t.directives.size(), 1u);
-  EXPECT_EQ(t.directives[0].mode, Directive::Mode::kFallback);
-}
-
-// ----------------------------------------------------------------- Seer ----
-
 PolicyConfig seer_config(bool tx_locks = true, bool core_locks = true,
                          bool htm_acquire = true) {
   PolicyConfig cfg;
   cfg.kind = PolicyKind::kSeer;
   cfg.max_attempts = 5;
-  cfg.seer.physical_cores = 4;
   cfg.seer.enable_tx_locks = tx_locks;
   cfg.seer.enable_core_locks = core_locks;
   cfg.seer.enable_htm_lock_acquire = htm_acquire;
@@ -331,23 +183,210 @@ void plant_edge(core::SeerScheduler& s, core::TxTypeId a, core::TxTypeId b) {
   s.force_update(0);
 }
 
+// ----------------------------------------------------------- retry loop ----
+
+// The one retry loop, for every kind (TxDriver): under an always-aborting
+// script a transaction makes exactly `budget` hardware attempts (HLE 2 and
+// SGL 0 whatever max_attempts says, every other kind max_attempts), each
+// after a wait for the SGL unless the kind is HLE; then the driver releases
+// what it holds and takes one fallback step.
+class RetryLoop : public ::testing::TestWithParam<std::tuple<PolicyKind, int>> {};
+
+TEST_P(RetryLoop, BudgetAttemptsThenReleasesThenOneFallback) {
+  const auto [kind, max_attempts] = GetParam();
+  PolicyConfig cfg = kind == PolicyKind::kSeer ? seer_config() : config_for(kind);
+  cfg.max_attempts = max_attempts;
+  PolicyShared shared(cfg, 8, 4, 4);
+  TxDriver drv(shared, 2);
+  const int budget = kind == PolicyKind::kHle   ? 2
+                     : kind == PolicyKind::kSgl ? 0
+                                                : max_attempts;
+  const bool waits_sgl = kind != PolicyKind::kHle;
+
+  const Trace t = run_scripted(drv, 1, conflicts(8));
+  EXPECT_FALSE(t.hardware_commit);
+  EXPECT_EQ(t.directives.size(), static_cast<std::size_t>(budget));
+  EXPECT_EQ(drv.counters().hw_attempts, static_cast<std::uint64_t>(budget));
+  EXPECT_EQ(drv.counters().commits_by_mode[static_cast<std::size_t>(
+                CommitMode::kSglFallback)],
+            1u);
+  // Each attempt's steps end at its kHwAttempt; each holds one SGL wait
+  // (every wait ends at once) unless the kind is HLE, and no release.
+  auto from = t.steps.begin();
+  for (int a = 0; a < budget; ++a) {
+    const auto attempt = std::find(from, t.steps.end(), K::kHwAttempt);
+    ASSERT_NE(attempt, t.steps.end());
+    EXPECT_EQ(std::count(from, attempt, K::kWaitSgl), waits_sgl ? 1 : 0)
+        << "attempt " << a;
+    EXPECT_EQ(std::count(from, attempt, K::kRelease), 0) << "attempt " << a;
+    from = attempt + 1;
+  }
+  // Then every held lock is released, and one fallback ends the transaction.
+  std::vector<K> tail(t.sgl_releases.size(), K::kRelease);
+  tail.push_back(K::kFallback);
+  tail.push_back(K::kDone);
+  EXPECT_EQ(std::vector<K>(from, t.steps.end()), tail);
+  EXPECT_TRUE(t.final_releases.empty());
+  EXPECT_TRUE(drv.held().empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, RetryLoop,
+    ::testing::Combine(::testing::Values(PolicyKind::kHle, PolicyKind::kRtm,
+                                         PolicyKind::kScm, PolicyKind::kAts,
+                                         PolicyKind::kSgl, PolicyKind::kSeer,
+                                         PolicyKind::kOracle),
+                       ::testing::Values(1, 2, 5)),
+    [](const ::testing::TestParamInfo<std::tuple<PolicyKind, int>>& p) {
+      return std::string(to_string(std::get<0>(p.param))) + "_max" +
+             std::to_string(std::get<1>(p.param));
+    });
+
+// ------------------------------------------------------------------ RTM ----
+
+TEST(RtmPolicy, CommitsFirstTryWithoutLocks) {
+  PolicyShared shared(config_for(PolicyKind::kRtm), 4, 4, 4);
+  TxDriver p(shared, 0);
+  const Trace t = run_scripted(p, 0, {});
+  EXPECT_EQ(t.steps, (std::vector<K>{K::kWaitSgl, K::kHwAttempt, K::kDone}))
+      << "lemming avoidance, no locks";
+  EXPECT_TRUE(t.hardware_commit);
+}
+
+TEST(RtmPolicy, BudgetResetsPerTransaction) {
+  PolicyShared shared(config_for(PolicyKind::kRtm), 4, 4, 4);
+  TxDriver p(shared, 0);
+  (void)run_scripted(p, 0, conflicts(5));
+  const Trace t = run_scripted(p, 0, conflicts(2));
+  EXPECT_EQ(t.directives.size(), 3u);
+  EXPECT_TRUE(t.hardware_commit);
+}
+
+// ------------------------------------------------------------------ SCM ----
+
+TEST(ScmPolicy, AcquiresAuxAfterFirstAbort) {
+  PolicyShared shared(config_for(PolicyKind::kScm), 4, 4, 4);
+  TxDriver p(shared, 0);
+  const Trace t = run_scripted(p, 0, conflicts(1));
+  ASSERT_EQ(t.directives.size(), 2u);
+  EXPECT_TRUE(t.directives[0].acquires.empty());
+  ASSERT_EQ(t.directives[1].acquires.size(), 1u);
+  EXPECT_EQ(t.directives[1].acquires[0], kAuxLock);
+  EXPECT_TRUE(t.hardware_commit);
+  ASSERT_EQ(t.final_releases.size(), 1u);
+  EXPECT_EQ(t.final_releases[0], kAuxLock);
+  EXPECT_EQ(last_steps(t, 3), (std::vector<K>{K::kHwAttempt, K::kRelease, K::kDone}))
+      << "the driver releases after the commit";
+}
+
+TEST(ScmPolicy, AuxAcquiredOnceAcrossRetries) {
+  PolicyShared shared(config_for(PolicyKind::kScm), 4, 4, 4);
+  TxDriver p(shared, 0);
+  const Trace t = run_scripted(p, 0, conflicts(3));
+  ASSERT_EQ(t.directives.size(), 4u);
+  EXPECT_EQ(t.directives[1].acquires.size(), 1u);
+  EXPECT_TRUE(t.directives[2].acquires.empty());
+  EXPECT_TRUE(t.directives[3].acquires.empty());
+}
+
+TEST(ScmPolicy, FallbackReleasesAuxFirst) {
+  PolicyShared shared(config_for(PolicyKind::kScm), 4, 4, 4);
+  TxDriver p(shared, 0);
+  const Trace t = run_scripted(p, 0, conflicts(5));
+  EXPECT_FALSE(t.hardware_commit);
+  ASSERT_EQ(t.sgl_releases.size(), 1u);
+  EXPECT_EQ(t.sgl_releases[0], kAuxLock);
+  EXPECT_TRUE(t.final_releases.empty());
+  EXPECT_EQ(last_steps(t, 3), (std::vector<K>{K::kRelease, K::kFallback, K::kDone}))
+      << "the aux lock is released before the SGL step";
+}
+
+TEST(ScmPolicy, CleanRunNeverTouchesAux) {
+  PolicyShared shared(config_for(PolicyKind::kScm), 4, 4, 4);
+  TxDriver p(shared, 0);
+  const Trace t = run_scripted(p, 0, {});
+  EXPECT_TRUE(t.directives[0].acquires.empty());
+  EXPECT_TRUE(t.final_releases.empty());
+  EXPECT_EQ(std::count(t.steps.begin(), t.steps.end(), K::kRelease), 0);
+}
+
+// ------------------------------------------------------------------ ATS ----
+
+// The contention factor is an exponential moving average (weight 0.3) of
+// per-attempt outcomes: each abort adds 1, each commit 0. A transaction
+// serializes behind the sched lock, from its first attempt, when the factor
+// exceeds 0.5 at its start. Checked through the directives against a
+// test-local model of the average.
+TEST(AtsPolicy, ContentionFactorEma) {
+  PolicyShared shared(config_for(PolicyKind::kAts), 4, 4, 4);
+  TxDriver drv(shared, 0);
+  double cf = 0.0;
+  const auto update = [&cf](bool aborted) { cf = cf * (1.0 - 0.3) + (aborted ? 0.3 : 0.0); };
+  // Three transactions that abort twice each leave the factor at 0.357,
+  // 0.479 and 0.521: the fourth is the first to serialize. Five aborts fall
+  // back, and the SGL commit counts as a commit. The later starts read
+  // 0.505 and 0.493, so a weight or threshold off by 0.01 changes a
+  // decision.
+  const std::vector<int> aborts = {2, 2, 2, 2, 3, 3, 1, 5, 2, 1, 2};
+  int first_serialized = -1;
+  for (std::size_t i = 0; i < aborts.size(); ++i) {
+    const Trace t = run_scripted(drv, 0, conflicts(aborts[i]));
+    ASSERT_FALSE(t.directives.empty());
+    const bool serialized = t.directives[0].acquires == LockList{kSchedLock};
+    EXPECT_EQ(serialized, cf > 0.5) << "transaction " << i << ", factor " << cf;
+    if (serialized && first_serialized < 0) first_serialized = static_cast<int>(i);
+    for (std::size_t a = 1; a < t.directives.size(); ++a) {
+      EXPECT_TRUE(t.directives[a].acquires.empty()) << "the sched lock is taken once";
+    }
+    for (int a = 0; a < std::min(aborts[i], 5); ++a) update(true);
+    update(false);
+  }
+  EXPECT_EQ(first_serialized, 3);
+  // Per-thread factors: another thread of the same policy runs free.
+  TxDriver other(shared, 1);
+  EXPECT_TRUE(run_scripted(other, 0, {}).directives[0].acquires.empty());
+}
+
+TEST(AtsPolicy, SerializesAboveThreshold) {
+  PolicyShared shared(config_for(PolicyKind::kAts), 4, 4, 4);
+  TxDriver p(shared, 0);
+  // Drive the contention factor above 0.5 with one transaction that falls
+  // back.
+  (void)run_scripted(p, 0, conflicts(5));
+  const Trace t = run_scripted(p, 0, {});
+  ASSERT_EQ(t.directives.size(), 1u);
+  ASSERT_EQ(t.directives[0].acquires.size(), 1u);
+  EXPECT_EQ(t.directives[0].acquires[0], kSchedLock);
+  ASSERT_EQ(t.final_releases.size(), 1u);
+  EXPECT_EQ(t.final_releases[0], kSchedLock);
+  EXPECT_EQ(last_steps(t, 3), (std::vector<K>{K::kHwAttempt, K::kRelease, K::kDone}))
+      << "the driver releases after the commit";
+}
+
+TEST(AtsPolicy, CalmThreadRunsFree) {
+  PolicyShared shared(config_for(PolicyKind::kAts), 4, 4, 4);
+  TxDriver p(shared, 1);
+  const Trace t = run_scripted(p, 0, {});
+  EXPECT_TRUE(t.directives[0].acquires.empty());
+}
+
+// ----------------------------------------------------------------- Seer ----
+
 TEST(SeerPolicy, AnnouncesOnBeginAndClearsOnCommit) {
-  PolicyShared shared(seer_config(), 8, 4);
+  PolicyShared shared(seer_config(), 8, 4, 4);
   auto p = shared.make_thread_policy(3);
   p->begin_tx(2);
   EXPECT_EQ(shared.seer()->active_table().peek(3), 2);
-  (void)p->next_attempt();
+  (void)p->next_attempt(0, false);
   (void)p->on_commit(true);
   EXPECT_EQ(shared.seer()->active_table().peek(3), core::kNoTx);
 }
 
 TEST(SeerPolicy, WaitsOnOwnLocksEveryAttempt) {
-  PolicyShared shared(seer_config(), 8, 4);
+  PolicyShared shared(seer_config(), 8, 4, 4);
   auto p = shared.make_thread_policy(5);  // physical core 5 % 4 = 1
   p->begin_tx(2);
-  const Directive d = p->next_attempt();
-  EXPECT_EQ(d.mode, Directive::Mode::kHardware);
-  EXPECT_TRUE(d.wait_sgl);
+  const Directive d = p->next_attempt(0, false);
   EXPECT_TRUE(d.waits.contains(tx_lock(2))) << "Alg. 4 line 57: own tx lock";
   EXPECT_TRUE(d.waits.contains(core_lock(1))) << "Alg. 4 line 58: own core lock";
   EXPECT_TRUE(d.acquires.empty());
@@ -358,7 +397,7 @@ TEST(SeerPolicy, WaitsOnOwnLocksEveryAttempt) {
 // or the budget — a lock wait moves to the SGL and then the next lock, never
 // the same one again, while the SGL wait looks at the SGL again.
 TEST(TxDriver, WaitEndDecidesWhatIsLookedAtNext) {
-  PolicyShared shared(seer_config(), 8, 4);
+  PolicyShared shared(seer_config(), 8, 4, 4);
   TxDriver drv(shared, 5);  // waits on tx_lock(2), then core_lock(1)
   drv.begin(2);
   const auto expect_next = [&](K kind, LockId lock) {
@@ -385,7 +424,7 @@ TEST(TxDriver, WaitEndDecidesWhatIsLookedAtNext) {
 }
 
 TEST(SeerPolicy, CapacityAbortTriggersCoreLock) {
-  PolicyShared shared(seer_config(), 8, 4);
+  PolicyShared shared(seer_config(), 8, 4, 4);
   TxDriver p(shared, 6);  // core 2
   const Trace t = run_scripted(p, 0, {AbortStatus::capacity()});
   ASSERT_EQ(t.directives.size(), 2u);
@@ -401,39 +440,46 @@ TEST(SeerPolicy, CapacityAbortTriggersCoreLock) {
 }
 
 TEST(SeerPolicy, ConflictAbortDoesNotTakeCoreLock) {
-  PolicyShared shared(seer_config(), 8, 4);
+  PolicyShared shared(seer_config(), 8, 4, 4);
   auto p = shared.make_thread_policy(0);
   p->begin_tx(0);
-  (void)p->next_attempt();
+  (void)p->next_attempt(0, false);
   p->on_abort(AbortStatus::conflict());
-  const Directive d = p->next_attempt();
+  const Directive d = p->next_attempt(1, false);
   EXPECT_TRUE(d.acquires.empty());
 }
 
+// The row's tx locks come on the budget's last attempt only: the fifth of
+// five, or the first when the budget is one.
 TEST(SeerPolicy, TxLocksAcquiredOnlyOnLastAttempt) {
-  PolicyShared shared(seer_config(), 8, 4);
-  plant_edge(*shared.seer(), 1, 2);
-  ASSERT_TRUE(shared.seer()->scheme()->row(1).contains(2));
+  for (const int max_attempts : {5, 1}) {
+    SCOPED_TRACE(max_attempts);
+    PolicyConfig cfg = seer_config();
+    cfg.max_attempts = max_attempts;
+    PolicyShared shared(cfg, 8, 4, 4);
+    plant_edge(*shared.seer(), 1, 2);
+    ASSERT_TRUE(shared.seer()->scheme()->row(1).contains(2));
 
-  TxDriver p(shared, 0);
-  const Trace t = run_scripted(p, 1, conflicts(4));
-  ASSERT_EQ(t.directives.size(), 5u);
-  for (int attempt = 0; attempt < 4; ++attempt) {
-    EXPECT_TRUE(t.directives[static_cast<std::size_t>(attempt)].acquires.empty())
-        << "no tx locks before the last attempt";
+    TxDriver p(shared, 0);
+    const Trace t = run_scripted(p, 1, conflicts(max_attempts - 1));
+    ASSERT_EQ(t.directives.size(), static_cast<std::size_t>(max_attempts));
+    for (std::size_t attempt = 0; attempt + 1 < t.directives.size(); ++attempt) {
+      EXPECT_TRUE(t.directives[attempt].acquires.empty())
+          << "no tx locks before the last attempt";
+    }
+    const Directive& d = t.directives.back();
+    ASSERT_EQ(d.acquires.size(), 1u);
+    EXPECT_EQ(d.acquires[0], tx_lock(2));
+    EXPECT_FALSE(d.waits.contains(tx_lock(1)))
+        << "holding tx locks suppresses the own-lock wait (Alg. 4 line 57)";
+    EXPECT_TRUE(t.hardware_commit);
+    EXPECT_TRUE(t.final_releases.contains(tx_lock(2)));
+    EXPECT_EQ(last_steps(t, 3), (std::vector<K>{K::kHwAttempt, K::kRelease, K::kDone}));
   }
-  // 4th abort leaves one attempt: the next directive takes the row locks.
-  const Directive& d = t.directives[4];
-  ASSERT_EQ(d.acquires.size(), 1u);
-  EXPECT_EQ(d.acquires[0], tx_lock(2));
-  EXPECT_FALSE(d.waits.contains(tx_lock(1)))
-      << "holding tx locks suppresses the own-lock wait (Alg. 4 line 57)";
-  EXPECT_TRUE(t.final_releases.contains(tx_lock(2)));
-  EXPECT_EQ(last_steps(t, 3), (std::vector<K>{K::kHwAttempt, K::kRelease, K::kDone}));
 }
 
 TEST(SeerPolicy, FallbackReleasesEverything) {
-  PolicyShared shared(seer_config(), 8, 4);
+  PolicyShared shared(seer_config(), 8, 4, 4);
   plant_edge(*shared.seer(), 1, 2);
   TxDriver p(shared, 0);
   // Capacity first (-> core lock), then conflicts: the 5th attempt acquires
@@ -442,11 +488,9 @@ TEST(SeerPolicy, FallbackReleasesEverything) {
                                {AbortStatus::capacity(), AbortStatus::conflict(),
                                 AbortStatus::conflict(), AbortStatus::conflict(),
                                 AbortStatus::conflict()});
-  ASSERT_EQ(t.directives.size(), 6u);
-  const Directive& fb = t.directives.back();
-  EXPECT_EQ(fb.mode, Directive::Mode::kFallback);
+  ASSERT_EQ(t.directives.size(), 5u);
+  EXPECT_FALSE(t.hardware_commit);
   EXPECT_EQ(t.sgl_releases, (LockList{core_lock(0), tx_lock(2)})) << "canonical order";
-  EXPECT_TRUE(fb.acquires.empty());
   EXPECT_EQ(last_steps(t, 4),
             (std::vector<K>{K::kRelease, K::kRelease, K::kFallback, K::kDone}))
       << "every lock is released before the SGL step";
@@ -456,7 +500,7 @@ TEST(SeerPolicy, FallbackReleasesEverything) {
 // The tx locks join a held core lock above it (core < tx): the core lock
 // is kept, nothing is given back and taken again (DESIGN.md §3, deviation 5).
 TEST(SeerPolicy, TxLocksJoinTheHeldCoreLock) {
-  PolicyShared shared(seer_config(), 8, 4);
+  PolicyShared shared(seer_config(), 8, 4, 4);
   plant_edge(*shared.seer(), 1, 2);
   TxDriver drv(shared, 2);  // core 2
   const Trace t = run_scripted(drv, 1,
@@ -476,17 +520,17 @@ TEST(SeerPolicy, TxLocksJoinTheHeldCoreLock) {
 // unless the config turns it off.
 TEST(SeerPolicy, HtmBatchDisabledByConfig) {
   for (const bool htm_acquire : {true, false}) {
-    PolicyShared shared(seer_config(true, true, htm_acquire), 8, 4);
+    PolicyShared shared(seer_config(true, true, htm_acquire), 8, 4, 4);
     plant_edge(*shared.seer(), 1, 2);
     auto p = shared.make_thread_policy(2);
     p->begin_tx(1);
-    for (int i = 0; i < 3; ++i) {
-      (void)p->next_attempt();
+    for (int k = 0; k < 3; ++k) {
+      (void)p->next_attempt(k, false);
       p->on_abort(AbortStatus::conflict());
     }
-    (void)p->next_attempt();
-    p->on_abort(AbortStatus::capacity());  // one attempt left
-    const Directive d = p->next_attempt();
+    (void)p->next_attempt(3, false);
+    p->on_abort(AbortStatus::capacity());
+    const Directive d = p->next_attempt(4, /*last=*/true);
     EXPECT_EQ(d.acquires, (LockList{core_lock(2), tx_lock(2)}));
     EXPECT_EQ(d.htm_batch, htm_acquire);
   }
@@ -494,13 +538,12 @@ TEST(SeerPolicy, HtmBatchDisabledByConfig) {
 
 TEST(SeerPolicy, ProfileOnlyVariantNeverAcquiresOrWaits) {
   // The Figure 4 variant: full profiling, no lock acquisition.
-  PolicyShared shared(seer_config(false, false, false), 8, 4);
+  PolicyShared shared(seer_config(false, false, false), 8, 4, 4);
   plant_edge(*shared.seer(), 1, 2);
   auto p = shared.make_thread_policy(0);
   p->begin_tx(1);
-  for (int i = 0; i < 5; ++i) {
-    const Directive d = p->next_attempt();
-    if (d.mode == Directive::Mode::kFallback) break;
+  for (int k = 0; k < 5; ++k) {
+    const Directive d = p->next_attempt(k, k == 4);
     EXPECT_TRUE(d.acquires.empty());
     EXPECT_TRUE(d.waits.empty());
     p->on_abort(AbortStatus::capacity());
@@ -510,21 +553,21 @@ TEST(SeerPolicy, ProfileOnlyVariantNeverAcquiresOrWaits) {
 }
 
 TEST(SeerPolicy, EmptyRowMeansNoTxLockAcquisition) {
-  PolicyShared shared(seer_config(), 8, 4);  // empty scheme
+  PolicyShared shared(seer_config(), 8, 4, 4);  // empty scheme
   auto p = shared.make_thread_policy(0);
   p->begin_tx(1);
-  for (int i = 0; i < 4; ++i) {
-    (void)p->next_attempt();
+  for (int k = 0; k < 4; ++k) {
+    (void)p->next_attempt(k, false);
     p->on_abort(AbortStatus::conflict());
   }
-  const Directive d = p->next_attempt();  // last attempt, row empty
+  const Directive d = p->next_attempt(4, /*last=*/true);  // row empty
   EXPECT_TRUE(d.acquires.empty());
 }
 
 TEST(SeerPolicy, MaintenanceOnlyOnDesignatedThread) {
   PolicyConfig cfg = seer_config();
   cfg.seer.update_period = 1;
-  PolicyShared shared(cfg, 8, 4);
+  PolicyShared shared(cfg, 8, 4, 4);
   auto p0 = shared.make_thread_policy(0);
   auto p1 = shared.make_thread_policy(1);
   // Generate enough executions for an update to be due.
@@ -536,14 +579,14 @@ TEST(SeerPolicy, MaintenanceOnlyOnDesignatedThread) {
 }
 
 TEST(SeerPolicy, RecordsAbortAndCommitStats) {
-  PolicyShared shared(seer_config(), 8, 4);
+  PolicyShared shared(seer_config(), 8, 4, 4);
   auto p0 = shared.make_thread_policy(0);
   auto p1 = shared.make_thread_policy(1);
   p1->begin_tx(3);  // announce type 3 on thread 1
   p0->begin_tx(2);
-  (void)p0->next_attempt();
+  (void)p0->next_attempt(0, false);
   p0->on_abort(AbortStatus::conflict());
-  (void)p0->next_attempt();
+  (void)p0->next_attempt(1, false);
   (void)p0->on_commit(true);
   const core::GlobalStats g = shared.seer()->merged_stats();
   EXPECT_EQ(g.abort(2, 3), 1u);
@@ -552,7 +595,7 @@ TEST(SeerPolicy, RecordsAbortAndCommitStats) {
 }
 
 TEST(SeerPolicy, SglCommitDoesNotRecordCommitStats) {
-  PolicyShared shared(seer_config(), 8, 4);
+  PolicyShared shared(seer_config(), 8, 4, 4);
   auto p0 = shared.make_thread_policy(0);
   auto p1 = shared.make_thread_policy(1);
   p1->begin_tx(3);
@@ -563,6 +606,44 @@ TEST(SeerPolicy, SglCommitDoesNotRecordCommitStats) {
   EXPECT_EQ(g.execs(2), 0u);
   EXPECT_EQ(shared.seer()->active_table().peek(0), core::kNoTx)
       << "the active slot clears on either path";
+}
+
+// The fallback count the storm detector and the flight recorder read grows
+// when the driver decides to fall back: at the step after the last abort,
+// before the releases and before the SGL commit is reported.
+TEST(SeerPolicy, FallbackCountedAtTheFallbackStep) {
+  PolicyConfig cfg = seer_config();
+  cfg.max_attempts = 2;
+  PolicyShared shared(cfg, 8, 4, 4);
+  const core::SeerScheduler& sched = *shared.seer();
+  TxDriver drv(shared, 6);  // core 2
+  const auto to_attempt = [&drv] {
+    for (Step s = drv.next();; s = drv.next()) {
+      if (s.kind == K::kAcquire) {
+        drv.acquired();
+      } else if (s.kind == K::kWaitSgl || s.kind == K::kWaitLock) {
+        drv.wait_over(WaitEnd::kFree);
+      } else {
+        return s.kind;
+      }
+    }
+  };
+  drv.begin(1);
+  ASSERT_EQ(to_attempt(), K::kHwAttempt);
+  drv.aborted(AbortStatus::capacity());  // the second attempt takes the core lock
+  ASSERT_EQ(to_attempt(), K::kHwAttempt);
+  drv.aborted(AbortStatus::conflict());
+  EXPECT_EQ(sched.sgl_fallbacks(), 0u) << "not at the abort";
+  const Step release = drv.next();
+  EXPECT_EQ(release.kind, K::kRelease);
+  EXPECT_EQ(release.lock, core_lock(2));
+  EXPECT_EQ(sched.sgl_fallbacks(), 1u) << "at the step that decides the fallback";
+  EXPECT_EQ(drv.next().kind, K::kFallback);
+  (void)drv.committed(/*hardware=*/false);
+  EXPECT_EQ(drv.next().kind, K::kDone);
+  EXPECT_EQ(sched.sgl_fallbacks(), 1u) << "once per fallback";
+  EXPECT_TRUE(run_scripted(drv, 1, {}).hardware_commit);
+  EXPECT_EQ(sched.sgl_fallbacks(), 1u);
 }
 
 AbortStatus status_of(htm::AbortCause cause) {
@@ -589,7 +670,7 @@ TEST_P(PolicyStress, TerminatesAndBalancesLocks) {
   const auto [kind, cause] = GetParam();
   PolicyConfig cfg = config_for(kind);
   if (kind == PolicyKind::kSeer) cfg = seer_config();
-  PolicyShared shared(cfg, 8, 4);
+  PolicyShared shared(cfg, 8, 4, 4);
   TxDriver drv(shared, 2);
   const AbortStatus status = status_of(cause);
 
@@ -661,7 +742,7 @@ TEST_P(DriverHeldSet, EmptyAfterEveryCommitAndAtEverySglStep) {
   const auto [kind, cause] = GetParam();
   PolicyConfig cfg = kind == PolicyKind::kSeer ? seer_config() : config_for(kind);
   cfg.oracle.update_period = 2;
-  PolicyShared shared(cfg, 8, 4);
+  PolicyShared shared(cfg, 8, 4, 4);
   if (kind == PolicyKind::kSeer) plant_edge(*shared.seer(), 1, 2);
   TxDriver drv(shared, 2);
   const AbortStatus status = status_of(cause);
@@ -733,17 +814,16 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(OraclePolicy, LearnsFromPreciseAttribution) {
   PolicyConfig cfg = config_for(PolicyKind::kOracle);
   cfg.oracle.update_period = 4;
-  cfg.oracle.conflict_threshold = 0.05;
-  PolicyShared shared(cfg, 4, 4);
+  PolicyShared shared(cfg, 4, 4, 4);
   auto p = shared.make_thread_policy(0);
 
   // Feed precisely-attributed conflicts: type 1 keeps getting killed by 2.
   for (int i = 0; i < 20; ++i) {
     p->begin_tx(1);
-    (void)p->next_attempt();
+    (void)p->next_attempt(0, false);
     p->on_conflict_attribution(2);
     p->on_abort(AbortStatus::conflict());
-    (void)p->next_attempt();
+    (void)p->next_attempt(1, false);
     (void)p->on_commit(true);
   }
   ASSERT_NE(shared.oracle(), nullptr);
@@ -755,11 +835,11 @@ TEST(OraclePolicy, LearnsFromPreciseAttribution) {
 TEST(OraclePolicy, SerializesFromFirstRetry) {
   PolicyConfig cfg = config_for(PolicyKind::kOracle);
   cfg.oracle.update_period = 2;
-  PolicyShared shared(cfg, 4, 4);
+  PolicyShared shared(cfg, 4, 4, 4);
   TxDriver drv(shared, 0);
   for (int i = 0; i < 10; ++i) (void)run_scripted(drv, 1, conflicts(1), /*culprit=*/2);
   // Now a fresh instance: first attempt free, first RETRY takes the lock —
-  // earlier than Seer's attempts==1 last resort.
+  // earlier than Seer's last-attempt last resort.
   const Trace t = run_scripted(drv, 1, conflicts(1));
   ASSERT_EQ(t.directives.size(), 2u);
   const Directive& first = t.directives[0];
@@ -775,13 +855,13 @@ TEST(OraclePolicy, SerializesFromFirstRetry) {
 TEST(OraclePolicy, IgnoresAttributionlessAborts) {
   PolicyConfig cfg = config_for(PolicyKind::kOracle);
   cfg.oracle.update_period = 2;
-  PolicyShared shared(cfg, 4, 4);
+  PolicyShared shared(cfg, 4, 4, 4);
   auto p = shared.make_thread_policy(0);
   for (int i = 0; i < 10; ++i) {
     p->begin_tx(1);
-    (void)p->next_attempt();
+    (void)p->next_attempt(0, false);
     p->on_abort(AbortStatus::capacity());  // no attribution call
-    (void)p->next_attempt();
+    (void)p->next_attempt(1, false);
     (void)p->on_commit(true);
   }
   EXPECT_TRUE(shared.oracle()->scheme()->empty());
@@ -797,9 +877,9 @@ TEST(PolicyShared, KindNamesRoundTrip) {
 }
 
 TEST(PolicyShared, SeerOnlyForSeerKind) {
-  PolicyShared rtm(config_for(PolicyKind::kRtm), 4, 4);
+  PolicyShared rtm(config_for(PolicyKind::kRtm), 4, 4, 4);
   EXPECT_EQ(rtm.seer(), nullptr);
-  PolicyShared seer(seer_config(), 4, 4);
+  PolicyShared seer(seer_config(), 4, 4, 4);
   EXPECT_NE(seer.seer(), nullptr);
   EXPECT_EQ(seer.seer()->config().n_threads, 4u);
   EXPECT_EQ(seer.seer()->config().n_types, 4u);

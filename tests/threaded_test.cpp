@@ -29,7 +29,6 @@ PolicyConfig make_policy(PolicyKind kind) {
   cfg.kind = kind;
   if (kind == PolicyKind::kSeer) {
     cfg.seer.update_period = 128;
-    cfg.seer.physical_cores = 2;
   }
   return cfg;
 }
