@@ -80,41 +80,57 @@ void BM_AbortRollback(benchmark::State& state) {
 }
 BENCHMARK(BM_AbortRollback);
 
-// The two ways a conflict ends an attempt, priced side by side. Context B
-// commits into context A's read set inside A's body (one thread, so every
-// iteration conflicts), then A writes one word. When A read the word
-// before B's commit, A's commit-time validation fails and commit() returns
-// the abort; when A reads it after, the read aborts in the body and the
-// attempt unwinds. Each iteration also pays B's one-word commit.
-template <bool kReadFirst>
-void conflict_abort(benchmark::State& state) {
+// The three ways a conflict can end an attempt, priced side by side.
+// Context B commits into `read` inside context A's body (one thread, so
+// every iteration meets the conflict), then A writes one word. A read
+// `read` before B's commit: either A stops there, its commit-time
+// validation fails and commit() returns the abort; or A re-reads `read`,
+// the re-read's snapshot extension fails on the word A already read, and
+// the attempt unwinds. A read another word before: its read of `read`
+// extends A's snapshot past B's commit and A commits — the path that
+// replaces the unwind when the conflict is one TSX would not raise. Each
+// iteration also pays B's one-word commit.
+enum class ConflictEnd { kCommitAbort, kBodyAbort, kExtend };
+
+template <ConflictEnd kEnd>
+void conflict(benchmark::State& state) {
   htm::SoftHtm tm;
   htm::SoftHtm::ThreadContext a(tm);
   htm::SoftHtm::ThreadContext b(tm);
   htm::TmWord read{0};
+  htm::TmWord other{0};
   htm::TmWord written{0};
   std::uint64_t v = 0;
   auto aggressor = [&](htm::SoftHtm::Tx& tx) { tx.write(read, ++v); };
   for (auto _ : state) {
     const auto s = a.attempt([&](htm::SoftHtm::Tx& tx) {
-      if constexpr (kReadFirst) (void)tx.read(read);
+      (void)tx.read(kEnd == ConflictEnd::kExtend ? other : read);
       (void)b.attempt(aggressor);
-      if constexpr (!kReadFirst) (void)tx.read(read);
+      if constexpr (kEnd != ConflictEnd::kCommitAbort) (void)tx.read(read);
       tx.write(written, 1);
     });
-    if (s.raw() == htm::kXBeginStarted) {
-      state.SkipWithError("the attempt committed; expected a conflict abort");
+    if ((s.raw() == htm::kXBeginStarted) != (kEnd == ConflictEnd::kExtend)) {
+      state.SkipWithError(kEnd == ConflictEnd::kExtend
+                              ? "the attempt aborted; expected a snapshot extension"
+                              : "the attempt committed; expected a conflict abort");
       break;
     }
   }
   state.SetItemsProcessed(state.iterations());
 }
 
-void BM_CommitConflictAbort(benchmark::State& state) { conflict_abort<true>(state); }
+void BM_CommitConflictAbort(benchmark::State& state) {
+  conflict<ConflictEnd::kCommitAbort>(state);
+}
 BENCHMARK(BM_CommitConflictAbort);
 
-void BM_BodyConflictAbort(benchmark::State& state) { conflict_abort<false>(state); }
+void BM_BodyConflictAbort(benchmark::State& state) {
+  conflict<ConflictEnd::kBodyAbort>(state);
+}
 BENCHMARK(BM_BodyConflictAbort);
+
+void BM_BodyReadExtends(benchmark::State& state) { conflict<ConflictEnd::kExtend>(state); }
+BENCHMARK(BM_BodyReadExtends);
 
 // ------------------------------------------------- multi-threaded variants --
 // One shared SoftHtm (shared clock + stripe table, as in any real embedding),

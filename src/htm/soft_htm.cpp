@@ -4,7 +4,19 @@
 #include <bit>
 #include <cassert>
 
+#include "util/backoff.hpp"
+
 namespace seer::htm {
+
+namespace {
+
+// Pauses a read waits on a stripe locked by a committer before it aborts.
+// A small commit holds its stripes for less than this on a running thread,
+// and 16 pauses (about 0.4 µs at 25 ns per pause on the reference host)
+// cost less than one unwind plus the retried body (DESIGN.md §10).
+constexpr int kLockWaitSpins = 16;
+
+}  // namespace
 
 SoftHtm::SoftHtm(Config cfg) : cfg_(cfg) {
   assert(std::has_single_bit(cfg_.stripes) && "stripe count must be a power of two");
@@ -54,6 +66,64 @@ void SoftHtm::ThreadContext::rollback() noexcept {
   t0_next_ = t0_buf_.get();
 }
 
+template <typename StripeValid>
+bool SoftHtm::ThreadContext::reads_hold(StripeValid valid) const {
+  // Tier-0 reads never built reads_: walk the replay log instead,
+  // recomputing each entry's stripe. Undeduplicated, so a re-read stripe
+  // validates more than once — the price of having skipped per-read exact
+  // accounting, and exactly why a read-only commit (the Tier-0 sweet spot)
+  // skips validation entirely.
+  for (const TmWord* const* p = t0_buf_.get(); p != t0_next_; ++p) {
+    if (!valid(static_cast<std::uint32_t>(mix_addr(*p) & stripe_mask_))) return false;
+  }
+  // Tier-1 reads: each distinct stripe entry once. Empty in Tier 0.
+  for (const std::uint32_t si : reads_) {
+    if (!valid(si)) return false;
+  }
+  return true;
+}
+
+// TSX aborts a reader only when a line already in its read set is written;
+// a line committed after the transaction began is simply read, and a commit
+// is atomic to other cores. So a read that meets a committer's lock waits
+// for its release, and a read that meets a newer version moves the snapshot
+// forward to the current clock, provided every read so far still holds at
+// the old snapshot (timestamp extension). The clock is loaded before the
+// read set is revalidated: a committer takes its version after locking its
+// stripes, so any commit with a version up to the new snapshot either shows
+// its lock to the revalidation or has already published.
+std::uint64_t SoftHtm::ThreadContext::extend_snapshot(
+    const std::atomic<std::uint64_t>& stripe) {
+  std::uint64_t v = stripe.load(std::memory_order_acquire);
+  for (int spins = 0; (v & kLockedBit) != 0 && spins < kLockWaitSpins; ++spins) {
+    util::cpu_relax();
+    v = stripe.load(std::memory_order_acquire);
+  }
+  if ((v & kLockedBit) != 0) {
+    metrics_.add(metrics_.lock_wait_timeouts);
+    return v;
+  }
+  const std::uint64_t old_bound = read_version_ << 1;
+  if (v <= old_bound) return v;  // the commit aborted and left the version
+  const std::uint64_t now = tm_.clock_.load(std::memory_order_acquire);
+  std::uint64_t checked = 0;
+  const bool held =
+      tm_.cfg_.defect == Defect::kExtendWithoutValidation ||
+      reads_hold([&](std::uint32_t si) {
+        ++checked;
+        const std::uint64_t s = tm_.stripe_at(si).load(std::memory_order_acquire);
+        return (s & kLockedBit) == 0 && s <= old_bound;
+      });
+  metrics_.add(metrics_.extensions);
+  metrics_.add(metrics_.extension_reads, checked);
+  if (!held || !subscriptions_hold()) return kLockedBit;
+  read_version_ = now;
+  // `v` was published after its committer advanced the clock, and the
+  // clock was loaded after `v`: the stripe is inside the new snapshot.
+  assert(v <= (read_version_ << 1));
+  return v;
+}
+
 AbortStatus SoftHtm::ThreadContext::fail_commit(AbortStatus status,
                                                 std::size_t locked) noexcept {
   for (std::size_t i = 0; i < locked; ++i) {
@@ -100,9 +170,7 @@ void SoftHtm::ThreadContext::promote_reads(const TmWord* w, std::uint64_t h) {
   t0_next_ = t0_buf_.get();
   read_tier_exact_ = true;
   ++promote_capacity_;
-  if (metrics_.registry != nullptr) {
-    metrics_.registry->add(metrics_.promote_capacity, metrics_.lane);
-  }
+  metrics_.add(metrics_.promote_capacity);
   assert(reads_.size() <= tm_.cfg_.max_read_set);
   track_read_exact(w, static_cast<std::uint32_t>(h & stripe_mask_), h);
 }
@@ -113,11 +181,8 @@ void SoftHtm::ThreadContext::promote_reads(const TmWord* w, std::uint64_t h) {
 // promotion. Read-capacity aborts always land in the exact bucket by
 // construction — Tier 0 promotes at the budget instead of aborting.
 AbortStatus SoftHtm::ThreadContext::count_capacity_abort() noexcept {
-  if (metrics_.registry != nullptr) {
-    metrics_.registry->add(read_tier_exact_ ? metrics_.capacity_abort_exact
-                                            : metrics_.capacity_abort_sig,
-                           metrics_.lane);
-  }
+  metrics_.add(read_tier_exact_ ? metrics_.capacity_abort_exact
+                                : metrics_.capacity_abort_sig);
   return AbortStatus::capacity();
 }
 
@@ -132,8 +197,9 @@ AbortStatus SoftHtm::ThreadContext::commit() {
     // Read-only transactions were validated on every read; nothing to publish.
     if (!subscriptions_hold()) return fail_commit(AbortStatus::conflict(), 0);
     if (log_ != nullptr) {
-      // A read-only commit serializes at its snapshot: it saw every write
-      // with version <= read_version_ and none after.
+      // A read-only commit serializes at its snapshot, the last extension's
+      // clock if it extended: it saw every write with version <=
+      // read_version_ and none after.
       log_->push_back(TxRecord{.begin_version = read_version_,
                                .commit_version = read_version_,
                                .writer = false,
@@ -167,6 +233,9 @@ AbortStatus SoftHtm::ThreadContext::commit() {
   // forever (all later transactions touching it abort with CONFLICT).
   // Acquire in canonical order; never block — a busy stripe means a
   // concurrent committer, which an HTM would report as a conflict abort.
+  // A write stripe newer than the snapshot aborts without an extension: a
+  // stripe we both read and lock hides its version from the validation
+  // below, so this check is the only one that sees it changed.
   std::size_t locked = 0;
   for (const std::uint32_t si : lock_stripes_) {
     std::atomic<std::uint64_t>& s = tm_.stripe_at(si);
@@ -189,28 +258,15 @@ AbortStatus SoftHtm::ThreadContext::commit() {
   // fine iff the lock is ours (stripes we own passed the version check
   // just before locking). Only a stripe found locked asks that question,
   // and a binary search of the sorted lock list answers it.
-  if (tm_.cfg_.defect != Defect::kSkipCommitValidation) {
-    auto stripe_valid = [&](std::uint32_t si) {
-      const std::uint64_t v = tm_.stripe_at(si).load(std::memory_order_acquire);
-      if ((v & kLockedBit) != 0) {
-        return std::binary_search(lock_stripes_.begin(), lock_stripes_.end(), si);
-      }
-      return v <= (read_version_ << 1);
-    };
-    // Tier-0 reads never built reads_: walk the replay log instead,
-    // recomputing each entry's stripe. Undeduplicated, so a re-read
-    // stripe validates more than once — the price a writer pays for
-    // having skipped per-read exact accounting, and exactly why a
-    // read-only commit (the Tier-0 sweet spot) skips this entirely.
-    for (const TmWord* const* p = t0_buf_.get(); p != t0_next_; ++p) {
-      if (!stripe_valid(static_cast<std::uint32_t>(mix_addr(*p) & stripe_mask_))) {
-        return fail_commit(AbortStatus::conflict(), locked);
-      }
-    }
-    // Tier-1 reads: each distinct stripe entry once. Empty in Tier 0.
-    for (const std::uint32_t si : reads_) {
-      if (!stripe_valid(si)) return fail_commit(AbortStatus::conflict(), locked);
-    }
+  if (tm_.cfg_.defect != Defect::kSkipCommitValidation &&
+      !reads_hold([&](std::uint32_t si) {
+        const std::uint64_t v = tm_.stripe_at(si).load(std::memory_order_acquire);
+        if ((v & kLockedBit) != 0) {
+          return std::binary_search(lock_stripes_.begin(), lock_stripes_.end(), si);
+        }
+        return v <= (read_version_ << 1);
+      })) {
+    return fail_commit(AbortStatus::conflict(), locked);
   }
   if (!subscriptions_hold()) return fail_commit(AbortStatus::conflict(), locked);
 

@@ -11,7 +11,10 @@
 //   * A global version clock and a striped table of versioned write-locks.
 //   * Reads validate their stripe (unlocked, version <= read-version) on
 //     every access, so transactions only ever observe consistent snapshots
-//     (opacity), mirroring how an HTM aborts eagerly on remote invalidation.
+//     (opacity). A stripe that fails the check aborts only where TSX would:
+//     a committer's lock is waited out for a bounded number of pauses, and
+//     a newer stripe extends the snapshot to the current clock when every
+//     word read so far is unchanged (timestamp extension, as in LSA).
 //   * Writes are buffered (lazy versioning) and published at commit after
 //     acquiring stripe locks in canonical order (no deadlock, no blocking:
 //     a busy stripe aborts the transaction with a CONFLICT status).
@@ -58,6 +61,16 @@ struct HtmMetrics {
   // Tier-0 log (perfbench reads the counter by this name).
   obs::MetricId capacity_abort_sig = obs::kNoMetric;
   obs::MetricId capacity_abort_exact = obs::kNoMetric;  // htm.aborts.capacity.exact
+  // The read slow path: snapshot extensions run (each revalidates the read
+  // set; a failed one ends in a conflict abort), the read-set entries they
+  // revalidated, and waits on a committer's lock that ran out.
+  obs::MetricId extensions = obs::kNoMetric;          // htm.extensions
+  obs::MetricId extension_reads = obs::kNoMetric;     // htm.extension_reads
+  obs::MetricId lock_wait_timeouts = obs::kNoMetric;  // htm.lock_wait_timeouts
+
+  void add(obs::MetricId id, std::uint64_t n = 1) const noexcept {
+    if (registry != nullptr) registry->add(id, lane, n);
+  }
 };
 
 // Thrown by transactional accesses when the transaction must roll back; the
@@ -76,6 +89,7 @@ class SoftHtm {
     kNone,
     kSkipCommitValidation,  // commit publishes without read-set validation
     kSkipReadValidation,    // reads skip stripe pre/post-validation
+    kExtendWithoutValidation,  // a snapshot extension skips the read set
   };
 
   struct Config {
@@ -132,9 +146,10 @@ class SoftHtm {
   // this locked stripe mine?" by binary search — zero heap allocations once
   // the vectors and tables are warm.
   //
-  // Aborts raised inside the body (read validation, capacity, tx.abort,
-  // a subscription checked during a read, an injected in-body fault) throw
-  // TxAbortException from the body's own frame: they must leave user code.
+  // Aborts raised inside the body (a read whose snapshot cannot be
+  // extended, capacity, tx.abort, a subscription checked during a read, an
+  // injected in-body fault) throw TxAbortException from the body's own
+  // frame: they must leave user code.
   // Commit-time aborts happen after the body has returned, so commit()
   // reports them as its return value and never unwinds.
   class ThreadContext {
@@ -236,10 +251,10 @@ class SoftHtm {
       obs_ = sink;
       obs_lane_ = lane;
     }
-    // Installs pre-registered promotion/capacity-abort counters (see
-    // HtmMetrics). Bumped only at tier promotions and capacity aborts —
-    // never on the per-access path. The registry must outlive every attempt
-    // run on this context; a default-constructed HtmMetrics disables.
+    // Installs pre-registered counters (see HtmMetrics). Bumped only at
+    // tier promotions, capacity aborts and on the read slow path — never on
+    // the per-access path. The registry must outlive every attempt run on
+    // this context; a default-constructed HtmMetrics disables.
     void set_metrics(const HtmMetrics& m) noexcept { metrics_ = m; }
 
    private:
@@ -258,6 +273,17 @@ class SoftHtm {
     // entries of lock_stripes_, emits the abort trace event, rolls back.
     AbortStatus fail_commit(AbortStatus status, std::size_t locked) noexcept;
     void rollback() noexcept;
+    // True when `valid(stripe)` holds for every read so far: the Tier-0
+    // log's entries (undeduplicated) or Tier 1's distinct-word stripes.
+    // Commit and the snapshot extension both validate through it.
+    template <typename StripeValid>
+    [[nodiscard]] bool reads_hold(StripeValid valid) const;
+    // The read slow path, run when a read finds its stripe locked or newer
+    // than the snapshot; out of line so the body's read loop stays small.
+    // Returns the stripe word to read under, or a locked word when the read
+    // must abort.
+    [[gnu::noinline]] std::uint64_t extend_snapshot(
+        const std::atomic<std::uint64_t>& stripe);
 
     // The per-access paths (and everything they touch) are defined at the
     // bottom of this header and forced inline (see the comment there).
@@ -314,6 +340,7 @@ class SoftHtm {
     bool validate_reads_;  // == (defect != kSkipReadValidation)
     bool active_ = false;
     bool enforce_capacity_ = true;
+    // The snapshot: begin's clock, advanced by every snapshot extension.
     std::uint64_t read_version_ = 0;
     // Read set, Tier 1 (exact): the stripe of each distinct word read
     // (deduplicated by the read_words_ probe), which is all commit-time
@@ -360,7 +387,7 @@ class SoftHtm {
     // Observability trace sink (dormant unless installed).
     obs::TraceSink* obs_ = nullptr;
     core::ThreadId obs_lane_ = 0;
-    HtmMetrics metrics_;  // promotion/capacity counters (dormant unless set)
+    HtmMetrics metrics_;  // slow-path counters (dormant unless set)
     std::uint64_t attempt_count_ = 0;  // begins seen by this context
     std::uint64_t op_index_ = 0;       // ops within the current attempt
     std::vector<TxRead> read_log_;     // observed reads, program order
@@ -406,8 +433,8 @@ class SoftHtm {
 // registers. Every in-body abort throws through the inlined abort_with in
 // an [[unlikely]] branch, so the unwinder walks the body's frame and then
 // attempt()'s catch, and nothing else. Cold continuations — begin/commit,
-// promotion, and the capacity and fault bookkeeping, which return a
-// status — stay out of line in soft_htm.cpp.
+// promotion, the snapshot extension, and the capacity and fault
+// bookkeeping, which return a status — stay out of line in soft_htm.cpp.
 
 inline bool SoftHtm::ThreadContext::subscriptions_hold() const noexcept {
   return sub_word_ == nullptr ||
@@ -431,10 +458,15 @@ inline std::uint64_t SoftHtm::ThreadContext::do_read(const TmWord& w) {
   std::atomic<std::uint64_t>& stripe = stripe_tab_[si];
   // TL2 post-validated read: sample the stripe version, read the word,
   // re-check the stripe. Any concurrent commit to this stripe is caught.
-  const std::uint64_t v_before = stripe.load(std::memory_order_acquire);
+  // A stripe locked by a committer or newer than the snapshot takes the
+  // slow path, which waits the commit out and extends the snapshot; it
+  // aborts only when the lock outlasts the wait or a word read so far has
+  // changed.
+  std::uint64_t v_before = stripe.load(std::memory_order_acquire);
   if (validate_reads_ &&
       ((v_before & kLockedBit) != 0 || v_before > (read_version_ << 1))) [[unlikely]] {
-    abort_with(AbortStatus::conflict());
+    v_before = extend_snapshot(stripe);
+    if ((v_before & kLockedBit) != 0) abort_with(AbortStatus::conflict());
   }
   const std::uint64_t value = w.load(std::memory_order_acquire);
   const std::uint64_t v_after = stripe.load(std::memory_order_acquire);

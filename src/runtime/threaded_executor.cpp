@@ -30,6 +30,9 @@ ThreadedExecutor::ThreadedExecutor(htm::SoftHtm& tm, const PolicyConfig& policy,
     htm_metrics_.promote_capacity = m.counter("htm.read_promote.capacity");
     htm_metrics_.capacity_abort_sig = m.counter("htm.aborts.capacity.sig_only");
     htm_metrics_.capacity_abort_exact = m.counter("htm.aborts.capacity.exact");
+    htm_metrics_.extensions = m.counter("htm.extensions");
+    htm_metrics_.extension_reads = m.counter("htm.extension_reads");
+    htm_metrics_.lock_wait_timeouts = m.counter("htm.lock_wait_timeouts");
   }
 }
 

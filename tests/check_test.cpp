@@ -536,6 +536,51 @@ TEST(OpacityGate, SkipReadValidationDefectBreaksSnapshots) {
   EXPECT_FALSE(report.ok()) << "mixed-snapshot read set must be flagged";
 }
 
+TEST(OpacityGate, CatchesExtendWithoutValidationDefect) {
+  // A reads x; B commits x and y; A's read of y meets a stripe newer than
+  // its snapshot and extends. A healthy extension revalidates x, finds it
+  // overwritten and aborts A. The defect moves the snapshot without that
+  // check: A reads the new y next to the old x and commits read-only at
+  // the extended snapshot, where the replay finds x stale.
+  for (const bool broken : {false, true}) {
+    SCOPED_TRACE(broken ? "extend without validation" : "healthy");
+    htm::SoftHtm tm(htm::SoftHtm::Config{
+        .defect = broken ? htm::SoftHtm::Defect::kExtendWithoutValidation
+                         : htm::SoftHtm::Defect::kNone});
+    htm::SoftHtm::ThreadContext a(tm);
+    htm::SoftHtm::ThreadContext b(tm);
+    htm::TxLog log_a;
+    htm::TxLog log_b;
+    a.set_tx_log(&log_a);
+    b.set_tx_log(&log_b);
+    htm::TmWord x{1};
+    htm::TmWord y{1};
+    MemorySnapshot initial;
+    snapshot_words(initial, &x, 1);
+    snapshot_words(initial, &y, 1);
+
+    const htm::AbortStatus s = a.attempt([&](htm::SoftHtm::Tx& tx) {
+      (void)tx.read(x);
+      const htm::AbortStatus sb = b.attempt([&](htm::SoftHtm::Tx& txb) {
+        txb.write(x, 2);
+        txb.write(y, 2);
+      });
+      ASSERT_TRUE(committed(sb));
+      (void)tx.read(y);
+    });
+    const OpacityReport report = verify_opacity({&log_a, &log_b}, initial);
+    if (broken) {
+      ASSERT_TRUE(committed(s)) << "the broken TM must NOT detect the conflict";
+      ASSERT_FALSE(report.ok()) << "the checker must flag the zombie commit";
+      EXPECT_EQ(report.violations.front().kind, ViolationKind::kStaleRead);
+      EXPECT_EQ(report.violations.front().addr, static_cast<const void*>(&x));
+    } else {
+      EXPECT_FALSE(committed(s)) << "a healthy extension revalidates x and aborts";
+      EXPECT_TRUE(report.ok()) << to_string(report.violations.front());
+    }
+  }
+}
+
 TEST(OpacityGate, CommitValidationGuardsReadsOnBothSidesOfThePromotion) {
   // The doomed read is taken in Tier 0 (signature + replay log only), the
   // read set then crosses the promotion boundary, and only commit-time

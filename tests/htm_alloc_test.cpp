@@ -184,11 +184,13 @@ TEST(SoftHtmAlloc, CommitTimeAbortsThrowNothingAndInBodyAbortsThrowOnce) {
   ASSERT_EQ(s.cause(), AbortCause::kConflict);
   EXPECT_EQ(g_exceptions.load(), before) << "a commit-time abort must not throw";
 
-  // In-body abort: the same conflict seen by a read inside the body must
-  // leave user code, with exactly one thrown exception — which also proves
-  // the counter is wired up.
+  // In-body abort: the same conflict seen by a read inside the body (A's
+  // re-read finds the stripe newer, and the snapshot extension finds the
+  // word A already read changed) must leave user code, with exactly one
+  // thrown exception — which also proves the counter is wired up.
   before = g_exceptions.load();
   s = a.attempt([&](SoftHtm::Tx& tx) {
+    (void)tx.read(read);
     ASSERT_TRUE(committed(b.attempt(bump_read)));
     (void)tx.read(read);
     tx.write(written, 1);

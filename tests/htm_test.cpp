@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <string_view>
@@ -895,7 +896,7 @@ TEST(SoftHtmCommitAbort, SelfLockedReadStripesValidateThroughTheSortedLockList) 
 // bucket (§10.1) and nothing else, and leave the context able to commit its
 // next attempt. As above, context B commits inside context A's body.
 
-// TracedPair with the read-tier counters installed on context A.
+// TracedPair with the htm.* counters installed on context A.
 struct MeteredPair : TracedPair {
   explicit MeteredPair(SoftHtm::Config cfg = {}) : TracedPair(cfg) {
     HtmMetrics m;
@@ -903,6 +904,9 @@ struct MeteredPair : TracedPair {
     m.promote_capacity = reg.counter("htm.read_promote.capacity");
     m.capacity_abort_sig = reg.counter("htm.aborts.capacity.sig_only");
     m.capacity_abort_exact = reg.counter("htm.aborts.capacity.exact");
+    m.extensions = reg.counter("htm.extensions");
+    m.extension_reads = reg.counter("htm.extension_reads");
+    m.lock_wait_timeouts = reg.counter("htm.lock_wait_timeouts");
     reg.freeze();
     a.set_metrics(m);
   }
@@ -935,8 +939,10 @@ TEST(SoftHtmBodyAbort, NewerStripeAtReadConflicts) {
   TmWord w{0};
   bool past_read = false;
   const AbortStatus s = p.a.attempt([&](SoftHtm::Tx& tx) {
-    // B commits w after A's snapshot: A's first read of it sees a newer
-    // stripe and aborts in the body.
+    // A reads w, then B commits w: A's next read of it sees a newer
+    // stripe, the snapshot extension finds the word A already read
+    // changed, and the read aborts in the body.
+    (void)tx.read(w);
     ASSERT_TRUE(committed(p.b.attempt([&](SoftHtm::Tx& txb) { txb.write(w, 7); })));
     (void)tx.read(w);
     past_read = true;
@@ -945,6 +951,64 @@ TEST(SoftHtmBodyAbort, NewerStripeAtReadConflicts) {
   EXPECT_FALSE(past_read);
   p.expect_next_attempt_commits(w);
   EXPECT_EQ(w.load(), 8u);
+}
+
+TEST(SoftHtmBodyAbort, NewerUnreadStripeExtendsAndCommits) {
+  // TSX reads a line committed after the transaction began. B commits w,
+  // which A has not read; A's read of it extends A's snapshot past B's
+  // commit, because the one word A read before (u) is unchanged. A reads
+  // B's value and commits on it: no abort event, one extension that
+  // revalidated one read. Both read tiers: with a two-word budget, the
+  // third read of u promotes the read set to the exact tier.
+  for (const bool exact : {false, true}) {
+    SCOPED_TRACE(exact ? "exact" : "tier 0");
+    MeteredPair p(SoftHtm::Config{.max_read_set = 2});
+    TmWord u{1};
+    TmWord w{0};
+    const AbortStatus s = p.a.attempt([&](SoftHtm::Tx& tx) {
+      const std::uint64_t vu = tx.read(u);
+      if (exact) (void)(tx.read(u) + tx.read(u));
+      EXPECT_EQ(p.a.read_tier_is_exact(), exact);
+      ASSERT_TRUE(committed(p.b.attempt([&](SoftHtm::Tx& txb) { txb.write(w, 7); })));
+      tx.write(w, tx.read(w) + vu);
+    });
+    EXPECT_TRUE(committed(s));
+    EXPECT_EQ(lane0_events(p.sink, obs::TraceKind::kTxAbort), 0u);
+    EXPECT_EQ(lane0_events(p.sink, obs::TraceKind::kTxCommit), kOneEvent);
+    EXPECT_EQ(w.load(), 8u);
+    EXPECT_EQ(p.count("htm.extensions"), SEER_OBS_ENABLED ? 1u : 0u);
+    EXPECT_EQ(p.count("htm.extension_reads"), SEER_OBS_ENABLED ? 1u : 0u);
+    EXPECT_EQ(p.count("htm.lock_wait_timeouts"), 0u);
+  }
+}
+
+TEST(SoftHtmBodyAbort, ExtensionRevalidatesBothReadTiers) {
+  // B overwrites x, which A read, and commits y, which A has not read. A's
+  // read of y extends, and the extension must find x changed in either
+  // read tier: the Tier-0 log, or the exact tier's stripes after a
+  // promotion (with a two-word budget, the third read of x promotes).
+  for (const bool exact : {false, true}) {
+    SCOPED_TRACE(exact ? "exact" : "tier 0");
+    MeteredPair p(SoftHtm::Config{.max_read_set = 2});
+    TmWord x{1};
+    TmWord y{1};
+    bool past_read = false;
+    const AbortStatus s = p.a.attempt([&](SoftHtm::Tx& tx) {
+      (void)tx.read(x);
+      if (exact) (void)(tx.read(x) + tx.read(x));
+      EXPECT_EQ(p.a.read_tier_is_exact(), exact);
+      ASSERT_TRUE(committed(p.b.attempt([&](SoftHtm::Tx& txb) {
+        txb.write(x, 2);
+        txb.write(y, 2);
+      })));
+      (void)tx.read(y);
+      past_read = true;
+    });
+    p.expect_body_abort(s, AbortStatus::conflict());
+    EXPECT_FALSE(past_read);
+    EXPECT_EQ(p.count("htm.extensions"), SEER_OBS_ENABLED ? 1u : 0u);
+    p.expect_next_attempt_commits(x);
+  }
 }
 
 TEST(SoftHtmBodyAbort, SubscriptionMismatchAtSubscribeConflicts) {
@@ -1060,6 +1124,43 @@ TEST(SoftHtmBodyAbort, WriteCapacityCountsByReadTier) {
     EXPECT_EQ(writes, 2u) << "the third write overflowed";
     EXPECT_EQ(words[0].load(), 0u);
     p.expect_next_attempt_commits(words[0]);
+  }
+}
+
+TEST(SoftHtmBodyAbort, CommitOutlastingTheLockWaitConflicts) {
+  // A read waits a bounded number of pauses for a committer's lock, then
+  // aborts. B commits a 256-word write set in a loop on its own thread, so
+  // each of its stripes stays locked through 256 lock CASes and write-backs.
+  // A reads one of those words per attempt: its read set is empty when it
+  // extends, so an extension cannot fail. A's aborts are locks that
+  // outlasted the wait, or (rarely) a commit that lands between the read's
+  // two stripe loads. The loop ends at the first counted timeout.
+  MeteredPair p;
+  std::vector<TmWord> words(256);
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (std::uint64_t v = 1; !stop.load(std::memory_order_relaxed); ++v) {
+      (void)commit_all(p.b, words, v);
+    }
+  });
+  std::uint64_t aborts = 0;
+  std::uint64_t other_causes = 0;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (std::size_t i = 0; std::chrono::steady_clock::now() < deadline; ++i) {
+    const AbortStatus s =
+        p.a.attempt([&](SoftHtm::Tx& tx) { (void)tx.read(words[i % words.size()]); });
+    if (committed(s)) continue;
+    ++aborts;
+    if (s.cause() != AbortCause::kConflict) ++other_causes;
+    if (!SEER_OBS_ENABLED || p.count("htm.lock_wait_timeouts") > 0) break;
+  }
+  stop.store(true);
+  writer.join();
+  EXPECT_GT(aborts, 0u) << "no read met a lock held past the wait";
+  EXPECT_EQ(other_causes, 0u);
+  if (SEER_OBS_ENABLED) {
+    EXPECT_GT(p.count("htm.lock_wait_timeouts"), 0u);
+    EXPECT_LE(p.count("htm.lock_wait_timeouts"), aborts);
   }
 }
 

@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -357,12 +359,20 @@ TEST(ObsIntegration, ThreadedExecutorRecordsCommitsAndTraces) {
   validate_chrome_json(write_and_read(trace));
 }
 
+// A counter's value in `snap`; 0 when absent.
+std::uint64_t counter_of(const MetricsSnapshot& snap, std::string_view name) {
+  for (const auto& c : snap.counters) {
+    if (c.name == name) return c.value;
+  }
+  return 0;
+}
+
 TEST(ObsIntegration, ThreadedExecutorRegistersAndBumpsHtmTierCounters) {
-  // The executor registers the adaptive read-tracking telemetry
-  // (DESIGN.md §10) alongside its own rt.* metrics and installs it into
-  // every handle's SoftHtm context. A workload whose Tier-0 log fills every
-  // transaction must show up in htm.read_promote.capacity; nothing here
-  // capacity-aborts, so both htm.aborts.capacity.* counters stay zero.
+  // The executor registers SoftHtm's telemetry (DESIGN.md §10) alongside
+  // its own rt.* metrics and installs it into every handle's SoftHtm
+  // context. A workload whose Tier-0 log fills every transaction must show
+  // up in htm.read_promote.capacity; nothing here capacity-aborts, so both
+  // htm.aborts.capacity.* counters stay zero.
   constexpr std::size_t kThreads = 2;
   constexpr int kTxPerThread = 50;
   MetricsRegistry reg(kThreads);
@@ -396,19 +406,79 @@ TEST(ObsIntegration, ThreadedExecutorRegistersAndBumpsHtmTierCounters) {
 
   const MetricsSnapshot snap = reg.snapshot();
   std::uint64_t found = 0;
-  std::uint64_t promotions = 0;
   for (const auto& c : snap.counters) {
-    if (c.name.rfind("htm.", 0) != 0) continue;
-    ++found;
-    if (c.name == "htm.read_promote.capacity") {
-      promotions = c.value;
-    } else {
-      EXPECT_EQ(c.value, 0u) << c.name << " must stay untouched";
-    }
+    if (c.name.rfind("htm.", 0) == 0) ++found;
   }
-  EXPECT_EQ(found, 3u) << "all three htm.* counters must be registered";
-  EXPECT_GE(promotions, kThreads * static_cast<std::uint64_t>(kTxPerThread))
+  EXPECT_EQ(found, 6u) << "all six htm.* counters must be registered";
+  EXPECT_GE(counter_of(snap, "htm.read_promote.capacity"),
+            kThreads * static_cast<std::uint64_t>(kTxPerThread))
       << "every committed transaction crossed the tier boundary";
+  EXPECT_EQ(counter_of(snap, "htm.aborts.capacity.sig_only"), 0u);
+  EXPECT_EQ(counter_of(snap, "htm.aborts.capacity.exact"), 0u);
+}
+
+TEST(ObsIntegration, ThreadedExecutorBumpsHtmExtensionCountersUnderContention) {
+  // A contended 3-thread run reaches the read slow path's counters. Thread
+  // 0 commits to a shared word in a loop; threads 1 and 2 read a word of
+  // their own, wait until two more of thread 0's commits have published
+  // (so at least one began after their snapshot), then read the shared
+  // word. Its stripe is newer than their snapshot and the word they read
+  // before is unchanged, so the read extends the snapshot, revalidating
+  // that one read. A lock-wait timeout depends on timing; it is a conflict
+  // abort, so it never outnumbers them.
+  constexpr std::size_t kThreads = 3;
+  constexpr int kTxPerReader = 20;
+  constexpr int kMaxYields = 20000;  // a reader on the SGL stalls thread 0
+  MetricsRegistry reg(kThreads);
+  htm::SoftHtm tm;
+  rt::ThreadedExecutor::Options opts;
+  opts.n_threads = kThreads;
+  opts.n_types = 1;
+  opts.physical_cores = kThreads;
+  opts.metrics = &reg;
+  rt::PolicyConfig policy;
+  policy.kind = rt::PolicyKind::kRtm;
+  rt::ThreadedExecutor exec(tm, policy, opts);
+  reg.freeze();
+
+  htm::TmWord shared{0};
+  std::vector<htm::TmWord> own(kThreads);
+  std::atomic<std::uint64_t> published{0};
+  std::atomic<int> readers_done{0};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    auto h = exec.make_handle(0);
+    while (readers_done.load() < 2) {
+      h->run(0, [&](auto& tx) { tx.write(shared, tx.read(shared) + 1); });
+      published.fetch_add(1);
+    }
+  });
+  for (core::ThreadId id = 1; id < kThreads; ++id) {
+    threads.emplace_back([&, id] {
+      auto h = exec.make_handle(id);
+      for (int i = 0; i < kTxPerReader; ++i) {
+        h->run(0, [&](auto& tx) {
+          const std::uint64_t mine = tx.read(own[id]);
+          const std::uint64_t seen = published.load();
+          for (int y = 0; published.load() < seen + 2 && y < kMaxYields; ++y) {
+            std::this_thread::yield();
+          }
+          tx.write(own[id], mine + tx.read(shared));
+        });
+      }
+      readers_done.fetch_add(1);
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  const MetricsSnapshot snap = reg.snapshot();
+  const std::uint64_t extensions = counter_of(snap, "htm.extensions");
+  EXPECT_GT(extensions, 0u);
+  EXPECT_GE(counter_of(snap, "htm.extension_reads"), extensions)
+      << "every reader's extension revalidates its own word";
+  EXPECT_LE(counter_of(snap, "htm.lock_wait_timeouts"),
+            counter_of(snap, "rt.aborts.conflict"));
+  EXPECT_EQ(counter_of(snap, "rt.commits"), published.load() + 2 * kTxPerReader);
 }
 
 // Checks the rt.* transaction counters of `snap` against a backend's own

@@ -82,6 +82,7 @@ struct Outcome {
   std::uint64_t actual_total = 0;
   std::uint64_t injected = 0;
   std::uint64_t promotions = 0;  // htm.read_promote.capacity, all threads
+  std::uint64_t extensions = 0;  // htm.extensions, all threads
 };
 
 Outcome run_iteration(std::uint64_t seed, htm::SoftHtm::Defect defect,
@@ -171,6 +172,7 @@ Outcome run_iteration(std::uint64_t seed, htm::SoftHtm::Defect defect,
   for (const auto& p : plans) out.injected += p.total_injected();
   for (const auto& c : metrics.snapshot().counters) {
     if (c.name == "htm.read_promote.capacity") out.promotions += c.value;
+    if (c.name == "htm.extensions") out.extensions += c.value;
   }
   return out;
 }
@@ -187,10 +189,12 @@ TEST(PropertyHarness, RandomWorkloadsStayOpaque) {
   const std::uint64_t master = env_u64("SEER_PROPERTY_SEED", 0);
   const std::uint64_t iters = master != 0 ? 1 : env_u64("SEER_PROPERTY_ITERS", 25);
   std::uint64_t injected_somewhere = 0;
+  std::uint64_t extended_somewhere = 0;
   for (std::uint64_t i = 0; i < iters; ++i) {
     const std::uint64_t seed = master != 0 ? master : 0xA11CE000u + i;
     const Outcome out = run_iteration(seed, htm::SoftHtm::Defect::kNone);
     injected_somewhere += out.injected;
+    extended_somewhere += out.extensions;
     if (!out.report.ok()) {
       FAIL() << "opacity violation at seed " << seed << ": "
              << to_string(out.report.violations.front()) << "\n"
@@ -203,6 +207,12 @@ TEST(PropertyHarness, RandomWorkloadsStayOpaque) {
   if (iters > 1) {
     EXPECT_GT(injected_somewhere, 0u)
         << "the fault plans never fired — the harness is not exercising aborts";
+#if SEER_OBS_ENABLED
+    EXPECT_GT(extended_somewhere, 0u)
+        << "no read ever extended its snapshot — the sweep misses the slow path";
+#else
+    (void)extended_somewhere;  // counters are stubs under SEER_OBS=OFF
+#endif
   }
 }
 
@@ -216,11 +226,13 @@ TEST(PropertyHarness, RandomWorkloadsStayOpaqueAcrossTierTransitions) {
   const std::uint64_t master = env_u64("SEER_PROPERTY_SEED", 0);
   const std::uint64_t iters = master != 0 ? 1 : env_u64("SEER_PROPERTY_ITERS", 25);
   std::uint64_t promoted_somewhere = 0;
+  std::uint64_t extended_somewhere = 0;
   for (std::uint64_t i = 0; i < iters; ++i) {
     const std::uint64_t seed = master != 0 ? master : 0x7EE5000u + i;
     const Outcome out = run_iteration(seed, htm::SoftHtm::Defect::kNone,
                                       /*max_read_set=*/4);
     promoted_somewhere += out.promotions;
+    extended_somewhere += out.extensions;
     if (!out.report.ok()) {
       FAIL() << "opacity violation at seed " << seed << ": "
              << to_string(out.report.violations.front()) << "\n"
@@ -234,9 +246,12 @@ TEST(PropertyHarness, RandomWorkloadsStayOpaqueAcrossTierTransitions) {
   if (iters > 1) {
     EXPECT_GT(promoted_somewhere, 0u)
         << "no transaction ever promoted — the sweep is not crossing tiers";
+    EXPECT_GT(extended_somewhere, 0u)
+        << "no read ever extended its snapshot — the sweep misses the slow path";
   }
 #else
   (void)promoted_somewhere;  // counters are stubs under SEER_OBS=OFF
+  (void)extended_somewhere;
 #endif
 }
 
@@ -559,19 +574,14 @@ TEST(PropertyHarness, PhasedSnapshotsTrackTheNewConflictMatrix) {
 }
 #endif  // SEER_OBS_ENABLED
 
-// Acceptance gate: a TM that skips commit-time read-set validation must be
-// caught by the checker well within 100 seeds. The workload reads one word
-// and writes a DIFFERENT one (t0: A→B, t1: B→A) — when read and write sets
-// coincide, the stripe-acquire version check catches conflicts even without
-// read-set validation, so cross-shaped transactions are the narrowest
-// workload the defect is exposed on. A mid-body yield widens the doomed
-// window even on a single-core host.
-TEST(PropertyHarness, CheckerCatchesBrokenHtm) {
-  bool caught = false;
-  std::uint64_t caught_at = 0;
-  for (std::uint64_t seed = 1; seed <= 100 && !caught; ++seed) {
-    htm::SoftHtm tm(htm::SoftHtm::Config{
-        .defect = htm::SoftHtm::Defect::kSkipCommitValidation});
+// Two RTM threads race over two words, each running kPerThread
+// transactions `body(tx, words, t, i)` (thread t's i-th), on a TM with
+// `defect`, once per seed 1..100. Returns the first seed whose committed
+// history the opacity checker flags, or 0 when all 100 pass.
+template <typename Body>
+std::uint64_t first_flagged_seed(htm::SoftHtm::Defect defect, Body body) {
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    htm::SoftHtm tm(htm::SoftHtm::Config{.defect = defect});
     rt::PolicyConfig policy;
     policy.kind = rt::PolicyKind::kRtm;
     rt::ThreadedExecutor::Options opts;
@@ -592,31 +602,57 @@ TEST(PropertyHarness, CheckerCatchesBrokenHtm) {
       threads.emplace_back([&, t] {
         auto h = exec.make_handle(static_cast<core::ThreadId>(t));
         h->set_tx_log(&logs[t]);
-        htm::TmWord& src = words[t];
-        htm::TmWord& dst = words[1 - t];
         ready.fetch_add(1);
         while (ready.load() < 2) std::this_thread::yield();
         for (std::uint64_t i = 0; i < kPerThread; ++i) {
-          (void)h->run(0, [&](auto& tx) {
-            const std::uint64_t v = tx.read(src);
-            std::this_thread::yield();
-            tx.write(dst, v + 1);
-          });
+          (void)h->run(0, [&](auto& tx) { body(tx, words, t, i); });
         }
       });
     }
     for (auto& th : threads) th.join();
-    const OpacityReport report = verify_opacity({&logs[0], &logs[1]}, initial);
-    if (!report.ok()) {
-      caught = true;
-      caught_at = seed;
-    }
+    if (!verify_opacity({&logs[0], &logs[1]}, initial).ok()) return seed;
   }
-  EXPECT_TRUE(caught)
-      << "a TM without commit validation survived 100 property seeds";
-  if (caught) {
-    EXPECT_LE(caught_at, 100u);
-  }
+  return 0;
+}
+
+// Acceptance gate: a TM that skips commit-time read-set validation must be
+// caught by the checker well within 100 seeds. The workload reads one word
+// and writes a DIFFERENT one (t0: A→B, t1: B→A) — when read and write sets
+// coincide, the stripe-acquire version check catches conflicts even without
+// read-set validation, so cross-shaped transactions are the narrowest
+// workload the defect is exposed on. A mid-body yield widens the doomed
+// window even on a single-core host.
+TEST(PropertyHarness, CheckerCatchesBrokenHtm) {
+  const std::uint64_t caught_at = first_flagged_seed(
+      htm::SoftHtm::Defect::kSkipCommitValidation,
+      [](auto& tx, std::array<htm::TmWord, 2>& words, std::size_t t, std::uint64_t) {
+        const std::uint64_t v = tx.read(words[t]);
+        std::this_thread::yield();
+        tx.write(words[1 - t], v + 1);
+      });
+  EXPECT_NE(caught_at, 0u) << "a TM without commit validation survived 100 property seeds";
+}
+
+// The same gate for a snapshot extension that skips read-set revalidation
+// (DESIGN.md §10). A transaction reads its own word, yields, reads the
+// other word and writes one of the two, alternating. The defect shows when
+// the other thread commits to both words between the two reads: the second
+// read meets a newer stripe and extends past the overwrite of the first,
+// and commit validation, which checks against the extended snapshot, lets
+// the stale read through. Windows of 0–3 yields, out of phase between the
+// threads, let two commits land in one window even on a single-core host.
+// The healthy TM runs the same workload clean.
+TEST(PropertyHarness, CheckerCatchesExtendWithoutValidation) {
+  const auto body = [](auto& tx, std::array<htm::TmWord, 2>& words, std::size_t t,
+                       std::uint64_t i) {
+    const std::uint64_t mine = tx.read(words[t]);
+    for (std::uint64_t y = (i + 2 * t) % 4; y > 0; --y) std::this_thread::yield();
+    const std::uint64_t other = tx.read(words[1 - t]);
+    tx.write(words[(t + i) % 2], mine + other + 1);
+  };
+  EXPECT_NE(first_flagged_seed(htm::SoftHtm::Defect::kExtendWithoutValidation, body), 0u)
+      << "a TM that extends without revalidating survived 100 property seeds";
+  EXPECT_EQ(first_flagged_seed(htm::SoftHtm::Defect::kNone, body), 0u);
 }
 
 // ------------------------------------------- scheduler statistics oracle --
