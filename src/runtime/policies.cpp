@@ -182,9 +182,8 @@ class SeerPolicy final : public Policy {
 
 }  // namespace
 
-OracleShared::OracleShared(std::size_t n_types, const OracleParams& params)
+OracleShared::OracleShared(std::size_t n_types)
     : n_types_(n_types),
-      params_(params),
       pair_conflicts_(n_types * n_types),
       executions_(n_types),
       scheme_(std::make_shared<core::LockScheme>(n_types)) {}
@@ -209,7 +208,7 @@ std::uint64_t OracleShared::conflicts(core::TxTypeId x, core::TxTypeId y) const 
 
 void OracleShared::maybe_rebuild() {
   std::uint64_t due = since_rebuild_.load(std::memory_order_relaxed);
-  if (due < params_.update_period) return;
+  if (due < kOracleUpdatePeriod) return;
   if (!since_rebuild_.compare_exchange_strong(due, 0, std::memory_order_acq_rel)) {
     return;  // another thread claimed the rebuild
   }
@@ -241,7 +240,7 @@ PolicyShared::PolicyShared(const PolicyConfig& cfg, std::size_t n_threads,
     seer_ = std::make_unique<core::SeerScheduler>(sc);
   }
   if (cfg_.kind == PolicyKind::kOracle) {
-    oracle_ = std::make_unique<OracleShared>(n_types, cfg_.oracle);
+    oracle_ = std::make_unique<OracleShared>(n_types);
   }
 }
 

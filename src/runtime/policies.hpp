@@ -50,18 +50,16 @@ enum class PolicyKind : std::uint8_t { kHle, kRtm, kScm, kAts, kSgl, kSeer, kOra
   return "?";
 }
 
+// Hardware attempts before the SGL for every kind but HLE and SGL (paper
+// §5.1: "a budget of 5 for all approaches").
+inline constexpr int kMaxAttempts = 5;
 // HLE's implicit, implementation-defined budget.
 inline constexpr int kHleAttempts = 2;
-
-struct OracleParams {
-  // Executions between scheme rebuilds.
-  std::uint64_t update_period = 512;
-};
+// Executions between the Oracle's scheme rebuilds.
+inline constexpr std::uint64_t kOracleUpdatePeriod = 512;
 
 struct PolicyConfig {
   PolicyKind kind = PolicyKind::kRtm;
-  int max_attempts = 5;  // paper §5.1: budget of 5 for all approaches
-  OracleParams oracle{};
   core::SeerConfig seer{};
 };
 
@@ -69,7 +67,7 @@ struct PolicyConfig {
 // by precise attribution, and the lock scheme derived from them.
 class OracleShared {
  public:
-  OracleShared(std::size_t n_types, const OracleParams& params);
+  explicit OracleShared(std::size_t n_types);
 
   void record_execution(core::TxTypeId x) noexcept;
   void record_conflict(core::TxTypeId victim, core::TxTypeId culprit) noexcept;
@@ -85,7 +83,6 @@ class OracleShared {
 
  private:
   std::size_t n_types_;
-  OracleParams params_;
   std::vector<std::atomic<std::uint64_t>> pair_conflicts_;  // n*n
   std::vector<std::atomic<std::uint64_t>> executions_;      // n
   std::atomic<std::uint64_t> since_rebuild_{0};
@@ -108,10 +105,10 @@ class PolicyShared {
   [[nodiscard]] std::size_t n_types() const noexcept { return n_types_; }
 
   // Hardware attempts per transaction before the SGL: kHleAttempts for HLE,
-  // 0 for SGL, max_attempts for every other kind.
+  // 0 for SGL, kMaxAttempts for every other kind.
   [[nodiscard]] int budget() const noexcept {
     if (cfg_.kind == PolicyKind::kHle) return kHleAttempts;
-    return cfg_.kind == PolicyKind::kSgl ? 0 : cfg_.max_attempts;
+    return cfg_.kind == PolicyKind::kSgl ? 0 : kMaxAttempts;
   }
   // Whether each attempt first waits for the SGL to be free (lemming-effect
   // avoidance): every kind but HLE.

@@ -109,16 +109,6 @@ const Phase& SpecWorkload::phase_at(double progress) const noexcept {
   return spec_.phases.back();
 }
 
-std::uint32_t SpecWorkload::sample_line(std::uint16_t region, core::ThreadId thread,
-                                        util::Xoshiro256& rng) const {
-  const Region& r = spec_.regions[region];
-  const std::uint64_t within =
-      zipf_[region] ? zipf_[region]->sample(rng) : rng.below(r.lines);
-  const std::uint64_t slice =
-      r.per_thread ? static_cast<std::uint64_t>(thread) * r.lines : 0;
-  return static_cast<std::uint32_t>(region_base_[region] + slice + within);
-}
-
 void SpecWorkload::next(core::ThreadId thread, double progress, util::Xoshiro256& rng,
                         sim::TxInstance& out) {
   const Phase& phase = phase_at(progress);
@@ -143,20 +133,49 @@ void SpecWorkload::next(core::ThreadId thread, double progress, util::Xoshiro256
       static_cast<double>(ts.duration_mean) * (lo + span * rng.uniform01()));
   if (out.duration == 0) out.duration = 1;
 
-  // Footprint: sample concrete lines per region access. Reads and writes
-  // are kept sorted/unique as the conflict detector requires.
+  // Footprint: sample concrete lines per region access, reads then writes
+  // of each access in turn. Both vectors are sized once to the type's draw
+  // totals, so a fresh instance allocates each at exactly its draw count
+  // and a reused one not at all. Reads and writes are then kept
+  // sorted/unique as the conflict detector requires.
   assert(static_cast<std::size_t>(thread) < scratch_.size());
   std::vector<std::uint32_t>& scratch = *scratch_[static_cast<std::size_t>(thread)];
-  out.reads.clear();
-  out.writes.clear();
+  std::size_t n_reads = 0;
+  std::size_t n_writes = 0;
   for (const RegionAccess& a : ts.accesses) {
-    for (std::uint16_t i = 0; i < a.reads; ++i) {
-      out.reads.push_back(sample_line(a.region, thread, rng));
-    }
-    for (std::uint16_t i = 0; i < a.writes; ++i) {
-      out.writes.push_back(sample_line(a.region, thread, rng));
-    }
+    n_reads += a.reads;
+    n_writes += a.writes;
   }
+  out.reads.clear();
+  out.reads.resize(n_reads);
+  out.writes.clear();
+  out.writes.resize(n_writes);
+  util::Xoshiro256 g = rng;
+  std::uint32_t* r = out.reads.data();
+  std::uint32_t* w = out.writes.data();
+  for (const RegionAccess& a : ts.accesses) {
+    // The region's first line id (this thread's slice of a per-thread
+    // region), its line count and its Zipf table, held in locals: a store
+    // through `dst` may alias a std::uint32_t such as `region.lines`, so
+    // read through the spec they would be reloaded for every line.
+    const Region& region = spec_.regions[a.region];
+    const std::uint32_t lines = region.lines;
+    const std::uint64_t base =
+        region_base_[a.region] +
+        (region.per_thread ? static_cast<std::uint64_t>(thread) * lines : 0);
+    const util::Zipf* zipf = zipf_[a.region].get();
+    const auto draw = [&](std::uint32_t* dst, std::uint16_t n) {
+      for (std::uint16_t i = 0; i < n; ++i) {
+        dst[i] = static_cast<std::uint32_t>(
+            base + (zipf != nullptr ? zipf->sample(g) : g.below(lines)));
+      }
+      return dst + n;
+    };
+    r = draw(r, a.reads);
+    w = draw(w, a.writes);
+  }
+  assert(r == out.reads.data() + n_reads && w == out.writes.data() + n_writes);
+  rng = g;
   canonicalize_lines(out.reads, scratch);
   canonicalize_lines(out.writes, scratch);
 }

@@ -107,8 +107,6 @@ class SpecWorkload final : public sim::Workload {
 
  private:
   [[nodiscard]] const Phase& phase_at(double progress) const noexcept;
-  [[nodiscard]] std::uint32_t sample_line(std::uint16_t region, core::ThreadId thread,
-                                          util::Xoshiro256& rng) const;
 
   WorkloadSpec spec_;
   std::size_t n_threads_;

@@ -72,7 +72,6 @@ TEST(LockId, CanonicalOrdering) {
 PolicyConfig config_for(PolicyKind kind) {
   PolicyConfig cfg;
   cfg.kind = kind;
-  cfg.max_attempts = 5;
   return cfg;
 }
 
@@ -156,7 +155,6 @@ PolicyConfig seer_config(bool tx_locks = true, bool core_locks = true,
                          bool htm_acquire = true) {
   PolicyConfig cfg;
   cfg.kind = PolicyKind::kSeer;
-  cfg.max_attempts = 5;
   cfg.seer.enable_tx_locks = tx_locks;
   cfg.seer.enable_core_locks = core_locks;
   cfg.seer.enable_htm_lock_acquire = htm_acquire;
@@ -186,21 +184,20 @@ void plant_edge(core::SeerScheduler& s, core::TxTypeId a, core::TxTypeId b) {
 // ----------------------------------------------------------- retry loop ----
 
 // The one retry loop, for every kind (TxDriver): under an always-aborting
-// script a transaction makes exactly `budget` hardware attempts (HLE 2 and
-// SGL 0 whatever max_attempts says, every other kind max_attempts), each
-// after a wait for the SGL unless the kind is HLE; then the driver releases
-// what it holds and takes one fallback step.
-class RetryLoop : public ::testing::TestWithParam<std::tuple<PolicyKind, int>> {};
+// script a transaction makes exactly `budget` hardware attempts (HLE 2, SGL
+// 0, every other kind kMaxAttempts = 5), each after a wait for the SGL
+// unless the kind is HLE; then the driver releases what it holds and takes
+// one fallback step.
+class RetryLoop : public ::testing::TestWithParam<PolicyKind> {};
 
 TEST_P(RetryLoop, BudgetAttemptsThenReleasesThenOneFallback) {
-  const auto [kind, max_attempts] = GetParam();
-  PolicyConfig cfg = kind == PolicyKind::kSeer ? seer_config() : config_for(kind);
-  cfg.max_attempts = max_attempts;
+  const PolicyKind kind = GetParam();
+  const PolicyConfig cfg = kind == PolicyKind::kSeer ? seer_config() : config_for(kind);
   PolicyShared shared(cfg, 8, 4, 4);
   TxDriver drv(shared, 2);
   const int budget = kind == PolicyKind::kHle   ? 2
                      : kind == PolicyKind::kSgl ? 0
-                                                : max_attempts;
+                                                : 5;
   const bool waits_sgl = kind != PolicyKind::kHle;
 
   const Trace t = run_scripted(drv, 1, conflicts(8));
@@ -232,14 +229,11 @@ TEST_P(RetryLoop, BudgetAttemptsThenReleasesThenOneFallback) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, RetryLoop,
-    ::testing::Combine(::testing::Values(PolicyKind::kHle, PolicyKind::kRtm,
-                                         PolicyKind::kScm, PolicyKind::kAts,
-                                         PolicyKind::kSgl, PolicyKind::kSeer,
-                                         PolicyKind::kOracle),
-                       ::testing::Values(1, 2, 5)),
-    [](const ::testing::TestParamInfo<std::tuple<PolicyKind, int>>& p) {
-      return std::string(to_string(std::get<0>(p.param))) + "_max" +
-             std::to_string(std::get<1>(p.param));
+    ::testing::Values(PolicyKind::kHle, PolicyKind::kRtm, PolicyKind::kScm,
+                      PolicyKind::kAts, PolicyKind::kSgl, PolicyKind::kSeer,
+                      PolicyKind::kOracle),
+    [](const ::testing::TestParamInfo<PolicyKind>& p) {
+      return std::string(to_string(p.param));
     });
 
 // ------------------------------------------------------------------ RTM ----
@@ -450,32 +444,27 @@ TEST(SeerPolicy, ConflictAbortDoesNotTakeCoreLock) {
 }
 
 // The row's tx locks come on the budget's last attempt only: the fifth of
-// five, or the first when the budget is one.
+// five.
 TEST(SeerPolicy, TxLocksAcquiredOnlyOnLastAttempt) {
-  for (const int max_attempts : {5, 1}) {
-    SCOPED_TRACE(max_attempts);
-    PolicyConfig cfg = seer_config();
-    cfg.max_attempts = max_attempts;
-    PolicyShared shared(cfg, 8, 4, 4);
-    plant_edge(*shared.seer(), 1, 2);
-    ASSERT_TRUE(shared.seer()->scheme()->row(1).contains(2));
+  PolicyShared shared(seer_config(), 8, 4, 4);
+  plant_edge(*shared.seer(), 1, 2);
+  ASSERT_TRUE(shared.seer()->scheme()->row(1).contains(2));
 
-    TxDriver p(shared, 0);
-    const Trace t = run_scripted(p, 1, conflicts(max_attempts - 1));
-    ASSERT_EQ(t.directives.size(), static_cast<std::size_t>(max_attempts));
-    for (std::size_t attempt = 0; attempt + 1 < t.directives.size(); ++attempt) {
-      EXPECT_TRUE(t.directives[attempt].acquires.empty())
-          << "no tx locks before the last attempt";
-    }
-    const Directive& d = t.directives.back();
-    ASSERT_EQ(d.acquires.size(), 1u);
-    EXPECT_EQ(d.acquires[0], tx_lock(2));
-    EXPECT_FALSE(d.waits.contains(tx_lock(1)))
-        << "holding tx locks suppresses the own-lock wait (Alg. 4 line 57)";
-    EXPECT_TRUE(t.hardware_commit);
-    EXPECT_TRUE(t.final_releases.contains(tx_lock(2)));
-    EXPECT_EQ(last_steps(t, 3), (std::vector<K>{K::kHwAttempt, K::kRelease, K::kDone}));
+  TxDriver p(shared, 0);
+  const Trace t = run_scripted(p, 1, conflicts(kMaxAttempts - 1));
+  ASSERT_EQ(t.directives.size(), static_cast<std::size_t>(kMaxAttempts));
+  for (std::size_t attempt = 0; attempt + 1 < t.directives.size(); ++attempt) {
+    EXPECT_TRUE(t.directives[attempt].acquires.empty())
+        << "no tx locks before the last attempt";
   }
+  const Directive& d = t.directives.back();
+  ASSERT_EQ(d.acquires.size(), 1u);
+  EXPECT_EQ(d.acquires[0], tx_lock(2));
+  EXPECT_FALSE(d.waits.contains(tx_lock(1)))
+      << "holding tx locks suppresses the own-lock wait (Alg. 4 line 57)";
+  EXPECT_TRUE(t.hardware_commit);
+  EXPECT_TRUE(t.final_releases.contains(tx_lock(2)));
+  EXPECT_EQ(last_steps(t, 3), (std::vector<K>{K::kHwAttempt, K::kRelease, K::kDone}));
 }
 
 TEST(SeerPolicy, FallbackReleasesEverything) {
@@ -612,9 +601,7 @@ TEST(SeerPolicy, SglCommitDoesNotRecordCommitStats) {
 // when the driver decides to fall back: at the step after the last abort,
 // before the releases and before the SGL commit is reported.
 TEST(SeerPolicy, FallbackCountedAtTheFallbackStep) {
-  PolicyConfig cfg = seer_config();
-  cfg.max_attempts = 2;
-  PolicyShared shared(cfg, 8, 4, 4);
+  PolicyShared shared(seer_config(), 8, 4, 4);
   const core::SeerScheduler& sched = *shared.seer();
   TxDriver drv(shared, 6);  // core 2
   const auto to_attempt = [&drv] {
@@ -631,9 +618,11 @@ TEST(SeerPolicy, FallbackCountedAtTheFallbackStep) {
   drv.begin(1);
   ASSERT_EQ(to_attempt(), K::kHwAttempt);
   drv.aborted(AbortStatus::capacity());  // the second attempt takes the core lock
-  ASSERT_EQ(to_attempt(), K::kHwAttempt);
-  drv.aborted(AbortStatus::conflict());
-  EXPECT_EQ(sched.sgl_fallbacks(), 0u) << "not at the abort";
+  for (int k = 2; k <= kMaxAttempts; ++k) {
+    ASSERT_EQ(to_attempt(), K::kHwAttempt) << "attempt " << k;
+    drv.aborted(AbortStatus::conflict());
+    EXPECT_EQ(sched.sgl_fallbacks(), 0u) << "not at the abort of attempt " << k;
+  }
   const Step release = drv.next();
   EXPECT_EQ(release.kind, K::kRelease);
   EXPECT_EQ(release.lock, core_lock(2));
@@ -733,24 +722,23 @@ INSTANTIATE_TEST_SUITE_P(
 // abort cause, checked on the driver both backends run. Round r aborts r % 8
 // times before committing, so short rounds commit in hardware with locks
 // held and long ones exhaust the budget; Seer gets a planted scheme edge and
-// Oracle learns one from the attributed conflicts, so both really take tx
-// locks.
+// Oracle learns one from the attributed conflicts (its first rebuild comes
+// after kOracleUpdatePeriod rounds), so both really take tx locks.
 class DriverHeldSet
     : public ::testing::TestWithParam<std::tuple<PolicyKind, htm::AbortCause>> {};
 
 TEST_P(DriverHeldSet, EmptyAfterEveryCommitAndAtEverySglStep) {
   const auto [kind, cause] = GetParam();
-  PolicyConfig cfg = kind == PolicyKind::kSeer ? seer_config() : config_for(kind);
-  cfg.oracle.update_period = 2;
-  PolicyShared shared(cfg, 8, 4, 4);
+  PolicyShared shared(kind == PolicyKind::kSeer ? seer_config() : config_for(kind), 8,
+                      4, 4);
   if (kind == PolicyKind::kSeer) plant_edge(*shared.seer(), 1, 2);
   TxDriver drv(shared, 2);
   const AbortStatus status = status_of(cause);
 
   std::size_t most_held = 0;
-  for (int round = 0; round < 16; ++round) {
-    const core::TxTypeId tx = 1 + round % 2;
-    int aborts = round % 8;
+  for (std::uint64_t round = 0; round < kOracleUpdatePeriod + 16; ++round) {
+    const auto tx = static_cast<core::TxTypeId>(1 + round % 2);
+    auto aborts = static_cast<int>(round % 8);
     drv.begin(tx);
     for (bool done = false; !done;) {
       const Step s = drv.next();
@@ -812,13 +800,13 @@ INSTANTIATE_TEST_SUITE_P(
 // ----------------------------------------------------------------- Oracle --
 
 TEST(OraclePolicy, LearnsFromPreciseAttribution) {
-  PolicyConfig cfg = config_for(PolicyKind::kOracle);
-  cfg.oracle.update_period = 4;
-  PolicyShared shared(cfg, 4, 4, 4);
+  PolicyShared shared(config_for(PolicyKind::kOracle), 4, 4, 4);
   auto p = shared.make_thread_policy(0);
 
-  // Feed precisely-attributed conflicts: type 1 keeps getting killed by 2.
-  for (int i = 0; i < 20; ++i) {
+  // Feed precisely-attributed conflicts: type 1 keeps getting killed by 2,
+  // until the rebuild due after kOracleUpdatePeriod executions.
+  for (std::uint64_t i = 0; i < kOracleUpdatePeriod; ++i) {
+    EXPECT_TRUE(shared.oracle()->scheme()->empty()) << "rebuilt before the period";
     p->begin_tx(1);
     (void)p->next_attempt(0, false);
     p->on_conflict_attribution(2);
@@ -827,17 +815,17 @@ TEST(OraclePolicy, LearnsFromPreciseAttribution) {
     (void)p->on_commit(true);
   }
   ASSERT_NE(shared.oracle(), nullptr);
-  EXPECT_GE(shared.oracle()->conflicts(1, 2), 20u);
+  EXPECT_EQ(shared.oracle()->conflicts(1, 2), kOracleUpdatePeriod);
   EXPECT_TRUE(shared.oracle()->scheme()->row(1).contains(2));
   EXPECT_TRUE(shared.oracle()->scheme()->row(2).contains(1)) << "symmetric";
 }
 
 TEST(OraclePolicy, SerializesFromFirstRetry) {
-  PolicyConfig cfg = config_for(PolicyKind::kOracle);
-  cfg.oracle.update_period = 2;
-  PolicyShared shared(cfg, 4, 4, 4);
+  PolicyShared shared(config_for(PolicyKind::kOracle), 4, 4, 4);
   TxDriver drv(shared, 0);
-  for (int i = 0; i < 10; ++i) (void)run_scripted(drv, 1, conflicts(1), /*culprit=*/2);
+  for (std::uint64_t i = 0; i < kOracleUpdatePeriod; ++i) {
+    (void)run_scripted(drv, 1, conflicts(1), /*culprit=*/2);
+  }
   // Now a fresh instance: first attempt free, first RETRY takes the lock —
   // earlier than Seer's last-attempt last resort.
   const Trace t = run_scripted(drv, 1, conflicts(1));
@@ -853,11 +841,10 @@ TEST(OraclePolicy, SerializesFromFirstRetry) {
 }
 
 TEST(OraclePolicy, IgnoresAttributionlessAborts) {
-  PolicyConfig cfg = config_for(PolicyKind::kOracle);
-  cfg.oracle.update_period = 2;
-  PolicyShared shared(cfg, 4, 4, 4);
+  PolicyShared shared(config_for(PolicyKind::kOracle), 4, 4, 4);
   auto p = shared.make_thread_policy(0);
-  for (int i = 0; i < 10; ++i) {
+  // Two periods: the scheme is rebuilt, from no attributed conflict.
+  for (std::uint64_t i = 0; i < 2 * kOracleUpdatePeriod; ++i) {
     p->begin_tx(1);
     (void)p->next_attempt(0, false);
     p->on_abort(AbortStatus::capacity());  // no attribution call

@@ -613,15 +613,18 @@ TEST(MachineServe, ConflictAbortCreditsTheAggressorOfTheEventThatFired) {
 
 // The SGL wait (Alg. 4 line 55) lasts until the SGL is free, even though a
 // handover now notifies its waiters too (DESIGN.md §7): a notified waiter
-// looks again. RTM with one attempt: thread 0 overflows its capacity and
-// takes the SGL, which aborts thread 1 onto the SGL queue; thread 2 arrives
-// while the SGL is held and waits. When thread 0 hands the SGL to thread 1,
-// thread 2 must keep waiting. Had it attempted then, the held SGL would
-// have aborted its one attempt and sent it to the fallback.
+// looks again. RTM: threads 0 and 1 overflow their capacity on every
+// attempt. Thread 0 spends its budget first and takes the SGL while thread
+// 1's last attempt runs, which aborts it onto the SGL queue; thread 2
+// arrives while the SGL is held and waits. When thread 0 hands the SGL to
+// thread 1, thread 2 must keep waiting. Had it attempted then, the held SGL
+// would have aborted that attempt: thread 2 begins exactly one attempt and
+// aborts none.
 TEST(MachineServe, SglWaitLastsUntilTheSglIsFree) {
   auto cfg = base_config(rt::PolicyKind::kRtm, 3);
   cfg.p_other_abort = 0.0;
-  cfg.policy.max_attempts = 1;
+  obs::TraceSink trace(3);
+  cfg.trace = &trace;
   SyntheticWorkload::Params p;
   p.n_types = 3;
   Machine m(cfg, std::make_unique<SyntheticWorkload>(p));
@@ -635,13 +638,19 @@ TEST(MachineServe, SglWaitLastsUntilTheSglIsFree) {
     i.writes = std::move(writes);
     return i;
   };
-  std::vector<std::uint32_t> overflow(cfg.cache_lines_per_core + 1);
-  for (std::size_t k = 0; k < overflow.size(); ++k) {
-    overflow[k] = static_cast<std::uint32_t>(1000 + k);
-  }
-  ASSERT_TRUE(m.arrive(0, inst(0, 10000, std::move(overflow))));  // thread 0
-  ASSERT_TRUE(m.arrive(1, inst(1, 20000, {1})));                  // thread 1
-  ASSERT_TRUE(m.arrive(8000, inst(2, 100, {2})));                 // thread 2
+  const auto overflow = [&cfg](std::uint32_t first) {
+    std::vector<std::uint32_t> lines(cfg.cache_lines_per_core + 1);
+    for (std::size_t k = 0; k < lines.size(); ++k) {
+      lines[k] = first + static_cast<std::uint32_t>(k);
+    }
+    return lines;
+  };
+  // Thread 0's attempts last 10 000 cycles until their capacity abort at
+  // 60%, thread 1's 11 000: thread 0 falls back at about 31 000 cycles,
+  // inside thread 1's fifth attempt (about 27 200 to 33 800).
+  ASSERT_TRUE(m.arrive(0, inst(0, 10000, overflow(1000))));      // thread 0
+  ASSERT_TRUE(m.arrive(1, inst(1, 11000, overflow(5000))));      // thread 1
+  ASSERT_TRUE(m.arrive(36000, inst(2, 100, {2})));               // thread 2
   m.drain();
   ASSERT_EQ(served.size(), 3u);
   std::sort(served.begin(), served.end(),
@@ -649,9 +658,18 @@ TEST(MachineServe, SglWaitLastsUntilTheSglIsFree) {
   EXPECT_EQ(served[0].mode, rt::CommitMode::kSglFallback);
   EXPECT_EQ(served[1].mode, rt::CommitMode::kSglFallback);
   EXPECT_LT(served[0].commit, served[1].commit) << "the SGL was handed over";
-  EXPECT_EQ(served[2].mode, rt::CommitMode::kHtmNoLocks)
-      << "the waiter attempted while the SGL was held";
+  EXPECT_LT(served[2].arrival, served[0].commit) << "thread 2 arrived during the SGL";
+  EXPECT_EQ(served[2].mode, rt::CommitMode::kHtmNoLocks);
   EXPECT_GT(served[2].commit, served[1].commit) << "it began once the SGL was free";
+  std::size_t begins = 0;
+  std::size_t aborts = 0;
+  for (const obs::TraceEvent& e : trace.drain_sorted()) {
+    if (e.thread == 2 && e.kind == obs::TraceKind::kTxBegin) ++begins;
+    if (e.thread == 2 && e.kind == obs::TraceKind::kTxAbort) ++aborts;
+  }
+  EXPECT_EQ(begins, SEER_OBS_ENABLED ? 1u : 0u)
+      << "the waiter attempted while the SGL was held";
+  EXPECT_EQ(aborts, 0u);
 }
 
 // Parked threads wake lowest-numbered first, so under light load thread 0 —

@@ -260,18 +260,18 @@ TEST(SchedulerIntegration, RebuildFeedsRecorderAndSnapshotsModel) {
 
 TEST(SchedulerIntegration, RealThreadsFeedTheRecorderEverySglFallback) {
   // Every transaction writes more distinct words than SoftHtm's write set
-  // holds, so each one exhausts its two hardware attempts on capacity
-  // aborts and commits on the SGL: one fallback per two executions, twice
-  // the SGL-storm entry rate.
+  // holds, so each one exhausts its five hardware attempts on capacity
+  // aborts and commits on the SGL: one fallback per five executions, twice
+  // the SGL-storm entry rate set here.
   constexpr std::size_t kThreads = 2, kTxs = 300, kWords = 600;
   htm::SoftHtm tm;
   ASSERT_GT(kWords, tm.config().max_write_set);
   FlightRecorderConfig rcfg;
   rcfg.period = 0;
+  rcfg.storm.sgl_rate_enter = 0.1;
   FlightRecorder rec(rcfg);
   rt::PolicyConfig policy;
   policy.kind = rt::PolicyKind::kSeer;
-  policy.max_attempts = 2;
   policy.seer.update_period = 64;
   policy.seer.recorder = &rec;
   rt::ThreadedExecutor::Options opts;

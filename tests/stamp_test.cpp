@@ -2,15 +2,43 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "stamp/spec.hpp"
 #include "stamp/workloads.hpp"
+#include "util/json.hpp"
 #include "workload/registry.hpp"
+
+namespace {
+std::atomic<std::uint64_t> g_news{0};
+}  // namespace
+
+// Counting forwarders: SpecWorkload.WarmInstanceSamplingAllocatesNothing
+// reads how often the sampler reaches the global allocator. GCC cannot see
+// through them and flags new/free pairs that are malloc/free end to end.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+
+void* operator new(std::size_t n) {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace seer::stamp {
 namespace {
@@ -299,6 +327,175 @@ TEST(SpecWorkload, ConcurrentThreadsMatchSingleThreadedReplay) {
       ASSERT_EQ(got.reads, want[i].reads) << "thread " << t << " instance " << i;
       ASSERT_EQ(got.writes, want[i].writes) << "thread " << t << " instance " << i;
     }
+  }
+}
+
+// A "spec" config whose types read a region twice, write a per-thread
+// region, draw from a Zipf table and from a one-line region (which takes no
+// draw), with 40 + 6 and 66 draws as `hot`'s transfer and audit have, and
+// two phases.
+constexpr const char* kGoldenConfig = R"({"generator": "spec", "params": {
+  "regions": [{"name": "table", "lines": 65536},
+              {"name": "hot", "lines": 300, "zipf_skew": 0.9},
+              {"name": "own", "lines": 50, "per_thread": true},
+              {"name": "flag", "lines": 1}],
+  "types": [{"name": "transfer", "duration_mean": 400,
+             "accesses": [{"region": "table", "reads": 40},
+                          {"region": "hot", "writes": 2},
+                          {"region": "table", "writes": 4}]},
+            {"name": "audit", "duration_mean": 600,
+             "accesses": [{"region": "hot", "reads": 2},
+                          {"region": "table", "reads": 64}]},
+            {"name": "refine", "duration_mean": 3000, "duration_jitter": 0.5,
+             "accesses": [{"region": "table", "reads": 45, "writes": 7},
+                          {"region": "own", "reads": 5, "writes": 5},
+                          {"region": "flag", "reads": 1, "writes": 1},
+                          {"region": "table", "reads": 20},
+                          {"region": "hot", "reads": 3, "writes": 1},
+                          {"region": "own", "writes": 2}]},
+            {"name": "poke", "duration_mean": 200,
+             "accesses": [{"region": "own", "writes": 2},
+                          {"region": "flag", "reads": 1}]}],
+  "phases": [{"fraction": 0.5, "mix": [6, 1, 2, 1]},
+             {"fraction": 0.5, "mix": [1, 1, 3, 2]}]}})";
+
+std::unique_ptr<sim::Workload> make_golden_config(std::size_t n_threads) {
+  std::string err;
+  const auto doc = util::json::parse(kGoldenConfig, &err);
+  EXPECT_TRUE(doc.has_value()) << err;
+  return workload::from_config_json(doc.value_or(util::json::Value{}), "<golden>")
+      .make(n_threads);
+}
+
+// FNV-1a over every field of `n` instances sampled round-robin over the
+// workload's 4 threads into one reused instance, then over the RNG's end
+// state.
+std::uint64_t stream_hash(sim::Workload& wl, std::uint64_t seed, int n) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xFFu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  util::Xoshiro256 rng(seed);
+  sim::TxInstance inst;
+  for (int i = 0; i < n; ++i) {
+    wl.next(static_cast<core::ThreadId>(i % 4), static_cast<double>(i) / n, rng, inst);
+    mix(static_cast<std::uint64_t>(inst.type));
+    mix(inst.duration);
+    for (const auto* lines : {&inst.reads, &inst.writes}) {
+      mix(lines->size());
+      for (const std::uint32_t l : *lines) mix(l);
+    }
+  }
+  for (const std::uint64_t w : rng.state()) mix(w);
+  return h;
+}
+
+// Every exhibit, both backends and seer_serve take their instances from
+// SpecWorkload::next, so a sampler change that moves one line, one draw or
+// the RNG's end state moves every simulated number. These hashes pin the
+// streams of 2 000 instances per stand-in at two seeds, and of the config
+// above.
+TEST(GoldenStream, InstanceStreamsMatchPinnedHashes) {
+  struct Golden {
+    const char* name;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const Golden golden[] = {
+      {"genome", 1, 8874499589807335471ULL},
+      {"genome", 7, 4012266007594098805ULL},
+      {"intruder", 1, 15967146193125653892ULL},
+      {"intruder", 7, 5071999716284149379ULL},
+      {"kmeans-high", 1, 11100139003935350412ULL},
+      {"kmeans-high", 7, 2828345684979373845ULL},
+      {"kmeans-low", 1, 12348168318125087895ULL},
+      {"kmeans-low", 7, 12806197762386428523ULL},
+      {"ssca2", 1, 1211697677774997896ULL},
+      {"ssca2", 7, 3098401301756489828ULL},
+      {"vacation-high", 1, 761952084351805540ULL},
+      {"vacation-high", 7, 6197777455815046940ULL},
+      {"vacation-low", 1, 12161265955418102021ULL},
+      {"vacation-low", 7, 17123589810257172442ULL},
+      {"yada", 1, 18033084895341145272ULL},
+      {"yada", 7, 4334190709012555198ULL},
+      {"<golden>", 1, 13747043944773107366ULL},
+      {"<golden>", 7, 6331706100191139044ULL},
+  };
+  for (const Golden& g : golden) {
+    SCOPED_TRACE(std::string(g.name) + " seed " + std::to_string(g.seed));
+    const std::unique_ptr<sim::Workload> wl = std::string(g.name) == "<golden>"
+                                                  ? make_golden_config(4)
+                                                  : make_workload(g.name, 4);
+    EXPECT_EQ(stream_hash(*wl, g.seed, 2000), g.hash);
+  }
+}
+
+// The 8 stand-ins and the config above, each at 4 threads.
+std::vector<std::unique_ptr<sim::Workload>> stand_ins_and_golden_config() {
+  std::vector<std::unique_ptr<sim::Workload>> wls;
+  for (const std::string& name : workload::stamp_names()) {
+    wls.push_back(make_workload(name, 4));
+  }
+  wls.push_back(make_golden_config(4));
+  return wls;
+}
+
+// The type's total read and write draws: what next() sizes an instance to.
+std::pair<std::size_t, std::size_t> draw_totals(const sim::Workload& wl,
+                                                core::TxTypeId type) {
+  const auto& spec = dynamic_cast<const SpecWorkload&>(wl).spec();
+  std::size_t reads = 0;
+  std::size_t writes = 0;
+  for (const RegionAccess& a : spec.types[static_cast<std::size_t>(type)].accesses) {
+    reads += a.reads;
+    writes += a.writes;
+  }
+  return {reads, writes};
+}
+
+// A fresh instance is allocated once, at exactly its type's draw counts,
+// so a caller that keeps fresh instances (perfbench's pools, the serving
+// queue) holds no slack.
+TEST(SpecWorkload, FreshInstanceStorageIsSizedToTheTypeDraws) {
+  for (const auto& wl : stand_ins_and_golden_config()) {
+    SCOPED_TRACE(wl->name());
+    util::Xoshiro256 rng(3);
+    for (int i = 0; i < 200; ++i) {
+      sim::TxInstance inst;
+      wl->next(static_cast<core::ThreadId>(i % 4), i / 200.0, rng, inst);
+      const auto [reads, writes] = draw_totals(*wl, inst.type);
+      ASSERT_EQ(inst.reads.capacity(), reads) << wl->type_name(inst.type);
+      ASSERT_EQ(inst.writes.capacity(), writes) << wl->type_name(inst.type);
+    }
+  }
+}
+
+// An instance the caller reuses (the machine's per-thread instance) is
+// refilled in place: once it and the thread's sort buffer have held the
+// largest type, sampling reaches the allocator no more.
+TEST(SpecWorkload, WarmInstanceSamplingAllocatesNothing) {
+  const std::uint64_t before_probe = g_news.load();
+  void* p = ::operator new(8);
+  ::operator delete(p);
+  ASSERT_GT(g_news.load(), before_probe) << "the counting operator new is not linked in";
+
+  for (const auto& wl : stand_ins_and_golden_config()) {
+    SCOPED_TRACE(wl->name());
+    util::Xoshiro256 rng(11);
+    sim::TxInstance inst;
+    // Warm-up: every type, so both vectors reach the largest draw counts.
+    std::vector<bool> seen(wl->n_types());
+    for (int i = 0; i < 20000 && std::count(seen.begin(), seen.end(), false) > 0; ++i) {
+      wl->next(1, i % 2 == 0 ? 0.25 : 0.75, rng, inst);
+      seen[static_cast<std::size_t>(inst.type)] = true;
+    }
+    ASSERT_EQ(std::count(seen.begin(), seen.end(), false), 0);
+    const std::uint64_t before = g_news.load();
+    for (int i = 0; i < 2000; ++i) wl->next(1, i / 2000.0, rng, inst);
+    EXPECT_EQ(g_news.load(), before) << "a warm instance reached the allocator";
   }
 }
 

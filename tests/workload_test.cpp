@@ -61,6 +61,15 @@ void expect_config_error(Fn&& fn, const std::string& needle) {
   }
 }
 
+// One more region access than a transaction type holds, as JSON array items.
+std::string seven_accesses() {
+  std::string items;
+  for (std::size_t i = 0; i <= decltype(stamp::TxTypeSpec::accesses)::capacity(); ++i) {
+    items += std::string(i == 0 ? "" : ", ") + R"({"region": "r", "reads": 1})";
+  }
+  return items;
+}
+
 std::string temp_path(const std::string& leaf) {
   return ::testing::TempDir() + leaf;
 }
@@ -472,6 +481,14 @@ TEST(Phased, ConfigErrorsNameTheBadKey) {
         "regions": [{"name": "r", "lines": 8}],
         "types": [{"name": "t", "duration_mean": 10, "accesses": []}]}}]})"),
       "1.0");
+  // A regime's type may list at most TxTypeSpec::accesses.capacity() (6)
+  // accesses, as a top-level spec's may.
+  expect_config_error(
+      phased(R"({"phases": [{"until": 1.0, "spec": {
+        "regions": [{"name": "r", "lines": 8}],
+        "types": [{"name": "t", "duration_mean": 10, "accesses": [)" +
+             seven_accesses() + R"(]}]}}]})"),
+      "types[0].accesses");
   // Type vocabulary must agree across regimes.
   expect_config_error(
       phased(R"({"phases": [
@@ -573,6 +590,13 @@ TEST(Config, NegativeCasesNameTheBadKey) {
                       "txs_per_thread");
   expect_config_error(cfg(R"({"generator": "bst", "params": 7})"), "params");
   expect_config_error(cfg(R"({"generator": "spec", "params": {}})"), "regions");
+  // More accesses than TxTypeSpec::accesses holds (6) are named, not
+  // truncated into the spec.
+  expect_config_error(
+      cfg(R"({"generator": "spec", "params": {"regions": [{"name": "r", "lines": 8}],
+          "types": [{"name": "t", "duration_mean": 10, "accesses": [)" +
+          seven_accesses() + "]}]}}"),
+      "types[0].accesses");
   expect_config_error(
       cfg(R"({"generator": "phased", "params": {"phases": [{"until": 2.0,
           "spec": {"regions": [{"name": "r", "lines": 8}],
