@@ -181,17 +181,30 @@ void plant_edge(core::SeerScheduler& s, core::TxTypeId a, core::TxTypeId b) {
   s.force_update(0);
 }
 
+AbortStatus status_of(htm::AbortCause cause) {
+  switch (cause) {
+    case htm::AbortCause::kConflict: return AbortStatus::conflict();
+    case htm::AbortCause::kCapacity: return AbortStatus::capacity();
+    case htm::AbortCause::kExplicit:
+      return AbortStatus::explicit_abort(htm::kXAbortCodeSglLocked);
+    case htm::AbortCause::kOther: break;
+  }
+  return AbortStatus::other();
+}
+
 // ----------------------------------------------------------- retry loop ----
 
-// The one retry loop, for every kind (TxDriver): under an always-aborting
-// script a transaction makes exactly `budget` hardware attempts (HLE 2, SGL
-// 0, every other kind kMaxAttempts = 5), each after a wait for the SGL
-// unless the kind is HLE; then the driver releases what it holds and takes
-// one fallback step.
-class RetryLoop : public ::testing::TestWithParam<PolicyKind> {};
+// The one retry loop, for every kind (TxDriver): under a script that aborts
+// every attempt with one cause, a transaction makes exactly `budget`
+// hardware attempts (HLE 2, SGL 0, every other kind kMaxAttempts = 5)
+// whatever the cause, each after a wait for the SGL unless the kind is HLE;
+// then the driver releases what it holds (SCM's aux lock, and Seer's core
+// lock after a capacity abort) and takes one fallback step.
+class RetryLoop
+    : public ::testing::TestWithParam<std::tuple<PolicyKind, htm::AbortCause>> {};
 
 TEST_P(RetryLoop, BudgetAttemptsThenReleasesThenOneFallback) {
-  const PolicyKind kind = GetParam();
+  const auto [kind, cause] = GetParam();
   const PolicyConfig cfg = kind == PolicyKind::kSeer ? seer_config() : config_for(kind);
   PolicyShared shared(cfg, 8, 4, 4);
   TxDriver drv(shared, 2);
@@ -200,7 +213,7 @@ TEST_P(RetryLoop, BudgetAttemptsThenReleasesThenOneFallback) {
                                                 : 5;
   const bool waits_sgl = kind != PolicyKind::kHle;
 
-  const Trace t = run_scripted(drv, 1, conflicts(8));
+  const Trace t = run_scripted(drv, 1, std::vector<AbortStatus>(8, status_of(cause)));
   EXPECT_FALSE(t.hardware_commit);
   EXPECT_EQ(t.directives.size(), static_cast<std::size_t>(budget));
   EXPECT_EQ(drv.counters().hw_attempts, static_cast<std::uint64_t>(budget));
@@ -219,6 +232,12 @@ TEST_P(RetryLoop, BudgetAttemptsThenReleasesThenOneFallback) {
     from = attempt + 1;
   }
   // Then every held lock is released, and one fallback ends the transaction.
+  LockList held;
+  if (kind == PolicyKind::kScm) held.push_back(kAuxLock);
+  if (kind == PolicyKind::kSeer && cause == htm::AbortCause::kCapacity) {
+    held.push_back(core_lock(2));
+  }
+  EXPECT_EQ(t.sgl_releases, held);
   std::vector<K> tail(t.sgl_releases.size(), K::kRelease);
   tail.push_back(K::kFallback);
   tail.push_back(K::kDone);
@@ -229,11 +248,17 @@ TEST_P(RetryLoop, BudgetAttemptsThenReleasesThenOneFallback) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, RetryLoop,
-    ::testing::Values(PolicyKind::kHle, PolicyKind::kRtm, PolicyKind::kScm,
-                      PolicyKind::kAts, PolicyKind::kSgl, PolicyKind::kSeer,
-                      PolicyKind::kOracle),
-    [](const ::testing::TestParamInfo<PolicyKind>& p) {
-      return std::string(to_string(p.param));
+    ::testing::Combine(::testing::Values(PolicyKind::kHle, PolicyKind::kRtm,
+                                         PolicyKind::kScm, PolicyKind::kAts,
+                                         PolicyKind::kSgl, PolicyKind::kSeer,
+                                         PolicyKind::kOracle),
+                       ::testing::Values(htm::AbortCause::kConflict,
+                                         htm::AbortCause::kCapacity,
+                                         htm::AbortCause::kExplicit,
+                                         htm::AbortCause::kOther)),
+    [](const ::testing::TestParamInfo<std::tuple<PolicyKind, htm::AbortCause>>& p) {
+      return std::string(to_string(std::get<0>(p.param))) + "_" +
+             std::string(htm::to_string(std::get<1>(p.param)));
     });
 
 // ------------------------------------------------------------------ RTM ----
@@ -633,17 +658,6 @@ TEST(SeerPolicy, FallbackCountedAtTheFallbackStep) {
   EXPECT_EQ(sched.sgl_fallbacks(), 1u) << "once per fallback";
   EXPECT_TRUE(run_scripted(drv, 1, {}).hardware_commit);
   EXPECT_EQ(sched.sgl_fallbacks(), 1u);
-}
-
-AbortStatus status_of(htm::AbortCause cause) {
-  switch (cause) {
-    case htm::AbortCause::kConflict: return AbortStatus::conflict();
-    case htm::AbortCause::kCapacity: return AbortStatus::capacity();
-    case htm::AbortCause::kExplicit:
-      return AbortStatus::explicit_abort(htm::kXAbortCodeSglLocked);
-    case htm::AbortCause::kOther: break;
-  }
-  return AbortStatus::other();
 }
 
 // One parameterized sweep: every policy terminates and leaks no locks under
