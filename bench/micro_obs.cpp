@@ -81,8 +81,7 @@ void BM_SchedulerRecordCommit_Metrics(benchmark::State& state) {
   core::SeerConfig cfg;
   cfg.n_threads = 8;
   cfg.n_types = 8;
-  cfg.metrics = &reg;
-  core::SeerScheduler sched(cfg);
+  core::SeerScheduler sched(cfg, {.metrics = &reg});
   reg.freeze();
   for (core::ThreadId i = 1; i < 8; ++i) {
     sched.announce(i, static_cast<core::TxTypeId>(i % 4));
@@ -103,8 +102,7 @@ void BM_SchedulerRecordCommit_Recorder(benchmark::State& state) {
   core::SeerConfig cfg;
   cfg.n_threads = 8;
   cfg.n_types = 8;
-  cfg.recorder = &rec;
-  core::SeerScheduler sched(cfg);
+  core::SeerScheduler sched(cfg, {.recorder = &rec});
   for (core::ThreadId i = 1; i < 8; ++i) {
     sched.announce(i, static_cast<core::TxTypeId>(i % 4));
   }
@@ -124,8 +122,7 @@ void BM_ModelSnapshot(benchmark::State& state) {
   core::SeerConfig cfg;
   cfg.n_threads = 8;
   cfg.n_types = 8;
-  cfg.recorder = &rec;
-  core::SeerScheduler sched(cfg);
+  core::SeerScheduler sched(cfg, {.recorder = &rec});
   for (core::ThreadId t = 0; t < 8; ++t) {
     sched.announce(t, static_cast<core::TxTypeId>(t % 4));
     for (int i = 0; i < 64; ++i) {

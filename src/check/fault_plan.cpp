@@ -19,7 +19,6 @@ std::optional<htm::AbortStatus> FaultPlan::before_op(htm::TxOp op, std::uint64_t
     kind_counts_.fill(0);
   }
   const std::uint64_t occurrence = kind_counts_[static_cast<std::size_t>(op)]++;
-  ++ops_seen_;
 
   auto inject = [&](htm::AbortStatus s) -> std::optional<htm::AbortStatus> {
     ++injected_by_cause_[static_cast<std::size_t>(s.cause())];

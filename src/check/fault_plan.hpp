@@ -60,7 +60,6 @@ class FaultPlan final : public htm::FaultInjector {
     return injected_by_cause_[static_cast<std::size_t>(c)];
   }
   [[nodiscard]] std::uint64_t total_injected() const noexcept;
-  [[nodiscard]] std::uint64_t ops_seen() const noexcept { return ops_seen_; }
 
  private:
   struct Forced {
@@ -78,7 +77,6 @@ class FaultPlan final : public htm::FaultInjector {
   std::uint64_t current_attempt_ = ~0ULL;
   std::array<std::uint64_t, htm::kTxOpCount> kind_counts_{};
   std::array<std::uint64_t, 4> injected_by_cause_{};
-  std::uint64_t ops_seen_ = 0;
 };
 
 }  // namespace seer::check

@@ -2,22 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 
 namespace seer::core {
 
-namespace {
-
-std::uint64_t monotonic_ns() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
-
-SeerScheduler::SeerScheduler(const SeerConfig& cfg)
+SeerScheduler::SeerScheduler(const SeerConfig& cfg, SeerSinks sinks)
     : cfg_(cfg),
       active_(cfg.n_threads),
       scheme_(std::make_shared<LockScheme>(cfg.n_types)),
@@ -33,8 +21,9 @@ SeerScheduler::SeerScheduler(const SeerConfig& cfg)
   for (std::size_t t = 0; t < cfg.n_threads; ++t) {
     slabs_.push_back(std::make_unique<ThreadStats>(cfg.n_types));
   }
-  if (cfg_.metrics != nullptr) {
-    metrics_ = cfg_.metrics;
+  if (sinks.metrics != nullptr) {
+    metrics_ = sinks.metrics;
+    time_rebuilds_ = sinks.time_rebuilds;
     m_announces_ = metrics_->counter("seer.announces");
     m_aborts_ = metrics_->counter("seer.aborts");
     m_commits_ = metrics_->counter("seer.commits");
@@ -43,8 +32,8 @@ SeerScheduler::SeerScheduler(const SeerConfig& cfg)
     h_scheme_edges_ = metrics_->histogram("seer.scheme_edges");
     h_rebuild_ns_ = metrics_->histogram("seer.rebuild.ns");
   }
-  obs_trace_ = cfg_.obs_trace;
-  recorder_ = cfg_.recorder;
+  obs_trace_ = sinks.trace;
+  recorder_ = sinks.recorder;
 }
 
 void SeerScheduler::merge_slabs(GlobalStats& out) const noexcept {
@@ -120,8 +109,7 @@ void SeerScheduler::force_update(std::uint64_t now) {
 }
 
 void SeerScheduler::rebuild(std::uint64_t now) {
-  const bool timing = cfg_.measure_rebuild_ns && metrics_ != nullptr;
-  const std::uint64_t t_start = timing ? monotonic_ns() : 0;
+  const std::uint64_t t_start = time_rebuilds_ ? obs::steady_ns() : 0;
   ++rebuilds_;
 
   // Hill-climber epoch boundary: score the thresholds that were live during
@@ -198,7 +186,7 @@ void SeerScheduler::rebuild(std::uint64_t now) {
     }
   }
 
-  if (timing) metrics_->observe(h_rebuild_ns_, 0, monotonic_ns() - t_start);
+  if (time_rebuilds_) metrics_->observe(h_rebuild_ns_, 0, obs::steady_ns() - t_start);
 }
 
 obs::ModelSnapshot SeerScheduler::make_model_snapshot(std::uint64_t now) const {

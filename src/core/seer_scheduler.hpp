@@ -64,23 +64,23 @@ struct SeerConfig {
   // everything, 1 = change nothing). Only meaningful with storm_response.
   double storm_decay = 0.25;
   StormConfig storm{};
-  // Observe wall-clock rebuild latency into the `seer.rebuild.ns` histogram.
-  // Off by default: reading the clock on the maintenance path is harmless
-  // but the observation is nondeterministic, so byte-identity-checked runs
-  // keep it disabled (the histogram itself is always registered so metric
-  // ordering never depends on this flag).
-  bool measure_rebuild_ns = false;
+};
 
-  // --- observability (src/obs/, DESIGN.md §8) ----------------------------
-  // Optional sinks; both must outlive the scheduler and be frozen/drained by
-  // the embedding. nullptr (default) disables with one predicted branch per
-  // event; with SEER_OBS=OFF the calls compile away entirely.
+// The observability sinks a backend attaches (src/obs/, DESIGN.md §8). Each
+// is optional and must outlive the scheduler; null disables it with one
+// predicted branch per event, and SEER_OBS=OFF compiles the calls away.
+struct SeerSinks {
   obs::MetricsRegistry* metrics = nullptr;
-  obs::TraceSink* obs_trace = nullptr;
+  obs::TraceSink* trace = nullptr;
   // Model flight recorder (src/obs/flight_recorder.hpp): fed once per scheme
   // rebuild on the maintenance path; when its trigger fires the scheduler
   // builds a full ModelSnapshot. Never consulted on the per-event hot path.
   obs::FlightRecorder* recorder = nullptr;
+  // Time each rebuild on the wall clock into `seer.rebuild.ns` (needs
+  // `metrics`). A backend whose output must stay byte-identical leaves it
+  // off; the histogram is registered either way, so the metric order never
+  // depends on it.
+  bool time_rebuilds = false;
 };
 
 // One scheduler-facing event, as a backend-agnostic value. The five calls
@@ -124,7 +124,7 @@ class SchedulerTraceSink {
 
 class SeerScheduler {
  public:
-  explicit SeerScheduler(const SeerConfig& cfg);
+  explicit SeerScheduler(const SeerConfig& cfg, SeerSinks sinks = {});
   SeerScheduler(const SeerScheduler&) = delete;
   SeerScheduler& operator=(const SeerScheduler&) = delete;
 
@@ -200,9 +200,6 @@ class SeerScheduler {
   [[nodiscard]] GlobalStats merged_stats() const;
   [[nodiscard]] std::uint64_t total_commits() const noexcept;
   [[nodiscard]] std::uint64_t executions_seen() const noexcept;
-  [[nodiscard]] HillClimber::State climber_state() const noexcept {
-    return climber_.state();
-  }
   [[nodiscard]] bool abort_storm_active() const noexcept {
     return storm_.abort_storm_active();
   }
@@ -229,10 +226,11 @@ class SeerScheduler {
   std::vector<std::unique_ptr<ThreadStats>> slabs_;
   SchedulerTraceSink* trace_ = nullptr;
 
-  // Observability sinks (SeerConfig::metrics / obs_trace; dormant when null).
+  // Observability sinks (dormant when null).
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::TraceSink* obs_trace_ = nullptr;
   obs::FlightRecorder* recorder_ = nullptr;
+  bool time_rebuilds_ = false;
   obs::MetricId m_announces_ = obs::kNoMetric;
   obs::MetricId m_aborts_ = obs::kNoMetric;
   obs::MetricId m_commits_ = obs::kNoMetric;

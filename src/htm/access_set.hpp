@@ -135,7 +135,6 @@ class AddrIndex {
   }
 
   [[nodiscard]] std::size_t live() const noexcept { return live_; }
-  [[nodiscard]] std::size_t slot_count() const noexcept { return mask_ + 1; }
 
  private:
   struct Slot {

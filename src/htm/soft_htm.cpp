@@ -51,10 +51,6 @@ void SoftHtm::ThreadContext::begin() {
   ++attempt_count_;
   op_index_ = 0;
   read_version_ = tm_.clock_.load(std::memory_order_acquire);
-  if (obs_ != nullptr) {
-    obs_->emit(obs_lane_, obs::TraceKind::kTxBegin, obs::now_ticks(),
-               attempt_count_ - 1);
-  }
   maybe_fault(TxOp::kBegin);
 }
 
@@ -129,10 +125,6 @@ AbortStatus SoftHtm::ThreadContext::fail_commit(AbortStatus status,
   for (std::size_t i = 0; i < locked; ++i) {
     tm_.stripe_at(lock_stripes_[i]).fetch_and(~kLockedBit, std::memory_order_release);
   }
-  if (obs_ != nullptr) {
-    obs_->emit(obs_lane_, obs::TraceKind::kTxAbort, obs::now_ticks(),
-               static_cast<std::uint64_t>(status.cause()));
-  }
   rollback();
   return status;
 }
@@ -205,9 +197,6 @@ AbortStatus SoftHtm::ThreadContext::commit() {
                                .writer = false,
                                .reads = read_log_,
                                .writes = {}});
-    }
-    if (obs_ != nullptr) {
-      obs_->emit(obs_lane_, obs::TraceKind::kTxCommit, obs::now_ticks(), 0);
     }
     rollback();
     return AbortStatus(kXBeginStarted);
@@ -286,9 +275,6 @@ AbortStatus SoftHtm::ThreadContext::commit() {
     rec.writes.reserve(writes_.size());
     for (const WriteEntry& e : writes_) rec.writes.push_back(TxWrite{e.addr, e.value});
     log_->push_back(std::move(rec));
-  }
-  if (obs_ != nullptr) {
-    obs_->emit(obs_lane_, obs::TraceKind::kTxCommit, obs::now_ticks(), writes_.size());
   }
   rollback();
   return AbortStatus(kXBeginStarted);

@@ -40,7 +40,6 @@
 #include "htm/access_set.hpp"
 #include "htm/instrument.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/cacheline.hpp"
 
 namespace seer::htm {
@@ -244,13 +243,6 @@ class SoftHtm {
     void set_tx_log(TxLog* log) noexcept { log_ = log; }
 
     // --- observability (src/obs/) ----------------------------------------
-    // Emits tx begin/commit/abort events into `lane` of the sink (RDTSC
-    // timestamps via obs::now_ticks). The sink must outlive every attempt
-    // run on this context; nullptr disables.
-    void set_obs(obs::TraceSink* sink, core::ThreadId lane) noexcept {
-      obs_ = sink;
-      obs_lane_ = lane;
-    }
     // Installs pre-registered counters (see HtmMetrics). Bumped only at
     // tier promotions, capacity aborts and on the read slow path — never on
     // the per-access path. The registry must outlive every attempt run on
@@ -270,7 +262,7 @@ class SoftHtm {
     // fail_commit's return value, never thrown.
     AbortStatus commit();
     // The one exit of a commit-time abort: releases the first `locked`
-    // entries of lock_stripes_, emits the abort trace event, rolls back.
+    // entries of lock_stripes_, rolls back.
     AbortStatus fail_commit(AbortStatus status, std::size_t locked) noexcept;
     void rollback() noexcept;
     // True when `valid(stripe)` holds for every read so far: the Tier-0
@@ -305,13 +297,9 @@ class SoftHtm {
     // the log into the exact tier, then tracks that read exactly (so a
     // read-capacity abort there throws from this frame, once per attempt).
     void promote_reads(const TmWord* w, std::uint64_t h);
-    // The one exit of an in-body abort: emits the kTxAbort trace event and
-    // throws from the frame of the code that made the access.
+    // The one exit of an in-body abort: throws from the frame of the code
+    // that made the access.
     [[noreturn, gnu::always_inline]] void abort_with(AbortStatus status) {
-      if (obs_ != nullptr) {
-        obs_->emit(obs_lane_, obs::TraceKind::kTxAbort, obs::now_ticks(),
-                   static_cast<std::uint64_t>(status.cause()));
-      }
       throw TxAbortException{status};
     }
     // Capacity-abort bookkeeping, out of line: counts the abort in its
@@ -384,9 +372,6 @@ class SoftHtm {
     // Check-harness state (dormant unless installed).
     FaultInjector* fault_ = nullptr;
     TxLog* log_ = nullptr;
-    // Observability trace sink (dormant unless installed).
-    obs::TraceSink* obs_ = nullptr;
-    core::ThreadId obs_lane_ = 0;
     HtmMetrics metrics_;  // slow-path counters (dormant unless set)
     std::uint64_t attempt_count_ = 0;  // begins seen by this context
     std::uint64_t op_index_ = 0;       // ops within the current attempt

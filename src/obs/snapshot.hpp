@@ -68,8 +68,7 @@ struct ModelSnapshot {
   double climber_best_score = 0.0;
   std::uint64_t climber_epochs = 0;
 
-  // Merged Alg. 3 statistics (row-major n_types x n_types; sampled counters
-  // already scaled back to event units by the merge).
+  // Merged Alg. 3 statistics (row-major n_types x n_types).
   std::size_t n_types = 0;
   std::vector<std::uint64_t> aborts;
   std::vector<std::uint64_t> commit_pairs;
@@ -80,11 +79,6 @@ struct ModelSnapshot {
 
   [[nodiscard]] std::uint64_t abort(core::TxTypeId x, core::TxTypeId y) const noexcept {
     return aborts[static_cast<std::size_t>(x) * n_types + static_cast<std::size_t>(y)];
-  }
-  [[nodiscard]] std::uint64_t commit_pair(core::TxTypeId x,
-                                          core::TxTypeId y) const noexcept {
-    return commit_pairs[static_cast<std::size_t>(x) * n_types +
-                        static_cast<std::size_t>(y)];
   }
 
   // Appends this snapshot as one JSON object. Pairs with zero evidence are

@@ -20,6 +20,13 @@ std::uint64_t now_ticks() noexcept {
 #endif
 }
 
+std::uint64_t steady_ns() noexcept {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
 #if SEER_OBS_ENABLED
 
 TraceSink::TraceSink(std::size_t n_threads, std::size_t capacity) {

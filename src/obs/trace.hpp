@@ -61,6 +61,9 @@ struct TraceEvent {
 
 // Coarse RDTSC-style logical clock for embeddings without a simulated one.
 [[nodiscard]] std::uint64_t now_ticks() noexcept;
+// Wall-clock nanoseconds on std::chrono::steady_clock: the one reading that
+// rebuild timings, serving latencies and heartbeats are compared in.
+[[nodiscard]] std::uint64_t steady_ns() noexcept;
 
 #if SEER_OBS_ENABLED
 

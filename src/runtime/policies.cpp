@@ -231,13 +231,14 @@ void OracleShared::maybe_rebuild() {
 }
 
 PolicyShared::PolicyShared(const PolicyConfig& cfg, std::size_t n_threads,
-                           std::size_t n_types, std::size_t n_cores)
+                           std::size_t n_types, std::size_t n_cores,
+                           core::SeerSinks sinks)
     : cfg_(cfg), n_threads_(n_threads), n_types_(n_types), n_cores_(n_cores) {
   if (cfg_.kind == PolicyKind::kSeer) {
     core::SeerConfig sc = cfg_.seer;
     sc.n_threads = n_threads;
     sc.n_types = n_types;
-    seer_ = std::make_unique<core::SeerScheduler>(sc);
+    seer_ = std::make_unique<core::SeerScheduler>(sc, sinks);
   }
   if (cfg_.kind == PolicyKind::kOracle) {
     oracle_ = std::make_unique<OracleShared>(n_types);

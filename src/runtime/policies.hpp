@@ -92,11 +92,12 @@ class OracleShared {
 // Global state shared by all threads running one policy instance (the
 // SeerScheduler, the Oracle's counts). Create one per experiment, then one
 // Policy per thread from it. `n_cores` is the backend's core-lock count:
-// thread t's core lock is core_lock(t % n_cores).
+// thread t's core lock is core_lock(t % n_cores). `sinks` are the backend's,
+// attached to the SeerScheduler under PolicyKind::kSeer.
 class PolicyShared {
  public:
   PolicyShared(const PolicyConfig& cfg, std::size_t n_threads, std::size_t n_types,
-               std::size_t n_cores);
+               std::size_t n_cores, core::SeerSinks sinks = {});
 
   [[nodiscard]] std::unique_ptr<Policy> make_thread_policy(core::ThreadId thread);
 

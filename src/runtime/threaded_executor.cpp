@@ -21,7 +21,11 @@ ThreadedExecutor::ThreadedExecutor(htm::SoftHtm& tm, const PolicyConfig& policy,
                                    Options opts)
     : tm_(tm),
       opts_(opts),
-      shared_(with_obs(policy, opts), opts.n_threads, opts.n_types, opts.physical_cores),
+      shared_(policy, opts.n_threads, opts.n_types, opts.physical_cores,
+              {.metrics = opts.metrics,
+               .trace = opts.trace,
+               .recorder = opts.recorder,
+               .time_rebuilds = true}),
       locks_(opts.n_types, opts.physical_cores) {
   if (opts_.metrics != nullptr) {
     obs::MetricsRegistry& m = *opts_.metrics;

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "htm/soft_htm.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/policies.hpp"
@@ -92,12 +93,16 @@ class ThreadedExecutor {
     std::size_t physical_cores = 4;
 
     // --- observability (src/obs/, DESIGN.md §8) --------------------------
-    // Optional sinks shared by the executor, the SoftHtm contexts it owns
-    // and (unless the policy config installs its own) the Seer scheduler.
-    // Both must outlive the executor; the embedder freezes the registry
-    // after constructing the executor and before spawning threads.
+    // Optional sinks, attached here once: the executor hands them to the
+    // Seer scheduler, the registry to the SoftHtm contexts it owns and the
+    // trace to every thread's driver. With a registry attached the
+    // scheduler also times its rebuilds (seer.rebuild.ns): real-mode
+    // timestamps are wall-clock already. All three must outlive the
+    // executor; the embedder freezes the registry after constructing the
+    // executor and before spawning threads.
     obs::MetricsRegistry* metrics = nullptr;
     obs::TraceSink* trace = nullptr;
+    obs::FlightRecorder* recorder = nullptr;
   };
 
   ThreadedExecutor(htm::SoftHtm& tm, const PolicyConfig& policy, Options opts);
@@ -142,10 +147,6 @@ class ThreadedExecutor {
         }
         throw;
       }
-      if (exec_->opts_.trace != nullptr && mode == CommitMode::kSglFallback) {
-        exec_->opts_.trace->emit(id_, obs::TraceKind::kSglFallback, obs::now_ticks(),
-                                 static_cast<std::uint64_t>(tx));
-      }
       return mode;
     }
 
@@ -170,8 +171,9 @@ class ThreadedExecutor {
         : exec_(&exec),
           id_(id),
           tm_ctx_(exec.tm_),
-          driver_(exec.shared_, id, exec.tx_metrics_) {
-      tm_ctx_.set_obs(exec.opts_.trace, id);
+          driver_(exec.shared_, id, exec.tx_metrics_,
+                  {.sink = exec.opts_.trace,
+                   .now = [](const void*) { return obs::now_ticks(); }}) {
       if (exec.opts_.metrics != nullptr) {
         htm::HtmMetrics m = exec.htm_metrics_;
         m.lane = id;
@@ -211,6 +213,7 @@ class ThreadedExecutor {
         WordLock& lock;
         ~Unlock() { lock.unlock(); }
       } unlock{sgl};
+      driver_.sgl_acquired();
       util::Backoff backoff;
       while (true) {
         const htm::AbortStatus s =
@@ -247,19 +250,6 @@ class ThreadedExecutor {
 
  private:
   friend class ThreadHandle;
-
-  // Routes the executor-level obs sinks into the Seer scheduler unless the
-  // policy config already carries its own.
-  [[nodiscard]] static PolicyConfig with_obs(PolicyConfig policy, const Options& opts) {
-    if (policy.seer.metrics == nullptr) policy.seer.metrics = opts.metrics;
-    // Real-mode timestamps are wall-clock already, so the rebuild-cost
-    // histogram (seer.rebuild.ns) adds no new nondeterminism here; the
-    // simulator's with_obs deliberately leaves it off to keep its metrics
-    // output byte-stable.
-    if (policy.seer.metrics != nullptr) policy.seer.measure_rebuild_ns = true;
-    if (policy.seer.obs_trace == nullptr) policy.seer.obs_trace = opts.trace;
-    return policy;
-  }
 
   htm::SoftHtm& tm_;
   Options opts_;

@@ -54,16 +54,19 @@ TxMetrics::TxMetrics(obs::MetricsRegistry& m)
   retry_depth = m.histogram("rt.retry_depth");
 }
 
-TxDriver::TxDriver(PolicyShared& shared, core::ThreadId self, TxMetrics metrics)
+TxDriver::TxDriver(PolicyShared& shared, core::ThreadId self, TxMetrics metrics,
+                   TxTrace trace)
     : policy_(shared.make_thread_policy(self)),
       self_(self),
       budget_(shared.budget()),
       wait_sgl_(shared.waits_for_sgl()),
-      metrics_(metrics) {}
+      metrics_(metrics),
+      trace_(trace) {}
 
 void TxDriver::begin(core::TxTypeId tx) {
   assert(state_ == State::kIdle && held_.empty());
   policy_->begin_tx(tx);
+  tx_ = tx;
   attempts_ = 0;
   state_ = State::kDirective;
 }
@@ -105,6 +108,7 @@ Step TxDriver::next() {
         if (metrics_.registry != nullptr) {
           metrics_.registry->add(metrics_.hw_attempts, self_);
         }
+        stamp(obs::TraceKind::kTxBegin, static_cast<std::uint64_t>(tx_));
         return {Step::Kind::kHwAttempt};
       case State::kAttempt: return {Step::Kind::kHwAttempt};
       case State::kReleaseHeld:
@@ -138,8 +142,14 @@ void TxDriver::acquired() {
   state_ = State::kWaitSgl;
 }
 
+void TxDriver::sgl_acquired() {
+  assert(state_ == State::kFallback);
+  stamp(obs::TraceKind::kSglFallback, static_cast<std::uint64_t>(tx_));
+}
+
 CommitMode TxDriver::committed(bool hardware) {
   assert(state_ == (hardware ? State::kAttempt : State::kFallback));
+  stamp(obs::TraceKind::kTxCommit, static_cast<std::uint64_t>(tx_));
   const CommitMode mode = classify_commit(held_, /*used_sgl=*/!hardware);
   counters_.commits_by_mode[static_cast<std::size_t>(mode)]++;
   if (obs::MetricsRegistry* m = metrics_.registry; m != nullptr) {
@@ -155,6 +165,7 @@ CommitMode TxDriver::committed(bool hardware) {
 void TxDriver::aborted(htm::AbortStatus status, core::TxTypeId culprit) {
   assert(state_ == State::kAttempt);
   const auto cause = static_cast<std::size_t>(status.cause());
+  stamp(obs::TraceKind::kTxAbort, cause);
   counters_.aborts_by_cause[cause]++;
   if (metrics_.registry != nullptr) metrics_.registry->add(metrics_.aborts[cause], self_);
   if (culprit != core::kNoTx) policy_->on_conflict_attribution(culprit);

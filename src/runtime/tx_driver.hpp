@@ -21,6 +21,7 @@
 //               kHwAttempt, subscribed to the SGL -> aborted(status,
 //               culprit): on_conflict_attribution(culprit) if known,
 //               policy.on_abort(status); loop
+//   sgl_acquired(): the fallback holds the SGL
 //   committed(hardware): policy.on_commit; release every held lock; done
 //   abandon(), the body threw: policy.on_abandon; release every held lock
 //
@@ -31,7 +32,11 @@
 // releases the whole set, in canonical order, at commit and before the SGL,
 // so nothing is ever co-held with the SGL and policies never track what to
 // give back. It alone calls Policy and classify_commit, and it counts every
-// outcome once, into ThreadCounters and the rt.* registry set.
+// outcome once, into ThreadCounters and the rt.* registry set. It is also
+// the one place that traces a transaction (DESIGN.md §8), on its backend's
+// clock: kTxBegin as it issues a hardware attempt, kTxAbort in aborted(),
+// kSglFallback in sgl_acquired() and kTxCommit in committed(). The abort
+// carries its cause, the other three the transaction type.
 #pragma once
 
 #include <array>
@@ -40,6 +45,7 @@
 #include <memory>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "runtime/policies.hpp"
 #include "runtime/policy.hpp"
 
@@ -73,6 +79,15 @@ struct TxMetrics {
   obs::MetricId retry_depth = obs::kNoMetric;
 };
 
+// The trace sink a backend attaches, and the clock its drivers stamp with:
+// now(clock) is the machine's cycle counter or the executor's
+// obs::now_ticks. Nothing is read while `sink` is null.
+struct TxTrace {
+  obs::TraceSink* sink = nullptr;
+  std::uint64_t (*now)(const void* clock) = nullptr;
+  const void* clock = nullptr;
+};
+
 struct Step {
   enum class Kind : std::uint8_t {
     kRelease,    // release `lock`
@@ -102,7 +117,8 @@ enum class WaitEnd : std::uint8_t {
 
 class TxDriver {
  public:
-  TxDriver(PolicyShared& shared, core::ThreadId self, TxMetrics metrics = {});
+  TxDriver(PolicyShared& shared, core::ThreadId self, TxMetrics metrics = {},
+           TxTrace trace = {});
 
   // Forwards to Policy::maintenance: true when a scheme rebuild ran.
   bool maintenance(std::uint64_t now) { return policy_->maintenance(now); }
@@ -123,6 +139,8 @@ class TxDriver {
     ++wait_idx_;
     if (end == WaitEnd::kBlocked) state_ = State::kWaitSgl;
   }
+  // The fallback step holds the SGL; its body runs next.
+  void sgl_acquired();
   // Returns the Table 3 census row of the commit.
   CommitMode committed(bool hardware);
   // `culprit`: the aggressor's type where the backend knows it, else kNoTx.
@@ -151,12 +169,18 @@ class TxDriver {
     state_ = State::kReleaseHeld;
     then_ = then;
   }
+  void stamp(obs::TraceKind kind, std::uint64_t arg) const noexcept {
+    if (SEER_OBS_ENABLED && trace_.sink != nullptr) {
+      trace_.sink->emit(self_, kind, trace_.now(trace_.clock), arg);
+    }
+  }
 
   std::unique_ptr<Policy> policy_;
   core::ThreadId self_;
   int budget_;      // hardware attempts before the SGL
   bool wait_sgl_;   // wait for the SGL to be free before each attempt
   TxMetrics metrics_;
+  TxTrace trace_;
   ThreadCounters counters_;
   Directive d_;
   LockList held_;
@@ -164,6 +188,7 @@ class TxDriver {
   State then_ = State::kDone;
   std::size_t wait_idx_ = 0;
   int attempts_ = 0;  // hardware attempts of this transaction so far
+  core::TxTypeId tx_ = core::kNoTx;  // the transaction in flight
 };
 
 }  // namespace seer::rt

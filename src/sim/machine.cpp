@@ -6,9 +6,9 @@
 namespace seer::sim {
 
 struct Machine::ThreadCtx {
-  ThreadCtx(rt::PolicyShared& shared, core::ThreadId self,
-            const rt::TxMetrics& metrics)
-      : id(self), driver(shared, self, metrics) {}
+  ThreadCtx(rt::PolicyShared& shared, core::ThreadId self, const rt::TxMetrics& metrics,
+            const rt::TxTrace& trace)
+      : id(self), driver(shared, self, metrics, trace) {}
 
   core::ThreadId id = 0;
   rt::TxDriver driver;
@@ -44,9 +44,10 @@ struct Machine::ThreadCtx {
 };
 
 Machine::Machine(MachineConfig cfg, std::unique_ptr<Workload> workload)
-    : cfg_(with_obs(std::move(cfg))),
+    : cfg_(std::move(cfg)),
       workload_(std::move(workload)),
-      shared_(cfg_.policy, cfg_.n_threads, workload_->n_types(), cfg_.physical_cores),
+      shared_(cfg_.policy, cfg_.n_threads, workload_->n_types(), cfg_.physical_cores,
+              {.metrics = cfg_.metrics, .trace = cfg_.trace, .recorder = cfg_.recorder}),
       locks_(workload_->n_types(), cfg_.physical_cores) {
   assert(cfg_.n_threads > 0 && cfg_.physical_cores > 0);
   stats_.commits_by_type.assign(workload_->n_types(), 0);
@@ -57,10 +58,15 @@ Machine::Machine(MachineConfig cfg, std::unique_ptr<Workload> workload)
     h_queue_depth_ = cfg_.metrics->histogram("sim.queue_depth");
   }
 
+  // The drivers stamp transaction events on the cycle clock.
+  const rt::TxTrace trace{
+      .sink = cfg_.trace,
+      .now = [](const void* now) { return *static_cast<const Time*>(now); },
+      .clock = &now_};
   util::Xoshiro256 master(cfg_.seed);
   threads_.reserve(cfg_.n_threads);
   for (core::ThreadId id = 0; id < cfg_.n_threads; ++id) {
-    auto t = std::make_unique<ThreadCtx>(shared_, id, tx_metrics_);
+    auto t = std::make_unique<ThreadCtx>(shared_, id, tx_metrics_, trace);
     t->rng = master.split();
     threads_.push_back(std::move(t));
   }
@@ -381,10 +387,6 @@ bool Machine::acquire_rest(ThreadCtx& t) {
 }
 
 void Machine::start_hw(ThreadCtx& t) {
-  if (cfg_.trace != nullptr) {
-    cfg_.trace->emit(t.id, obs::TraceKind::kTxBegin, now_,
-                     static_cast<std::uint64_t>(t.inst.type));
-  }
   // Alg. 1 lines 11-12: a transaction beginning while the fallback lock is
   // held aborts explicitly (the subscription check).
   if (locks_.sgl().is_locked()) {
@@ -470,10 +472,6 @@ void Machine::schedule_capacity_check(ThreadCtx& t) {
 void Machine::abort_hw(ThreadCtx& t, htm::AbortStatus status, core::TxTypeId culprit) {
   t.in_hw = false;
   ++t.gen;  // cancels the pending commit/capacity/other events
-  if (cfg_.trace != nullptr) {
-    cfg_.trace->emit(t.id, obs::TraceKind::kTxAbort, now_,
-                     static_cast<std::uint64_t>(status.cause()));
-  }
   if (culprit != core::kNoTx) {
     // Ground truth the HTM would never reveal: who actually killed whom.
     stats_.gt_conflicts[static_cast<std::size_t>(t.inst.type) * workload_->n_types() +
@@ -490,10 +488,7 @@ void Machine::sgl_granted(ThreadCtx& t) {
   assert(locks_.sgl().owner() == t.id);
   t.st = ThreadCtx::St::kRunningSgl;
   ++t.gen;
-  if (cfg_.trace != nullptr) {
-    cfg_.trace->emit(t.id, obs::TraceKind::kSglFallback, now_,
-                     static_cast<std::uint64_t>(t.inst.type));
-  }
+  t.driver.sgl_acquired();
   // Taking the fallback lock invalidates the subscription in every running
   // hardware transaction (Alg. 1's correctness handshake).
   for (auto& other : threads_) {
@@ -508,10 +503,6 @@ void Machine::sgl_granted(ThreadCtx& t) {
 }
 
 void Machine::committed(ThreadCtx& t, bool hardware) {
-  if (cfg_.trace != nullptr) {
-    cfg_.trace->emit(t.id, obs::TraceKind::kTxCommit, now_,
-                     static_cast<std::uint64_t>(t.inst.type));
-  }
   t.mode = t.driver.committed(hardware);
   stats_.commits_by_type[static_cast<std::size_t>(t.inst.type)]++;
   perform(t);  // the driver releases every held lock, then kDone

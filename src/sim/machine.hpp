@@ -101,16 +101,17 @@ struct MachineConfig {
   CostModel costs{};
 
   // --- observability (src/obs/, DESIGN.md §8) ----------------------------
-  // Optional sinks; the machine also routes them into the Seer scheduler
-  // (unless policy.seer carries its own) so one registry collects the whole
-  // stack. The embedder freezes the registry after constructing the machine
-  // and before run(). All machine-side recording is single-threaded and
-  // timestamps are simulated cycles, so metrics and traces are deterministic
+  // Optional sinks, attached here once: the machine hands them to the Seer
+  // scheduler and the trace to every thread's driver, so one registry
+  // collects the whole stack. The embedder freezes the registry after
+  // constructing the machine and before run(). All machine-side recording
+  // is single-threaded and timestamps are simulated cycles (the scheduler
+  // never times its rebuilds here), so metrics and traces are deterministic
   // per (seed, config) — the property the --metrics jobs-invariance test
   // pins down.
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceSink* trace = nullptr;
-  // Model flight recorder: routed into the Seer scheduler (periodic/anomaly
+  // Model flight recorder: fed by the Seer scheduler (periodic/anomaly
   // snapshots at rebuilds) and handed a final end-of-run capture. Null
   // disables; stubbed under SEER_OBS=OFF.
   obs::FlightRecorder* recorder = nullptr;
@@ -243,15 +244,6 @@ class Machine {
 
   void push(Time at, core::ThreadId th, EventKind kind, std::uint64_t gen,
             core::TxTypeId culprit = core::kNoTx);
-
-  // Routes cfg-level obs sinks into the embedded Seer scheduler before
-  // PolicyShared is constructed from the patched config.
-  [[nodiscard]] static MachineConfig with_obs(MachineConfig cfg) {
-    if (cfg.policy.seer.metrics == nullptr) cfg.policy.seer.metrics = cfg.metrics;
-    if (cfg.policy.seer.obs_trace == nullptr) cfg.policy.seer.obs_trace = cfg.trace;
-    if (cfg.policy.seer.recorder == nullptr) cfg.policy.seer.recorder = cfg.recorder;
-    return cfg;
-  }
 
   MachineConfig cfg_;
   std::unique_ptr<Workload> workload_;

@@ -59,7 +59,6 @@ class PhasedWorkload final : public Generator {
 
   // Which regime is active at `progress` (tests pin boundary semantics).
   [[nodiscard]] std::size_t regime_index(double progress) const noexcept;
-  [[nodiscard]] std::size_t n_regimes() const noexcept { return regimes_.size(); }
 
  private:
   std::string name_;

@@ -15,28 +15,13 @@ namespace seer::workload {
 
 using jsonu::Value;
 
-void Registry::add(std::string name, Factory factory) {
-  entries_.emplace_back(std::move(name), std::move(factory));
-}
-
-const Factory* Registry::lookup(const std::string& name) const {
-  for (const auto& [n, f] : entries_) {
-    if (n == name) return &f;
-  }
-  return nullptr;
-}
-
-std::vector<std::string> Registry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [n, f] : entries_) {
-    (void)f;
-    out.push_back(n);
-  }
-  return out;
-}
-
 namespace {
+
+// Builds a Desc from a params object; `display_name` is the config's "name"
+// (or the generator name), `origin` prefixes diagnostics.
+using Factory = std::function<Desc(const Value& params, const std::string& display_name,
+                                   const std::string& origin)>;
+using Table = std::vector<std::pair<std::string, Factory>>;
 
 // Generators that take no parameters reject a non-empty params object so a
 // misplaced key fails instead of being ignored.
@@ -89,13 +74,13 @@ core::Topology topology_from_json(const Value& obj, const std::string& origin) {
   return topo;
 }
 
-Registry make_builtin_registry() {
-  Registry reg;
+Table make_generators() {
+  Table reg;
 
   // The eight STAMP stand-ins: thin adapters over the compiled-in specs.
   for (const stamp::WorkloadInfo& info : stamp::all_workloads()) {
-    reg.add(info.name, [info](const Value& params, const std::string& display,
-                              const std::string& origin) -> Desc {
+    reg.emplace_back(info.name, [info](const Value& params, const std::string& display,
+                                       const std::string& origin) -> Desc {
       require_no_params(params, info.name, origin);
       const auto spec = info.spec;
       return Desc(display.empty() ? info.name : display, info.bench_txs_per_thread,
@@ -106,8 +91,8 @@ Registry make_builtin_registry() {
   }
 
   // "spec": a one-off stamp-style geometry straight from JSON.
-  reg.add("spec", [](const Value& params, const std::string& display,
-                     const std::string& origin) -> Desc {
+  reg.emplace_back("spec", [](const Value& params, const std::string& display,
+                              const std::string& origin) -> Desc {
     auto spec = std::make_shared<stamp::WorkloadSpec>(
         spec_from_json(params, origin, display));
     return Desc(spec->name, 4000,
@@ -118,8 +103,8 @@ Registry make_builtin_registry() {
   });
 
   // "phased": contention-regime shifts at progress boundaries.
-  reg.add("phased", [](const Value& params, const std::string& display,
-                       const std::string& origin) -> Desc {
+  reg.emplace_back("phased", [](const Value& params, const std::string& display,
+                                const std::string& origin) -> Desc {
     const std::string name = display.empty() ? "phased" : display;
     // Validate now (config-parse time); rebuild per make with the real
     // thread count from the captured params copy.
@@ -134,8 +119,8 @@ Registry make_builtin_registry() {
   });
 
   // "bst": add/remove/contains over a modelled binary search tree.
-  reg.add("bst", [](const Value& params, const std::string& display,
-                    const std::string& origin) -> Desc {
+  reg.emplace_back("bst", [](const Value& params, const std::string& display,
+                             const std::string& origin) -> Desc {
     const std::string name = display.empty() ? "bst" : display;
     (void)BstWorkload::from_json(params, origin, name);
     auto params_copy = std::make_shared<Value>(params);
@@ -147,8 +132,8 @@ Registry make_builtin_registry() {
 
   // "trace-replay": a captured instance stream, loaded (and validated)
   // eagerly so a bad path fails at config time, not mid-sweep.
-  reg.add("trace-replay", [](const Value& params, const std::string& display,
-                             const std::string& origin) -> Desc {
+  reg.emplace_back("trace-replay", [](const Value& params, const std::string& display,
+                                      const std::string& origin) -> Desc {
     jsonu::reject_unknown(params, {"path"}, origin);
     const std::string& path = jsonu::require_str(params, "path", origin);
     auto trace = std::make_shared<InstanceTrace>(InstanceTrace::load(path));
@@ -165,12 +150,30 @@ Registry make_builtin_registry() {
   return reg;
 }
 
-}  // namespace
-
-Registry& Registry::global() {
-  static Registry reg = make_builtin_registry();
-  return reg;
+// Every generator a config can name, in the order diagnostics list them:
+// the eight stand-ins, then the four data-driven generators. Built once.
+const Table& generators() {
+  static const Table table = make_generators();
+  return table;
 }
+
+const Factory* lookup(const std::string& name) {
+  for (const auto& [n, f] : generators()) {
+    if (n == name) return &f;
+  }
+  return nullptr;
+}
+
+std::string unknown_generator(const std::string& name) {
+  std::string known;
+  for (const auto& [n, f] : generators()) {
+    if (!known.empty()) known += ", ";
+    known += n;
+  }
+  return "unknown generator \"" + name + "\" (known: " + known + ")";
+}
+
+}  // namespace
 
 const std::vector<std::string>& stamp_names() {
   static const std::vector<std::string> names = [] {
@@ -184,15 +187,8 @@ const std::vector<std::string>& stamp_names() {
 }
 
 Desc find(const std::string& name) {
-  const Factory* f = Registry::global().lookup(name);
-  if (f == nullptr) {
-    std::string known;
-    for (const std::string& n : Registry::global().names()) {
-      if (!known.empty()) known += ", ";
-      known += n;
-    }
-    throw ConfigError("unknown generator \"" + name + "\" (known: " + known + ")");
-  }
+  const Factory* f = lookup(name);
+  if (f == nullptr) throw ConfigError(unknown_generator(name));
   Value empty;
   empty.type = Value::Type::kObject;
   return (*f)(empty, "", name);
@@ -220,15 +216,9 @@ Desc from_config_json(const Value& doc, const std::string& origin) {
                          "open_loop", "topology"},
                         origin);
   const std::string& generator = jsonu::require_str(doc, "generator", origin);
-  const Factory* f = Registry::global().lookup(generator);
+  const Factory* f = lookup(generator);
   if (f == nullptr) {
-    std::string known;
-    for (const std::string& n : Registry::global().names()) {
-      if (!known.empty()) known += ", ";
-      known += n;
-    }
-    jsonu::fail(jsonu::sub(origin, "generator"),
-                "unknown generator \"" + generator + "\" (known: " + known + ")");
+    jsonu::fail(jsonu::sub(origin, "generator"), unknown_generator(generator));
   }
   std::string display;
   if (const Value* n = doc.find("name"); n != nullptr) {

@@ -62,25 +62,6 @@ struct Desc {
       : name(std::move(n)), bench_txs_per_thread(txs), make(std::move(m)) {}
 };
 
-// Builds a Desc from a params object; `display_name` is the config's "name"
-// (or the generator name), `origin` prefixes diagnostics.
-using Factory = std::function<Desc(const util::json::Value& params,
-                                   const std::string& display_name,
-                                   const std::string& origin)>;
-
-class Registry {
- public:
-  // The process-wide registry, pre-populated with the builtins.
-  [[nodiscard]] static Registry& global();
-
-  void add(std::string name, Factory factory);
-  [[nodiscard]] const Factory* lookup(const std::string& name) const;
-  [[nodiscard]] std::vector<std::string> names() const;  // registration order
-
- private:
-  std::vector<std::pair<std::string, Factory>> entries_;
-};
-
 // Resolves a registered NAME with empty params. Throws ConfigError listing
 // the known names for an unknown one.
 [[nodiscard]] Desc find(const std::string& name);

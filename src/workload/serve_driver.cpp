@@ -12,6 +12,7 @@
 #include "htm/soft_htm.hpp"
 #include "obs/metrics.hpp"
 #include "obs/periodic.hpp"
+#include "obs/trace.hpp"
 #include "sim/machine.hpp"
 #include "util/json_writer.hpp"
 #include "util/latency_histogram.hpp"
@@ -25,14 +26,7 @@ namespace seer::workload {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
 using namespace std::chrono_literals;
-
-std::uint64_t wall_ns(Clock::time_point t = Clock::now()) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(t.time_since_epoch())
-          .count());
-}
 
 // Telemetry bumps are guarded per-call: a null hub means no telemetry, and a
 // lane beyond the hub's sizing (a misconfigured embedding) degrades to
@@ -304,8 +298,8 @@ class SimBackend {
   void advance(std::uint64_t t_ns) { machine_.advance(to_cycles(t_ns)); }
   bool offer(std::uint64_t t_ns, sim::TxInstance&& inst) {
     if (tel_ != nullptr && (++offered_ & 0xFFF) == 0) {
-      tel_->producer_beat(wall_ns());
-      tel_->worker_beat(wall_ns());
+      tel_->producer_beat(obs::steady_ns());
+      tel_->worker_beat(obs::steady_ns());
     }
     return machine_.arrive(to_cycles(t_ns), std::move(inst));
   }
@@ -322,11 +316,6 @@ class SimBackend {
     mcfg.seed = rng.next();
     mcfg.policy = opts.policy;
     mcfg.policy.seer.seed = mcfg.seed;
-    // Deterministic bytes cannot depend on observability wiring.
-    mcfg.policy.seer.metrics = nullptr;
-    mcfg.policy.seer.obs_trace = nullptr;
-    mcfg.policy.seer.recorder = nullptr;
-    mcfg.policy.seer.measure_rebuild_ns = false;
     return mcfg;
   }
   [[nodiscard]] sim::Time to_cycles(std::uint64_t ns) const {
@@ -370,7 +359,8 @@ class RealBackend {
               {.n_threads = workers,
                .n_types = gen_->n_types(),
                .physical_cores = physical_cores(desc, workers),
-               .metrics = opts.emit_metrics || tel_ != nullptr ? &metrics_ : nullptr}),
+               .metrics = opts.emit_metrics || tel_ != nullptr ? &metrics_ : nullptr,
+               .recorder = opts.recorder}),
         queue_(ol.queue_capacity),
         deltas_(opts.emit_metrics ? &metrics_ : nullptr),
         warmup_ns_(seconds_to_ns(ol.warmup_s)),
@@ -382,7 +372,7 @@ class RealBackend {
     for (std::size_t t = 0; t < workers; ++t) {
       threads_.emplace_back([this, t, &done] { work(t, done); });
     }
-    t0_ = Clock::now();
+    t0_ns_ = obs::steady_ns();
   }
   RealBackend(const RealBackend&) = delete;  // the workers hold `this`
   RealBackend& operator=(const RealBackend&) = delete;
@@ -394,21 +384,23 @@ class RealBackend {
   // Chunked sleeps keep the producer heartbeat ticking and honour a stop
   // request promptly even between low-rate arrivals.
   void advance(std::uint64_t t_ns) {
-    const auto target = t0_ + std::chrono::nanoseconds(static_cast<std::int64_t>(t_ns));
+    const std::uint64_t target = t0_ns_ + t_ns;
     for (;;) {
-      const auto now = Clock::now();
+      const std::uint64_t now = obs::steady_ns();
       if (now >= target || stop_requested(opts_)) return;
-      if (tel_ != nullptr) tel_->producer_beat(wall_ns(now));
-      if (target - now > 200us) {
+      if (tel_ != nullptr) tel_->producer_beat(now);
+      const std::chrono::nanoseconds left(static_cast<std::int64_t>(target - now));
+      if (left > 200us) {
         std::this_thread::sleep_for(
-            std::min<Clock::duration>(target - now - 100us, 50ms));
+            std::min<std::chrono::nanoseconds>(left - 100us, 50ms));
       } else {
         std::this_thread::yield();
       }
     }
   }
   bool offer(std::uint64_t t_ns, sim::TxInstance&& inst) {
-    return queue_.try_push(Request{wall_ns(), t_ns >= warmup_ns_, std::move(inst)});
+    return queue_.try_push(
+        Request{obs::steady_ns(), t_ns >= warmup_ns_, std::move(inst)});
   }
   [[nodiscard]] std::size_t queue_depth() const { return queue_.approx_size(); }
   std::string interval_fields() { return deltas_.delta_fields({"rt.", "htm.", "seer."}); }
@@ -441,7 +433,7 @@ class RealBackend {
         continue;
       }
       const rt::CommitMode mode = run_instance(*h, words_, r.inst);
-      const std::uint64_t now = wall_ns();
+      const std::uint64_t now = obs::steady_ns();
       if (tel_ != nullptr) tel_->worker_beat(now);
       done.record(t, id, r.counted, now > r.enqueue_ns ? now - r.enqueue_ns : 0, mode);
     }
@@ -464,7 +456,7 @@ class RealBackend {
   std::atomic<std::size_t> active_workers_{0};
   std::atomic<bool> producer_done_{false};
   std::vector<std::thread> threads_;
-  Clock::time_point t0_;
+  std::uint64_t t0_ns_ = 0;
 };
 
 }  // namespace

@@ -43,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/flight_recorder.hpp"
 #include "runtime/policies.hpp"
 #include "workload/open_loop.hpp"
 #include "workload/registry.hpp"
@@ -73,6 +74,10 @@ struct ServeOptions {
   // it never changes the JSONL bytes, which is what keeps a --listen run
   // byte-identical to a plain one.
   ServeTelemetry* telemetry = nullptr;
+  // Model flight recorder for the real backend's Seer scheduler, or nullptr
+  // for none. The deterministic backend ignores it so its bytes cannot
+  // depend on observability wiring.
+  obs::FlightRecorder* recorder = nullptr;
   // Cooperative stop (SIGINT/SIGTERM in seer_serve), or nullptr for none.
   // When it flips, in either backend: the running step stops producing and
   // writing interval lines, drains what it accepted, and finalizes

@@ -16,7 +16,6 @@
 #include "htm/abort_code.hpp"
 #include "htm/soft_htm.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/rng.hpp"
 
 namespace seer::htm {
@@ -733,35 +732,19 @@ TEST(SoftHtm, MidAcquisitionAbortReleasesExactlyTheAcquiredStripes) {
 
 // ------------------------------------------------- commit-time aborts ----
 // DESIGN.md §10: an abort decided in commit() is returned, not thrown. Each
-// kind must report its cause, emit exactly one abort event, and release
-// every stripe it locked — checked by committing the same words from a
-// second context afterwards. The aborts are driven on one thread: context
-// B commits inside context A's body.
+// kind must report its cause and release every stripe it locked — checked
+// by committing the same words from a second context afterwards. The
+// aborts are driven on one thread: context B commits inside context A's
+// body.
 
-// Abort and commit events on trace lane 0 (no events under SEER_OBS=OFF).
-std::size_t lane0_events(const obs::TraceSink& sink, obs::TraceKind kind) {
-  std::size_t n = 0;
-  for (const obs::TraceEvent& e : sink.drain_sorted()) {
-    if (e.thread == 0 && e.kind == kind) ++n;
-  }
-  return n;
-}
-
-constexpr std::size_t kOneEvent = SEER_OBS_ENABLED ? 1 : 0;
-
-// A context whose trace lane records exactly one attempt's outcome.
-struct TracedPair {
-  explicit TracedPair(SoftHtm::Config cfg = {}) : tm(cfg), a(tm), b(tm) {
-    a.set_obs(&sink, 0);
-  }
-  void expect_one_abort(AbortStatus s, AbortCause cause) const {
+// Two contexts over one SoftHtm: A runs the attempt under test, B interferes.
+struct Pair {
+  explicit Pair(SoftHtm::Config cfg = {}) : tm(cfg), a(tm), b(tm) {}
+  static void expect_abort(AbortStatus s, AbortCause cause) {
     EXPECT_FALSE(committed(s));
     EXPECT_EQ(s.cause(), cause);
-    EXPECT_EQ(lane0_events(sink, obs::TraceKind::kTxAbort), kOneEvent);
-    EXPECT_EQ(lane0_events(sink, obs::TraceKind::kTxCommit), 0u);
   }
   SoftHtm tm;
-  obs::TraceSink sink{1};
   SoftHtm::ThreadContext a;
   SoftHtm::ThreadContext b;
 };
@@ -786,7 +769,7 @@ std::size_t last_locked(const SoftHtm& tm, const std::vector<TmWord>& words) {
 }
 
 TEST(SoftHtmCommitAbort, NewerStripeAtLockTimeReleasesTheAcquiredPrefix) {
-  TracedPair p;
+  Pair p;
   std::vector<TmWord> words(16);
   const std::size_t victim = last_locked(p.tm, words);
   const AbortStatus s = p.a.attempt([&](SoftHtm::Tx& tx) {
@@ -797,7 +780,7 @@ TEST(SoftHtmCommitAbort, NewerStripeAtLockTimeReleasesTheAcquiredPrefix) {
       txb.write(words[victim], 99);
     })));
   });
-  p.expect_one_abort(s, AbortCause::kConflict);
+  p.expect_abort(s, AbortCause::kConflict);
   EXPECT_EQ(words[victim].load(), 99u);
   EXPECT_TRUE(commit_all(p.b, words, 5)) << "a stripe lock leaked";
   EXPECT_TRUE(commit_all(p.a, words, 6));
@@ -808,7 +791,7 @@ TEST(SoftHtmCommitAbort, FailedReadValidationReleasesEveryStripe) {
   // read that promotes the read set to the exact tier.
   for (const bool exact : {false, true}) {
     SCOPED_TRACE(exact ? "exact" : "tier 0");
-    TracedPair p(SoftHtm::Config{.max_read_set = 1});
+    Pair p(SoftHtm::Config{.max_read_set = 1});
     std::vector<TmWord> words(16);
     TmWord read{0};
     const AbortStatus s = p.a.attempt([&](SoftHtm::Tx& tx) {
@@ -820,14 +803,14 @@ TEST(SoftHtmCommitAbort, FailedReadValidationReleasesEveryStripe) {
       ASSERT_TRUE(committed(p.b.attempt([&](SoftHtm::Tx& txb) { txb.write(read, 7); })));
       for (auto& w : words) tx.write(w, 1);
     });
-    p.expect_one_abort(s, AbortCause::kConflict);
+    p.expect_abort(s, AbortCause::kConflict);
     EXPECT_EQ(words[0].load(), 0u) << "aborted writes must not publish";
     EXPECT_TRUE(commit_all(p.b, words, 5)) << "a stripe lock leaked";
   }
 }
 
 TEST(SoftHtmCommitAbort, SglChangeBeforeWriterCommitReleasesEveryStripe) {
-  TracedPair p;
+  Pair p;
   std::vector<TmWord> words(16);
   std::atomic<std::uint64_t> sgl{0};
   const AbortStatus s = p.a.attempt([&](SoftHtm::Tx& tx) {
@@ -835,13 +818,13 @@ TEST(SoftHtmCommitAbort, SglChangeBeforeWriterCommitReleasesEveryStripe) {
     for (auto& w : words) tx.write(w, 1);
     sgl.store(1);  // a fallback thread takes the lock after the last access
   });
-  p.expect_one_abort(s, AbortCause::kConflict);
+  p.expect_abort(s, AbortCause::kConflict);
   EXPECT_EQ(words[0].load(), 0u);
   EXPECT_TRUE(commit_all(p.b, words, 5)) << "a stripe lock leaked";
 }
 
 TEST(SoftHtmCommitAbort, SglChangeBeforeReadOnlyCommitAborts) {
-  TracedPair p;
+  Pair p;
   TmWord read{3};
   std::atomic<std::uint64_t> sgl{0};
   const AbortStatus s = p.a.attempt([&](SoftHtm::Tx& tx) {
@@ -849,12 +832,12 @@ TEST(SoftHtmCommitAbort, SglChangeBeforeReadOnlyCommitAborts) {
     (void)tx.read(read);
     sgl.store(1);
   });
-  p.expect_one_abort(s, AbortCause::kConflict);
+  p.expect_abort(s, AbortCause::kConflict);
   EXPECT_TRUE(committed(p.b.attempt([&](SoftHtm::Tx& tx) { tx.write(read, 4); })));
 }
 
 TEST(SoftHtmCommitAbort, InjectedCommitFaultIsReturnedOnce) {
-  TracedPair p;
+  Pair p;
   check::FaultPlan fault;
   fault.force(/*attempt=*/0, TxOp::kCommit, /*occurrence=*/0,
               AbortStatus::explicit_abort(0x5A));
@@ -863,7 +846,7 @@ TEST(SoftHtmCommitAbort, InjectedCommitFaultIsReturnedOnce) {
   const AbortStatus s = p.a.attempt([&](SoftHtm::Tx& tx) {
     for (auto& w : words) tx.write(w, 1);
   });
-  p.expect_one_abort(s, AbortCause::kExplicit);
+  p.expect_abort(s, AbortCause::kExplicit);
   EXPECT_EQ(s.explicit_code(), 0x5A);
   EXPECT_EQ(words[0].load(), 0u);
   EXPECT_TRUE(commit_all(p.b, words, 5));
@@ -891,14 +874,14 @@ TEST(SoftHtmCommitAbort, SelfLockedReadStripesValidateThroughTheSortedLockList) 
 
 // ---------------------------------------------------- in-body aborts ----
 // DESIGN.md §10: an abort decided while the body runs throws from the
-// body's own frame. Each kind must report its status, emit exactly one
-// abort event and no commit event, count a capacity abort in its read-tier
-// bucket (§10.1) and nothing else, and leave the context able to commit its
-// next attempt. As above, context B commits inside context A's body.
+// body's own frame. Each kind must report its status, count a capacity
+// abort in its read-tier bucket (§10.1) and nothing else, and leave the
+// context able to commit its next attempt. As above, context B commits
+// inside context A's body.
 
-// TracedPair with the htm.* counters installed on context A.
-struct MeteredPair : TracedPair {
-  explicit MeteredPair(SoftHtm::Config cfg = {}) : TracedPair(cfg) {
+// Pair with the htm.* counters installed on context A.
+struct MeteredPair : Pair {
+  explicit MeteredPair(SoftHtm::Config cfg = {}) : Pair(cfg) {
     HtmMetrics m;
     m.registry = &reg;
     m.promote_capacity = reg.counter("htm.read_promote.capacity");
@@ -917,11 +900,11 @@ struct MeteredPair : TracedPair {
     }
     return 0;
   }
-  // `s` is `want`, raised in the body: one abort event, no commit, and the
-  // capacity buckets hold `sig_only` and `exact` aborts (OBS=ON counts).
+  // `s` is `want`, raised in the body, and the capacity buckets hold
+  // `sig_only` and `exact` aborts (OBS=ON counts).
   void expect_body_abort(AbortStatus s, AbortStatus want, std::uint64_t sig_only = 0,
                          std::uint64_t exact = 0) const {
-    expect_one_abort(s, want.cause());
+    expect_abort(s, want.cause());
     EXPECT_EQ(s.raw(), want.raw());
     EXPECT_EQ(count("htm.aborts.capacity.sig_only"), SEER_OBS_ENABLED ? sig_only : 0);
     EXPECT_EQ(count("htm.aborts.capacity.exact"), SEER_OBS_ENABLED ? exact : 0);
@@ -957,7 +940,7 @@ TEST(SoftHtmBodyAbort, NewerUnreadStripeExtendsAndCommits) {
   // TSX reads a line committed after the transaction began. B commits w,
   // which A has not read; A's read of it extends A's snapshot past B's
   // commit, because the one word A read before (u) is unchanged. A reads
-  // B's value and commits on it: no abort event, one extension that
+  // B's value and commits on it, after one extension that
   // revalidated one read. Both read tiers: with a two-word budget, the
   // third read of u promotes the read set to the exact tier.
   for (const bool exact : {false, true}) {
@@ -973,8 +956,6 @@ TEST(SoftHtmBodyAbort, NewerUnreadStripeExtendsAndCommits) {
       tx.write(w, tx.read(w) + vu);
     });
     EXPECT_TRUE(committed(s));
-    EXPECT_EQ(lane0_events(p.sink, obs::TraceKind::kTxAbort), 0u);
-    EXPECT_EQ(lane0_events(p.sink, obs::TraceKind::kTxCommit), kOneEvent);
     EXPECT_EQ(w.load(), 8u);
     EXPECT_EQ(p.count("htm.extensions"), SEER_OBS_ENABLED ? 1u : 0u);
     EXPECT_EQ(p.count("htm.extension_reads"), SEER_OBS_ENABLED ? 1u : 0u);

@@ -586,5 +586,96 @@ TEST(ObsIntegration, BothBackendsCountIntoOneRtCounterSet) {
   }
 }
 
+// The driver stamps one trace event per outcome it counts (DESIGN.md §8):
+// a begin per rt.hw_attempts, an abort per rt.aborts.<cause>, a fallback
+// per rt.sgl_fallbacks and a commit per rt.commits. Begin, fallback and
+// commit carry one of the workload's `n_types` transaction types. Under
+// SEER_OBS=OFF every count is 0.
+void expect_trace_matches_rt_counters(const TraceSink& trace, const MetricsSnapshot& snap,
+                                      std::size_t n_types) {
+  EXPECT_EQ(trace.dropped(), 0u);
+  std::array<std::uint64_t, static_cast<std::size_t>(TraceKind::kKindCount)> n{};
+  std::uint64_t untyped = 0;
+  for (const TraceEvent& e : trace.drain_sorted()) {
+    ++n[static_cast<std::size_t>(e.kind)];
+    if ((e.kind == TraceKind::kTxBegin || e.kind == TraceKind::kSglFallback ||
+         e.kind == TraceKind::kTxCommit) &&
+        e.arg >= n_types) {
+      ++untyped;
+    }
+  }
+  EXPECT_EQ(untyped, 0u) << "begin, fallback and commit events must carry a type";
+  const auto count = [&](TraceKind k) { return n[static_cast<std::size_t>(k)]; };
+  std::uint64_t aborts = 0;
+  for (std::size_t c = 0; c < 4; ++c) {
+    const auto cause = static_cast<htm::AbortCause>(c);
+    aborts += counter_of(snap, std::string("rt.aborts.").append(htm::to_string(cause)));
+  }
+  EXPECT_EQ(count(TraceKind::kTxBegin), counter_of(snap, "rt.hw_attempts"));
+  EXPECT_EQ(count(TraceKind::kTxAbort), aborts);
+  EXPECT_EQ(count(TraceKind::kSglFallback), counter_of(snap, "rt.sgl_fallbacks"));
+  EXPECT_EQ(count(TraceKind::kTxCommit), counter_of(snap, "rt.commits"));
+  // Both runs abort and fall back wherever the layer is compiled in.
+  EXPECT_EQ(aborts > 0, SEER_OBS_ENABLED != 0);
+  EXPECT_EQ(count(TraceKind::kSglFallback) > 0, SEER_OBS_ENABLED != 0);
+}
+
+TEST(ObsIntegration, BothBackendsTraceOneEventPerCountedOutcome) {
+  {
+    SCOPED_TRACE("machine");
+    constexpr std::size_t kThreads = 8;
+    MetricsRegistry reg(kThreads);
+    TraceSink trace(kThreads);
+    sim::MachineConfig cfg;
+    cfg.n_threads = kThreads;
+    cfg.txs_per_thread = 300;
+    cfg.policy.kind = rt::PolicyKind::kSeer;
+    cfg.metrics = &reg;
+    cfg.trace = &trace;
+    sim::Machine machine(
+        cfg, std::make_unique<stamp::SpecWorkload>(stamp::intruder_spec(), kThreads));
+    reg.freeze();
+    (void)machine.run();
+    expect_trace_matches_rt_counters(trace, reg.snapshot(), machine.workload().n_types());
+  }
+  {
+    SCOPED_TRACE("real threads");
+    // Every transaction writes more distinct words than SoftHtm's write set
+    // holds, so each one spends its five hardware attempts on capacity
+    // aborts and commits on the SGL, whose body SoftHtm runs unbounded.
+    constexpr std::size_t kThreads = 2, kTypes = 2, kTxs = 100, kWords = 600;
+    htm::SoftHtm tm;
+    ASSERT_GT(kWords, tm.config().max_write_set);
+    MetricsRegistry reg(kThreads);
+    TraceSink trace(kThreads);
+    rt::ThreadedExecutor::Options opts;
+    opts.n_threads = kThreads;
+    opts.n_types = kTypes;
+    opts.physical_cores = kThreads;
+    opts.metrics = &reg;
+    opts.trace = &trace;
+    rt::PolicyConfig policy;
+    policy.kind = rt::PolicyKind::kSeer;
+    policy.seer.update_period = 64;
+    rt::ThreadedExecutor exec(tm, policy, opts);
+    reg.freeze();
+
+    std::vector<htm::TmWord> words(kThreads * kWords);  // a disjoint block per thread
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        auto h = exec.make_handle(static_cast<core::ThreadId>(t));
+        for (std::size_t i = 0; i < kTxs; ++i) {
+          (void)h->run(static_cast<core::TxTypeId>(i % kTypes), [&](auto& tx) {
+            for (std::size_t j = 0; j < kWords; ++j) tx.write(words[t * kWords + j], i);
+          });
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    expect_trace_matches_rt_counters(trace, reg.snapshot(), kTypes);
+  }
+}
+
 }  // namespace
 }  // namespace seer::obs

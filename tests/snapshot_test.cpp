@@ -239,8 +239,7 @@ TEST(SchedulerIntegration, RebuildFeedsRecorderAndSnapshotsModel) {
   cfg.n_threads = 2;
   cfg.n_types = 2;
   cfg.update_period = 8;
-  cfg.recorder = &rec;
-  core::SeerScheduler sched(cfg);
+  core::SeerScheduler sched(cfg, {.recorder = &rec});
 
   sched.announce(1, 1);
   for (int i = 0; i < 8; ++i) {
@@ -273,11 +272,11 @@ TEST(SchedulerIntegration, RealThreadsFeedTheRecorderEverySglFallback) {
   rt::PolicyConfig policy;
   policy.kind = rt::PolicyKind::kSeer;
   policy.seer.update_period = 64;
-  policy.seer.recorder = &rec;
   rt::ThreadedExecutor::Options opts;
   opts.n_threads = kThreads;
   opts.n_types = 1;
   opts.physical_cores = kThreads;
+  opts.recorder = &rec;
   rt::ThreadedExecutor exec(tm, policy, opts);
 
   std::vector<htm::TmWord> words(kThreads * kWords);  // one disjoint block per thread

@@ -48,6 +48,7 @@
 #include "obs/http_exporter.hpp"
 #include "obs/obs_config.hpp"
 #include "obs/snapshot.hpp"
+#include "obs/trace.hpp"
 #include "runtime/policies.hpp"
 #include "util/cli.hpp"
 #include "util/json_writer.hpp"
@@ -88,13 +89,6 @@ constexpr std::size_t kMaxWorkers = 256;
 constexpr int kMaxJobs = 1024;
 constexpr double kMaxRate = 1e8;         // requests per second
 constexpr double kMaxDurationS = 86400;  // one day
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 // One body for --buildinfo and GET /buildinfo.
 std::string buildinfo_json() {
@@ -284,7 +278,7 @@ int main(int argc, char** argv) {
       // Real mode + Seer policy: route every retained model capture to
       // /snapshot. The hook runs on the rebuild maintenance path, which
       // already allocates; rendering there keeps scrapes to a pointer copy.
-      opts.policy.seer.recorder = &recorder;
+      opts.recorder = &recorder;
       recorder.set_publish([tel = telemetry.get()](
                                const seer::obs::ModelSnapshot& snap) {
         std::string json;
@@ -320,7 +314,7 @@ int main(int argc, char** argv) {
             "real-mode run with --policy Seer)\"}\n"};
       });
       exporter.route("/healthz", [tel] {
-        ServeTelemetry::Health h = tel->healthz(now_ns(), kStallNs);
+        ServeTelemetry::Health h = tel->healthz(seer::obs::steady_ns(), kStallNs);
         return seer::obs::HttpResponse{h.ok ? 200 : 503, "application/json",
                                        std::move(h.body)};
       });
