@@ -139,10 +139,7 @@ void BM_HillClimberFeed(benchmark::State& state) {
 BENCHMARK(BM_HillClimberFeed);
 
 void BM_SchedulerRecordCommit(benchmark::State& state) {
-  core::SeerConfig cfg;
-  cfg.n_threads = 8;
-  cfg.n_types = 8;
-  core::SeerScheduler sched(cfg);
+  core::SeerScheduler sched(core::SeerConfig{}, 8, 8);
   for (core::ThreadId i = 1; i < 8; ++i) {
     sched.announce(i, static_cast<core::TxTypeId>(i % 4));
   }
@@ -159,10 +156,7 @@ BENCHMARK(BM_SchedulerRecordCommit);
 // the `foldall` records of bench/baseline_htm.json comparable.
 void BM_SchedulerRebuild(benchmark::State& state) {
   const auto n_threads = static_cast<std::size_t>(state.range(0));
-  core::SeerConfig cfg;
-  cfg.n_threads = n_threads;
-  cfg.n_types = 8;
-  core::SeerScheduler sched(cfg);
+  core::SeerScheduler sched(core::SeerConfig{}, n_threads, 8);
   // Conflict-rich evidence in every slab so the merge and the inference both
   // do real work: each thread records against a fully announced table.
   for (core::ThreadId t = 0; t < n_threads; ++t) {

@@ -62,10 +62,7 @@ BENCHMARK(BM_TraceEmit);
 // fails if the attached variant exceeds the detached one by more than the
 // DESIGN.md §8 budget.
 void BM_SchedulerRecordCommit_Detached(benchmark::State& state) {
-  core::SeerConfig cfg;
-  cfg.n_threads = 8;
-  cfg.n_types = 8;
-  core::SeerScheduler sched(cfg);
+  core::SeerScheduler sched(core::SeerConfig{}, 8, 8);
   for (core::ThreadId i = 1; i < 8; ++i) {
     sched.announce(i, static_cast<core::TxTypeId>(i % 4));
   }
@@ -78,10 +75,7 @@ BENCHMARK(BM_SchedulerRecordCommit_Detached);
 
 void BM_SchedulerRecordCommit_Metrics(benchmark::State& state) {
   obs::MetricsRegistry reg(8);
-  core::SeerConfig cfg;
-  cfg.n_threads = 8;
-  cfg.n_types = 8;
-  core::SeerScheduler sched(cfg, {.metrics = &reg});
+  core::SeerScheduler sched(core::SeerConfig{}, 8, 8, {.metrics = &reg});
   reg.freeze();
   for (core::ThreadId i = 1; i < 8; ++i) {
     sched.announce(i, static_cast<core::TxTypeId>(i % 4));
@@ -94,15 +88,12 @@ void BM_SchedulerRecordCommit_Metrics(benchmark::State& state) {
 BENCHMARK(BM_SchedulerRecordCommit_Metrics);
 
 // Flight recorder contract (DESIGN.md §9): attaching one must not change the
-// per-transaction path at all — the recorder is fed only at rebuilds and on
-// the SGL fallback path. This variant should measure the same as _Detached;
-// any gap means recorder state leaked onto the commit path.
+// per-transaction path at all — the recorder is fed only at rebuilds. This
+// variant should measure the same as _Detached; any gap means recorder
+// state leaked onto the commit path.
 void BM_SchedulerRecordCommit_Recorder(benchmark::State& state) {
   obs::FlightRecorder rec;
-  core::SeerConfig cfg;
-  cfg.n_threads = 8;
-  cfg.n_types = 8;
-  core::SeerScheduler sched(cfg, {.recorder = &rec});
+  core::SeerScheduler sched(core::SeerConfig{}, 8, 8, {.recorder = &rec});
   for (core::ThreadId i = 1; i < 8; ++i) {
     sched.announce(i, static_cast<core::TxTypeId>(i % 4));
   }
@@ -119,10 +110,7 @@ BENCHMARK(BM_SchedulerRecordCommit_Recorder);
 // walks real (non-zero) matrices.
 void BM_ModelSnapshot(benchmark::State& state) {
   obs::FlightRecorder rec;
-  core::SeerConfig cfg;
-  cfg.n_threads = 8;
-  cfg.n_types = 8;
-  core::SeerScheduler sched(cfg, {.recorder = &rec});
+  core::SeerScheduler sched(core::SeerConfig{}, 8, 8, {.recorder = &rec});
   for (core::ThreadId t = 0; t < 8; ++t) {
     sched.announce(t, static_cast<core::TxTypeId>(t % 4));
     for (int i = 0; i < 64; ++i) {
@@ -141,10 +129,7 @@ BENCHMARK(BM_ModelSnapshot);
 
 // Snapshot serialization (end-of-run / dump path only).
 void BM_SnapshotToJson(benchmark::State& state) {
-  core::SeerConfig cfg;
-  cfg.n_threads = 8;
-  cfg.n_types = 8;
-  core::SeerScheduler sched(cfg);
+  core::SeerScheduler sched(core::SeerConfig{}, 8, 8);
   for (core::ThreadId t = 0; t < 8; ++t) {
     for (int i = 0; i < 64; ++i) {
       sched.record_abort(t, static_cast<core::TxTypeId>(i % 8));

@@ -6,15 +6,6 @@
 
 namespace seer::check {
 
-std::vector<std::vector<core::TxTypeId>> scheme_rows(const core::LockScheme& scheme) {
-  std::vector<std::vector<core::TxTypeId>> rows(scheme.n_types());
-  for (std::size_t x = 0; x < scheme.n_types(); ++x) {
-    const core::LockRow& row = scheme.row(static_cast<core::TxTypeId>(x));
-    rows[x].assign(row.begin(), row.end());
-  }
-  return rows;
-}
-
 void SchedTraceRecorder::on_event(const core::SchedEvent& e) noexcept {
   const std::lock_guard<std::mutex> lk(mu_);
   events_.push_back(e);
@@ -24,7 +15,7 @@ void SchedTraceRecorder::on_rebuild(std::uint64_t rebuild_index,
                                     const core::InferenceParams& params,
                                     const core::LockScheme& scheme) noexcept {
   const std::lock_guard<std::mutex> lk(mu_);
-  decisions_.push_back(SchedDecision{rebuild_index, params, scheme_rows(scheme)});
+  decisions_.push_back(SchedDecision{rebuild_index, params, scheme.to_rows()});
 }
 
 std::vector<core::SchedEvent> SchedTraceRecorder::events() const {

@@ -42,10 +42,6 @@ struct SchedDecision {
   }
 };
 
-// Flattens a scheme into comparable per-type lock rows.
-[[nodiscard]] std::vector<std::vector<core::TxTypeId>> scheme_rows(
-    const core::LockScheme& scheme);
-
 // Mutex-guarded recorder, installable on a live scheduler.
 class SchedTraceRecorder final : public core::SchedulerTraceSink {
  public:

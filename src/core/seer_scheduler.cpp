@@ -5,21 +5,19 @@
 
 namespace seer::core {
 
-SeerScheduler::SeerScheduler(const SeerConfig& cfg, SeerSinks sinks)
+SeerScheduler::SeerScheduler(const SeerConfig& cfg, std::size_t n_threads,
+                             std::size_t n_types, SeerSinks sinks)
     : cfg_(cfg),
-      active_(cfg.n_threads),
-      scheme_(std::make_shared<LockScheme>(cfg.n_types)),
-      params_(cfg.initial_params),
-      climber_(HillClimberConfig{.initial_x = cfg.initial_params.th1,
-                                 .initial_y = cfg.initial_params.th2,
-                                 .seed = cfg.seed}),
-      merged_(cfg.n_types),
-      storm_(cfg.storm),
-      discount_(cfg.n_types) {
-  assert(cfg_.n_threads > 0);
-  slabs_.reserve(cfg.n_threads);
-  for (std::size_t t = 0; t < cfg.n_threads; ++t) {
-    slabs_.push_back(std::make_unique<ThreadStats>(cfg.n_types));
+      active_(n_threads),
+      scheme_(std::make_shared<LockScheme>(n_types)),
+      climber_(HillClimberConfig{.seed = cfg.seed}),
+      merged_(n_types),
+      storm_(cfg.storm_enter),
+      discount_(n_types) {
+  assert(n_threads > 0);
+  slabs_.reserve(n_threads);
+  for (std::size_t t = 0; t < n_threads; ++t) {
+    slabs_.push_back(std::make_unique<ThreadStats>(n_types));
   }
   if (sinks.metrics != nullptr) {
     metrics_ = sinks.metrics;
@@ -42,7 +40,7 @@ void SeerScheduler::merge_slabs(GlobalStats& out) const noexcept {
 }
 
 GlobalStats SeerScheduler::merged_stats() const {
-  GlobalStats out(cfg_.n_types);
+  GlobalStats out(n_types());
   merge_slabs(out);
   return out;
 }
@@ -67,31 +65,19 @@ bool SeerScheduler::maybe_update(ThreadId thread, std::uint64_t now) {
   const std::uint64_t seen = executions_seen();
   // Storm probe (storm_response): runs at a finer cadence than the rebuild
   // period, so a contention storm triggers re-inference immediately instead
-  // of waiting out the rest of the window. Entry forces the rebuild below,
-  // which sees storm_pending_ and decays history.
+  // of waiting out the rest of the window. While the storm lasts, re-infer
+  // at probe cadence: the first early rebuild usually sees borderline
+  // evidence and locks a partial scheme; the follow-ups sharpen it within a
+  // probe interval instead of waiting out the full update window.
   if (cfg_.storm_response) {
-    const std::uint64_t probe = std::max<std::uint64_t>(
-        cfg_.storm.min_window_events, cfg_.update_period / 8);
+    const std::uint64_t probe =
+        std::max(StormDetector::kMinWindow, cfg_.update_period / 8);
     if (seen - storm_probe_base_ >= probe) {
       storm_probe_base_ = seen;
-      const StormDetector::Result r =
-          storm_.on_window(seen, total_commits(), sgl_fallbacks());
-      if (r.evaluated) {
-        const bool entered = r.abort_storm.entered || r.sgl_storm.entered;
-        const bool active = r.abort_storm.active || r.sgl_storm.active;
-        if (entered) {
-          storm_pending_ = true;  // decay history exactly once, on entry
-          ++storm_entries_;
-        }
-        // While the storm lasts, re-infer at probe cadence: the first early
-        // rebuild usually sees borderline evidence and locks a partial
-        // scheme; the follow-ups sharpen it within a probe interval instead
-        // of waiting out the full update window.
-        if (entered || active) {
-          executions_at_last_rebuild_ = seen;
-          rebuild(now);
-          return true;
-        }
+      if (storm_.on_window(seen, total_commits()) && storm_.active()) {
+        executions_at_last_rebuild_ = seen;
+        rebuild(now);
+        return true;
       }
     }
   }
@@ -135,12 +121,17 @@ void SeerScheduler::rebuild(std::uint64_t now) {
     rebuilds_at_last_epoch_ = rebuilds_;
   }
 
-  // Online re-inference (storm_response): maybe_update's storm probe set
-  // storm_pending_ when the detector entered a storm; this rebuild is the
-  // immediate response, and entry decays accumulated history so the
-  // inference runs on predominantly fresh evidence.
-  const bool storm_entered = storm_pending_;
-  storm_pending_ = false;
+  // The storm verdict for the windows since the last rebuild: maybe_update's
+  // probes under storm_response, else this rebuild's own window, evaluated
+  // only when a recorder reads it. Under storm_response, entry is the
+  // immediate re-inference: it decays accumulated history once, so this
+  // rebuild runs on predominantly fresh evidence.
+  if (!cfg_.storm_response && recorder_ != nullptr) {
+    (void)storm_.on_window(executions_seen(), total_commits());
+  }
+  const StormVerdict storm = storm_.take_verdict();
+  const bool storm_entered = cfg_.storm_response && storm.entered;
+  if (storm_entered) ++storm_entries_;
 
   merge_slabs(merged_);
   discount_active_ = discount_active_ || storm_entered;
@@ -175,15 +166,11 @@ void SeerScheduler::rebuild(std::uint64_t now) {
   }
   std::atomic_store_explicit(&scheme_, std::move(next), std::memory_order_release);
 
-  // Flight-recorder feed: the cheap per-rebuild sample always goes in (it
-  // drives the anomaly detectors); the full model capture happens only when
-  // the recorder's trigger — periodic cadence or storm entry — fires.
-  if (recorder_ != nullptr) {
-    const obs::RebuildSample sample{now, rebuilds_, executions_seen(),
-                                    total_commits(), sgl_fallbacks()};
-    if (recorder_->on_rebuild(sample)) {
-      recorder_->record(make_model_snapshot(now));
-    }
+  // Flight-recorder feed: the storm verdict always goes in (it opens and
+  // closes the episodes); the full model capture happens only when the
+  // recorder's trigger — periodic cadence or storm entry — fires.
+  if (recorder_ != nullptr && recorder_->on_rebuild({now, rebuilds_, storm})) {
+    recorder_->record(make_model_snapshot(now));
   }
 
   if (time_rebuilds_) metrics_->observe(h_rebuild_ns_, 0, obs::steady_ns() - t_start);

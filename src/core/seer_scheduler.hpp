@@ -32,11 +32,9 @@
 namespace seer::core {
 
 // Feature toggles for the Figure 4 / Figure 5 ablations, plus the paper's
-// fixed constants.
+// fixed constants. The thread and type counts are constructor arguments:
+// every backend sets them from its own shape.
 struct SeerConfig {
-  std::size_t n_threads = 8;
-  std::size_t n_types = 8;
-
   // Mechanism toggles (§5.3: each is one cumulative variant of Figure 5).
   bool enable_tx_locks = true;        // fine-grained transaction locks
   bool enable_core_locks = true;      // capacity-driven per-core locks
@@ -48,22 +46,22 @@ struct SeerConfig {
   // rebuild every `update_period` executions (DESIGN.md deviation #1).
   std::uint64_t update_period = 512;
 
-  InferenceParams initial_params{};
   std::uint64_t seed = 1;
 
-  // --- online re-inference (DESIGN.md §14) --------------------------------
-  // When enabled, maybe_update probes the shared storm detector
-  // (core/storm_detector.hpp) every
-  // max(storm.min_window_events, update_period / 8) executions — a finer
-  // cadence than the rebuild period. Entering an abort- or SGL-storm forces
-  // an immediate rebuild with a `storm_decay` down-weighting of accumulated
-  // history, so re-inference runs on predominantly fresh evidence instead of
-  // waiting out the rest of the update window.
+  // --- storm detection and online re-inference (DESIGN.md §14) -------------
+  // Window abort rate that opens a storm; it closes at two thirds of this
+  // (core/storm_detector.hpp). The flight recorder records these storms.
+  double storm_enter = 0.90;
+  // When enabled, maybe_update probes the storm detector every
+  // max(StormDetector::kMinWindow, update_period / 8) executions — a finer
+  // cadence than the rebuild period. Entering a storm forces an immediate
+  // rebuild with a `storm_decay` down-weighting of accumulated history, so
+  // re-inference runs on predominantly fresh evidence instead of waiting
+  // out the rest of the update window.
   bool storm_response = false;
   // Multiplier applied to accumulated history on storm entry (0 = forget
   // everything, 1 = change nothing). Only meaningful with storm_response.
   double storm_decay = 0.25;
-  StormConfig storm{};
 };
 
 // The observability sinks a backend attaches (src/obs/, DESIGN.md §8). Each
@@ -72,9 +70,10 @@ struct SeerConfig {
 struct SeerSinks {
   obs::MetricsRegistry* metrics = nullptr;
   obs::TraceSink* trace = nullptr;
-  // Model flight recorder (src/obs/flight_recorder.hpp): fed once per scheme
-  // rebuild on the maintenance path; when its trigger fires the scheduler
-  // builds a full ModelSnapshot. Never consulted on the per-event hot path.
+  // Model flight recorder (src/obs/flight_recorder.hpp): handed the storm
+  // verdict once per scheme rebuild on the maintenance path; when its
+  // trigger fires the scheduler builds a full ModelSnapshot. Never consulted
+  // on the per-event hot path.
   obs::FlightRecorder* recorder = nullptr;
   // Time each rebuild on the wall clock into `seer.rebuild.ns` (needs
   // `metrics`). A backend whose output must stay byte-identical leaves it
@@ -124,11 +123,14 @@ class SchedulerTraceSink {
 
 class SeerScheduler {
  public:
-  explicit SeerScheduler(const SeerConfig& cfg, SeerSinks sinks = {});
+  SeerScheduler(const SeerConfig& cfg, std::size_t n_threads, std::size_t n_types,
+                SeerSinks sinks = {});
   SeerScheduler(const SeerScheduler&) = delete;
   SeerScheduler& operator=(const SeerScheduler&) = delete;
 
   [[nodiscard]] const SeerConfig& config() const noexcept { return cfg_; }
+  [[nodiscard]] std::size_t n_threads() const noexcept { return slabs_.size(); }
+  [[nodiscard]] std::size_t n_types() const noexcept { return merged_.n_types; }
 
   // --- hot path -----------------------------------------------------------
   void announce(ThreadId thread, TxTypeId tx) noexcept {
@@ -166,9 +168,8 @@ class SeerScheduler {
   }
 
   // SGL fallback feed (any thread; the fallback path is already slow),
-  // bumped when the driver decides to fall back (SeerPolicy::on_fallback). The storm
-  // detector and the flight recorder both classify rebuild windows by
-  // fallbacks per execution from this one counter, and snapshots report it.
+  // bumped when the driver decides to fall back (SeerPolicy::on_fallback).
+  // Snapshots report it.
   void note_sgl_fallback() noexcept {
     sgl_fallbacks_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -200,12 +201,7 @@ class SeerScheduler {
   [[nodiscard]] GlobalStats merged_stats() const;
   [[nodiscard]] std::uint64_t total_commits() const noexcept;
   [[nodiscard]] std::uint64_t executions_seen() const noexcept;
-  [[nodiscard]] bool abort_storm_active() const noexcept {
-    return storm_.abort_storm_active();
-  }
-  [[nodiscard]] bool sgl_storm_active() const noexcept {
-    return storm_.sgl_storm_active();
-  }
+  // Storm entries that forced a re-inference (storm_response only).
   [[nodiscard]] std::uint64_t storm_entries() const noexcept {
     return storm_entries_;
   }
@@ -248,15 +244,13 @@ class SeerScheduler {
   // it publishes): the merged lifetime totals, minus the storm discount once
   // one is active — exactly what the inference reads.
   GlobalStats merged_;
-  // Online re-inference state (storm_response): the shared hysteresis
-  // detector, the SGL feed it consumes, and the discount subtracted from
-  // the merged lifetime totals to realize storm-entry decay without
-  // touching the monotonic counters.
+  // Storm state: the one detector, and for online re-inference
+  // (storm_response) the discount subtracted from the merged lifetime totals
+  // to realize storm-entry decay without touching the monotonic counters.
   StormDetector storm_;
   std::atomic<std::uint64_t> sgl_fallbacks_{0};
   std::uint64_t storm_entries_ = 0;
   std::uint64_t storm_probe_base_ = 0;  // executions at the last probe
-  bool storm_pending_ = false;          // entry seen; consumed by rebuild()
   GlobalStats discount_;
   bool discount_active_ = false;
 

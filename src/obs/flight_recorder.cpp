@@ -8,58 +8,38 @@
 
 namespace seer::obs {
 
-FlightRecorder::FlightRecorder(FlightRecorderConfig cfg)
-    : cfg_(cfg), detector_(cfg.storm) {
-  if (cfg_.capacity == 0) cfg_.capacity = 1;
-  ring_.reserve(cfg_.capacity);
-}
+FlightRecorder::FlightRecorder() { ring_.reserve(kSnapshotRingCapacity); }
 
-bool FlightRecorder::note_transition(AnomalyEpisode::Kind kind,
-                                     const core::StormDetector::Transition& t,
-                                     const RebuildSample& s) {
-  if (t.entered) {
-    AnomalyEpisode ep;
-    ep.kind = kind;
-    ep.start_now = s.now;
-    ep.start_rebuild = s.rebuild;
+bool FlightRecorder::note_storm(const RebuildSample& s) {
+  const core::StormVerdict& v = s.storm;
+  // Inside (or just leaving) a storm: extend the open episode, the newest,
+  // since a storm opens only after the previous one closed. An exit
+  // window's rate lies below the exit threshold, under any peak; with a new
+  // entry the verdict's peak is the new storm's.
+  if ((v.exited || (v.active && !v.entered)) && !episodes_.empty() &&
+      episodes_.back().open) {
+    AnomalyEpisode& ep = episodes_.back();
     ep.end_now = s.now;
     ep.end_rebuild = s.rebuild;
-    ep.peak_rate = t.rate;
-    episodes_.push_back(ep);
-    return true;
+    if (!v.entered) ep.peak_rate = std::max(ep.peak_rate, v.peak_rate);
+    if (v.exited) ep.open = false;
   }
-  if (!t.active && !t.exited) return false;
-  // Inside (or just leaving) an episode: extend its bounds and peak.
-  for (auto it = episodes_.rbegin(); it != episodes_.rend(); ++it) {
-    if (it->kind != kind || !it->open) continue;
-    it->end_now = s.now;
-    it->end_rebuild = s.rebuild;
-    it->peak_rate = std::max(it->peak_rate, t.rate);
-    if (t.exited) it->open = false;
-    break;
-  }
-  return false;
+  if (!v.entered) return false;
+  episodes_.push_back(AnomalyEpisode{.start_now = s.now,
+                                     .start_rebuild = s.rebuild,
+                                     .end_now = s.now,
+                                     .end_rebuild = s.rebuild,
+                                     .peak_rate = v.peak_rate});
+  return true;
 }
 
 bool FlightRecorder::on_rebuild(const RebuildSample& s) {
-  // Windows below min_window_events keep accumulating inside the detector.
-  const core::StormDetector::Result r =
-      detector_.on_window(s.executions, s.commits, s.sgl_fallbacks);
-  bool anomaly_entered = false;
-  if (r.evaluated) {
-    anomaly_entered |=
-        note_transition(AnomalyEpisode::Kind::kAbortStorm, r.abort_storm, s);
-    anomaly_entered |=
-        note_transition(AnomalyEpisode::Kind::kSglStorm, r.sgl_storm, s);
-  }
-
-  if (anomaly_entered) {
+  if (note_storm(s)) {
     pending_reason_ = SnapshotReason::kAnomaly;
     last_capture_rebuild_ = s.rebuild;
     return true;
   }
-  if (cfg_.period != 0 &&
-      (captured_ == 0 || s.rebuild - last_capture_rebuild_ >= cfg_.period)) {
+  if (captured_ == 0 || s.rebuild - last_capture_rebuild_ >= kSnapshotPeriod) {
     pending_reason_ = SnapshotReason::kPeriodic;
     last_capture_rebuild_ = s.rebuild;
     return true;
@@ -70,11 +50,11 @@ bool FlightRecorder::on_rebuild(const RebuildSample& s) {
 void FlightRecorder::push(ModelSnapshot&& snap) {
   snap.seq = captured_;
   ModelSnapshot* stored = nullptr;
-  if (ring_.size() < cfg_.capacity) {
+  if (ring_.size() < kSnapshotRingCapacity) {
     ring_.push_back(std::move(snap));
     stored = &ring_.back();
   } else {
-    stored = &ring_[static_cast<std::size_t>(captured_ % cfg_.capacity)];
+    stored = &ring_[static_cast<std::size_t>(captured_ % kSnapshotRingCapacity)];
     *stored = std::move(snap);
   }
   ++captured_;
@@ -122,7 +102,7 @@ std::string FlightRecorder::to_json() const {
   w.end_array().begin_array("anomalies");
   for (const AnomalyEpisode& ep : episodes_) {
     w.begin_object()
-        .str("kind", to_string(ep.kind))
+        .str("kind", "abort_storm")
         .u64("start_now", ep.start_now)
         .u64("start_rebuild", ep.start_rebuild)
         .u64("end_now", ep.end_now)

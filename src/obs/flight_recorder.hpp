@@ -3,24 +3,19 @@
 //
 // The recorder never touches the per-transaction hot path. Its one feed is
 // on_rebuild(): once per scheme rebuild, on the designated maintenance
-// thread, with the exact lifetime tallies the scheduler already holds —
-// executions, commits and SGL fallbacks (the scheduler's own counter, which
-// every backend's policy bumps when it issues the fallback). on_rebuild()
-// decides — from the capture period and the anomaly detectors —
-// whether the caller should build a full ModelSnapshot and record() it. The
-// expensive part (merging matrices, copying the scheme) therefore happens
-// only for rebuilds that are actually retained.
+// thread, with the scheduler's clock, rebuild count and storm verdict for
+// the windows since the previous rebuild. on_rebuild() decides — from the
+// capture period and the verdict — whether the caller should build a full
+// ModelSnapshot and record() it. The expensive part (merging matrices,
+// copying the scheme) therefore happens only for rebuilds that are
+// actually retained.
 //
-// Anomaly detection works on the *window* between consecutive rebuilds,
-// through the shared core::StormDetector:
-//   abort storm — window abort rate (1 - commits/executions) crosses
-//       `storm.abort_rate_enter`; re-arms below `storm.abort_rate_exit`;
-//   SGL storm  — window SGL fallbacks per execution crosses
-//       `storm.sgl_rate_enter`; re-arms below `storm.sgl_rate_exit`.
-// Both detectors carry hysteresis so a rate hovering around the threshold
-// produces one episode, not a capture per rebuild. Entering an episode
-// forces a capture (reason "anomaly") regardless of the periodic cadence;
-// episodes record their [start, end] rebuild/clock bounds and peak rate.
+// The recorder runs no detector of its own: its abort-storm episodes are the
+// scheduler's storms (core/storm_detector.hpp), at the scheduler's
+// threshold and windows, so the dump shows exactly the storms Seer acted
+// on. Entering a storm forces a capture (reason "anomaly") regardless of
+// the periodic cadence; episodes record their [start, end] rebuild/clock
+// bounds and peak rate.
 //
 // With SEER_OBS=OFF the class is an empty stub: on_rebuild() returns false
 // so the scheduler never builds a snapshot, and to_json() returns "{}".
@@ -37,33 +32,22 @@
 
 namespace seer::obs {
 
-struct FlightRecorderConfig {
-  // Snapshot ring capacity; older snapshots are overwritten (the drop count
-  // survives, like the TraceSink rings).
-  std::size_t capacity = 64;
-  // Capture every `period`-th rebuild; 0 disables periodic capture (anomaly
-  // and final captures still fire).
-  std::uint64_t period = 8;
-  // Storm thresholds with hysteresis, and the evidence floor below which a
-  // window is not classified (core/storm_detector.hpp — the same detector
-  // drives the scheduler's online re-inference loop, independent of
-  // SEER_OBS).
-  core::StormConfig storm{};
-};
+// Snapshot ring capacity; older snapshots are overwritten (the drop count
+// survives, like the TraceSink rings).
+inline constexpr std::size_t kSnapshotRingCapacity = 64;
+// Every kSnapshotPeriod-th rebuild is captured (storm entry and the final
+// capture come on top).
+inline constexpr std::uint64_t kSnapshotPeriod = 8;
 
-// Per-rebuild feed for the trigger logic: exact lifetime tallies, cheap to
-// produce (the scheduler sums its raw slab counters anyway).
+// Per-rebuild feed for the trigger logic.
 struct RebuildSample {
   std::uint64_t now = 0;
   std::uint64_t rebuild = 0;
-  std::uint64_t executions = 0;
-  std::uint64_t commits = 0;
-  std::uint64_t sgl_fallbacks = 0;
+  core::StormVerdict storm{};  // the windows since the previous rebuild
 };
 
+// One abort storm, dumped with "kind": "abort_storm".
 struct AnomalyEpisode {
-  enum class Kind : std::uint8_t { kAbortStorm, kSglStorm };
-  Kind kind = Kind::kAbortStorm;
   std::uint64_t start_now = 0;
   std::uint64_t start_rebuild = 0;
   std::uint64_t end_now = 0;      // last rebuild observed inside the episode
@@ -72,19 +56,11 @@ struct AnomalyEpisode {
   bool open = true;  // still above the exit threshold at end of run
 };
 
-[[nodiscard]] constexpr const char* to_string(AnomalyEpisode::Kind k) noexcept {
-  switch (k) {
-    case AnomalyEpisode::Kind::kAbortStorm: return "abort_storm";
-    case AnomalyEpisode::Kind::kSglStorm: return "sgl_storm";
-  }
-  return "?";
-}
-
 #if SEER_OBS_ENABLED
 
 class FlightRecorder {
  public:
-  explicit FlightRecorder(FlightRecorderConfig cfg = {});
+  FlightRecorder();
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
@@ -126,23 +102,17 @@ class FlightRecorder {
 
  private:
   void push(ModelSnapshot&& snap);
-  // Applies one detector transition to the episode records; returns true
-  // when the episode opens now.
-  bool note_transition(AnomalyEpisode::Kind kind,
-                       const core::StormDetector::Transition& t,
-                       const RebuildSample& s);
+  // Applies a storm verdict to the episode records; returns true when an
+  // episode opens now.
+  bool note_storm(const RebuildSample& s);
 
-  FlightRecorderConfig cfg_;
   std::vector<ModelSnapshot> ring_;  // capacity-bounded, overwrite-oldest
   std::uint64_t captured_ = 0;
   std::function<void(const ModelSnapshot&)> publish_;
 
-  // Trigger state (maintenance thread only). The hysteresis/windowing state
-  // machine is the shared core detector; the recorder keeps only the
-  // episode bookkeeping layered on its transitions.
+  // Trigger state (maintenance thread only).
   SnapshotReason pending_reason_ = SnapshotReason::kPeriodic;
   std::uint64_t last_capture_rebuild_ = 0;
-  core::StormDetector detector_;
   std::vector<AnomalyEpisode> episodes_;
 };
 
@@ -150,7 +120,7 @@ class FlightRecorder {
 
 class FlightRecorder {
  public:
-  explicit FlightRecorder(FlightRecorderConfig = {}) {}
+  FlightRecorder() = default;
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 

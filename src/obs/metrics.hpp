@@ -49,6 +49,10 @@ inline constexpr MetricId kNoMetric = ~MetricId{0};
 // bucket 0 is exactly v = 0 and bucket b >= 1 spans [2^(b-1), 2^b).
 inline constexpr std::size_t kHistogramBuckets = 65;
 
+[[nodiscard]] constexpr std::size_t bucket_of(std::uint64_t v) noexcept {
+  return static_cast<std::size_t>(std::bit_width(v));
+}
+
 struct CounterSnapshot {
   std::string name;
   std::uint64_t value = 0;
@@ -159,10 +163,6 @@ class MetricsRegistry {
 
   // --- collection (any thread, any time after freeze) ---------------------
   [[nodiscard]] MetricsSnapshot snapshot() const;
-
-  [[nodiscard]] static std::size_t bucket_of(std::uint64_t v) noexcept {
-    return static_cast<std::size_t>(std::bit_width(v));
-  }
 
  private:
   using Cell = std::atomic<std::uint64_t>;

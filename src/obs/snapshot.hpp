@@ -30,8 +30,8 @@ namespace seer::obs {
 inline constexpr int kModelSnapshotVersion = 1;
 
 enum class SnapshotReason : std::uint8_t {
-  kPeriodic,  // every k-th scheme rebuild (FlightRecorderConfig::period)
-  kAnomaly,   // abort-storm / SGL-storm detector fired
+  kPeriodic,  // every kSnapshotPeriod-th scheme rebuild (flight_recorder.hpp)
+  kAnomaly,   // the scheduler entered an abort storm
   kFinal,     // end-of-run capture
 };
 

@@ -1,10 +1,8 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 
 #include "util/json_writer.hpp"
@@ -87,6 +85,8 @@ std::vector<TraceEvent> TraceSink::drain_sorted() const {
   return out;
 }
 
+#endif  // SEER_OBS_ENABLED
+
 bool TraceSink::write_chrome_json(const std::string& path) const {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
@@ -96,7 +96,7 @@ bool TraceSink::write_chrome_json(const std::string& path) const {
   // balanced: an abort/commit with no open begin (its begin was overwritten
   // by wraparound) demotes to an instant, and begins still open at the end
   // are closed at the final timestamp.
-  std::vector<int> depth(lanes_.size(), 0);
+  std::vector<int> depth(n_lanes(), 0);
   std::uint64_t last_ts = 0;
 
   // seerMeta carries the sink's bookkeeping (ignored by Chrome/Perfetto,
@@ -166,51 +166,5 @@ bool TraceSink::write_chrome_json(const std::string& path) const {
   std::fclose(f);
   return true;
 }
-
-std::string TraceSink::summary() const {
-  constexpr std::size_t kKinds = static_cast<std::size_t>(TraceKind::kKindCount);
-  std::vector<std::array<std::uint64_t, kKinds>> per_lane(lanes_.size());
-  for (auto& row : per_lane) row.fill(0);
-  for (const TraceEvent& e : drain_sorted()) {
-    per_lane[e.thread][static_cast<std::size_t>(e.kind)]++;
-  }
-
-  const std::vector<std::uint64_t> lane_drops = dropped_per_lane();
-  std::string out = "thread";
-  for (std::size_t k = 0; k < kKinds; ++k) {
-    out += "  ";
-    out += to_string(static_cast<TraceKind>(k));
-  }
-  out += "  lost\n";
-  char buf[96];
-  for (std::size_t t = 0; t < per_lane.size(); ++t) {
-    std::snprintf(buf, sizeof buf, "%6zu", t);
-    out += buf;
-    for (std::size_t k = 0; k < kKinds; ++k) {
-      const char* kind = to_string(static_cast<TraceKind>(k));
-      std::snprintf(buf, sizeof buf, "  %*" PRIu64,
-                    static_cast<int>(std::char_traits<char>::length(kind)),
-                    per_lane[t][k]);
-      out += buf;
-    }
-    std::snprintf(buf, sizeof buf, "  %4" PRIu64 "\n", lane_drops[t]);
-    out += buf;
-  }
-  const std::uint64_t total_dropped = dropped();
-  std::snprintf(buf, sizeof buf,
-                "emitted %" PRIu64 "  retained %zu  dropped %" PRIu64 "\n",
-                emitted(), drain_sorted().size(), total_dropped);
-  out += buf;
-  if (total_dropped > 0) {
-    std::snprintf(buf, sizeof buf, "WARNING: %" PRIu64 " events lost",
-                  total_dropped);
-    out += buf;
-    out += " to ring wraparound; per-thread history is truncated "
-           "(raise trace capacity)\n";
-  }
-  return out;
-}
-
-#endif  // SEER_OBS_ENABLED
 
 }  // namespace seer::obs

@@ -1,6 +1,6 @@
 // Event tracing — per-thread lock-free ring buffers of typed events with
 // logical timestamps, exportable to Chrome trace_event JSON
-// (chrome://tracing / https://ui.perfetto.dev) and a compact text summary.
+// (chrome://tracing / https://ui.perfetto.dev).
 //
 // Each thread (lane) owns a fixed-capacity single-producer ring: emitting an
 // event is a slot write plus one release store of the lane head, and a full
@@ -96,7 +96,8 @@ class TraceSink {
   // Events emitted but overwritten by wraparound, across all lanes.
   [[nodiscard]] std::uint64_t dropped() const noexcept;
   // Same, resolved per lane — nonzero entries tell WHICH thread's history
-  // was truncated (summary() and tools/seer_inspect surface these).
+  // was truncated (the Chrome JSON's seerMeta and tools/seer_inspect
+  // surface these).
   [[nodiscard]] std::vector<std::uint64_t> dropped_per_lane() const;
   [[nodiscard]] std::uint64_t emitted() const noexcept;
   [[nodiscard]] std::size_t n_lanes() const noexcept { return lanes_.size(); }
@@ -106,10 +107,9 @@ class TraceSink {
   // per tid (unmatched ends demote to instants, unmatched begins are closed
   // at the last timestamp, so the output is always well-formed), everything
   // else becomes instant events. Returns false if the file cannot be opened.
+  // Written against the export calls above only, so both builds compile the
+  // one writer: under SEER_OBS=OFF it writes a valid zero-event trace.
   [[nodiscard]] bool write_chrome_json(const std::string& path) const;
-
-  // Compact text table: per-kind event counts per lane plus drop totals.
-  [[nodiscard]] std::string summary() const;
 
  private:
   struct Lane {
@@ -136,8 +136,7 @@ class TraceSink {
   [[nodiscard]] std::uint64_t emitted() const noexcept { return 0; }
   [[nodiscard]] std::size_t n_lanes() const noexcept { return 0; }
   [[nodiscard]] std::size_t capacity() const noexcept { return 0; }
-  [[nodiscard]] bool write_chrome_json(const std::string&) const { return true; }
-  [[nodiscard]] std::string summary() const { return "observability disabled\n"; }
+  [[nodiscard]] bool write_chrome_json(const std::string& path) const;
 };
 
 #endif  // SEER_OBS_ENABLED

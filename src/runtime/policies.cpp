@@ -152,7 +152,7 @@ class SeerPolicy final : public Policy {
     if (status.cause() == htm::AbortCause::kCapacity) want_core_ = true;
   }
 
-  // Alg. 1 lines 18-20: the storm detector and flight recorder feed.
+  // Alg. 1 lines 18-20: the fallback count snapshots report.
   void on_fallback() override { sched_.note_sgl_fallback(); }
 
   void on_commit(bool hardware) override {
@@ -235,10 +235,7 @@ PolicyShared::PolicyShared(const PolicyConfig& cfg, std::size_t n_threads,
                            core::SeerSinks sinks)
     : cfg_(cfg), n_threads_(n_threads), n_types_(n_types), n_cores_(n_cores) {
   if (cfg_.kind == PolicyKind::kSeer) {
-    core::SeerConfig sc = cfg_.seer;
-    sc.n_threads = n_threads;
-    sc.n_types = n_types;
-    seer_ = std::make_unique<core::SeerScheduler>(sc, sinks);
+    seer_ = std::make_unique<core::SeerScheduler>(cfg_.seer, n_threads, n_types, sinks);
   }
   if (cfg_.kind == PolicyKind::kOracle) {
     oracle_ = std::make_unique<OracleShared>(n_types);

@@ -51,9 +51,6 @@ class Value {
     if (number >= 18446744073709551616.0) return ~std::uint64_t{0};
     return static_cast<std::uint64_t>(number);
   }
-  [[nodiscard]] std::int64_t as_i64() const noexcept {
-    return static_cast<std::int64_t>(number);
-  }
 
   // Object member lookup; nullptr when absent or not an object.
   [[nodiscard]] const Value* find(std::string_view key) const noexcept {

@@ -90,8 +90,6 @@ class InstanceTraceRecorder final : public Generator {
   [[nodiscard]] std::uint64_t think_time(core::ThreadId thread,
                                          util::Xoshiro256& rng) override;
 
-  [[nodiscard]] Generator& inner() noexcept { return *inner_; }
-
  private:
   std::unique_ptr<Generator> inner_;
   InstanceTrace* out_;

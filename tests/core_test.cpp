@@ -491,16 +491,15 @@ TEST(HillClimber, DegenerateBoxPinsEveryProposal) {
 
 // ------------------------------------------------------ SeerScheduler ------
 
+// Schedulers built from it run four threads and three transaction types.
 SeerConfig small_config() {
   SeerConfig cfg;
-  cfg.n_threads = 4;
-  cfg.n_types = 3;
   cfg.update_period = 10;
   return cfg;
 }
 
 TEST(SeerScheduler, AnnounceVisibleInActiveTable) {
-  SeerScheduler s(small_config());
+  SeerScheduler s(small_config(), 4, 3);
   s.announce(2, 1);
   EXPECT_EQ(s.active_table().peek(2), 1);
   s.clear(2);
@@ -508,7 +507,7 @@ TEST(SeerScheduler, AnnounceVisibleInActiveTable) {
 }
 
 TEST(SeerScheduler, RecordsFlowIntoMergedStats) {
-  SeerScheduler s(small_config());
+  SeerScheduler s(small_config(), 4, 3);
   s.announce(1, 2);
   s.record_abort(0, 0);   // thread 0 aborts type 0 while thread 1 runs type 2
   s.record_commit(0, 0);  // and then commits one
@@ -520,7 +519,7 @@ TEST(SeerScheduler, RecordsFlowIntoMergedStats) {
 }
 
 TEST(SeerScheduler, OnlyDesignatedThreadRebuilds) {
-  SeerScheduler s(small_config());
+  SeerScheduler s(small_config(), 4, 3);
   for (int i = 0; i < 100; ++i) s.record_commit(1, 0);
   EXPECT_FALSE(s.maybe_update(1, 1000));
   EXPECT_FALSE(s.maybe_update(3, 1000));
@@ -530,7 +529,7 @@ TEST(SeerScheduler, OnlyDesignatedThreadRebuilds) {
 }
 
 TEST(SeerScheduler, UpdatePeriodThrottlesRebuilds) {
-  SeerScheduler s(small_config());  // period 10
+  SeerScheduler s(small_config(), 4, 3);  // period 10
   for (int i = 0; i < 9; ++i) s.record_commit(0, 0);
   EXPECT_FALSE(s.maybe_update(0, 10));
   s.record_commit(0, 0);
@@ -541,8 +540,7 @@ TEST(SeerScheduler, UpdatePeriodThrottlesRebuilds) {
 TEST(SeerScheduler, SchemeSwapsAfterRebuildWithEvidence) {
   SeerConfig cfg = small_config();
   cfg.enable_hill_climbing = false;
-  cfg.initial_params = InferenceParams{.th1 = 0.05, .th2 = 0.6};
-  SeerScheduler s(cfg);
+  SeerScheduler s(cfg, 4, 3);
   EXPECT_TRUE(s.scheme()->empty());
   // Manufacture heavy 0<->1 conflict evidence plus benign background.
   s.announce(1, 1);
@@ -563,7 +561,7 @@ TEST(SeerScheduler, SchemeSwapsAfterRebuildWithEvidence) {
 TEST(SeerScheduler, HillClimberAdvancesWithEpochs) {
   SeerConfig cfg = small_config();
   cfg.enable_hill_climbing = true;
-  SeerScheduler s(cfg);
+  SeerScheduler s(cfg, 4, 3);
   std::uint64_t now = 0;
   for (int round = 0; round < 40; ++round) {
     for (int i = 0; i < 12; ++i) s.record_commit(0, 0);
@@ -579,8 +577,7 @@ TEST(SeerScheduler, NoDecayKeepsLifetimeEvidence) {
   // and then went quiet stays flagged through a phase shift.
   SeerConfig cfg = small_config();
   cfg.enable_hill_climbing = false;
-  cfg.initial_params = InferenceParams{.th1 = 0.05, .th2 = 0.6};
-  SeerScheduler s(cfg);
+  SeerScheduler s(cfg, 4, 3);
   for (int round = 0; round < 3; ++round) {
     s.announce(1, 1);
     for (int i = 0; i < 90; ++i) s.record_abort(0, 0);
@@ -593,7 +590,7 @@ TEST(SeerScheduler, NoDecayKeepsLifetimeEvidence) {
     s.force_update(100 * (round + 1));
   }
   ASSERT_TRUE(s.scheme()->row(0).contains(1));
-  for (int round = 0; round < 4; ++round) {
+  for (int round = 0; round < 2; ++round) {
     s.announce(1, 1);
     s.announce(2, 2);
     for (int i = 0; i < 100; ++i) s.record_commit(0, 0);
@@ -601,16 +598,16 @@ TEST(SeerScheduler, NoDecayKeepsLifetimeEvidence) {
     s.clear(2);
     s.force_update(1000 + 100 * round);
   }
-  // Conditional P(0 ab | 0||1) still reflects the hot phase strongly enough
-  // to stay flagged (270 aborts vs 430 commits against y=1).
+  // Both probabilities still reflect the hot phase strongly enough to stay
+  // flagged: conjunctive P(0 ab ∩ 0||1) = 270/800 clears Th1 = 0.3, and the
+  // conditional one (270 aborts vs 230 commits against y=1) is the outlier.
   EXPECT_TRUE(s.scheme()->row(0).contains(1));
 }
 
 TEST(SeerScheduler, HillClimbingDisabledKeepsParams) {
   SeerConfig cfg = small_config();
   cfg.enable_hill_climbing = false;
-  cfg.initial_params = InferenceParams{.th1 = 0.3, .th2 = 0.8};
-  SeerScheduler s(cfg);
+  SeerScheduler s(cfg, 4, 3);
   std::uint64_t now = 0;
   for (int round = 0; round < 40; ++round) {
     for (int i = 0; i < 12; ++i) s.record_commit(0, 0);
@@ -624,30 +621,27 @@ TEST(SeerScheduler, HillClimbingDisabledKeepsParams) {
 
 TEST(SeerScheduler, StormProbeForcesEarlyRebuildAndKeepsReinferring) {
   SeerConfig cfg;
-  cfg.n_threads = 2;
-  cfg.n_types = 2;
-  cfg.update_period = 128;  // probe cadence = max(16, 128/8) = 16
+  cfg.update_period = 512;  // probe cadence = max(64, 512/8) = 64
   cfg.storm_response = true;
-  cfg.storm.min_window_events = 16;
-  SeerScheduler s(cfg);
+  SeerScheduler s(cfg, 2, 2);
   std::uint64_t now = 0;
 
   // First probe window only seeds the detector base — no rebuild yet, and
   // well before update_period would fire on its own.
-  for (int i = 0; i < 16; ++i) s.record_abort(0, 0);
+  for (int i = 0; i < 64; ++i) s.record_abort(0, 0);
   EXPECT_FALSE(s.maybe_update(0, now += 100));
   EXPECT_EQ(s.rebuild_count(), 0u);
 
   // Second window is pure aborts: rate 1.0 >= 0.9 opens the storm and
-  // forces an immediate rebuild at 32 executions, a quarter of the period.
-  for (int i = 0; i < 16; ++i) s.record_abort(0, 0);
+  // forces an immediate rebuild at 128 executions, a quarter of the period.
+  for (int i = 0; i < 64; ++i) s.record_abort(0, 0);
   EXPECT_TRUE(s.maybe_update(0, now += 100));
   EXPECT_EQ(s.rebuild_count(), 1u);
   EXPECT_EQ(s.storm_entries(), 1u);
 
   // While the storm stays active, re-inference continues at probe cadence —
   // but entry is only counted once (history decays once, on entry).
-  for (int i = 0; i < 16; ++i) s.record_abort(0, 0);
+  for (int i = 0; i < 64; ++i) s.record_abort(0, 0);
   EXPECT_TRUE(s.maybe_update(0, now += 100));
   EXPECT_EQ(s.rebuild_count(), 2u);
   EXPECT_EQ(s.storm_entries(), 1u);
@@ -655,7 +649,7 @@ TEST(SeerScheduler, StormProbeForcesEarlyRebuildAndKeepsReinferring) {
   // A commit-only window drops the rate through the exit threshold: the
   // storm closes and the probe stops forcing rebuilds (the regular period
   // has not elapsed since the last one).
-  for (int i = 0; i < 16; ++i) s.record_commit(0, 0);
+  for (int i = 0; i < 64; ++i) s.record_commit(0, 0);
   EXPECT_FALSE(s.maybe_update(0, now += 100));
   EXPECT_EQ(s.rebuild_count(), 2u);
   EXPECT_EQ(s.storm_entries(), 1u);
@@ -663,13 +657,14 @@ TEST(SeerScheduler, StormProbeForcesEarlyRebuildAndKeepsReinferring) {
 
 TEST(SeerScheduler, StormResponseOffNeverProbes) {
   SeerConfig cfg;
-  cfg.n_threads = 2;
-  cfg.n_types = 2;
-  cfg.update_period = 128;
-  cfg.storm.min_window_events = 16;  // storm_response stays false
-  SeerScheduler s(cfg);
-  for (int i = 0; i < 64; ++i) s.record_abort(0, 0);
-  EXPECT_FALSE(s.maybe_update(0, 100)) << "64 < update_period, no probe path";
+  cfg.update_period = 512;  // storm_response stays false
+  SeerScheduler s(cfg, 2, 2);
+  // With storm_response on, the second of these pure-abort probe windows
+  // would open a storm and rebuild (the test above).
+  for (int w = 1; w <= 2; ++w) {
+    for (int i = 0; i < 64; ++i) s.record_abort(0, 0);
+    EXPECT_FALSE(s.maybe_update(0, 100 * w)) << "below update_period, no probe path";
+  }
   EXPECT_EQ(s.rebuild_count(), 0u);
   EXPECT_EQ(s.storm_entries(), 0u);
 }

@@ -17,10 +17,9 @@
 namespace seer::check {
 namespace {
 
+// Schedulers built from it run four threads and three transaction types.
 core::SeerConfig small_seer_config() {
   core::SeerConfig cfg;
-  cfg.n_threads = 4;
-  cfg.n_types = 3;
   cfg.update_period = 64;
   return cfg;
 }
@@ -51,8 +50,8 @@ TEST(SyntheticTrace, EveryTransactionResolves) {
 
 TEST(Replay, SameTraceSameDecisions) {
   const auto trace = make_synthetic_trace(21, 4, 3, 3000);
-  core::SeerScheduler s1(small_seer_config());
-  core::SeerScheduler s2(small_seer_config());
+  core::SeerScheduler s1(small_seer_config(), 4, 3);
+  core::SeerScheduler s2(small_seer_config(), 4, 3);
   const auto d1 = replay_trace(s1, trace);
   const auto d2 = replay_trace(s2, trace);
   EXPECT_FALSE(d1.empty()) << "the trace must drive real rebuilds";
@@ -61,7 +60,7 @@ TEST(Replay, SameTraceSameDecisions) {
 
 TEST(Replay, DecisionStreamsCoverRebuildSequence) {
   const auto trace = make_synthetic_trace(22, 4, 3, 3000);
-  core::SeerScheduler s(small_seer_config());
+  core::SeerScheduler s(small_seer_config(), 4, 3);
   const auto decisions = replay_trace(s, trace);
   ASSERT_FALSE(decisions.empty());
   for (std::size_t i = 0; i < decisions.size(); ++i) {
@@ -131,8 +130,8 @@ TEST(CrossBackend, SimAndThreadedSchedulersAgreeOnIdenticalTrace) {
 
   // Both backends must have resolved to the same effective scheduler shape,
   // or the comparison is vacuous.
-  ASSERT_EQ(sim_sched->config().n_threads, thr_sched->config().n_threads);
-  ASSERT_EQ(sim_sched->config().n_types, thr_sched->config().n_types);
+  ASSERT_EQ(sim_sched->n_threads(), thr_sched->n_threads());
+  ASSERT_EQ(sim_sched->n_types(), thr_sched->n_types());
   ASSERT_EQ(sim_sched->config().update_period, thr_sched->config().update_period);
 
   const auto trace = make_synthetic_trace(33, 4, 3, 4000);
@@ -180,7 +179,7 @@ TEST(CrossBackend, LiveCaptureReplaysToIdenticalDecisions) {
   ASSERT_FALSE(events.empty());
   ASSERT_FALSE(live.empty()) << "drive long enough to rebuild at least once";
 
-  core::SeerScheduler fresh(sched->config());
+  core::SeerScheduler fresh(sched->config(), sched->n_threads(), sched->n_types());
   const auto replayed = replay_trace(fresh, events);
   EXPECT_EQ(diff_decisions(live, replayed), "")
       << "capture and replay must describe the same scheduler run";

@@ -1,16 +1,14 @@
 // Tests for the observability layer (src/obs/): metrics registry semantics,
 // concurrent snapshotting, ring-buffer tracing (wraparound, drop counts),
-// Chrome trace_event export well-formedness, and the end-to-end integration
-// with the ThreadedExecutor and the machine simulator. Built only with
-// SEER_OBS=ON — the OFF configuration replaces everything here with inline
-// no-op stubs.
+// Chrome trace_event export well-formedness, and the ThreadedExecutor's
+// HTM counters. Built only with SEER_OBS=ON — the OFF configuration replaces
+// everything here with inline no-op stubs. The cross-backend count tests,
+// which state their OFF outcome, live in integration_test.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -22,9 +20,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/threaded_executor.hpp"
-#include "sim/machine.hpp"
-#include "stamp/spec.hpp"
-#include "stamp/workloads.hpp"
 
 namespace seer::obs {
 namespace {
@@ -60,14 +55,14 @@ TEST(MetricsRegistry, CountersSumAcrossThreadLanes) {
 TEST(MetricsRegistry, HistogramLogBucketing) {
   // Bucket b holds values v with bit_width(v) == b: bucket 0 is exactly 0,
   // bucket b >= 1 spans [2^(b-1), 2^b).
-  EXPECT_EQ(MetricsRegistry::bucket_of(0), 0u);
-  EXPECT_EQ(MetricsRegistry::bucket_of(1), 1u);
-  EXPECT_EQ(MetricsRegistry::bucket_of(2), 2u);
-  EXPECT_EQ(MetricsRegistry::bucket_of(3), 2u);
-  EXPECT_EQ(MetricsRegistry::bucket_of(4), 3u);
-  EXPECT_EQ(MetricsRegistry::bucket_of(1023), 10u);
-  EXPECT_EQ(MetricsRegistry::bucket_of(1024), 11u);
-  EXPECT_EQ(MetricsRegistry::bucket_of(~std::uint64_t{0}), 64u);
+  EXPECT_EQ(bucket_of(0), 0u);
+  EXPECT_EQ(bucket_of(1), 1u);
+  EXPECT_EQ(bucket_of(2), 2u);
+  EXPECT_EQ(bucket_of(3), 2u);
+  EXPECT_EQ(bucket_of(4), 3u);
+  EXPECT_EQ(bucket_of(1023), 10u);
+  EXPECT_EQ(bucket_of(1024), 11u);
+  EXPECT_EQ(bucket_of(~std::uint64_t{0}), 64u);
 
   MetricsRegistry reg(2);
   const MetricId h = reg.histogram("h");
@@ -178,18 +173,6 @@ TEST(TraceSink, DrainMergesLanesByTimestamp) {
   EXPECT_EQ(events[3].thread, 2u);
 }
 
-TEST(TraceSink, SummaryTabulatesPerLaneKindCounts) {
-  TraceSink sink(2, 8);
-  sink.emit(0, TraceKind::kTxBegin, 1, 0);
-  sink.emit(0, TraceKind::kTxCommit, 2, 0);
-  sink.emit(1, TraceKind::kTxAbort, 3, 0);
-  const std::string s = sink.summary();
-  EXPECT_NE(s.find("commit"), std::string::npos);
-  EXPECT_NE(s.find("abort"), std::string::npos);
-  EXPECT_NE(s.find("emitted 3"), std::string::npos) << s;
-  EXPECT_NE(s.find("dropped 0"), std::string::npos) << s;
-}
-
 // Structural validation of the Chrome trace_event output. The format is
 // consumed by chrome://tracing and ui.perfetto.dev; this checks the JSON is
 // balanced and every event carries the required keys with matched B/E pairs
@@ -251,20 +234,6 @@ TEST(TraceSink, DroppedPerLaneResolvesWhichRingWrapped) {
   EXPECT_EQ(lanes[0], 6u) << "10 emitted into a 4-slot ring";
   EXPECT_EQ(lanes[1], 0u);
   EXPECT_EQ(sink.dropped(), 6u);
-}
-
-TEST(TraceSink, SummaryWarnsWhenARingOverflowed) {
-  TraceSink quiet(1, 8);
-  quiet.emit(0, TraceKind::kTxCommit, 1, 0);
-  EXPECT_EQ(quiet.summary().find("WARNING"), std::string::npos);
-
-  TraceSink noisy(1, 4);
-  for (std::uint64_t i = 0; i < 9; ++i) {
-    noisy.emit(0, TraceKind::kTxCommit, i, 0);
-  }
-  const std::string s = noisy.summary();
-  EXPECT_NE(s.find("WARNING"), std::string::npos) << s;
-  EXPECT_NE(s.find("dropped 5"), std::string::npos) << s;
 }
 
 TEST(TraceSink, ChromeJsonCarriesDropAccountingInSeerMeta) {
@@ -479,202 +448,6 @@ TEST(ObsIntegration, ThreadedExecutorBumpsHtmExtensionCountersUnderContention) {
   EXPECT_LE(counter_of(snap, "htm.lock_wait_timeouts"),
             counter_of(snap, "rt.aborts.conflict"));
   EXPECT_EQ(counter_of(snap, "rt.commits"), published.load() + 2 * kTxPerReader);
-}
-
-// Checks the rt.* transaction counters of `snap` against a backend's own
-// totals. Every name must be registered.
-void expect_rt_counters_match(const MetricsSnapshot& snap, std::uint64_t commits,
-                              std::uint64_t hw_attempts,
-                              const std::array<std::uint64_t, 4>& aborts_by_cause,
-                              std::uint64_t sgl_commits) {
-  std::map<std::string, std::uint64_t> counters;
-  for (const auto& c : snap.counters) counters[c.name] = c.value;
-  const auto expect = [&](const std::string& name, std::uint64_t want) {
-    const auto it = counters.find(name);
-    ASSERT_NE(it, counters.end()) << name << " is not registered";
-    EXPECT_EQ(it->second, want) << name;
-  };
-  expect("rt.commits", commits);
-  expect("rt.hw_attempts", hw_attempts);
-  expect("rt.sgl_fallbacks", sgl_commits);
-  for (std::size_t c = 0; c < aborts_by_cause.size(); ++c) {
-    const auto cause = static_cast<htm::AbortCause>(c);
-    expect(std::string("rt.aborts.").append(htm::to_string(cause)), aborts_by_cause[c]);
-  }
-  const HistogramSnapshot* depth = nullptr;
-  for (const auto& h : snap.histograms) {
-    if (h.name == "rt.retry_depth") depth = &h;
-  }
-  ASSERT_NE(depth, nullptr) << "rt.retry_depth is not registered";
-  EXPECT_EQ(depth->count, commits) << "one retry depth per commit";
-  EXPECT_EQ(depth->sum, hw_attempts) << "every attempt belongs to a committed tx";
-}
-
-// Both backends count transactions once, in the driver, under one set of
-// rt.* names: a contended simulated run and a contended real-thread run,
-// each with aborts and SGL fallbacks, agree with MachineStats and
-// ThreadedExecutor::aggregate respectively.
-TEST(ObsIntegration, BothBackendsCountIntoOneRtCounterSet) {
-  {
-    constexpr std::size_t kThreads = 8;
-    MetricsRegistry reg(kThreads);
-    sim::MachineConfig cfg;
-    cfg.n_threads = kThreads;
-    cfg.txs_per_thread = 300;
-    cfg.policy.kind = rt::PolicyKind::kRtm;
-    cfg.metrics = &reg;
-    sim::Machine machine(
-        cfg, std::make_unique<stamp::SpecWorkload>(stamp::intruder_spec(), kThreads));
-    reg.freeze();
-    const sim::MachineStats s = machine.run();
-    const std::uint64_t sgl =
-        s.commits_by_mode[static_cast<std::size_t>(rt::CommitMode::kSglFallback)];
-    ASSERT_GT(s.aborts(), 0u);
-    ASSERT_GT(sgl, 0u);
-    const MetricsSnapshot snap = reg.snapshot();
-    expect_rt_counters_match(snap, s.commits, s.hw_attempts, s.aborts_by_cause, sgl);
-    for (const auto& c : snap.counters) {
-      EXPECT_NE(c.name.rfind("sim.", 0), 0u) << c.name << ": the driver counts";
-    }
-  }
-  {
-    constexpr std::size_t kThreads = 2;
-    constexpr int kTxPerThread = 200;
-    MetricsRegistry reg(kThreads);
-    // Every 8th transaction writes past the write budget: capacity aborts
-    // until the budget runs out, then the SGL.
-    htm::SoftHtm tm{htm::SoftHtm::Config{.max_write_set = 4}};
-    rt::ThreadedExecutor::Options opts;
-    opts.n_threads = kThreads;
-    opts.n_types = 1;
-    opts.physical_cores = 2;
-    opts.metrics = &reg;
-    rt::PolicyConfig policy;
-    policy.kind = rt::PolicyKind::kRtm;
-    rt::ThreadedExecutor exec(tm, policy, opts);
-    reg.freeze();
-
-    htm::TmWord counter{0};
-    std::vector<std::unique_ptr<rt::ThreadedExecutor::ThreadHandle>> handles;
-    for (core::ThreadId id = 0; id < kThreads; ++id) {
-      handles.push_back(exec.make_handle(id));
-    }
-    std::vector<std::thread> threads;
-    for (core::ThreadId id = 0; id < kThreads; ++id) {
-      threads.emplace_back([&, id] {
-        std::vector<htm::TmWord> wide(8);
-        for (int i = 0; i < kTxPerThread; ++i) {
-          (void)handles[id]->run(0, [&](auto& tx) {
-            tx.write(counter, tx.read(counter) + 1);
-            if (i % 8 == 0) {
-              for (auto& w : wide) tx.write(w, 1);
-            }
-          });
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    EXPECT_EQ(counter.load(), kThreads * static_cast<std::uint64_t>(kTxPerThread));
-
-    const rt::ExecutorStats st = rt::ThreadedExecutor::aggregate(handles);
-    const std::uint64_t sgl =
-        st.total.commits_by_mode[static_cast<std::size_t>(rt::CommitMode::kSglFallback)];
-    ASSERT_GT(st.aborts(), 0u);
-    ASSERT_GT(sgl, 0u);
-    expect_rt_counters_match(reg.snapshot(), st.commits(), st.total.hw_attempts,
-                             st.total.aborts_by_cause, sgl);
-  }
-}
-
-// The driver stamps one trace event per outcome it counts (DESIGN.md §8):
-// a begin per rt.hw_attempts, an abort per rt.aborts.<cause>, a fallback
-// per rt.sgl_fallbacks and a commit per rt.commits. Begin, fallback and
-// commit carry one of the workload's `n_types` transaction types. Under
-// SEER_OBS=OFF every count is 0.
-void expect_trace_matches_rt_counters(const TraceSink& trace, const MetricsSnapshot& snap,
-                                      std::size_t n_types) {
-  EXPECT_EQ(trace.dropped(), 0u);
-  std::array<std::uint64_t, static_cast<std::size_t>(TraceKind::kKindCount)> n{};
-  std::uint64_t untyped = 0;
-  for (const TraceEvent& e : trace.drain_sorted()) {
-    ++n[static_cast<std::size_t>(e.kind)];
-    if ((e.kind == TraceKind::kTxBegin || e.kind == TraceKind::kSglFallback ||
-         e.kind == TraceKind::kTxCommit) &&
-        e.arg >= n_types) {
-      ++untyped;
-    }
-  }
-  EXPECT_EQ(untyped, 0u) << "begin, fallback and commit events must carry a type";
-  const auto count = [&](TraceKind k) { return n[static_cast<std::size_t>(k)]; };
-  std::uint64_t aborts = 0;
-  for (std::size_t c = 0; c < 4; ++c) {
-    const auto cause = static_cast<htm::AbortCause>(c);
-    aborts += counter_of(snap, std::string("rt.aborts.").append(htm::to_string(cause)));
-  }
-  EXPECT_EQ(count(TraceKind::kTxBegin), counter_of(snap, "rt.hw_attempts"));
-  EXPECT_EQ(count(TraceKind::kTxAbort), aborts);
-  EXPECT_EQ(count(TraceKind::kSglFallback), counter_of(snap, "rt.sgl_fallbacks"));
-  EXPECT_EQ(count(TraceKind::kTxCommit), counter_of(snap, "rt.commits"));
-  // Both runs abort and fall back wherever the layer is compiled in.
-  EXPECT_EQ(aborts > 0, SEER_OBS_ENABLED != 0);
-  EXPECT_EQ(count(TraceKind::kSglFallback) > 0, SEER_OBS_ENABLED != 0);
-}
-
-TEST(ObsIntegration, BothBackendsTraceOneEventPerCountedOutcome) {
-  {
-    SCOPED_TRACE("machine");
-    constexpr std::size_t kThreads = 8;
-    MetricsRegistry reg(kThreads);
-    TraceSink trace(kThreads);
-    sim::MachineConfig cfg;
-    cfg.n_threads = kThreads;
-    cfg.txs_per_thread = 300;
-    cfg.policy.kind = rt::PolicyKind::kSeer;
-    cfg.metrics = &reg;
-    cfg.trace = &trace;
-    sim::Machine machine(
-        cfg, std::make_unique<stamp::SpecWorkload>(stamp::intruder_spec(), kThreads));
-    reg.freeze();
-    (void)machine.run();
-    expect_trace_matches_rt_counters(trace, reg.snapshot(), machine.workload().n_types());
-  }
-  {
-    SCOPED_TRACE("real threads");
-    // Every transaction writes more distinct words than SoftHtm's write set
-    // holds, so each one spends its five hardware attempts on capacity
-    // aborts and commits on the SGL, whose body SoftHtm runs unbounded.
-    constexpr std::size_t kThreads = 2, kTypes = 2, kTxs = 100, kWords = 600;
-    htm::SoftHtm tm;
-    ASSERT_GT(kWords, tm.config().max_write_set);
-    MetricsRegistry reg(kThreads);
-    TraceSink trace(kThreads);
-    rt::ThreadedExecutor::Options opts;
-    opts.n_threads = kThreads;
-    opts.n_types = kTypes;
-    opts.physical_cores = kThreads;
-    opts.metrics = &reg;
-    opts.trace = &trace;
-    rt::PolicyConfig policy;
-    policy.kind = rt::PolicyKind::kSeer;
-    policy.seer.update_period = 64;
-    rt::ThreadedExecutor exec(tm, policy, opts);
-    reg.freeze();
-
-    std::vector<htm::TmWord> words(kThreads * kWords);  // a disjoint block per thread
-    std::vector<std::thread> threads;
-    for (std::size_t t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        auto h = exec.make_handle(static_cast<core::ThreadId>(t));
-        for (std::size_t i = 0; i < kTxs; ++i) {
-          (void)h->run(static_cast<core::TxTypeId>(i % kTypes), [&](auto& tx) {
-            for (std::size_t j = 0; j < kWords; ++j) tx.write(words[t * kWords + j], i);
-          });
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
-    expect_trace_matches_rt_counters(trace, reg.snapshot(), kTypes);
-  }
 }
 
 }  // namespace

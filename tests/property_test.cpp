@@ -491,7 +491,7 @@ TEST(PropertyHarness, PhasedRegimeShiftsStayOpaqueWithExactCounts) {
 // After the shift, the scheduler's learned pair probabilities must move
 // toward the NEW ground truth: a deterministic simulator run whose conflict
 // mass flips from pair (a,b) to pair (b,c) at progress 0.5, snapshotted at
-// every rebuild. Early snapshots must attribute abort mass to the old hot
+// every 8th rebuild. Early snapshots must attribute abort mass to the old hot
 // pair, and the post-shift snapshot *delta* to the new one.
 TEST(PropertyHarness, PhasedSnapshotsTrackTheNewConflictMatrix) {
   const std::string params = R"({
@@ -528,10 +528,7 @@ TEST(PropertyHarness, PhasedSnapshotsTrackTheNewConflictMatrix) {
   cfg.seed = 7;
   cfg.policy.kind = rt::PolicyKind::kSeer;
   cfg.policy.seer.update_period = 64;
-  obs::FlightRecorderConfig rcfg;
-  rcfg.capacity = 4096;  // retain every rebuild — the test reads the timeline
-  rcfg.period = 1;
-  obs::FlightRecorder recorder(rcfg);
+  obs::FlightRecorder recorder;  // every 8th rebuild: the test reads the timeline
   cfg.recorder = &recorder;
   sim::Machine machine(cfg, workload::PhasedWorkload::from_json(
                                 *doc, "<phased>", "shift", cfg.n_threads));
@@ -685,13 +682,13 @@ TEST(PropertyHarness, ShardedFoldMatchesMonolithicMergeAtRebuildBoundaries) {
   for (std::uint64_t i = 0; i < iters; ++i) {
     const std::uint64_t seed = master != 0 ? master : 0x5A4D000u + i;
     util::Xoshiro256 rng(seed);
+    const std::size_t n_types = 1 + rng.below(6);
+    const std::size_t n_threads = 1 + rng.below(64);
     core::SeerConfig cfg;
-    cfg.n_types = 1 + rng.below(6);
-    cfg.n_threads = 1 + rng.below(64);
     cfg.seed = seed;
-    core::SeerScheduler sched(cfg);
-    core::GlobalStats model(cfg.n_types);
-    std::vector<core::TxTypeId> active(cfg.n_threads, core::kNoTx);
+    core::SeerScheduler sched(cfg, n_threads, n_types);
+    core::GlobalStats model(n_types);
+    std::vector<core::TxTypeId> active(n_threads, core::kNoTx);
     std::uint64_t now = 0;
 
     for (int round = 0; round < 8; ++round) {
@@ -699,8 +696,8 @@ TEST(PropertyHarness, ShardedFoldMatchesMonolithicMergeAtRebuildBoundaries) {
       // active (the scan path reads the whole table).
       const std::size_t burst = 50 + rng.below(200);
       for (std::size_t e = 0; e < burst; ++e) {
-        const auto t = static_cast<core::ThreadId>(rng.below(cfg.n_threads));
-        const auto ty = static_cast<core::TxTypeId>(rng.below(cfg.n_types));
+        const auto t = static_cast<core::ThreadId>(rng.below(n_threads));
+        const auto ty = static_cast<core::TxTypeId>(rng.below(n_types));
         sched.announce(t, ty);
         active[t] = ty;
         const bool commit = !rng.bernoulli(0.4);
@@ -719,7 +716,7 @@ TEST(PropertyHarness, ShardedFoldMatchesMonolithicMergeAtRebuildBoundaries) {
       sched.force_update(now);
       ASSERT_TRUE(stats_equal(sched.merged_stats(), model))
           << "merge diverged from the count model at seed " << seed << " round "
-          << round << " (" << cfg.n_threads << " threads, " << cfg.n_types
+          << round << " (" << n_threads << " threads, " << n_types
           << " types)\n"
           << "  replay: SEER_PROPERTY_SEED=" << seed
           << " ./build/tests/property_test "
@@ -743,11 +740,9 @@ TEST(PropertyHarness, ConcurrentShardFoldsStayCoherentUnderTsan) {
   constexpr std::size_t kTypes = 4;
   constexpr std::size_t kWriters = 8;
   const std::vector<core::TxTypeId> background{1, 3, 3};
-  core::SeerConfig cfg;
-  cfg.n_threads = kWriters + background.size();
-  cfg.n_types = kTypes;
-  core::SeerScheduler sched(cfg);
-  std::vector<core::TxTypeId> active(cfg.n_threads, core::kNoTx);
+  const std::size_t n_threads = kWriters + background.size();
+  core::SeerScheduler sched(core::SeerConfig{}, n_threads, kTypes);
+  std::vector<core::TxTypeId> active(n_threads, core::kNoTx);
   for (std::size_t b = 0; b < background.size(); ++b) {
     sched.announce(static_cast<core::ThreadId>(kWriters + b), background[b]);
     active[kWriters + b] = background[b];

@@ -173,7 +173,7 @@ void plant_edge(core::SeerScheduler& s, core::TxTypeId a, core::TxTypeId b) {
   // Background benign evidence against another type so the Gaussian has
   // contrast to cut on.
   const core::TxTypeId other = static_cast<core::TxTypeId>(
-      (std::max(a, b) + 1) % static_cast<core::TxTypeId>(s.config().n_types));
+      (std::max(a, b) + 1) % static_cast<core::TxTypeId>(s.n_types()));
   s.announce(1, other);
   for (int i = 0; i < 95; ++i) s.record_commit(0, a);
   for (int i = 0; i < 5; ++i) s.record_abort(0, a);
@@ -882,8 +882,8 @@ TEST(PolicyShared, SeerOnlyForSeerKind) {
   EXPECT_EQ(rtm.seer(), nullptr);
   PolicyShared seer(seer_config(), 4, 4, 4);
   EXPECT_NE(seer.seer(), nullptr);
-  EXPECT_EQ(seer.seer()->config().n_threads, 4u);
-  EXPECT_EQ(seer.seer()->config().n_types, 4u);
+  EXPECT_EQ(seer.seer()->n_threads(), 4u);
+  EXPECT_EQ(seer.seer()->n_types(), 4u);
 }
 
 }  // namespace

@@ -37,133 +37,107 @@ ModelSnapshot tiny_snapshot(std::uint64_t now, std::uint64_t rebuild) {
   return s;
 }
 
-// The lifetime tallies the scheduler hands over at rebuild `rebuild`.
-RebuildSample sample_at(std::uint64_t rebuild, std::uint64_t executions,
-                        std::uint64_t commits, std::uint64_t sgl_fallbacks = 0) {
-  return RebuildSample{rebuild * 1000, rebuild, executions, commits, sgl_fallbacks};
+// The scheduler's hand-off at rebuild `rebuild`: its clock, and the storm
+// verdict for the windows since the previous rebuild.
+RebuildSample sample_at(std::uint64_t rebuild, core::StormVerdict storm = {}) {
+  return RebuildSample{rebuild * 1000, rebuild, storm};
 }
 
-TEST(FlightRecorder, PeriodicCadenceCapturesEveryKthRebuild) {
-  FlightRecorderConfig cfg;
-  cfg.period = 3;
-  cfg.storm.min_window_events = 1u << 20;  // detectors never arm in this test
-  FlightRecorder rec(cfg);
+// Feeds a detector the way a scheduler without storm response does: one
+// window of lifetime tallies per rebuild, then the verdict for it.
+class RebuildWindows {
+ public:
+  RebuildSample next(std::uint64_t executions, std::uint64_t commits) {
+    (void)detector_.on_window(executions, commits);
+    return sample_at(++rebuild_, detector_.take_verdict());
+  }
+  [[nodiscard]] std::uint64_t rebuild() const noexcept { return rebuild_; }
 
+ private:
+  core::StormDetector detector_{0.90};
+  std::uint64_t rebuild_ = 0;
+};
+
+TEST(FlightRecorder, PeriodicCadenceCapturesEveryKthRebuild) {
+  FlightRecorder rec;
   std::vector<std::uint64_t> captured_at;
-  for (std::uint64_t r = 1; r <= 10; ++r) {
-    if (rec.on_rebuild(sample_at(r, r * 100, r * 90))) {
+  for (std::uint64_t r = 1; r <= 20; ++r) {
+    if (rec.on_rebuild(sample_at(r))) {
       captured_at.push_back(r);
       rec.record(tiny_snapshot(r * 1000, r));
     }
   }
-  // First rebuild always captures (captured_ == 0), then every `period`.
-  EXPECT_EQ(captured_at, (std::vector<std::uint64_t>{1, 4, 7, 10}));
-  EXPECT_EQ(rec.captured(), 4u);
+  // First rebuild always captures (captured_ == 0), then every 8th.
+  static_assert(kSnapshotPeriod == 8);
+  EXPECT_EQ(captured_at, (std::vector<std::uint64_t>{1, 9, 17}));
+  EXPECT_EQ(rec.captured(), 3u);
   EXPECT_EQ(rec.dropped(), 0u);
   for (const ModelSnapshot* s : rec.snapshots()) {
     EXPECT_EQ(s->reason, SnapshotReason::kPeriodic);
   }
 }
 
-TEST(FlightRecorder, ZeroPeriodDisablesPeriodicCapture) {
-  FlightRecorderConfig cfg;
-  cfg.period = 0;
-  cfg.storm.min_window_events = 1u << 20;
-  FlightRecorder rec(cfg);
-  for (std::uint64_t r = 1; r <= 5; ++r) {
-    EXPECT_FALSE(rec.on_rebuild(sample_at(r, r * 100, r * 90)));
-  }
-  rec.record_final(tiny_snapshot(9000, 9));
-  EXPECT_EQ(rec.captured(), 1u);
-  EXPECT_EQ(rec.snapshots()[0]->reason, SnapshotReason::kFinal);
-}
-
 TEST(FlightRecorder, RingOverwritesOldestAndKeepsSeqOrder) {
-  FlightRecorderConfig cfg;
-  cfg.capacity = 4;
-  cfg.period = 1;
-  cfg.storm.min_window_events = 1u << 20;
-  FlightRecorder rec(cfg);
-  for (std::uint64_t r = 1; r <= 10; ++r) {
-    ASSERT_TRUE(rec.on_rebuild(sample_at(r, r * 100, r * 90)));
-    rec.record(tiny_snapshot(r * 1000, r));
+  FlightRecorder rec;
+  constexpr std::uint64_t kCaptures = kSnapshotRingCapacity + 6;
+  for (std::uint64_t r = 1; r <= 1 + kSnapshotPeriod * (kCaptures - 1); ++r) {
+    if (rec.on_rebuild(sample_at(r))) rec.record(tiny_snapshot(r * 1000, r));
   }
-  EXPECT_EQ(rec.captured(), 10u);
+  EXPECT_EQ(rec.captured(), kCaptures);
   EXPECT_EQ(rec.dropped(), 6u);
   const auto snaps = rec.snapshots();
-  ASSERT_EQ(snaps.size(), 4u);
-  // Seqs 0..9 were assigned; the ring retains the newest four, seq-ordered.
+  ASSERT_EQ(snaps.size(), kSnapshotRingCapacity);
+  // Seqs 0..69 were assigned; the ring retains the newest 64, seq-ordered.
   for (std::size_t i = 0; i < snaps.size(); ++i) {
     EXPECT_EQ(snaps[i]->seq, 6u + i);
-    EXPECT_EQ(snaps[i]->rebuild, 7u + i);  // rebuild r got seq r-1
+    EXPECT_EQ(snaps[i]->rebuild, 1 + kSnapshotPeriod * (6 + i));  // seq k at 1 + 8k
   }
 }
 
 TEST(FlightRecorder, AbortStormOpensOneEpisodeWithHysteresis) {
-  FlightRecorderConfig cfg;
-  cfg.period = 0;  // isolate the anomaly trigger
-  cfg.storm.min_window_events = 64;
-  cfg.storm.abort_rate_enter = 0.90;
-  cfg.storm.abort_rate_exit = 0.60;
-  FlightRecorder rec(cfg);
-
+  FlightRecorder rec;
+  RebuildWindows windows;
   std::uint64_t executions = 0;
   std::uint64_t commits = 0;
-  std::uint64_t rebuild = 0;
-  // First on_rebuild only arms the window (never classified).
-  EXPECT_FALSE(rec.on_rebuild(sample_at(++rebuild, executions, commits)));
+  // The first rebuild only seeds the detector; the recorder captures it
+  // because it has captured nothing yet.
+  ASSERT_TRUE(rec.on_rebuild(windows.next(executions, commits)));
+  rec.record(tiny_snapshot(1000, 1));
   // Per-window commit counts (1000 executions each): healthy (abort rate
   // 0.10), storm entry (0.95), still hot (0.92 — hysteresis, no re-capture),
   // hovering above exit (0.65 — episode stays open), recovery (0.20 — closes
-  // it), then a second storm (0.95 — new episode, new capture).
+  // it), then a second storm (0.95 — new episode, new capture). No periodic
+  // capture falls due: each storm entry restarts the period.
   const std::uint64_t window_commits[] = {900, 50, 80, 350, 800, 50};
   std::vector<bool> fired;
   for (const std::uint64_t wc : window_commits) {
     executions += 1000;
     commits += wc;
-    fired.push_back(rec.on_rebuild(sample_at(++rebuild, executions, commits)));
-    if (fired.back()) rec.record(tiny_snapshot(rebuild * 1000, rebuild));
+    fired.push_back(rec.on_rebuild(windows.next(executions, commits)));
+    if (fired.back()) rec.record(tiny_snapshot(windows.rebuild() * 1000, windows.rebuild()));
   }
   EXPECT_EQ(fired, (std::vector<bool>{false, true, false, false, false, true}));
 
   const auto& eps = rec.episodes();
   ASSERT_EQ(eps.size(), 2u);
-  EXPECT_EQ(eps[0].kind, AnomalyEpisode::Kind::kAbortStorm);
   EXPECT_FALSE(eps[0].open);
   EXPECT_NEAR(eps[0].peak_rate, 0.95, 1e-9);
   EXPECT_GT(eps[0].end_rebuild, eps[0].start_rebuild);
   EXPECT_TRUE(eps[1].open) << "second storm runs hot to the end";
-  for (const ModelSnapshot* s : rec.snapshots()) {
-    EXPECT_EQ(s->reason, SnapshotReason::kAnomaly);
+  const auto snaps = rec.snapshots();
+  ASSERT_EQ(snaps.size(), 3u);
+  EXPECT_EQ(snaps[0]->reason, SnapshotReason::kPeriodic);
+  for (std::size_t i = 1; i < snaps.size(); ++i) {
+    EXPECT_EQ(snaps[i]->reason, SnapshotReason::kAnomaly);
   }
 }
 
-TEST(FlightRecorder, SglStormTracksFallbackRate) {
-  FlightRecorderConfig cfg;
-  cfg.period = 0;
-  cfg.storm.min_window_events = 64;
-  cfg.storm.sgl_rate_enter = 0.25;
-  cfg.storm.sgl_rate_exit = 0.05;
-  FlightRecorder rec(cfg);
-
-  EXPECT_FALSE(rec.on_rebuild(sample_at(1, 0, 0)));  // bootstrap
-  // Healthy window: 1000 executions, 10 fallbacks.
-  EXPECT_FALSE(rec.on_rebuild(sample_at(2, 1000, 900, 10)));
-  // Storm window: 300 more fallbacks over 1000 executions = 0.30 >= enter.
-  ASSERT_TRUE(rec.on_rebuild(sample_at(3, 2000, 1500, 310)));
-  rec.record(tiny_snapshot(3000, 3));
-  ASSERT_EQ(rec.episodes().size(), 1u);
-  EXPECT_EQ(rec.episodes()[0].kind, AnomalyEpisode::Kind::kSglStorm);
-  EXPECT_NEAR(rec.episodes()[0].peak_rate, 0.30, 1e-9);
-}
-
 TEST(FlightRecorder, RecordFinalClosesOpenEpisodesAtFinalClock) {
-  FlightRecorderConfig cfg;
-  cfg.period = 0;
-  cfg.storm.min_window_events = 64;
-  FlightRecorder rec(cfg);
-  EXPECT_FALSE(rec.on_rebuild(sample_at(1, 0, 0)));
-  ASSERT_TRUE(rec.on_rebuild(sample_at(2, 1000, 10)));  // abort storm
+  FlightRecorder rec;
+  RebuildWindows windows;
+  ASSERT_TRUE(rec.on_rebuild(windows.next(0, 0)));  // the first capture
+  rec.record(tiny_snapshot(1000, 1));
+  ASSERT_TRUE(rec.on_rebuild(windows.next(1000, 10)));  // abort storm
   rec.record(tiny_snapshot(2000, 2));
   ModelSnapshot fin = tiny_snapshot(7777, 9);
   rec.record_final(std::move(fin));
@@ -230,16 +204,10 @@ TEST(ModelSnapshot, JsonRoundTripsThroughParser) {
 // ------------------------------------------------- scheduler integration ---
 
 TEST(SchedulerIntegration, RebuildFeedsRecorderAndSnapshotsModel) {
-  FlightRecorderConfig rcfg;
-  rcfg.period = 1;
-  rcfg.storm.min_window_events = 1u << 20;
-  FlightRecorder rec(rcfg);
-
+  FlightRecorder rec;
   core::SeerConfig cfg;
-  cfg.n_threads = 2;
-  cfg.n_types = 2;
   cfg.update_period = 8;
-  core::SeerScheduler sched(cfg, {.recorder = &rec});
+  core::SeerScheduler sched(cfg, 2, 2, {.recorder = &rec});
 
   sched.announce(1, 1);
   for (int i = 0; i < 8; ++i) {
@@ -260,15 +228,12 @@ TEST(SchedulerIntegration, RebuildFeedsRecorderAndSnapshotsModel) {
 TEST(SchedulerIntegration, RealThreadsFeedTheRecorderEverySglFallback) {
   // Every transaction writes more distinct words than SoftHtm's write set
   // holds, so each one exhausts its five hardware attempts on capacity
-  // aborts and commits on the SGL: one fallback per five executions, twice
-  // the SGL-storm entry rate set here.
+  // aborts and commits on the SGL: one fallback per five executions, each
+  // counted once by the scheduler the recorder snapshots.
   constexpr std::size_t kThreads = 2, kTxs = 300, kWords = 600;
   htm::SoftHtm tm;
   ASSERT_GT(kWords, tm.config().max_write_set);
-  FlightRecorderConfig rcfg;
-  rcfg.period = 0;
-  rcfg.storm.sgl_rate_enter = 0.1;
-  FlightRecorder rec(rcfg);
+  FlightRecorder rec;
   rt::PolicyConfig policy;
   policy.kind = rt::PolicyKind::kSeer;
   policy.seer.update_period = 64;
@@ -299,11 +264,43 @@ TEST(SchedulerIntegration, RealThreadsFeedTheRecorderEverySglFallback) {
   core::SeerScheduler& sched = *exec.policy_shared().seer();
   EXPECT_EQ(sched.sgl_fallbacks(), sgl_commits.load());
   EXPECT_EQ(sched.make_model_snapshot(0).sgl_fallbacks, sgl_commits.load());
-  bool sgl_storm = false;
-  for (const AnomalyEpisode& ep : rec.episodes()) {
-    if (ep.kind == AnomalyEpisode::Kind::kSglStorm) sgl_storm = true;
+}
+
+TEST(SchedulerIntegration, RecorderFollowsTheSchedulersStormThreshold) {
+  // Windows of 64 executions at abort rate 0.5: above the scheduler's 0.2
+  // entry threshold, below the default 0.9. The recorder records the
+  // scheduler's storm whichever path feeds the one detector: the probe
+  // windows of storm response, or one window per rebuild.
+  for (const bool storm_response : {true, false}) {
+    SCOPED_TRACE(storm_response ? "probe windows" : "rebuild windows");
+    FlightRecorder rec;
+    core::SeerConfig cfg;
+    cfg.storm_enter = 0.2;
+    cfg.storm_response = storm_response;
+    cfg.update_period = 64;  // probe cadence max(64, 64/8) = 64 as well
+    core::SeerScheduler sched(cfg, 2, 2, {.recorder = &rec});
+    for (std::uint64_t w = 1; w <= 6; ++w) {
+      for (int i = 0; i < 32; ++i) sched.record_abort(0, 0);
+      for (int i = 0; i < 32; ++i) sched.record_commit(0, 0);
+      EXPECT_TRUE(sched.maybe_update(0, 1000 * w));
+    }
+    EXPECT_EQ(sched.rebuild_count(), 6u);
+    // Only an entry that forced a re-inference counts.
+    EXPECT_EQ(sched.storm_entries(), storm_response ? 1u : 0u);
+
+    ASSERT_EQ(rec.episodes().size(), 1u) << rec.to_json();
+    const AnomalyEpisode& ep = rec.episodes()[0];
+    EXPECT_TRUE(ep.open);
+    // The first window only seeds the detector; the second enters.
+    EXPECT_EQ(ep.start_rebuild, 2u);
+    EXPECT_EQ(ep.start_now, 2000u);
+    EXPECT_EQ(ep.end_rebuild, 6u);
+    EXPECT_DOUBLE_EQ(ep.peak_rate, 0.5);
+    const auto snaps = rec.snapshots();
+    ASSERT_EQ(snaps.size(), 2u);
+    EXPECT_EQ(snaps[1]->reason, SnapshotReason::kAnomaly);
+    EXPECT_EQ(snaps[1]->rebuild, 2u);
   }
-  EXPECT_TRUE(sgl_storm) << rec.to_json();
 }
 
 // --------------------------------------------------- machine integration ---

@@ -15,9 +15,10 @@
 //   3. DID the hill climber converge — move/direction-flip counts, box-edge
 //      saturation, and the capture timestamp after which (Th1, Th2) stopped
 //      changing.
-// Plus the flight recorder's anomaly episodes (abort storms, SGL storms)
-// and, with --trace, the sink's drop accounting (a truncated trace is a
-// suffix of reality and deserves a loud warning).
+// Plus the flight recorder's anomaly episodes (the abort storms the
+// scheduler's detector entered) and, with --trace, the sink's drop
+// accounting (a truncated trace is a suffix of reality and deserves a loud
+// warning).
 //
 // A second, unrelated mode rides along because this is the one always-built
 // CLI that links the workload registry: --validate-workload FILE.json checks

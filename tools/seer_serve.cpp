@@ -128,7 +128,7 @@ void usage(const char* argv0) {
       "  --metrics              real mode: runtime counter deltas on\n"
       "                         interval lines (needs SEER_OBS=ON)\n"
       "  --storm-response       Seer scheduler: decay stats and re-infer\n"
-      "                         immediately on abort-/SGL-storm entry\n"
+      "                         immediately on abort-storm entry\n"
       "  --storm-enter R        abort-rate threshold in (0, 1] that opens a storm\n"
       "                         episode (default 0.90; exit follows at 2/3)\n"
       "  --storm-decay F        history multiplier in [0, 1] applied on storm\n"
@@ -209,9 +209,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--storm-response") {
       opts.policy.seer.storm_response = true;
     } else if (arg == "--storm-enter") {
-      const double v = parse_positive(arg, next(), 1.0);
-      opts.policy.seer.storm.abort_rate_enter = v;
-      opts.policy.seer.storm.abort_rate_exit = v * 2.0 / 3.0;
+      opts.policy.seer.storm_enter = parse_positive(arg, next(), 1.0);
     } else if (arg == "--storm-decay") {
       opts.policy.seer.storm_decay = parse_flag(arg, next(), 0.0, 1.0);
     } else if (arg == "--update-period") {
