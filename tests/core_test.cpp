@@ -13,6 +13,7 @@
 #include "core/lock_scheme.hpp"
 #include "core/probability.hpp"
 #include "core/seer_scheduler.hpp"
+#include "core/storm_detector.hpp"
 
 namespace seer::core {
 namespace {
@@ -667,6 +668,74 @@ TEST(SeerScheduler, StormResponseOffNeverProbes) {
   }
   EXPECT_EQ(s.rebuild_count(), 0u);
   EXPECT_EQ(s.storm_entries(), 0u);
+}
+
+
+// ------------------------------------------------------ StormDetector ------
+
+TEST(StormDetector, ClosesAtTwoThirdsOfItsEntryRate) {
+  // Entering at 0.90 closes at 0.90 * 2 / 3, which is exactly 0.60.
+  StormDetector d(0.90);
+  EXPECT_FALSE(d.on_window(0, 0)) << "the first call only seeds the base";
+  EXPECT_TRUE(d.on_window(1000, 100));  // abort rate 0.90 reaches entry
+  EXPECT_TRUE(d.active());
+  EXPECT_TRUE(d.on_window(2000, 100 + 399));  // 0.601, above exit: stays open
+  EXPECT_TRUE(d.active());
+  EXPECT_TRUE(d.on_window(3000, 499 + 400));  // exactly 0.60: closes
+  EXPECT_FALSE(d.active());
+  EXPECT_TRUE(d.on_window(4000, 899 + 101));  // 0.899, below entry: stays closed
+  EXPECT_FALSE(d.active());
+}
+
+TEST(StormDetector, ShortWindowsKeepAccumulatingUntilTheMinimum) {
+  constexpr std::uint64_t kMin = StormDetector::kMinWindow;
+  StormDetector d(0.90);
+  (void)d.on_window(0, 0);
+  // kMin - 1 pure aborts are too few to judge: the window is not evaluated,
+  // and its executions stay in the next one.
+  EXPECT_FALSE(d.on_window(kMin - 1, 0));
+  EXPECT_FALSE(d.active());
+  EXPECT_FALSE(d.take_verdict().entered);
+  // One more abort completes a kMin-execution window since the seed.
+  EXPECT_TRUE(d.on_window(kMin, 0));
+  EXPECT_TRUE(d.active());
+  const StormVerdict v = d.take_verdict();
+  EXPECT_TRUE(v.entered);
+  EXPECT_DOUBLE_EQ(v.peak_rate, 1.0);
+  // The evaluated window moved the base: kMin - 1 commits after it are again
+  // too few to close the storm, and kMin are enough.
+  EXPECT_FALSE(d.on_window(2 * kMin - 1, kMin - 1));
+  EXPECT_TRUE(d.active());
+  EXPECT_TRUE(d.on_window(2 * kMin, kMin));
+  EXPECT_FALSE(d.active());
+}
+
+TEST(StormDetector, VerdictCoversEveryWindowSinceTheLastTake) {
+  StormDetector d(0.90);
+  (void)d.on_window(0, 0);
+  (void)d.on_window(100, 5);  // 0.95: opens
+  StormVerdict v = d.take_verdict();
+  EXPECT_TRUE(v.entered);
+  EXPECT_FALSE(v.exited);
+  EXPECT_TRUE(v.active);
+  EXPECT_DOUBLE_EQ(v.peak_rate, 0.95);
+  // Three windows before the next take: still hot (0.97), recovered (0.02,
+  // closes), hot again (0.93, a new storm). The verdict closed one storm and
+  // opened the next, and its peak is the new storm's own.
+  (void)d.on_window(200, 5 + 3);
+  (void)d.on_window(300, 8 + 98);
+  (void)d.on_window(400, 106 + 7);
+  v = d.take_verdict();
+  EXPECT_TRUE(v.entered);
+  EXPECT_TRUE(v.exited);
+  EXPECT_TRUE(v.active);
+  EXPECT_DOUBLE_EQ(v.peak_rate, 1.0 - 7.0 / 100.0);
+  // Taking starts a fresh verdict: with no window evaluated since, it reads
+  // all clear, while the detector itself is still in the storm.
+  v = d.take_verdict();
+  EXPECT_FALSE(v.entered || v.exited || v.active);
+  EXPECT_EQ(v.peak_rate, 0.0);
+  EXPECT_TRUE(d.active());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
@@ -20,6 +21,7 @@
 #include "sim/machine.hpp"
 #include "stamp/spec.hpp"
 #include "stamp/workloads.hpp"
+#include "util/json.hpp"
 #include "workload/registry.hpp"
 
 namespace seer {
@@ -501,6 +503,34 @@ TEST(ObsIntegration, BothBackendsTraceOneEventPerCountedOutcome) {
     for (auto& th : threads) th.join();
     expect_trace_matches_rt_counters(trace, reg.snapshot(), kTypes);
   }
+}
+
+
+// The one Chrome writer compiles in both builds. Under SEER_OBS=OFF the stub
+// sink holds no lane and no event, and the file is still a trace that
+// parses, with zero events, which is what --trace writes there.
+TEST(ObsIntegration, ChromeTraceParsesInEitherBuild) {
+  TraceSink sink(2, 8);
+  sink.emit(0, TraceKind::kTxBegin, 10, 1);
+  sink.emit(0, TraceKind::kTxCommit, 20, 1);
+  const std::string path = ::testing::TempDir() + "integration_test_trace.json";
+  ASSERT_TRUE(sink.write_chrome_json(path));
+  std::string err;
+  const auto v = util::json::parse_file(path, &err);
+  std::remove(path.c_str());
+  ASSERT_TRUE(v.has_value()) << err;
+  const util::json::Value* events = v->find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_TRUE(events->is_array());
+  const util::json::Value* meta = v->find("seerMeta");
+  ASSERT_NE(meta, nullptr);
+  const std::uint64_t want = SEER_OBS_ENABLED ? 2 : 0;  // one B/E pair
+  EXPECT_EQ(events->array.size(), want);
+  EXPECT_EQ(meta->u64("emitted"), want);
+  EXPECT_EQ(meta->u64("dropped"), 0u);
+  const util::json::Value* per_lane = meta->find("droppedPerThread");
+  ASSERT_NE(per_lane, nullptr);
+  EXPECT_EQ(per_lane->array.size(), SEER_OBS_ENABLED ? 2u : 0u);
 }
 
 }  // namespace
