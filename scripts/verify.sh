@@ -61,6 +61,10 @@ run_property() {
   # stripes (DESIGN.md §10).
   SEER_PROPERTY_ITERS=100 ./build/tests/property_test \
     --gtest_filter='PropertyHarness.RandomWorkloadsStayOpaque:PropertyHarness.RandomWorkloadsStayOpaqueAcrossTierTransitions:PropertyHarness.CheckerCatchesExtendWithoutValidation:PropertyHarness.CapacityDecisionsMatchAnExactModel:PropertyHarness.ShardedFoldMatchesMonolithicMergeAtRebuildBoundaries'
+  # The sampler's grouped canonicalization against std::sort + std::unique
+  # on 100 random spec layouts (DESIGN.md §6).
+  SEER_PROPERTY_ITERS=100 ./build/tests/hot_path_test \
+    --gtest_filter='GroupedCanonicalization.RandomLayoutsMatchSortUnique'
 }
 
 case "${STAGE}" in

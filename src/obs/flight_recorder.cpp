@@ -69,13 +69,16 @@ void FlightRecorder::record(ModelSnapshot&& snap) {
 void FlightRecorder::record_final(ModelSnapshot&& snap) {
   snap.reason = SnapshotReason::kFinal;
   // Close still-open episodes at the final clock; `open` stays true in the
-  // dump so tools can tell "subsided" from "ran hot to the end".
-  for (AnomalyEpisode& ep : episodes_) {
+  // dump so tools can tell "subsided" from "ran hot to the end". An episode
+  // an earlier final closed keeps its end: it belongs to that run.
+  for (std::size_t i = finals_closed_; i < episodes_.size(); ++i) {
+    AnomalyEpisode& ep = episodes_[i];
     if (ep.open) {
       ep.end_now = snap.now;
       ep.end_rebuild = snap.rebuild;
     }
   }
+  finals_closed_ = episodes_.size();
   push(std::move(snap));
 }
 

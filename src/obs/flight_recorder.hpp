@@ -70,8 +70,10 @@ class FlightRecorder {
   [[nodiscard]] bool on_rebuild(const RebuildSample& s);
 
   // Retains a snapshot, stamping its seq and the reason decided by the last
-  // on_rebuild() (record) or kFinal (record_final, which also closes any
-  // open anomaly episodes at the snapshot's clock).
+  // on_rebuild() (record) or kFinal (record_final, which also closes the
+  // anomaly episodes opened since the previous final and still open, at
+  // the snapshot's clock). A recorder that outlives its scheduler gets one
+  // final per scheduler: `seer_serve`'s real steps each run their own.
   void record(ModelSnapshot&& snap);
   void record_final(ModelSnapshot&& snap);
 
@@ -114,6 +116,7 @@ class FlightRecorder {
   SnapshotReason pending_reason_ = SnapshotReason::kPeriodic;
   std::uint64_t last_capture_rebuild_ = 0;
   std::vector<AnomalyEpisode> episodes_;
+  std::size_t finals_closed_ = 0;  // episodes before it were closed by a final
 };
 
 #else  // !SEER_OBS_ENABLED — zero-cost stubs with the identical surface.

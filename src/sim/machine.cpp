@@ -21,13 +21,23 @@ struct Machine::ThreadCtx {
 
   TxInstance inst;
   FootprintIndex fp;  // inst's footprint; built by begin(), kept across retries
+  // inst's serial number, from begin(); retries keep it.
+  std::uint64_t serial = 0;
+  // Pair verdicts, indexed by the other thread's id: whether this thread's
+  // instance `mine` conflicts with that thread's instance `theirs`. Serials
+  // start at 1, so a fresh row matches no pair.
+  struct Verdict {
+    std::uint64_t mine = 0;
+    std::uint64_t theirs = 0;
+    bool conflict = false;
+  };
+  std::vector<Verdict> verdicts;
   Time arrival = 0;  // open loop: when the request in service arrived
   // How the transaction in service committed.
   rt::CommitMode mode = rt::CommitMode::kHtmNoLocks;
   // The kAcquire step in progress: its locks, and how many are held.
   const rt::LockList* acquiring = nullptr;
   std::size_t acquire_idx = 0;
-  bool in_hw = false;
   Time hw_end = 0;
   bool capacity_scheduled = false;
 
@@ -48,7 +58,8 @@ Machine::Machine(MachineConfig cfg, std::unique_ptr<Workload> workload)
       workload_(std::move(workload)),
       shared_(cfg_.policy, cfg_.n_threads, workload_->n_types(), cfg_.physical_cores,
               {.metrics = cfg_.metrics, .trace = cfg_.trace, .recorder = cfg_.recorder}),
-      locks_(workload_->n_types(), cfg_.physical_cores) {
+      locks_(workload_->n_types(), cfg_.physical_cores),
+      in_hw_((cfg_.n_threads + 63) / 64, 0) {
   assert(cfg_.n_threads > 0 && cfg_.physical_cores > 0);
   stats_.commits_by_type.assign(workload_->n_types(), 0);
   stats_.gt_conflicts.assign(workload_->n_types() * workload_->n_types(), 0);
@@ -68,6 +79,7 @@ Machine::Machine(MachineConfig cfg, std::unique_ptr<Workload> workload)
   for (core::ThreadId id = 0; id < cfg_.n_threads; ++id) {
     auto t = std::make_unique<ThreadCtx>(shared_, id, tx_metrics_, trace);
     t->rng = master.split();
+    t->verdicts.resize(cfg_.n_threads);
     threads_.push_back(std::move(t));
   }
 }
@@ -83,7 +95,7 @@ std::uint32_t Machine::effective_capacity(const ThreadCtx& t) const noexcept {
   const std::size_t core = t.id % p;
   std::uint32_t sharers = 1;
   for (std::size_t m = core; m < cfg_.n_threads; m += p) {
-    if (m != static_cast<std::size_t>(t.id) && threads_[m]->in_hw) ++sharers;
+    if (m != static_cast<std::size_t>(t.id) && in_hw(m)) ++sharers;
   }
   return cfg_.cache_lines_per_core / sharers;
 }
@@ -212,15 +224,15 @@ void Machine::on_event(const Event& e) {
       break;
 
     case EventKind::kHwCommit:
-      assert(t.in_hw);
-      t.in_hw = false;
+      assert(in_hw(t.id));
+      set_in_hw(t.id, false);
       ++t.gen;
       t.pending_cost += cfg_.costs.xcommit + scan_cost();
       committed(t, /*hardware=*/true);
       break;
 
     case EventKind::kConflictAbort:
-      if (t.in_hw) abort_hw(t, htm::AbortStatus::conflict(), e.culprit);
+      if (in_hw(t.id)) abort_hw(t, htm::AbortStatus::conflict(), e.culprit);
       break;
 
     case EventKind::kCapacityAbort:
@@ -229,7 +241,7 @@ void Machine::on_event(const Event& e) {
       // sibling that finished early releases its share of the cache before
       // our tracked set is evicted). Core locks rely on this: once the
       // sibling is parked, pending doom evaporates.
-      if (t.in_hw) {
+      if (in_hw(t.id)) {
         if (t.fp.lines() > effective_capacity(t)) {
           abort_hw(t, htm::AbortStatus::capacity());
         } else {
@@ -239,7 +251,7 @@ void Machine::on_event(const Event& e) {
       break;
 
     case EventKind::kOtherAbort:
-      if (t.in_hw) abort_hw(t, htm::AbortStatus::other());
+      if (in_hw(t.id)) abort_hw(t, htm::AbortStatus::other());
       break;
 
     case EventKind::kSglBodyDone:
@@ -282,6 +294,7 @@ void Machine::serve_next(ThreadCtx& t) {
 void Machine::begin(ThreadCtx& t) {
   run_maintenance(t);  // DESIGN.md deviation #1: start-path trigger
   t.fp.build(t.inst);
+  t.serial = ++serials_;
   t.driver.begin(t.inst.type);
   if (is_seer()) t.pending_cost += cfg_.costs.announce;
   perform(t);
@@ -395,7 +408,7 @@ void Machine::start_hw(ThreadCtx& t) {
     return;
   }
 
-  t.in_hw = true;
+  set_in_hw(t.id, true);
   t.st = ThreadCtx::St::kRunningHw;
   ++t.gen;
   const Time commit_at =
@@ -411,29 +424,37 @@ void Machine::start_hw(ThreadCtx& t) {
   // "conflict", never the culprit, and its retry (same footprint!)
   // typically strikes back: the mutual-kill thrash that motivates
   // transaction scheduling in the first place. The index decides exactly
-  // instances_conflict(), and the id-order visit keeps every draw in place.
-  for (auto& other : threads_) {
-    if (other->id == t.id || !other->in_hw) continue;
-    if (FootprintIndex::conflict(t.inst, t.fp, other->inst, other->fp)) {
-      const Time horizon = std::min(other->hw_end, commit_at);
-      const Time window = horizon > now_ ? horizon - now_ : 1;
-      // The conflict only materializes if the colliding accesses actually
-      // interleave inside the coexistence window: accesses are spread over
-      // each transaction's duration, so a brief overlap usually slips
-      // through. This is what makes HTM conflicts *transient* — retrying
-      // often succeeds — and blanket serialization overkill.
-      const Time longest = std::max(t.inst.duration, other->inst.duration);
-      const double p_hit =
-          std::min(1.0, static_cast<double>(window) / static_cast<double>(longest));
-      if (!t.rng.bernoulli(p_hit)) continue;
-      const Time when = now_ + t.rng.below(window);
-      if (t.rng.bernoulli(cfg_.p_newcomer_aborts)) {
-        push(when, t.id, EventKind::kConflictAbort, t.gen, other->inst.type);
-      } else {
-        push(when, other->id, EventKind::kConflictAbort, other->gen, t.inst.type);
-      }
+  // instances_conflict(), a pure function of the two instances, so each
+  // pair's verdict is computed once and kept in both threads' rows for
+  // their retries. The id-order visit keeps every draw in place.
+  for_each_in_hw([&](std::size_t j) {
+    if (j == static_cast<std::size_t>(t.id)) return;
+    ThreadCtx& other = *threads_[j];
+    ThreadCtx::Verdict& v = t.verdicts[j];
+    if (v.mine != t.serial || v.theirs != other.serial) {
+      v = {t.serial, other.serial,
+           FootprintIndex::conflict(t.inst, t.fp, other.inst, other.fp)};
+      other.verdicts[t.id] = {other.serial, t.serial, v.conflict};
     }
-  }
+    if (!v.conflict) return;
+    const Time horizon = std::min(other.hw_end, commit_at);
+    const Time window = horizon > now_ ? horizon - now_ : 1;
+    // The conflict only materializes if the colliding accesses actually
+    // interleave inside the coexistence window: accesses are spread over
+    // each transaction's duration, so a brief overlap usually slips
+    // through. This is what makes HTM conflicts *transient* — retrying
+    // often succeeds — and blanket serialization overkill.
+    const Time longest = std::max(t.inst.duration, other.inst.duration);
+    const double p_hit =
+        std::min(1.0, static_cast<double>(window) / static_cast<double>(longest));
+    if (!t.rng.bernoulli(p_hit)) return;
+    const Time when = now_ + t.rng.below(window);
+    if (t.rng.bernoulli(cfg_.p_newcomer_aborts)) {
+      push(when, t.id, EventKind::kConflictAbort, t.gen, other.inst.type);
+    } else {
+      push(when, other.id, EventKind::kConflictAbort, other.gen, t.inst.type);
+    }
+  });
 
   // Capacity: evaluate for this thread and re-evaluate every transactional
   // core-mate (whose effective budget we just shrank).
@@ -441,7 +462,7 @@ void Machine::start_hw(ThreadCtx& t) {
   schedule_capacity_check(t);
   const std::size_t p = cfg_.physical_cores;
   for (std::size_t m = t.id % p; m < cfg_.n_threads; m += p) {
-    if (m != static_cast<std::size_t>(t.id) && threads_[m]->in_hw) {
+    if (m != static_cast<std::size_t>(t.id) && in_hw(m)) {
       schedule_capacity_check(*threads_[m]);
     }
   }
@@ -453,7 +474,7 @@ void Machine::start_hw(ThreadCtx& t) {
 }
 
 void Machine::schedule_capacity_check(ThreadCtx& t) {
-  if (!t.in_hw || t.capacity_scheduled) return;
+  if (!in_hw(t.id) || t.capacity_scheduled) return;
   if (t.fp.lines() <= effective_capacity(t)) return;
   // The transaction will overflow its buffers partway through its
   // remaining execution. Once scheduled the abort is not cancelled even if
@@ -470,7 +491,7 @@ void Machine::schedule_capacity_check(ThreadCtx& t) {
 // thread resumes after the abort penalty. `culprit`: the aggressor's type
 // for a conflict abort, else kNoTx.
 void Machine::abort_hw(ThreadCtx& t, htm::AbortStatus status, core::TxTypeId culprit) {
-  t.in_hw = false;
+  set_in_hw(t.id, false);
   ++t.gen;  // cancels the pending commit/capacity/other events
   if (culprit != core::kNoTx) {
     // Ground truth the HTM would never reveal: who actually killed whom.
@@ -491,11 +512,9 @@ void Machine::sgl_granted(ThreadCtx& t) {
   t.driver.sgl_acquired();
   // Taking the fallback lock invalidates the subscription in every running
   // hardware transaction (Alg. 1's correctness handshake).
-  for (auto& other : threads_) {
-    if (other->in_hw) {
-      abort_hw(*other, htm::AbortStatus::explicit_abort(htm::kXAbortCodeSglLocked));
-    }
-  }
+  for_each_in_hw([&](std::size_t j) {
+    abort_hw(*threads_[j], htm::AbortStatus::explicit_abort(htm::kXAbortCodeSglLocked));
+  });
   const auto body = static_cast<Time>(cfg_.sgl_duration_factor *
                                       static_cast<double>(t.inst.duration));
   push(now_ + t.pending_cost + body, t.id, EventKind::kSglBodyDone, t.gen);

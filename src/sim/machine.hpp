@@ -35,6 +35,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -233,6 +234,25 @@ class Machine {
   void release(ThreadCtx& t, rt::LockId id);
   void run_maintenance(ThreadCtx& t);
 
+  // Who is in a hardware transaction: one bit per thread, id order.
+  [[nodiscard]] bool in_hw(std::size_t id) const noexcept {
+    return ((in_hw_[id >> 6] >> (id & 63)) & 1) != 0;
+  }
+  void set_in_hw(std::size_t id, bool on) noexcept {
+    const std::uint64_t bit = std::uint64_t{1} << (id & 63);
+    in_hw_[id >> 6] = on ? (in_hw_[id >> 6] | bit) : (in_hw_[id >> 6] & ~bit);
+  }
+  // Calls f(id) for each thread in hardware, in id order. Each word is
+  // read once, so f may take its thread out of hardware.
+  template <typename F>
+  void for_each_in_hw(F&& f) {
+    for (std::size_t w = 0; w < in_hw_.size(); ++w) {
+      for (std::uint64_t bits = in_hw_[w]; bits != 0; bits &= bits - 1) {
+        f(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+      }
+    }
+  }
+
   [[nodiscard]] std::uint32_t effective_capacity(const ThreadCtx& t) const noexcept;
   void schedule_capacity_check(ThreadCtx& t);
   [[nodiscard]] bool is_seer() const noexcept {
@@ -254,6 +274,8 @@ class Machine {
   rt::LockTable<SimLock> locks_;
 
   std::vector<std::unique_ptr<ThreadCtx>> threads_;
+  std::vector<std::uint64_t> in_hw_;  // see in_hw()
+  std::uint64_t serials_ = 0;         // instances begun so far
   std::size_t done_count_ = 0;
   MachineStats stats_;
   std::unique_ptr<Serving> serving_;  // set by serve(); null under run()

@@ -1,44 +1,101 @@
 #include "stamp/spec.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 namespace seer::stamp {
 
 namespace {
 
-// LSD radix sort, one byte per pass. A pass whose byte is the same in every
-// key would only copy, so it is skipped: line ids rarely use all 32 bits.
-void radix_sort(std::vector<std::uint32_t>& v, std::vector<std::uint32_t>& scratch) {
-  const std::size_t n = v.size();
-  std::uint32_t count[4][256] = {};
-  for (const std::uint32_t x : v) {
-    ++count[0][x & 0xFFu];
-    ++count[1][(x >> 8) & 0xFFu];
-    ++count[2][(x >> 16) & 0xFFu];
-    ++count[3][x >> 24];
+// A side with at most this many draws is put in order by one std::sort:
+// below it, a group's fixed cost outweighs the comparisons it saves.
+constexpr std::uint32_t kSortSideDraws = 16;
+// A sparse group (more bitmap words than draws) is radix sorted when it
+// has at least kRadixMinDraws draws and at least one per kBucketsPerDraw
+// buckets of its two digits, and by std::sort otherwise: clearing and
+// summing the buckets is the radix sort's fixed cost.
+constexpr std::uint32_t kRadixMinDraws = 24;
+constexpr std::uint32_t kBucketsPerDraw = 32;
+// Widest radix digit: regions of more than 2^22 lines are never radix
+// sorted.
+constexpr unsigned kMaxDigitBits = 11;
+
+// Appends the lines of in[0, n) at `out` in order, once each: a region
+// whose lines start at `base` and whose draws are all below base + lines.
+// `bitmap` holds a clear bit per region line and is left clear. `out` may
+// be `in` or precede it: the input is read in full before anything is
+// written, and nothing is written at or past `limit`, the end of the
+// input. With room before `limit`, a word's first kUnroll lines are
+// written unconditionally and as many kept as it holds, so reading a word
+// out does not branch on each of its bits.
+template <int kUnroll>
+std::uint32_t* bitmap_order(const std::uint32_t* in, std::uint32_t n, std::uint32_t base,
+                            std::uint32_t lines, std::uint64_t* bitmap, std::uint32_t* out,
+                            const std::uint32_t* limit) {
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const std::uint32_t k = in[i] - base;
+    bitmap[k >> 6] |= std::uint64_t{1} << (k & 63);
   }
-  scratch.resize(n);
-  std::uint32_t* src = v.data();
-  std::uint32_t* dst = scratch.data();
-  for (unsigned d = 0; d < 4; ++d) {
-    const unsigned shift = 8 * d;
-    std::uint32_t* c = count[d];
-    if (c[(src[0] >> shift) & 0xFFu] == n) continue;
-    std::uint32_t offset = 0;
-    for (unsigned b = 0; b < 256; ++b) {
-      const std::uint32_t k = c[b];
-      c[b] = offset;
-      offset += k;
+  const std::size_t words = (static_cast<std::size_t>(lines) + 63) / 64;
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t bits = std::exchange(bitmap[w], 0);
+    const std::uint32_t first = base + static_cast<std::uint32_t>(w * 64);
+    if (limit - out >= kUnroll) {
+      const int count = std::popcount(bits);
+      for (int k = 0; k < kUnroll; ++k) {
+        out[k] = first + static_cast<std::uint32_t>(std::countr_zero(bits));
+        bits &= bits - 1;
+      }
+      if (count <= kUnroll) {
+        out += count;
+        continue;
+      }
+      out += kUnroll;
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t x = src[i];
-      dst[c[(x >> shift) & 0xFFu]++] = x;
+    for (; bits != 0; bits &= bits - 1) {
+      *out++ = first + static_cast<std::uint32_t>(std::countr_zero(bits));
     }
-    std::swap(src, dst);
   }
-  if (src != v.data()) std::copy(src, src + n, v.data());
+  return out;
+}
+
+// The same, by an LSD radix sort of the region-relative lines: the low
+// `lo` bits, then the `hi` bits above them, through `tmp` (n slots).
+std::uint32_t* radix_order(const std::uint32_t* in, std::uint32_t n, std::uint32_t base,
+                           unsigned lo, unsigned hi, std::uint32_t* tmp, std::uint32_t* out) {
+  std::uint32_t low[std::size_t{1} << kMaxDigitBits];
+  std::uint32_t high[std::size_t{1} << kMaxDigitBits];
+  const std::uint32_t n_low = 1u << lo;
+  const std::uint32_t n_high = 1u << hi;
+  const std::uint32_t mask = n_low - 1;
+  std::fill_n(low, n_low, 0);
+  std::fill_n(high, n_high, 0);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const std::uint32_t k = in[i] - base;
+    ++low[k & mask];
+    ++high[k >> lo];
+  }
+  std::uint32_t at = 0;
+  for (std::uint32_t d = 0; d < n_low; ++d) at += std::exchange(low[d], at);
+  at = 0;
+  for (std::uint32_t d = 0; d < n_high; ++d) at += std::exchange(high[d], at);
+  for (std::uint32_t i = 0; i < n; ++i) tmp[low[(in[i] - base) & mask]++] = in[i];
+  for (std::uint32_t i = 0; i < n; ++i) out[high[(tmp[i] - base) >> lo]++] = tmp[i];
+  return std::unique(out, out + n);
+}
+
+// The same, by std::sort in place.
+std::uint32_t* sort_order(std::uint32_t* in, std::uint32_t n, std::uint32_t* out) {
+  std::sort(in, in + n);
+  std::uint32_t last = in[0];
+  *out++ = last;
+  for (std::uint32_t i = 1; i < n; ++i) {
+    if (in[i] != last) *out++ = last = in[i];
+  }
+  return out;
 }
 
 }  // namespace
@@ -51,20 +108,10 @@ std::uint64_t laid_out_lines(const WorkloadSpec& spec, std::size_t n_threads) {
   return lines;
 }
 
-void canonicalize_lines(std::vector<std::uint32_t>& v,
-                        std::vector<std::uint32_t>& scratch) {
-  if (v.size() >= kRadixMinLines) {
-    radix_sort(v, scratch);
-  } else {
-    std::sort(v.begin(), v.end());
-  }
-  v.erase(std::unique(v.begin(), v.end()), v.end());
-}
-
 SpecWorkload::SpecWorkload(WorkloadSpec spec, std::size_t n_threads)
     : spec_(std::move(spec)),
       n_threads_(n_threads),
-      scratch_(std::max<std::size_t>(1, n_threads)) {
+      lanes_(std::max<std::size_t>(1, n_threads)) {
   assert(!spec_.types.empty());
   assert(!spec_.regions.empty());
   if (spec_.phases.empty()) {
@@ -98,6 +145,107 @@ SpecWorkload::SpecWorkload(WorkloadSpec spec, std::size_t n_threads)
       zipf_[i] = std::make_unique<util::Zipf>(r.lines, r.zipf_skew);
     }
   }
+
+  std::size_t bitmap_words = 0;
+  std::size_t radix_slots = 0;
+  plans_.reserve(spec_.types.size());
+  for (const TxTypeSpec& ts : spec_.types) {
+    TypePlan& plan = plans_.emplace_back();
+    plan.reads = plan_side(ts, /*writes=*/false);
+    plan.writes = plan_side(ts, /*writes=*/true);
+    // Each access's draws go to the next free slots of its region's group.
+    std::vector<std::uint32_t> read_at(spec_.regions.size());
+    std::vector<std::uint32_t> write_at(spec_.regions.size());
+    for (const Group& g : plan.reads.groups) read_at[g.region] = g.begin;
+    for (const Group& g : plan.writes.groups) write_at[g.region] = g.begin;
+    for (const RegionAccess& a : ts.accesses) {
+      plan.accesses.push_back({a, read_at[a.region], write_at[a.region]});
+      read_at[a.region] += a.reads;
+      write_at[a.region] += a.writes;
+    }
+    for (const Side* side : {&plan.reads, &plan.writes}) {
+      for (const Group& g : side->groups) {
+        if (g.order == Order::kBitmap4 || g.order == Order::kBitmap8) {
+          bitmap_words = std::max<std::size_t>(bitmap_words, (std::size_t{g.lines} + 63) / 64);
+        } else if (g.order == Order::kRadix) {
+          radix_slots = std::max<std::size_t>(radix_slots, g.draws);
+        }
+      }
+    }
+  }
+  for (auto& lane : lanes_) {
+    lane->bitmap.assign(bitmap_words, 0);
+    lane->radix.resize(radix_slots);
+  }
+}
+
+SpecWorkload::Side SpecWorkload::plan_side(const TxTypeSpec& ts, bool writes) const {
+  std::vector<std::uint32_t> draws(spec_.regions.size());
+  for (const RegionAccess& a : ts.accesses) draws[a.region] += writes ? a.writes : a.reads;
+  Side side;
+  for (std::size_t r = 0; r < draws.size(); ++r) {
+    if (draws[r] == 0) continue;
+    const Region& region = spec_.regions[r];
+    Group g;
+    g.base = region_base_[r];
+    g.stride = region.per_thread ? region.lines : 0;
+    g.lines = region.lines;
+    g.begin = side.draws;
+    g.draws = draws[r];
+    g.region = static_cast<std::uint16_t>(r);
+    const std::size_t words = (std::size_t{region.lines} + 63) / 64;
+    const unsigned bits = std::bit_width(region.lines - 1);
+    const unsigned low = (bits + 1) / 2;
+    if (words <= g.draws) {
+      g.order = g.draws >= 4 * words ? Order::kBitmap8 : Order::kBitmap4;
+    } else if (g.draws >= kRadixMinDraws && low <= kMaxDigitBits &&
+               (1u << low) + (1u << (bits - low)) <= kBucketsPerDraw * g.draws) {
+      g.order = Order::kRadix;
+      g.low_bits = static_cast<std::uint8_t>(low);
+      g.high_bits = static_cast<std::uint8_t>(bits - low);
+    }
+    side.draws += g.draws;
+    side.groups.push_back(g);
+  }
+  if (side.draws <= kSortSideDraws) {
+    for (Group& g : side.groups) g.order = Order::kSort;
+  }
+  return side;
+}
+
+void SpecWorkload::canonicalize(const Side& side, core::ThreadId thread, Lane& lane,
+                                std::vector<std::uint32_t>& v) {
+  if (side.draws <= kSortSideDraws) {
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+    return;
+  }
+  std::uint32_t* const data = v.data();
+  // The canonical prefix so far: it ends at or before the next group's
+  // first slot, so writing it never overwrites an unread draw.
+  std::uint32_t* out = data;
+  for (const Group& g : side.groups) {
+    std::uint32_t* const in = data + g.begin;
+    const auto base =
+        static_cast<std::uint32_t>(g.base + static_cast<std::uint64_t>(thread) * g.stride);
+    switch (g.order) {
+      case Order::kBitmap4:
+        out = bitmap_order<4>(in, g.draws, base, g.lines, lane.bitmap.data(), out,
+                              in + g.draws);
+        break;
+      case Order::kBitmap8:
+        out = bitmap_order<8>(in, g.draws, base, g.lines, lane.bitmap.data(), out,
+                              in + g.draws);
+        break;
+      case Order::kRadix:
+        out = radix_order(in, g.draws, base, g.low_bits, g.high_bits, lane.radix.data(), out);
+        break;
+      case Order::kSort:
+        out = sort_order(in, g.draws, out);
+        break;
+    }
+  }
+  v.resize(static_cast<std::size_t>(out - data));
 }
 
 const Phase& SpecWorkload::phase_at(double progress) const noexcept {
@@ -136,24 +284,20 @@ void SpecWorkload::next(core::ThreadId thread, double progress, util::Xoshiro256
   // Footprint: sample concrete lines per region access, reads then writes
   // of each access in turn. Both vectors are sized once to the type's draw
   // totals, so a fresh instance allocates each at exactly its draw count
-  // and a reused one not at all. Reads and writes are then kept
-  // sorted/unique as the conflict detector requires.
-  assert(static_cast<std::size_t>(thread) < scratch_.size());
-  std::vector<std::uint32_t>& scratch = *scratch_[static_cast<std::size_t>(thread)];
-  std::size_t n_reads = 0;
-  std::size_t n_writes = 0;
-  for (const RegionAccess& a : ts.accesses) {
-    n_reads += a.reads;
-    n_writes += a.writes;
-  }
+  // and a reused one not at all. Each access draws into its region's group
+  // (plan_side), which canonicalize() then puts in order: reads and writes
+  // end sorted/unique as the conflict detector requires.
+  assert(static_cast<std::size_t>(thread) < lanes_.size());
+  const TypePlan& plan = plans_[type];
   out.reads.clear();
-  out.reads.resize(n_reads);
+  out.reads.resize(plan.reads.draws);
   out.writes.clear();
-  out.writes.resize(n_writes);
+  out.writes.resize(plan.writes.draws);
   util::Xoshiro256 g = rng;
-  std::uint32_t* r = out.reads.data();
-  std::uint32_t* w = out.writes.data();
-  for (const RegionAccess& a : ts.accesses) {
+  std::uint32_t* const r = out.reads.data();
+  std::uint32_t* const w = out.writes.data();
+  for (const AccessPlan& p : plan.accesses) {
+    const RegionAccess& a = p.access;
     // The region's first line id (this thread's slice of a per-thread
     // region), its line count and its Zipf table, held in locals: a store
     // through `dst` may alias a std::uint32_t such as `region.lines`, so
@@ -169,15 +313,14 @@ void SpecWorkload::next(core::ThreadId thread, double progress, util::Xoshiro256
         dst[i] = static_cast<std::uint32_t>(
             base + (zipf != nullptr ? zipf->sample(g) : g.below(lines)));
       }
-      return dst + n;
     };
-    r = draw(r, a.reads);
-    w = draw(w, a.writes);
+    draw(r + p.read_at, a.reads);
+    draw(w + p.write_at, a.writes);
   }
-  assert(r == out.reads.data() + n_reads && w == out.writes.data() + n_writes);
   rng = g;
-  canonicalize_lines(out.reads, scratch);
-  canonicalize_lines(out.writes, scratch);
+  Lane& lane = *lanes_[static_cast<std::size_t>(thread)];
+  canonicalize(plan.reads, thread, lane, out.reads);
+  canonicalize(plan.writes, thread, lane, out.writes);
 }
 
 std::uint64_t SpecWorkload::think_time(core::ThreadId /*thread*/,

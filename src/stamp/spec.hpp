@@ -75,14 +75,6 @@ inline constexpr std::uint32_t kMaxZipfLines = std::uint32_t{1} << 22;
 [[nodiscard]] std::uint64_t laid_out_lines(const WorkloadSpec& spec,
                                            std::size_t n_threads);
 
-// Sorts `v` ascending and drops duplicates: exactly std::sort followed by
-// std::unique. Vectors of at least kRadixMinLines lines go through an LSD
-// radix sort that uses `scratch` as its second buffer; shorter ones, where
-// the radix passes' fixed cost dominates, through std::sort.
-inline constexpr std::size_t kRadixMinLines = 32;
-void canonicalize_lines(std::vector<std::uint32_t>& v,
-                        std::vector<std::uint32_t>& scratch);
-
 // Turns a spec into an executable workload. One instance per simulated run
 // (it is stateless apart from precomputed tables and per-thread scratch
 // space, so reuse is also fine).
@@ -106,15 +98,66 @@ class SpecWorkload final : public sim::Workload {
   [[nodiscard]] const WorkloadSpec& spec() const noexcept { return spec_; }
 
  private:
+  // next() draws each access's lines into a slot range of its side (reads
+  // or writes) chosen at construction: a side holds one group per region it
+  // draws from, every access's draws from that region together, groups in
+  // region order. Regions are disjoint line ranges laid out in that order,
+  // so sorting each group and dropping its repeats leaves the side exactly
+  // as std::sort + std::unique would, at a cost set by the group's shape.
+  enum class Order : std::uint8_t {
+    // A bit per region line, set per draw and read out in line order, four
+    // or eight lines written per word: kBitmap8 for four or more draws per
+    // word, where a word holds more lines.
+    kBitmap4,
+    kBitmap8,
+    kRadix,  // LSD radix sort on the region-relative line, two digits
+    kSort,   // std::sort
+  };
+  struct Group {
+    std::uint64_t base = 0;    // the region's first line id
+    std::uint32_t stride = 0;  // per-thread region: lines per thread's slice
+    std::uint32_t lines = 0;   // lines one thread can draw here
+    std::uint32_t begin = 0;   // first slot of the group in its side
+    std::uint32_t draws = 0;
+    std::uint16_t region = 0;
+    Order order = Order::kSort;
+    std::uint8_t low_bits = 0;  // kRadix: widths of the low and high digits
+    std::uint8_t high_bits = 0;
+  };
+  struct Side {
+    std::uint32_t draws = 0;
+    std::vector<Group> groups;  // in region order; no empty group
+  };
+  struct AccessPlan {
+    RegionAccess access;
+    std::uint32_t read_at = 0;  // first slot of its reads in the reads side
+    std::uint32_t write_at = 0;
+  };
+  struct TypePlan {
+    util::SmallVec<AccessPlan, 6> accesses;
+    Side reads;
+    Side writes;
+  };
+  // One thread's sort buffers, sized once at construction.
+  struct Lane {
+    std::vector<std::uint64_t> bitmap;  // all zero between uses
+    std::vector<std::uint32_t> radix;
+  };
+
   [[nodiscard]] const Phase& phase_at(double progress) const noexcept;
+  [[nodiscard]] Side plan_side(const TxTypeSpec& ts, bool writes) const;
+  // Orders `v`, whose slots hold `side`'s draws for `thread`: sorted, unique.
+  static void canonicalize(const Side& side, core::ThreadId thread, Lane& lane,
+                           std::vector<std::uint32_t>& v);
 
   WorkloadSpec spec_;
   std::size_t n_threads_;
   std::vector<std::uint64_t> region_base_;           // global line-id offsets
   std::vector<std::unique_ptr<util::Zipf>> zipf_;    // per skewed region
-  // Radix-sort buffer per thread: next() for one thread touches only its
-  // own lane (the generator contract's single-writer lanes).
-  std::vector<util::Padded<std::vector<std::uint32_t>>> scratch_;
+  std::vector<TypePlan> plans_;                      // per type
+  // Sort buffers per thread: next() for one thread touches only its own
+  // lane (the generator contract's single-writer lanes).
+  std::vector<util::Padded<Lane>> lanes_;
 };
 
 }  // namespace seer::stamp

@@ -408,8 +408,15 @@ class RealBackend {
   // loop still joins the workers.
   void drain() {
     producer_done_.store(true, std::memory_order_release);
+    if (threads_.empty()) return;
     for (std::thread& th : threads_) th.join();
     threads_.clear();
+    // Each step runs its own scheduler: its final capture ends the step's
+    // model record and closes the anomaly episodes still open in it.
+    if (core::SeerScheduler* seer = exec_.policy_shared().seer();
+        seer != nullptr && opts_.recorder != nullptr) {
+      opts_.recorder->record_final(seer->make_model_snapshot(obs::now_ticks()));
+    }
     // The per-step registry dies with this backend; an in-flight scrape
     // holds the hub lock, so it finishes before detach returns.
     if (tel_ != nullptr) tel_->attach_step_registry(nullptr);

@@ -75,8 +75,9 @@ struct ServeOptions {
   // byte-identical to a plain one.
   ServeTelemetry* telemetry = nullptr;
   // Model flight recorder for the real backend's Seer scheduler, or nullptr
-  // for none. The deterministic backend ignores it so its bytes cannot
-  // depend on observability wiring.
+  // for none. Each real step's scheduler records into it and ends the step
+  // with a kFinal capture. The deterministic backend ignores it so its
+  // bytes cannot depend on observability wiring.
   obs::FlightRecorder* recorder = nullptr;
   // Cooperative stop (SIGINT/SIGTERM in seer_serve), or nullptr for none.
   // When it flips, in either backend: the running step stops producing and

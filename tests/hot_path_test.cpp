@@ -8,18 +8,22 @@
 //     footprint line's filter bit, and footprints of 4 096+ lines;
 //   * util::Zipf's guide-table search against a plain binary search over
 //     the same CDF;
-//   * stamp::canonicalize_lines against std::sort + std::unique on both
-//     sides of its radix threshold.
+//   * stamp::SpecWorkload's grouped canonicalization (a bitmap, a radix
+//     sort or std::sort per region group) against the documented draws
+//     put in order by std::sort + std::unique, on a fixed grid of sizes
+//     and value shapes and on random layouts.
 //
 // Random inputs derive from one master seed. SEER_PROPERTY_SEED=<n>
-// replays a failing run; failures print the seed.
+// replays a failing run; failures print the seed. The random-layout
+// property runs SEER_PROPERTY_ITERS seeds (default 20; scripts/verify.sh
+// property runs 100).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -37,6 +41,14 @@ namespace {
 std::uint64_t master_seed() {
   const char* v = std::getenv("SEER_PROPERTY_SEED");
   return v != nullptr ? std::strtoull(v, nullptr, 10) : 0x5EE4A11u;
+}
+
+// Seeds a property runs: the master seed alone when replaying one, else
+// SEER_PROPERTY_ITERS seeds from it.
+std::uint64_t property_iters(std::uint64_t fallback) {
+  if (std::getenv("SEER_PROPERTY_SEED") != nullptr) return 1;
+  const char* v = std::getenv("SEER_PROPERTY_ITERS");
+  return v != nullptr ? std::strtoull(v, nullptr, 10) : fallback;
 }
 
 std::string replay_hint(std::uint64_t seed) {
@@ -384,38 +396,230 @@ INSTANTIATE_TEST_SUITE_P(Grid, ZipfGuide,
 
 // ------------------------------------------------------- canonicalize ----
 
-TEST(CanonicalizeLines, EqualsSortUniqueAcrossTheRadixThreshold) {
-  const std::uint64_t seed = master_seed();
-  util::Xoshiro256 rng(seed);
-  std::vector<std::uint32_t> scratch;
-  // Value generators: heavy duplicates, one shared digit, top-byte-only
-  // differences, and the full range with 0xFFFFFFFF forced in.
-  const std::vector<std::function<std::uint32_t()>> draws = {
-      [&] { return static_cast<std::uint32_t>(rng.below(8)); },
-      [&] { return 0x00ABCD00u | static_cast<std::uint32_t>(rng.below(256)); },
-      [&] { return static_cast<std::uint32_t>(rng.below(256)) << 24; },
-      [&] { return 0xFFFFFFF0u + static_cast<std::uint32_t>(rng.below(16)); },
-      [&] { return static_cast<std::uint32_t>(rng.next()); },
-      [] { return 0xFFFFFFFFu; },
-  };
-  std::vector<std::size_t> sizes;
-  for (std::size_t n = 0; n <= 3 * stamp::kRadixMinLines; ++n) sizes.push_back(n);
-  for (const std::size_t n : {500, 1000, 4000}) sizes.push_back(n);
-  for (const std::size_t n : sizes) {
-    for (std::size_t g = 0; g < draws.size(); ++g) {
-      std::vector<std::uint32_t> v(n);
-      for (auto& x : v) x = draws[g]();
-      // One outlier whose low byte sorts it early: every byte above is
-      // shared by all keys but it, so no radix pass may be skipped.
-      if (n > 0 && g <= 1) v[rng.below(n)] = 0xFFFFFF00u;
-      if (n > 0 && g == 4) v[rng.below(n)] = 0xFFFFFFFFu;
-      std::vector<std::uint32_t> want = v;
-      std::sort(want.begin(), want.end());
-      want.erase(std::unique(want.begin(), want.end()), want.end());
-      stamp::canonicalize_lines(v, scratch);
-      ASSERT_EQ(v, want) << "n=" << n << " generator " << g << "\n" << replay_hint(seed);
+// SpecWorkload::next's documented draws — the type from the phase mix, the
+// duration, then each access's reads and its writes in turn — put in order
+// by std::sort + std::unique: the reference the grouped canonicalization
+// must equal. The layouts here have one phase.
+class ReferenceSampler {
+ public:
+  ReferenceSampler(const stamp::WorkloadSpec& spec, std::size_t n_threads) : spec_(spec) {
+    std::uint64_t base = 0;
+    for (const stamp::Region& r : spec_.regions) {
+      base_.push_back(base);
+      base += std::uint64_t{r.lines} * (r.per_thread ? n_threads : 1);
+      zipf_.push_back(r.zipf_skew > 0.0 && r.lines > 1
+                          ? std::make_unique<util::Zipf>(r.lines, r.zipf_skew)
+                          : nullptr);
     }
   }
+
+  sim::TxInstance next(core::ThreadId thread, util::Xoshiro256& rng) const {
+    const std::vector<double>& mix = spec_.phases.front().mix;
+    double total = 0.0;
+    for (const double w : mix) total += w;
+    double pick = rng.uniform01() * total;
+    std::size_t type = 0;
+    for (; type + 1 < mix.size(); ++type) {
+      pick -= mix[type];
+      if (pick < 0.0) break;
+    }
+    const stamp::TxTypeSpec& ts = spec_.types[type];
+    sim::TxInstance out;
+    out.type = static_cast<core::TxTypeId>(type);
+    const double u = rng.uniform01();
+    out.duration = static_cast<std::uint64_t>(
+        static_cast<double>(ts.duration_mean) *
+        (1.0 - ts.duration_jitter + 2.0 * ts.duration_jitter * u));
+    if (out.duration == 0) out.duration = 1;
+    for (const stamp::RegionAccess& a : ts.accesses) {
+      const stamp::Region& r = spec_.regions[a.region];
+      const std::uint64_t base =
+          base_[a.region] + (r.per_thread ? std::uint64_t{thread} * r.lines : 0);
+      const auto draw = [&](std::vector<std::uint32_t>& side, std::uint16_t n) {
+        for (std::uint16_t i = 0; i < n; ++i) {
+          const std::uint64_t k = zipf_[a.region] != nullptr ? zipf_[a.region]->sample(rng)
+                                                             : rng.below(r.lines);
+          side.push_back(static_cast<std::uint32_t>(base + k));
+        }
+      };
+      draw(out.reads, a.reads);
+      draw(out.writes, a.writes);
+    }
+    for (auto* side : {&out.reads, &out.writes}) {
+      std::sort(side->begin(), side->end());
+      side->erase(std::unique(side->begin(), side->end()), side->end());
+    }
+    return out;
+  }
+
+ private:
+  const stamp::WorkloadSpec& spec_;
+  std::vector<std::uint64_t> base_;
+  std::vector<std::unique_ptr<util::Zipf>> zipf_;
+};
+
+// Samples `n` instances of `spec` round-robin over its threads, each into
+// one reused instance, and checks each and the RNG's end state against the
+// reference. Returns the lines sampled.
+std::size_t expect_canonical(const stamp::WorkloadSpec& spec, std::size_t n_threads, int n,
+                             std::uint64_t seed, const std::string& where) {
+  stamp::SpecWorkload wl(spec, n_threads);
+  const ReferenceSampler ref(wl.spec(), n_threads);
+  util::Xoshiro256 rng(seed);
+  util::Xoshiro256 twin(seed);
+  sim::TxInstance got;
+  std::size_t lines = 0;
+  for (int i = 0; i < n; ++i) {
+    const auto thread = static_cast<core::ThreadId>(static_cast<std::size_t>(i) % n_threads);
+    wl.next(thread, 0.5, rng, got);
+    const sim::TxInstance want = ref.next(thread, twin);
+    const std::string at = where + " instance " + std::to_string(i) + " (type " +
+                           wl.type_name(want.type) + ", thread " + std::to_string(thread) + ")";
+    EXPECT_EQ(got.type, want.type) << at;
+    EXPECT_EQ(got.duration, want.duration) << at;
+    EXPECT_EQ(got.reads, want.reads) << at << ": reads";
+    EXPECT_EQ(got.writes, want.writes) << at << ": writes";
+    if (::testing::Test::HasFailure()) return lines;
+    lines += got.reads.size() + got.writes.size();
+  }
+  EXPECT_EQ(rng.state(), twin.state()) << where << ": the RNG's end state";
+  return lines;
+}
+
+stamp::Region region(std::string name, std::uint64_t lines, double skew = 0.0,
+                     bool per_thread = false) {
+  return {.name = std::move(name),
+          .lines = static_cast<std::uint32_t>(lines),
+          .zipf_skew = skew,
+          .per_thread = per_thread};
+}
+
+// The grid the radix canonicalization was checked on, restated through the
+// grouped path: every side size from 0 to 96 and 500, 1000 and 4000 draws,
+// over six value shapes — heavy repeats, one shared digit with an outlier
+// drawn first, the widest radix-sorted region, the top 16 line ids, the
+// full range with 0xFFFFFFFF forced in, and 0xFFFFFFFF alone. The regions
+// fill the 32-bit line space exactly, so the last line is 0xFFFFFFFF.
+TEST(GroupedCanonicalization, GridMatchesSortUnique) {
+  const std::uint64_t seed = master_seed();
+  constexpr std::uint64_t kDigitBase = 0x00ABCD00u;
+  constexpr std::uint64_t kMidLines = std::uint64_t{1} << 22;
+  constexpr std::uint64_t kOutlier = 0xFFFFFF00u;
+  constexpr std::uint64_t kTop16 = 0xFFFFFFF0u;
+  stamp::WorkloadSpec spec;
+  spec.regions = {region("repeats", 8),
+                  region("pad", kDigitBase - 8),
+                  region("digit", 256),
+                  region("mid", kMidLines),
+                  region("wide", kOutlier - (kDigitBase + 256 + kMidLines)),
+                  region("outlier", 1),
+                  region("pad2", kTop16 - (kOutlier + 1)),
+                  region("top15", 15),
+                  region("top", 1)};
+  enum : std::uint16_t { kRepeats, kPad, kDigit, kMid, kWide, kOutlierR, kPad2, kTop15, kTop };
+  ASSERT_EQ(stamp::laid_out_lines(spec, 1), stamp::kMaxLineSpace);
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 96; ++n) sizes.push_back(n);
+  for (const std::size_t n : {500, 1000, 4000}) sizes.push_back(n);
+  for (const std::size_t size : sizes) {
+    const auto n = static_cast<std::uint16_t>(size);
+    const auto rest = static_cast<std::uint16_t>(n > 0 ? n - 1 : 0);
+    const std::uint16_t one = n > 0 ? 1 : 0;
+    // Each access draws the same count of reads and writes.
+    const auto acc = [](std::uint16_t r, std::uint16_t count) {
+      return stamp::RegionAccess{.region = r, .reads = count, .writes = count};
+    };
+    const std::vector<std::pair<const char*, util::SmallVec<stamp::RegionAccess, 6>>> shapes = {
+        {"repeats", {acc(kRepeats, n)}},
+        {"digit+outlier", {acc(kOutlierR, one), acc(kDigit, rest)}},
+        {"mid", {acc(kMid, n)}},
+        {"top16", {acc(kTop, one), acc(kTop15, rest)}},
+        {"wide+top", {acc(kWide, rest), acc(kTop, one)}},
+        {"top", {acc(kTop, n)}},
+    };
+    for (const auto& [what, accesses] : shapes) {
+      stamp::WorkloadSpec one_type = spec;
+      one_type.types = {{.name = what, .duration_mean = 100, .accesses = accesses}};
+      one_type.phases = {{.fraction = 1.0, .mix = {1.0}}};
+      expect_canonical(one_type, 2, 3, seed,
+                       std::string(what) + " n=" + std::to_string(size));
+      if (HasFailure()) FAIL() << replay_hint(seed);
+    }
+  }
+}
+
+// A random layout: 1-8 regions, dense and sparse, some per-thread, some
+// Zipf-skewed, sometimes filled to the top of the 32-bit line space; 1-5
+// types of 1-6 accesses whose sides draw nothing, at most 16 lines or
+// more. Type 0 lists its regions in descending order, and an access may
+// repeat a region already drawn on the same side.
+stamp::WorkloadSpec random_layout(util::Xoshiro256& rng, std::size_t n_threads) {
+  stamp::WorkloadSpec spec;
+  spec.name = "random";
+  const std::size_t n_regions = 1 + rng.below(8);
+  std::uint64_t laid_out = 0;
+  for (std::size_t i = 0; i < n_regions; ++i) {
+    // Line counts from 1 to 2^26, log-uniform: one-word bitmaps to
+    // regions past the radix's widest digits.
+    std::uint64_t lines = std::uint64_t{1} << rng.below(27);
+    lines += rng.below(lines);
+    const bool per_thread = rng.below(4) == 0 && lines <= 4096;
+    const double skew = lines <= 4096 && rng.below(3) == 0 ? 0.2 + rng.uniform01() : 0.0;
+    const bool top = i > 0 && i + 1 == n_regions && !per_thread && rng.below(3) == 0;
+    if (top) lines = stamp::kMaxLineSpace - laid_out;  // ends at 0xFFFFFFFF
+    spec.regions.push_back(
+        region("r" + std::to_string(i), lines, top ? 0.0 : skew, per_thread));
+    laid_out += lines * (per_thread ? n_threads : 1);
+  }
+  // A side's draws: none, a few, or many.
+  const auto count = [&rng]() -> std::uint16_t {
+    switch (rng.below(4)) {
+      case 0: return 0;
+      case 1: return static_cast<std::uint16_t>(1 + rng.below(8));
+      case 2: return static_cast<std::uint16_t>(9 + rng.below(56));
+      default: return static_cast<std::uint16_t>(rng.below(700));
+    }
+  };
+  const std::size_t n_types = 1 + rng.below(5);
+  std::vector<double> mix;
+  for (std::size_t t = 0; t < n_types; ++t) {
+    stamp::TxTypeSpec ts;
+    ts.name = "t" + std::to_string(t);
+    ts.duration_mean = 1 + rng.below(5000);
+    ts.duration_jitter = rng.uniform01() * 0.9;
+    const std::size_t n_accesses = 1 + rng.below(6);
+    for (std::size_t a = 0; a < n_accesses; ++a) {
+      ts.accesses.push_back({.region = static_cast<std::uint16_t>(rng.below(n_regions)),
+                             .reads = count(),
+                             .writes = count()});
+    }
+    if (t == 0) {
+      std::sort(ts.accesses.begin(), ts.accesses.end(),
+                [](const stamp::RegionAccess& x, const stamp::RegionAccess& y) {
+                  return x.region > y.region;
+                });
+    }
+    spec.types.push_back(std::move(ts));
+    mix.push_back(0.5 + rng.uniform01());
+  }
+  spec.phases = {{.fraction = 1.0, .mix = mix}};
+  return spec;
+}
+
+TEST(GroupedCanonicalization, RandomLayoutsMatchSortUnique) {
+  const std::uint64_t master = master_seed();
+  const std::uint64_t iters = property_iters(20);
+  std::size_t lines = 0;
+  for (std::uint64_t i = 0; i < iters; ++i) {
+    const std::uint64_t seed = master + i;
+    util::Xoshiro256 rng(seed);
+    const std::size_t n_threads = 1 + rng.below(4);
+    const stamp::WorkloadSpec spec = random_layout(rng, n_threads);
+    lines += expect_canonical(spec, n_threads, 300, rng.next(),
+                              "layout seed " + std::to_string(seed));
+    if (HasFailure()) FAIL() << replay_hint(seed);
+  }
+  EXPECT_GT(lines, 0u) << "the layouts never drew a line";
 }
 
 }  // namespace

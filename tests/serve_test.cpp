@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/flight_recorder.hpp"
 #include "util/json.hpp"
 #include "util/latency_histogram.hpp"
 #include "util/mpmc_queue.hpp"
@@ -494,6 +495,47 @@ TEST(ServeDriver, RealModeServesAndDrainsEverything) {
   EXPECT_EQ(s.completed, s.accepted);
   EXPECT_EQ(s.latency_count, s.completed);  // warmup_s = 0: all counted
   EXPECT_GT(s.max_ns, 0u);
+}
+
+// Each real step builds its own executor and so its own Seer scheduler,
+// while one recorder spans the run: every step ends with a kFinal capture,
+// and each episode still open then ends at its own step's final.
+TEST(ServeDriver, RealModeEndsEveryStepWithAFinalSnapshot) {
+  // Every request bumps one of two counters.
+  const auto desc = desc_of(R"({
+    "generator": "spec", "name": "bump",
+    "params": {
+      "think_mean": 0,
+      "regions": [{"name": "counters", "lines": 2}],
+      "types": [{"name": "bump", "duration_mean": 300,
+                 "accesses": [{"region": "counters", "reads": 1, "writes": 1}]}]
+    },
+    "open_loop": {"sweep": {"rates": [200000, 400000]}, "duration_s": 0.05,
+                  "queue_capacity": 256, "workers": 2, "emit_interval_ms": 50,
+                  "table_words": 64}})");
+  seer::obs::FlightRecorder rec;
+  seer::workload::ServeOptions opts;  // real mode
+  opts.policy.kind = PolicyKind::kSeer;
+  // Saturating arrivals, a rebuild every 256 executions and a storm from a
+  // 1% abort rate: the counters' conflicts open episodes, and one usually
+  // runs hot to its step's end.
+  opts.policy.seer.update_period = 256;
+  opts.policy.seer.storm_enter = 0.01;
+  opts.recorder = &rec;
+  const auto report = run_serve(desc, *desc.open_loop, opts);
+  ASSERT_EQ(report.steps.size(), 2u);
+  ASSERT_EQ(rec.dropped(), 0u) << "the ring overflowed; shorten the steps";
+  std::vector<std::uint64_t> final_at;
+  for (const seer::obs::ModelSnapshot* s : rec.snapshots()) {
+    if (s->reason == seer::obs::SnapshotReason::kFinal) final_at.push_back(s->now);
+  }
+  EXPECT_EQ(final_at.size(), SEER_OBS_ENABLED ? 2u : 0u) << "one final per step";
+  for (const seer::obs::AnomalyEpisode& ep : rec.episodes()) {
+    if (!ep.open) continue;
+    const auto own = std::lower_bound(final_at.begin(), final_at.end(), ep.start_now);
+    ASSERT_NE(own, final_at.end()) << "an episode opened after the last final";
+    EXPECT_EQ(ep.end_now, *own) << "an episode open at its step's end";
+  }
 }
 
 // --- the step loop's contract, in both backends ------------------------------

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "runtime/threaded_executor.hpp"
@@ -12,6 +14,7 @@
 #include "sim/machine.hpp"
 #include "sim/sim_lock.hpp"
 #include "sim/workload.hpp"
+#include "stamp/workloads.hpp"
 
 namespace seer::sim {
 namespace {
@@ -687,6 +690,96 @@ TEST(MachineServe, LightLoadKeepsThreadZeroServing) {
   m.drain();
   EXPECT_EQ(served, 2000u);
   EXPECT_GT(m.policy_shared().seer()->rebuild_count(), 0u);
+}
+
+
+// ------------------------------------------------------ GoldenMachine ------
+
+// FNV-1a over every MachineStats field, doubles by their bits.
+std::uint64_t stats_hash(const MachineStats& s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xFFu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  const auto mix_all = [&mix](const auto& values) {
+    mix(values.size());
+    for (const auto v : values) mix(static_cast<std::uint64_t>(v));
+  };
+  mix(s.makespan);
+  mix(s.serial_work);
+  mix(s.commits);
+  mix(s.hw_attempts);
+  mix_all(s.commits_by_mode);
+  mix_all(s.aborts_by_cause);
+  mix_all(s.commits_by_type);
+  mix(s.txlock_fraction.count());
+  mix(std::bit_cast<std::uint64_t>(s.txlock_fraction.mean()));
+  mix(s.scheme_rebuilds);
+  mix(std::bit_cast<std::uint64_t>(s.final_params.th1));
+  mix(std::bit_cast<std::uint64_t>(s.final_params.th2));
+  mix(s.final_scheme.size());
+  for (const auto& row : s.final_scheme) mix_all(row);
+  mix_all(s.gt_conflicts);
+  return h;
+}
+
+// The whole simulator, pinned: every MachineStats field of the 8 STAMP
+// stand-ins under the 7 policies (8 threads, seed 1, a tenth of the bench
+// transaction count). A change to the machine's hot path — the pair test,
+// its verdict memo, the sampler — must leave every hash as it is; a change
+// that moves simulated numbers on purpose re-pins them and says why.
+TEST(GoldenMachine, StatsMatchPinnedHashes) {
+  constexpr std::size_t kPolicies = static_cast<std::size_t>(rt::PolicyKind::kOracle) + 1;
+  struct Golden {
+    const char* name;
+    std::uint64_t hash[kPolicies];  // HLE, RTM, SCM, ATS, SGL, Seer, Oracle
+  };
+  const Golden golden[] = {
+      {"genome",
+       {16824983231897718241ULL, 6309754415671317643ULL, 17707352791316822263ULL, 607665826525233325ULL,
+        4468727435813659186ULL, 11736817691200222999ULL, 13392761087280387774ULL}},
+      {"intruder",
+       {2634552043286123086ULL, 3463918437599736482ULL, 15875498246141960403ULL, 18161307249538283238ULL,
+        4886399979536338169ULL, 2004746113332409056ULL, 14979066944081358191ULL}},
+      {"kmeans-high",
+       {13858565819173586516ULL, 14527518777531883078ULL, 8393510511312003476ULL, 8873280628473099824ULL,
+        4772132229018501930ULL, 11550707324708904990ULL, 15749736680228752552ULL}},
+      {"kmeans-low",
+       {11736397987872779640ULL, 17955636508970063456ULL, 15197107295890240549ULL, 7286194603357577884ULL,
+        4772132229018501930ULL, 16709832342717960189ULL, 12862865338157794773ULL}},
+      {"ssca2",
+       {2610268655582345165ULL, 2610268655582345165ULL, 12158397821528515150ULL, 2610268655582345165ULL,
+        12455794825022067372ULL, 6959389698025489828ULL, 2610268655582345165ULL}},
+      {"vacation-high",
+       {15826414786288829871ULL, 10226084972034370709ULL, 6806065790025370406ULL, 1187575846077907481ULL,
+        9354648962443533800ULL, 7930719928055747812ULL, 13463136231507503441ULL}},
+      {"vacation-low",
+       {17596630953206522206ULL, 10152198020182313896ULL, 4356391406300620169ULL, 1855240680021930404ULL,
+        12579327620933028138ULL, 2172939541073218947ULL, 10544202248834166150ULL}},
+      {"yada",
+       {13894292934272239447ULL, 4076745777713676532ULL, 12485771721168586893ULL, 2814268873870474247ULL,
+        10431888195831953306ULL, 17324416049721190688ULL, 5971003940898244458ULL}},
+  };
+  const auto& stamps = stamp::all_workloads();
+  ASSERT_EQ(std::size(golden), stamps.size());
+  for (std::size_t w = 0; w < stamps.size(); ++w) {
+    const stamp::WorkloadInfo& info = stamps[w];
+    ASSERT_EQ(info.name, golden[w].name);
+    for (std::size_t k = 0; k < kPolicies; ++k) {
+      MachineConfig cfg;
+      cfg.n_threads = 8;
+      cfg.seed = 1;
+      cfg.txs_per_thread = info.bench_txs_per_thread / 10;
+      cfg.policy.kind = static_cast<rt::PolicyKind>(k);
+      const MachineStats s =
+          run_machine(cfg, std::make_unique<stamp::SpecWorkload>(info.spec(), 8));
+      EXPECT_EQ(stats_hash(s), golden[w].hash[k])
+          << info.name << " under " << rt::to_string(cfg.policy.kind);
+    }
+  }
 }
 
 }  // namespace

@@ -148,6 +148,32 @@ TEST(FlightRecorder, RecordFinalClosesOpenEpisodesAtFinalClock) {
   EXPECT_EQ(rec.snapshots().back()->reason, SnapshotReason::kFinal);
 }
 
+// One recorder, two schedulers in turn (seer_serve's real steps): each
+// run's final closes the episodes still open in that run only. The second
+// run's storm opens its own episode; the first keeps its end.
+TEST(FlightRecorder, EachFinalClosesOnlyItsOwnRunsEpisodes) {
+  FlightRecorder rec;
+  for (std::uint64_t run = 0; run < 2; ++run) {
+    RebuildWindows windows;  // a fresh scheduler's detector
+    const std::uint64_t t0 = run * 100000;
+    if (rec.on_rebuild(windows.next(0, 0))) rec.record(tiny_snapshot(t0 + 1000, 1));
+    ASSERT_TRUE(rec.on_rebuild(windows.next(1000, 10))) << "run " << run << "'s storm";
+    rec.record(tiny_snapshot(t0 + 2000, 2));
+    rec.record_final(tiny_snapshot(t0 + 7777, 9));
+  }
+  const auto& eps = rec.episodes();
+  ASSERT_EQ(eps.size(), 2u);
+  for (std::uint64_t run = 0; run < 2; ++run) {
+    EXPECT_TRUE(eps[run].open);
+    EXPECT_EQ(eps[run].end_now, run * 100000 + 7777) << "run " << run;
+  }
+  std::size_t finals = 0;
+  for (const ModelSnapshot* s : rec.snapshots()) {
+    if (s->reason == SnapshotReason::kFinal) ++finals;
+  }
+  EXPECT_EQ(finals, 2u);
+}
+
 TEST(ModelSnapshot, JsonRoundTripsThroughParser) {
   ModelSnapshot s = tiny_snapshot(123, 7);
   s.seq = 3;
